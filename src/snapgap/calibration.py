@@ -132,30 +132,23 @@ def youden_threshold(scores: Sequence[float], labels: Sequence[int]) -> Decision
     if n_pos == 0 or n_neg == 0:
         raise SingleClass("Youden threshold needs both classes")
 
-    uniq = np.unique(s)
-    pos_at = np.array([np.sum(y[s == u] == 1) for u in uniq], dtype=float)
-    neg_at = np.array([np.sum(y[s == u] == 0) for u in uniq], dtype=float)
-    # suffix[i] = count with score >= uniq[i]
-    suf_pos = np.cumsum(pos_at[::-1])[::-1]
-    suf_neg = np.cumsum(neg_at[::-1])[::-1]
-
-    best_j = -np.inf
-    best_t = uniq[0]
+    uniq, inverse = np.unique(s, return_inverse=True)
     m = len(uniq)
-    for i in range(m + 1):
-        tp = suf_pos[i] if i < m else 0.0
-        fp = suf_neg[i] if i < m else 0.0
-        j = tp / n_pos - fp / n_neg
-        if i == 0:
-            t = float(uniq[0])
-        elif i < m:
-            t = (uniq[i - 1] + uniq[i]) / 2.0
-            if t <= uniq[i - 1]:  # fp collapse between adjacent doubles
-                t = float(uniq[i])
-        else:
-            t = math.nextafter(float(uniq[-1]), math.inf)
-        if j >= best_j:  # ascending scan; >= keeps the higher threshold on ties
-            best_j, best_t = j, t
+    pos_at = np.bincount(inverse, weights=y == 1, minlength=m)
+    neg_at = np.bincount(inverse, weights=y == 0, minlength=m)
+    # cutpoint i flags every score >= uniq[i]; i == m flags none
+    tp = np.append(np.cumsum(pos_at[::-1])[::-1], 0.0)
+    fp = np.append(np.cumsum(neg_at[::-1])[::-1], 0.0)
+    j = tp / n_pos - fp / n_neg
+    i = m - int(np.argmax(j[::-1]))  # last maximum: the higher threshold on ties
+    if i == 0:
+        best_t = float(uniq[0])
+    elif i < m:
+        best_t = (uniq[i - 1] + uniq[i]) / 2.0
+        if best_t <= uniq[i - 1]:  # fp collapse between adjacent doubles
+            best_t = float(uniq[i])
+    else:
+        best_t = math.nextafter(float(uniq[-1]), math.inf)
     return DecisionRule(policy=POLICY_YOUDEN, threshold=float(best_t))
 
 

@@ -163,7 +163,12 @@ def permutation_importance(
     """Mean metric drop when one predictor column is shuffled.
 
     Each (feature, repeat) pair draws its permutation from its own seeded
-    stream, so results do not depend on evaluation order.
+    stream, so results do not depend on evaluation order. The `repeats`
+    permuted copies of one feature are stacked into a single
+    (repeats * n, d) matrix and scored in one `predict_proba` call, which
+    relies on the model scoring each row independently of the others in its
+    batch. Working memory is one such matrix, repeats * n * d floats, reused
+    for every feature.
     """
     if metric not in (METRIC_AUC, METRIC_AP):
         raise ValidationError(f"metric must be 'auc' or 'ap', got {metric!r}")
@@ -179,17 +184,17 @@ def permutation_importance(
     baseline_auc = roc_auc(base_scores, y)
     baseline_ap = average_precision(base_scores, y)
 
+    n = X.shape[0]
+    stacked = np.tile(X, (repeats, 1))
     results = []
     for j, name in enumerate(names):
-        d_auc, d_ap = [], []
         for r in range(repeats):
-            rng = derive_rng(seed, STREAM_PERMUTE, j, r)
-            perm = rng.permutation(X.shape[0])
-            Xp = X.copy()
-            Xp[:, j] = X[perm, j]
-            scores = model.predict_proba(Xp)
-            d_auc.append(baseline_auc - roc_auc(scores, y))
-            d_ap.append(baseline_ap - average_precision(scores, y))
+            perm = derive_rng(seed, STREAM_PERMUTE, j, r).permutation(n)
+            stacked[r * n : (r + 1) * n, j] = X[perm, j]
+        scores = model.predict_proba(stacked).reshape(repeats, n)
+        stacked[:, j] = np.tile(X[:, j], repeats)
+        d_auc = [baseline_auc - roc_auc(s, y) for s in scores]
+        d_ap = [baseline_ap - average_precision(s, y) for s in scores]
         primary = d_auc if metric == METRIC_AUC else d_ap
         results.append(
             FeatureImportance(

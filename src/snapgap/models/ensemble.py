@@ -7,7 +7,8 @@ many trees the ensemble has or in what order they are grown.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -15,7 +16,7 @@ from ..errors import FeatureMismatch, InvalidParams, SingleClass
 from ..rng import STREAM_TREE, derive_rng
 from .logistic import WEIGHTING_BALANCED, sample_weights, sigmoid
 from .matrix import FeatureMatrix
-from .tree import CRITERION_GINI, CRITERION_MSE, DecisionTree, grow_tree
+from .tree import CRITERION_GINI, CRITERION_MSE, DecisionTree, FlatTrees, grow_tree
 
 KIND_FOREST = "random_forest"
 KIND_BOOSTING = "gradient_boosting"
@@ -55,20 +56,27 @@ class TreeEnsembleModel:
     feature_names: tuple[str, ...]
     base_score: float = 0.0  # boosting log-odds offset
 
+    @cached_property
+    def _flat(self) -> FlatTrees:
+        return FlatTrees(self.trees)
+
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != len(self.feature_names):
             raise FeatureMismatch(
                 f"expected {len(self.feature_names)} features, got shape {X.shape}"
             )
+        flat = self._flat
+        # per-tree values are added one tree at a time, in tree order, so the
+        # float sums do not depend on how the traversal is organized
         if self.kind == KIND_FOREST:
             acc = np.zeros(X.shape[0])
-            for tree in self.trees:
-                acc += tree.predict(X)
+            for leaves in flat.leaves(X):
+                acc += flat.value[leaves]
             return acc / len(self.trees)
         score = np.full(X.shape[0], self.base_score)
-        for tree in self.trees:
-            score += self.params.learning_rate * tree.predict(X)
+        for leaves in flat.leaves(X):
+            score += self.params.learning_rate * flat.value[leaves]
         return sigmoid(score)
 
 
@@ -123,6 +131,12 @@ def fit_tree_ensemble(fm: FeatureMatrix, params: EnsembleParams) -> TreeEnsemble
         p = sigmoid(score)
         residual = y - p
         curvature = np.maximum(p * (1.0 - p), 1e-12)
+
+        def newton_step(idx, residual=residual, curvature=curvature):
+            num = float(np.sum(w[idx] * residual[idx]))
+            den = float(np.sum(w[idx] * curvature[idx]))
+            return num / den
+
         tree = grow_tree(
             X,
             residual,
@@ -132,13 +146,8 @@ def fit_tree_ensemble(fm: FeatureMatrix, params: EnsembleParams) -> TreeEnsemble
             min_leaf=params.min_leaf,
             max_features=max_features,
             rng=rng,
+            leaf_value=newton_step,
         )
-        leaves = tree.leaf_for(X)
-        for leaf in np.unique(leaves):
-            rows = leaves == leaf
-            num = float(np.sum(w[rows] * residual[rows]))
-            den = float(np.sum(w[rows] * curvature[rows]))
-            tree.value[leaf] = num / den
         score += params.learning_rate * tree.predict(X)
         trees.append(tree)
     return TreeEnsembleModel(

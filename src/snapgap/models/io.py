@@ -22,10 +22,10 @@ from ..errors import ValidationError
 from .ensemble import EnsembleParams, TreeEnsembleModel
 from .logistic import LogisticModel
 from .matrix import Standardization
+from .selection import FAMILY_LOGISTIC
 from .tree import DecisionTree
 
 MODEL_FORMAT = "snapgap-model/1"
-FAMILY_LOGISTIC = "logistic"
 
 
 @dataclass(frozen=True)
@@ -68,11 +68,11 @@ def _tree_to_dict(tree: DecisionTree) -> dict:
 
 def _tree_from_dict(data: dict) -> DecisionTree:
     return DecisionTree(
-        feature=list(data["feature"]),
-        threshold=_none_to_nan(data["threshold"]),
-        left=list(data["left"]),
-        right=list(data["right"]),
-        value=_none_to_nan(data["value"]),
+        feature=tuple(data["feature"]),
+        threshold=tuple(_none_to_nan(data["threshold"])),
+        left=tuple(data["left"]),
+        right=tuple(data["right"]),
+        value=tuple(_none_to_nan(data["value"])),
     )
 
 

@@ -111,11 +111,11 @@ class CvGridResult:
 def out_of_fold_proba(
     fm: FeatureMatrix, family: str, params: dict, fold_idx: list[np.ndarray], seed: int
 ) -> np.ndarray:
-    """Held-out predictions for every row, from per-fold refits."""
+    """Held-out predictions for every row, each from the fit on the other folds."""
     proba = np.empty(fm.n)
     all_idx = np.arange(fm.n)
     for val in fold_idx:
-        train = np.setdiff1d(all_idx, val, assume_unique=False)
+        train = np.setdiff1d(all_idx, val)
         model = fit_family(fm.subset(train), family, params, seed)
         proba[val] = model.predict_proba(fm.X[val])
     return proba
@@ -131,7 +131,8 @@ def cv_grid_search(
 
     Candidates are evaluated in simplicity order and replaced only on a
     strictly better mean AP, so exact ties resolve toward the simpler model.
-    The winner's out-of-fold probabilities ride along for calibration.
+    Each candidate's fold AP is read off its out-of-fold predictions, and the
+    winner's predictions ride along for calibration without a refit.
     """
     grids = DEFAULT_GRIDS if grids is None else grids
     fold_idx = stratified_folds(fm.y, folds, seed)
@@ -141,18 +142,12 @@ def cv_grid_search(
         best_entry: GridEntry | None = None
         ordered = sorted(candidates, key=lambda p: _simplicity_key(family, p))
         for params in ordered:
-            fold_aps = []
-            all_idx = np.arange(fm.n)
-            for val in fold_idx:
-                train = np.setdiff1d(all_idx, val)
-                model = fit_family(fm.subset(train), family, params, seed)
-                scores = model.predict_proba(fm.X[val])
-                fold_aps.append(average_precision(scores, fm.y[val]))
+            proba = out_of_fold_proba(fm, family, params, fold_idx, seed)
+            fold_aps = [average_precision(proba[val], fm.y[val]) for val in fold_idx]
             entry = GridEntry(params=params, mean_ap=float(np.mean(fold_aps)), fold_aps=fold_aps)
             entries.append(entry)
             if best_entry is None or entry.mean_ap > best_entry.mean_ap:
-                best_entry = entry
-        oof = out_of_fold_proba(fm, family, best_entry.params, fold_idx, seed)
+                best_entry, oof = entry, proba
         results[family] = CvGridResult(
             family=family,
             grid=entries,

@@ -6,74 +6,112 @@ regression trees split on weighted squared error and store a caller-supplied
 leaf value (the boosting Newton step). Split candidates are midpoints between
 adjacent distinct sorted feature values; ties are broken toward the lowest
 feature index, then the lowest threshold, so growth is deterministic.
+
+A grown tree is immutable: five preorder node tuples (feature, threshold,
+left, right, value), which is also its serialized form. For prediction the
+tuples are compiled once into `FlatTrees`, numpy node arrays that can hold
+many trees end to end. In the compiled layout a leaf points both child slots
+at itself, so a row that reaches a leaf stays there: every row takes exactly
+`depth` steps, with no per-step bookkeeping of which rows are still moving.
+A step reads the row's feature from the flattened input matrix, compares it
+with the node's threshold (`x <= threshold` goes left; NaN compares false and
+goes right) and gathers the child index.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
+from typing import Iterator, Sequence
 
 import numpy as np
+
+from ..errors import FeatureMismatch
 
 CRITERION_GINI = "gini"
 CRITERION_MSE = "mse"
 
-_NO_SPLIT = (np.inf, -1, np.nan)
 
-
-@dataclass
+@dataclass(frozen=True)
 class DecisionTree:
-    """Flat-array tree; feature[i] == -1 marks a leaf with value[i]."""
+    """Preorder node tuples; feature[i] == -1 marks a leaf with value[i]."""
 
-    feature: list[int] = field(default_factory=list)
-    threshold: list[float] = field(default_factory=list)
-    left: list[int] = field(default_factory=list)
-    right: list[int] = field(default_factory=list)
-    value: list[float] = field(default_factory=list)
-
-    def _add_node(self) -> int:
-        self.feature.append(-1)
-        self.threshold.append(np.nan)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append(np.nan)
-        return len(self.feature) - 1
+    feature: tuple[int, ...]
+    threshold: tuple[float, ...]
+    left: tuple[int, ...]
+    right: tuple[int, ...]
+    value: tuple[float, ...]
 
     @property
     def n_nodes(self) -> int:
         return len(self.feature)
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        feat = np.asarray(self.feature)
-        thr = np.asarray(self.threshold)
-        left = np.asarray(self.left)
-        right = np.asarray(self.right)
-        val = np.asarray(self.value)
-        node = np.zeros(X.shape[0], dtype=int)
-        while True:
-            f = feat[node]
-            active = f >= 0
-            if not active.any():
-                break
-            rows = np.flatnonzero(active)
-            go_left = X[rows, f[rows]] <= thr[node[rows]]
-            node[rows] = np.where(go_left, left[node[rows]], right[node[rows]])
-        return val[node]
+    @cached_property
+    def _flat(self) -> FlatTrees:
+        return FlatTrees((self,))
 
     def leaf_for(self, X: np.ndarray) -> np.ndarray:
-        """Leaf index per row (used by leaf-value assignment in boosting)."""
-        X = np.asarray(X, dtype=float)
-        node = np.zeros(X.shape[0], dtype=int)
-        feat = np.asarray(self.feature)
-        while True:
-            f = feat[node]
-            active = f >= 0
-            if not active.any():
-                return node
-            rows = np.flatnonzero(active)
-            go_left = X[rows, f[rows]] <= np.asarray(self.threshold)[node[rows]]
-            node[rows] = np.where(
-                go_left, np.asarray(self.left)[node[rows]], np.asarray(self.right)[node[rows]]
+        """Leaf node index reached by each row."""
+        return next(self._flat.leaves(X))
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        return self._flat.value[self.leaf_for(X)]
+
+
+def _stacked(trees: Sequence[DecisionTree], attr: str, dtype) -> np.ndarray:
+    return np.fromiter(chain.from_iterable(getattr(t, attr) for t in trees), dtype=dtype)
+
+
+class FlatTrees:
+    """Node arrays of one or more trees laid end to end, compiled once.
+
+    Node k of tree t sits at roots[t] + k. Leaves keep feature 0 and loop
+    back to themselves; `child[2i]` is node i's right child and
+    `child[2i + 1]` its left, so one step is `child[2i + (x <= threshold[i])]`.
+    `depths[t]` is the number of steps that brings every row to a leaf.
+    """
+
+    def __init__(self, trees: Sequence[DecisionTree]):
+        sizes = [t.n_nodes for t in trees]
+        self.roots = np.cumsum([0] + sizes, dtype=np.intp)[:-1]
+        feature = _stacked(trees, "feature", np.intp)
+        leaf = feature < 0
+        own = np.arange(feature.size)
+        offset = np.repeat(self.roots, sizes)
+        left = np.where(leaf, own, _stacked(trees, "left", np.intp) + offset)
+        right = np.where(leaf, own, _stacked(trees, "right", np.intp) + offset)
+        self.feature = np.where(leaf, 0, feature)
+        self.threshold = _stacked(trees, "threshold", float)
+        self.child = np.column_stack([right, left]).ravel()
+        self.value = _stacked(trees, "value", float)
+        self.n_features = int(feature.max(initial=-1)) + 1
+
+        # level-wise walk from the roots gives each node's depth
+        node_depth = np.zeros(feature.size, dtype=np.intp)
+        frontier, level = self.roots, 0
+        while frontier.size:
+            frontier = frontier[~leaf[frontier]]
+            level += 1
+            frontier = np.concatenate([left[frontier], right[frontier]])
+            node_depth[frontier] = level
+        self.depths = np.maximum.reduceat(node_depth, self.roots) if sizes else self.roots
+
+    def leaves(self, X: np.ndarray) -> Iterator[np.ndarray]:
+        """Leaf reached by each row of X (an index into these arrays), one
+        array per tree, in tree order."""
+        X = np.ascontiguousarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] < self.n_features:
+            raise FeatureMismatch(
+                f"trees split on {self.n_features} features, got shape {X.shape}"
             )
+        flat = X.ravel()
+        row = np.arange(X.shape[0]) * X.shape[1]
+        for root, depth in zip(self.roots, self.depths):
+            node = np.full(X.shape[0], root)
+            for _ in range(depth):
+                goes_left = flat[row + self.feature[node]] <= self.threshold[node]
+                node = self.child[2 * node + goes_left]
+            yield node
 
 
 def _best_split_gini(x, t, w, min_leaf):
@@ -171,7 +209,11 @@ def grow_tree(
         def leaf_value(idx):
             return float(np.sum(weights[idx] * targets[idx]) / np.sum(weights[idx]))
 
-    tree = DecisionTree()
+    feature: list[int] = []
+    threshold: list[float] = []
+    left: list[int] = []
+    right: list[int] = []
+    value: list[float] = []
 
     # Explicit preorder stack (left subtree expanded before right) so that
     # unlimited-depth trees cannot hit the interpreter recursion limit and
@@ -180,12 +222,14 @@ def grow_tree(
     stack: list[tuple[np.ndarray, int, int, bool]] = [(root_idx, 0, -1, False)]
     while stack:
         idx, depth, parent_node, is_left = stack.pop()
-        node = tree._add_node()
+        node = len(feature)
+        feature.append(-1)
+        threshold.append(np.nan)
+        left.append(-1)
+        right.append(-1)
+        value.append(np.nan)
         if parent_node >= 0:
-            if is_left:
-                tree.left[parent_node] = node
-            else:
-                tree.right[parent_node] = node
+            (left if is_left else right)[parent_node] = node
 
         t, w = targets[idx], weights[idx]
         if (
@@ -193,7 +237,7 @@ def grow_tree(
             or len(idx) < 2 * min_leaf
             or np.all(t == t[0])
         ):
-            tree.value[node] = leaf_value(idx)
+            value[node] = leaf_value(idx)
             continue
 
         if max_features is not None and max_features < d:
@@ -208,14 +252,14 @@ def grow_tree(
             if score < best_score:
                 best_score, best_feat, best_thr = score, int(j), thr
         if best_feat < 0 or not best_score < parent - 1e-12 * max(1.0, abs(parent)):
-            tree.value[node] = leaf_value(idx)
+            value[node] = leaf_value(idx)
             continue
 
         go_left = X[idx, best_feat] <= best_thr
-        tree.feature[node] = best_feat
-        tree.threshold[node] = best_thr
+        feature[node] = best_feat
+        threshold[node] = best_thr
         # push right first so the left child is materialized next (preorder)
         stack.append((idx[~go_left], depth + 1, node, False))
         stack.append((idx[go_left], depth + 1, node, True))
 
-    return tree
+    return DecisionTree(tuple(feature), tuple(threshold), tuple(left), tuple(right), tuple(value))

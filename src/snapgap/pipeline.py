@@ -41,6 +41,7 @@ from .calibration import (
 )
 from .errors import (
     CohortError,
+    DegenerateDesign,
     InsufficientCohort,
     PeriodsOverlap,
     SingleClass,
@@ -65,7 +66,6 @@ from .models import (
     cv_grid_search,
     fit_family,
     model_to_dict,
-    out_of_fold_proba,
     stratified_folds,
 )
 from .rng import STREAM_SPLIT, derive_rng, stream_id
@@ -411,7 +411,7 @@ def _evaluate_task(
 def _hidden_fragility_entry(panel: LabeledPanel, tail: float) -> dict:
     try:
         with_resid, fit = fit_uptake_ols(panel)
-    except Exception as exc:  # degenerate design: too few count pairs
+    except DegenerateDesign as exc:  # too few count pairs, or all x identical
         return {"error": str(exc)}
     zips = flag_hidden_fragility(with_resid, fit, tail)
     return {

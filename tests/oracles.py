@@ -3,7 +3,8 @@
 Everything here is written from the definitions, not from the library code:
 quantiles by hand-rolled rank interpolation, OLS by normal equations, AUC by
 pairwise comparison, AP by rank enumeration, labeling by explicit sort-and-
-threshold, gradients by central differences.
+threshold, gradients by central differences, tree prediction by walking
+one row at a time down the node tuples.
 """
 from __future__ import annotations
 
@@ -130,6 +131,55 @@ def youden_scan(scores, labels):
         fp = sum(1 for s, l in zip(scores, labels) if l == 0 and s >= t)
         best = max(best, tp / n_pos - fp / n_neg)
     return best
+
+
+def youden_best_threshold(scores, labels):
+    """Highest candidate threshold whose J equals the best J (ties -> fewer flags)."""
+    cands = sorted(set(scores))
+    cands = [cands[0]] + [(a + b) / 2 for a, b in zip(cands, cands[1:])] + [
+        math.nextafter(cands[-1], math.inf)
+    ]
+    best = youden_scan(scores, labels)
+    n_pos = sum(1 for l in labels if l == 1)
+    n_neg = len(labels) - n_pos
+    for t in reversed(cands):
+        tp = sum(1 for s, l in zip(scores, labels) if l == 1 and s >= t)
+        fp = sum(1 for s, l in zip(scores, labels) if l == 0 and s >= t)
+        if tp / n_pos - fp / n_neg == best:
+            return t
+    raise AssertionError("best J not attained")
+
+
+def tree_walk(tree, X):
+    """Leaf index per row, following child pointers one row at a time.
+
+    A row goes left when its value is <= the node threshold; NaN is never
+    <= anything, so it goes right.
+    """
+    leaves = []
+    for row in np.asarray(X, dtype=float):
+        node = 0
+        while tree.feature[node] >= 0:
+            x = float(row[tree.feature[node]])
+            go_left = not math.isnan(x) and x <= tree.threshold[node]
+            node = tree.left[node] if go_left else tree.right[node]
+        leaves.append(node)
+    return leaves
+
+
+def ensemble_walk_score(model, X):
+    """Per-row forest mean or boosting log-odds, summed tree by tree in order."""
+    out = []
+    for i in range(len(X)):
+        total = 0.0 if model.kind == "random_forest" else model.base_score
+        for tree in model.trees:
+            v = tree.value[tree_walk(tree, X[i : i + 1])[0]]
+            if model.kind == "random_forest":
+                total += v
+            else:
+                total += model.params.learning_rate * v
+        out.append(total / len(model.trees) if model.kind == "random_forest" else total)
+    return np.array(out)
 
 
 def monotone_sse(fitted, labels):

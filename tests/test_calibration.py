@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import monotone_sse, pav_perturbations, youden_scan
+from oracles import monotone_sse, pav_perturbations, youden_best_threshold, youden_scan
 from snapgap.calibration import (
     DecisionRule,
     IsotonicMap,
@@ -144,6 +144,15 @@ class TestYoudenThreshold:
             flags = scores >= rule.threshold
             j = flags[labels == 1].sum() / n_pos - flags[labels == 0].sum() / n_neg
             assert j == pytest.approx(youden_scan(scores.tolist(), labels.tolist()), abs=1e-12)
+
+    @pytest.mark.parametrize("n, levels", [(12, 3), (60, 5), (400, 40), (20_000, 25)])
+    def test_tie_heavy_matches_oracle_threshold(self, rng, n, levels):
+        for _ in range(20 if n < 1000 else 1):
+            scores = rng.integers(0, levels, size=n) / levels
+            labels = (rng.random(n) < 0.2 + 0.6 * scores).astype(int)
+            labels[:2] = [0, 1]
+            rule = youden_threshold(scores, labels)
+            assert rule.threshold == youden_best_threshold(scores.tolist(), labels.tolist())
 
     def test_ties_break_to_fewer_flags(self):
         # both cut points achieve J = 0.5; the higher threshold must win

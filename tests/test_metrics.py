@@ -1,5 +1,9 @@
+from functools import cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import ap_rank_enum, auc_pairwise, precision_at_k_oracle
 from snapgap.calibration import DecisionRule
@@ -12,7 +16,15 @@ from snapgap.metrics import (
     precision_at_k,
     roc_auc,
 )
-from snapgap.models import FeatureMatrix, LogisticModel, Standardization, fit_logistic
+from snapgap.models import (
+    EnsembleParams,
+    FeatureMatrix,
+    LogisticModel,
+    Standardization,
+    fit_logistic,
+    fit_tree_ensemble,
+)
+from snapgap.rng import STREAM_PERMUTE, derive_rng
 
 
 def random_cohort(rng, n=None, prevalence=0.3, tie_prob=0.4):
@@ -225,6 +237,56 @@ class TestPermutationImportance:
         a = permutation_importance(model, X, y, repeats=4, seed=2)
         b = permutation_importance(model, X, y, repeats=4, seed=2)
         assert a == b
+
+
+@cache
+def fitted_model(family):
+    rng = np.random.default_rng(41)
+    X = np.round(rng.normal(size=(240, 3)), 1)
+    y = (rng.random(240) < 1 / (1 + np.exp(1.0 - 2.0 * X[:, 0] + X[:, 2]))).astype(int)
+    fm = FeatureMatrix(X=X, y=y, feature_names=("a", "b", "c"))
+    if family == "logistic":
+        return fit_logistic(fm, c=1.0)
+    return fit_tree_ensemble(fm, EnsembleParams(kind=family, n_trees=15, max_depth=4, seed=6))
+
+
+def per_repeat_importance(model, X, y, metric, repeats, seed):
+    """One predict_proba call per (feature, repeat): the unbatched definition."""
+    base = model.predict_proba(X)
+    base_auc, base_ap = roc_auc(base, y), average_precision(base, y)
+    out = []
+    for j in range(X.shape[1]):
+        d_auc, d_ap = [], []
+        for r in range(repeats):
+            perm = derive_rng(seed, STREAM_PERMUTE, j, r).permutation(X.shape[0])
+            Xp = X.copy()
+            Xp[:, j] = X[perm, j]
+            scores = model.predict_proba(Xp)
+            d_auc.append(base_auc - roc_auc(scores, y))
+            d_ap.append(base_ap - average_precision(scores, y))
+        primary = d_auc if metric == "auc" else d_ap
+        out.append((float(np.mean(d_auc)), float(np.mean(d_ap)), float(np.std(primary))))
+    return out
+
+
+class TestBatchedImportance:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        family=st.sampled_from(["logistic", "random_forest", "gradient_boosting"]),
+        n=st.integers(min_value=2, max_value=120),
+        repeats=st.integers(min_value=1, max_value=6),
+        seed=st.integers(min_value=0, max_value=2**31),
+        metric=st.sampled_from(["auc", "ap"]),
+    )
+    def test_equals_per_repeat_loop(self, family, n, repeats, seed, metric):
+        rng = np.random.default_rng(seed)
+        X = np.round(rng.normal(size=(n, 3)), 1)  # ties within each column
+        y = (rng.random(n) < 0.3).astype(int)
+        y[0], y[1] = 1, 0
+        model = fitted_model(family)
+        report = permutation_importance(model, X, y, metric=metric, repeats=repeats, seed=seed)
+        got = [(f.delta_auc, f.delta_ap, f.dispersion) for f in report.features]
+        assert got == per_repeat_importance(model, X, y, metric, repeats, seed)
 
 
 class TestEvaluate:

@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from oracles import ensemble_walk_score, tree_walk
 from snapgap.errors import InvalidParams, SingleClass
 from snapgap.metrics import roc_auc
 from snapgap.models import (
@@ -12,6 +15,7 @@ from snapgap.models import (
     grow_tree,
     model_from_dict,
     model_to_dict,
+    sigmoid,
 )
 from snapgap.rng import derive_rng
 
@@ -71,6 +75,66 @@ class TestGrowTree:
             max_features=None, rng=derive_rng(0, 1),
         )
         assert tree.feature[0] == 0
+
+
+def grown(X, y, **kw):
+    params = dict(criterion="gini", max_depth=None, min_leaf=1, max_features=None)
+    params.update(kw)
+    return grow_tree(X, y, np.ones(len(y)), rng=derive_rng(0, 1), **params)
+
+
+def assert_matches_walk(tree, X):
+    leaves = tree.leaf_for(X)
+    assert leaves.tolist() == tree_walk(tree, X)
+    assert np.array_equal(tree.predict(X), np.array([tree.value[i] for i in leaves]))
+
+
+class TestCompiledTraversal:
+    """predict and leaf_for against a row-by-row walk of the node tuples."""
+
+    def test_root_only_tree(self, rng):
+        X = rng.normal(size=(30, 2))
+        tree = grown(X, np.ones(30))
+        assert tree.n_nodes == 1
+        assert_matches_walk(tree, rng.normal(size=(7, 2)))
+
+    def test_unlimited_depth(self, rng):
+        X = rng.normal(size=(300, 3))
+        y = (rng.random(300) < 0.3).astype(float)  # pure noise: a deep, ragged tree
+        tree = grown(X, y)
+        assert tree.n_nodes > 100
+        assert_matches_walk(tree, X)
+        assert_matches_walk(tree, np.round(rng.normal(size=(200, 3)), 1))
+
+    def test_min_leaf_five(self, rng):
+        X = rng.normal(size=(200, 2))
+        y = (X[:, 0] + rng.normal(size=200) > 0).astype(float)
+        tree = grown(X, y, min_leaf=5)
+        assert_matches_walk(tree, rng.normal(size=(100, 2)))
+
+    def test_nan_goes_right(self, rng):
+        X = rng.normal(size=(200, 2))
+        y = (X[:, 0] > 0.2).astype(float)
+        tree = grown(X, y, max_depth=4)
+        Xq = rng.normal(size=(60, 2))
+        Xq[rng.random(Xq.shape) < 0.3] = np.nan
+        assert_matches_walk(tree, Xq)
+        at_root = np.full((1, 2), 0.0)
+        at_root[0, tree.feature[0]] = np.nan
+        assert tree.leaf_for(at_root)[0] >= tree.right[0]  # preorder: right subtree
+
+    @pytest.mark.parametrize("kind", ["random_forest", "gradient_boosting"])
+    def test_ensembles(self, rng, kind):
+        fm = xor_panel(rng, n=200)
+        model = fit_tree_ensemble(
+            fm, EnsembleParams(kind=kind, n_trees=12, max_depth=None, min_leaf=3, seed=4)
+        )
+        Xq = rng.normal(size=(80, 2))
+        Xq[::7, 1] = np.nan
+        expected = ensemble_walk_score(model, Xq)
+        if kind == "gradient_boosting":
+            expected = sigmoid(expected)
+        assert np.array_equal(model.predict_proba(Xq), expected)
 
 
 class TestRandomForest:
@@ -174,6 +238,27 @@ class TestSerialization:
         fm = xor_panel(rng, n=150)
         model = fit_tree_ensemble(fm, EnsembleParams(kind=kind, n_trees=8, max_depth=3, seed=17))
         clone = model_from_dict(model_to_dict(model))
+        X_test = rng.normal(size=(40, 2))
+        assert np.array_equal(model.predict_proba(X_test), clone.predict_proba(X_test))
+
+    @pytest.mark.parametrize("family", ["logistic", "random_forest", "gradient_boosting"])
+    def test_json_roundtrip_bit_identical(self, rng, family):
+        fm = xor_panel(rng, n=150)
+        if family == "logistic":
+            model = fit_logistic(fm, c=1.0)
+        else:
+            model = fit_tree_ensemble(fm, EnsembleParams(kind=family, n_trees=6, seed=2))
+        data = model_to_dict(model)
+
+        def plain(v):
+            if isinstance(v, dict):
+                return all(type(k) is str and plain(x) for k, x in v.items())
+            if isinstance(v, list):
+                return all(plain(x) for x in v)
+            return v is None or type(v) in (str, int, float, bool)
+
+        assert plain(data)  # no numpy scalars hiding behind float/int
+        clone = model_from_dict(json.loads(json.dumps(data)))
         X_test = rng.normal(size=(40, 2))
         assert np.array_equal(model.predict_proba(X_test), clone.predict_proba(X_test))
 
