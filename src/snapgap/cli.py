@@ -33,7 +33,7 @@ from .ingest import (
 )
 from .labeling import build_labels, write_labeled_panel
 from .models import save_json, scorer_to_dict
-from .pipeline import RunManifest, run_backtest, train_scorers
+from .pipeline import run_backtest, train_scorers
 from .report import ALL_FORMATS, emit_report
 from .synth import generate_synthetic
 
@@ -58,21 +58,34 @@ def _load_merged_config(args) -> dict:
     return apply_overrides(config, args.set or [])
 
 
-def _read_panel(path: Path, config: dict):
+def _load_panel(config: dict, panel: str, crosswalk: str | None = None):
+    """Parse and dedupe a panel CSV, then designate areas from the crosswalk
+    when one is given. Returns (records, rejects, input digests)."""
+    panel_path = Path(panel)
     schema = config.get("schema")  # None: identity headers, optional ones lax
     delimiter = config.get("delimiter", ",")
-    records, rejects = parse_panel(path, schema, delimiter=delimiter)
+    records, rejects = parse_panel(panel_path, schema, delimiter=delimiter)
     records = dedupe(records)
-    return records, rejects
+    digests = {"panel": _file_digest(panel_path)}
+    if crosswalk:
+        cw_path = Path(crosswalk)
+        table, cw_rejects = parse_crosswalk(cw_path)
+        records = designate_all(records, table)
+        rejects = rejects + cw_rejects
+        digests["crosswalk"] = _file_digest(cw_path)
+    return records, rejects, digests
+
+
+def _write_scorers(scorers: dict, outdir: Path) -> None:
+    outdir.mkdir(parents=True, exist_ok=True)
+    for (cohort, label), scorer in sorted(scorers.items()):
+        name = f"model_{cohort}_{label}".replace("[", "_").replace("]", "").replace("+", "-")
+        save_json(scorer_to_dict(scorer), outdir / f"{name}.json")
 
 
 def cmd_ingest(args) -> int:
     config = _load_merged_config(args)
-    records, rejects = _read_panel(Path(args.panel), config)
-    if args.crosswalk:
-        crosswalk, cw_rejects = parse_crosswalk(Path(args.crosswalk))
-        records = designate_all(records, crosswalk)
-        rejects = rejects + cw_rejects
+    records, rejects, _ = _load_panel(config, args.panel, args.crosswalk)
     write_records(records, Path(args.out))
     if args.rejects:
         write_rejects(rejects, Path(args.rejects))
@@ -82,7 +95,7 @@ def cmd_ingest(args) -> int:
 
 def cmd_label(args) -> int:
     config = _load_merged_config(args)
-    records, _ = _read_panel(Path(args.panel), config)
+    records, _, _ = _load_panel(config, args.panel)
     cfg = label_config_from(config, stratified=config.get("area_mode") == "stratified")
     panel = build_labels(records, cfg)
     write_labeled_panel(panel, Path(args.out))
@@ -93,48 +106,27 @@ def cmd_label(args) -> int:
     return EXIT_OK
 
 
-def _run_backtest(args) -> tuple[RunManifest, dict]:
-    config = _load_merged_config(args)
-    cfg = backtest_config_from(config)
-    panel_path = Path(args.panel)
-    records, _ = _read_panel(panel_path, config)
-    digests = {"panel": _file_digest(panel_path)}
-    if args.crosswalk:
-        cw_path = Path(args.crosswalk)
-        crosswalk, _ = parse_crosswalk(cw_path)
-        records = designate_all(records, crosswalk)
-        digests["crosswalk"] = _file_digest(cw_path)
-    return run_backtest(cfg, records, input_digests=digests), config
-
-
 def cmd_train(args) -> int:
     config = _load_merged_config(args)
     cfg = backtest_config_from(config)
-    records, _ = _read_panel(Path(args.panel), config)
-    if args.crosswalk:
-        crosswalk, _ = parse_crosswalk(Path(args.crosswalk))
-        records = designate_all(records, crosswalk)
+    records, _, _ = _load_panel(config, args.panel, args.crosswalk)
     scorers = train_scorers(cfg, records)
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    for (cohort, label), scorer in sorted(scorers.items()):
-        name = f"model_{cohort}_{label}".replace("[", "_").replace("]", "").replace("+", "-")
-        save_json(scorer_to_dict(scorer), outdir / f"{name}.json")
+    _write_scorers(scorers, outdir)
     print(f"wrote {len(scorers)} scorer files -> {outdir}")
     return EXIT_OK
 
 
 def cmd_backtest(args) -> int:
-    manifest, _ = _run_backtest(args)
+    config = _load_merged_config(args)
+    cfg = backtest_config_from(config)
+    records, _, digests = _load_panel(config, args.panel, args.crosswalk)
+    manifest = run_backtest(cfg, records, input_digests=digests)
     outdir = Path(args.out)
     formats = args.formats.split(",") if args.formats else list(ALL_FORMATS)
     written = emit_report(manifest, formats, outdir)
     if args.models:
-        model_dir = outdir / "models"
-        model_dir.mkdir(parents=True, exist_ok=True)
-        for (cohort, label), scorer in sorted(manifest.scorers.items()):
-            name = f"model_{cohort}_{label}".replace("[", "_").replace("]", "").replace("+", "-")
-            save_json(scorer_to_dict(scorer), model_dir / f"{name}.json")
+        _write_scorers(manifest.scorers, outdir / "models")
     print(f"manifest digest {manifest.digest}")
     print(f"wrote {len(written)} report files -> {outdir}")
     return EXIT_OK

@@ -101,7 +101,6 @@ def backtest_config_from(config: dict) -> BacktestConfig:
         hidden_tail=float(config.get("hidden_tail", 0.05)),
         reliability_bins=int(config.get("reliability_bins", 10)),
         importance_repeats=int(config.get("importance_repeats", 10)),
-        n_jobs=int(config.get("n_jobs", 1)),
     )
 
 

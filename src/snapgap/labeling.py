@@ -183,99 +183,67 @@ def _threshold_key(row: LabeledRow, stratified: bool) -> str:
     return row.record.area.value if stratified else POOLED_KEY
 
 
-def build_labels(records: Sequence[ZipRecord], cfg: LabelConfig) -> LabeledPanel:
+def _uptake(row: LabeledRow, cfg: LabelConfig) -> float:
+    return row.s_capped if cfg.use_capped_uptake else row.s_raw
+
+
+def _fit_thresholds(eligible: list[LabeledRow], cfg: LabelConfig) -> dict[str, Thresholds]:
+    groups: dict[str, list[LabeledRow]] = {}
+    for row in eligible:
+        groups.setdefault(_threshold_key(row, cfg.stratify_by_area), []).append(row)
+    return {
+        key: Thresholds(
+            tau_hi=quantile([r.p for r in groups[key]], cfg.hi_q),
+            tau_lo=quantile([_uptake(r, cfg) for r in groups[key]], cfg.lo_q),
+        )
+        for key in sorted(groups)
+    }
+
+
+def build_labels(
+    records: Sequence[ZipRecord],
+    cfg: LabelConfig,
+    thresholds: dict[str, Thresholds] | None = None,
+) -> LabeledPanel:
     """Compute eligibility, thresholds, and the binary target for one panel.
 
     Pooled mode derives one (tau_hi, tau_lo) pair from all eligible rows;
     stratified mode recomputes the pair within each area subset (including
     Unknown, whose rows are labeled descriptively but excluded from fitting).
+
+    Supplied `thresholds` (frozen cutpoints, e.g. from the training period)
+    replace the fit. Eligible rows whose key has no supplied pair stay
+    unlabeled (y=None), and prevalences count labeled rows only.
     """
     prepared = [_prepare(rec, cfg) for rec in records]
     eligible = [r for r in prepared if r.eligible]
     if not eligible:
         raise NoEligibleRows("no rows pass the eligibility filters")
-
-    groups: dict[str, list[LabeledRow]] = {}
-    for row in eligible:
-        groups.setdefault(_threshold_key(row, cfg.stratify_by_area), []).append(row)
-
-    thresholds: dict[str, Thresholds] = {}
-    for key in sorted(groups):
-        subset = groups[key]
-        ps = [r.p for r in subset]
-        ss = [(r.s_capped if cfg.use_capped_uptake else r.s_raw) for r in subset]
-        thresholds[key] = Thresholds(tau_hi=quantile(ps, cfg.hi_q), tau_lo=quantile(ss, cfg.lo_q))
+    thresholds = _fit_thresholds(eligible, cfg) if thresholds is None else dict(thresholds)
 
     labeled: list[LabeledRow] = []
+    counts: dict[str, list[int]] = {}  # key -> [positives, labeled rows]
     for row in prepared:
-        if not row.eligible:
-            labeled.append(row)
-            continue
-        th = thresholds[_threshold_key(row, cfg.stratify_by_area)]
-        s_val = row.s_capped if cfg.use_capped_uptake else row.s_raw
-        y = 1 if (row.p >= th.tau_hi and s_val <= th.tau_lo) else 0
-        labeled.append(replace(row, y=y))
-
-    n_eligible = len(eligible)
-    n_pos = sum(1 for r in labeled if r.y == 1)
-    prevalences = {}
-    for key, subset in groups.items():
-        pos = sum(
-            1
-            for r in labeled
-            if r.y == 1 and _threshold_key(r, cfg.stratify_by_area) == key
-        )
-        prevalences[key] = pos / len(subset)
-    return LabeledPanel(
-        rows=labeled,
-        thresholds=thresholds,
-        prevalence=n_pos / n_eligible,
-        prevalences=prevalences,
-        stratified=cfg.stratify_by_area,
-        config=cfg,
-    )
-
-
-def apply_thresholds(
-    records: Sequence[ZipRecord], cfg: LabelConfig, thresholds: dict[str, Thresholds]
-) -> LabeledPanel:
-    """Label a panel with externally supplied (frozen) thresholds.
-
-    Used when evaluation-period rows must be labeled under training-period
-    cutpoints instead of their own quantiles.
-    """
-    prepared = [_prepare(rec, cfg) for rec in records]
-    eligible = [r for r in prepared if r.eligible]
-    if not eligible:
-        raise NoEligibleRows("no rows pass the eligibility filters")
-
-    labeled: list[LabeledRow] = []
-    counts: dict[str, list[int]] = {}
-    for row in prepared:
-        if not row.eligible:
-            labeled.append(row)
-            continue
         key = _threshold_key(row, cfg.stratify_by_area)
-        if key not in thresholds:
-            # No training-period thresholds for this subset; leave unlabeled.
+        if not row.eligible or key not in thresholds:
             labeled.append(row)
             continue
         th = thresholds[key]
-        s_val = row.s_capped if cfg.use_capped_uptake else row.s_raw
-        y = 1 if (row.p >= th.tau_hi and s_val <= th.tau_lo) else 0
+        y = 1 if (row.p >= th.tau_hi and _uptake(row, cfg) <= th.tau_lo) else 0
         labeled.append(replace(row, y=y))
-        pos, tot = counts.get(key, [0, 0])
-        counts[key] = [pos + y, tot + 1]
+        tally = counts.setdefault(key, [0, 0])
+        tally[0] += y
+        tally[1] += 1
 
-    total = sum(tot for _, tot in counts.values())
-    positives = sum(pos for pos, _ in counts.values())
-    if total == 0:
+    if not counts:
         raise NoEligibleRows("no eligible rows fall under the supplied thresholds")
+    positives = sum(pos for pos, _ in counts.values())
+    total = sum(tot for _, tot in counts.values())
     return LabeledPanel(
         rows=labeled,
-        thresholds=dict(thresholds),
+        thresholds=thresholds,
         prevalence=positives / total,
-        prevalences={k: pos / tot for k, (pos, tot) in counts.items()},
+        prevalences={key: pos / tot for key, (pos, tot) in counts.items()},
         stratified=cfg.stratify_by_area,
         config=cfg,
     )

@@ -114,30 +114,25 @@ class FlatTrees:
             yield node
 
 
-def _best_split_gini(x, t, w, min_leaf):
-    """Minimum weighted child Gini over candidate thresholds of one feature.
-
-    Returns (score, position_threshold) or _NO_SPLIT[:1]-style sentinel.
-    t must be 0/1 labels.
-    """
+def _sorted_sums(x, t, w, min_leaf):
+    """One feature's rows sorted by value, with cumulative weight and
+    weighted-target sums, and the mask of split positions that fall between
+    distinct values and leave at least min_leaf rows on each side."""
     order = np.argsort(x, kind="stable")
     xs, ts, ws = x[order], t[order], w[order]
     n = len(xs)
     cw = np.cumsum(ws)
-    cwp = np.cumsum(ws * ts)
-    total_w, total_p = cw[-1], cwp[-1]
+    cwt = np.cumsum(ws * ts)
     idx = np.arange(n - 1)
     valid = (xs[:-1] < xs[1:]) & (idx + 1 >= min_leaf) & (n - idx - 1 >= min_leaf)
+    return xs, ts, ws, cw, cwt, valid
+
+
+def _pick_split(score, valid, xs):
+    """(score, threshold) of the lowest score over the valid positions, or
+    (inf, nan) when no position is valid."""
     if not valid.any():
         return np.inf, np.nan
-    wl = cw[:-1][valid]
-    pl = cwp[:-1][valid]
-    wr = total_w - wl
-    pr = total_p - pl
-    # weighted gini: W * (1 - f1^2 - f0^2) = W - (P^2 + (W-P)^2) / W
-    gl = wl - (pl**2 + (wl - pl) ** 2) / wl
-    gr = wr - (pr**2 + (wr - pr) ** 2) / wr
-    score = gl + gr
     best = int(np.argmin(score))  # first minimum -> lowest threshold on ties
     pos = np.flatnonzero(valid)[best]
     thr = (xs[pos] + xs[pos + 1]) / 2.0
@@ -146,31 +141,31 @@ def _best_split_gini(x, t, w, min_leaf):
     return float(score[best]), float(thr)
 
 
+def _best_split_gini(x, t, w, min_leaf):
+    """Minimum weighted child Gini over candidate thresholds of one feature;
+    t must be 0/1 labels."""
+    xs, _, _, cw, cwp, valid = _sorted_sums(x, t, w, min_leaf)
+    wl = cw[:-1][valid]
+    pl = cwp[:-1][valid]
+    wr = cw[-1] - wl
+    pr = cwp[-1] - pl
+    # weighted gini: W * (1 - f1^2 - f0^2) = W - (P^2 + (W-P)^2) / W
+    gl = wl - (pl**2 + (wl - pl) ** 2) / wl
+    gr = wr - (pr**2 + (wr - pr) ** 2) / wr
+    return _pick_split(gl + gr, valid, xs)
+
+
 def _best_split_mse(x, t, w, min_leaf):
     """Minimum weighted SSE over candidate thresholds of one feature."""
-    order = np.argsort(x, kind="stable")
-    xs, ts, ws = x[order], t[order], w[order]
-    n = len(xs)
-    cw = np.cumsum(ws)
-    cs = np.cumsum(ws * ts)
+    xs, ts, ws, cw, cs, valid = _sorted_sums(x, t, w, min_leaf)
     cs2 = np.cumsum(ws * ts * ts)
-    idx = np.arange(n - 1)
-    valid = (xs[:-1] < xs[1:]) & (idx + 1 >= min_leaf) & (n - idx - 1 >= min_leaf)
-    if not valid.any():
-        return np.inf, np.nan
     wl = cw[:-1][valid]
     sl = cs[:-1][valid]
     s2l = cs2[:-1][valid]
     wr = cw[-1] - wl
     sr = cs[-1] - sl
     s2r = cs2[-1] - s2l
-    score = (s2l - sl**2 / wl) + (s2r - sr**2 / wr)
-    best = int(np.argmin(score))
-    pos = np.flatnonzero(valid)[best]
-    thr = (xs[pos] + xs[pos + 1]) / 2.0
-    if thr >= xs[pos + 1]:
-        thr = xs[pos]
-    return float(score[best]), float(thr)
+    return _pick_split((s2l - sl**2 / wl) + (s2r - sr**2 / wr), valid, xs)
 
 
 def _node_impurity(t, w, criterion):

@@ -16,14 +16,13 @@ Nothing fitted ever sees a late-period row: training consumes only the early
 panel, and that separation is asserted by the test suite bit-for-bit.
 
 Every randomized task derives its own generator from (root seed, task label),
-so the manifest is byte-identical across runs and parallelism degrees.
+so the manifest is byte-identical across runs.
 """
 from __future__ import annotations
 
 import hashlib
 import itertools
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -52,7 +51,6 @@ from .labeling import (
     LabelConfig,
     LabeledPanel,
     LabeledRow,
-    apply_thresholds,
     build_labels,
     fit_uptake_ols,
     flag_hidden_fragility,
@@ -117,7 +115,6 @@ class BacktestConfig:
     hidden_tail: float = 0.05
     reliability_bins: int = 10
     importance_repeats: int = 10
-    n_jobs: int = 1
 
     def validate(self) -> None:
         a0, a1 = self.p1_years
@@ -221,10 +218,10 @@ def _cohort_rows(panel: LabeledPanel, cohort: str) -> list[LabeledRow]:
     return [r for r in rows if r.record.area.value == cohort]
 
 
-def _matrix(rows: list[LabeledRow], subset: tuple[str, ...]) -> FeatureMatrix:
+def _matrix(rows: list[LabeledRow], subset: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
     X = np.array([[getattr(r.record, f) for f in subset] for r in rows], dtype=float)
     y = np.array([r.y for r in rows], dtype=int)
-    return FeatureMatrix(X=X, y=y, feature_names=tuple(subset))
+    return X, y
 
 
 def _anomaly_count(panel: LabeledPanel) -> int:
@@ -298,7 +295,7 @@ def _fit_task(
     """Train one (cohort, subset, family) scorer on early-period rows only."""
     label = f"{cohort}/{_model_label(family, subset)}"
     seed = cfg.seed
-    fm = _matrix(p1_rows, subset)
+    fm = FeatureMatrix(*_matrix(p1_rows, subset), feature_names=tuple(subset))
     n_pos = int(fm.y.sum())
     if n_pos == 0 or n_pos == fm.n:
         raise InsufficientCohort(
@@ -363,8 +360,7 @@ def _evaluate_task(
     label = _model_label(family, subset)
     if not p2_rows:
         raise InsufficientCohort(f"cohort {cohort!r}: no labeled test rows")
-    X2 = np.array([[getattr(r.record, f) for f in subset] for r in p2_rows], dtype=float)
-    y2 = np.array([r.y for r in p2_rows], dtype=int)
+    X2, y2 = _matrix(p2_rows, subset)
     calibrated = scorer.predict_calibrated(X2)
     try:
         report = evaluate(calibrated, y2, scorer.rule, cohort=cohort, model=label)
@@ -458,37 +454,60 @@ def run_yearly_diagnostics(cfg: BacktestConfig, records: Sequence[ZipRecord]) ->
     for year in years:
         year_rows = rows_by_year.get(year, [])
         entry: dict = {"year": year, "n_rows": len(year_rows)}
-        if not year_rows:
+        try:
+            panel = build_labels(year_rows, pooled_cfg)  # raises on an empty year too
+        except CohortError:
             entry.update(
                 {"n_eligible": 0, "tau_hi": None, "tau_lo": None, "prevalence": None, "anomaly_rows": 0}
             )
-            table.append(entry)
-            continue
-        try:
-            panel = build_labels(year_rows, pooled_cfg)
-        except CohortError:
+        else:
             entry.update(
                 {
-                    "n_eligible": 0,
-                    "tau_hi": None,
-                    "tau_lo": None,
-                    "prevalence": None,
-                    "anomaly_rows": 0,
+                    "n_eligible": panel.n_eligible(),
+                    "tau_hi": panel.tau_hi,
+                    "tau_lo": panel.tau_lo,
+                    "prevalence": panel.prevalence,
+                    "anomaly_rows": _anomaly_count(panel),
                 }
             )
-            table.append(entry)
-            continue
-        entry.update(
-            {
-                "n_eligible": panel.n_eligible(),
-                "tau_hi": panel.tau_hi,
-                "tau_lo": panel.tau_lo,
-                "prevalence": panel.prevalence,
-                "anomaly_rows": _anomaly_count(panel),
-            }
-        )
         table.append(entry)
     return table
+
+
+def _label_config(cfg: BacktestConfig) -> LabelConfig:
+    return replace(cfg.label, stratify_by_area=cfg.area_mode == AREA_MODE_STRATIFIED)
+
+
+def _cohorts(cfg: BacktestConfig) -> list[str]:
+    if cfg.area_mode == AREA_MODE_STRATIFIED:
+        return [a.value for a in MODELED_AREAS]
+    return [POOLED_COHORT]
+
+
+def _plan_tasks(
+    cfg: BacktestConfig, p1_panel: LabeledPanel, p2_panel: LabeledPanel | None = None
+) -> tuple[list[tuple], dict[str, str]]:
+    """The flat (cohort, subset, family) task list in manifest order, each
+    task carrying its cohort's training rows, test rows (empty without a test
+    panel) and training prevalence; plus the error of every cohort with
+    nothing to train on. Results assemble independently of execution order."""
+    tasks = []
+    cohort_errors: dict[str, str] = {}
+    for cohort in _cohorts(cfg):
+        p1_rows = _cohort_rows(p1_panel, cohort)
+        if not p1_rows:
+            cohort_errors[cohort] = f"cohort {cohort!r}: no labeled training rows"
+            continue
+        try:
+            prevalence = _cohort_prevalence(p1_panel, cohort)
+        except KeyError:
+            cohort_errors[cohort] = f"cohort {cohort!r}: no eligible training rows"
+            continue
+        p2_rows = [] if p2_panel is None else _cohort_rows(p2_panel, cohort)
+        for subset in cfg.subsets():
+            for family in cfg.families:
+                tasks.append((cohort, subset, family, p1_rows, p2_rows, prevalence))
+    return tasks, cohort_errors
 
 
 def train_scorers(
@@ -496,34 +515,20 @@ def train_scorers(
 ) -> dict[tuple[str, str], CalibratedScorer]:
     """Fit calibrated scorers on the training period only (no test rows needed)."""
     cfg.validate()
-    stratified = cfg.area_mode == AREA_MODE_STRATIFIED
-    label_cfg = replace(cfg.label, stratify_by_area=stratified)
     p1_records = _rows_in_years(records, cfg.p1_years)
     if not p1_records:
         raise InsufficientCohort(f"no rows in training years {cfg.p1_years}")
-    p1_panel = build_labels(p1_records, label_cfg)
-    cohorts = [a.value for a in MODELED_AREAS] if stratified else [POOLED_COHORT]
+    tasks, cohort_errors = _plan_tasks(cfg, build_labels(p1_records, _label_config(cfg)))
 
     scorers: dict[tuple[str, str], CalibratedScorer] = {}
-    errors = []
-    for cohort in cohorts:
-        p1_rows = _cohort_rows(p1_panel, cohort)
-        if not p1_rows:
-            errors.append(f"cohort {cohort!r}: no labeled training rows")
-            continue
+    errors = list(cohort_errors.values())
+    for cohort, subset, family, p1_rows, _, prevalence in tasks:
         try:
-            prevalence = _cohort_prevalence(p1_panel, cohort)
-        except KeyError:
-            errors.append(f"cohort {cohort!r}: no eligible training rows")
+            scorer, _ = _fit_task(cfg, cohort, subset, family, p1_rows, prevalence)
+        except CohortError as exc:
+            errors.append(str(exc))
             continue
-        for subset in cfg.subsets():
-            for family in cfg.families:
-                try:
-                    scorer, _ = _fit_task(cfg, cohort, subset, family, p1_rows, prevalence)
-                except CohortError as exc:
-                    errors.append(str(exc))
-                    continue
-                scorers[(cohort, _model_label(family, subset))] = scorer
+        scorers[(cohort, _model_label(family, subset))] = scorer
     if not scorers:
         raise InsufficientCohort("; ".join(sorted(set(errors))) or "nothing to train")
     return scorers
@@ -536,8 +541,7 @@ def run_backtest(
 ) -> RunManifest:
     """Full train-on-P1 / evaluate-on-P2 run producing a reproducible manifest."""
     cfg.validate()
-    stratified = cfg.area_mode == AREA_MODE_STRATIFIED
-    label_cfg = replace(cfg.label, stratify_by_area=stratified)
+    label_cfg = _label_config(cfg)
 
     p1_records = _rows_in_years(records, cfg.p1_years)
     p2_records = _rows_in_years(records, cfg.p2_years)
@@ -548,80 +552,33 @@ def run_backtest(
         )
 
     p1_panel = build_labels(p1_records, label_cfg)
-    if cfg.threshold_mode == THRESHOLD_REFIT:
-        p2_panel = build_labels(p2_records, label_cfg)
-    else:
-        p2_panel = apply_thresholds(p2_records, label_cfg, p1_panel.thresholds)
+    frozen = p1_panel.thresholds if cfg.threshold_mode == THRESHOLD_FROZEN else None
+    p2_panel = build_labels(p2_records, label_cfg, frozen)
+    tasks, cohort_errors = _plan_tasks(cfg, p1_panel, p2_panel)
 
-    cohorts = [a.value for a in MODELED_AREAS] if stratified else [POOLED_COHORT]
-
-    # Build the flat task list first so results assemble independently of
-    # execution order or parallelism.
-    tasks = []
-    cohort_errors: dict[str, str] = {}
-    for cohort in cohorts:
-        p1_rows = _cohort_rows(p1_panel, cohort)
-        p2_rows = _cohort_rows(p2_panel, cohort)
-        if not p1_rows:
-            cohort_errors[cohort] = f"cohort {cohort!r}: no labeled training rows"
-            continue
-        try:
-            prevalence = _cohort_prevalence(p1_panel, cohort)
-        except KeyError:
-            cohort_errors[cohort] = f"cohort {cohort!r}: no eligible training rows"
-            continue
-        for subset in cfg.subsets():
-            for family in cfg.families:
-                tasks.append((cohort, subset, family, p1_rows, p2_rows, prevalence))
-
-    def run_task(task):
-        cohort, subset, family, p1_rows, p2_rows, prevalence = task
+    scorers: dict[tuple[str, str], CalibratedScorer] = {}
+    cohort_models: dict[str, dict] = {c: {} for c in _cohorts(cfg)}
+    errors = list(cohort_errors.values())
+    for cohort, subset, family, p1_rows, p2_rows, prevalence in tasks:
+        label = _model_label(family, subset)
         try:
             scorer, detail = _fit_task(cfg, cohort, subset, family, p1_rows, prevalence)
             detail = _evaluate_task(cfg, cohort, subset, family, scorer, detail, p2_rows)
-            return cohort, subset, family, scorer, detail, None
         except CohortError as exc:
-            return cohort, subset, family, None, None, str(exc)
-
-    if cfg.n_jobs > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.n_jobs) as pool:
-            results = list(pool.map(run_task, tasks))
-    else:
-        results = [run_task(t) for t in tasks]
-
-    scorers: dict[tuple[str, str], CalibratedScorer] = {}
-    cohort_models: dict[str, dict] = {c: {} for c in cohorts}
-    for cohort, subset, family, scorer, detail, error in results:
-        label = _model_label(family, subset)
-        if error is not None:
-            cohort_models[cohort][label] = {"error": error}
+            cohort_models[cohort][label] = {"error": str(exc)}
+            errors.append(str(exc))
             continue
         cohort_models[cohort][label] = detail
         scorers[(cohort, label)] = scorer
+    if not scorers:
+        raise InsufficientCohort(f"every cohort failed: {'; '.join(sorted(set(errors)))}")
 
-    succeeded = any(
-        any("error" not in d for d in models.values()) for models in cohort_models.values()
-    )
-    if not succeeded:
-        details = "; ".join(
-            sorted(
-                set(
-                    d["error"]
-                    for models in cohort_models.values()
-                    for d in models.values()
-                    if "error" in d
-                )
-                | set(cohort_errors.values())
-            )
-        )
-        raise InsufficientCohort(f"every cohort failed: {details}")
-
-    cohort_body: dict[str, dict] = {}
-    for cohort in cohorts:
-        if cohort in cohort_errors:
-            cohort_body[cohort] = {"error": cohort_errors[cohort]}
-            continue
-        cohort_body[cohort] = {"models": dict(sorted(cohort_models[cohort].items()))}
+    cohort_body = {
+        cohort: {"error": cohort_errors[cohort]}
+        if cohort in cohort_errors
+        else {"models": dict(sorted(models.items()))}
+        for cohort, models in cohort_models.items()
+    }
 
     body = {
         "format": MANIFEST_FORMAT,
@@ -647,14 +604,3 @@ def run_backtest(
     }
     body["manifest_digest"] = digest_of(body)
     return RunManifest(body=body, scorers=scorers)
-
-
-def run_area_stratified(
-    cfg: BacktestConfig,
-    records: Sequence[ZipRecord],
-    input_digests: dict[str, str] | None = None,
-) -> RunManifest:
-    """Area-stratified run; with area_mode pooled this is run_backtest exactly."""
-    if cfg.area_mode == AREA_MODE_POOLED:
-        return run_backtest(cfg, records, input_digests)
-    return run_backtest(replace(cfg, area_mode=AREA_MODE_STRATIFIED), records, input_digests)

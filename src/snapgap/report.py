@@ -98,41 +98,45 @@ def write_yearly_csv(manifest_body: dict, path: Path) -> None:
             )
 
 
-def write_flagged_csvs(manifest_body: dict, outdir: Path) -> list[Path]:
-    paths = []
-    for cohort, cdata in sorted(manifest_body.get("cohorts", {}).items()):
-        for label, detail in sorted(cdata.get("models", {}).items()):
-            if "error" in detail:
-                continue
-            path = outdir / f"flagged_{_slug(cohort)}_{_slug(label)}.csv"
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["zip", "year", "calibrated_probability"])
-                for zcta, year, prob in detail["flagged"]:
-                    writer.writerow([zcta, year, repr(prob)])
-            paths.append(path)
-    return paths
+# Per-model CSV files: name prefix, header, and the rows of one model's detail.
+MODEL_CSVS = (
+    (
+        "flagged",
+        ["zip", "year", "calibrated_probability"],
+        lambda detail: ([zcta, year, repr(prob)] for zcta, year, prob in detail["flagged"]),
+    ),
+    (
+        "reliability",
+        ["bin_center", "mean_predicted", "observed_rate", "count"],
+        lambda detail: (
+            [
+                repr(row["bin_center"]),
+                repr(row["mean_predicted"]),
+                repr(row["observed_rate"]),
+                row["count"],
+            ]
+            for row in detail["reliability"]
+        ),
+    ),
+)
 
 
-def write_reliability_csvs(manifest_body: dict, outdir: Path) -> list[Path]:
+def write_model_csvs(manifest_body: dict, outdir: Path) -> list[Path]:
+    """One CSV per fitted model and MODEL_CSVS entry; failed models are skipped."""
+    models = [
+        (cohort, label, detail)
+        for cohort, cdata in sorted(manifest_body.get("cohorts", {}).items())
+        for label, detail in sorted(cdata.get("models", {}).items())
+        if "error" not in detail
+    ]
     paths = []
-    for cohort, cdata in sorted(manifest_body.get("cohorts", {}).items()):
-        for label, detail in sorted(cdata.get("models", {}).items()):
-            if "error" in detail:
-                continue
-            path = outdir / f"reliability_{_slug(cohort)}_{_slug(label)}.csv"
+    for prefix, header, rows in MODEL_CSVS:
+        for cohort, label, detail in models:
+            path = outdir / f"{prefix}_{_slug(cohort)}_{_slug(label)}.csv"
             with open(path, "w", encoding="utf-8", newline="") as fh:
                 writer = csv.writer(fh)
-                writer.writerow(["bin_center", "mean_predicted", "observed_rate", "count"])
-                for row in detail["reliability"]:
-                    writer.writerow(
-                        [
-                            repr(row["bin_center"]),
-                            repr(row["mean_predicted"]),
-                            repr(row["observed_rate"]),
-                            row["count"],
-                        ]
-                    )
+                writer.writerow(header)
+                writer.writerows(rows(detail))
             paths.append(path)
     return paths
 
@@ -243,8 +247,7 @@ def emit_report(manifest, formats, outdir) -> list[Path]:
                 path = outdir / name
                 writer(body, path)
                 written.append(path)
-            written.extend(write_flagged_csvs(body, outdir))
-            written.extend(write_reliability_csvs(body, outdir))
+            written.extend(write_model_csvs(body, outdir))
         if FORMAT_MARKDOWN in formats:
             path = outdir / "report.md"
             with open(path, "w", encoding="utf-8") as fh:

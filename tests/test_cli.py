@@ -126,6 +126,26 @@ def test_train_writes_scorer_files(tmp_path):
     assert "calibration" in doc and "rule" in doc
 
 
+def test_train_and_backtest_models_write_identical_scorers(tmp_path):
+    panel = tmp_path / "synth.csv"
+    main(["synth", "--seed", "5", "--out", str(panel), "--set", "synth.n_zips=250"])
+    common = [
+        "--panel", str(panel),
+        "--seed", "5",
+        "--set", "feature_subsets=[[pct_no_vehicle], [pct_no_vehicle, pct_hs_only]]",
+        "--set", "families=[logistic, random_forest]",
+        "--set", "grids={logistic: [{c: 1.0}], random_forest: [{n_trees: 5, max_depth: 3}]}",
+        "--set", "folds=3",
+        "--set", "importance_repeats=1",
+    ]
+    assert main(["train", *common, "--out", str(tmp_path / "trained")]) == 0
+    assert main(["backtest", *common, "--out", str(tmp_path / "run"), "--models"]) == 0
+    trained = {p.name: p.read_bytes() for p in (tmp_path / "trained").iterdir()}
+    backtested = {p.name: p.read_bytes() for p in (tmp_path / "run" / "models").iterdir()}
+    assert len(trained) == 4
+    assert trained == backtested
+
+
 def test_validation_exit_code(tmp_path):
     panel = tmp_path / "synth.csv"
     main(["synth", "--seed", "1", "--out", str(panel), "--set", "synth.n_zips=200"])

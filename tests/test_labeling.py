@@ -9,7 +9,6 @@ from snapgap.errors import DegenerateDesign, EmptyInput, NoEligibleRows, ZeroPov
 from snapgap.ingest import Area
 from snapgap.labeling import (
     LabelConfig,
-    apply_thresholds,
     build_labels,
     eligibility,
     fit_uptake_ols,
@@ -201,11 +200,37 @@ class TestBuildLabels:
         p2 = random_records(rng, 300, year=2020)
         cfg = LabelConfig()
         panel1 = build_labels(p1, cfg)
-        panel2 = apply_thresholds(p2, cfg, panel1.thresholds)
+        panel2 = build_labels(p2, cfg, thresholds=panel1.thresholds)
         assert panel2.thresholds == panel1.thresholds
         for r in panel2.rows:
             if r.y == 1:
                 assert r.p >= panel1.tau_hi and r.s_capped <= panel1.tau_lo
+
+    @pytest.mark.parametrize("stratified", [False, True])
+    def test_own_thresholds_reproduce_the_panel(self, rng, stratified):
+        records = random_records(rng, 400)
+        cfg = LabelConfig(stratify_by_area=stratified)
+        fitted = build_labels(records, cfg)
+        relabeled = build_labels(records, cfg, thresholds=fitted.thresholds)
+        assert relabeled.rows == fitted.rows
+        assert relabeled.prevalence == fitted.prevalence
+        assert relabeled.prevalences == fitted.prevalences
+
+    def test_frozen_thresholds_missing_an_area(self, rng):
+        cfg = LabelConfig(stratify_by_area=True)
+        frozen = dict(build_labels(random_records(rng, 400, year=2015), cfg).thresholds)
+        del frozen[Area.RURAL.value]
+        panel = build_labels(random_records(rng, 400, year=2020), cfg, thresholds=frozen)
+        eligible = panel.eligible_rows()
+        rural = [r for r in eligible if r.record.area is Area.RURAL]
+        others = [r for r in eligible if r.record.area is not Area.RURAL]
+        assert rural and all(r.y is None for r in rural)
+        assert others and all(r.y in (0, 1) for r in others)
+        assert Area.RURAL.value not in panel.prevalences
+        assert set(panel.prevalences) == set(frozen)
+        assert panel.prevalence == sum(r.y for r in others) / len(others)
+        with pytest.raises(NoEligibleRows, match="no eligible rows fall under the supplied thresholds"):
+            build_labels([r.record for r in rural], cfg, thresholds=frozen)
 
 
 class TestOls:

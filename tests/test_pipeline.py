@@ -11,7 +11,6 @@ from snapgap.labeling import LabelConfig
 from snapgap.pipeline import (
     BacktestConfig,
     all_feature_subsets,
-    run_area_stratified,
     run_backtest,
     run_yearly_diagnostics,
 )
@@ -81,12 +80,6 @@ class TestDeterminism:
         assert m1.body == m2.body
         assert m1.to_json() == m2.to_json()
         assert m1.digest == m2.digest
-
-    def test_parallelism_does_not_change_bytes(self, synth_panel):
-        records, _ = synth_panel
-        m1 = run_backtest(fast_cfg(n_jobs=1), records)
-        m4 = run_backtest(fast_cfg(n_jobs=4), records)
-        assert m1.to_json() == m4.to_json()
 
     def test_seed_changes_results(self, synth_panel):
         records, _ = synth_panel
@@ -261,11 +254,6 @@ class TestStratified:
             strat_eval = dict(strat_models[label]["eval"], cohort="All")
             assert strat_eval == detail["eval"]
             assert strat_models[label]["model_digest"] == detail["model_digest"]
-
-    def test_run_area_stratified_pooled_mode_equivalence(self, synth_panel):
-        records, _ = synth_panel
-        cfg = fast_cfg()
-        assert run_area_stratified(cfg, records).to_json() == run_backtest(cfg, records).to_json()
 
     def test_fragile_distribution_shape(self, synth_panel):
         records, _ = synth_panel
