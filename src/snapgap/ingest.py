@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import re
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
@@ -34,7 +35,8 @@ KNOWN_FLAGS = frozenset(
     {FLAG_SENTINEL_RECODED, FLAG_CLIPPED, FLAG_DUPLICATE_AVERAGED, FLAG_SNAP_EXCEEDS_POVERTY}
 )
 
-# String tokens treated as missing, in addition to any negative numeric value.
+# String tokens treated as missing, in addition to any negative or non-finite
+# numeric value (nan, inf).
 SENTINEL_TOKENS = frozenset({"", "N/A", "NA"})
 
 PREDICTOR_FIELDS = ("pct_no_vehicle", "pct_no_internet", "pct_no_computer", "pct_hs_only")
@@ -119,12 +121,16 @@ def normalize_zip(raw: str) -> str:
 
 
 def _parse_number(token: str) -> tuple[float | None, bool]:
-    """Return (value, was_sentinel). Raises ValueError on non-numeric garbage."""
+    """Return (value, was_sentinel). Raises ValueError on non-numeric garbage.
+
+    Negative values and the non-finite tokens `float` accepts (nan, inf,
+    -inf, infinity) are sentinels, not values.
+    """
     token = token.strip()
     if token.upper() in SENTINEL_TOKENS or token in SENTINEL_TOKENS:
         return None, True
     value = float(token)  # ValueError propagates to the caller
-    if value < 0:
+    if value < 0 or not math.isfinite(value):
         return None, True
     return value, False
 
@@ -211,10 +217,13 @@ def parse_panel(
                     continue
 
                 try:
-                    year = int(float(cell("year")))
+                    year_value = float(cell("year"))
                 except ValueError:
+                    year_value = math.nan
+                if not year_value.is_integer():  # also nan and +-inf
                     rejects.append(Reject(row_num, f"year: not an integer: {cell('year')!r}"))
                     continue
+                year = int(year_value)
                 if not lo_year <= year <= hi_year:
                     rejects.append(Reject(row_num, f"year: {year} outside {lo_year}-{hi_year}"))
                     continue
@@ -343,11 +352,15 @@ def parse_crosswalk(
             if col not in header:
                 raise MissingColumn(f"crosswalk column {col!r} not in header")
         zi, si, ri = header.index("zip"), header.index("tract_status"), header.index("res_ratio")
+        width = max(zi, si, ri) + 1
 
         rows: list[CrosswalkRow] = []
         rejects: list[Reject] = []
         for row_num, row in enumerate(reader, start=1):
             if not any(cell.strip() for cell in row):
+                continue
+            if len(row) < width:
+                rejects.append(Reject(row_num, f"row: {len(row)} fields, need {width}"))
                 continue
             try:
                 zcta = normalize_zip(row[zi])
@@ -361,7 +374,7 @@ def parse_crosswalk(
                 status = Area.UNKNOWN
             try:
                 ratio = float(row[ri])
-            except (ValueError, IndexError):
+            except ValueError:
                 rejects.append(Reject(row_num, f"res_ratio: unparseable {row[ri]!r}"))
                 continue
             if not 0.0 <= ratio <= 1.0:

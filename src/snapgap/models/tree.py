@@ -7,6 +7,14 @@ leaf value (the boosting Newton step). Split candidates are midpoints between
 adjacent distinct sorted feature values; ties are broken toward the lowest
 feature index, then the lowest threshold, so growth is deterministic.
 
+Split search is the exact presorted search of CART and SLIQ: each tree sorts
+every column once (stable, so equal values keep row order), and each split
+stable-partitions the node's (d, m) block of sorted row indices into its
+children, so no node sorts again. A node scores all its candidate features
+in one pass over that block: cumulative sums along each row, inf at the
+invalid positions, then the first minimum down each row and across rows.
+Every float is the one a per-node sort of each feature would give.
+
 A grown tree is immutable: five preorder node tuples (feature, threshold,
 left, right, value), which is also its serialized form. For prediction the
 tuples are compiled once into `FlatTrees`, numpy node arrays that can hold
@@ -114,58 +122,46 @@ class FlatTrees:
             yield node
 
 
-def _sorted_sums(x, t, w, min_leaf):
-    """One feature's rows sorted by value, with cumulative weight and
-    weighted-target sums, and the mask of split positions that fall between
-    distinct values and leave at least min_leaf rows on each side."""
-    order = np.argsort(x, kind="stable")
-    xs, ts, ws = x[order], t[order], w[order]
-    n = len(xs)
-    cw = np.cumsum(ws)
-    cwt = np.cumsum(ws * ts)
-    idx = np.arange(n - 1)
-    valid = (xs[:-1] < xs[1:]) & (idx + 1 >= min_leaf) & (n - idx - 1 >= min_leaf)
-    return xs, ts, ws, cw, cwt, valid
+def _best_split(xs, ts, ws, criterion, min_leaf):
+    """(score, row, threshold) of the best split over a (k, m) block whose
+    row r holds one candidate feature's sorted values, targets and weights;
+    the score is inf when no position is valid.
 
-
-def _pick_split(score, valid, xs):
-    """(score, threshold) of the lowest score over the valid positions, or
-    (inf, nan) when no position is valid."""
-    if not valid.any():
-        return np.inf, np.nan
-    best = int(np.argmin(score))  # first minimum -> lowest threshold on ties
-    pos = np.flatnonzero(valid)[best]
-    thr = (xs[pos] + xs[pos + 1]) / 2.0
-    if thr >= xs[pos + 1]:  # fp midpoint collapse between adjacent doubles
-        thr = xs[pos]
-    return float(score[best]), float(thr)
-
-
-def _best_split_gini(x, t, w, min_leaf):
-    """Minimum weighted child Gini over candidate thresholds of one feature;
-    t must be 0/1 labels."""
-    xs, _, _, cw, cwp, valid = _sorted_sums(x, t, w, min_leaf)
-    wl = cw[:-1][valid]
-    pl = cwp[:-1][valid]
-    wr = cw[-1] - wl
-    pr = cwp[-1] - pl
-    # weighted gini: W * (1 - f1^2 - f0^2) = W - (P^2 + (W-P)^2) / W
-    gl = wl - (pl**2 + (wl - pl) ** 2) / wl
-    gr = wr - (pr**2 + (wr - pr) ** 2) / wr
-    return _pick_split(gl + gr, valid, xs)
-
-
-def _best_split_mse(x, t, w, min_leaf):
-    """Minimum weighted SSE over candidate thresholds of one feature."""
-    xs, ts, ws, cw, cs, valid = _sorted_sums(x, t, w, min_leaf)
-    cs2 = np.cumsum(ws * ts * ts)
-    wl = cw[:-1][valid]
-    sl = cs[:-1][valid]
-    s2l = cs2[:-1][valid]
-    wr = cw[-1] - wl
-    sr = cs[-1] - sl
-    s2r = cs2[-1] - s2l
-    return _pick_split((s2l - sl**2 / wl) + (s2r - sr**2 / wr), valid, xs)
+    A position is valid when it falls between distinct values and leaves at
+    least min_leaf rows on each side; invalid positions score inf. The first
+    minimum down a row is its lowest threshold and the first minimum across
+    rows its lowest feature index, which settles ties.
+    """
+    m = xs.shape[1]
+    cw = ws.cumsum(axis=1)
+    cwt = (ws * ts).cumsum(axis=1)
+    wl = cw[:, :-1]
+    sl = cwt[:, :-1]
+    wr = cw[:, -1:] - wl
+    sr = cwt[:, -1:] - sl
+    if criterion == CRITERION_GINI:
+        # t is 0/1, so sl is the positive weight P of the left side.
+        # weighted gini: W * (1 - f1^2 - f0^2) = W - (P^2 + (W-P)^2) / W
+        gl = wl - (sl**2 + (wl - sl) ** 2) / wl
+        gr = wr - (sr**2 + (wr - sr) ** 2) / wr
+        score = gl + gr
+    else:  # weighted SSE of each side: sum(w t^2) - (sum(w t))^2 / sum(w)
+        cs2 = (ws * ts * ts).cumsum(axis=1)
+        s2l = cs2[:, :-1]
+        s2r = cs2[:, -1:] - s2l
+        score = (s2l - sl**2 / wl) + (s2r - sr**2 / wr)
+    invalid = ~(xs[:, :-1] < xs[:, 1:])
+    invalid[:, : max(min_leaf - 1, 0)] = True
+    invalid[:, m - min_leaf :] = True
+    score[invalid] = np.inf
+    best = score.min(axis=1)
+    r = int(best.argmin())
+    pos = int(score[r].argmin())
+    lo, hi = xs[r, pos], xs[r, pos + 1]
+    thr = (lo + hi) / 2.0
+    if thr >= hi:  # fp midpoint collapse between adjacent doubles
+        thr = lo
+    return float(best[r]), r, float(thr)
 
 
 def _node_impurity(t, w, criterion):
@@ -198,8 +194,8 @@ def grow_tree(
     X = np.asarray(X, dtype=float)
     targets = np.asarray(targets, dtype=float)
     weights = np.asarray(weights, dtype=float)
-    d = X.shape[1]
-    split_fn = _best_split_gini if criterion == CRITERION_GINI else _best_split_mse
+    n, d = X.shape
+    XT = np.ascontiguousarray(X.T)
     if leaf_value is None:
         def leaf_value(idx):
             return float(np.sum(weights[idx] * targets[idx]) / np.sum(weights[idx]))
@@ -212,11 +208,17 @@ def grow_tree(
 
     # Explicit preorder stack (left subtree expanded before right) so that
     # unlimited-depth trees cannot hit the interpreter recursion limit and
-    # per-split RNG draws happen in a fixed order.
-    root_idx = np.arange(X.shape[0])
-    stack: list[tuple[np.ndarray, int, int, bool]] = [(root_idx, 0, -1, False)]
+    # per-split RNG draws happen in a fixed order. A node carries its rows
+    # twice: `idx` ascending, for the impurity and leaf sums, and `order`,
+    # whose row j lists them by (X[:, j], row index). The root's `order` is
+    # the one sort of the tree; each split stable-partitions it into the
+    # children, with `side` marking the rows that go left.
+    side = np.empty(n, dtype=bool)
+    stack: list[tuple[np.ndarray, np.ndarray, int, int, bool]] = [
+        (np.arange(n), np.argsort(XT, axis=1, kind="stable"), 0, -1, False)
+    ]
     while stack:
-        idx, depth, parent_node, is_left = stack.pop()
+        idx, order, depth, parent_node, is_left = stack.pop()
         node = len(feature)
         feature.append(-1)
         threshold.append(np.nan)
@@ -237,24 +239,27 @@ def grow_tree(
 
         if max_features is not None and max_features < d:
             feats = np.sort(rng.choice(d, size=max_features, replace=False))
+            rows = order[feats]
         else:
-            feats = np.arange(d)
+            feats, rows = np.arange(d), order
 
         parent = _node_impurity(t, w, criterion)
-        best_score, best_feat, best_thr = np.inf, -1, np.nan
-        for j in feats:  # ascending order: lowest feature index wins ties
-            score, thr = split_fn(X[idx, j], t, w, min_leaf)
-            if score < best_score:
-                best_score, best_feat, best_thr = score, int(j), thr
-        if best_feat < 0 or not best_score < parent - 1e-12 * max(1.0, abs(parent)):
+        xs = XT[feats[:, None], rows]
+        score, r, thr = _best_split(xs, targets[rows], weights[rows], criterion, min_leaf)
+        if not score < parent - 1e-12 * max(1.0, abs(parent)):
             value[node] = leaf_value(idx)
             continue
 
-        go_left = X[idx, best_feat] <= best_thr
-        feature[node] = best_feat
-        threshold[node] = best_thr
+        j = int(feats[r])
+        go_left = XT[j, idx] <= thr
+        feature[node] = j
+        threshold[node] = thr
+        side[idx] = go_left
+        to_left = side[order]
+        left_order = order[to_left].reshape(d, -1)
+        right_order = order[~to_left].reshape(d, -1)
         # push right first so the left child is materialized next (preorder)
-        stack.append((idx[~go_left], depth + 1, node, False))
-        stack.append((idx[go_left], depth + 1, node, True))
+        stack.append((idx[~go_left], right_order, depth + 1, node, False))
+        stack.append((idx[go_left], left_order, depth + 1, node, True))
 
     return DecisionTree(tuple(feature), tuple(threshold), tuple(left), tuple(right), tuple(value))

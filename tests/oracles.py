@@ -4,13 +4,16 @@ Everything here is written from the definitions, not from the library code:
 quantiles by hand-rolled rank interpolation, OLS by normal equations, AUC by
 pairwise comparison, AP by rank enumeration, labeling by explicit sort-and-
 threshold, gradients by central differences, tree prediction by walking
-one row at a time down the node tuples.
+one row at a time down the node tuples, tree growth by sorting each
+candidate feature again at every node.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
+
+from snapgap.models import DecisionTree
 
 
 def quantile_interp(values, q):
@@ -224,3 +227,100 @@ def grid_minimize_2d(objective, center=(0.0, 0.0), half_width=8.0, points=41, ro
         _, cx, cy = best
         hw = hw * 2.2 / (points - 1) * 2  # shrink around the incumbent
     return np.array([best[1], best[2]])
+
+
+def _reference_split(x, t, w, criterion, min_leaf):
+    """(score, threshold) of one feature's best split by a stable sort of the
+    node's values, or (inf, nan) when no position is valid."""
+    order = np.argsort(x, kind="stable")
+    xs, ts, ws = x[order], t[order], w[order]
+    n = len(xs)
+    cw = np.cumsum(ws)
+    cwt = np.cumsum(ws * ts)
+    pos = np.arange(n - 1)
+    valid = (xs[:-1] < xs[1:]) & (pos + 1 >= min_leaf) & (n - pos - 1 >= min_leaf)
+    if not valid.any():
+        return np.inf, np.nan
+    wl = cw[:-1][valid]
+    sl = cwt[:-1][valid]
+    wr = cw[-1] - wl
+    sr = cwt[-1] - sl
+    if criterion == "gini":
+        gl = wl - (sl**2 + (wl - sl) ** 2) / wl
+        gr = wr - (sr**2 + (wr - sr) ** 2) / wr
+        score = gl + gr
+    else:
+        cs2 = np.cumsum(ws * ts * ts)
+        s2l = cs2[:-1][valid]
+        s2r = cs2[-1] - s2l
+        score = (s2l - sl**2 / wl) + (s2r - sr**2 / wr)
+    best = int(np.argmin(score))
+    at = np.flatnonzero(valid)[best]
+    thr = (xs[at] + xs[at + 1]) / 2.0
+    if thr >= xs[at + 1]:
+        thr = xs[at]
+    return float(score[best]), float(thr)
+
+
+def grow_tree_reference(
+    X, targets, weights, *, criterion, max_depth, min_leaf, max_features, rng, leaf_value=None
+):
+    """Depth-first CART growth that sorts each candidate feature at every node.
+
+    Same contract as `snapgap.models.grow_tree`: preorder nodes, feature
+    subsets drawn per split from `rng`, ties to the lowest feature index and
+    then the lowest threshold, rows ascending in every node.
+    """
+    X = np.asarray(X, dtype=float)
+    targets = np.asarray(targets, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    d = X.shape[1]
+    if leaf_value is None:
+        def leaf_value(idx):
+            return float(np.sum(weights[idx] * targets[idx]) / np.sum(weights[idx]))
+
+    feature, threshold, left, right, value = [], [], [], [], []
+    stack = [(np.arange(X.shape[0]), 0, -1, False)]
+    while stack:
+        idx, depth, parent_node, is_left = stack.pop()
+        node = len(feature)
+        feature.append(-1)
+        threshold.append(np.nan)
+        left.append(-1)
+        right.append(-1)
+        value.append(np.nan)
+        if parent_node >= 0:
+            (left if is_left else right)[parent_node] = node
+        t, w = targets[idx], weights[idx]
+        if (
+            (max_depth is not None and depth >= max_depth)
+            or len(idx) < 2 * min_leaf
+            or np.all(t == t[0])
+        ):
+            value[node] = leaf_value(idx)
+            continue
+        if max_features is not None and max_features < d:
+            feats = np.sort(rng.choice(d, size=max_features, replace=False))
+        else:
+            feats = np.arange(d)
+        total_w = w.sum()
+        if criterion == "gini":
+            p = (w * t).sum()
+            parent = total_w - (p**2 + (total_w - p) ** 2) / total_w
+        else:
+            mean = (w * t).sum() / total_w
+            parent = float(np.sum(w * (t - mean) ** 2))
+        best_score, best_feat, best_thr = np.inf, -1, np.nan
+        for j in feats:
+            score, thr = _reference_split(X[idx, j], t, w, criterion, min_leaf)
+            if score < best_score:
+                best_score, best_feat, best_thr = score, int(j), thr
+        if best_feat < 0 or not best_score < parent - 1e-12 * max(1.0, abs(parent)):
+            value[node] = leaf_value(idx)
+            continue
+        go_left = X[idx, best_feat] <= best_thr
+        feature[node] = best_feat
+        threshold[node] = best_thr
+        stack.append((idx[~go_left], depth + 1, node, False))
+        stack.append((idx[go_left], depth + 1, node, True))
+    return DecisionTree(tuple(feature), tuple(threshold), tuple(left), tuple(right), tuple(value))

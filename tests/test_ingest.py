@@ -122,6 +122,28 @@ class TestParsePanel:
         assert len(rejects) == 1
         assert "year" in rejects[0].reason
 
+    @pytest.mark.parametrize("year", ["inf", "-inf", "nan", "2015.7"])
+    def test_non_integer_year_rejected(self, year):
+        records, rejects = parse_rows(f"01234,{year},100,40,12.0,8.0,6.0,30.0")
+        assert records == []
+        (rej,) = rejects
+        assert rej.reason == f"year: not an integer: {year!r}"
+
+    def test_integral_float_year_accepted(self):
+        records, rejects = parse_rows("01234,2015.0,100,40,12.0,8.0,6.0,30.0")
+        assert rejects == []
+        assert records[0].year == 2015
+
+    @pytest.mark.parametrize("token", ["nan", "NaN", "inf", "-inf", "Infinity"])
+    def test_non_finite_tokens_are_sentinels(self, token):
+        records, rejects = parse_rows(f"01234,2015,{token},40,{token},8.0,6.0,30.0")
+        assert rejects == []
+        (rec,) = records
+        assert rec.pov_fam is None
+        assert rec.pct_no_vehicle is None
+        assert FLAG_SENTINEL_RECODED in rec.flags
+        assert FLAG_CLIPPED not in rec.flags
+
     def test_garbage_numeric_rejected(self):
         _, rejects = parse_rows("01234,2015,abc,40,12.0,8.0,6.0,30.0")
         assert len(rejects) == 1
@@ -307,3 +329,12 @@ class TestParseCrosswalk:
         rows, rejects = parse_crosswalk(io.StringIO(text))
         assert rows == []
         assert len(rejects) == 1
+
+    def test_short_row_rejected(self):
+        text = "zip,tract_status,res_ratio\n01001,Urban\n01002\n1234,Urban,0.7\n"
+        rows, rejects = parse_crosswalk(io.StringIO(text))
+        assert [r.zip for r in rows] == ["01234"]
+        assert [(r.row, r.reason) for r in rejects] == [
+            (1, "row: 2 fields, need 3"),
+            (2, "row: 1 fields, need 3"),
+        ]

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from snapgap.errors import TooFewPositives
+from snapgap.errors import InvalidParams, TooFewPositives
 from snapgap.metrics import average_precision
 from snapgap.models import (
     FeatureMatrix,
@@ -129,3 +131,93 @@ class TestCvGridSearch:
         train = np.setdiff1d(np.arange(fm.n), val)
         model = fit_family(fm.subset(train), "logistic", {"c": 1.0}, 9)
         assert np.array_equal(oof[val], model.predict_proba(fm.X[val]))
+
+
+def per_candidate_grid(fm, family, grid, folds, seed):
+    """The grid search written out as a plain loop: one `fit_family` per
+    candidate and fold, candidates taken in simplicity order (fewer trees,
+    then shallower, then lower learning rate) and replaced only on a strictly
+    better mean AP. Returns (entries, winner params, winner's oof scores)."""
+    fold_idx = stratified_folds(fm.y, folds, seed)
+
+    def simplicity(p):
+        depth = p.get("max_depth")
+        depth_rank = np.inf if depth is None else depth
+        return (p.get("n_trees", 0), depth_rank, p.get("learning_rate", 0.0))
+
+    entries, best = [], None
+    for params in sorted(grid, key=simplicity):
+        proba = np.empty(fm.n)
+        for val in fold_idx:
+            train = np.setdiff1d(np.arange(fm.n), val)
+            model = fit_family(fm.subset(train), family, params, seed)
+            proba[val] = model.predict_proba(fm.X[val])
+        fold_aps = [average_precision(proba[val], fm.y[val]) for val in fold_idx]
+        entry = (params, float(np.mean(fold_aps)), fold_aps)
+        entries.append(entry)
+        if best is None or entry[1] > best[0][1]:
+            best = (entry, proba)
+    return entries, best[0][0], best[1]
+
+
+def assert_matches_loop(fm, family, grid, folds, seed):
+    got = cv_grid_search(fm, {family: grid}, folds=folds, seed=seed)[family]
+    entries, winner, oof = per_candidate_grid(fm, family, grid, folds, seed)
+    assert [(e.params, e.mean_ap, e.fold_aps) for e in got.grid] == entries
+    assert got.winner == winner
+    assert got.oof_proba.tobytes() == oof.tobytes()
+
+
+class TestPrefixSharing:
+    """Candidates that differ only in n_trees share one fit per fold."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        family=st.sampled_from(["random_forest", "gradient_boosting"]),
+        counts=st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=4),
+        depths=st.lists(st.sampled_from([1, 2, None]), min_size=1, max_size=2, unique=True),
+        omit_count=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    def test_matches_per_candidate_loop(self, family, counts, depths, omit_count, seed):
+        fm = informative_fm(np.random.default_rng(seed), n=60, prevalence=0.6)  # >= 6 positives
+        grid = [
+            {"n_trees": k, "max_depth": depth, "min_leaf": 3, "learning_rate": 0.3}
+            for depth in depths
+            for k in counts
+        ]
+        grid.append(dict(grid[0]))  # an exact duplicate
+        if omit_count:  # fits the default 100 trees
+            grid.append({"max_depth": 1, "min_leaf": 3, "learning_rate": 0.3})
+        assert_matches_loop(fm, family, grid, folds=3, seed=seed % 1000)
+
+    @pytest.mark.parametrize("family", ["random_forest", "gradient_boosting"])
+    def test_omitted_n_trees_shares_the_default_count(self, rng, family):
+        fm = informative_fm(rng, n=60)
+        grid = [
+            {"max_depth": 1},  # fits the default 100 trees
+            {"n_trees": 100, "max_depth": 1},
+            {"n_trees": 3, "max_depth": 1},
+            {"n_trees": 3, "max_depth": 1},
+            {"n_trees": 5, "max_depth": 1, "min_leaf": 1},  # the default, spelled out
+            {"n_trees": 7, "max_depth": 2},
+        ]
+        assert_matches_loop(fm, family, grid, folds=3, seed=5)
+
+    def test_prefix_rows_equal_smaller_fits(self, rng):
+        fm = informative_fm(rng, n=90)
+        folds = stratified_folds(fm.y, 3, seed=2)
+        params = {"n_trees": 6, "max_depth": 2}
+        rows = out_of_fold_proba(fm, "gradient_boosting", params, folds, seed=2, prefixes=[2, 6, 4])
+        for row, k in zip(rows, [2, 6, 4]):
+            alone = out_of_fold_proba(
+                fm, "gradient_boosting", {**params, "n_trees": k}, folds, seed=2
+            )
+            assert row.tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("family", ["random_forest", "gradient_boosting"])
+    def test_invalid_count_still_raises(self, rng, family):
+        fm = informative_fm(rng, n=60)
+        grid = [{"n_trees": 30, "max_depth": 2}, {"n_trees": 0, "max_depth": 2}]
+        with pytest.raises(InvalidParams):
+            cv_grid_search(fm, {family: grid}, folds=3, seed=0)

@@ -1,9 +1,10 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from oracles import ensemble_walk_score, tree_walk
+from oracles import ensemble_walk_score, grow_tree_reference, tree_walk
 from snapgap.errors import InvalidParams, SingleClass
 from snapgap.metrics import roc_auc
 from snapgap.models import (
@@ -75,6 +76,63 @@ class TestGrowTree:
             max_features=None, rng=derive_rng(0, 1),
         )
         assert tree.feature[0] == 0
+
+
+def tie_heavy(seed, n=240, d=4):
+    """Bootstrap draw of a rounded panel: few distinct values per column and
+    many exact duplicate rows."""
+    rng = np.random.default_rng(seed)
+    X = np.round(rng.normal(size=(n, d)), 1)
+    y = (X[:, 0] + rng.normal(size=n) > 0.5).astype(float)
+    boot = rng.integers(0, n, size=n)
+    return X[boot], y[boot]
+
+
+def assert_same_tree(a, b):
+    assert (a.feature, a.left, a.right) == (b.feature, b.left, b.right)
+    for attr in ("threshold", "value"):
+        assert np.array(getattr(a, attr)).tobytes() == np.array(getattr(b, attr)).tobytes()
+
+
+class TestPresortedGrowth:
+    """grow_tree against the per-node-sort reference grower."""
+
+    @pytest.mark.parametrize("criterion", ["gini", "mse"])
+    @pytest.mark.parametrize("max_depth", [None, 3])
+    @pytest.mark.parametrize("min_leaf", [1, 5])
+    @pytest.mark.parametrize("max_features", [None, 2])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_identical_to_reference(self, criterion, max_depth, min_leaf, max_features, seed):
+        X, y = tie_heavy(seed)
+        w = np.where(y == 1, 2.5, 1.0)  # class-balanced style weights
+        t = y if criterion == "gini" else np.round(y - 0.37 + 0.1 * X[:, 1], 2)
+        kw = dict(criterion=criterion, max_depth=max_depth, min_leaf=min_leaf,
+                  max_features=max_features)
+        rng_fast, rng_ref = derive_rng(seed, 1), derive_rng(seed, 1)
+        fast = grow_tree(X, t, w, rng=rng_fast, **kw)
+        ref = grow_tree_reference(X, t, w, rng=rng_ref, **kw)
+        assert fast.n_nodes > 1
+        assert_same_tree(fast, ref)
+        assert rng_fast.random() == rng_ref.random()  # same feature-subset draws
+
+    def test_leaf_hook_sees_rows_ascending(self):
+        X, y = tie_heavy(4)
+        seen = {"fast": [], "ref": []}
+
+        def hook(name):
+            def leaf_value(idx):
+                seen[name].append(idx.tolist())
+                return float(len(idx))
+            return leaf_value
+
+        kw = dict(criterion="mse", max_depth=4, min_leaf=2, max_features=None)
+        fast = grow_tree(X, y - 0.4, np.ones(len(y)), rng=derive_rng(0, 1),
+                         leaf_value=hook("fast"), **kw)
+        ref = grow_tree_reference(X, y - 0.4, np.ones(len(y)), rng=derive_rng(0, 1),
+                                  leaf_value=hook("ref"), **kw)
+        assert_same_tree(fast, ref)
+        assert seen["fast"] == seen["ref"]
+        assert all(idx == sorted(idx) for idx in seen["fast"])
 
 
 def grown(X, y, **kw):
@@ -222,6 +280,17 @@ class TestGradientBoosting:
             fm, EnsembleParams(kind="gradient_boosting", n_trees=60, max_depth=2, learning_rate=0.2, seed=8)
         )
         assert roc_auc(model.predict_proba(fm.X), fm.y) > 0.95
+
+    def test_tree_prefix_stable_as_count_grows(self, rng):
+        # stagewise: the first k rounds of an m-round fit are a k-round fit
+        fm = xor_panel(rng, n=150)
+        params = EnsembleParams(kind="gradient_boosting", n_trees=4, max_depth=3, seed=7)
+        small = fit_tree_ensemble(fm, params)
+        large = fit_tree_ensemble(fm, replace(params, n_trees=9))
+        assert len(small.trees) == 4
+        for ts, tl in zip(small.trees, large.trees):
+            assert_same_tree(ts, tl)
+        assert large.base_score == small.base_score
 
     def test_deterministic(self, rng):
         fm = xor_panel(rng, n=120)
