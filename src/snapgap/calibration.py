@@ -8,10 +8,8 @@ incidence; a Youden rule (maximize TPR - FPR) is available as an alternative.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -25,7 +23,6 @@ from .errors import (
 
 POLICY_PREVALENCE = "prevalence_anchored"
 POLICY_YOUDEN = "youden"
-POLICY_FIXED = "fixed"
 
 
 @dataclass(frozen=True)
@@ -182,23 +179,6 @@ def reliability_curve(
             }
         )
     return rows
-
-
-def write_reliability_csv(rows: list[dict], dest) -> None:
-    close = False
-    if isinstance(dest, (str, Path)):
-        dest = open(dest, "w", encoding="utf-8", newline="")
-        close = True
-    try:
-        writer = csv.writer(dest)
-        writer.writerow(["bin_center", "mean_predicted", "observed_rate", "count"])
-        for row in rows:
-            writer.writerow(
-                [row["bin_center"], row["mean_predicted"], row["observed_rate"], row["count"]]
-            )
-    finally:
-        if close:
-            dest.close()
 
 
 def isotonic_to_dict(iso: IsotonicMap) -> dict:

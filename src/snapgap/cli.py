@@ -100,7 +100,7 @@ def cmd_label(args) -> int:
     panel = build_labels(records, cfg)
     write_labeled_panel(panel, Path(args.out))
     print(
-        f"labeled {len(panel.rows)} rows: {panel.n_eligible()} eligible, "
+        f"labeled {len(panel.panel)} rows: {panel.n_eligible()} eligible, "
         f"{panel.n_positive()} fragile (prevalence {panel.prevalence:.4f}) -> {args.out}"
     )
     return EXIT_OK

@@ -46,10 +46,6 @@ class LengthOverflow(ValidationError):
 
 # --- labeling -------------------------------------------------------------
 
-class ZeroPoverty(ValidationError):
-    pass
-
-
 class NoEligibleRows(CohortError):
     pass
 

@@ -4,7 +4,8 @@ Raw exports arrive as UTF-8 CSVs with arbitrary column headers; a schema map
 translates logical field names to the headers actually present. Cleaning is
 conservative and auditable: sentinel codes become missing values, out-of-range
 percentages are clipped, and every dropped row lands in a reject report with
-its row number and reason. Nothing is silently discarded.
+its row number and reason. Nothing is silently discarded. `Panel` holds the
+validated records as numpy columns for labeling and modeling.
 """
 from __future__ import annotations
 
@@ -12,10 +13,12 @@ import csv
 import io
 import math
 import re
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO, Iterable, Sequence
+
+import numpy as np
 
 from .errors import (
     EmptyInput,
@@ -30,10 +33,6 @@ FLAG_SENTINEL_RECODED = "SentinelRecoded"
 FLAG_CLIPPED = "Clipped"
 FLAG_DUPLICATE_AVERAGED = "DuplicateAveraged"
 FLAG_SNAP_EXCEEDS_POVERTY = "SnapExceedsPoverty"
-
-KNOWN_FLAGS = frozenset(
-    {FLAG_SENTINEL_RECODED, FLAG_CLIPPED, FLAG_DUPLICATE_AVERAGED, FLAG_SNAP_EXCEEDS_POVERTY}
-)
 
 # String tokens treated as missing, in addition to any negative or non-finite
 # numeric value (nan, inf).
@@ -94,8 +93,56 @@ class Reject:
     reason: str
 
 
-NUMERIC_FIELDS = ("pov_fam", "snap_fam", "fam_universe", "pov_rate") + PREDICTOR_FIELDS
+COUNT_FIELDS = ("pov_fam", "snap_fam", "fam_universe", "pov_rate")  # with the precomputed rate
+NUMERIC_FIELDS = COUNT_FIELDS + PREDICTOR_FIELDS
 PERCENT_FIELDS = frozenset(PREDICTOR_FIELDS)
+
+
+@dataclass(frozen=True, eq=False)
+class Panel:
+    """ZipRecords as numpy columns, one entry per record in input order.
+
+    Missing counts, rates and predictors are NaN. `zip`, `area` (the area
+    name) and `flags` (each record's flag set) are object arrays;
+    `predictors` is the (n, 4) block of PREDICTOR_FIELDS in that order.
+    """
+
+    zip: np.ndarray
+    year: np.ndarray
+    area: np.ndarray
+    flags: np.ndarray
+    pov_fam: np.ndarray
+    snap_fam: np.ndarray
+    fam_universe: np.ndarray
+    pov_rate: np.ndarray
+    predictors: np.ndarray
+
+    @classmethod
+    def from_records(cls, records: Panel | Sequence[ZipRecord]) -> Panel:
+        """Build the columns once; a Panel passes through unchanged."""
+        if isinstance(records, Panel):
+            return records
+
+        def floats(name: str) -> np.ndarray:
+            values = (getattr(r, name) for r in records)
+            return np.array([math.nan if v is None else v for v in values], dtype=float)
+
+        return cls(
+            zip=np.array([r.zip for r in records], dtype=object),
+            year=np.array([r.year for r in records], dtype=np.int64),
+            area=np.array([r.area.value for r in records], dtype=object),
+            flags=np.array([r.flags for r in records], dtype=object),
+            **{name: floats(name) for name in COUNT_FIELDS},
+            predictors=np.column_stack([floats(name) for name in PREDICTOR_FIELDS]),
+        )
+
+    def __len__(self) -> int:
+        return len(self.year)
+
+    def take(self, rows: np.ndarray) -> Panel:
+        """The panel restricted to `rows` (a boolean mask or an index array)."""
+        return Panel(*(getattr(self, f.name)[rows] for f in fields(self)))
+
 
 _ZIP_RE = re.compile(r"^(\d+)(?:[-+]\d{1,4})?$")
 
@@ -164,8 +211,9 @@ def parse_panel(
     fam_universe, pov_rate, area, flags) to the column headers of this export.
     Every mapped header must exist; zip/year/pov_fam/snap_fam must be mapped.
     With no schema, logical names double as headers and optional columns may
-    simply be absent. Rows that cannot be keyed (bad zip or year) are rejected
-    with a reason; cleaning of field values never drops a row.
+    simply be absent. Rows shorter than the header and rows that cannot be
+    keyed (bad zip or year) are rejected with a reason; cleaning of field
+    values never drops a row.
     """
     identity = schema is None
     schema = dict(DEFAULT_SCHEMA if identity else schema)
@@ -203,12 +251,13 @@ def parse_panel(
             for row_num, row in enumerate(reader, start=1):
                 if not any(cell.strip() for cell in row):
                     continue  # blank line, not a data row
+                if len(row) < len(header):
+                    rejects.append(Reject(row_num, f"row: {len(row)} fields, need {len(header)}"))
+                    continue
 
                 def cell(logical: str) -> str:
                     idx = positions.get(logical)
-                    if idx is None or idx >= len(row):
-                        return ""
-                    return row[idx]
+                    return "" if idx is None else row[idx]
 
                 try:
                     zcta = normalize_zip(cell("zip"))

@@ -1,11 +1,16 @@
 """Construct the eligibility set, uptake ratios, quantile thresholds, and target.
 
+Labeling works on a columnar `Panel`: the poverty rate `p`, the raw uptake
+ratio `s_raw`, the `eligible` mask and the target `y` are each one array
+expression over all rows, aligned with the panel's rows. Missing values are
+NaN, and unlabeled rows carry y = -1.
+
 A unit-period row is *eligible* when its poverty rate clears the floor, its
 uptake ratio is finite and positive, and all four structural predictors are
 present. Within the eligible pool, a row is flagged fragile (y=1) when its
 poverty rate sits at or above the high-poverty quantile AND its (capped)
-uptake ratio sits at or below the low-uptake quantile. Ineligible rows carry
-y=NA so they are explicitly excluded rather than misclassified.
+uptake ratio sits at or below the low-uptake quantile. Ineligible rows stay
+unlabeled so they are explicitly excluded rather than misclassified.
 
 An OLS regression of benefit counts on poverty counts provides a residual
 diagnostic: rows in the deep negative-residual tail that the quantile rule
@@ -17,7 +22,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,11 +31,11 @@ from .errors import (
     EmptyInput,
     NoEligibleRows,
     ValidationError,
-    ZeroPoverty,
 )
-from .ingest import PREDICTOR_FIELDS, Area, ZipRecord
+from .ingest import Panel, ZipRecord
 
 POOLED_KEY = "All"
+UNLABELED = -1
 
 
 @dataclass(frozen=True)
@@ -50,43 +55,38 @@ class LabelConfig:
             raise ValidationError(f"poverty_floor must be in [0, 1), got {self.poverty_floor}")
 
 
-class UptakeRatio(NamedTuple):
-    s_raw: float
-    s_capped: float
-    anomaly: bool
-
-
 @dataclass(frozen=True)
 class Thresholds:
     tau_hi: float
     tau_lo: float
 
 
-@dataclass(frozen=True)
-class LabeledRow:
-    record: ZipRecord
-    p: float | None
-    s_raw: float | None
-    s_capped: float | None
-    eligible: bool
-    y: int | None  # 1 / 0 for eligible rows, None otherwise
-    residual: float | None = None
-
-
-@dataclass
+@dataclass(eq=False)
 class LabeledPanel:
-    """Eligible-filtered panel with thresholds and the binary fragility target.
+    """A panel with its eligibility, thresholds and binary fragility target.
 
+    `p`, `s_raw`, `eligible`, `y` (1 / 0, or UNLABELED) and, after
+    `fit_uptake_ols`, `residual` are columns aligned with `panel`.
     `thresholds` is keyed by area name when stratified, else by "All". Every
-    eligible row is labeled under exactly one key's thresholds.
+    labeled row is labeled under exactly one key's thresholds.
     """
 
-    rows: list[LabeledRow]
+    panel: Panel
+    p: np.ndarray
+    s_raw: np.ndarray
+    eligible: np.ndarray
+    y: np.ndarray
     thresholds: dict[str, Thresholds]
     prevalence: float
     prevalences: dict[str, float] = field(default_factory=dict)
     stratified: bool = False
     config: LabelConfig = field(default_factory=LabelConfig)
+    residual: np.ndarray | None = None  # NaN off the eligible pool
+
+    @property
+    def s_capped(self) -> np.ndarray:
+        """Uptake capped at 1; a raw ratio above 1 is an anomaly, kept and flagged."""
+        return np.minimum(self.s_raw, 1.0)
 
     @property
     def tau_hi(self) -> float:
@@ -103,57 +103,11 @@ class LabeledPanel:
             return next(iter(self.thresholds))
         raise ValidationError("panel is stratified; use .thresholds[area]")
 
-    def eligible_rows(self) -> list[LabeledRow]:
-        return [r for r in self.rows if r.eligible]
-
-    def fit_rows(self) -> list[LabeledRow]:
-        """Rows usable for model fitting: labeled and with a known area."""
-        return [r for r in self.rows if r.y is not None and r.record.area is not Area.UNKNOWN]
-
     def n_eligible(self) -> int:
-        return sum(1 for r in self.rows if r.eligible)
+        return int(np.count_nonzero(self.eligible))
 
     def n_positive(self) -> int:
-        return sum(1 for r in self.rows if r.y == 1)
-
-
-def uptake_ratio(snap_fam: float, pov_fam: float) -> UptakeRatio:
-    """Benefit families over poverty families, capped at 1; >1 is an anomaly.
-
-    Anomalous rows are retained and flagged downstream, never dropped.
-    """
-    if pov_fam == 0:
-        raise ZeroPoverty("uptake ratio undefined when poverty count is 0")
-    s_raw = snap_fam / pov_fam
-    return UptakeRatio(s_raw=s_raw, s_capped=min(s_raw, 1.0), anomaly=s_raw > 1.0)
-
-
-def poverty_rate(record: ZipRecord) -> float | None:
-    """Poverty rate: count over family universe when available, else the
-    precomputed rate column. None when neither source is usable."""
-    if record.fam_universe is not None and record.fam_universe > 0:
-        if record.pov_fam is None:
-            return None
-        return record.pov_fam / record.fam_universe
-    return record.pov_rate
-
-
-def eligibility(
-    p: float | None,
-    s_raw: float | None,
-    predictors_present: bool,
-    cfg: LabelConfig,
-) -> bool:
-    """True when the row enters the eligible pool.
-
-    Requires a positive poverty rate at or above the floor, a finite positive
-    uptake ratio (zero uptake is treated as missing), and all predictors.
-    """
-    if p is None or not math.isfinite(p) or p <= 0 or p < cfg.poverty_floor:
-        return False
-    if s_raw is None or not math.isfinite(s_raw) or s_raw <= 0:
-        return False
-    return predictors_present
+        return int(np.count_nonzero(self.y == 1))
 
 
 def quantile(values: Sequence[float], q: float) -> float:
@@ -168,44 +122,17 @@ def quantile(values: Sequence[float], q: float) -> float:
     return float(np.quantile(arr, q, method="linear"))
 
 
-def _prepare(record: ZipRecord, cfg: LabelConfig) -> LabeledRow:
-    p = poverty_rate(record)
-    s_raw = s_capped = None
-    if record.pov_fam is not None and record.pov_fam > 0 and record.snap_fam is not None:
-        ratio = uptake_ratio(record.snap_fam, record.pov_fam)
-        s_raw, s_capped = ratio.s_raw, ratio.s_capped
-    predictors_present = all(getattr(record, name) is not None for name in PREDICTOR_FIELDS)
-    elig = eligibility(p, s_raw, predictors_present, cfg)
-    return LabeledRow(record=record, p=p, s_raw=s_raw, s_capped=s_capped, eligible=elig, y=None)
-
-
-def _threshold_key(row: LabeledRow, stratified: bool) -> str:
-    return row.record.area.value if stratified else POOLED_KEY
-
-
-def _uptake(row: LabeledRow, cfg: LabelConfig) -> float:
-    return row.s_capped if cfg.use_capped_uptake else row.s_raw
-
-
-def _fit_thresholds(eligible: list[LabeledRow], cfg: LabelConfig) -> dict[str, Thresholds]:
-    groups: dict[str, list[LabeledRow]] = {}
-    for row in eligible:
-        groups.setdefault(_threshold_key(row, cfg.stratify_by_area), []).append(row)
-    return {
-        key: Thresholds(
-            tau_hi=quantile([r.p for r in groups[key]], cfg.hi_q),
-            tau_lo=quantile([_uptake(r, cfg) for r in groups[key]], cfg.lo_q),
-        )
-        for key in sorted(groups)
-    }
-
-
 def build_labels(
-    records: Sequence[ZipRecord],
+    records: Panel | Sequence[ZipRecord],
     cfg: LabelConfig,
     thresholds: dict[str, Thresholds] | None = None,
 ) -> LabeledPanel:
     """Compute eligibility, thresholds, and the binary target for one panel.
+
+    The poverty rate is the poverty count over the family universe when the
+    universe is positive, else the precomputed rate column. The uptake ratio
+    is benefit families over poverty families, defined only for a positive
+    poverty count; zero uptake counts as missing for eligibility.
 
     Pooled mode derives one (tau_hi, tau_lo) pair from all eligible rows;
     stratified mode recomputes the pair within each area subset (including
@@ -213,37 +140,60 @@ def build_labels(
 
     Supplied `thresholds` (frozen cutpoints, e.g. from the training period)
     replace the fit. Eligible rows whose key has no supplied pair stay
-    unlabeled (y=None), and prevalences count labeled rows only.
+    unlabeled, and prevalences count labeled rows only.
     """
-    prepared = [_prepare(rec, cfg) for rec in records]
-    eligible = [r for r in prepared if r.eligible]
-    if not eligible:
+    panel = Panel.from_records(records)
+    n = len(panel)
+    p = np.divide(
+        panel.pov_fam, panel.fam_universe, out=panel.pov_rate.copy(), where=panel.fam_universe > 0
+    )
+    s_raw = np.divide(panel.snap_fam, panel.pov_fam, out=np.full(n, np.nan), where=panel.pov_fam > 0)
+    eligible = (
+        np.isfinite(p)
+        & (p > 0)
+        & (p >= cfg.poverty_floor)
+        & np.isfinite(s_raw)
+        & (s_raw > 0)
+        & ~np.isnan(panel.predictors).any(axis=1)
+    )
+    if not eligible.any():
         raise NoEligibleRows("no rows pass the eligibility filters")
-    thresholds = _fit_thresholds(eligible, cfg) if thresholds is None else dict(thresholds)
+    uptake = np.minimum(s_raw, 1.0) if cfg.use_capped_uptake else s_raw
+    keys = panel.area if cfg.stratify_by_area else np.full(n, POOLED_KEY, dtype=object)
+    if thresholds is None:
+        thresholds = {}
+        for key in np.unique(keys[eligible]).tolist():
+            group = eligible & (keys == key)
+            thresholds[key] = Thresholds(
+                tau_hi=quantile(p[group], cfg.hi_q), tau_lo=quantile(uptake[group], cfg.lo_q)
+            )
+    else:
+        thresholds = dict(thresholds)
 
-    labeled: list[LabeledRow] = []
-    counts: dict[str, list[int]] = {}  # key -> [positives, labeled rows]
-    for row in prepared:
-        key = _threshold_key(row, cfg.stratify_by_area)
-        if not row.eligible or key not in thresholds:
-            labeled.append(row)
-            continue
-        th = thresholds[key]
-        y = 1 if (row.p >= th.tau_hi and _uptake(row, cfg) <= th.tau_lo) else 0
-        labeled.append(replace(row, y=y))
-        tally = counts.setdefault(key, [0, 0])
-        tally[0] += y
-        tally[1] += 1
+    y = np.full(n, UNLABELED, dtype=np.int8)
+    prevalences: dict[str, float] = {}
+    positives = labeled = 0
+    for key, th in thresholds.items():
+        group = eligible & (keys == key)
+        fragile = group & (p >= th.tau_hi) & (uptake <= th.tau_lo)
+        y[group] = fragile[group]
+        n_group, n_fragile = int(np.count_nonzero(group)), int(np.count_nonzero(fragile))
+        if n_group:
+            prevalences[key] = n_fragile / n_group
+            positives += n_fragile
+            labeled += n_group
 
-    if not counts:
+    if not labeled:
         raise NoEligibleRows("no eligible rows fall under the supplied thresholds")
-    positives = sum(pos for pos, _ in counts.values())
-    total = sum(tot for _, tot in counts.values())
     return LabeledPanel(
-        rows=labeled,
+        panel=panel,
+        p=p,
+        s_raw=s_raw,
+        eligible=eligible,
+        y=y,
         thresholds=thresholds,
-        prevalence=positives / total,
-        prevalences={key: pos / tot for key, (pos, tot) in counts.items()},
+        prevalence=positives / labeled,
+        prevalences=prevalences,
         stratified=cfg.stratify_by_area,
         config=cfg,
     )
@@ -278,57 +228,37 @@ def ols_fit(x: Sequence[float], y: Sequence[float]) -> OlsFit:
     return OlsFit(alpha=alpha, beta=beta, r2=r2)
 
 
-def residual(fit: OlsFit, pov_fam: float, snap_fam: float) -> float:
-    return snap_fam - fit.alpha - fit.beta * pov_fam
-
-
 def fit_uptake_ols(panel: LabeledPanel) -> tuple[LabeledPanel, OlsFit]:
-    """Fit benefit counts on poverty counts over eligible rows and attach
-    per-row residuals. Rows without both counts keep residual=None."""
-    pts = [
-        (r.record.pov_fam, r.record.snap_fam)
-        for r in panel.rows
-        if r.eligible and r.record.pov_fam is not None and r.record.snap_fam is not None
-    ]
-    if len(pts) < 2:
+    """Fit benefit counts on poverty counts over eligible rows, in row order,
+    and attach the residual column. An eligible row has both counts; every
+    other row's residual is NaN."""
+    pov = panel.panel.pov_fam[panel.eligible]
+    snap = panel.panel.snap_fam[panel.eligible]
+    if pov.size < 2:
         raise DegenerateDesign("fewer than 2 eligible rows with both counts")
-    fit = ols_fit([p for p, _ in pts], [s for _, s in pts])
-    rows = []
-    for r in panel.rows:
-        if r.eligible and r.record.pov_fam is not None and r.record.snap_fam is not None:
-            rows.append(replace(r, residual=residual(fit, r.record.pov_fam, r.record.snap_fam)))
-        else:
-            rows.append(r)
-    out = LabeledPanel(
-        rows=rows,
-        thresholds=panel.thresholds,
-        prevalence=panel.prevalence,
-        prevalences=panel.prevalences,
-        stratified=panel.stratified,
-        config=panel.config,
-    )
-    return out, fit
+    fit = ols_fit(pov, snap)
+    residual = np.full(len(panel.panel), np.nan)
+    residual[panel.eligible] = snap - fit.alpha - fit.beta * pov
+    return replace(panel, residual=residual), fit
 
 
 def flag_hidden_fragility(panel: LabeledPanel, fit: OlsFit, k: float = 0.05) -> set[str]:
     """ZIPs in the most-negative k-tail of uptake residuals not already y=1.
 
-    The tail holds floor(k * n) rows ordered by residual ascending (ties by
-    zip, then year, for determinism). These are idiosyncratic under-uptake
-    candidates the quantile rule missed.
+    The tail holds floor(k * n) eligible rows ordered by residual ascending
+    (ties by zip, then year, then row order, for determinism). These are
+    idiosyncratic under-uptake candidates the quantile rule missed.
     """
     if not 0.0 <= k <= 1.0:
         raise ValidationError(f"tail fraction must be in [0,1], got {k}")
-    scored = [
-        (residual(fit, r.record.pov_fam, r.record.snap_fam), r.record.zip, r.record.year, r)
-        for r in panel.rows
-        if r.eligible and r.record.pov_fam is not None and r.record.snap_fam is not None
-    ]
-    n_tail = math.floor(k * len(scored))
+    rows = np.flatnonzero(panel.eligible)
+    n_tail = math.floor(k * rows.size)
     if n_tail == 0:
         return set()
-    scored.sort(key=lambda t: (t[0], t[1], t[2]))
-    return {row.record.zip for _, _, _, row in scored[:n_tail] if row.y != 1}
+    cols = panel.panel
+    residual = cols.snap_fam[rows] - fit.alpha - fit.beta * cols.pov_fam[rows]
+    tail = rows[np.lexsort((cols.year[rows], cols.zip[rows], residual))[:n_tail]]
+    return set(cols.zip[tail[panel.y[tail] != 1]].tolist())
 
 
 # --- export ----------------------------------------------------------------
@@ -336,29 +266,34 @@ def flag_hidden_fragility(panel: LabeledPanel, fit: OlsFit, k: float = 0.05) -> 
 LABELED_COLUMNS = ["zip", "year", "p", "s_raw", "s_capped", "eligible", "y", "residual", "area", "flags"]
 
 
+def _float_cells(values: np.ndarray) -> list[str]:
+    return ["" if math.isnan(v) else repr(v) for v in values.tolist()]
+
+
 def write_labeled_panel(panel: LabeledPanel, csv_path, sidecar_path=None) -> None:
     """Export the labeled panel as CSV plus a JSON sidecar with thresholds."""
     import csv as _csv
 
+    cols = panel.panel
+    residual = np.full(len(cols), np.nan) if panel.residual is None else panel.residual
     csv_path = Path(csv_path)
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         writer = _csv.writer(fh)
         writer.writerow(LABELED_COLUMNS)
-        for r in panel.rows:
-            writer.writerow(
-                [
-                    r.record.zip,
-                    r.record.year,
-                    "" if r.p is None else repr(r.p),
-                    "" if r.s_raw is None else repr(r.s_raw),
-                    "" if r.s_capped is None else repr(r.s_capped),
-                    int(r.eligible),
-                    "" if r.y is None else r.y,
-                    "" if r.residual is None else repr(r.residual),
-                    r.record.area.value,
-                    ";".join(sorted(r.record.flags)),
-                ]
+        writer.writerows(
+            zip(
+                cols.zip.tolist(),
+                cols.year.tolist(),
+                _float_cells(panel.p),
+                _float_cells(panel.s_raw),
+                _float_cells(panel.s_capped),
+                panel.eligible.astype(int).tolist(),
+                ["" if y == UNLABELED else y for y in panel.y.tolist()],
+                _float_cells(residual),
+                cols.area.tolist(),
+                [";".join(sorted(flags)) for flags in cols.flags],
             )
+        )
     if sidecar_path is None:
         sidecar_path = csv_path.with_suffix(".json")
     sidecar = {
@@ -369,7 +304,7 @@ def write_labeled_panel(panel: LabeledPanel, csv_path, sidecar_path=None) -> Non
         "prevalence": panel.prevalence,
         "prevalences": dict(sorted(panel.prevalences.items())),
         "stratified": panel.stratified,
-        "n_rows": len(panel.rows),
+        "n_rows": len(cols),
         "n_eligible": panel.n_eligible(),
         "n_positive": panel.n_positive(),
     }

@@ -95,11 +95,12 @@ def fit_family(fm: FeatureMatrix, family: str, params: dict, seed: int):
 
 
 def _simplicity_key(family: str, params: dict) -> tuple:
+    """Rank a candidate by the values it is fitted with, defaults included."""
     if family == FAMILY_LOGISTIC:
-        return (params["c"],)
-    depth = params.get("max_depth")
-    depth_rank = np.inf if depth is None else depth
-    return (params.get("n_trees", 0), depth_rank, params.get("learning_rate", 0.0))
+        return (params.get("c", 1.0),)
+    ep = _ensemble_params(family, params, seed=0)
+    depth_rank = np.inf if ep.max_depth is None else ep.max_depth
+    return (ep.n_trees, depth_rank, ep.learning_rate)
 
 
 @dataclass

@@ -12,6 +12,11 @@ The flow per cohort (pooled, or one per area when stratified):
   3. score the late period and assemble the metric suite, reliability data,
      ranked flag lists, and residual-based hidden-fragility lists.
 
+Records become one columnar `Panel` at entry. Periods, years and cohorts
+are boolean masks or row-index arrays over it, a model matrix is a slice of
+its predictor block, and the yearly and fragile-distribution diagnostics
+are mask counts.
+
 Nothing fitted ever sees a late-period row: training consumes only the early
 panel, and that separation is asserted by the test suite bit-for-bit.
 
@@ -46,11 +51,11 @@ from .errors import (
     SingleClass,
     ValidationError,
 )
-from .ingest import PREDICTOR_FIELDS, Area, ZipRecord
+from .ingest import PREDICTOR_FIELDS, Area, Panel, ZipRecord
 from .labeling import (
+    UNLABELED,
     LabelConfig,
     LabeledPanel,
-    LabeledRow,
     build_labels,
     fit_uptake_ols,
     flag_hidden_fragility,
@@ -205,32 +210,35 @@ def _model_label(family: str, subset: tuple[str, ...]) -> str:
     return f"{family}[{'+'.join(subset)}]"
 
 
-def _rows_in_years(records: Sequence[ZipRecord], years: tuple[int, int]) -> list[ZipRecord]:
+def _rows_in_years(panel: Panel, years: tuple[int, int]) -> Panel:
     lo, hi = years
-    return [r for r in records if lo <= r.year <= hi]
+    return panel.take((panel.year >= lo) & (panel.year <= hi))
 
 
-def _cohort_rows(panel: LabeledPanel, cohort: str) -> list[LabeledRow]:
-    """Rows a model may see: labeled, known area, matching the cohort."""
-    rows = panel.fit_rows()
-    if cohort == POOLED_COHORT:
-        return rows
-    return [r for r in rows if r.record.area.value == cohort]
+def _cohort_rows(panel: LabeledPanel, cohort: str) -> np.ndarray:
+    """Indices of the rows a model may see: labeled, known area, matching the cohort."""
+    area = panel.panel.area
+    keep = (panel.y != UNLABELED) & (area != Area.UNKNOWN.value)
+    if cohort != POOLED_COHORT:
+        keep &= area == cohort
+    return np.flatnonzero(keep)
 
 
-def _matrix(rows: list[LabeledRow], subset: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
-    X = np.array([[getattr(r.record, f) for f in subset] for r in rows], dtype=float)
-    y = np.array([r.y for r in rows], dtype=int)
-    return X, y
+def _matrix(
+    panel: LabeledPanel, rows: np.ndarray, subset: tuple[str, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The subset's predictor columns and the target at `rows`, C-ordered."""
+    cols = [PREDICTOR_FIELDS.index(f) for f in subset]
+    return panel.panel.predictors[np.ix_(rows, cols)], panel.y[rows].astype(int)
 
 
 def _anomaly_count(panel: LabeledPanel) -> int:
-    return sum(1 for r in panel.rows if r.s_raw is not None and r.s_raw > 1.0)
+    return int(np.count_nonzero(panel.s_raw > 1.0))
 
 
 def _panel_summary(panel: LabeledPanel) -> dict:
     return {
-        "n_rows": len(panel.rows),
+        "n_rows": len(panel.panel),
         "n_eligible": panel.n_eligible(),
         "n_positive": panel.n_positive(),
         "prevalence": panel.prevalence,
@@ -289,13 +297,14 @@ def _fit_task(
     cohort: str,
     subset: tuple[str, ...],
     family: str,
-    p1_rows: list[LabeledRow],
+    p1_panel: LabeledPanel,
+    p1_rows: np.ndarray,
     p1_prevalence: float,
 ) -> tuple[CalibratedScorer, dict]:
     """Train one (cohort, subset, family) scorer on early-period rows only."""
     label = f"{cohort}/{_model_label(family, subset)}"
     seed = cfg.seed
-    fm = FeatureMatrix(*_matrix(p1_rows, subset), feature_names=tuple(subset))
+    fm = FeatureMatrix(*_matrix(p1_panel, p1_rows, subset), feature_names=tuple(subset))
     n_pos = int(fm.y.sum())
     if n_pos == 0 or n_pos == fm.n:
         raise InsufficientCohort(
@@ -355,12 +364,13 @@ def _evaluate_task(
     family: str,
     scorer: CalibratedScorer,
     detail: dict,
-    p2_rows: list[LabeledRow],
+    p2_panel: LabeledPanel,
+    p2_rows: np.ndarray,
 ) -> dict:
     label = _model_label(family, subset)
-    if not p2_rows:
+    if not p2_rows.size:
         raise InsufficientCohort(f"cohort {cohort!r}: no labeled test rows")
-    X2, y2 = _matrix(p2_rows, subset)
+    X2, y2 = _matrix(p2_panel, p2_rows, subset)
     calibrated = scorer.predict_calibrated(X2)
     try:
         report = evaluate(calibrated, y2, scorer.rule, cohort=cohort, model=label)
@@ -369,13 +379,16 @@ def _evaluate_task(
     detail["eval"] = report.to_dict()
     detail["reliability"] = reliability_curve(calibrated, y2, cfg.reliability_bins)
 
-    decisions = classify(calibrated, scorer.rule)
-    flagged = [
-        (r.record.zip, r.record.year, float(p))
-        for r, p, d in zip(p2_rows, calibrated, decisions)
-        if d == 1
-    ]
-    flagged.sort(key=lambda t: (-t[2], t[0], t[1]))
+    hits = np.flatnonzero(classify(calibrated, scorer.rule) == 1)
+    rows = p2_rows[hits]
+    flagged = sorted(
+        zip(
+            p2_panel.panel.zip[rows].tolist(),
+            p2_panel.panel.year[rows].tolist(),
+            calibrated[hits].tolist(),
+        ),
+        key=lambda t: (-t[2], t[0], t[1]),
+    )
     detail["flagged"] = [[z, yr, p] for z, yr, p in flagged]
 
     importance = permutation_importance(
@@ -416,46 +429,43 @@ def _hidden_fragility_entry(panel: LabeledPanel, tail: float) -> dict:
     }
 
 
-def _fragile_distribution(records: list[ZipRecord], label_cfg_base: LabelConfig) -> dict:
+def _fragile_distribution(period: Panel, label_cfg_base: LabelConfig) -> dict:
     """Share of fragile rows by area for the bottom-10% and bottom-30% rules."""
     out: dict[str, dict] = {}
     for lo_q in (0.10, 0.30):
         label_cfg = replace(label_cfg_base, lo_q=lo_q)
         try:
-            panel = build_labels(records, label_cfg)
+            panel = build_labels(period, label_cfg)
         except CohortError as exc:
             out[f"{lo_q:.2f}"] = {"error": str(exc)}
             continue
-        counts: dict[str, int] = {}
-        for r in panel.rows:
-            if r.y == 1:
-                counts[r.record.area.value] = counts.get(r.record.area.value, 0) + 1
-        total = sum(counts.values())
+        areas, counts = np.unique(period.area[panel.y == 1], return_counts=True)
+        total = int(counts.sum())
         out[f"{lo_q:.2f}"] = {
             "total": total,
             "by_area": {
-                area: {"count": cnt, "share": cnt / total if total else 0.0}
-                for area, cnt in sorted(counts.items())
+                area: {"count": cnt, "share": cnt / total}
+                for area, cnt in zip(areas.tolist(), counts.tolist())
             },
         }
     return out
 
 
-def run_yearly_diagnostics(cfg: BacktestConfig, records: Sequence[ZipRecord]) -> list[dict]:
+def run_yearly_diagnostics(
+    cfg: BacktestConfig, records: Panel | Sequence[ZipRecord]
+) -> list[dict]:
     """Per-year eligible count, thresholds, prevalence, and anomaly count."""
     years = list(range(cfg.p1_years[0], cfg.p1_years[1] + 1)) + list(
         range(cfg.p2_years[0], cfg.p2_years[1] + 1)
     )
     pooled_cfg = replace(cfg.label, stratify_by_area=False)
-    rows_by_year: dict[int, list[ZipRecord]] = {}
-    for rec in records:
-        rows_by_year.setdefault(rec.year, []).append(rec)
+    panel = Panel.from_records(records)
     table = []
     for year in years:
-        year_rows = rows_by_year.get(year, [])
+        year_rows = panel.take(panel.year == year)
         entry: dict = {"year": year, "n_rows": len(year_rows)}
         try:
-            panel = build_labels(year_rows, pooled_cfg)  # raises on an empty year too
+            labeled = build_labels(year_rows, pooled_cfg)  # raises on an empty year too
         except CohortError:
             entry.update(
                 {"n_eligible": 0, "tau_hi": None, "tau_lo": None, "prevalence": None, "anomaly_rows": 0}
@@ -463,11 +473,11 @@ def run_yearly_diagnostics(cfg: BacktestConfig, records: Sequence[ZipRecord]) ->
         else:
             entry.update(
                 {
-                    "n_eligible": panel.n_eligible(),
-                    "tau_hi": panel.tau_hi,
-                    "tau_lo": panel.tau_lo,
-                    "prevalence": panel.prevalence,
-                    "anomaly_rows": _anomaly_count(panel),
+                    "n_eligible": labeled.n_eligible(),
+                    "tau_hi": labeled.tau_hi,
+                    "tau_lo": labeled.tau_lo,
+                    "prevalence": labeled.prevalence,
+                    "anomaly_rows": _anomaly_count(labeled),
                 }
             )
         table.append(entry)
@@ -488,14 +498,15 @@ def _plan_tasks(
     cfg: BacktestConfig, p1_panel: LabeledPanel, p2_panel: LabeledPanel | None = None
 ) -> tuple[list[tuple], dict[str, str]]:
     """The flat (cohort, subset, family) task list in manifest order, each
-    task carrying its cohort's training rows, test rows (empty without a test
-    panel) and training prevalence; plus the error of every cohort with
+    task carrying its cohort's training and test row indices (none without a
+    test panel) and training prevalence; plus the error of every cohort with
     nothing to train on. Results assemble independently of execution order."""
     tasks = []
     cohort_errors: dict[str, str] = {}
+    no_rows = np.empty(0, dtype=np.intp)
     for cohort in _cohorts(cfg):
         p1_rows = _cohort_rows(p1_panel, cohort)
-        if not p1_rows:
+        if not p1_rows.size:
             cohort_errors[cohort] = f"cohort {cohort!r}: no labeled training rows"
             continue
         try:
@@ -503,7 +514,7 @@ def _plan_tasks(
         except KeyError:
             cohort_errors[cohort] = f"cohort {cohort!r}: no eligible training rows"
             continue
-        p2_rows = [] if p2_panel is None else _cohort_rows(p2_panel, cohort)
+        p2_rows = no_rows if p2_panel is None else _cohort_rows(p2_panel, cohort)
         for subset in cfg.subsets():
             for family in cfg.families:
                 tasks.append((cohort, subset, family, p1_rows, p2_rows, prevalence))
@@ -515,16 +526,17 @@ def train_scorers(
 ) -> dict[tuple[str, str], CalibratedScorer]:
     """Fit calibrated scorers on the training period only (no test rows needed)."""
     cfg.validate()
-    p1_records = _rows_in_years(records, cfg.p1_years)
-    if not p1_records:
+    p1 = _rows_in_years(Panel.from_records(records), cfg.p1_years)
+    if not len(p1):
         raise InsufficientCohort(f"no rows in training years {cfg.p1_years}")
-    tasks, cohort_errors = _plan_tasks(cfg, build_labels(p1_records, _label_config(cfg)))
+    p1_panel = build_labels(p1, _label_config(cfg))
+    tasks, cohort_errors = _plan_tasks(cfg, p1_panel)
 
     scorers: dict[tuple[str, str], CalibratedScorer] = {}
     errors = list(cohort_errors.values())
     for cohort, subset, family, p1_rows, _, prevalence in tasks:
         try:
-            scorer, _ = _fit_task(cfg, cohort, subset, family, p1_rows, prevalence)
+            scorer, _ = _fit_task(cfg, cohort, subset, family, p1_panel, p1_rows, prevalence)
         except CohortError as exc:
             errors.append(str(exc))
             continue
@@ -543,17 +555,17 @@ def run_backtest(
     cfg.validate()
     label_cfg = _label_config(cfg)
 
-    p1_records = _rows_in_years(records, cfg.p1_years)
-    p2_records = _rows_in_years(records, cfg.p2_years)
-    if not p1_records or not p2_records:
+    panel = Panel.from_records(records)
+    p1 = _rows_in_years(panel, cfg.p1_years)
+    p2 = _rows_in_years(panel, cfg.p2_years)
+    if not len(p1) or not len(p2):
         raise InsufficientCohort(
-            f"panel must cover both periods: {len(p1_records)} training rows, "
-            f"{len(p2_records)} test rows"
+            f"panel must cover both periods: {len(p1)} training rows, {len(p2)} test rows"
         )
 
-    p1_panel = build_labels(p1_records, label_cfg)
+    p1_panel = build_labels(p1, label_cfg)
     frozen = p1_panel.thresholds if cfg.threshold_mode == THRESHOLD_FROZEN else None
-    p2_panel = build_labels(p2_records, label_cfg, frozen)
+    p2_panel = build_labels(p2, label_cfg, frozen)
     tasks, cohort_errors = _plan_tasks(cfg, p1_panel, p2_panel)
 
     scorers: dict[tuple[str, str], CalibratedScorer] = {}
@@ -562,8 +574,8 @@ def run_backtest(
     for cohort, subset, family, p1_rows, p2_rows, prevalence in tasks:
         label = _model_label(family, subset)
         try:
-            scorer, detail = _fit_task(cfg, cohort, subset, family, p1_rows, prevalence)
-            detail = _evaluate_task(cfg, cohort, subset, family, scorer, detail, p2_rows)
+            scorer, detail = _fit_task(cfg, cohort, subset, family, p1_panel, p1_rows, prevalence)
+            detail = _evaluate_task(cfg, cohort, subset, family, scorer, detail, p2_panel, p2_rows)
         except CohortError as exc:
             cohort_models[cohort][label] = {"error": str(exc)}
             errors.append(str(exc))
@@ -597,10 +609,10 @@ def run_backtest(
             "p2": _hidden_fragility_entry(p2_panel, cfg.hidden_tail),
         },
         "fragile_distribution": {
-            "p1": _fragile_distribution(p1_records, label_cfg),
-            "p2": _fragile_distribution(p2_records, label_cfg),
+            "p1": _fragile_distribution(p1, label_cfg),
+            "p2": _fragile_distribution(p2, label_cfg),
         },
-        "yearly": run_yearly_diagnostics(cfg, records),
+        "yearly": run_yearly_diagnostics(cfg, panel),
     }
     body["manifest_digest"] = digest_of(body)
     return RunManifest(body=body, scorers=scorers)

@@ -3,7 +3,8 @@
 Everything here is written from the definitions, not from the library code:
 quantiles by hand-rolled rank interpolation, OLS by normal equations, AUC by
 pairwise comparison, AP by rank enumeration, labeling by explicit sort-and-
-threshold, gradients by central differences, tree prediction by walking
+threshold, poverty rate, uptake and eligibility one record at a time,
+gradients by central differences, tree prediction by walking
 one row at a time down the node tuples, tree growth by sorting each
 candidate feature again at every node.
 """
@@ -13,6 +14,7 @@ import math
 
 import numpy as np
 
+from snapgap.ingest import PREDICTOR_FIELDS
 from snapgap.models import DecisionTree
 
 
@@ -28,12 +30,53 @@ def quantile_interp(values, q):
     return xs[lo] + (h - lo) * (xs[hi] - xs[lo])
 
 
-def label_oracle(rows, poverty_floor=0.15, hi_q=0.70, lo_q=0.10, by_area=False):
+def prepare_reference(record, cfg):
+    """Row-wise poverty rate, raw uptake ratio and eligibility of one record.
+
+    The poverty rate is pov_fam / fam_universe when the universe is
+    positive, else pov_rate; the uptake ratio snap_fam / pov_fam needs a
+    positive poverty count. Undefined values are None. The returned dict
+    also carries `s`, `area` and `predictors_present` for `label_oracle`.
+    """
+    if record.fam_universe is not None and record.fam_universe > 0:
+        p = None if record.pov_fam is None else record.pov_fam / record.fam_universe
+    else:
+        p = record.pov_rate
+    s_raw = None
+    if record.pov_fam is not None and record.pov_fam > 0 and record.snap_fam is not None:
+        s_raw = record.snap_fam / record.pov_fam
+    present = all(getattr(record, name) is not None for name in PREDICTOR_FIELDS)
+    eligible = (
+        p is not None
+        and math.isfinite(p)
+        and p > 0
+        and not p < cfg.poverty_floor
+        and s_raw is not None
+        and math.isfinite(s_raw)
+        and s_raw > 0
+        and present
+    )
+    return {
+        "p": p,
+        "s_raw": s_raw,
+        "eligible": eligible,
+        "s": s_raw,
+        "area": record.area.value,
+        "predictors_present": present,
+    }
+
+
+def label_oracle(
+    rows, poverty_floor=0.15, hi_q=0.70, lo_q=0.10, by_area=False, capped=True, thresholds=None
+):
     """Explicit sort-and-threshold labeling.
 
-    `rows` are dicts with keys p, s (capped uptake), area, and optionally
+    `rows` are dicts with keys p, s (raw uptake), area, and optionally
     eligible-blocking fields already resolved: pass p=None or s=None (or
-    s<=0, p below floor) for ineligible rows. Returns a list of 1/0/None.
+    s<=0, p below floor) for ineligible rows. Uptake is min(s, 1) when
+    `capped`. Supplied `thresholds` ({key: (tau_hi, tau_lo)}) replace the
+    quantile fit, and eligible rows whose key has no pair stay None.
+    Returns a list of 1/0/None.
     """
 
     def eligible(row):
@@ -44,6 +87,9 @@ def label_oracle(rows, poverty_floor=0.15, hi_q=0.70, lo_q=0.10, by_area=False):
             return False
         return row.get("predictors_present", True)
 
+    def uptake(row):
+        return min(row["s"], 1.0) if capped else row["s"]
+
     elig = [i for i, r in enumerate(rows) if eligible(r)]
     labels: list = [None] * len(rows)
     if not elig:
@@ -53,10 +99,15 @@ def label_oracle(rows, poverty_floor=0.15, hi_q=0.70, lo_q=0.10, by_area=False):
         key = rows[i]["area"] if by_area else "All"
         groups.setdefault(key, []).append(i)
     for key, idxs in groups.items():
-        tau_hi = quantile_interp([rows[i]["p"] for i in idxs], hi_q)
-        tau_lo = quantile_interp([min(rows[i]["s"], 1.0) for i in idxs], lo_q)
+        if thresholds is None:
+            tau_hi = quantile_interp([rows[i]["p"] for i in idxs], hi_q)
+            tau_lo = quantile_interp([uptake(rows[i]) for i in idxs], lo_q)
+        elif key in thresholds:
+            tau_hi, tau_lo = thresholds[key]
+        else:
+            continue
         for i in idxs:
-            p, s = rows[i]["p"], min(rows[i]["s"], 1.0)
+            p, s = rows[i]["p"], uptake(rows[i])
             labels[i] = 1 if (p >= tau_hi and s <= tau_lo) else 0
     return labels
 

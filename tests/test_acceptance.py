@@ -22,7 +22,7 @@ from oracles import (
 )
 from snapgap.calibration import apply_isotonic, classify, fit_isotonic, prevalence_threshold
 from snapgap.ingest import PREDICTOR_FIELDS, Area, ZipRecord
-from snapgap.labeling import LabelConfig, build_labels, ols_fit
+from snapgap.labeling import UNLABELED, LabelConfig, build_labels, ols_fit
 from snapgap.metrics import average_precision, permutation_importance, roc_auc
 from snapgap.models import FeatureMatrix, fit_logistic, penalized_loss_grad, sample_weights
 from snapgap.pipeline import BacktestConfig, run_backtest
@@ -58,17 +58,17 @@ def test_criterion_1_labeling_oracle_equivalence():
             checked += 1
             rows = [
                 {
-                    "p": r.p,
-                    "s": r.s_raw,
-                    "area": r.record.area.value,
+                    "p": p,
+                    "s": s,
+                    "area": rec.area.value,
                     "predictors_present": all(
-                        getattr(r.record, f) is not None for f in PREDICTOR_FIELDS
+                        getattr(rec, f) is not None for f in PREDICTOR_FIELDS
                     ),
                 }
-                for r in panel.rows
+                for rec, p, s in zip(records, panel.p.tolist(), panel.s_raw.tolist())
             ]
             expected = label_oracle(rows, cfg.poverty_floor, cfg.hi_q, cfg.lo_q)
-            got = [r.y for r in panel.rows]
+            got = [None if y == UNLABELED else y for y in panel.y.tolist()]
             mismatches += sum(1 for a, b in zip(got, expected) if a != b)
         assert mismatches == 0
 
@@ -208,12 +208,10 @@ def test_criterion_7_effect_recovery_over_20_seeds():
             p2 = build_labels([r for r in records if r.year >= 2019], cfg)
 
             def matrix(panel, subset):
-                rows = [
-                    r for r in panel.rows
-                    if r.y is not None and r.record.area is not Area.UNKNOWN
-                ]
-                X = np.array([[getattr(r.record, f) for f in subset] for r in rows])
-                y = np.array([r.y for r in rows])
+                rows = (panel.y >= 0) & (panel.panel.area != Area.UNKNOWN.value)
+                cols = [PREDICTOR_FIELDS.index(f) for f in subset]
+                X = panel.panel.predictors[np.ix_(rows, cols)]
+                y = panel.y[rows].astype(int)
                 return X, y
 
             X1, y1 = matrix(p1, PREDICTOR_FIELDS)

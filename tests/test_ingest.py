@@ -11,8 +11,10 @@ from snapgap.ingest import (
     FLAG_DUPLICATE_AVERAGED,
     FLAG_SENTINEL_RECODED,
     FLAG_SNAP_EXCEEDS_POVERTY,
+    PREDICTOR_FIELDS,
     Area,
     CrosswalkRow,
+    Panel,
     dedupe,
     designate_all,
     designate_area,
@@ -129,6 +131,18 @@ class TestParsePanel:
         (rej,) = rejects
         assert rej.reason == f"year: not an integer: {year!r}"
 
+    def test_truncated_row_rejected(self):
+        records, rejects = parse_rows(
+            "01234,2015",
+            "01235,2015,100,40,12.0,8.0,6.0",
+            "01236,2015,100,40,12.0,8.0,6.0,30.0",
+        )
+        assert [r.zip for r in records] == ["01236"]
+        assert [(r.row, r.reason) for r in rejects] == [
+            (1, "row: 2 fields, need 8"),
+            (2, "row: 7 fields, need 8"),
+        ]
+
     def test_integral_float_year_accepted(self):
         records, rejects = parse_rows("01234,2015.0,100,40,12.0,8.0,6.0,30.0")
         assert rejects == []
@@ -209,6 +223,37 @@ class TestRoundTrip:
         for rec in reparsed:
             assert FLAG_CLIPPED not in rec.flags
             assert FLAG_SENTINEL_RECODED not in rec.flags
+
+
+class TestPanel:
+    def test_columns_follow_the_records(self):
+        records = [
+            make_record(zip="00002", year=2016, pov_rate=0.2, pct_hs_only=None, area=Area.RURAL),
+            make_record(zip="00001", snap_fam=None, flags=frozenset({FLAG_CLIPPED})),
+        ]
+        panel = Panel.from_records(records)
+        assert len(panel) == 2
+        assert panel.zip.tolist() == ["00002", "00001"]
+        assert panel.year.tolist() == [2016, 2015]
+        assert panel.area.tolist() == ["Rural", "Urban"]
+        assert panel.flags.tolist() == [frozenset(), frozenset({FLAG_CLIPPED})]
+        assert panel.pov_rate[0] == 0.2 and np.isnan(panel.pov_rate[1])
+        assert np.isnan(panel.snap_fam[1])
+        expected = [[np.nan if getattr(r, f) is None else getattr(r, f) for f in PREDICTOR_FIELDS] for r in records]
+        assert np.array_equal(panel.predictors, expected, equal_nan=True)
+        assert Panel.from_records(panel) is panel
+
+    def test_take_keeps_rows_aligned(self, rng):
+        records = random_records(rng, 20)
+        panel = Panel.from_records(records)
+        rows = np.array([5, 0, 17])
+        taken = panel.take(rows)
+        again = Panel.from_records([records[i] for i in rows])
+        for name in ("zip", "year", "area", "flags"):
+            assert getattr(taken, name).tolist() == getattr(again, name).tolist()
+        for name in ("pov_fam", "snap_fam", "fam_universe", "pov_rate", "predictors"):
+            assert np.array_equal(getattr(taken, name), getattr(again, name), equal_nan=True)
+        assert len(panel.take(panel.year == 1999)) == 0
 
 
 class TestDedupe:

@@ -110,6 +110,40 @@ class TestCvGridSearch:
             res = cv_grid_search(fm, {"logistic": grid}, folds=3, seed=5)["logistic"]
         assert res.winner == {"c": 0.01}
 
+    @pytest.mark.parametrize(
+        "family, grid, winner",
+        [
+            # an omitted n_trees is fitted as 100 trees
+            (
+                "random_forest",
+                [{"max_depth": 1}, {"n_trees": 3, "max_depth": 1}],
+                {"n_trees": 3, "max_depth": 1},
+            ),
+            # an omitted learning_rate is fitted as 0.1
+            (
+                "gradient_boosting",
+                [{"n_trees": 3, "max_depth": 1}, {"n_trees": 3, "max_depth": 1, "learning_rate": 0.05}],
+                {"n_trees": 3, "max_depth": 1, "learning_rate": 0.05},
+            ),
+            # an omitted c is fitted as 1.0
+            ("logistic", [{}, {"c": 0.5}], {"c": 0.5}),
+        ],
+    )
+    def test_ties_rank_omitted_params_at_their_defaults(self, family, grid, winner):
+        # constant feature: every candidate's predictions are constant, so all
+        # mean APs tie exactly and the candidate simpler as fitted must win
+        n = 60
+        X = np.ones((n, 1))
+        y = np.array(([1] * 12) + [0] * (n - 12))
+        fm = FeatureMatrix(X=X, y=y, feature_names=("const",))
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            res = cv_grid_search(fm, {family: grid}, folds=3, seed=5)[family]
+        assert len({e.mean_ap for e in res.grid}) == 1
+        assert res.winner == winner
+
     def test_tree_families_run(self, rng):
         fm = informative_fm(rng, n=120)
         grids = {
@@ -136,14 +170,15 @@ class TestCvGridSearch:
 def per_candidate_grid(fm, family, grid, folds, seed):
     """The grid search written out as a plain loop: one `fit_family` per
     candidate and fold, candidates taken in simplicity order (fewer trees,
-    then shallower, then lower learning rate) and replaced only on a strictly
-    better mean AP. Returns (entries, winner params, winner's oof scores)."""
+    then shallower, then lower learning rate, an omitted value counting as
+    the default it is fitted with) and replaced only on a strictly better
+    mean AP. Returns (entries, winner params, winner's oof scores)."""
     fold_idx = stratified_folds(fm.y, folds, seed)
 
     def simplicity(p):
         depth = p.get("max_depth")
         depth_rank = np.inf if depth is None else depth
-        return (p.get("n_trees", 0), depth_rank, p.get("learning_rate", 0.0))
+        return (p.get("n_trees", 100), depth_rank, p.get("learning_rate", 0.1))
 
     entries, best = [], None
     for params in sorted(grid, key=simplicity):

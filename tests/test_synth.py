@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from snapgap.errors import InvalidSpec
@@ -88,7 +87,7 @@ class TestGeneration:
         for year in (2014, 2015, 2016):
             year_records = [r for r in records if r.year == year]
             panel = build_labels(year_records, LabelConfig())
-            fragile = sorted(r.record.zip for r in panel.rows if r.y == 1)
+            fragile = sorted(panel.panel.zip[panel.y == 1].tolist())
             assert fragile == sorted(truth["years"][str(year)]["fragile_zips"])
 
     def test_drift_schedule_monotone(self):
@@ -117,9 +116,9 @@ class TestGeneration:
         panel1, panel2 = build_labels(p1, cfg), build_labels(p2, cfg)
 
         def matrix(panel):
-            rows = [r for r in panel.rows if r.y is not None and r.record.area is not Area.UNKNOWN]
-            X = np.array([[getattr(r.record, f) for f in PREDICTOR_FIELDS] for r in rows])
-            y = np.array([r.y for r in rows])
+            rows = (panel.y >= 0) & (panel.panel.area != Area.UNKNOWN.value)
+            X = panel.panel.predictors[rows]
+            y = panel.y[rows].astype(int)
             return X, y
 
         X1, y1 = matrix(panel1)
