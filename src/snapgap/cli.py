@@ -60,20 +60,20 @@ def _load_merged_config(args) -> dict:
 
 def _load_panel(config: dict, panel: str, crosswalk: str | None = None):
     """Parse and dedupe a panel CSV, then designate areas from the crosswalk
-    when one is given. Returns (records, rejects, input digests)."""
+    when one is given. Returns (panel, rejects, input digests)."""
     panel_path = Path(panel)
     schema = config.get("schema")  # None: identity headers, optional ones lax
     delimiter = config.get("delimiter", ",")
-    records, rejects = parse_panel(panel_path, schema, delimiter=delimiter)
-    records = dedupe(records)
+    panel, rejects = parse_panel(panel_path, schema, delimiter=delimiter)
+    panel = dedupe(panel)
     digests = {"panel": _file_digest(panel_path)}
     if crosswalk:
         cw_path = Path(crosswalk)
         table, cw_rejects = parse_crosswalk(cw_path)
-        records = designate_all(records, table)
+        panel = designate_all(panel, table)
         rejects = rejects + cw_rejects
         digests["crosswalk"] = _file_digest(cw_path)
-    return records, rejects, digests
+    return panel, rejects, digests
 
 
 def _write_scorers(scorers: dict, outdir: Path) -> None:
@@ -85,23 +85,23 @@ def _write_scorers(scorers: dict, outdir: Path) -> None:
 
 def cmd_ingest(args) -> int:
     config = _load_merged_config(args)
-    records, rejects, _ = _load_panel(config, args.panel, args.crosswalk)
-    write_records(records, Path(args.out))
+    panel, rejects, _ = _load_panel(config, args.panel, args.crosswalk)
+    write_records(panel, Path(args.out))
     if args.rejects:
         write_rejects(rejects, Path(args.rejects))
-    print(f"ingested {len(records)} records, {len(rejects)} rejects -> {args.out}")
+    print(f"ingested {len(panel)} records, {len(rejects)} rejects -> {args.out}")
     return EXIT_OK
 
 
 def cmd_label(args) -> int:
     config = _load_merged_config(args)
-    records, _, _ = _load_panel(config, args.panel)
+    panel, _, _ = _load_panel(config, args.panel)
     cfg = label_config_from(config, stratified=config.get("area_mode") == "stratified")
-    panel = build_labels(records, cfg)
-    write_labeled_panel(panel, Path(args.out))
+    labeled = build_labels(panel, cfg)
+    write_labeled_panel(labeled, Path(args.out))
     print(
-        f"labeled {len(panel.panel)} rows: {panel.n_eligible()} eligible, "
-        f"{panel.n_positive()} fragile (prevalence {panel.prevalence:.4f}) -> {args.out}"
+        f"labeled {len(panel)} rows: {labeled.n_eligible()} eligible, "
+        f"{labeled.n_positive()} fragile (prevalence {labeled.prevalence:.4f}) -> {args.out}"
     )
     return EXIT_OK
 
@@ -109,8 +109,8 @@ def cmd_label(args) -> int:
 def cmd_train(args) -> int:
     config = _load_merged_config(args)
     cfg = backtest_config_from(config)
-    records, _, _ = _load_panel(config, args.panel, args.crosswalk)
-    scorers = train_scorers(cfg, records)
+    panel, _, _ = _load_panel(config, args.panel, args.crosswalk)
+    scorers = train_scorers(cfg, panel)
     outdir = Path(args.out)
     _write_scorers(scorers, outdir)
     print(f"wrote {len(scorers)} scorer files -> {outdir}")
@@ -120,8 +120,8 @@ def cmd_train(args) -> int:
 def cmd_backtest(args) -> int:
     config = _load_merged_config(args)
     cfg = backtest_config_from(config)
-    records, _, digests = _load_panel(config, args.panel, args.crosswalk)
-    manifest = run_backtest(cfg, records, input_digests=digests)
+    panel, _, digests = _load_panel(config, args.panel, args.crosswalk)
+    manifest = run_backtest(cfg, panel, input_digests=digests)
     outdir = Path(args.out)
     formats = args.formats.split(",") if args.formats else list(ALL_FORMATS)
     written = emit_report(manifest, formats, outdir)
@@ -135,13 +135,13 @@ def cmd_backtest(args) -> int:
 def cmd_synth(args) -> int:
     config = _load_merged_config(args)
     spec = synthetic_spec_from(config)
-    records, truth = generate_synthetic(spec)
-    write_records(records, Path(args.out))
+    panel, truth = generate_synthetic(spec)
+    write_records(panel, Path(args.out))
     truth_path = Path(args.truth) if args.truth else Path(args.out).with_suffix(".truth.json")
     with open(truth_path, "w", encoding="utf-8") as fh:
         json.dump(truth, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(f"generated {len(records)} rows -> {args.out} (truth: {truth_path})")
+    print(f"generated {len(panel)} rows -> {args.out} (truth: {truth_path})")
     return EXIT_OK
 
 

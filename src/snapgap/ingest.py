@@ -4,19 +4,25 @@ Raw exports arrive as UTF-8 CSVs with arbitrary column headers; a schema map
 translates logical field names to the headers actually present. Cleaning is
 conservative and auditable: sentinel codes become missing values, out-of-range
 percentages are clipped, and every dropped row lands in a reject report with
-its row number and reason. Nothing is silently discarded. `Panel` holds the
-validated records as numpy columns for labeling and modeling.
+its row number and reason. Nothing is silently discarded.
+
+A panel travels as one `Panel` of numpy columns from the CSV reader to the
+CSV writer; no per-row object is built. `parse_panel` reads the file in
+chunks of rows, turns each chunk's cells into columns, converts each numeric
+column in one call and builds rejects from per-row masks. `dedupe`,
+`designate_all` and `write_records` work on the columns too.
 """
 from __future__ import annotations
 
 import csv
 import io
-import math
+import itertools
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -49,35 +55,15 @@ DEFAULT_YEAR_RANGE = (2014, 2023)
 # Identity schema: logical names double as the CSV headers.
 DEFAULT_SCHEMA = {key: key for key in REQUIRED_SCHEMA_KEYS + OPTIONAL_SCHEMA_KEYS}
 
+# Rows read and converted at a time, so a file's strings are never all held.
+PARSE_CHUNK_ROWS = 8192
+
 
 class Area(str, Enum):
     URBAN = "Urban"
     RURAL = "Rural"
     MIXED = "Mixed"
     UNKNOWN = "Unknown"
-
-
-@dataclass(frozen=True)
-class ZipRecord:
-    """One geographic unit-period observation.
-
-    Counts may be missing after sentinel recoding; percentages are either in
-    [0, 100] or missing. `fam_universe`/`pov_rate` are alternative sources for
-    the poverty rate (universe preferred when both are present).
-    """
-
-    zip: str
-    year: int
-    pov_fam: float | None
-    snap_fam: float | None
-    fam_universe: float | None = None
-    pov_rate: float | None = None
-    pct_no_vehicle: float | None = None
-    pct_no_internet: float | None = None
-    pct_no_computer: float | None = None
-    pct_hs_only: float | None = None
-    area: Area = Area.UNKNOWN
-    flags: frozenset[str] = frozenset()
 
 
 @dataclass(frozen=True)
@@ -97,13 +83,19 @@ COUNT_FIELDS = ("pov_fam", "snap_fam", "fam_universe", "pov_rate")  # with the p
 NUMERIC_FIELDS = COUNT_FIELDS + PREDICTOR_FIELDS
 PERCENT_FIELDS = frozenset(PREDICTOR_FIELDS)
 
+# Bit of each flag that parsing derives from the values of a row.
+_VALUE_FLAGS = ((1, FLAG_SENTINEL_RECODED), (2, FLAG_CLIPPED), (4, FLAG_SNAP_EXCEEDS_POVERTY))
+
 
 @dataclass(frozen=True, eq=False)
 class Panel:
-    """ZipRecords as numpy columns, one entry per record in input order.
+    """ZIP-year observations as numpy columns, one entry per row.
 
-    Missing counts, rates and predictors are NaN. `zip`, `area` (the area
-    name) and `flags` (each record's flag set) are object arrays;
+    Counts may be missing after sentinel recoding; percentages are either in
+    [0, 100] or missing; missing values are NaN. `fam_universe`/`pov_rate`
+    are alternative sources for the poverty rate (universe preferred when
+    both are present). `zip` (five digits), `area` (the area name) and
+    `flags` (each row's frozenset of quality flags) are object arrays;
     `predictors` is the (n, 4) block of PREDICTOR_FIELDS in that order.
     """
 
@@ -118,23 +110,9 @@ class Panel:
     predictors: np.ndarray
 
     @classmethod
-    def from_records(cls, records: Panel | Sequence[ZipRecord]) -> Panel:
-        """Build the columns once; a Panel passes through unchanged."""
-        if isinstance(records, Panel):
-            return records
-
-        def floats(name: str) -> np.ndarray:
-            values = (getattr(r, name) for r in records)
-            return np.array([math.nan if v is None else v for v in values], dtype=float)
-
-        return cls(
-            zip=np.array([r.zip for r in records], dtype=object),
-            year=np.array([r.year for r in records], dtype=np.int64),
-            area=np.array([r.area.value for r in records], dtype=object),
-            flags=np.array([r.flags for r in records], dtype=object),
-            **{name: floats(name) for name in COUNT_FIELDS},
-            predictors=np.column_stack([floats(name) for name in PREDICTOR_FIELDS]),
-        )
+    def concat(cls, parts: Sequence[Panel]) -> Panel:
+        """The rows of `parts` (at least one), in order."""
+        return cls(*(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(cls)))
 
     def __len__(self) -> int:
         return len(self.year)
@@ -167,35 +145,158 @@ def normalize_zip(raw: str) -> str:
     return digits.zfill(5)
 
 
-def _parse_number(token: str) -> tuple[float | None, bool]:
-    """Return (value, was_sentinel). Raises ValueError on non-numeric garbage.
-
-    Negative values and the non-finite tokens `float` accepts (nan, inf,
-    -inf, infinity) are sentinels, not values.
-    """
-    token = token.strip()
-    if token.upper() in SENTINEL_TOKENS or token in SENTINEL_TOKENS:
-        return None, True
-    value = float(token)  # ValueError propagates to the caller
-    if value < 0 or not math.isfinite(value):
-        return None, True
-    return value, False
+def _factorize(values: Iterable) -> tuple[list, np.ndarray]:
+    """(distinct values in first-appearance order, each value's index among them)."""
+    index: dict = {}
+    codes = [index.setdefault(v, len(index)) for v in values]
+    return list(index), np.array(codes, dtype=np.intp)
 
 
-def _open_text(csv_source) -> IO[str]:
+def _floats(tokens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`float()` of every token (an object array of str) and the mask of those
+    it rejects, NaN there. Empty cells fail untried and the rest convert in one
+    call, or one by one when another cell fails."""
+    failed = tokens == ""
+    values = np.full(len(tokens), np.nan)
+    rest = np.flatnonzero(~failed)
+    try:
+        values[rest] = tokens[rest].astype(float)
+    except ValueError:
+        for i in rest.tolist():
+            try:
+                values[i] = float(tokens[i])
+            except ValueError:
+                failed[i] = True
+    return values, failed
+
+
+@contextmanager
+def _text_source(csv_source) -> Iterator[IO[str]]:
+    """A text stream over a path (closed afterwards), bytes, or a stream."""
     if isinstance(csv_source, (str, Path)):
         try:
-            return open(csv_source, "r", encoding="utf-8", newline="")
+            stream = open(csv_source, "r", encoding="utf-8", newline="")
         except OSError as exc:
             raise UnreadableStream(f"cannot open {csv_source}: {exc}") from exc
-    if isinstance(csv_source, bytes):
-        return io.StringIO(csv_source.decode("utf-8"))
-    if hasattr(csv_source, "read"):
-        probe = csv_source.read(0)
-        if isinstance(probe, bytes):
-            return io.TextIOWrapper(csv_source, encoding="utf-8", newline="")
-        return csv_source
-    raise UnreadableStream(f"unsupported CSV source: {type(csv_source)!r}")
+        with stream:
+            yield stream
+    elif isinstance(csv_source, bytes):
+        yield io.StringIO(csv_source.decode("utf-8"))
+    elif hasattr(csv_source, "read"):
+        binary = isinstance(csv_source.read(0), bytes)
+        yield io.TextIOWrapper(csv_source, encoding="utf-8", newline="") if binary else csv_source
+    else:
+        raise UnreadableStream(f"unsupported CSV source: {type(csv_source)!r}")
+
+
+def _is_blank(row: list[str]) -> bool:
+    return not "".join(row).strip()
+
+
+def _zip_entry(token: str) -> tuple[str | None, str | None]:
+    """(normalized ZIP, None), or (None, reject reason)."""
+    try:
+        return normalize_zip(token), None
+    except (NonNumericZip, LengthOverflow) as exc:
+        return None, f"zip: {exc}"
+
+
+def _parse_rows(
+    rows: list[list[str]], first_row: int, positions: dict[str, int], width: int,
+    year_range: tuple[int, int], zips: dict, rejects: list[Reject],
+) -> Panel:
+    """The columns of one chunk of raw rows, numbered from `first_row`.
+
+    A row gets at most one reject, the first of: a short or long row, the
+    zip, a year that is not an integer, a year out of range, the first
+    unparseable field in NUMERIC_FIELDS order, the area. Blank lines are
+    skipped. `zips` keeps each ZIP token's normalization across chunks.
+    """
+    full = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows)) == width
+    for i in np.flatnonzero(~full).tolist():
+        if not _is_blank(rows[i]):
+            rejects.append(Reject(first_row + i, f"row: {len(rows[i])} fields, need {width}"))
+    kept = np.flatnonzero(full)
+    columns = list(zip(*itertools.compress(rows, full))) or [()] * width
+    alive = np.ones(kept.size, dtype=bool)
+
+    def column(logical: str) -> np.ndarray:
+        return np.array(columns[positions[logical]], dtype=object)
+
+    def reject(bad: np.ndarray, reason) -> None:
+        """Drop the live rows in `bad`, each a reject unless `reason(i)` is None."""
+        for i in np.flatnonzero(bad & alive).tolist():
+            if (why := reason(i)) is not None:
+                rejects.append(Reject(first_row + int(kept[i]), why))
+        alive[bad] = False
+
+    tokens, inv = _factorize(columns[positions["zip"]])
+    entries = [zips[t] if t in zips else zips.setdefault(t, _zip_entry(t)) for t in tokens]
+    zcta = np.array([z for z, _ in entries], dtype=object)[inv]
+    bad = np.array([z is None for z, _ in entries], dtype=bool)[inv]
+    reject(bad, lambda i: None if _is_blank(rows[kept[i]]) else entries[inv[i]][1])
+
+    year_tokens = column("year")
+    year, _ = _floats(year_tokens)
+    not_integer = ~np.isfinite(year) | (year != np.floor(year))
+    reject(not_integer, lambda i: f"year: not an integer: {year_tokens[i]!r}")
+    lo, hi = year_range
+    reject((year < lo) | (year > hi), lambda i: f"year: {int(year[i])} outside {lo}-{hi}")
+
+    values: dict[str, np.ndarray] = {}
+    recoded = np.zeros(kept.size, dtype=bool)
+    clipped = np.zeros(kept.size, dtype=bool)
+    for name in NUMERIC_FIELDS:
+        if name not in positions:
+            values[name] = np.full(kept.size, np.nan)
+            continue
+        tokens = column(name)
+        value, failed = _floats(tokens)
+        # a token float() rejects is blank (missing), a sentinel token or garbage
+        odd, inv = _factorize(t.strip() for t in tokens[failed].tolist())
+        missing = np.array([t.upper() in SENTINEL_TOKENS for t in odd], dtype=bool)[inv]
+        recoded[failed] |= missing & np.array([t != "" for t in odd], dtype=bool)[inv]
+        garbage = failed.copy()
+        garbage[failed] = ~missing
+        reject(garbage, lambda i: f"{name}: unparseable value {tokens[i]!r}")
+        sentinel = ~failed & ((value < 0) | ~np.isfinite(value))
+        value[sentinel] = np.nan
+        recoded |= sentinel
+        if name in PERCENT_FIELDS:
+            over = value > 100.0
+            value[over] = 100.0
+            clipped |= over
+        values[name] = value
+
+    area = np.full(kept.size, Area.UNKNOWN.value, dtype=object)
+    if "area" in positions:
+        tokens, inv = _factorize(columns[positions["area"]])
+        names = [t.strip() or Area.UNKNOWN.value for t in tokens]
+        known = np.array([a in Area._value2member_map_ for a in names], dtype=bool)
+        reject(~known[inv], lambda i: f"area: unknown value {tokens[inv[i]]!r}")
+        area = np.array(names, dtype=object)[inv]
+
+    # one flag set per distinct (flags cell, derived flags) pair
+    pov, snap = values["pov_fam"], values["snap_fam"]
+    bits = 1 * recoded + 2 * clipped + 4 * ((pov > 0) & (snap > pov))
+    flag_cells = [""]
+    if "flags" in positions:
+        flag_cells, inv = _factorize(columns[positions["flags"]])
+        bits = bits + 8 * inv
+    keys, inv = np.unique(bits, return_inverse=True)
+    flag_sets = [
+        frozenset(t.strip() for t in flag_cells[key >> 3].split(";") if t.strip())
+        | {flag for bit, flag in _VALUE_FLAGS if key & bit}
+        for key in keys.tolist()
+    ]
+    return Panel(
+        zip=zcta[alive],
+        year=year[alive].astype(np.int64),
+        area=area[alive],
+        flags=np.array(flag_sets, dtype=object)[inv][alive],
+        **{name: values[name][alive] for name in COUNT_FIELDS},
+        predictors=np.column_stack([values[name] for name in PREDICTOR_FIELDS])[alive],
+    )
 
 
 def parse_panel(
@@ -204,16 +305,16 @@ def parse_panel(
     *,
     delimiter: str = ",",
     year_range: tuple[int, int] = DEFAULT_YEAR_RANGE,
-) -> tuple[list[ZipRecord], list[Reject]]:
-    """Parse a raw panel CSV into validated ZipRecords plus row-level rejects.
+) -> tuple[Panel, list[Reject]]:
+    """Parse a raw panel CSV into a validated `Panel` plus row-level rejects.
 
     `schema` maps logical names (zip, year, pov_fam, snap_fam, pct_*,
     fam_universe, pov_rate, area, flags) to the column headers of this export.
     Every mapped header must exist; zip/year/pov_fam/snap_fam must be mapped.
     With no schema, logical names double as headers and optional columns may
-    simply be absent. Rows shorter than the header and rows that cannot be
-    keyed (bad zip or year) are rejected with a reason; cleaning of field
-    values never drops a row.
+    simply be absent. Rows with fewer or more fields than the header and rows
+    that cannot be keyed (bad zip or year) are rejected with a reason;
+    cleaning of field values never drops a row. Panel rows keep file order.
     """
     identity = schema is None
     schema = dict(DEFAULT_SCHEMA if identity else schema)
@@ -221,8 +322,7 @@ def parse_panel(
         if key not in schema:
             raise MissingColumn(f"schema does not map required field {key!r}")
 
-    stream = _open_text(csv_source)
-    try:
+    with _text_source(csv_source) as stream:
         reader = csv.reader(stream, delimiter=delimiter)
         try:
             header = next(reader)
@@ -243,155 +343,71 @@ def parse_panel(
                 raise MissingColumn(f"column {column!r} (field {logical!r}) not in header")
             positions[logical] = header.index(column)
 
-        records: list[ZipRecord] = []
+        parts: list[Panel] = []
         rejects: list[Reject] = []
-        lo_year, hi_year = year_range
-
+        zips: dict[str, tuple[str | None, str | None]] = {}
+        first_row = 1
         try:
-            for row_num, row in enumerate(reader, start=1):
-                if not any(cell.strip() for cell in row):
-                    continue  # blank line, not a data row
-                if len(row) < len(header):
-                    rejects.append(Reject(row_num, f"row: {len(row)} fields, need {len(header)}"))
-                    continue
-
-                def cell(logical: str) -> str:
-                    idx = positions.get(logical)
-                    return "" if idx is None else row[idx]
-
-                try:
-                    zcta = normalize_zip(cell("zip"))
-                except (NonNumericZip, LengthOverflow) as exc:
-                    rejects.append(Reject(row_num, f"zip: {exc}"))
-                    continue
-
-                try:
-                    year_value = float(cell("year"))
-                except ValueError:
-                    year_value = math.nan
-                if not year_value.is_integer():  # also nan and +-inf
-                    rejects.append(Reject(row_num, f"year: not an integer: {cell('year')!r}"))
-                    continue
-                year = int(year_value)
-                if not lo_year <= year <= hi_year:
-                    rejects.append(Reject(row_num, f"year: {year} outside {lo_year}-{hi_year}"))
-                    continue
-
-                values: dict[str, float | None] = {}
-                flags: set[str] = set()
-                bad_field = None
-                for name in NUMERIC_FIELDS:
-                    if name not in positions:
-                        values[name] = None
-                        continue
-                    try:
-                        value, sentinel = _parse_number(cell(name))
-                    except ValueError:
-                        bad_field = (name, cell(name))
-                        break
-                    if sentinel and cell(name).strip() != "":
-                        flags.add(FLAG_SENTINEL_RECODED)
-                    if value is not None and name in PERCENT_FIELDS and value > 100.0:
-                        value = 100.0
-                        flags.add(FLAG_CLIPPED)
-                    values[name] = value
-                if bad_field is not None:
-                    rejects.append(
-                        Reject(row_num, f"{bad_field[0]}: unparseable value {bad_field[1]!r}")
-                    )
-                    continue
-
-                area = Area.UNKNOWN
-                if "area" in positions and cell("area").strip():
-                    try:
-                        area = Area(cell("area").strip())
-                    except ValueError:
-                        rejects.append(Reject(row_num, f"area: unknown value {cell('area')!r}"))
-                        continue
-
-                if "flags" in positions and cell("flags").strip():
-                    for token in cell("flags").split(";"):
-                        token = token.strip()
-                        if token:
-                            flags.add(token)
-
-                pov, snap = values["pov_fam"], values["snap_fam"]
-                if pov is not None and snap is not None and pov > 0 and snap > pov:
-                    flags.add(FLAG_SNAP_EXCEEDS_POVERTY)
-
-                records.append(
-                    ZipRecord(
-                        zip=zcta,
-                        year=year,
-                        pov_fam=pov,
-                        snap_fam=snap,
-                        fam_universe=values["fam_universe"],
-                        pov_rate=values["pov_rate"],
-                        pct_no_vehicle=values["pct_no_vehicle"],
-                        pct_no_internet=values["pct_no_internet"],
-                        pct_no_computer=values["pct_no_computer"],
-                        pct_hs_only=values["pct_hs_only"],
-                        area=area,
-                        flags=frozenset(flags),
-                    )
-                )
+            while True:  # a short chunk, even an empty one, is the last
+                rows = list(itertools.islice(reader, PARSE_CHUNK_ROWS))
+                part = _parse_rows(rows, first_row, positions, len(header), year_range, zips, rejects)
+                parts.append(part)
+                first_row += len(rows)
+                if len(rows) < PARSE_CHUNK_ROWS:
+                    break
         except UnicodeDecodeError as exc:
             raise UnreadableStream(f"CSV is not valid UTF-8: {exc}") from exc
-    finally:
-        if isinstance(csv_source, (str, Path)):
-            stream.close()
 
-    return records, rejects
+    rejects.sort(key=lambda r: r.row)
+    return Panel.concat(parts), rejects
 
 
-def _mean_or_none(values: Iterable[float | None]) -> float | None:
-    present = [v for v in values if v is not None]
-    if not present:
-        return None
-    return sum(present) / len(present)
+def dedupe(panel: Panel) -> Panel:
+    """Collapse a panel to at most one row per (zip, year).
 
-
-def dedupe(records: list[ZipRecord]) -> list[ZipRecord]:
-    """Collapse records to at most one per (zip, year).
-
-    Exact duplicates are dropped first; remaining conflicts have their numeric
-    fields averaged (missing-aware) and are flagged DuplicateAveraged. Output
-    preserves first-appearance order of each key.
+    Exact duplicates are dropped first (missing values equal each other, and
+    0.0 equals -0.0). Remaining conflicts have their numeric fields averaged,
+    missing-aware and summed left to right in row order, keep the first
+    row's area and are flagged DuplicateAveraged. Output preserves
+    first-appearance order of each key; a panel with no repeated key is
+    returned as it is.
     """
-    groups: dict[tuple[str, int], list[ZipRecord]] = {}
-    order: list[tuple[str, int]] = []
-    for rec in records:
-        key = (rec.zip, rec.year)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(rec)
+    keys, group = _factorize(zip(panel.zip.tolist(), panel.year.tolist()))
+    if len(keys) == len(panel):
+        return panel
+    numeric = np.column_stack([getattr(panel, name) for name in COUNT_FIELDS] + [panel.predictors])
+    repeated = np.flatnonzero(np.bincount(group)[group] > 1)
+    cells = [[None if v != v else v for v in column] for column in numeric[repeated].T.tolist()]
+    distinct: dict[int, list[int]] = {}  # key -> its distinct rows, in row order
+    seen: set = set()
+    for i, values in zip(repeated.tolist(), zip(*cells)):
+        identity = (group[i], panel.area[i], panel.flags[i], values)
+        if identity not in seen:
+            seen.add(identity)
+            distinct.setdefault(int(group[i]), []).append(i)
 
-    out: list[ZipRecord] = []
-    for key in order:
-        group = groups[key]
-        distinct: list[ZipRecord] = []
-        for rec in group:
-            if rec not in distinct:
-                distinct.append(rec)
-        if len(distinct) == 1:
-            out.append(distinct[0])
+    out = panel.take(np.unique(group, return_index=True)[1])  # keys number by first appearance
+    merged = np.column_stack([getattr(out, name) for name in COUNT_FIELDS] + [out.predictors])
+    flags = out.flags.copy()
+    for key, rows in distinct.items():
+        if len(rows) == 1:
             continue
-        merged = {
-            name: _mean_or_none(getattr(r, name) for r in distinct) for name in NUMERIC_FIELDS
-        }
-        flags = frozenset().union(*(r.flags for r in distinct)) | {FLAG_DUPLICATE_AVERAGED}
-        base = distinct[0]
-        out.append(replace(base, **merged, flags=flags))
-    return out
+        total, count = np.zeros(merged.shape[1]), np.zeros(merged.shape[1])
+        for values in numeric[rows]:  # left to right from 0.0, as sum() adds
+            present = ~np.isnan(values)
+            total[present] += values[present]
+            count += present
+        merged[key] = np.divide(total, count, out=np.full_like(total, np.nan), where=count > 0)
+        flags[key] = frozenset().union(*panel.flags[rows]) | {FLAG_DUPLICATE_AVERAGED}
+    columns = {name: merged[:, j].copy() for j, name in enumerate(COUNT_FIELDS)}
+    return replace(out, flags=flags, predictors=merged[:, len(COUNT_FIELDS):].copy(), **columns)
 
 
 def parse_crosswalk(
     csv_source, *, delimiter: str = ","
 ) -> tuple[list[CrosswalkRow], list[Reject]]:
     """Parse the ZIP-tract crosswalk CSV (columns: zip, tract_status, res_ratio)."""
-    stream = _open_text(csv_source)
-    try:
+    with _text_source(csv_source) as stream:
         reader = csv.reader(stream, delimiter=delimiter)
         try:
             header = [h.strip().lower() for h in next(reader)]
@@ -430,9 +446,6 @@ def parse_crosswalk(
                 rejects.append(Reject(row_num, f"res_ratio: {ratio} outside [0,1]"))
                 continue
             rows.append(CrosswalkRow(zip=zcta, tract_status=status, res_ratio=ratio))
-    finally:
-        if isinstance(csv_source, (str, Path)):
-            stream.close()
     return rows, rejects
 
 
@@ -463,70 +476,62 @@ def designate_area(zcta: str, crosswalk: Iterable[CrosswalkRow]) -> Area:
     return Area.MIXED
 
 
-def designate_all(
-    records: list[ZipRecord], crosswalk: list[CrosswalkRow]
-) -> list[ZipRecord]:
-    """Apply a fixed, crosswalk-derived area designation to every record.
+def designate_all(panel: Panel, crosswalk: list[CrosswalkRow]) -> Panel:
+    """Apply a fixed, crosswalk-derived area designation to every row.
 
-    Designation is computed once per ZIP from the reference crosswalk and
-    applied to all years of that ZIP.
+    Each distinct ZIP is designated once from the reference crosswalk, and
+    the result applies to all years of that ZIP.
     """
     by_zip: dict[str, list[CrosswalkRow]] = {}
     for row in crosswalk:
         by_zip.setdefault(row.zip, []).append(row)
-    cache: dict[str, Area] = {}
-    out = []
-    for rec in records:
-        if rec.zip not in cache:
-            cache[rec.zip] = designate_area(rec.zip, by_zip.get(rec.zip, []))
-        out.append(replace(rec, area=cache[rec.zip]))
-    return out
+    zips, inv = _factorize(panel.zip.tolist())
+    areas = [designate_area(z, by_zip.get(z, [])).value for z in zips]
+    return replace(panel, area=np.array(areas, dtype=object)[inv])
 
 
 # --- serialization ---------------------------------------------------------
 
-RECORD_COLUMNS = [f.name for f in fields(ZipRecord)]
+RECORD_COLUMNS = (
+    "zip", "year", "pov_fam", "snap_fam", "fam_universe", "pov_rate",
+    "pct_no_vehicle", "pct_no_internet", "pct_no_computer", "pct_hs_only", "area", "flags",
+)
 
 
-def _format_value(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, Area):
-        return value.value
-    if isinstance(value, frozenset):
-        return ";".join(sorted(value))
-    if isinstance(value, float) and value.is_integer():
-        return str(int(value))
-    return str(value)
+def _number_cells(column: np.ndarray) -> list[str]:
+    """Missing is blank, an integral value has no decimal point, else repr."""
+    return ["" if v != v else str(int(v)) if v.is_integer() else repr(v) for v in column.tolist()]
 
 
-def write_records(records: Iterable[ZipRecord], dest) -> None:
-    """Write records as CSV with identity headers; re-parsing round-trips."""
-    close = False
+@contextmanager
+def _csv_writer(dest) -> Iterator:
+    """A CSV writer on a path (opened and closed here) or a text stream."""
     if isinstance(dest, (str, Path)):
-        dest = open(dest, "w", encoding="utf-8", newline="")
-        close = True
-    try:
-        writer = csv.writer(dest)
+        with open(dest, "w", encoding="utf-8", newline="") as fh:
+            yield csv.writer(fh)
+    else:
+        yield csv.writer(dest)
+
+
+def write_records(panel: Panel, dest) -> None:
+    """Write a panel as CSV with identity headers; re-parsing round-trips."""
+    joined = {flags: ";".join(sorted(flags)) for flags in set(panel.flags.tolist())}
+    with _csv_writer(dest) as writer:
         writer.writerow(RECORD_COLUMNS)
-        for rec in records:
-            writer.writerow([_format_value(getattr(rec, name)) for name in RECORD_COLUMNS])
-    finally:
-        if close:
-            dest.close()
+        writer.writerows(
+            zip(
+                panel.zip.tolist(),
+                panel.year.tolist(),
+                *(_number_cells(getattr(panel, name)) for name in COUNT_FIELDS),
+                *(_number_cells(column) for column in panel.predictors.T),
+                panel.area.tolist(),
+                [joined[flags] for flags in panel.flags.tolist()],
+            )
+        )
 
 
 def write_rejects(rejects: Iterable[Reject], dest) -> None:
     """Write the reject report as CSV with columns (row, reason)."""
-    close = False
-    if isinstance(dest, (str, Path)):
-        dest = open(dest, "w", encoding="utf-8", newline="")
-        close = True
-    try:
-        writer = csv.writer(dest)
+    with _csv_writer(dest) as writer:
         writer.writerow(["row", "reason"])
-        for rej in rejects:
-            writer.writerow([rej.row, rej.reason])
-    finally:
-        if close:
-            dest.close()
+        writer.writerows([rej.row, rej.reason] for rej in rejects)

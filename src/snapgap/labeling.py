@@ -32,7 +32,7 @@ from .errors import (
     NoEligibleRows,
     ValidationError,
 )
-from .ingest import Panel, ZipRecord
+from .ingest import Panel
 
 POOLED_KEY = "All"
 UNLABELED = -1
@@ -123,7 +123,7 @@ def quantile(values: Sequence[float], q: float) -> float:
 
 
 def build_labels(
-    records: Panel | Sequence[ZipRecord],
+    panel: Panel,
     cfg: LabelConfig,
     thresholds: dict[str, Thresholds] | None = None,
 ) -> LabeledPanel:
@@ -142,7 +142,6 @@ def build_labels(
     replace the fit. Eligible rows whose key has no supplied pair stay
     unlabeled, and prevalences count labeled rows only.
     """
-    panel = Panel.from_records(records)
     n = len(panel)
     p = np.divide(
         panel.pov_fam, panel.fam_universe, out=panel.pov_rate.copy(), where=panel.fam_universe > 0
@@ -271,7 +270,8 @@ def _float_cells(values: np.ndarray) -> list[str]:
 
 
 def write_labeled_panel(panel: LabeledPanel, csv_path, sidecar_path=None) -> None:
-    """Export the labeled panel as CSV plus a JSON sidecar with thresholds."""
+    """Export the labeled panel as CSV plus a JSON sidecar with the
+    thresholds, the counts and the labeling rule that made them."""
     import csv as _csv
 
     cols = panel.panel
@@ -307,6 +307,10 @@ def write_labeled_panel(panel: LabeledPanel, csv_path, sidecar_path=None) -> Non
         "n_rows": len(cols),
         "n_eligible": panel.n_eligible(),
         "n_positive": panel.n_positive(),
+        "config": {
+            key: getattr(panel.config, key)
+            for key in ("poverty_floor", "hi_q", "lo_q", "use_capped_uptake")
+        },
     }
     with open(sidecar_path, "w", encoding="utf-8") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)

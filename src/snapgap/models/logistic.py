@@ -43,12 +43,9 @@ class LogisticModel:
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=float)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, so exp never overflows."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def sample_weights(y: np.ndarray, weighting: str) -> np.ndarray:
@@ -78,6 +75,13 @@ def penalized_loss_grad(
 
     theta = (coefficients..., intercept); the intercept is unpenalized.
     """
+    return _loss_grad_proba(theta, X, y, weights, c)[:2]
+
+
+def _loss_grad_proba(
+    theta: np.ndarray, X: np.ndarray, y: np.ndarray, weights: np.ndarray, c: float
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """`penalized_loss_grad` plus the probabilities at theta, for the Hessian."""
     beta, b = theta[:-1], theta[-1]
     z = X @ beta + b
     # log(1+e^z) - y z, computed stably
@@ -88,7 +92,7 @@ def penalized_loss_grad(
     grad = np.empty_like(theta)
     grad[:-1] = X.T @ wr + beta / c
     grad[-1] = np.sum(wr)
-    return loss, grad
+    return loss, grad, p
 
 
 def fit_logistic(
@@ -116,13 +120,12 @@ def fit_logistic(
     theta = np.zeros(fm.d + 1)
     pen = np.ones(fm.d + 1) / c
     pen[-1] = 0.0
-    loss, grad = penalized_loss_grad(theta, X, y, w, c)
+    loss, grad, p = _loss_grad_proba(theta, X, y, w, c)
     n_iter = 0
     for n_iter in range(1, max_iter + 1):
         gnorm = float(np.linalg.norm(grad))
         if gnorm <= tol:
             break
-        p = sigmoid(X @ theta[:-1] + theta[-1])
         curv = w * p * (1.0 - p)
         H = np.empty((fm.d + 1, fm.d + 1))
         Xw = X * curv[:, None]
@@ -140,7 +143,7 @@ def fit_logistic(
         slope = float(grad @ step)
         while True:
             cand = theta + t * step
-            cand_loss, cand_grad = penalized_loss_grad(cand, X, y, w, c)
+            cand_loss, cand_grad, cand_p = _loss_grad_proba(cand, X, y, w, c)
             if cand_loss <= loss + 1e-4 * t * slope:
                 break
             # near the optimum the loss sits at its float resolution floor;
@@ -150,7 +153,7 @@ def fit_logistic(
             if t < 2**-30:
                 break
             t *= 0.5
-        theta, loss, grad = cand, cand_loss, cand_grad
+        theta, loss, grad, p = cand, cand_loss, cand_grad, cand_p
     else:
         gnorm = float(np.linalg.norm(grad))
         if gnorm > tol:

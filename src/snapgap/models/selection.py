@@ -136,9 +136,10 @@ def out_of_fold_proba(
     """
     counts = [None] if prefixes is None else list(prefixes)
     proba = np.empty((len(counts), fm.n))
-    all_idx = np.arange(fm.n)
     for val in fold_idx:
-        train = np.setdiff1d(all_idx, val)
+        keep = np.ones(fm.n, dtype=bool)
+        keep[val] = False
+        train = np.flatnonzero(keep)
         model = fit_family(fm.subset(train), family, params, seed)
         for row, k in zip(proba, counts):
             first_k = model

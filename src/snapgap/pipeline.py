@@ -12,10 +12,10 @@ The flow per cohort (pooled, or one per area when stratified):
   3. score the late period and assemble the metric suite, reliability data,
      ranked flag lists, and residual-based hidden-fragility lists.
 
-Records become one columnar `Panel` at entry. Periods, years and cohorts
-are boolean masks or row-index arrays over it, a model matrix is a slice of
-its predictor block, and the yearly and fragile-distribution diagnostics
-are mask counts.
+The input is one columnar `Panel`, as ingest and the synthetic generator
+produce it. Periods, years and cohorts are boolean masks or row-index
+arrays over it, a model matrix is a slice of its predictor block, and the
+yearly and fragile-distribution diagnostics are mask counts.
 
 Nothing fitted ever sees a late-period row: training consumes only the early
 panel, and that separation is asserted by the test suite bit-for-bit.
@@ -29,7 +29,6 @@ import hashlib
 import itertools
 import json
 from dataclasses import dataclass, field, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -51,7 +50,7 @@ from .errors import (
     SingleClass,
     ValidationError,
 )
-from .ingest import PREDICTOR_FIELDS, Area, Panel, ZipRecord
+from .ingest import PREDICTOR_FIELDS, Area, Panel
 from .labeling import (
     UNLABELED,
     LabelConfig,
@@ -451,15 +450,12 @@ def _fragile_distribution(period: Panel, label_cfg_base: LabelConfig) -> dict:
     return out
 
 
-def run_yearly_diagnostics(
-    cfg: BacktestConfig, records: Panel | Sequence[ZipRecord]
-) -> list[dict]:
+def run_yearly_diagnostics(cfg: BacktestConfig, panel: Panel) -> list[dict]:
     """Per-year eligible count, thresholds, prevalence, and anomaly count."""
     years = list(range(cfg.p1_years[0], cfg.p1_years[1] + 1)) + list(
         range(cfg.p2_years[0], cfg.p2_years[1] + 1)
     )
     pooled_cfg = replace(cfg.label, stratify_by_area=False)
-    panel = Panel.from_records(records)
     table = []
     for year in years:
         year_rows = panel.take(panel.year == year)
@@ -521,12 +517,10 @@ def _plan_tasks(
     return tasks, cohort_errors
 
 
-def train_scorers(
-    cfg: BacktestConfig, records: Sequence[ZipRecord]
-) -> dict[tuple[str, str], CalibratedScorer]:
+def train_scorers(cfg: BacktestConfig, panel: Panel) -> dict[tuple[str, str], CalibratedScorer]:
     """Fit calibrated scorers on the training period only (no test rows needed)."""
     cfg.validate()
-    p1 = _rows_in_years(Panel.from_records(records), cfg.p1_years)
+    p1 = _rows_in_years(panel, cfg.p1_years)
     if not len(p1):
         raise InsufficientCohort(f"no rows in training years {cfg.p1_years}")
     p1_panel = build_labels(p1, _label_config(cfg))
@@ -548,14 +542,13 @@ def train_scorers(
 
 def run_backtest(
     cfg: BacktestConfig,
-    records: Sequence[ZipRecord],
+    panel: Panel,
     input_digests: dict[str, str] | None = None,
 ) -> RunManifest:
     """Full train-on-P1 / evaluate-on-P2 run producing a reproducible manifest."""
     cfg.validate()
     label_cfg = _label_config(cfg)
 
-    panel = Panel.from_records(records)
     p1 = _rows_in_years(panel, cfg.p1_years)
     p2 = _rows_in_years(panel, cfg.p2_years)
     if not len(p1) or not len(p2):

@@ -25,12 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidSpec
-from .ingest import (
-    FLAG_SNAP_EXCEEDS_POVERTY,
-    PREDICTOR_FIELDS,
-    Area,
-    ZipRecord,
-)
+from .ingest import FLAG_SNAP_EXCEEDS_POVERTY, PREDICTOR_FIELDS, Area, Panel
 from .models.logistic import sigmoid
 from .rng import STREAM_SYNTH, derive_rng
 
@@ -129,24 +124,28 @@ def _label_directly(
     return eligible, fragile
 
 
-def generate_synthetic(spec: SyntheticSpec) -> tuple[list[ZipRecord], dict]:
+def generate_synthetic(spec: SyntheticSpec) -> tuple[Panel, dict]:
     """Generate one panel plus a ground-truth sidecar.
 
     Per year, a coupling between poverty and the uptake latent is solved by
     bisection so that the realized fragile share of eligible rows matches the
-    year's target prevalence as closely as the finite panel allows.
+    year's target prevalence as closely as the finite panel allows. Each
+    year is one block of columns over all ZIPs; the panel is the blocks in
+    year order.
     """
     spec.validate()
     rng0 = derive_rng(spec.seed, STREAM_SYNTH, 0)
     n = spec.n_zips
-    zips = [f"{i:05d}" for i in range(1, n + 1)]
+    zips = np.array([f"{i:05d}" for i in range(1, n + 1)], dtype=object)
     area_names = sorted(spec.area_mix)
     probs = np.array([spec.area_mix[a] for a in area_names])
     areas = rng0.choice(len(area_names), size=n, p=probs)
     area_per_zip = [Area(area_names[i]) for i in areas]
+    area_column = np.array([a.value for a in area_per_zip], dtype=object)
     universe = rng0.integers(200, 5000, size=n).astype(float)
+    exceeds_flags = np.array([frozenset(), frozenset({FLAG_SNAP_EXCEEDS_POVERTY})], dtype=object)
 
-    records: list[ZipRecord] = []
+    blocks: list[Panel] = []
     truth_years: dict[str, dict] = {}
     planted_anomalies: list[list] = []
     years = list(range(spec.years[0], spec.years[1] + 1))
@@ -211,25 +210,19 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[list[ZipRecord], dict]:
                 hi = mid
         realized_prev, gamma, snap, fragile = best
 
-        for i in range(n):
-            flags = frozenset()
-            if pov[i] > 0 and snap[i] > pov[i]:
-                flags = frozenset({FLAG_SNAP_EXCEEDS_POVERTY})
-            records.append(
-                ZipRecord(
-                    zip=zips[i],
-                    year=year,
-                    pov_fam=float(pov[i]),
-                    snap_fam=float(snap[i]),
-                    fam_universe=float(universe[i]),
-                    pct_no_vehicle=float(preds["pct_no_vehicle"][i]),
-                    pct_no_internet=float(preds["pct_no_internet"][i]),
-                    pct_no_computer=float(preds["pct_no_computer"][i]),
-                    pct_hs_only=float(preds["pct_hs_only"][i]),
-                    area=area_per_zip[i],
-                    flags=flags,
-                )
+        blocks.append(
+            Panel(
+                zip=zips,
+                year=np.full(n, year, dtype=np.int64),
+                area=area_column,
+                flags=exceeds_flags[((pov > 0) & (snap > pov)).astype(np.intp)],
+                pov_fam=pov,
+                snap_fam=snap,
+                fam_universe=universe,
+                pov_rate=np.full(n, np.nan),
+                predictors=np.column_stack([preds[name] for name in PREDICTOR_FIELDS]),
             )
+        )
         planted_anomalies.extend([zips[i], year] for i in anom_idx)
         truth_years[str(year)] = {
             "target_prevalence": target,
@@ -254,4 +247,4 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[list[ZipRecord], dict]:
         "planted_anomalies": planted_anomalies,
         "n_planted_anomalies": len(planted_anomalies),
     }
-    return records, truth
+    return Panel.concat(blocks), truth

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from snapgap.ingest import Area, ZipRecord
+from oracles import Record, panel_of
+from snapgap.ingest import Area
 
 
 def make_record(
@@ -18,7 +19,7 @@ def make_record(
     pov_rate=None,
     flags=frozenset(),
 ):
-    return ZipRecord(
+    return Record(
         zip=zip,
         year=year,
         pov_fam=pov_fam,
@@ -32,6 +33,11 @@ def make_record(
         area=area,
         flags=flags,
     )
+
+
+def make_panel(*records):
+    """A `Panel` of `records`, built with the test-side `panel_of`."""
+    return panel_of(records)
 
 
 def random_records(rng: np.random.Generator, n: int, year=2015, areas=None):
@@ -63,3 +69,8 @@ def random_records(rng: np.random.Generator, n: int, year=2015, areas=None):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def random_panel(rng: np.random.Generator, n: int, year=2015, areas=None):
+    """`random_records` as a `Panel`."""
+    return panel_of(random_records(rng, n, year, areas))

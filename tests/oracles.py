@@ -6,16 +6,224 @@ pairwise comparison, AP by rank enumeration, labeling by explicit sort-and-
 threshold, poverty rate, uptake and eligibility one record at a time,
 gradients by central differences, tree prediction by walking
 one row at a time down the node tuples, tree growth by sorting each
-candidate feature again at every node.
+candidate feature again at every node, CSV parsing and dedupe one
+`Record` at a time.
 """
 from __future__ import annotations
 
+import csv
+import io
 import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from snapgap.ingest import PREDICTOR_FIELDS
+from snapgap.errors import EmptyInput, LengthOverflow, MissingColumn, NonNumericZip
+from snapgap.ingest import (
+    COUNT_FIELDS,
+    DEFAULT_SCHEMA,
+    DEFAULT_YEAR_RANGE,
+    FLAG_CLIPPED,
+    FLAG_DUPLICATE_AVERAGED,
+    FLAG_SENTINEL_RECODED,
+    FLAG_SNAP_EXCEEDS_POVERTY,
+    NUMERIC_FIELDS,
+    PERCENT_FIELDS,
+    PREDICTOR_FIELDS,
+    REQUIRED_SCHEMA_KEYS,
+    SENTINEL_TOKENS,
+    Area,
+    Panel,
+    Reject,
+    normalize_zip,
+)
 from snapgap.models import DecisionTree
+
+
+@dataclass(frozen=True)
+class Record:
+    """One geographic unit-period observation, row-wise; None is missing.
+
+    Equality is field by field, so missing values equal each other and
+    0.0 equals -0.0.
+    """
+
+    zip: str
+    year: int
+    pov_fam: float | None
+    snap_fam: float | None
+    fam_universe: float | None = None
+    pov_rate: float | None = None
+    pct_no_vehicle: float | None = None
+    pct_no_internet: float | None = None
+    pct_no_computer: float | None = None
+    pct_hs_only: float | None = None
+    area: Area = Area.UNKNOWN
+    flags: frozenset[str] = frozenset()
+
+
+def panel_of(records) -> Panel:
+    """The columns of `records`, one entry per record in order."""
+    records = list(records)
+
+    def floats(names):
+        return np.array([[getattr(r, name) for name in names] for r in records], dtype=float)
+
+    return Panel(
+        zip=np.array([r.zip for r in records], dtype=object),
+        year=np.array([r.year for r in records], dtype=np.int64),
+        area=np.array([r.area.value for r in records], dtype=object),
+        flags=np.array([r.flags for r in records], dtype=object),
+        **{name: floats([name]).reshape(-1) for name in COUNT_FIELDS},
+        predictors=floats(PREDICTOR_FIELDS).reshape(-1, len(PREDICTOR_FIELDS)),
+    )
+
+
+def records_of(panel: Panel) -> list[Record]:
+    """One `Record` per panel row, NaN read as None."""
+    columns = {name: getattr(panel, name).tolist() for name in COUNT_FIELDS}
+    columns.update(zip(PREDICTOR_FIELDS, panel.predictors.T.tolist()))
+    return [
+        Record(
+            zip=panel.zip[i],
+            year=int(panel.year[i]),
+            area=Area(panel.area[i]),
+            flags=panel.flags[i],
+            **{name: None if math.isnan(col[i]) else col[i] for name, col in columns.items()},
+        )
+        for i in range(len(panel))
+    ]
+
+
+def _parse_number(token):
+    """(value, was_sentinel); ValueError on garbage. Negative and non-finite
+    values are sentinels."""
+    token = token.strip()
+    if token.upper() in SENTINEL_TOKENS or token in SENTINEL_TOKENS:
+        return None, True
+    value = float(token)
+    if value < 0 or not math.isfinite(value):
+        return None, True
+    return value, False
+
+
+def parse_panel_reference(csv_text, schema=None, *, delimiter=",", year_range=DEFAULT_YEAR_RANGE):
+    """Row-by-row parse of CSV text into (Records, Rejects), one row at a
+    time under the same rules as `snapgap.ingest.parse_panel`."""
+    identity = schema is None
+    schema = dict(DEFAULT_SCHEMA if identity else schema)
+    for key in REQUIRED_SCHEMA_KEYS:
+        if key not in schema:
+            raise MissingColumn(f"schema does not map required field {key!r}")
+    reader = csv.reader(io.StringIO(csv_text), delimiter=delimiter)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise EmptyInput("CSV has no header row") from None
+    if identity:
+        schema = {k: c for k, c in schema.items() if c in header or k in REQUIRED_SCHEMA_KEYS}
+    positions = {}
+    for logical, column in schema.items():
+        if column not in header:
+            raise MissingColumn(f"column {column!r} (field {logical!r}) not in header")
+        positions[logical] = header.index(column)
+
+    records, rejects = [], []
+    lo_year, hi_year = year_range
+    for row_num, row in enumerate(reader, start=1):
+        if not any(cell.strip() for cell in row):
+            continue
+        if len(row) != len(header):
+            rejects.append(Reject(row_num, f"row: {len(row)} fields, need {len(header)}"))
+            continue
+
+        def cell(logical):
+            idx = positions.get(logical)
+            return "" if idx is None else row[idx]
+
+        try:
+            zcta = normalize_zip(cell("zip"))
+        except (NonNumericZip, LengthOverflow) as exc:
+            rejects.append(Reject(row_num, f"zip: {exc}"))
+            continue
+        try:
+            year_value = float(cell("year"))
+        except ValueError:
+            year_value = math.nan
+        if not year_value.is_integer():
+            rejects.append(Reject(row_num, f"year: not an integer: {cell('year')!r}"))
+            continue
+        year = int(year_value)
+        if not lo_year <= year <= hi_year:
+            rejects.append(Reject(row_num, f"year: {year} outside {lo_year}-{hi_year}"))
+            continue
+
+        values, flags, bad_field = {}, set(), None
+        for name in NUMERIC_FIELDS:
+            if name not in positions:
+                values[name] = None
+                continue
+            try:
+                value, sentinel = _parse_number(cell(name))
+            except ValueError:
+                bad_field = (name, cell(name))
+                break
+            if sentinel and cell(name).strip() != "":
+                flags.add(FLAG_SENTINEL_RECODED)
+            if value is not None and name in PERCENT_FIELDS and value > 100.0:
+                value = 100.0
+                flags.add(FLAG_CLIPPED)
+            values[name] = value
+        if bad_field is not None:
+            rejects.append(Reject(row_num, f"{bad_field[0]}: unparseable value {bad_field[1]!r}"))
+            continue
+
+        area = Area.UNKNOWN
+        if "area" in positions and cell("area").strip():
+            try:
+                area = Area(cell("area").strip())
+            except ValueError:
+                rejects.append(Reject(row_num, f"area: unknown value {cell('area')!r}"))
+                continue
+        if "flags" in positions and cell("flags").strip():
+            flags.update(t.strip() for t in cell("flags").split(";") if t.strip())
+        pov, snap = values["pov_fam"], values["snap_fam"]
+        if pov is not None and snap is not None and pov > 0 and snap > pov:
+            flags.add(FLAG_SNAP_EXCEEDS_POVERTY)
+        records.append(Record(zip=zcta, year=year, area=area, flags=frozenset(flags), **values))
+    return records, rejects
+
+
+def _mean_or_none(values):
+    """Mean of the present values, summed left to right from 0.0, or None."""
+    present = [v for v in values if v is not None]
+    if not present:
+        return None
+    total = 0.0
+    for v in present:
+        total += v
+    return total / len(present)
+
+
+def dedupe_reference(records):
+    """At most one Record per (zip, year), in first-appearance order: exact
+    duplicates dropped, conflicts averaged and flagged DuplicateAveraged."""
+    groups = {}
+    for rec in records:
+        groups.setdefault((rec.zip, rec.year), []).append(rec)
+    out = []
+    for group in groups.values():
+        distinct = []
+        for rec in group:
+            if rec not in distinct:
+                distinct.append(rec)
+        if len(distinct) == 1:
+            out.append(distinct[0])
+            continue
+        merged = {name: _mean_or_none(getattr(r, name) for r in distinct) for name in NUMERIC_FIELDS}
+        flags = frozenset().union(*(r.flags for r in distinct)) | {FLAG_DUPLICATE_AVERAGED}
+        out.append(replace(distinct[0], **merged, flags=flags))
+    return out
 
 
 def quantile_interp(values, q):

@@ -12,16 +12,19 @@ import pytest
 
 from conftest import random_records
 from oracles import (
+    Record,
     ap_rank_enum,
     auc_pairwise,
     fd_gradient,
     label_oracle,
     monotone_sse,
     ols_normal_equations,
+    panel_of,
     pav_perturbations,
+    records_of,
 )
 from snapgap.calibration import apply_isotonic, classify, fit_isotonic, prevalence_threshold
-from snapgap.ingest import PREDICTOR_FIELDS, Area, ZipRecord
+from snapgap.ingest import PREDICTOR_FIELDS, Area
 from snapgap.labeling import UNLABELED, LabelConfig, build_labels, ols_fit
 from snapgap.metrics import average_precision, permutation_importance, roc_auc
 from snapgap.models import FeatureMatrix, fit_logistic, penalized_loss_grad, sample_weights
@@ -52,7 +55,7 @@ def test_criterion_1_labeling_oracle_equivalence():
             n = int(rng.integers(2, 51))
             records = random_records(rng, n)
             try:
-                panel = build_labels(records, cfg)
+                panel = build_labels(panel_of(records), cfg)
             except Exception:
                 continue  # no eligible rows; draw another panel
             checked += 1
@@ -154,7 +157,7 @@ def _crafted_panel_with_exact_prevalence(n_planted=31, n_total=1000):
     n_rest = n_total - n_planted
     for i in range(n_planted):
         records.append(
-            ZipRecord(
+            Record(
                 zip=f"{i + 1:05d}", year=2015, pov_fam=1000.0, snap_fam=10.0,
                 pov_rate=0.9,
                 pct_no_vehicle=20.0, pct_no_internet=15.0, pct_no_computer=10.0,
@@ -164,7 +167,7 @@ def _crafted_panel_with_exact_prevalence(n_planted=31, n_total=1000):
     for i in range(n_rest):
         frac = i / (n_rest - 1)
         records.append(
-            ZipRecord(
+            Record(
                 zip=f"{1000 + i:05d}", year=2015,
                 pov_fam=1000.0, snap_fam=round(1000 * (0.6 + 0.4 * frac)),
                 pov_rate=0.15 + 0.35 * frac,
@@ -178,7 +181,7 @@ def _crafted_panel_with_exact_prevalence(n_planted=31, n_total=1000):
 def test_criterion_6_prevalence_anchored_rule_exact():
     with criterion(6, "threshold equals training prevalence 0.031 exactly, inclusive", 5.0):
         records = _crafted_panel_with_exact_prevalence()
-        panel = build_labels(records, LabelConfig())
+        panel = build_labels(panel_of(records), LabelConfig())
         assert panel.n_eligible() == 1000
         assert panel.n_positive() == 31
         assert panel.prevalence == 0.031
@@ -203,9 +206,9 @@ def test_criterion_7_effect_recovery_over_20_seeds():
                 target_prevalence=0.031,
                 seed=900 + seed,
             )
-            records, _ = generate_synthetic(spec)
-            p1 = build_labels([r for r in records if r.year <= 2018], cfg)
-            p2 = build_labels([r for r in records if r.year >= 2019], cfg)
+            panel, _ = generate_synthetic(spec)
+            p1 = build_labels(panel.take(panel.year <= 2018), cfg)
+            p2 = build_labels(panel.take(panel.year >= 2019), cfg)
 
             def matrix(panel, subset):
                 rows = (panel.y >= 0) & (panel.panel.area != Area.UNKNOWN.value)
@@ -278,9 +281,9 @@ def acceptance_panel():
 
 def test_criterion_8_out_of_time_hygiene(acceptance_panel):
     with criterion(8, "mutating test-period rows leaves training fits bit-identical", 10.0):
-        records, _ = acceptance_panel
+        panel, _ = acceptance_panel
         cfg = _acceptance_cfg()
-        base = run_backtest(cfg, records)
+        base = run_backtest(cfg, panel)
         rng = np.random.default_rng(1)
         mutated = [
             dataclasses.replace(
@@ -291,9 +294,9 @@ def test_criterion_8_out_of_time_hygiene(acceptance_panel):
             )
             if r.year >= 2019
             else r
-            for r in records
+            for r in records_of(panel)
         ]
-        other = run_backtest(cfg, mutated)
+        other = run_backtest(cfg, panel_of(mutated))
 
         from snapgap.models import model_to_dict
 

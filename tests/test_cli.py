@@ -52,6 +52,20 @@ def test_ingest_label_flow(tmp_path, capsys):
     assert "thresholds" in sidecar and "prevalence" in sidecar
 
 
+def test_label_sidecar_records_the_rule(tmp_path):
+    panel = tmp_path / "synth.csv"
+    assert main(["synth", "--seed", "3", "--out", str(panel), "--set", "synth.n_zips=200"]) == 0
+    sidecars = {}
+    for name, extra in (("capped", []), ("raw", ["--set", "use_capped_uptake=false"])):
+        out = tmp_path / f"{name}.csv"
+        assert main(["label", "--panel", str(panel), "--out", str(out), *extra]) == 0
+        sidecars[name] = out.with_suffix(".json").read_text()
+    assert sidecars["capped"] != sidecars["raw"]
+    config = json.loads(sidecars["capped"])["config"]
+    assert config == {"poverty_floor": 0.15, "hi_q": 0.70, "lo_q": 0.10, "use_capped_uptake": True}
+    assert json.loads(sidecars["raw"])["config"]["use_capped_uptake"] is False
+
+
 def test_synth_backtest_report_flow(tmp_path):
     panel = tmp_path / "synth.csv"
     code = main(

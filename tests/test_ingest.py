@@ -2,8 +2,11 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_record, random_records
+from oracles import dedupe_reference, panel_of, parse_panel_reference, records_of
 from snapgap.errors import EmptyInput, LengthOverflow, MissingColumn, NonNumericZip
 from snapgap.ingest import (
     DEFAULT_SCHEMA,
@@ -38,8 +41,14 @@ SCHEMA = {
 
 
 def parse_rows(*rows, schema=SCHEMA, header=HEADER):
+    """Parsed rows as Records, and the rejects."""
     text = "\n".join([header, *rows])
-    return parse_panel(io.StringIO(text), schema)
+    panel, rejects = parse_panel(io.StringIO(text), schema)
+    return records_of(panel), rejects
+
+
+def dedupe_records(records):
+    return records_of(dedupe(panel_of(records)))
 
 
 class TestNormalizeZip:
@@ -143,6 +152,19 @@ class TestParsePanel:
             (2, "row: 7 fields, need 8"),
         ]
 
+    def test_extra_field_row_rejected(self):
+        records, rejects = parse_rows(
+            "01234,2015,100,40,1,2,3,4,999,junk",
+            "01236,2015,100,40,12.0,8.0,6.0,30.0",
+        )
+        assert [r.zip for r in records] == ["01236"]
+        assert [(r.row, r.reason) for r in rejects] == [(1, "row: 10 fields, need 8")]
+
+    def test_blank_lines_skipped_but_counted(self):
+        records, rejects = parse_rows("", ",,,,,,,", "XYZ,2015,100,40,1,2,3,4", " , ")
+        assert records == []
+        assert [(r.row, r.reason) for r in rejects] == [(3, "zip: not a ZIP code: 'XYZ'")]
+
     def test_integral_float_year_accepted(self):
         records, rejects = parse_rows("01234,2015.0,100,40,12.0,8.0,6.0,30.0")
         assert rejects == []
@@ -176,22 +198,20 @@ class TestParsePanel:
             parse_panel(io.StringIO(""), SCHEMA)
 
     def test_header_only_yields_nothing(self):
-        records, rejects = parse_panel(io.StringIO(HEADER + "\n"), SCHEMA)
-        assert records == [] and rejects == []
+        panel, rejects = parse_panel(io.StringIO(HEADER + "\n"), SCHEMA)
+        assert len(panel) == 0 and rejects == []
+        assert panel.predictors.shape == (0, len(PREDICTOR_FIELDS))
 
     def test_renamed_headers_via_schema(self):
         schema = dict(SCHEMA, zip="ZCTA", pov_fam="FamiliesPoverty")
         header = HEADER.replace("zip", "ZCTA").replace("pov_fam", "FamiliesPoverty")
-        records, _ = parse_panel(
-            io.StringIO(header + "\n00rows" if False else header + "\n01234,2015,100,40,1,1,1,1"),
-            schema,
-        )
-        assert records[0].pov_fam == 100.0
+        panel, _ = parse_panel(io.StringIO(header + "\n01234,2015,100,40,1,1,1,1"), schema)
+        assert panel.pov_fam[0] == 100.0
 
     def test_bytes_source(self):
         data = (HEADER + "\n01234,2015,100,40,1,1,1,1").encode("utf-8")
-        records, _ = parse_panel(data, SCHEMA)
-        assert len(records) == 1
+        panel, _ = parse_panel(data, SCHEMA)
+        assert len(panel) == 1
 
     def test_no_silent_drops(self, rng):
         rows = []
@@ -208,19 +228,19 @@ class TestRoundTrip:
         # exercise flags too
         records[0] = make_record(zip="00777", snap_fam=150.0, pov_fam=100.0, flags=frozenset({FLAG_SNAP_EXCEEDS_POVERTY}))
         buf = io.StringIO()
-        write_records(records, buf)
+        write_records(panel_of(records), buf)
         buf.seek(0)
         reparsed, rejects = parse_panel(buf, DEFAULT_SCHEMA)
         assert rejects == []
-        assert reparsed == records
+        assert records_of(reparsed) == records
 
     def test_clean_values_never_reclipped(self, rng):
         records = random_records(rng, 40)
         buf = io.StringIO()
-        write_records(records, buf)
+        write_records(panel_of(records), buf)
         buf.seek(0)
         reparsed, _ = parse_panel(buf, DEFAULT_SCHEMA)
-        for rec in reparsed:
+        for rec in records_of(reparsed):
             assert FLAG_CLIPPED not in rec.flags
             assert FLAG_SENTINEL_RECODED not in rec.flags
 
@@ -231,7 +251,10 @@ class TestPanel:
             make_record(zip="00002", year=2016, pov_rate=0.2, pct_hs_only=None, area=Area.RURAL),
             make_record(zip="00001", snap_fam=None, flags=frozenset({FLAG_CLIPPED})),
         ]
-        panel = Panel.from_records(records)
+        buf = io.StringIO()
+        write_records(panel_of(records), buf)
+        buf.seek(0)
+        panel, _ = parse_panel(buf)
         assert len(panel) == 2
         assert panel.zip.tolist() == ["00002", "00001"]
         assert panel.year.tolist() == [2016, 2015]
@@ -241,53 +264,138 @@ class TestPanel:
         assert np.isnan(panel.snap_fam[1])
         expected = [[np.nan if getattr(r, f) is None else getattr(r, f) for f in PREDICTOR_FIELDS] for r in records]
         assert np.array_equal(panel.predictors, expected, equal_nan=True)
-        assert Panel.from_records(panel) is panel
+        assert dedupe(panel) is panel  # no repeated key
 
     def test_take_keeps_rows_aligned(self, rng):
         records = random_records(rng, 20)
-        panel = Panel.from_records(records)
+        panel = panel_of(records)
         rows = np.array([5, 0, 17])
         taken = panel.take(rows)
-        again = Panel.from_records([records[i] for i in rows])
+        again = panel_of([records[i] for i in rows])
         for name in ("zip", "year", "area", "flags"):
             assert getattr(taken, name).tolist() == getattr(again, name).tolist()
         for name in ("pov_fam", "snap_fam", "fam_universe", "pov_rate", "predictors"):
             assert np.array_equal(getattr(taken, name), getattr(again, name), equal_nan=True)
         assert len(panel.take(panel.year == 1999)) == 0
 
+    def test_concat_keeps_row_order(self, rng):
+        records = random_records(rng, 12)
+        parts = [panel_of(records[:5]), panel_of([]), panel_of(records[5:])]
+        assert records_of(Panel.concat(parts)) == records
+
 
 class TestDedupe:
     def test_exact_duplicates_collapse_without_flag(self):
         rec = make_record()
-        out = dedupe([rec, rec])
+        out = dedupe_records([rec, rec])
         assert out == [rec]
 
     def test_conflicting_duplicates_averaged(self):
         a = make_record(pov_fam=100.0)
         b = make_record(pov_fam=200.0)
-        (merged,) = dedupe([a, b])
+        (merged,) = dedupe_records([a, b])
         assert merged.pov_fam == 150.0
         assert FLAG_DUPLICATE_AVERAGED in merged.flags
 
     def test_single_record_unchanged(self):
         rec = make_record()
-        assert dedupe([rec]) == [rec]
+        assert dedupe_records([rec]) == [rec]
 
     def test_missing_aware_mean(self):
         a = make_record(pct_no_vehicle=None, pov_fam=100.0)
         b = make_record(pct_no_vehicle=12.0, pov_fam=100.0)
-        (merged,) = dedupe([a, b])
+        (merged,) = dedupe_records([a, b])
         assert merged.pct_no_vehicle == 12.0
 
     def test_idempotent(self, rng):
         records = random_records(rng, 30)
         # introduce duplicates
         records = records + records[:10] + [make_record(zip="00001", pov_fam=999.0)]
-        once = dedupe(records)
-        twice = dedupe(once)
+        once = dedupe_records(records)
+        twice = dedupe_records(once)
         assert once == twice
         keys = [(r.zip, r.year) for r in once]
         assert len(keys) == len(set(keys))
+
+
+OPTIONAL_COLUMNS = (
+    "fam_universe", "pov_rate", *PREDICTOR_FIELDS, "area", "flags", "note",
+)
+TOKENS = {
+    "zip": ["00001", "1", "2.0", "00002-1234", "3", " 4 ", "XYZ", "1234567", ""],
+    "year": ["2015", "2016", "2015.0", "2017"] * 3 + ["1999", "2015.5", "nan", "inf", "x", ""],
+    "number": [
+        "0", "0.0", "-0.0", "-0", "1", "12.5", "40", "99.99", "100", "100.5", "150", "1e3", "7_0",
+        "", "  ", "N/A", "NA", "na", "nan", "NaN", "inf", "-inf", "Infinity", "-1", "-999", "abc", "1.2.3",
+    ],
+    "area": ["", " ", "Urban", "Rural", "Mixed", "Unknown", " Rural ", "urban", "Suburb"],
+    "flags": ["", "A", "A;B", " ; X ;", "SentinelRecoded", "B;A"],
+    "note": ["", "free text"],
+}
+
+
+def token_pool(column):
+    if column in TOKENS:
+        return TOKENS[column]
+    return TOKENS["number"]
+
+
+@st.composite
+def raw_panels(draw):
+    """CSV text with a shuffled header of the required and some optional
+    columns, and rows that are blank, short, long, duplicated or drawn cell
+    by cell from valid, sentinel and garbage tokens."""
+    optional = draw(st.lists(st.sampled_from(OPTIONAL_COLUMNS), unique=True))
+    header = draw(st.permutations(["zip", "year", "pov_fam", "snap_fam", *optional]))
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 25))):
+        kind = draw(st.sampled_from(["row"] * 6 + ["blank", "short", "long", "repeat"]))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", " ", ",,", "," * (len(header) - 1)])))
+        elif kind == "repeat" and len(lines) > 1:
+            lines.append(draw(st.sampled_from(lines[1:])))
+        else:
+            cells = [draw(st.sampled_from(token_pool(column))) for column in header]
+            if kind == "short":
+                cells = cells[: draw(st.integers(1, len(cells) - 1))]
+            elif kind == "long":
+                cells += draw(st.lists(st.sampled_from(["999", "junk", ""]), min_size=1, max_size=2))
+            lines.append(",".join(cells))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+class TestRowWiseReference:
+    """Columnar parse and dedupe against the row-by-row reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=raw_panels())
+    def test_parse_and_dedupe_match_reference(self, text):
+        panel, rejects = parse_panel(io.StringIO(text))
+        records, expected_rejects = parse_panel_reference(text)
+        assert [(r.row, r.reason) for r in rejects] == [(r.row, r.reason) for r in expected_rejects]
+        assert records_of(panel) == records
+
+        deduped, expected = dedupe(panel), panel_of(dedupe_reference(records))
+        for name in ("zip", "year", "area", "flags"):
+            assert getattr(deduped, name).tolist() == getattr(expected, name).tolist()
+        for name in ("pov_fam", "snap_fam", "fam_universe", "pov_rate", "predictors"):
+            assert np.array_equal(getattr(deduped, name), getattr(expected, name), equal_nan=True)
+
+    def test_signed_zero_duplicates_are_exact(self):
+        text = "\n".join([HEADER, "00001,2015,0.0,1,2,3,4,5", "00001,2015,-0.0,1,2,3,4,5"])
+        panel, _ = parse_panel(io.StringIO(text), SCHEMA)
+        (row,) = records_of(dedupe(panel))
+        assert FLAG_DUPLICATE_AVERAGED not in row.flags
+
+    def test_conflicts_average_left_to_right(self):
+        # 1e16 + 1.0 rounds back to 1e16, so the order of the sum shows;
+        # the last row differs in area, so it is no exact duplicate
+        records = [make_record(pct_no_vehicle=v) for v in (1e16, 1.0, None)]
+        records.append(make_record(pct_no_vehicle=1.0, area=Area.RURAL))
+        (merged,) = dedupe_records(records)
+        assert merged.area is Area.URBAN
+        assert merged.pct_no_vehicle == 1e16 / 3 != (1.0 + 1.0 + 1e16) / 3
+        assert merged.flags == frozenset({FLAG_DUPLICATE_AVERAGED})
 
 
 class TestDesignateArea:
@@ -356,8 +464,8 @@ class TestDesignateArea:
     def test_designate_all_fixed_across_years(self):
         recs = [make_record(zip="00042", year=y, area=Area.UNKNOWN) for y in (2014, 2019)]
         crosswalk = [CrosswalkRow("00042", Area.RURAL, 1.0)]
-        out = designate_all(recs, crosswalk)
-        assert all(r.area is Area.RURAL for r in out)
+        out = designate_all(panel_of(recs), crosswalk)
+        assert all(r.area is Area.RURAL for r in records_of(out))
 
 
 class TestParseCrosswalk:

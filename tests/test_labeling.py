@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_record, random_records
-from oracles import label_oracle, ols_normal_equations, prepare_reference, quantile_interp
+from conftest import make_panel, make_record, random_panel, random_records
+from oracles import label_oracle, ols_normal_equations, panel_of, prepare_reference, quantile_interp
 from snapgap.errors import DegenerateDesign, EmptyInput, NoEligibleRows
 from snapgap.ingest import PREDICTOR_FIELDS, Area
 from snapgap.labeling import (
@@ -29,7 +29,7 @@ def labels(panel):
 def label_first(**fields):
     """Label one record beside an always-eligible anchor row, so an ineligible
     record still yields a panel; row 0 is the record."""
-    return build_labels([make_record(**fields), make_record(zip="99999")], LabelConfig())
+    return build_labels(make_panel(make_record(**fields), make_record(zip="99999")), LabelConfig())
 
 
 class TestUptakeRatio:
@@ -83,7 +83,7 @@ class TestEligibility:
         for floor in (0.05, 0.15, 0.30, 0.60):
             cfg = LabelConfig(poverty_floor=floor)
             try:
-                panel = build_labels(records, cfg)
+                panel = build_labels(panel_of(records), cfg)
                 counts.append(panel.n_eligible())
             except NoEligibleRows:
                 counts.append(0)
@@ -121,7 +121,7 @@ class TestQuantile:
 
 
 def brute_force_check(records, cfg):
-    panel = build_labels(records, cfg)
+    panel = build_labels(panel_of(records), cfg)
     rows = [
         {
             "p": p,
@@ -154,13 +154,13 @@ def brute_force_check(records, cfg):
 class TestBuildLabels:
     def test_constant_panel_all_fragile(self):
         records = [make_record(zip=f"{i:05d}") for i in range(10)]
-        panel = build_labels(records, LabelConfig())
+        panel = build_labels(panel_of(records), LabelConfig())
         assert all(y == 1 for y in panel.y)
         assert panel.prevalence == 1.0
 
     def test_label_consistency_invariant(self, rng):
         records = random_records(rng, 300)
-        panel = build_labels(records, LabelConfig())
+        panel = build_labels(panel_of(records), LabelConfig())
         for y, eligible, p, s_capped in zip(panel.y, panel.eligible, panel.p, panel.s_capped):
             if y == 1:
                 assert eligible
@@ -171,7 +171,7 @@ class TestBuildLabels:
 
     def test_prevalence_definition(self, rng):
         records = random_records(rng, 400)
-        panel = build_labels(records, LabelConfig())
+        panel = build_labels(panel_of(records), LabelConfig())
         n_elig = panel.n_eligible()
         n_pos = panel.n_positive()
         assert panel.prevalence == n_pos / n_elig
@@ -194,7 +194,7 @@ class TestBuildLabels:
 
     def test_stratified_partition(self, rng):
         records = random_records(rng, 400)
-        panel = build_labels(records, LabelConfig(stratify_by_area=True))
+        panel = build_labels(panel_of(records), LabelConfig(stratify_by_area=True))
         for i in np.flatnonzero(panel.eligible):
             key = panel.panel.area[i]
             assert key in panel.thresholds
@@ -205,12 +205,12 @@ class TestBuildLabels:
     def test_no_eligible_rows(self):
         records = [make_record(pov_fam=0.0, snap_fam=0.0)]
         with pytest.raises(NoEligibleRows):
-            build_labels(records, LabelConfig())
+            build_labels(panel_of(records), LabelConfig())
 
     def test_raw_uptake_thresholding_option(self, rng):
         records = random_records(rng, 200)
-        capped = build_labels(records, LabelConfig(use_capped_uptake=True))
-        raw = build_labels(records, LabelConfig(use_capped_uptake=False))
+        capped = build_labels(panel_of(records), LabelConfig(use_capped_uptake=True))
+        raw = build_labels(panel_of(records), LabelConfig(use_capped_uptake=False))
         assert raw.tau_lo >= 0
         # anomalies (s>1) can push the raw threshold above the capped one
         assert raw.tau_lo >= capped.tau_lo or math.isclose(raw.tau_lo, capped.tau_lo)
@@ -219,8 +219,8 @@ class TestBuildLabels:
         p1 = random_records(rng, 300, year=2015)
         p2 = random_records(rng, 300, year=2020)
         cfg = LabelConfig()
-        panel1 = build_labels(p1, cfg)
-        panel2 = build_labels(p2, cfg, thresholds=panel1.thresholds)
+        panel1 = build_labels(panel_of(p1), cfg)
+        panel2 = build_labels(panel_of(p2), cfg, thresholds=panel1.thresholds)
         assert panel2.thresholds == panel1.thresholds
         for y, p, s_capped in zip(panel2.y, panel2.p, panel2.s_capped):
             if y == 1:
@@ -230,8 +230,8 @@ class TestBuildLabels:
     def test_own_thresholds_reproduce_the_panel(self, rng, stratified):
         records = random_records(rng, 400)
         cfg = LabelConfig(stratify_by_area=stratified)
-        fitted = build_labels(records, cfg)
-        relabeled = build_labels(records, cfg, thresholds=fitted.thresholds)
+        fitted = build_labels(panel_of(records), cfg)
+        relabeled = build_labels(panel_of(records), cfg, thresholds=fitted.thresholds)
         for column in ("p", "s_raw", "eligible", "y"):
             assert np.array_equal(
                 getattr(relabeled, column), getattr(fitted, column), equal_nan=column != "y"
@@ -241,10 +241,10 @@ class TestBuildLabels:
 
     def test_frozen_thresholds_missing_an_area(self, rng):
         cfg = LabelConfig(stratify_by_area=True)
-        frozen = dict(build_labels(random_records(rng, 400, year=2015), cfg).thresholds)
+        frozen = dict(build_labels(random_panel(rng, 400, year=2015), cfg).thresholds)
         del frozen[Area.RURAL.value]
         records = random_records(rng, 400, year=2020)
-        panel = build_labels(records, cfg, thresholds=frozen)
+        panel = build_labels(panel_of(records), cfg, thresholds=frozen)
         is_rural = panel.panel.area == Area.RURAL.value
         rural = np.flatnonzero(panel.eligible & is_rural)
         others = np.flatnonzero(panel.eligible & ~is_rural)
@@ -254,7 +254,7 @@ class TestBuildLabels:
         assert set(panel.prevalences) == set(frozen)
         assert panel.prevalence == sum(int(panel.y[i]) for i in others) / len(others)
         with pytest.raises(NoEligibleRows, match="no eligible rows fall under the supplied thresholds"):
-            build_labels([records[i] for i in rural], cfg, thresholds=frozen)
+            build_labels(panel_of([records[i] for i in rural]), cfg, thresholds=frozen)
 
 
 def draw_count(draw, high):
@@ -326,9 +326,9 @@ class TestRowWiseReference:
         )
         if all(y is None for y in expected):
             with pytest.raises(NoEligibleRows):
-                build_labels(records, cfg, thresholds)
+                build_labels(panel_of(records), cfg, thresholds)
             return
-        panel = build_labels(records, cfg, thresholds)
+        panel = build_labels(panel_of(records), cfg, thresholds)
 
         def column(key):
             return np.array([np.nan if r[key] is None else r[key] for r in rows], dtype=float)
@@ -388,7 +388,7 @@ class TestOls:
 class TestHiddenFragility:
     def _panel(self, rng, n=100):
         records = random_records(rng, n)
-        panel = build_labels(records, LabelConfig())
+        panel = build_labels(panel_of(records), LabelConfig())
         return fit_uptake_ols(panel)
 
     @staticmethod
@@ -434,7 +434,7 @@ class TestHiddenFragility:
         records.append(
             make_record(zip="88888", pov_fam=300.0, snap_fam=10.0, fam_universe=1000.0)
         )
-        panel = build_labels(records, LabelConfig())
+        panel = build_labels(panel_of(records), LabelConfig())
         planted = panel.panel.zip.tolist().index("88888")
         assert panel.y[planted] == 0  # below tau_hi, not caught by the quantile rule
         panel, fit = fit_uptake_ols(panel)
@@ -454,7 +454,7 @@ class TestHiddenFragility:
             records.append(
                 make_record(zip=zip_code, year=year, pov_fam=300.0, snap_fam=150.0, fam_universe=1000.0)
             )
-        panel, fit = fit_uptake_ols(build_labels(records, LabelConfig()))
+        panel, fit = fit_uptake_ols(build_labels(panel_of(records), LabelConfig()))
         tied = panel.residual[-4:]
         assert (tied == tied[0]).all() and tied[0] == panel.residual.min()
         assert (panel.y[-4:] == 0).all()

@@ -10,6 +10,7 @@ from snapgap.models import (
     fit_logistic,
     penalized_loss_grad,
     sample_weights,
+    sigmoid,
     standardize,
 )
 
@@ -24,6 +25,24 @@ def make_fm(rng, n=120, d=3, beta=None, seed_shift=0.0):
     if y.sum() == n:
         y[0] = 0
     return FeatureMatrix(X=X, y=y, feature_names=tuple(f"f{i}" for i in range(d)))
+
+
+def two_branch_sigmoid(z):
+    """1 / (1 + e^-z) on z >= 0 and e^z / (1 + e^z) elsewhere, filled by mask."""
+    out = np.empty_like(z, dtype=float)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+class TestSigmoid:
+    def test_bits_match_two_branch_form(self, rng):
+        edges = [0.0, -0.0, np.inf, -np.inf, 709.0, -709.0, 745.0, -745.0, 5e-324, -5e-324, 1e-300]
+        z = np.concatenate([edges, rng.normal(0, 4, 5000), rng.normal(0, 400, 5000)])
+        assert sigmoid(z).tobytes() == two_branch_sigmoid(z).tobytes()
+        assert sigmoid(z[:4]).tolist() == [0.5, 0.5, 1.0, 0.0]
 
 
 class TestStandardize:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import make_record
+from oracles import panel_of, records_of
 from snapgap.errors import InsufficientCohort, PeriodsOverlap
 from snapgap.ingest import Area
 from snapgap.labeling import LabelConfig
@@ -65,8 +66,8 @@ class TestGuards:
         )
 
     def test_panel_must_cover_both_periods(self, synth_panel):
-        records, _ = synth_panel
-        p1_only = [r for r in records if r.year <= 2018]
+        panel, _ = synth_panel
+        p1_only = panel.take(panel.year <= 2018)
         with pytest.raises(InsufficientCohort):
             run_backtest(fast_cfg(), p1_only)
 
@@ -96,7 +97,7 @@ class TestNoLeakage:
 
         mutated = []
         rng = np.random.default_rng(0)
-        for r in records:
+        for r in records_of(records):
             if r.year >= 2019 and rng.random() < 0.5:
                 mutated.append(
                     dataclasses.replace(
@@ -107,7 +108,7 @@ class TestNoLeakage:
                 )
             else:
                 mutated.append(r)
-        other = run_backtest(cfg, mutated)
+        other = run_backtest(cfg, panel_of(mutated))
 
         assert base.body["periods"]["p1"] == other.body["periods"]["p1"]
         for key, scorer in base.scorers.items():
@@ -216,7 +217,7 @@ class TestStratified:
             seed=77,
         )
         rural, _ = generate_synthetic(spec)
-        records.extend(rural)
+        records.extend(records_of(rural))
         # a handful of urban rows whose uptake is uniformly high -> no positives
         for i in range(30):
             for year in range(2014, 2024):
@@ -231,7 +232,7 @@ class TestStratified:
                     )
                 )
         cfg = fast_cfg(area_mode="stratified", feature_subsets=(("pct_no_vehicle",),))
-        manifest = run_backtest(cfg, records)
+        manifest = run_backtest(cfg, panel_of(records))
         urban_models = manifest.body["cohorts"]["Urban"]["models"]
         assert all("error" in d for d in urban_models.values())
         rural_models = manifest.body["cohorts"]["Rural"]["models"]
@@ -272,7 +273,7 @@ class TestYearlyDiagnostics:
             for i in range(30)
         ]
         cfg = fast_cfg()
-        table = run_yearly_diagnostics(cfg, records)
+        table = run_yearly_diagnostics(cfg, panel_of(records))
         rows_2015 = [row for row in table if row["year"] == 2015]
         assert rows_2015[0]["n_eligible"] > 0
         empty = [row for row in table if row["year"] != 2015]
@@ -289,7 +290,7 @@ class TestYearlyDiagnostics:
                     )
                 )
         cfg = fast_cfg(p1_years=(2014, 2016), p2_years=(2017, 2018))
-        table = run_yearly_diagnostics(cfg, records)
+        table = run_yearly_diagnostics(cfg, panel_of(records))
         filled = [row for row in table if row["n_rows"] > 0]
         base = {k: v for k, v in filled[0].items() if k != "year"}
         for row in filled[1:]:

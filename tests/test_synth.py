@@ -1,5 +1,6 @@
 import pytest
 
+from oracles import records_of
 from snapgap.errors import InvalidSpec
 from snapgap.ingest import FLAG_SNAP_EXCEEDS_POVERTY, Area
 from snapgap.labeling import LabelConfig, build_labels
@@ -36,7 +37,8 @@ class TestSpecValidation:
 
 class TestGeneration:
     def test_shape_and_fields(self):
-        records, truth = generate_synthetic(small_spec())
+        panel, truth = generate_synthetic(small_spec())
+        records = records_of(panel)
         assert len(records) == 300 * 3
         assert {r.year for r in records} == {2014, 2015, 2016}
         assert len({r.zip for r in records}) == 300
@@ -47,18 +49,18 @@ class TestGeneration:
     def test_deterministic(self):
         a, truth_a = generate_synthetic(small_spec())
         b, truth_b = generate_synthetic(small_spec())
-        assert a == b
+        assert records_of(a) == records_of(b)
         assert truth_a == truth_b
 
     def test_seed_changes_panel(self):
         a, _ = generate_synthetic(small_spec(seed=1))
         b, _ = generate_synthetic(small_spec(seed=2))
-        assert a != b
+        assert records_of(a) != records_of(b)
 
     def test_area_fixed_per_zip(self):
-        records, _ = generate_synthetic(small_spec())
+        panel, _ = generate_synthetic(small_spec())
         by_zip = {}
-        for r in records:
+        for r in records_of(panel):
             by_zip.setdefault(r.zip, set()).add(r.area)
         assert all(len(areas) == 1 for areas in by_zip.values())
 
@@ -69,13 +71,13 @@ class TestGeneration:
         assert 0.02 <= panel.prevalence <= 0.04
 
     def test_zero_anomaly_rate_means_zero_flags(self):
-        records, truth = generate_synthetic(small_spec(anomaly_rate=0.0))
+        panel, truth = generate_synthetic(small_spec(anomaly_rate=0.0))
         assert truth["n_planted_anomalies"] == 0
-        assert all(FLAG_SNAP_EXCEEDS_POVERTY not in r.flags for r in records)
+        assert all(FLAG_SNAP_EXCEEDS_POVERTY not in r.flags for r in records_of(panel))
 
     def test_planted_anomaly_accounting(self):
-        records, truth = generate_synthetic(small_spec(anomaly_rate=0.05))
-        flagged = [r for r in records if FLAG_SNAP_EXCEEDS_POVERTY in r.flags]
+        panel, truth = generate_synthetic(small_spec(anomaly_rate=0.05))
+        flagged = [r for r in records_of(panel) if FLAG_SNAP_EXCEEDS_POVERTY in r.flags]
         assert len(flagged) == truth["n_planted_anomalies"]
         planted = {(z, y) for z, y in truth["planted_anomalies"]}
         assert {(r.zip, r.year) for r in flagged} == planted
@@ -85,7 +87,7 @@ class TestGeneration:
     def test_sidecar_labels_match_build_labels_per_year(self):
         records, truth = generate_synthetic(small_spec(n_zips=500))
         for year in (2014, 2015, 2016):
-            year_records = [r for r in records if r.year == year]
+            year_records = records.take(records.year == year)
             panel = build_labels(year_records, LabelConfig())
             fragile = sorted(panel.panel.zip[panel.y == 1].tolist())
             assert fragile == sorted(truth["years"][str(year)]["fragile_zips"])
@@ -110,8 +112,8 @@ class TestGeneration:
 
         spec = SyntheticSpec(n_zips=1000, years=(2014, 2023), target_prevalence=0.031, seed=13)
         records, _ = generate_synthetic(spec)
-        p1 = [r for r in records if r.year <= 2018]
-        p2 = [r for r in records if r.year >= 2019]
+        p1 = records.take(records.year <= 2018)
+        p2 = records.take(records.year >= 2019)
         cfg = LabelConfig()
         panel1, panel2 = build_labels(p1, cfg), build_labels(p2, cfg)
 
