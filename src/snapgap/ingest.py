@@ -77,6 +77,7 @@ class CrosswalkRow:
 class Reject:
     row: int  # 1-based data-row number (header excluded)
     reason: str
+    source: str = "panel"  # the file the row is in: "panel" or "crosswalk"
 
 
 COUNT_FIELDS = ("pov_fam", "snap_fam", "fam_universe", "pov_rate")  # with the precomputed rate
@@ -152,13 +153,25 @@ def _factorize(values: Iterable) -> tuple[list, np.ndarray]:
     return list(index), np.array(codes, dtype=np.intp)
 
 
+def _is_plain(text: str) -> bool:
+    """Whether `text`, if `float()` reads it, is a plain ASCII decimal (or
+    nan/inf): `float()` also reads digit-group underscores and non-ASCII
+    digits and spaces."""
+    return text.isascii() and "_" not in text
+
+
 def _floats(tokens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`float()` of every token (an object array of str) and the mask of those
-    it rejects, NaN there. Empty cells fail untried and the rest convert in one
-    call, or one by one when another cell fails."""
+    """`float()` of every token (an object array of str) that is a plain
+    ASCII decimal, and the mask of the others, NaN there. Empty and non-plain
+    cells fail untried and the rest convert in one call, or one by one when
+    another cell fails."""
     failed = tokens == ""
     values = np.full(len(tokens), np.nan)
     rest = np.flatnonzero(~failed)
+    if not _is_plain("".join(tokens[rest].tolist())):
+        odd = rest[[not _is_plain(t) for t in tokens[rest].tolist()]]
+        failed[odd] = True
+        rest = np.flatnonzero(~failed)
     try:
         values[rest] = tokens[rest].astype(float)
     except ValueError:
@@ -425,12 +438,13 @@ def parse_crosswalk(
             if not any(cell.strip() for cell in row):
                 continue
             if len(row) < width:
-                rejects.append(Reject(row_num, f"row: {len(row)} fields, need {width}"))
+                reason = f"row: {len(row)} fields, need {width}"
+                rejects.append(Reject(row_num, reason, "crosswalk"))
                 continue
             try:
                 zcta = normalize_zip(row[zi])
             except (NonNumericZip, LengthOverflow) as exc:
-                rejects.append(Reject(row_num, f"zip: {exc}"))
+                rejects.append(Reject(row_num, f"zip: {exc}", "crosswalk"))
                 continue
             status_token = row[si].strip().capitalize()
             if status_token in (Area.URBAN.value, Area.RURAL.value):
@@ -438,12 +452,14 @@ def parse_crosswalk(
             else:
                 status = Area.UNKNOWN
             try:
+                if not _is_plain(row[ri]):
+                    raise ValueError(row[ri])
                 ratio = float(row[ri])
             except ValueError:
-                rejects.append(Reject(row_num, f"res_ratio: unparseable {row[ri]!r}"))
+                rejects.append(Reject(row_num, f"res_ratio: unparseable {row[ri]!r}", "crosswalk"))
                 continue
             if not 0.0 <= ratio <= 1.0:
-                rejects.append(Reject(row_num, f"res_ratio: {ratio} outside [0,1]"))
+                rejects.append(Reject(row_num, f"res_ratio: {ratio} outside [0,1]", "crosswalk"))
                 continue
             rows.append(CrosswalkRow(zip=zcta, tract_status=status, res_ratio=ratio))
     return rows, rejects
@@ -531,7 +547,7 @@ def write_records(panel: Panel, dest) -> None:
 
 
 def write_rejects(rejects: Iterable[Reject], dest) -> None:
-    """Write the reject report as CSV with columns (row, reason)."""
+    """Write the reject report as CSV with columns (source, row, reason)."""
     with _csv_writer(dest) as writer:
-        writer.writerow(["row", "reason"])
-        writer.writerows([rej.row, rej.reason] for rej in rejects)
+        writer.writerow(["source", "row", "reason"])
+        writer.writerows([rej.source, rej.row, rej.reason] for rej in rejects)

@@ -3,6 +3,16 @@
 All randomness (bootstraps, per-split feature subsets) flows from per-tree
 generators derived from the root seed, so tree i is identical no matter how
 many trees the ensemble has or in what order they are grown.
+
+A fit sorts its matrix once and hands every tree its root order, so no tree
+runs a float sort. Boosting grows every round on the same `X`, so one stable
+argsort of its columns serves all rounds. Forests rank each column once
+(`rank_columns`) and order each bootstrap sample by a stable argsort of its
+rows' ranks: ranks follow value order and equal values share one, so this is
+the permutation the float sort of `X[boot]` gives, and small integer ranks
+sort by radix in O(n). Boosting also reads each round's score update off the
+rows `grow_tree` routed to each leaf, by the comparison prediction makes,
+instead of walking `X` down the new tree.
 """
 from __future__ import annotations
 
@@ -16,7 +26,14 @@ from ..errors import FeatureMismatch, InvalidParams, SingleClass
 from ..rng import STREAM_TREE, derive_rng
 from .logistic import WEIGHTING_BALANCED, sample_weights, sigmoid
 from .matrix import FeatureMatrix
-from .tree import CRITERION_GINI, CRITERION_MSE, DecisionTree, FlatTrees, grow_tree
+from .tree import (
+    CRITERION_GINI,
+    CRITERION_MSE,
+    DecisionTree,
+    FlatTrees,
+    grow_tree,
+    rank_columns,
+)
 
 KIND_FOREST = "random_forest"
 KIND_BOOSTING = "gradient_boosting"
@@ -99,6 +116,7 @@ def fit_tree_ensemble(fm: FeatureMatrix, params: EnsembleParams) -> TreeEnsemble
     max_features = _resolve_max_features(params, d)
 
     if params.kind == KIND_FOREST:
+        ranks = rank_columns(X)
         trees = []
         for i in range(params.n_trees):
             rng = derive_rng(params.seed, STREAM_TREE, i)
@@ -113,6 +131,7 @@ def fit_tree_ensemble(fm: FeatureMatrix, params: EnsembleParams) -> TreeEnsemble
                     min_leaf=params.min_leaf,
                     max_features=max_features,
                     rng=rng,
+                    order=np.argsort(ranks[:, boot], axis=1, kind="stable"),
                 )
             )
         return TreeEnsembleModel(
@@ -125,6 +144,8 @@ def fit_tree_ensemble(fm: FeatureMatrix, params: EnsembleParams) -> TreeEnsemble
     p_base = min(max(p_base, 1e-12), 1.0 - 1e-12)
     base = math.log(p_base / (1.0 - p_base))
     score = np.full(n, base)
+    order = np.argsort(X.T, axis=1, kind="stable")
+    leaf = np.empty(n, dtype=np.intp)
     trees = []
     for m in range(params.n_trees):
         rng = derive_rng(params.seed, STREAM_TREE, m)
@@ -147,8 +168,10 @@ def fit_tree_ensemble(fm: FeatureMatrix, params: EnsembleParams) -> TreeEnsemble
             max_features=max_features,
             rng=rng,
             leaf_value=newton_step,
+            order=order,
+            row_leaf=leaf,
         )
-        score += params.learning_rate * tree.predict(X)
+        score += params.learning_rate * np.array(tree.value)[leaf]
         trees.append(tree)
     return TreeEnsembleModel(
         kind=KIND_BOOSTING,

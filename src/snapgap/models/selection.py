@@ -5,6 +5,10 @@ simpler candidate (lower C, then fewer and shallower trees). Fold assignment
 is seeded and stratified: positives and negatives are shuffled separately and
 dealt round-robin, so per-fold class counts differ by at most one.
 
+A logistic candidate whose fit fails to converge on some fold keeps its
+error as its grid entry and cannot win; the search fails only when every
+candidate of a family does.
+
 `n_trees` is a prefix axis. Forest trees draw from per-index RNG streams and
 boosting is stagewise, so tree i of a fit does not depend on how many trees
 follow it. Tree candidates that differ only in `n_trees` therefore share one
@@ -18,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import TooFewPositives, ValidationError
+from ..errors import NonConvergence, TooFewPositives, ValidationError
 from ..rng import STREAM_FOLDS, derive_rng
 from ..metrics import average_precision
 from .ensemble import KIND_BOOSTING, KIND_FOREST, EnsembleParams, fit_tree_ensemble
@@ -106,8 +110,9 @@ def _simplicity_key(family: str, params: dict) -> tuple:
 @dataclass
 class GridEntry:
     params: dict
-    mean_ap: float
+    mean_ap: float  # NaN when the candidate failed
     fold_aps: list[float]
+    error: str | None = None
 
 
 @dataclass
@@ -151,10 +156,18 @@ def out_of_fold_proba(
     return proba[0] if prefixes is None else proba
 
 
+def _converged_oof(fm, family, params, fold_idx, seed) -> np.ndarray | NonConvergence:
+    try:
+        return out_of_fold_proba(fm, family, params, fold_idx, seed)
+    except NonConvergence as exc:
+        return exc
+
+
 def _grid_proba(
     fm: FeatureMatrix, family: str, candidates: list[dict], fold_idx: list[np.ndarray], seed: int
-) -> list[np.ndarray]:
-    """Out-of-fold predictions of each candidate, in order.
+) -> list[np.ndarray | NonConvergence]:
+    """Out-of-fold predictions of each candidate, in order, or the
+    `NonConvergence` its fit raised (only logistic fits can raise it).
 
     Tree candidates whose resolved `EnsembleParams` differ only in `n_trees`
     share one fit per fold, of their largest count; each is scored from its
@@ -162,7 +175,7 @@ def _grid_proba(
     any fit is shared, so an invalid count raises as it would on its own.
     """
     if family not in TREE_FAMILIES:
-        return [out_of_fold_proba(fm, family, p, fold_idx, seed) for p in candidates]
+        return [_converged_oof(fm, family, p, fold_idx, seed) for p in candidates]
     groups: dict[EnsembleParams, list[int]] = {}
     counts = []
     for i, params in enumerate(candidates):
@@ -192,7 +205,9 @@ def cv_grid_search(
     Candidates are evaluated in simplicity order and replaced only on a
     strictly better mean AP, so exact ties resolve toward the simpler model.
     Each candidate's fold AP is read off its out-of-fold predictions, and the
-    winner's predictions ride along for calibration without a refit.
+    winner's predictions ride along for calibration without a refit. A
+    candidate that raised `NonConvergence` is an entry with its error;
+    `NonConvergence` is raised when no candidate of a family is left.
     """
     grids = DEFAULT_GRIDS if grids is None else grids
     fold_idx = stratified_folds(fm.y, folds, seed)
@@ -202,11 +217,16 @@ def cv_grid_search(
         best_entry: GridEntry | None = None
         ordered = sorted(candidates, key=lambda p: _simplicity_key(family, p))
         for params, proba in zip(ordered, _grid_proba(fm, family, ordered, fold_idx, seed)):
+            if isinstance(proba, NonConvergence):
+                entries.append(GridEntry(params, np.nan, [], error=str(proba)))
+                continue
             fold_aps = [average_precision(proba[val], fm.y[val]) for val in fold_idx]
             entry = GridEntry(params=params, mean_ap=float(np.mean(fold_aps)), fold_aps=fold_aps)
             entries.append(entry)
             if best_entry is None or entry.mean_ap > best_entry.mean_ap:
                 best_entry, oof = entry, proba
+        if best_entry is None:
+            raise NonConvergence(f"no {family} grid candidate converged: {entries[0].error}")
         results[family] = CvGridResult(
             family=family,
             grid=entries,

@@ -7,13 +7,21 @@ leaf value (the boosting Newton step). Split candidates are midpoints between
 adjacent distinct sorted feature values; ties are broken toward the lowest
 feature index, then the lowest threshold, so growth is deterministic.
 
-Split search is the exact presorted search of CART and SLIQ: each tree sorts
-every column once (stable, so equal values keep row order), and each split
-stable-partitions the node's (d, m) block of sorted row indices into its
-children, so no node sorts again. A node scores all its candidate features
-in one pass over that block: cumulative sums along each row, inf at the
-invalid positions, then the first minimum down each row and across rows.
-Every float is the one a per-node sort of each feature would give.
+Split search is the exact presorted search of CART and SLIQ: a tree starts
+from the stable order of every column of its rows (equal values keep row
+order), and each split stable-partitions the node's (d, m) block of sorted
+row indices into its children, so no node sorts again. A node scores all its
+candidate features in one pass over that block: cumulative sums along each
+row, inf at the invalid positions, then the first minimum down each row and
+across rows. Every float is the one a per-node sort of each feature would
+give.
+
+The root order is the one sort of a tree. `grow_tree` computes it with a
+float argsort unless the caller passes it in; ensembles do, so they sort once
+per fit (see `ensemble.py`). `rank_columns` serves bootstrap samples: a
+column's dense ranks follow value order and give equal values one rank, so a
+stable sort of the ranks of any selection of rows is the stable float sort of
+those rows' values, and uint16 ranks sort in O(n) by radix.
 
 A grown tree is immutable: five preorder node tuples (feature, threshold,
 left, right, value), which is also its serialized form. For prediction the
@@ -184,12 +192,19 @@ def grow_tree(
     max_features: int | None,
     rng: np.random.Generator,
     leaf_value=None,
+    order: np.ndarray | None = None,
+    row_leaf: np.ndarray | None = None,
 ) -> DecisionTree:
     """Grow one tree depth-first (left child before right).
 
     `leaf_value(idx)` computes a leaf's stored value from the row indices it
     holds; the default is the weighted mean of `targets` (positive fraction
     for 0/1 labels). Feature subsets are drawn per split from `rng`.
+
+    `order`, when given, must be `np.argsort(X.T, axis=1, kind="stable")`,
+    which the tree would otherwise compute. `row_leaf`, when given, receives
+    each row's leaf node index: rows are routed by the comparison `predict`
+    makes, so it equals `leaf_for(X)`.
     """
     X = np.asarray(X, dtype=float)
     targets = np.asarray(targets, dtype=float)
@@ -206,16 +221,24 @@ def grow_tree(
     right: list[int] = []
     value: list[float] = []
 
+    def make_leaf(node: int, idx: np.ndarray) -> None:
+        value[node] = leaf_value(idx)
+        if row_leaf is not None:
+            row_leaf[idx] = node
+
     # Explicit preorder stack (left subtree expanded before right) so that
     # unlimited-depth trees cannot hit the interpreter recursion limit and
     # per-split RNG draws happen in a fixed order. A node carries its rows
     # twice: `idx` ascending, for the impurity and leaf sums, and `order`,
     # whose row j lists them by (X[:, j], row index). The root's `order` is
-    # the one sort of the tree; each split stable-partitions it into the
-    # children, with `side` marking the rows that go left.
+    # the one sort of the tree, made here unless the caller passed it; each
+    # split stable-partitions it into the children, with `side` marking the
+    # rows that go left.
+    if order is None:
+        order = np.argsort(XT, axis=1, kind="stable")
     side = np.empty(n, dtype=bool)
     stack: list[tuple[np.ndarray, np.ndarray, int, int, bool]] = [
-        (np.arange(n), np.argsort(XT, axis=1, kind="stable"), 0, -1, False)
+        (np.arange(n), order, 0, -1, False)
     ]
     while stack:
         idx, order, depth, parent_node, is_left = stack.pop()
@@ -234,7 +257,7 @@ def grow_tree(
             or len(idx) < 2 * min_leaf
             or np.all(t == t[0])
         ):
-            value[node] = leaf_value(idx)
+            make_leaf(node, idx)
             continue
 
         if max_features is not None and max_features < d:
@@ -247,7 +270,7 @@ def grow_tree(
         xs = XT[feats[:, None], rows]
         score, r, thr = _best_split(xs, targets[rows], weights[rows], criterion, min_leaf)
         if not score < parent - 1e-12 * max(1.0, abs(parent)):
-            value[node] = leaf_value(idx)
+            make_leaf(node, idx)
             continue
 
         j = int(feats[r])
@@ -263,3 +286,21 @@ def grow_tree(
         stack.append((idx[go_left], left_order, depth + 1, node, True))
 
     return DecisionTree(tuple(feature), tuple(threshold), tuple(left), tuple(right), tuple(value))
+
+
+def rank_columns(X: np.ndarray) -> np.ndarray:
+    """(d, n) dense ranks of X's columns, in the smallest unsigned dtype that
+    holds them.
+
+    Ranks follow value order, NaN last; equal values share a rank, and so do
+    0.0 and -0.0 and all NaNs, exactly the values a float sort keeps in row
+    order. So for any rows `r`, `np.argsort(ranks[:, r], axis=1,
+    kind="stable")` is the stable float argsort of `X[r].T`. Up to 65,536
+    distinct values per column the ranks are at most uint16, which numpy's
+    stable argsort orders by radix in O(n); wider ranks take its comparison
+    sort, with the same result.
+    """
+    X = np.asarray(X, dtype=float)
+    inverse = [np.unique(column, return_inverse=True)[1] for column in X.T]
+    top = max((int(r.max(initial=0)) for r in inverse), default=0)
+    return np.array(inverse, dtype=np.min_scalar_type(top)).reshape(X.shape[1], X.shape[0])

@@ -46,6 +46,7 @@ from .errors import (
     CohortError,
     DegenerateDesign,
     InsufficientCohort,
+    NonConvergence,
     PeriodsOverlap,
     SingleClass,
     ValidationError,
@@ -300,7 +301,12 @@ def _fit_task(
     p1_rows: np.ndarray,
     p1_prevalence: float,
 ) -> tuple[CalibratedScorer, dict]:
-    """Train one (cohort, subset, family) scorer on early-period rows only."""
+    """Train one (cohort, subset, family) scorer on early-period rows only.
+
+    Raises a `CohortError`, or `NonConvergence` when the split70 fit, the
+    winner's refit or every grid candidate fails to converge; either fails
+    this task alone.
+    """
     label = f"{cohort}/{_model_label(family, subset)}"
     seed = cfg.seed
     fm = FeatureMatrix(*_matrix(p1_panel, p1_rows, subset), feature_names=tuple(subset))
@@ -322,7 +328,9 @@ def _fit_task(
         oof = result.oof_proba
         detail["winner"] = winner
         detail["cv"] = [
-            {"params": e.params, "mean_ap": e.mean_ap, "fold_aps": e.fold_aps}
+            {"params": e.params, "error": e.error}
+            if e.error is not None
+            else {"params": e.params, "mean_ap": e.mean_ap, "fold_aps": e.fold_aps}
             for e in result.grid
         ]
         model = fit_family(fm, family, winner, seed)
@@ -531,7 +539,7 @@ def train_scorers(cfg: BacktestConfig, panel: Panel) -> dict[tuple[str, str], Ca
     for cohort, subset, family, p1_rows, _, prevalence in tasks:
         try:
             scorer, _ = _fit_task(cfg, cohort, subset, family, p1_panel, p1_rows, prevalence)
-        except CohortError as exc:
+        except (CohortError, NonConvergence) as exc:
             errors.append(str(exc))
             continue
         scorers[(cohort, _model_label(family, subset))] = scorer
@@ -569,7 +577,7 @@ def run_backtest(
         try:
             scorer, detail = _fit_task(cfg, cohort, subset, family, p1_panel, p1_rows, prevalence)
             detail = _evaluate_task(cfg, cohort, subset, family, scorer, detail, p2_panel, p2_rows)
-        except CohortError as exc:
+        except (CohortError, NonConvergence) as exc:
             cohort_models[cohort][label] = {"error": str(exc)}
             errors.append(str(exc))
             continue

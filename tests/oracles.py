@@ -6,14 +6,15 @@ pairwise comparison, AP by rank enumeration, labeling by explicit sort-and-
 threshold, poverty rate, uptake and eligibility one record at a time,
 gradients by central differences, tree prediction by walking
 one row at a time down the node tuples, tree growth by sorting each
-candidate feature again at every node, CSV parsing and dedupe one
-`Record` at a time.
+candidate feature again at every node, ensembles tree by tree with that
+grower, CSV parsing and dedupe one `Record` at a time.
 """
 from __future__ import annotations
 
 import csv
 import io
 import math
+import re
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -38,6 +39,7 @@ from snapgap.ingest import (
     normalize_zip,
 )
 from snapgap.models import DecisionTree
+from snapgap.rng import STREAM_TREE, derive_rng
 
 
 @dataclass(frozen=True)
@@ -95,13 +97,29 @@ def records_of(panel: Panel) -> list[Record]:
     ]
 
 
+# A plain decimal in ASCII, with optional exponent, or nan/inf, between
+# optional ASCII blanks.
+_PLAIN_NUMBER = re.compile(
+    r"[ \t\r\n\f\v]*[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|inf|infinity|nan)"
+    r"[ \t\r\n\f\v]*",
+    re.IGNORECASE,
+)
+
+
+def _plain_float(token):
+    """float(token) for a plain ASCII decimal; ValueError for anything else,
+    digit-group underscores and non-ASCII digits included."""
+    if not _PLAIN_NUMBER.fullmatch(token):
+        raise ValueError(f"not a plain decimal: {token!r}")
+    return float(token)
+
+
 def _parse_number(token):
     """(value, was_sentinel); ValueError on garbage. Negative and non-finite
     values are sentinels."""
-    token = token.strip()
-    if token.upper() in SENTINEL_TOKENS or token in SENTINEL_TOKENS:
+    if token.strip().upper() in SENTINEL_TOKENS:
         return None, True
-    value = float(token)
+    value = _plain_float(token)
     if value < 0 or not math.isfinite(value):
         return None, True
     return value, False
@@ -147,7 +165,7 @@ def parse_panel_reference(csv_text, schema=None, *, delimiter=",", year_range=DE
             rejects.append(Reject(row_num, f"zip: {exc}"))
             continue
         try:
-            year_value = float(cell("year"))
+            year_value = _plain_float(cell("year"))
         except ValueError:
             year_value = math.nan
         if not year_value.is_integer():
@@ -583,3 +601,66 @@ def grow_tree_reference(
         stack.append((idx[~go_left], depth + 1, node, False))
         stack.append((idx[go_left], depth + 1, node, True))
     return DecisionTree(tuple(feature), tuple(threshold), tuple(left), tuple(right), tuple(value))
+
+
+def _sigmoid_two_branch(z):
+    """1 / (1 + e^-z) where z >= 0, e^z / (1 + e^z) elsewhere."""
+    z = np.asarray(z, dtype=float)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    e = np.exp(z[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def fit_tree_ensemble_reference(fm, params):
+    """(trees, base_score) of an ensemble grown tree by tree with
+    `grow_tree_reference`, which sorts the node's rows for every candidate
+    feature at every node.
+
+    Forest tree i grows on the bootstrap drawn from stream (seed, tree, i)
+    with the Gini criterion; boosting round m fits the residual y - p by
+    squared error, takes the Newton leaf step sum(w r) / sum(w p (1 - p)) and
+    adds learning_rate * `DecisionTree.predict(X)` to the scores. Weights
+    are class-balanced: n / (2 n_c) for class c.
+    """
+    X, y = fm.X, fm.y.astype(float)
+    n, d = X.shape
+    n_pos = int(y.sum())
+    w = np.where(y == 1, n / (2.0 * n_pos), n / (2.0 * (n - n_pos)))
+    if params.max_features is not None:
+        max_features = min(params.max_features, d)
+    elif params.kind == "random_forest":
+        max_features = max(1, int(math.sqrt(d)))
+    else:
+        max_features = None
+    kw = dict(max_depth=params.max_depth, min_leaf=params.min_leaf, max_features=max_features)
+
+    trees = []
+    if params.kind == "random_forest":
+        for i in range(params.n_trees):
+            rng = derive_rng(params.seed, STREAM_TREE, i)
+            boot = rng.integers(0, n, size=n)
+            tree = grow_tree_reference(X[boot], y[boot], w[boot], criterion="gini", rng=rng, **kw)
+            trees.append(tree)
+        return tuple(trees), 0.0
+
+    p_base = min(max(float(np.sum(w * y) / np.sum(w)), 1e-12), 1.0 - 1e-12)
+    base = math.log(p_base / (1.0 - p_base))
+    score = np.full(n, base)
+    for m in range(params.n_trees):
+        p = _sigmoid_two_branch(score)
+        residual = y - p
+        curvature = np.maximum(p * (1.0 - p), 1e-12)
+
+        def newton_step(idx, residual=residual, curvature=curvature):
+            return float(np.sum(w[idx] * residual[idx])) / float(np.sum(w[idx] * curvature[idx]))
+
+        tree = grow_tree_reference(
+            X, residual, w, criterion="mse", rng=derive_rng(params.seed, STREAM_TREE, m),
+            leaf_value=newton_step, **kw,
+        )
+        score += params.learning_rate * tree.predict(X)
+        trees.append(tree)
+    return tuple(trees), base

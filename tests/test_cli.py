@@ -52,6 +52,29 @@ def test_ingest_label_flow(tmp_path, capsys):
     assert "thresholds" in sidecar and "prevalence" in sidecar
 
 
+def test_reject_report_names_the_source_file(tmp_path):
+    panel = tmp_path / "raw.csv"
+    panel.write_text("zip,year,pov_fam,snap_fam\nBAD,2015,90,30\n01001,2015,120,60\n")
+    crosswalk = tmp_path / "crosswalk.csv"
+    crosswalk.write_text("zip,tract_status,res_ratio\nXYZ,Urban,0.5\n01001,Urban,1.0\n")
+    rejects = tmp_path / "rejects.csv"
+    code = main(
+        [
+            "ingest",
+            "--panel", str(panel),
+            "--crosswalk", str(crosswalk),
+            "--out", str(tmp_path / "panel.csv"),
+            "--rejects", str(rejects),
+        ]
+    )
+    assert code == 0
+    assert rejects.read_text().splitlines() == [
+        "source,row,reason",
+        "panel,1,zip: not a ZIP code: 'BAD'",
+        "crosswalk,1,zip: not a ZIP code: 'XYZ'",
+    ]
+
+
 def test_label_sidecar_records_the_rule(tmp_path):
     panel = tmp_path / "synth.csv"
     assert main(["synth", "--seed", "3", "--out", str(panel), "--set", "synth.n_zips=200"]) == 0

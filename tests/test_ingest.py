@@ -185,6 +185,23 @@ class TestParsePanel:
         assert len(rejects) == 1
         assert "pov_fam" in rejects[0].reason
 
+    def test_only_plain_ascii_decimals_are_numbers(self):
+        # float() reads all of these; none is a plain ASCII decimal
+        records, rejects = parse_rows(
+            "00001,2_015,1_000,5,1,2,3,4",
+            "00002,2016,\u0661\u0662,5,1,2,3,4",
+            "00003,2016,12,5,\uff11,2,3,4",
+            "00004,2016,12,5,1,2,3,\u00a04",
+            "00005,2016,+12.5e0,5,1,2,3, 4 ",
+        )
+        assert [(r.row, r.reason) for r in rejects] == [
+            (1, "year: not an integer: '2_015'"),
+            (2, "pov_fam: unparseable value '\u0661\u0662'"),
+            (3, "pct_no_vehicle: unparseable value '\uff11'"),
+            (4, "pct_hs_only: unparseable value '\\xa04'"),
+        ]
+        assert [(r.zip, r.pov_fam, r.pct_hs_only) for r in records] == [("00005", 12.5, 4.0)]
+
     def test_missing_column(self):
         with pytest.raises(MissingColumn):
             parse_panel(io.StringIO("zip,year\n"), SCHEMA)
@@ -323,10 +340,12 @@ OPTIONAL_COLUMNS = (
 )
 TOKENS = {
     "zip": ["00001", "1", "2.0", "00002-1234", "3", " 4 ", "XYZ", "1234567", ""],
-    "year": ["2015", "2016", "2015.0", "2017"] * 3 + ["1999", "2015.5", "nan", "inf", "x", ""],
+    "year": ["2015", "2016", "2015.0", "2017"] * 3
+    + ["1999", "2015.5", "nan", "inf", "x", "", "2_015", "\u0662\u0660\u0661\u0665"],
     "number": [
         "0", "0.0", "-0.0", "-0", "1", "12.5", "40", "99.99", "100", "100.5", "150", "1e3", "7_0",
         "", "  ", "N/A", "NA", "na", "nan", "NaN", "inf", "-inf", "Infinity", "-1", "-999", "abc", "1.2.3",
+        "1_000", "\u0661\u0662", "\uff14\uff10", "\u00a012", " 12 ", "+.5e1", "5.",
     ],
     "area": ["", " ", "Urban", "Rural", "Mixed", "Unknown", " Rural ", "urban", "Suburb"],
     "flags": ["", "A", "A;B", " ; X ;", "SentinelRecoded", "B;A"],
@@ -482,6 +501,15 @@ class TestParseCrosswalk:
         rows, rejects = parse_crosswalk(io.StringIO(text))
         assert rows == []
         assert len(rejects) == 1
+
+    def test_res_ratio_must_be_a_plain_decimal(self):
+        text = "zip,tract_status,res_ratio\n01001,Urban,0_5\n01002,Rural,\u0660.5\n01003,Urban, 0.5\n"
+        rows, rejects = parse_crosswalk(io.StringIO(text))
+        assert [(r.zip, r.res_ratio) for r in rows] == [("01003", 0.5)]
+        assert [(r.row, r.reason) for r in rejects] == [
+            (1, "res_ratio: unparseable '0_5'"),
+            (2, "res_ratio: unparseable '\u0660.5'"),
+        ]
 
     def test_short_row_rejected(self):
         text = "zip,tract_status,res_ratio\n01001,Urban\n01002\n1234,Urban,0.7\n"

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from snapgap.errors import InvalidParams, TooFewPositives
+from snapgap.errors import InvalidParams, NonConvergence, TooFewPositives
 from snapgap.metrics import average_precision
 from snapgap.models import (
     FeatureMatrix,
+    selection,
     cv_grid_search,
     fit_family,
     out_of_fold_proba,
@@ -154,6 +155,27 @@ class TestCvGridSearch:
         assert set(res) == {"random_forest", "gradient_boosting"}
         for family in res.values():
             assert 0.0 <= family.grid[0].mean_ap <= 1.0
+
+    def test_non_converged_candidate_is_an_entry(self, rng, monkeypatch):
+        fm = informative_fm(rng, n=120)
+        fit_logistic = selection.fit_logistic
+
+        def fit(fm, c=1.0, **kw):
+            if c == 100.0:
+                raise NonConvergence("stuck")
+            return fit_logistic(fm, c=c, **kw)
+
+        monkeypatch.setattr(selection, "fit_logistic", fit)
+        grid = [{"c": 100.0}, {"c": 1.0}]
+        res = cv_grid_search(fm, {"logistic": grid}, folds=3, seed=4)["logistic"]
+        assert res.winner == {"c": 1.0}
+        assert [(e.params, e.error) for e in res.grid] == [
+            ({"c": 1.0}, None),
+            ({"c": 100.0}, "stuck"),
+        ]
+        assert np.isnan(res.grid[1].mean_ap) and res.grid[1].fold_aps == []
+        with pytest.raises(NonConvergence, match="stuck"):
+            cv_grid_search(fm, {"logistic": [{"c": 100.0}]}, folds=3, seed=4)
 
     def test_out_of_fold_proba_alignment(self, rng):
         fm = informative_fm(rng, n=90)

@@ -3,8 +3,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import ensemble_walk_score, grow_tree_reference, tree_walk
+from oracles import ensemble_walk_score, fit_tree_ensemble_reference, grow_tree_reference, tree_walk
 from snapgap.errors import InvalidParams, SingleClass
 from snapgap.metrics import roc_auc
 from snapgap.models import (
@@ -18,6 +20,7 @@ from snapgap.models import (
     model_to_dict,
     sigmoid,
 )
+from snapgap.models.tree import rank_columns
 from snapgap.rng import derive_rng
 
 
@@ -133,6 +136,86 @@ class TestPresortedGrowth:
         assert_same_tree(fast, ref)
         assert seen["fast"] == seen["ref"]
         assert all(idx == sorted(idx) for idx in seen["fast"])
+
+
+def tie_heavy_matrix(seed, n=240):
+    """Four rounded columns with few distinct values; the third is mostly
+    zeros of both signs and the fourth takes three values."""
+    rng = np.random.default_rng(seed)
+    X = np.round(rng.normal(size=(n, 4)), 1)
+    X[:, 2] = np.round(0.1 * rng.normal(size=n), 1)  # -0.0, 0.0, +-0.1, ...
+    X[:, 3] = rng.integers(-1, 2, size=n) * 0.5
+    y = (X[:, 0] + X[:, 3] + rng.normal(size=n) > 0.4).astype(int)
+    return FeatureMatrix(X=X, y=y, feature_names=("a", "b", "c", "d"))
+
+
+class TestSortOncePerFit:
+    """fit_tree_ensemble against trees grown one by one with the per-node-sort
+    reference grower, and the rank presort against the float sort."""
+
+    @pytest.mark.parametrize("kind", ["random_forest", "gradient_boosting"])
+    @pytest.mark.parametrize("max_depth", [2, 3, None])
+    @pytest.mark.parametrize("min_leaf", [1, 5])
+    @pytest.mark.parametrize("max_features", [None, 2])
+    def test_trees_match_reference(self, kind, max_depth, min_leaf, max_features):
+        fm = tie_heavy_matrix(min_leaf)
+        assert np.any(np.signbit(fm.X[:, 2]) & (fm.X[:, 2] == 0.0))
+        params = EnsembleParams(kind=kind, n_trees=6, max_depth=max_depth, min_leaf=min_leaf,
+                                learning_rate=0.3, max_features=max_features, seed=11)
+        model = fit_tree_ensemble(fm, params)
+        trees, base = fit_tree_ensemble_reference(fm, params)
+        assert repr(model.trees) == repr(trees)
+        assert model.base_score == base
+        assert any(t.n_nodes > 1 for t in model.trees)
+
+    @pytest.mark.parametrize("kind", ["random_forest", "gradient_boosting"])
+    def test_no_float_sort_per_tree(self, monkeypatch, kind):
+        fm = tie_heavy_matrix(3)
+        float_sorts = []
+        argsort = np.argsort
+
+        def spy(a, *args, **kw):
+            if np.asarray(a).dtype.kind == "f":
+                float_sorts.append(np.shape(a))
+            return argsort(a, *args, **kw)
+
+        monkeypatch.setattr(np, "argsort", spy)
+        fit_tree_ensemble(fm, EnsembleParams(kind=kind, n_trees=5, max_depth=3, seed=2))
+        assert float_sorts == ([] if kind == "random_forest" else [(4, fm.n)])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        columns=st.lists(
+            st.lists(st.sampled_from([0.0, -0.0, 1.5, -1.5, 2.0, 1e-300, -np.inf, np.nan]),
+                     min_size=12, max_size=12),
+            min_size=1, max_size=4,
+        ),
+        boot_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rank_presort_matches_float_sort(self, columns, boot_seed):
+        X = np.array(columns).T
+        boot = np.random.default_rng(boot_seed).integers(0, len(X), size=len(X))
+        ranks = rank_columns(X)
+        assert ranks.dtype == np.uint8
+        assert np.array_equal(
+            np.argsort(ranks[:, boot], axis=1, kind="stable"),
+            np.argsort(X[boot].T, axis=1, kind="stable"),
+        )
+
+    @settings(max_examples=5, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), ties=st.integers(1, 4))
+    def test_rank_presort_past_sixteen_bits(self, seed, ties):
+        rng = np.random.default_rng(seed)
+        distinct = rng.permutation(np.arange(-35_000, 35_000) / 8.0)  # 70,000 values
+        wide = np.concatenate([distinct, [-0.0, 0.0], distinct[:ties]])
+        X = np.column_stack([wide, np.round(rng.normal(size=wide.size))])
+        boot = rng.integers(0, len(X), size=len(X))
+        ranks = rank_columns(X)
+        assert ranks.dtype == np.uint32
+        assert np.array_equal(
+            np.argsort(ranks[:, boot], axis=1, kind="stable"),
+            np.argsort(X[boot].T, axis=1, kind="stable"),
+        )
 
 
 def grown(X, y, **kw):

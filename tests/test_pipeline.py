@@ -6,9 +6,10 @@ import pytest
 
 from conftest import make_record
 from oracles import panel_of, records_of
-from snapgap.errors import InsufficientCohort, PeriodsOverlap
+from snapgap.errors import InsufficientCohort, NonConvergence, PeriodsOverlap
 from snapgap.ingest import Area
 from snapgap.labeling import LabelConfig
+from snapgap.models import selection
 from snapgap.pipeline import (
     BacktestConfig,
     all_feature_subsets,
@@ -193,6 +194,56 @@ class TestBacktestBody:
         detail = manifest.body["cohorts"]["All"]["models"]["logistic[pct_no_vehicle+pct_hs_only]"]
         names = [f["name"] for f in detail["importance"]["features"]]
         assert names == ["pct_no_vehicle", "pct_hs_only"]
+
+
+def fit_logistic_failing_at(monkeypatch, failing_c):
+    """Make every logistic fit with C in `failing_c` raise NonConvergence."""
+    fit_logistic = selection.fit_logistic
+
+    def fit(fm, c=1.0, **kw):
+        if c in failing_c:
+            raise NonConvergence(f"no convergence at c={c}")
+        return fit_logistic(fm, c=c, **kw)
+
+    monkeypatch.setattr(selection, "fit_logistic", fit)
+
+
+class TestNonConvergence:
+    """A fit that fails to converge fails its grid candidate or its task only."""
+
+    SUBSET = (("pct_no_vehicle", "pct_hs_only"),)
+
+    def test_failed_candidate_is_an_entry_and_cannot_win(self, synth_panel, monkeypatch):
+        records, _ = synth_panel
+        grids = dict(FAST_GRIDS, logistic=[{"c": 1.0}, {"c": 100.0}])
+        expected = run_backtest(fast_cfg(feature_subsets=self.SUBSET), records)
+        fit_logistic_failing_at(monkeypatch, {100.0})
+        manifest = run_backtest(fast_cfg(feature_subsets=self.SUBSET, grids=grids), records)
+        (detail,) = manifest.body["cohorts"]["All"]["models"].values()
+        (want,) = expected.body["cohorts"]["All"]["models"].values()
+        assert detail["winner"] == {"c": 1.0}
+        assert detail["cv"] == want["cv"] + [
+            {"params": {"c": 100.0}, "error": "no convergence at c=100.0"}
+        ]
+        assert {k: v for k, v in detail.items() if k != "cv"} == {
+            k: v for k, v in want.items() if k != "cv"
+        }
+
+    @pytest.mark.parametrize("selection_mode", ["cv", "split70"])
+    def test_task_without_a_converged_fit_gets_an_error(
+        self, synth_panel, monkeypatch, selection_mode
+    ):
+        records, _ = synth_panel
+        fit_logistic_failing_at(monkeypatch, {0.01, 0.1, 1.0, 10.0, 100.0})
+        cfg = fast_cfg(
+            feature_subsets=self.SUBSET,
+            families=("logistic", "random_forest"),
+            selection=selection_mode,
+        )
+        models = run_backtest(cfg, records).body["cohorts"]["All"]["models"]
+        assert set(models["logistic[pct_no_vehicle+pct_hs_only]"]) == {"error"}
+        assert "no convergence" in models["logistic[pct_no_vehicle+pct_hs_only]"]["error"]
+        assert "eval" in models["random_forest[pct_no_vehicle+pct_hs_only]"]
 
 
 class TestStratified:
