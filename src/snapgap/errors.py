@@ -102,5 +102,9 @@ class InsufficientCohort(CohortError):
     pass
 
 
+class WorkerDied(SnapGapError):
+    """A worker process running pipeline tasks exited without a result."""
+
+
 class InvalidSpec(ValidationError):
     pass

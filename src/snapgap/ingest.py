@@ -123,7 +123,9 @@ class Panel:
         return Panel(*(getattr(self, f.name)[rows] for f in fields(self)))
 
 
-_ZIP_RE = re.compile(r"^(\d+)(?:[-+]\d{1,4})?$")
+# ASCII digits only, between optional ASCII blanks, as for numbers: `\d`
+# and `str.strip` would also take other scripts' digits and blanks.
+_ZIP_RE = re.compile(r"\s*(\d+)(?:\.0|[-+]\d{1,4})?\s*", re.ASCII)
 
 
 def normalize_zip(raw: str) -> str:
@@ -132,12 +134,7 @@ def normalize_zip(raw: str) -> str:
     Left-pads short codes with zeros, strips a trailing +4 suffix, and
     tolerates spreadsheet float artifacts like "601.0".
     """
-    token = str(raw).strip()
-    if token.endswith(".0"):
-        head = token[:-2]
-        if head.isdigit():
-            token = head
-    match = _ZIP_RE.match(token)
+    match = _ZIP_RE.fullmatch(str(raw))
     if not match:
         raise NonNumericZip(f"not a ZIP code: {raw!r}")
     digits = match.group(1)

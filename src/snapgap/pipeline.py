@@ -22,13 +22,27 @@ panel, and that separation is asserted by the test suite bit-for-bit.
 
 Every randomized task derives its own generator from (root seed, task label),
 so the manifest is byte-identical across runs.
+
+The (cohort, subset, family) tasks are independent, so they run in worker
+processes forked from this one: one worker per CPU in the process's affinity
+mask, at most one per task. With one CPU, where the platform cannot fork, or
+while another thread runs, they run here one after another through the same
+task function. Where a task runs cannot change a byte: it reads only the
+labeled panels, which workers inherit through fork, it draws only from its
+own keyed streams, and its result comes back by pickle, which keeps every
+float bit and dict order. The results are assembled in plan order, not in
+order of completion.
 """
 from __future__ import annotations
 
 import hashlib
 import itertools
 import json
+import os
+import threading
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -50,6 +64,7 @@ from .errors import (
     PeriodsOverlap,
     SingleClass,
     ValidationError,
+    WorkerDied,
 )
 from .ingest import PREDICTOR_FIELDS, Area, Panel
 from .labeling import (
@@ -525,6 +540,96 @@ def _plan_tasks(
     return tasks, cohort_errors
 
 
+def _task_outcome(state: tuple, i: int) -> tuple[CalibratedScorer, dict] | str:
+    """Task `i` of the plan in `state` = (cfg, tasks, p1_panel, p2_panel): its
+    scorer and manifest entry (the fit alone without a test panel), or the
+    message of the `CohortError` or `NonConvergence` that failed it."""
+    cfg, tasks, p1_panel, p2_panel = state
+    cohort, subset, family, p1_rows, p2_rows, prevalence = tasks[i]
+    try:
+        scorer, detail = _fit_task(cfg, cohort, subset, family, p1_panel, p1_rows, prevalence)
+        if p2_panel is not None:
+            detail = _evaluate_task(cfg, cohort, subset, family, scorer, detail, p2_panel, p2_rows)
+    except (CohortError, NonConvergence) as exc:
+        return str(exc)
+    return scorer, detail
+
+
+# Set by `_init_worker` in each worker process, never in the parent.
+_worker_state: tuple | None = None
+
+
+def _init_worker(cfg, tasks, p1_panel, p2_panel, running) -> None:
+    global _worker_state
+    _worker_state = (cfg, tasks, p1_panel, p2_panel, running)
+
+
+def _worker_task(i: int) -> tuple[CalibratedScorer, dict] | str:
+    """`_task_outcome` of task `i`, with `running[i]` set while it runs, so
+    the parent can name the task of a worker that dies."""
+    *state, running = _worker_state
+    running[i] = 1
+    outcome = _task_outcome(state, i)
+    running[i] = 0
+    return outcome
+
+
+def _pool_size(n_tasks: int) -> int:
+    """Worker processes for `n_tasks` tasks: one per CPU in this process's
+    affinity mask, at most one per task. 1 (run in-process) where the
+    platform has no fork or no affinity mask, or while another thread runs,
+    since a forked child keeps only the thread that forked it."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    if threading.active_count() > 1:
+        return 1
+    return min(n_tasks, len(os.sched_getaffinity(0)))
+
+
+def _task_outcomes(
+    cfg: BacktestConfig,
+    tasks: list[tuple],
+    p1_panel: LabeledPanel,
+    p2_panel: LabeledPanel | None = None,
+) -> Iterator[tuple[CalibratedScorer, dict] | str]:
+    """Each task's `_task_outcome`, in plan order, as the results arrive.
+
+    Tasks run in a pool of forked workers (see the module docstring), which
+    inherit the panels through fork, so only task indices and results are
+    pickled. With one worker they run in this process, and the pool modules
+    are not imported. Any other exception a task raises is raised here; a
+    worker that dies raises `WorkerDied`.
+    """
+    state = (cfg, tasks, p1_panel, p2_panel)
+    workers = _pool_size(len(tasks))
+    if workers < 2:
+        yield from map(partial(_task_outcome, state), range(len(tasks)))
+        return
+
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    context = multiprocessing.get_context("fork")
+    running = context.RawArray("b", len(tasks))
+    with ProcessPoolExecutor(
+        workers, mp_context=context, initializer=_init_worker, initargs=(*state, running)
+    ) as pool:
+        try:
+            yield from pool.map(_worker_task, range(len(tasks)))
+        except BrokenProcessPool as exc:
+            labels = [
+                f"{cohort}/{_model_label(family, subset)}"
+                for (cohort, subset, family, *_), flag in zip(tasks, running)
+                if flag
+            ]
+            raise WorkerDied(
+                f"a worker process exited abruptly while running {' or '.join(labels)}"
+                if labels
+                else "a worker process exited abruptly"
+            ) from exc
+
+
 def train_scorers(cfg: BacktestConfig, panel: Panel) -> dict[tuple[str, str], CalibratedScorer]:
     """Fit calibrated scorers on the training period only (no test rows needed)."""
     cfg.validate()
@@ -536,13 +641,13 @@ def train_scorers(cfg: BacktestConfig, panel: Panel) -> dict[tuple[str, str], Ca
 
     scorers: dict[tuple[str, str], CalibratedScorer] = {}
     errors = list(cohort_errors.values())
-    for cohort, subset, family, p1_rows, _, prevalence in tasks:
-        try:
-            scorer, _ = _fit_task(cfg, cohort, subset, family, p1_panel, p1_rows, prevalence)
-        except (CohortError, NonConvergence) as exc:
-            errors.append(str(exc))
+    for outcome, (cohort, subset, family, *_) in zip(
+        _task_outcomes(cfg, tasks, p1_panel), tasks, strict=True
+    ):
+        if isinstance(outcome, str):
+            errors.append(outcome)
             continue
-        scorers[(cohort, _model_label(family, subset))] = scorer
+        scorers[(cohort, _model_label(family, subset))] = outcome[0]
     if not scorers:
         raise InsufficientCohort("; ".join(sorted(set(errors))) or "nothing to train")
     return scorers
@@ -572,17 +677,15 @@ def run_backtest(
     scorers: dict[tuple[str, str], CalibratedScorer] = {}
     cohort_models: dict[str, dict] = {c: {} for c in _cohorts(cfg)}
     errors = list(cohort_errors.values())
-    for cohort, subset, family, p1_rows, p2_rows, prevalence in tasks:
+    for outcome, (cohort, subset, family, *_) in zip(
+        _task_outcomes(cfg, tasks, p1_panel, p2_panel), tasks, strict=True
+    ):
         label = _model_label(family, subset)
-        try:
-            scorer, detail = _fit_task(cfg, cohort, subset, family, p1_panel, p1_rows, prevalence)
-            detail = _evaluate_task(cfg, cohort, subset, family, scorer, detail, p2_panel, p2_rows)
-        except (CohortError, NonConvergence) as exc:
-            cohort_models[cohort][label] = {"error": str(exc)}
-            errors.append(str(exc))
+        if isinstance(outcome, str):
+            cohort_models[cohort][label] = {"error": outcome}
+            errors.append(outcome)
             continue
-        cohort_models[cohort][label] = detail
-        scorers[(cohort, label)] = scorer
+        scorers[(cohort, label)], cohort_models[cohort][label] = outcome
     if not scorers:
         raise InsufficientCohort(f"every cohort failed: {'; '.join(sorted(set(errors)))}")
 

@@ -36,7 +36,6 @@ from snapgap.ingest import (
     Area,
     Panel,
     Reject,
-    normalize_zip,
 )
 from snapgap.models import DecisionTree
 from snapgap.rng import STREAM_TREE, derive_rng
@@ -114,6 +113,33 @@ def _plain_float(token):
     return float(token)
 
 
+_ASCII_BLANKS = " \t\r\n\f\v"
+_ASCII_DIGITS = frozenset("0123456789")
+
+
+def _ascii_digits(text):
+    return bool(text) and set(text) <= _ASCII_DIGITS
+
+
+def normalize_zip_reference(raw):
+    """Five ASCII digits from a ZIP token, by hand: ASCII blanks stripped,
+    then a ".0" float artifact or a "-"/"+" suffix of 1-4 digits dropped,
+    then 1-5 digits left-padded with zeros."""
+    token = raw.strip(_ASCII_BLANKS)
+    head = token
+    if token.endswith(".0"):
+        head = token[:-2]
+    else:
+        cut = min((i for i in (token.find("-"), token.find("+")) if i >= 0), default=-1)
+        if cut >= 0 and 1 <= len(token) - cut - 1 <= 4 and _ascii_digits(token[cut + 1:]):
+            head = token[:cut]
+    if not _ascii_digits(head):
+        raise NonNumericZip(f"not a ZIP code: {raw!r}")
+    if len(head) > 5:
+        raise LengthOverflow(f"ZIP has {len(head)} digits after suffix strip: {raw!r}")
+    return "0" * (5 - len(head)) + head
+
+
 def _parse_number(token):
     """(value, was_sentinel); ValueError on garbage. Negative and non-finite
     values are sentinels."""
@@ -160,7 +186,7 @@ def parse_panel_reference(csv_text, schema=None, *, delimiter=",", year_range=DE
             return "" if idx is None else row[idx]
 
         try:
-            zcta = normalize_zip(cell("zip"))
+            zcta = normalize_zip_reference(cell("zip"))
         except (NonNumericZip, LengthOverflow) as exc:
             rejects.append(Reject(row_num, f"zip: {exc}"))
             continue

@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import snapgap
+from snapgap import pipeline
 from snapgap.cli import main
+from snapgap.errors import SingleClass
 
 PANEL_CSV = """zip,year,pov_fam,snap_fam,fam_universe,pct_no_vehicle,pct_no_internet,pct_no_computer,pct_hs_only
 01001,2015,120,60,400,12.0,15.0,9.0,30.0
@@ -220,3 +226,115 @@ def test_seed_required_for_backtest_and_synth(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["synth", "--out", str(tmp_path / "p.csv")])
     assert exc.value.code == 2
+
+
+SMALL_RUN = [
+    "--seed", "6",
+    "--set", "feature_subsets=[[pct_no_vehicle], [pct_no_vehicle, pct_hs_only]]",
+    "--set", "families=[logistic, random_forest, gradient_boosting]",
+    "--set", "grids={logistic: [{c: 1.0}], random_forest: [{n_trees: 5, max_depth: 3}],"
+    " gradient_boosting: [{n_trees: 5, max_depth: 2, learning_rate: 0.1}]}",
+    "--set", "folds=3",
+    "--set", "importance_repeats=1",
+]
+
+# Runs the CLI, then reports whether the process imported the pool modules.
+RUN_CLI = """\
+import sys
+from snapgap.cli import main
+code = main(sys.argv[1:])
+print("pool imported:", "concurrent.futures" in sys.modules)
+sys.exit(code)
+"""
+
+
+@pytest.fixture
+def small_panel(tmp_path):
+    panel = tmp_path / "synth.csv"
+    main(["synth", "--seed", "6", "--out", str(panel), "--set", "synth.n_zips=250"])
+    return panel
+
+
+def pin_to_one_cpu():
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity mask here")
+def test_outputs_do_not_depend_on_the_worker_count(tmp_path, small_panel):
+    src = str(Path(snapgap.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
+    pooled = len(os.sched_getaffinity(0)) > 1
+    outputs = []
+    for pinned in (True, False):
+        out = tmp_path / ("one-cpu" if pinned else "all-cpus")
+        for command in (
+            ["backtest", "--panel", str(small_panel), *SMALL_RUN, "--models", "--out", str(out / "backtest")],
+            ["train", "--panel", str(small_panel), *SMALL_RUN, "--out", str(out / "train")],
+        ):
+            proc = subprocess.run(
+                [sys.executable, "-c", RUN_CLI, *command],
+                env=env,
+                preexec_fn=pin_to_one_cpu if pinned else None,
+                capture_output=True,
+                text=True,
+                timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.endswith(f"pool imported: {pooled and not pinned}\n")
+        outputs.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()})
+    assert outputs[0] == outputs[1]
+    assert sum(p.parts[0] == "train" for p in outputs[0]) == 6
+    assert sum(p.parts[:2] == ("backtest", "models") for p in outputs[0]) == 6
+
+
+def run_tasks_in_workers(monkeypatch):
+    """Run every task in one of two forked workers; a task run in this
+    process fails the test."""
+    parent, task_outcome = os.getpid(), pipeline._task_outcome
+
+    def in_worker(state, i):
+        assert os.getpid() != parent, "task ran in the parent process"
+        return task_outcome(state, i)
+
+    monkeypatch.setattr(pipeline, "_task_outcome", in_worker)
+    monkeypatch.setattr(pipeline, "_pool_size", lambda n_tasks: min(n_tasks, 2))
+
+
+def test_validation_error_in_a_worker_exits_2(tmp_path, small_panel, monkeypatch, capsys):
+    run_tasks_in_workers(monkeypatch)
+    code = main([
+        "backtest", "--panel", str(small_panel), *SMALL_RUN, "--out", str(tmp_path / "run"),
+        "--set", "grids={logistic: [{c: 1.0}], random_forest: [{n_trees: 0}],"
+        " gradient_boosting: [{n_trees: 5}]}",
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == "error: tree count must be >= 1, got 0\n"
+
+
+def test_cohort_error_in_a_worker_exits_3(tmp_path, small_panel, monkeypatch, capsys):
+    run_tasks_in_workers(monkeypatch)
+
+    def single_class(cfg, cohort, *args):
+        raise SingleClass(f"cohort {cohort!r}: one class in a worker")
+
+    monkeypatch.setattr(pipeline, "_fit_task", single_class)
+    code = main(["backtest", "--panel", str(small_panel), *SMALL_RUN, "--out", str(tmp_path / "run")])
+    assert code == 3
+    assert capsys.readouterr().err == "error: every cohort failed: cohort 'All': one class in a worker\n"
+
+
+def test_worker_death_exits_nonzero(tmp_path, small_panel, monkeypatch, capsys):
+    parent, task_outcome = os.getpid(), pipeline._task_outcome
+
+    def die_in_boosting_worker(state, i):
+        if state[1][i][2] == "gradient_boosting" and os.getpid() != parent:
+            os._exit(1)
+        return task_outcome(state, i)
+
+    monkeypatch.setattr(pipeline, "_task_outcome", die_in_boosting_worker)
+    monkeypatch.setattr(pipeline, "_pool_size", lambda n_tasks: min(n_tasks, 2))
+    code = main(["train", "--panel", str(small_panel), *SMALL_RUN, "--out", str(tmp_path / "run")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: a worker process exited abruptly while running ")
+    assert "All/gradient_boosting[pct_no_vehicle]" in err

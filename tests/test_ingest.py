@@ -73,6 +73,24 @@ class TestNormalizeZip:
     def test_misc(self, raw, expected):
         assert normalize_zip(raw) == expected
 
+    def test_only_ascii_digits_make_a_zip(self):
+        # str.isdigit and a regex \d without re.ASCII accept all of these
+        tokens = ["\u0661\u0662\u0663", "\u0661\u0662\u0663.0", "\uff11\uff12", "01234-\u0661", "\u00a012"]
+        for token in tokens:
+            with pytest.raises(NonNumericZip):
+                normalize_zip(token)
+        records, rejects = parse_rows(*(f"{t},2016,12,5,1,2,3,4" for t in tokens), "12,2016,12,5,1,2,3,4")
+        assert [(r.row, r.reason) for r in rejects] == [
+            (i, f"zip: not a ZIP code: {t!r}") for i, t in enumerate(tokens, start=1)
+        ]
+        assert [r.zip for r in records] == ["00012"]
+        text = "zip,tract_status,res_ratio\n\u0661\u0662\u0663.0,Urban,1\n12,Rural,1\n"
+        rows, rejects = parse_crosswalk(io.StringIO(text))
+        assert [r.zip for r in rows] == ["00012"]
+        assert [(r.row, r.reason, r.source) for r in rejects] == [
+            (1, "zip: not a ZIP code: '\u0661\u0662\u0663.0'", "crosswalk")
+        ]
+
 
 class TestParsePanel:
     def test_direct_mapping(self):
@@ -339,7 +357,10 @@ OPTIONAL_COLUMNS = (
     "fam_universe", "pov_rate", *PREDICTOR_FIELDS, "area", "flags", "note",
 )
 TOKENS = {
-    "zip": ["00001", "1", "2.0", "00002-1234", "3", " 4 ", "XYZ", "1234567", ""],
+    "zip": [
+        "00001", "1", "2.0", "00002-1234", "3", " 4 ", "XYZ", "1234567", "",
+        "\u0661\u0662\u0663", "\u0661.0", "\uff15", "00003-\u0661", "\u00a04", "5-", "6.0.0",
+    ],
     "year": ["2015", "2016", "2015.0", "2017"] * 3
     + ["1999", "2015.5", "nan", "inf", "x", "", "2_015", "\u0662\u0660\u0661\u0665"],
     "number": [

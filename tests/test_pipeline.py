@@ -1,12 +1,15 @@
 import dataclasses
 import json
+import os
+import threading
 
 import numpy as np
 import pytest
 
 from conftest import make_record
 from oracles import panel_of, records_of
-from snapgap.errors import InsufficientCohort, NonConvergence, PeriodsOverlap
+from snapgap import pipeline
+from snapgap.errors import InsufficientCohort, NonConvergence, PeriodsOverlap, WorkerDied
 from snapgap.ingest import Area
 from snapgap.labeling import LabelConfig
 from snapgap.models import selection
@@ -244,6 +247,77 @@ class TestNonConvergence:
         assert set(models["logistic[pct_no_vehicle+pct_hs_only]"]) == {"error"}
         assert "no convergence" in models["logistic[pct_no_vehicle+pct_hs_only]"]["error"]
         assert "eval" in models["random_forest[pct_no_vehicle+pct_hs_only]"]
+
+
+def pool_size(monkeypatch, workers):
+    """Run every plan's tasks in `workers` forked processes (1: in-process),
+    whatever the CPU count."""
+    monkeypatch.setattr(pipeline, "_pool_size", lambda n_tasks: min(n_tasks, workers))
+
+
+class TestWorkerPool:
+    """Forked workers change where tasks run, never what they produce."""
+
+    SUBSETS = (("pct_no_vehicle",), ("pct_no_vehicle", "pct_hs_only"))
+
+    @pytest.mark.parametrize(
+        "selection_mode,failing_c",
+        [("cv", {100.0}), ("cv", {1.0, 100.0}), ("split70", {1.0})],
+    )
+    def test_non_convergence_entries_match_in_process(
+        self, synth_panel, monkeypatch, selection_mode, failing_c
+    ):
+        records, _ = synth_panel
+        fit_logistic_failing_at(monkeypatch, failing_c)
+        cfg = fast_cfg(
+            feature_subsets=self.SUBSETS,
+            families=("logistic", "random_forest"),
+            grids=dict(FAST_GRIDS, logistic=[{"c": 1.0}, {"c": 100.0}]),
+            selection=selection_mode,
+        )
+        runs = []
+        for workers in (1, 2):
+            pool_size(monkeypatch, workers)
+            runs.append(run_backtest(cfg, records))
+        serial, pooled = runs
+        assert pooled.to_json() == serial.to_json()
+        assert pooled.scorers.keys() == serial.scorers.keys()
+        models = pooled.body["cohorts"]["All"]["models"]
+        entries = json.dumps(models)
+        assert "no convergence" in entries
+        assert all("eval" in models[f"random_forest[{'+'.join(s)}]"] for s in self.SUBSETS)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity mask here")
+    def test_pool_size_follows_the_affinity_mask_and_threads(self):
+        cpus = len(os.sched_getaffinity(0))
+        assert pipeline._pool_size(1) == 1
+        assert pipeline._pool_size(1000) == cpus
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait)
+        waiter.start()
+        try:
+            assert pipeline._pool_size(1000) == 1  # fork would copy only this thread
+        finally:
+            release.set()
+            waiter.join(timeout=10)
+        assert not waiter.is_alive()
+        assert pipeline._pool_size(1000) == cpus
+
+    def test_worker_death_names_its_task(self, synth_panel, monkeypatch):
+        records, _ = synth_panel
+        parent, task_outcome = os.getpid(), pipeline._task_outcome
+
+        def die_in_forest_worker(state, i):
+            family = state[1][i][2]
+            if family == "random_forest" and os.getpid() != parent:
+                os._exit(1)
+            return task_outcome(state, i)
+
+        monkeypatch.setattr(pipeline, "_task_outcome", die_in_forest_worker)
+        pool_size(monkeypatch, 2)
+        cfg = fast_cfg(feature_subsets=self.SUBSETS[:1], families=("logistic", "random_forest"))
+        with pytest.raises(WorkerDied, match=r"while running .*All/random_forest\[pct_no_vehicle\]"):
+            run_backtest(cfg, records)
 
 
 class TestStratified:
