@@ -5,7 +5,8 @@ Subcommands cover the full flow: `ingest` raw CSVs into a validated panel,
 `synth` a verification panel, and `report` a saved manifest. A YAML config
 supplies defaults; any key can be overridden with repeated `--set key=value`
 flags (values parsed as YAML). Exit codes: 0 ok, 2 validation error,
-3 insufficient cohort, 4 I/O failure.
+3 insufficient cohort, 4 I/O failure, 5 a run that failed on valid input (a
+worker process died, a fit did not converge).
 """
 from __future__ import annotations
 
@@ -32,7 +33,8 @@ from .ingest import (
     write_rejects,
 )
 from .labeling import build_labels, write_labeled_panel
-from .models import save_json, scorer_to_dict
+from .jsonio import save_json
+from .models import scorer_to_dict
 from .pipeline import run_backtest, train_scorers
 from .report import ALL_FORMATS, emit_report
 from .synth import generate_synthetic
@@ -41,6 +43,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_COHORT = 3
 EXIT_IO = 4
+EXIT_RUN = 5
 
 
 def _file_digest(path: Path) -> str:
@@ -138,9 +141,7 @@ def cmd_synth(args) -> int:
     panel, truth = generate_synthetic(spec)
     write_records(panel, Path(args.out))
     truth_path = Path(args.truth) if args.truth else Path(args.out).with_suffix(".truth.json")
-    with open(truth_path, "w", encoding="utf-8") as fh:
-        json.dump(truth, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    save_json(truth, truth_path)
     print(f"generated {len(panel)} rows -> {args.out} (truth: {truth_path})")
     return EXIT_OK
 
@@ -240,7 +241,7 @@ def main(argv=None) -> int:
         return EXIT_IO
     except SnapGapError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return EXIT_RUN
 
 
 if __name__ == "__main__":

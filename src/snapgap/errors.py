@@ -2,12 +2,14 @@
 
 Three broad families map onto CLI exit codes: validation problems (bad
 inputs, bad config), cohort problems (not enough usable data to fit or
-evaluate), and I/O problems.
+evaluate), and I/O problems. Every other error is a run that failed on input
+the families accept, such as a dead worker process; it exits with code 5.
 """
 
 
 class SnapGapError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors. CLI exit code 5 outside the three
+    families below."""
 
 
 class ValidationError(SnapGapError):
@@ -61,7 +63,7 @@ class SingleClass(CohortError):
 
 
 class NonConvergence(SnapGapError):
-    pass
+    """A fit did not converge. CLI exit code 5 when it ends the run."""
 
 
 class FeatureMismatch(ValidationError):
@@ -103,7 +105,8 @@ class InsufficientCohort(CohortError):
 
 
 class WorkerDied(SnapGapError):
-    """A worker process running pipeline tasks exited without a result."""
+    """A worker process running pipeline tasks exited without a result. CLI
+    exit code 5."""
 
 
 class InvalidSpec(ValidationError):

@@ -18,7 +18,6 @@ did not flag are "hidden fragility" candidates.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -33,6 +32,7 @@ from .errors import (
     ValidationError,
 )
 from .ingest import Panel
+from .jsonio import save_json
 
 POOLED_KEY = "All"
 UNLABELED = -1
@@ -312,6 +312,4 @@ def write_labeled_panel(panel: LabeledPanel, csv_path, sidecar_path=None) -> Non
             for key in ("poverty_floor", "hi_q", "lo_q", "use_capped_uptake")
         },
     }
-    with open(sidecar_path, "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    save_json(sidecar, sidecar_path)

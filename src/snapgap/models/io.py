@@ -167,12 +167,6 @@ def scorer_from_dict(data: dict) -> CalibratedScorer:
     )
 
 
-def save_json(obj: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def load_json(path) -> dict:
     with open(Path(path), "r", encoding="utf-8") as fh:
         return json.load(fh)

@@ -31,15 +31,19 @@ task function. Where a task runs cannot change a byte: it reads only the
 labeled panels, which workers inherit through fork, it draws only from its
 own keyed streams, and its result comes back by pickle, which keeps every
 float bit and dict order. The results are assembled in plan order, not in
-order of completion.
+order of completion. Each task records its warnings, and they are issued in
+this process in plan order, so they print the same with any worker count.
 """
 from __future__ import annotations
 
 import hashlib
+import io
 import itertools
 import json
 import os
+import sys
 import threading
+import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -67,6 +71,7 @@ from .errors import (
     WorkerDied,
 )
 from .ingest import PREDICTOR_FIELDS, Area, Panel
+from .jsonio import write_json
 from .labeling import (
     UNLABELED,
     LabelConfig,
@@ -218,7 +223,10 @@ class RunManifest:
         return self.body["manifest_digest"]
 
     def to_json(self) -> str:
-        return json.dumps(self.body, sort_keys=True, indent=2) + "\n"
+        text = io.StringIO()
+        write_json(self.body, text)
+        text.write("\n")
+        return text.getvalue()
 
 
 def _model_label(family: str, subset: tuple[str, ...]) -> str:
@@ -379,6 +387,13 @@ def _fit_task(
     return scorer, detail
 
 
+def _flagged_rows(zips: np.ndarray, years: np.ndarray, probs: np.ndarray) -> list[list]:
+    """`[zip, year, probability]` rows, highest probability first, ties by
+    ZIP and then year."""
+    order = np.lexsort((years, zips, -probs))
+    return list(map(list, zip(zips[order].tolist(), years[order].tolist(), probs[order].tolist())))
+
+
 def _evaluate_task(
     cfg: BacktestConfig,
     cohort: str,
@@ -403,15 +418,9 @@ def _evaluate_task(
 
     hits = np.flatnonzero(classify(calibrated, scorer.rule) == 1)
     rows = p2_rows[hits]
-    flagged = sorted(
-        zip(
-            p2_panel.panel.zip[rows].tolist(),
-            p2_panel.panel.year[rows].tolist(),
-            calibrated[hits].tolist(),
-        ),
-        key=lambda t: (-t[2], t[0], t[1]),
+    detail["flagged"] = _flagged_rows(
+        p2_panel.panel.zip[rows], p2_panel.panel.year[rows], calibrated[hits]
     )
-    detail["flagged"] = [[z, yr, p] for z, yr, p in flagged]
 
     importance = permutation_importance(
         scorer.model,
@@ -540,19 +549,45 @@ def _plan_tasks(
     return tasks, cohort_errors
 
 
-def _task_outcome(state: tuple, i: int) -> tuple[CalibratedScorer, dict] | str:
+def _task_outcome(state: tuple, i: int) -> tuple[tuple[CalibratedScorer, dict] | str, list[tuple]]:
     """Task `i` of the plan in `state` = (cfg, tasks, p1_panel, p2_panel): its
     scorer and manifest entry (the fit alone without a test panel), or the
-    message of the `CohortError` or `NonConvergence` that failed it."""
+    message of the `CohortError` or `NonConvergence` that failed it; and
+    every warning it raised, as (message, category, filename, lineno), for
+    `_reissue_warnings`."""
     cfg, tasks, p1_panel, p2_panel = state
     cohort, subset, family, p1_rows, p2_rows, prevalence = tasks[i]
-    try:
-        scorer, detail = _fit_task(cfg, cohort, subset, family, p1_panel, p1_rows, prevalence)
-        if p2_panel is not None:
-            detail = _evaluate_task(cfg, cohort, subset, family, scorer, detail, p2_panel, p2_rows)
-    except (CohortError, NonConvergence) as exc:
-        return str(exc)
-    return scorer, detail
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            scorer, detail = _fit_task(cfg, cohort, subset, family, p1_panel, p1_rows, prevalence)
+            if p2_panel is not None:
+                detail = _evaluate_task(cfg, cohort, subset, family, scorer, detail, p2_panel, p2_rows)
+            outcome = scorer, detail
+        except (CohortError, NonConvergence) as exc:
+            outcome = str(exc)
+    return outcome, [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+
+
+def _reissue_warnings(results: Iterator[tuple]) -> Iterator[tuple[CalibratedScorer, dict] | str]:
+    """The outcome of each `_task_outcome` result, after issuing in this
+    process, under its filters, each of the result's warnings that no earlier
+    result raised. A warning is issued at the file and line that raised it,
+    from the module loaded from that file, once per run, whichever process
+    ran the tasks that raised it."""
+    issued = set()
+    for outcome, caught in results:
+        for warning in caught:
+            if warning not in issued:
+                issued.add(warning)
+                message, category, filename, lineno = warning
+                module = next(
+                    (name for name, mod in list(sys.modules.items())
+                     if getattr(mod, "__file__", None) == filename),
+                    None,
+                )
+                warnings.warn_explicit(message, category, filename, lineno, module=module)
+        yield outcome
 
 
 # Set by `_init_worker` in each worker process, never in the parent.
@@ -564,7 +599,7 @@ def _init_worker(cfg, tasks, p1_panel, p2_panel, running) -> None:
     _worker_state = (cfg, tasks, p1_panel, p2_panel, running)
 
 
-def _worker_task(i: int) -> tuple[CalibratedScorer, dict] | str:
+def _worker_task(i: int) -> tuple:
     """`_task_outcome` of task `i`, with `running[i]` set while it runs, so
     the parent can name the task of a worker that dies."""
     *state, running = _worker_state
@@ -592,7 +627,8 @@ def _task_outcomes(
     p1_panel: LabeledPanel,
     p2_panel: LabeledPanel | None = None,
 ) -> Iterator[tuple[CalibratedScorer, dict] | str]:
-    """Each task's `_task_outcome`, in plan order, as the results arrive.
+    """Each task's outcome, in plan order, as the results arrive, each
+    after its warnings (see `_reissue_warnings`).
 
     Tasks run in a pool of forked workers (see the module docstring), which
     inherit the panels through fork, so only task indices and results are
@@ -603,7 +639,7 @@ def _task_outcomes(
     state = (cfg, tasks, p1_panel, p2_panel)
     workers = _pool_size(len(tasks))
     if workers < 2:
-        yield from map(partial(_task_outcome, state), range(len(tasks)))
+        yield from _reissue_warnings(map(partial(_task_outcome, state), range(len(tasks))))
         return
 
     import multiprocessing
@@ -616,7 +652,7 @@ def _task_outcomes(
         workers, mp_context=context, initializer=_init_worker, initargs=(*state, running)
     ) as pool:
         try:
-            yield from pool.map(_worker_task, range(len(tasks)))
+            yield from _reissue_warnings(pool.map(_worker_task, range(len(tasks))))
         except BrokenProcessPool as exc:
             labels = [
                 f"{cohort}/{_model_label(family, subset)}"

@@ -3,15 +3,26 @@
 Machine formats (JSON, CSV) carry full-precision fractions and agree
 field-for-field; the Markdown tables show percentages scaled by 100 with one
 decimal, with near-zero top-of-list precision shown as a dash.
+
+`manifest.json` goes through `jsonio.save_json`, which streams the text of
+`json.dump(body, fh, sort_keys=True, indent=2)` plus a newline, byte for
+byte, but encodes it with the C JSON encoder: every all-scalar container and
+every list of scalar rows (the flagged `[zip, year, p]` lists) is one
+`json.dumps` call whose separators carry the indentation, and only the mixed
+containers around them are walked in Python. `json.dump` itself encodes
+indented JSON in pure Python, which took most of the report's time on large
+runs. The flagged CSVs hand the manifest's rows to `csv` as they are: `csv`
+writes a float with `repr`, as the other CSVs do explicitly, so every float
+cell reads back to the same bits.
 """
 from __future__ import annotations
 
 import csv
-import json
 import re
 from pathlib import Path
 
 from .errors import IoFailure, ValidationError
+from .jsonio import save_json
 
 FORMAT_JSON = "json"
 FORMAT_CSV = "csv"
@@ -103,7 +114,7 @@ MODEL_CSVS = (
     (
         "flagged",
         ["zip", "year", "calibrated_probability"],
-        lambda detail: ([zcta, year, repr(prob)] for zcta, year, prob in detail["flagged"]),
+        lambda detail: detail["flagged"],
     ),
     (
         "reliability",
@@ -234,9 +245,7 @@ def emit_report(manifest, formats, outdir) -> list[Path]:
         written: list[Path] = []
         if FORMAT_JSON in formats:
             path = outdir / "manifest.json"
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(body, fh, sort_keys=True, indent=2)
-                fh.write("\n")
+            save_json(body, path)
             written.append(path)
         if FORMAT_CSV in formats:
             for name, writer in (

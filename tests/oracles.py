@@ -7,12 +7,15 @@ threshold, poverty rate, uptake and eligibility one record at a time,
 gradients by central differences, tree prediction by walking
 one row at a time down the node tuples, tree growth by sorting each
 candidate feature again at every node, ensembles tree by tree with that
-grower, CSV parsing and dedupe one `Record` at a time.
+grower, CSV parsing and dedupe one `Record` at a time, flagged-row order by
+`sorted` on tuples, and report files through the standard library's
+`json.dump`.
 """
 from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 import re
 from dataclasses import dataclass, replace
@@ -690,3 +693,35 @@ def fit_tree_ensemble_reference(fm, params):
         score += params.learning_rate * tree.predict(X)
         trees.append(tree)
     return tuple(trees), base
+
+
+def flagged_rows_reference(zips, years, probs):
+    """`[zip, year, p]` rows by descending p, then ZIP, then year, through
+    Python's `sorted` on tuples."""
+    rows = sorted(zip(zips, years, probs), key=lambda t: (-t[2], t[0], t[1]))
+    return [[z, yr, p] for z, yr, p in rows]
+
+
+def _report_slug(text):
+    return re.sub(r"[^A-Za-z0-9_.-]+", "_", text).strip("_")
+
+
+def render_report_reference(body, outdir):
+    """`manifest.json` through the standard library's `json.dump`, and one
+    flagged CSV per fitted model with each probability written through
+    `repr`, into `outdir`. Returns the written file names."""
+    names = ["manifest.json"]
+    with open(outdir / "manifest.json", "w", encoding="utf-8") as fh:
+        json.dump(body, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+    for cohort, cdata in sorted(body.get("cohorts", {}).items()):
+        for label, detail in sorted(cdata.get("models", {}).items()):
+            if "error" in detail:
+                continue
+            name = f"flagged_{_report_slug(cohort)}_{_report_slug(label)}.csv"
+            with open(outdir / name, "w", encoding="utf-8", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["zip", "year", "calibrated_probability"])
+                writer.writerows([zcta, year, repr(prob)] for zcta, year, prob in detail["flagged"])
+            names.append(name)
+    return names

@@ -287,6 +287,40 @@ def test_outputs_do_not_depend_on_the_worker_count(tmp_path, small_panel):
     assert sum(p.parts[:2] == ("backtest", "models") for p in outputs[0]) == 6
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity mask here")
+def test_task_warnings_print_the_same_pinned_or_not(tmp_path, small_panel):
+    header, *rows = small_panel.read_text().splitlines()
+    col = header.split(",").index("pct_hs_only")
+    cells = [row.split(",") for row in rows]
+    for row in cells:
+        row[col] = "30.0"
+    panel = tmp_path / "constant_hs_only.csv"
+    panel.write_text("\n".join([header, *map(",".join, cells)]) + "\n")
+    src = str(Path(snapgap.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
+    env.pop("PYTHONWARNINGS", None)
+    run = [
+        *SMALL_RUN,
+        "--set", "feature_subsets=[[pct_hs_only], [pct_no_vehicle, pct_hs_only]]",
+        "--set", "families=[logistic]",
+    ]
+    stderr = []
+    for pinned in (True, False):
+        proc = subprocess.run(
+            [sys.executable, "-c", RUN_CLI, "backtest", "--panel", str(panel), *run,
+             "--out", str(tmp_path / f"pinned-{pinned}")],
+            env=env,
+            preexec_fn=pin_to_one_cpu if pinned else None,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        stderr.append(proc.stderr)
+    assert stderr[0] == stderr[1]
+    assert stderr[0].count("UserWarning: constant feature(s) passed through centered") == 1
+
+
 def run_tasks_in_workers(monkeypatch):
     """Run every task in one of two forked workers; a task run in this
     process fails the test."""
@@ -334,7 +368,7 @@ def test_worker_death_exits_nonzero(tmp_path, small_panel, monkeypatch, capsys):
     monkeypatch.setattr(pipeline, "_task_outcome", die_in_boosting_worker)
     monkeypatch.setattr(pipeline, "_pool_size", lambda n_tasks: min(n_tasks, 2))
     code = main(["train", "--panel", str(small_panel), *SMALL_RUN, "--out", str(tmp_path / "run")])
-    assert code == 2
+    assert code == 5
     err = capsys.readouterr().err
     assert err.startswith("error: a worker process exited abruptly while running ")
     assert "All/gradient_boosting[pct_no_vehicle]" in err

@@ -2,15 +2,18 @@ import dataclasses
 import json
 import os
 import threading
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_record
-from oracles import panel_of, records_of
+from oracles import flagged_rows_reference, panel_of, records_of
 from snapgap import pipeline
 from snapgap.errors import InsufficientCohort, NonConvergence, PeriodsOverlap, WorkerDied
-from snapgap.ingest import Area
+from snapgap.ingest import PREDICTOR_FIELDS, Area
 from snapgap.labeling import LabelConfig
 from snapgap.models import selection
 from snapgap.pipeline import (
@@ -435,3 +438,43 @@ class TestYearlyDiagnostics:
         assert np.mean(prevs[5:]) > np.mean(prevs[:5])
         corr = np.corrcoef(np.arange(10), prevs)[0, 1]
         assert corr > 0.5
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, 40),
+            st.integers(2019, 2023),
+            st.sampled_from([1.0, 0.75, 0.5, 0.25, 0.1 + 0.2, 0.3, 0.0, -0.0]),
+        ),
+        unique_by=lambda t: t[:2],
+        max_size=60,
+    )
+)
+def test_flagged_rows_match_a_sort_on_tuples(rows):
+    zips = [f"{z:05d}" for z, _, _ in rows]
+    years = [yr for _, yr, _ in rows]
+    probs = [p for _, _, p in rows]
+    got = pipeline._flagged_rows(
+        np.array(zips, dtype=object), np.array(years, dtype=np.int64), np.array(probs)
+    )
+    want = flagged_rows_reference(zips, years, probs)
+    assert got == want
+    assert [list(map(type, row)) for row in got] == [[str, int, float]] * len(got)
+    # -0.0 == 0.0, so compare signs too.
+    assert [np.signbit(p) for _, _, p in got] == [np.signbit(p) for _, _, p in want]
+
+
+def test_task_warnings_meet_module_filters(synth_panel, monkeypatch):
+    records, _ = synth_panel
+    predictors = records.predictors.copy()
+    predictors[:, PREDICTOR_FIELDS.index("pct_hs_only")] = 30.0
+    panel = dataclasses.replace(records, predictors=predictors)
+    cfg = fast_cfg(feature_subsets=(("pct_no_vehicle", "pct_hs_only"),))
+    for workers in (1, 2):
+        pool_size(monkeypatch, workers)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("error", category=UserWarning, module=r"snapgap\.models\.matrix\Z")
+            with pytest.raises(UserWarning, match="constant feature"):
+                run_backtest(cfg, panel)

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from oracles import render_report_reference
 from snapgap.pipeline import BacktestConfig, run_backtest
 from snapgap.report import emit_report, render_markdown
 from snapgap.synth import SyntheticSpec, generate_synthetic
@@ -76,6 +77,15 @@ def test_flagged_csv_sorted(manifest, tmp_path):
     for a, b in zip(rows, rows[1:]):
         if a["calibrated_probability"] == b["calibrated_probability"]:
             assert (a["zip"], a["year"]) <= (b["zip"], b["year"])
+
+
+def test_json_and_flagged_csvs_match_the_reference_renderer(manifest, tmp_path):
+    (tmp_path / "ref").mkdir()
+    names = render_report_reference(manifest.body, tmp_path / "ref")
+    emit_report(manifest, ("json", "csv"), tmp_path / "out")
+    assert len(names) == 3
+    for name in names:
+        assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes(), name
 
 
 def test_manifest_json_roundtrip_preserves_digest(manifest, tmp_path):
