@@ -156,7 +156,7 @@ def classify(probabilities: Sequence[float], rule: DecisionRule) -> np.ndarray:
 
 
 def reliability_curve(
-    probabilities: Sequence[float], labels: Sequence[int], bins: int = 10
+    probabilities: Sequence[float], labels: Sequence[int], bins: int
 ) -> list[dict]:
     """Occupied equal-width bins with mean prediction and observed rate."""
     if bins < 1:

@@ -3,10 +3,12 @@
 Subcommands cover the full flow: `ingest` raw CSVs into a validated panel,
 `label` a panel, `train` scorers on the early period, `backtest` end to end,
 `synth` a verification panel, and `report` a saved manifest. A YAML config
-supplies defaults; any key can be overridden with repeated `--set key=value`
-flags (values parsed as YAML). Exit codes: 0 ok, 2 validation error,
-3 insufficient cohort, 4 I/O failure, 5 a run that failed on valid input (a
-worker process died, a fit did not converge).
+supplies settings; any key can be overridden with repeated `--set key=value`
+flags (values parsed as YAML). Every command checks every key first (see
+`config`): an unknown key, or a value of the wrong type, exits 2 before any
+work. Exit codes: 0 ok, 2 validation error, 3 insufficient cohort, 4 I/O
+failure, 5 a run that failed on valid input (a worker process died, a fit
+did not converge).
 """
 from __future__ import annotations
 
@@ -16,14 +18,8 @@ import json
 import sys
 from pathlib import Path
 
-from .config import (
-    apply_overrides,
-    backtest_config_from,
-    label_config_from,
-    load_config,
-    synthetic_spec_from,
-)
-from .errors import CohortError, IoFailure, SnapGapError, ValidationError
+from .config import Settings, apply_overrides, load_config, settings_from
+from .errors import CohortError, DegenerateDesign, IoFailure, SnapGapError, ValidationError
 from .ingest import (
     dedupe,
     designate_all,
@@ -32,7 +28,7 @@ from .ingest import (
     write_records,
     write_rejects,
 )
-from .labeling import build_labels, write_labeled_panel
+from .labeling import build_labels, fit_uptake_ols, write_labeled_panel
 from .jsonio import save_json
 from .models import scorer_to_dict
 from .pipeline import run_backtest, train_scorers
@@ -54,20 +50,19 @@ def _file_digest(path: Path) -> str:
     return h.hexdigest()
 
 
-def _load_merged_config(args) -> dict:
+def _load_merged_config(args) -> Settings:
+    """The settings of `--config`, `--seed` and `--set`, every key checked."""
     config = load_config(args.config) if args.config else {}
     if getattr(args, "seed", None) is not None:
         config["seed"] = args.seed
-    return apply_overrides(config, args.set or [])
+    return settings_from(apply_overrides(config, args.set or []))
 
 
-def _load_panel(config: dict, panel: str, crosswalk: str | None = None):
+def _load_panel(settings: Settings, panel: str, crosswalk: str | None = None):
     """Parse and dedupe a panel CSV, then designate areas from the crosswalk
     when one is given. Returns (panel, rejects, input digests)."""
     panel_path = Path(panel)
-    schema = config.get("schema")  # None: identity headers, optional ones lax
-    delimiter = config.get("delimiter", ",")
-    panel, rejects = parse_panel(panel_path, schema, delimiter=delimiter)
+    panel, rejects = parse_panel(panel_path, **settings.read)
     panel = dedupe(panel)
     digests = {"panel": _file_digest(panel_path)}
     if crosswalk:
@@ -87,8 +82,8 @@ def _write_scorers(scorers: dict, outdir: Path) -> None:
 
 
 def cmd_ingest(args) -> int:
-    config = _load_merged_config(args)
-    panel, rejects, _ = _load_panel(config, args.panel, args.crosswalk)
+    settings = _load_merged_config(args)
+    panel, rejects, _ = _load_panel(settings, args.panel, args.crosswalk)
     write_records(panel, Path(args.out))
     if args.rejects:
         write_rejects(rejects, Path(args.rejects))
@@ -97,10 +92,14 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_label(args) -> int:
-    config = _load_merged_config(args)
-    panel, _, _ = _load_panel(config, args.panel)
-    cfg = label_config_from(config, stratified=config.get("area_mode") == "stratified")
-    labeled = build_labels(panel, cfg)
+    settings = _load_merged_config(args)
+    panel, _, _ = _load_panel(settings, args.panel)
+    cfg = settings.backtest
+    labeled = build_labels(panel, cfg.label, stratify_by_area=cfg.stratified)
+    try:
+        labeled, _ = fit_uptake_ols(labeled)
+    except DegenerateDesign:
+        pass  # the residual column stays blank
     write_labeled_panel(labeled, Path(args.out))
     print(
         f"labeled {len(panel)} rows: {labeled.n_eligible()} eligible, "
@@ -110,10 +109,9 @@ def cmd_label(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config = _load_merged_config(args)
-    cfg = backtest_config_from(config)
-    panel, _, _ = _load_panel(config, args.panel, args.crosswalk)
-    scorers = train_scorers(cfg, panel)
+    settings = _load_merged_config(args)
+    panel, _, _ = _load_panel(settings, args.panel, args.crosswalk)
+    scorers = train_scorers(settings.backtest, panel)
     outdir = Path(args.out)
     _write_scorers(scorers, outdir)
     print(f"wrote {len(scorers)} scorer files -> {outdir}")
@@ -121,10 +119,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_backtest(args) -> int:
-    config = _load_merged_config(args)
-    cfg = backtest_config_from(config)
-    panel, _, digests = _load_panel(config, args.panel, args.crosswalk)
-    manifest = run_backtest(cfg, panel, input_digests=digests)
+    settings = _load_merged_config(args)
+    panel, _, digests = _load_panel(settings, args.panel, args.crosswalk)
+    manifest = run_backtest(settings.backtest, panel, input_digests=digests)
     outdir = Path(args.out)
     formats = args.formats.split(",") if args.formats else list(ALL_FORMATS)
     written = emit_report(manifest, formats, outdir)
@@ -136,9 +133,7 @@ def cmd_backtest(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    config = _load_merged_config(args)
-    spec = synthetic_spec_from(config)
-    panel, truth = generate_synthetic(spec)
+    panel, truth = generate_synthetic(_load_merged_config(args).synth)
     write_records(panel, Path(args.out))
     truth_path = Path(args.truth) if args.truth else Path(args.out).with_suffix(".truth.json")
     save_json(truth, truth_path)
@@ -147,6 +142,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_report(args) -> int:
+    _load_merged_config(args)  # a report takes no setting, but a bad key is still an error
     try:
         with open(Path(args.manifest), "r", encoding="utf-8") as fh:
             body = json.load(fh)
@@ -187,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rejects", help="output reject-report CSV")
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("label", help="build eligibility, thresholds, and the target")
+    p = sub.add_parser("label", help="build eligibility, thresholds, the target and uptake residuals")
     common(p)
     p.add_argument("--panel", required=True, help="validated panel CSV")
     p.add_argument("--out", required=True, help="labeled panel CSV (JSON sidecar beside it)")

@@ -1,15 +1,176 @@
-"""Declarative run configuration: one YAML file, every key CLI-overridable."""
+"""Run settings: one YAML mapping, any key overridable with `--set key=value`.
+
+Each key is a parameter of the code that uses it, and its name, default and
+type are written there, once:
+
+- top level: the fields of `pipeline.BacktestConfig` other than `label`, and
+  the fields of `labeling.LabelConfig` (`poverty_floor`, `hi_q`, `lo_q`,
+  `use_capped_uptake`), the rule that backtests and the synthetic generator
+  both label by;
+- `schema` and `delimiter`: the parameters of those names of
+  `ingest.parse_panel`, which checks their values (known fields, one
+  character) before it reads a panel;
+- `synth.*`: the fields of `synth.SyntheticSpec` other than `seed` (the
+  top-level `seed`) and `label` (the top-level labeling keys);
+- each candidate in `grids.<family>`: the parameters that family's fit takes
+  from a grid, `models.selection.GRID_PARAMETERS`.
+
+Only the keys given are passed on, so a key left out takes the default of
+its dataclass or function. A key that none of these declares is an error,
+and so is a value that is not of the declared type:
+
+- an int is a YAML int, not a bool, a float or a quoted number;
+- a float is a YAML int or float, and is stored as a float;
+- a bool is a YAML bool;
+- a string is a YAML string, and a literal (`feature_subsets: all`) that
+  string;
+- null is allowed where the type allows None (`max_depth: null`);
+- a tuple is a YAML list, and a dict a YAML mapping, of such values;
+- a year pair is a list of two years, `[2014, 2018]`, or a string,
+  `"2014-2018"`.
+
+Every error is a `ValidationError` that names the key, dotted, with list
+positions in brackets (`grids.logistic[0].C`). The CLI builds the settings
+before a command does any work, and exits 2 on one.
+"""
 from __future__ import annotations
 
+from dataclasses import fields
 from pathlib import Path
+from types import NoneType, UnionType
+from typing import Literal, NamedTuple, Union, get_args, get_origin, get_type_hints
 
 import yaml
 
 from .errors import IoFailure, ValidationError
+from .ingest import parse_panel
 from .labeling import LabelConfig
-from .models import FAMILIES
+from .models.selection import GRID_PARAMETERS
 from .pipeline import BacktestConfig
 from .synth import SyntheticSpec
+
+
+class Settings(NamedTuple):
+    """Everything a merged config sets, each part for the code that takes it."""
+
+    backtest: BacktestConfig
+    synth: SyntheticSpec
+    read: dict  # keyword arguments of `ingest.parse_panel`
+
+
+def _declared(cls, *skip: str) -> dict[str, object]:
+    """Name -> type of the fields of dataclass `cls`, but `skip`."""
+    types = get_type_hints(cls)
+    return {f.name: types[f.name] for f in fields(cls) if f.name not in skip}
+
+
+_LABEL_KEYS = _declared(LabelConfig)
+_READ_KEYS = {k: t for k, t in get_type_hints(parse_panel).items() if k in ("schema", "delimiter")}
+_BACKTEST_KEYS = _declared(BacktestConfig, "label")
+_TOP_KEYS = {**_BACKTEST_KEYS, **_LABEL_KEYS, **_READ_KEYS}
+_SYNTH_KEYS = _declared(SyntheticSpec, "seed", "label")
+_YEAR_PAIR = tuple[int, int]
+
+
+def _describe(tp) -> str:
+    if tp is NoneType:
+        return "null"
+    if tp == _YEAR_PAIR:
+        return "a year pair ([2014, 2018] or '2014-2018')"
+    if isinstance(tp, type):
+        return tp.__name__
+    if get_origin(tp) is Literal:
+        return " or ".join(map(repr, get_args(tp)))
+    if get_origin(tp) in (Union, UnionType):
+        return " or ".join(map(_describe, get_args(tp)))
+    return str(tp).replace("tuple", "list")  # a YAML list stands for a tuple
+
+
+def _convert(value, tp, key: str):
+    """`value` as declared type `tp`; a `ValidationError` naming `key` when
+    it is not of that type."""
+    origin, args = get_origin(tp), get_args(tp)
+    if origin in (Union, UnionType):
+        if value is None and NoneType in args:
+            return None
+        options = [option for option in args if option is not NoneType]
+        if len(options) == 1:
+            return _convert(value, options[0], key)
+        for option in options:
+            try:
+                return _convert(value, option, key)
+            except ValidationError:
+                pass
+    elif origin is Literal:
+        if value in args:
+            return value
+    elif tp == _YEAR_PAIR and isinstance(value, str):
+        parts = value.replace("-", " ").split()
+        if len(parts) == 2 and all(p.isascii() and p.isdigit() for p in parts):
+            return int(parts[0]), int(parts[1])
+    elif origin is tuple:
+        if isinstance(value, list):
+            if len(args) == 2 and args[1] is Ellipsis:
+                return tuple(_convert(v, args[0], f"{key}[{i}]") for i, v in enumerate(value))
+            if len(value) == len(args):
+                return tuple(_convert(v, t, f"{key}[{i}]") for i, (v, t) in enumerate(zip(value, args)))
+    elif origin is list:
+        if isinstance(value, list):
+            return [_convert(v, args[0], f"{key}[{i}]") for i, v in enumerate(value)]
+    elif origin is dict:
+        if isinstance(value, dict):
+            return {
+                _convert(k, args[0], key): _convert(v, args[1], f"{key}.{k}")
+                for k, v in value.items()
+            }
+    elif tp is float:
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            return float(value)
+    elif tp is int:
+        if isinstance(value, int) and not isinstance(value, bool):
+            return value
+    elif isinstance(value, tp):  # bool, str, a bare dict
+        return value
+    raise ValidationError(f"{key} must be {_describe(tp)}, got {value!r}")
+
+
+def _checked(declared: dict[str, object], given: dict, prefix: str = "") -> dict:
+    """The `given` keys, each value converted to its declared type."""
+    out = {}
+    for key, value in given.items():
+        if key not in declared:
+            raise ValidationError(f"unknown key {prefix + str(key)!r}")
+        out[key] = _convert(value, declared[key], prefix + key)
+    return out
+
+
+def _checked_grids(grids: dict) -> dict:
+    """Each family's candidates, every key a parameter of the family's fit."""
+    out = {}
+    for family, candidates in grids.items():
+        if family not in GRID_PARAMETERS:
+            raise ValidationError(f"unknown key {'grids.' + family!r}")
+        out[family] = [
+            _checked(GRID_PARAMETERS[family], params, f"grids.{family}[{i}].")
+            for i, params in enumerate(candidates)
+        ]
+    return out
+
+
+def settings_from(config: dict) -> Settings:
+    """The settings of a merged config mapping, every key checked and the
+    backtest settings validated."""
+    given = dict(config)
+    synth = _convert(given.pop("synth", {}), dict, "synth")
+    top = _checked(_TOP_KEYS, given)
+    if top.get("grids") is not None:
+        top["grids"] = _checked_grids(top["grids"])
+    label = LabelConfig(**{k: v for k, v in top.items() if k in _LABEL_KEYS})
+    backtest = BacktestConfig(label=label, **{k: v for k, v in top.items() if k in _BACKTEST_KEYS})
+    backtest.validate()
+    seed = {"seed": top["seed"]} if "seed" in top else {}
+    spec = SyntheticSpec(label=label, **seed, **_checked(_SYNTH_KEYS, synth, "synth."))
+    return Settings(backtest, spec, {k: v for k, v in top.items() if k in _READ_KEYS})
 
 
 def load_config(path) -> dict:
@@ -52,78 +213,3 @@ def apply_overrides(config: dict, overrides: list[str]) -> dict:
             target = nxt
         target[parts[-1]] = value
     return out
-
-
-def _year_pair(value, key: str) -> tuple[int, int]:
-    if isinstance(value, str):
-        parts = value.replace("-", " ").split()
-        if len(parts) != 2:
-            raise ValidationError(f"{key} must be two years, got {value!r}")
-        return int(parts[0]), int(parts[1])
-    try:
-        lo, hi = value
-        return int(lo), int(hi)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{key} must be two years, got {value!r}") from exc
-
-
-def label_config_from(config: dict, stratified: bool = False) -> LabelConfig:
-    return LabelConfig(
-        poverty_floor=float(config.get("poverty_floor", 0.15)),
-        hi_q=float(config.get("hi_q", 0.70)),
-        lo_q=float(config.get("lo_q", 0.10)),
-        stratify_by_area=stratified,
-        use_capped_uptake=bool(config.get("use_capped_uptake", True)),
-    )
-
-
-def backtest_config_from(config: dict) -> BacktestConfig:
-    subsets = config.get("feature_subsets")
-    if subsets in (None, "all"):
-        feature_subsets = None
-    else:
-        feature_subsets = tuple(tuple(s) for s in subsets)
-    families = tuple(config.get("families", FAMILIES))
-    area_mode = config.get("area_mode", "pooled")
-    return BacktestConfig(
-        p1_years=_year_pair(config.get("p1_years", (2014, 2018)), "p1_years"),
-        p2_years=_year_pair(config.get("p2_years", (2019, 2023)), "p2_years"),
-        label=label_config_from(config, stratified=area_mode == "stratified"),
-        feature_subsets=feature_subsets,
-        families=families,
-        grids=config.get("grids"),
-        folds=int(config.get("folds", 5)),
-        seed=int(config.get("seed", 0)),
-        area_mode=area_mode,
-        threshold_mode=config.get("threshold_mode", "refit"),
-        decision=config.get("decision", "prevalence"),
-        selection=config.get("selection", "cv"),
-        hidden_tail=float(config.get("hidden_tail", 0.05)),
-        reliability_bins=int(config.get("reliability_bins", 10)),
-        importance_repeats=int(config.get("importance_repeats", 10)),
-    )
-
-
-def synthetic_spec_from(config: dict) -> SyntheticSpec:
-    synth = config.get("synth", {})
-    target = synth.get("target_prevalence", 0.031)
-    if isinstance(target, (list, tuple)):
-        target = (float(target[0]), float(target[1]))
-    else:
-        target = float(target)
-    spec_kwargs = {
-        "n_zips": int(synth.get("n_zips", 1000)),
-        "years": _year_pair(synth.get("years", (2014, 2023)), "synth.years"),
-        "true_coefficients": {
-            str(k): float(v) for k, v in (synth.get("true_coefficients") or {}).items()
-        },
-        "target_prevalence": target,
-        "anomaly_rate": float(synth.get("anomaly_rate", 0.0)),
-        "seed": int(config.get("seed", synth.get("seed", 0))),
-        "poverty_floor": float(config.get("poverty_floor", 0.15)),
-        "hi_q": float(config.get("hi_q", 0.70)),
-        "lo_q": float(config.get("lo_q", 0.10)),
-    }
-    if synth.get("area_mix"):
-        spec_kwargs["area_mix"] = {str(k): float(v) for k, v in synth["area_mix"].items()}
-    return SyntheticSpec(**spec_kwargs)

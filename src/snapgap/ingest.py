@@ -32,6 +32,7 @@ from .errors import (
     MissingColumn,
     NonNumericZip,
     UnreadableStream,
+    ValidationError,
 )
 
 # Quality flags carried on each record.
@@ -325,9 +326,15 @@ def parse_panel(
     simply be absent. Rows with fewer or more fields than the header and rows
     that cannot be keyed (bad zip or year) are rejected with a reason;
     cleaning of field values never drops a row. Panel rows keep file order.
+    A schema or delimiter that cannot apply raises before the source is read.
     """
+    if len(delimiter) != 1:
+        raise ValidationError(f"delimiter must be one character, got {delimiter!r}")
     identity = schema is None
     schema = dict(DEFAULT_SCHEMA if identity else schema)
+    for key in schema:
+        if key not in DEFAULT_SCHEMA:
+            raise ValidationError(f"schema maps unknown field {key!r}")
     for key in REQUIRED_SCHEMA_KEYS:
         if key not in schema:
             raise MissingColumn(f"schema does not map required field {key!r}")

@@ -19,7 +19,7 @@ did not flag are "hidden fragility" candidates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -40,12 +40,12 @@ UNLABELED = -1
 
 @dataclass(frozen=True)
 class LabelConfig:
-    """Fixed design choices for target construction."""
+    """Fixed design choices for target construction. Whether thresholds are
+    fitted per area is the caller's `stratify_by_area`, not part of the rule."""
 
     poverty_floor: float = 0.15
     hi_q: float = 0.70
     lo_q: float = 0.10
-    stratify_by_area: bool = False
     use_capped_uptake: bool = True  # threshold on min(s, 1); raw s kept for audit
 
     def __post_init__(self):
@@ -126,6 +126,8 @@ def build_labels(
     panel: Panel,
     cfg: LabelConfig,
     thresholds: dict[str, Thresholds] | None = None,
+    *,
+    stratify_by_area: bool = False,
 ) -> LabeledPanel:
     """Compute eligibility, thresholds, and the binary target for one panel.
 
@@ -135,8 +137,9 @@ def build_labels(
     poverty count; zero uptake counts as missing for eligibility.
 
     Pooled mode derives one (tau_hi, tau_lo) pair from all eligible rows;
-    stratified mode recomputes the pair within each area subset (including
-    Unknown, whose rows are labeled descriptively but excluded from fitting).
+    with `stratify_by_area` the pair is recomputed within each area subset
+    (including Unknown, whose rows are labeled descriptively but excluded
+    from fitting).
 
     Supplied `thresholds` (frozen cutpoints, e.g. from the training period)
     replace the fit. Eligible rows whose key has no supplied pair stay
@@ -158,7 +161,7 @@ def build_labels(
     if not eligible.any():
         raise NoEligibleRows("no rows pass the eligibility filters")
     uptake = np.minimum(s_raw, 1.0) if cfg.use_capped_uptake else s_raw
-    keys = panel.area if cfg.stratify_by_area else np.full(n, POOLED_KEY, dtype=object)
+    keys = panel.area if stratify_by_area else np.full(n, POOLED_KEY, dtype=object)
     if thresholds is None:
         thresholds = {}
         for key in np.unique(keys[eligible]).tolist():
@@ -193,7 +196,7 @@ def build_labels(
         thresholds=thresholds,
         prevalence=positives / labeled,
         prevalences=prevalences,
-        stratified=cfg.stratify_by_area,
+        stratified=stratify_by_area,
         config=cfg,
     )
 
@@ -241,22 +244,24 @@ def fit_uptake_ols(panel: LabeledPanel) -> tuple[LabeledPanel, OlsFit]:
     return replace(panel, residual=residual), fit
 
 
-def flag_hidden_fragility(panel: LabeledPanel, fit: OlsFit, k: float = 0.05) -> set[str]:
+def flag_hidden_fragility(panel: LabeledPanel, k: float) -> set[str]:
     """ZIPs in the most-negative k-tail of uptake residuals not already y=1.
 
-    The tail holds floor(k * n) eligible rows ordered by residual ascending
-    (ties by zip, then year, then row order, for determinism). These are
-    idiosyncratic under-uptake candidates the quantile rule missed.
+    The residuals are the column `fit_uptake_ols` attached. The tail holds
+    floor(k * n) eligible rows ordered by residual ascending (ties by zip,
+    then year, then row order, for determinism). These are idiosyncratic
+    under-uptake candidates the quantile rule missed.
     """
     if not 0.0 <= k <= 1.0:
         raise ValidationError(f"tail fraction must be in [0,1], got {k}")
+    if panel.residual is None:
+        raise ValidationError("no residual column: fit_uptake_ols attaches it")
     rows = np.flatnonzero(panel.eligible)
     n_tail = math.floor(k * rows.size)
     if n_tail == 0:
         return set()
     cols = panel.panel
-    residual = cols.snap_fam[rows] - fit.alpha - fit.beta * cols.pov_fam[rows]
-    tail = rows[np.lexsort((cols.year[rows], cols.zip[rows], residual))[:n_tail]]
+    tail = rows[np.lexsort((cols.year[rows], cols.zip[rows], panel.residual[rows]))[:n_tail]]
     return set(cols.zip[tail[panel.y[tail] != 1]].tolist())
 
 
@@ -307,9 +312,6 @@ def write_labeled_panel(panel: LabeledPanel, csv_path, sidecar_path=None) -> Non
         "n_rows": len(cols),
         "n_eligible": panel.n_eligible(),
         "n_positive": panel.n_positive(),
-        "config": {
-            key: getattr(panel.config, key)
-            for key in ("poverty_floor", "hi_q", "lo_q", "use_capped_uptake")
-        },
+        "config": asdict(panel.config),
     }
     save_json(sidecar, sidecar_path)

@@ -157,7 +157,8 @@ def permutation_importance(
     X: np.ndarray,
     labels: Sequence[int],
     metric: str = METRIC_AUC,
-    repeats: int = 10,
+    *,
+    repeats: int,
     seed: int = 0,
 ) -> ImportanceReport:
     """Mean metric drop when one predictor column is shuffled.

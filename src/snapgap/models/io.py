@@ -12,7 +12,6 @@ from ..calibration import (
     DecisionRule,
     IsotonicMap,
     apply_isotonic,
-    classify,
     isotonic_from_dict,
     isotonic_to_dict,
     rule_from_dict,
@@ -42,9 +41,6 @@ class CalibratedScorer:
 
     def predict_calibrated(self, X: np.ndarray) -> np.ndarray:
         return np.asarray(apply_isotonic(self.isotonic, self.model.predict_proba(X)))
-
-    def decide(self, X: np.ndarray) -> np.ndarray:
-        return classify(self.predict_calibrated(X), self.rule)
 
 
 def _nan_to_none(values) -> list:

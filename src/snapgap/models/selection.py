@@ -17,8 +17,9 @@ trees: the same floats, added in the same order, as a fit of k trees.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Sequence
+from dataclasses import dataclass, field, fields, replace
+from inspect import signature
+from typing import Sequence, get_type_hints
 
 import numpy as np
 
@@ -35,6 +36,23 @@ FAMILY_BOOSTING = KIND_BOOSTING
 
 FAMILIES = (FAMILY_LOGISTIC, FAMILY_FOREST, FAMILY_BOOSTING)
 TREE_FAMILIES = (FAMILY_FOREST, FAMILY_BOOSTING)
+
+# The keys a grid candidate of each family may set, with their types: the
+# parameters of the family's fit that the run does not fix itself. Their
+# defaults are those of `fit_logistic` and `EnsembleParams`.
+_ENSEMBLE_TYPES = get_type_hints(EnsembleParams)
+GRID_PARAMETERS: dict[str, dict[str, object]] = {
+    FAMILY_LOGISTIC: {"c": get_type_hints(fit_logistic)["c"]},
+    **dict.fromkeys(
+        TREE_FAMILIES,
+        {
+            f.name: _ENSEMBLE_TYPES[f.name]
+            for f in fields(EnsembleParams)
+            if f.name not in ("kind", "class_weighting", "seed")
+        },
+    ),
+}
+_DEFAULT_C = signature(fit_logistic).parameters["c"].default
 
 # Unlimited depth is paired with a larger leaf floor to bound tree size.
 DEFAULT_GRIDS: dict[str, list[dict]] = {
@@ -77,22 +95,14 @@ def stratified_folds(y: Sequence[int], folds: int, seed: int) -> list[np.ndarray
 
 
 def _ensemble_params(family: str, params: dict, seed: int) -> EnsembleParams:
-    return EnsembleParams(
-        kind=family,
-        n_trees=params.get("n_trees", 100),
-        max_depth=params.get("max_depth"),
-        min_leaf=params.get("min_leaf", 1),
-        learning_rate=params.get("learning_rate", 0.1),
-        max_features=params.get("max_features"),
-        class_weighting=WEIGHTING_BALANCED,
-        seed=seed,
-    )
+    return EnsembleParams(kind=family, class_weighting=WEIGHTING_BALANCED, seed=seed, **params)
 
 
 def fit_family(fm: FeatureMatrix, family: str, params: dict, seed: int):
-    """Dispatch one (family, hyperparameters) fit."""
+    """Dispatch one (family, hyperparameters) fit; `params` holds keys of
+    `GRID_PARAMETERS[family]`, and the fit's own defaults fill the rest."""
     if family == FAMILY_LOGISTIC:
-        return fit_logistic(fm, c=params.get("c", 1.0), weighting=WEIGHTING_BALANCED)
+        return fit_logistic(fm, weighting=WEIGHTING_BALANCED, **params)
     if family in TREE_FAMILIES:
         return fit_tree_ensemble(fm, _ensemble_params(family, params, seed))
     raise ValidationError(f"unknown model family {family!r}")
@@ -101,7 +111,7 @@ def fit_family(fm: FeatureMatrix, family: str, params: dict, seed: int):
 def _simplicity_key(family: str, params: dict) -> tuple:
     """Rank a candidate by the values it is fitted with, defaults included."""
     if family == FAMILY_LOGISTIC:
-        return (params.get("c", 1.0),)
+        return (params.get("c", _DEFAULT_C),)
     ep = _ensemble_params(family, params, seed=0)
     depth_rank = np.inf if ep.max_depth is None else ep.max_depth
     return (ep.n_trees, depth_rank, ep.learning_rate)
@@ -197,7 +207,8 @@ def _grid_proba(
 def cv_grid_search(
     fm: FeatureMatrix,
     grids: dict[str, list[dict]] | None = None,
-    folds: int = 5,
+    *,
+    folds: int,
     seed: int = 0,
 ) -> dict[str, CvGridResult]:
     """Grid search each family with shared stratified folds.

@@ -45,8 +45,9 @@ import sys
 import threading
 import warnings
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import partial
+from typing import Literal
 
 import numpy as np
 
@@ -123,12 +124,26 @@ def all_feature_subsets() -> list[tuple[str, ...]]:
     return out
 
 
+def _plain(value):
+    """`value` as JSON data: dataclasses become dicts of their fields, tuples lists."""
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, dict):
+        return {key: _plain(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value
+
+
 @dataclass(frozen=True)
 class BacktestConfig:
+    """One run's settings. `area_mode` alone decides whether labeling
+    thresholds, and cohorts, are per area."""
+
     p1_years: tuple[int, int] = (2014, 2018)
     p2_years: tuple[int, int] = (2019, 2023)
     label: LabelConfig = field(default_factory=LabelConfig)
-    feature_subsets: tuple[tuple[str, ...], ...] | None = None  # None: all 15
+    feature_subsets: tuple[tuple[str, ...], ...] | Literal["all"] | None = None  # None, "all": all 15
     families: tuple[str, ...] = FAMILIES
     grids: dict[str, list[dict]] | None = None  # None: defaults per family
     folds: int = 5
@@ -157,6 +172,8 @@ class BacktestConfig:
         for fam in self.families:
             if fam not in FAMILIES:
                 raise ValidationError(f"unknown family {fam!r}")
+            if self.grids is not None and not self.grids.get(fam):
+                raise ValidationError(f"grids has no candidate for family {fam!r}")
         for subset in self.subsets():
             for name in subset:
                 if name not in PREDICTOR_FIELDS:
@@ -170,8 +187,12 @@ class BacktestConfig:
         if self.selection not in (SELECTION_CV, SELECTION_SPLIT):
             raise ValidationError(f"unknown selection protocol {self.selection!r}")
 
+    @property
+    def stratified(self) -> bool:
+        return self.area_mode == AREA_MODE_STRATIFIED
+
     def subsets(self) -> list[tuple[str, ...]]:
-        if self.feature_subsets is None:
+        if self.feature_subsets in (None, "all"):
             return all_feature_subsets()
         return [tuple(s) for s in self.feature_subsets]
 
@@ -180,29 +201,11 @@ class BacktestConfig:
         return {fam: grids[fam] for fam in self.families}
 
     def to_dict(self) -> dict:
-        return {
-            "p1_years": list(self.p1_years),
-            "p2_years": list(self.p2_years),
-            "label": {
-                "poverty_floor": self.label.poverty_floor,
-                "hi_q": self.label.hi_q,
-                "lo_q": self.label.lo_q,
-                "stratify_by_area": self.area_mode == AREA_MODE_STRATIFIED,
-                "use_capped_uptake": self.label.use_capped_uptake,
-            },
-            "feature_subsets": [list(s) for s in self.subsets()],
-            "families": list(self.families),
-            "grids": self.family_grids(),
-            "folds": self.folds,
-            "seed": self.seed,
-            "area_mode": self.area_mode,
-            "threshold_mode": self.threshold_mode,
-            "decision": self.decision,
-            "selection": self.selection,
-            "hidden_tail": self.hidden_tail,
-            "reliability_bins": self.reliability_bins,
-            "importance_repeats": self.importance_repeats,
-        }
+        """The fields as JSON data, with the subsets and grids the run uses
+        written out, and the labeling's stratification beside its rule."""
+        out = _plain(replace(self, feature_subsets=self.subsets(), grids=self.family_grids()))
+        out["label"]["stratify_by_area"] = self.stratified
+        return out
 
 
 def canonical_json(obj) -> str:
@@ -453,20 +456,21 @@ def _hidden_fragility_entry(panel: LabeledPanel, tail: float) -> dict:
         with_resid, fit = fit_uptake_ols(panel)
     except DegenerateDesign as exc:  # too few count pairs, or all x identical
         return {"error": str(exc)}
-    zips = flag_hidden_fragility(with_resid, fit, tail)
+    zips = flag_hidden_fragility(with_resid, tail)
     return {
         "ols": {"alpha": fit.alpha, "beta": fit.beta, "r2": fit.r2},
         "zips": sorted(zips),
     }
 
 
-def _fragile_distribution(period: Panel, label_cfg_base: LabelConfig) -> dict:
+def _fragile_distribution(period: Panel, cfg: BacktestConfig) -> dict:
     """Share of fragile rows by area for the bottom-10% and bottom-30% rules."""
     out: dict[str, dict] = {}
     for lo_q in (0.10, 0.30):
-        label_cfg = replace(label_cfg_base, lo_q=lo_q)
         try:
-            panel = build_labels(period, label_cfg)
+            panel = build_labels(
+                period, replace(cfg.label, lo_q=lo_q), stratify_by_area=cfg.stratified
+            )
         except CohortError as exc:
             out[f"{lo_q:.2f}"] = {"error": str(exc)}
             continue
@@ -487,13 +491,12 @@ def run_yearly_diagnostics(cfg: BacktestConfig, panel: Panel) -> list[dict]:
     years = list(range(cfg.p1_years[0], cfg.p1_years[1] + 1)) + list(
         range(cfg.p2_years[0], cfg.p2_years[1] + 1)
     )
-    pooled_cfg = replace(cfg.label, stratify_by_area=False)
     table = []
     for year in years:
         year_rows = panel.take(panel.year == year)
         entry: dict = {"year": year, "n_rows": len(year_rows)}
         try:
-            labeled = build_labels(year_rows, pooled_cfg)  # raises on an empty year too
+            labeled = build_labels(year_rows, cfg.label)  # pooled; raises on an empty year too
         except CohortError:
             entry.update(
                 {"n_eligible": 0, "tau_hi": None, "tau_lo": None, "prevalence": None, "anomaly_rows": 0}
@@ -512,12 +515,8 @@ def run_yearly_diagnostics(cfg: BacktestConfig, panel: Panel) -> list[dict]:
     return table
 
 
-def _label_config(cfg: BacktestConfig) -> LabelConfig:
-    return replace(cfg.label, stratify_by_area=cfg.area_mode == AREA_MODE_STRATIFIED)
-
-
 def _cohorts(cfg: BacktestConfig) -> list[str]:
-    if cfg.area_mode == AREA_MODE_STRATIFIED:
+    if cfg.stratified:
         return [a.value for a in MODELED_AREAS]
     return [POOLED_COHORT]
 
@@ -672,7 +671,7 @@ def train_scorers(cfg: BacktestConfig, panel: Panel) -> dict[tuple[str, str], Ca
     p1 = _rows_in_years(panel, cfg.p1_years)
     if not len(p1):
         raise InsufficientCohort(f"no rows in training years {cfg.p1_years}")
-    p1_panel = build_labels(p1, _label_config(cfg))
+    p1_panel = build_labels(p1, cfg.label, stratify_by_area=cfg.stratified)
     tasks, cohort_errors = _plan_tasks(cfg, p1_panel)
 
     scorers: dict[tuple[str, str], CalibratedScorer] = {}
@@ -696,7 +695,6 @@ def run_backtest(
 ) -> RunManifest:
     """Full train-on-P1 / evaluate-on-P2 run producing a reproducible manifest."""
     cfg.validate()
-    label_cfg = _label_config(cfg)
 
     p1 = _rows_in_years(panel, cfg.p1_years)
     p2 = _rows_in_years(panel, cfg.p2_years)
@@ -705,9 +703,9 @@ def run_backtest(
             f"panel must cover both periods: {len(p1)} training rows, {len(p2)} test rows"
         )
 
-    p1_panel = build_labels(p1, label_cfg)
+    p1_panel = build_labels(p1, cfg.label, stratify_by_area=cfg.stratified)
     frozen = p1_panel.thresholds if cfg.threshold_mode == THRESHOLD_FROZEN else None
-    p2_panel = build_labels(p2, label_cfg, frozen)
+    p2_panel = build_labels(p2, cfg.label, frozen, stratify_by_area=cfg.stratified)
     tasks, cohort_errors = _plan_tasks(cfg, p1_panel, p2_panel)
 
     scorers: dict[tuple[str, str], CalibratedScorer] = {}
@@ -749,8 +747,8 @@ def run_backtest(
             "p2": _hidden_fragility_entry(p2_panel, cfg.hidden_tail),
         },
         "fragile_distribution": {
-            "p1": _fragile_distribution(p1, label_cfg),
-            "p2": _fragile_distribution(p2, label_cfg),
+            "p1": _fragile_distribution(p1, cfg),
+            "p2": _fragile_distribution(p2, cfg),
         },
         "yearly": run_yearly_diagnostics(cfg, panel),
     }

@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import InvalidSpec
 from .ingest import FLAG_SNAP_EXCEEDS_POVERTY, PREDICTOR_FIELDS, Area, Panel
+from .labeling import LabelConfig
 from .models.logistic import sigmoid
 from .rng import STREAM_SYNTH, derive_rng
 
@@ -45,7 +46,7 @@ UPTAKE_LO, UPTAKE_HI = 0.02, 1.0
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    n_zips: int
+    n_zips: int = 1000
     years: tuple[int, int] = (2014, 2023)
     area_mix: dict[str, float] = field(
         default_factory=lambda: {"Urban": 0.30, "Rural": 0.50, "Mixed": 0.10, "Unknown": 0.10}
@@ -54,9 +55,7 @@ class SyntheticSpec:
     target_prevalence: float | tuple[float, float] = 0.031  # constant or (start, end) drift
     anomaly_rate: float = 0.0
     seed: int = 0
-    poverty_floor: float = 0.15
-    hi_q: float = 0.70
-    lo_q: float = 0.10
+    label: LabelConfig = field(default_factory=LabelConfig)  # the rule the targets are met under
 
     def validate(self) -> None:
         if not 1 <= self.n_zips <= 99999:
@@ -74,10 +73,10 @@ class SyntheticSpec:
         for t in self._targets():
             if not 0.0 < t < 1.0:
                 raise InvalidSpec(f"target prevalence must be in (0,1), got {t}")
-            if t >= self.lo_q:
+            if t >= self.label.lo_q:
                 raise InvalidSpec(
                     f"target prevalence {t} is unreachable: the fragile set lives inside "
-                    f"the bottom-{self.lo_q:.0%} uptake tail"
+                    f"the bottom-{self.label.lo_q:.0%} uptake tail"
                 )
         if not 0.0 <= self.anomaly_rate < 1.0:
             raise InvalidSpec(f"anomaly_rate must be in [0,1), got {self.anomaly_rate}")
@@ -113,13 +112,14 @@ def _label_directly(
     with np.errstate(divide="ignore", invalid="ignore"):
         p = pov / universe
         s = np.where(pov > 0, snap / np.maximum(pov, 1), np.nan)
-    eligible = (pov > 0) & (p >= spec.poverty_floor) & (p > 0) & (s > 0) & np.isfinite(s)
+    rule = spec.label
+    eligible = (pov > 0) & (p >= rule.poverty_floor) & (p > 0) & (s > 0) & np.isfinite(s)
     fragile = np.zeros(len(pov), dtype=bool)
     if eligible.sum() == 0:
         return eligible, fragile
     s_cap = np.minimum(s, 1.0)
-    tau_hi = np.quantile(p[eligible], spec.hi_q, method="linear")
-    tau_lo = np.quantile(s_cap[eligible], spec.lo_q, method="linear")
+    tau_hi = np.quantile(p[eligible], rule.hi_q, method="linear")
+    tau_lo = np.quantile(s_cap[eligible], rule.lo_q, method="linear")
     fragile = eligible & (p >= tau_hi) & (s_cap <= tau_lo)
     return eligible, fragile
 

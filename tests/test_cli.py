@@ -1,15 +1,24 @@
+import csv
 import json
+import math
 import os
 import subprocess
 import sys
+from operator import attrgetter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import snapgap
 from snapgap import pipeline
 from snapgap.cli import main
+from snapgap.config import apply_overrides, settings_from
 from snapgap.errors import SingleClass
+from snapgap.ingest import PREDICTOR_FIELDS, parse_panel
+from snapgap.labeling import LabelConfig, build_labels, fit_uptake_ols
+from snapgap.models import FAMILIES, load_json, scorer_from_dict
+from snapgap.pipeline import train_scorers
 
 PANEL_CSV = """zip,year,pov_fam,snap_fam,fam_universe,pct_no_vehicle,pct_no_internet,pct_no_computer,pct_hs_only
 01001,2015,120,60,400,12.0,15.0,9.0,30.0
@@ -95,6 +104,27 @@ def test_label_sidecar_records_the_rule(tmp_path):
     assert json.loads(sidecars["raw"])["config"]["use_capped_uptake"] is False
 
 
+def test_label_writes_the_uptake_residuals(tmp_path):
+    panel = tmp_path / "synth.csv"
+    assert main(["synth", "--seed", "3", "--out", str(panel), "--set", "synth.n_zips=200"]) == 0
+    out = tmp_path / "labeled.csv"
+    assert main(["label", "--panel", str(panel), "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        written = [row["residual"] for row in csv.DictReader(fh)]
+    labeled, _ = fit_uptake_ols(build_labels(parse_panel(panel)[0], LabelConfig()))
+    assert written == ["" if math.isnan(r) else repr(r) for r in labeled.residual.tolist()]
+    assert written.count("") == len(written) - labeled.n_eligible() > 0
+
+
+def test_label_leaves_the_residuals_blank_without_a_fit(tmp_path):
+    panel = tmp_path / "one.csv"
+    panel.write_text(PANEL_CSV.splitlines()[0] + "\n" + PANEL_CSV.splitlines()[1] + "\n")
+    out = tmp_path / "labeled.csv"
+    assert main(["label", "--panel", str(panel), "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        assert [row["residual"] for row in csv.DictReader(fh)] == [""]
+
+
 def test_synth_backtest_report_flow(tmp_path):
     panel = tmp_path / "synth.csv"
     code = main(
@@ -167,6 +197,30 @@ def test_train_writes_scorer_files(tmp_path):
     assert doc["format"] == "snapgap-model/1"
     assert doc["model"]["family"] == "logistic"
     assert "calibration" in doc and "rule" in doc
+
+
+def test_scorer_files_read_back_to_the_same_predictions(tmp_path, small_panel):
+    run = [*SMALL_RUN, "--set", "grids.gradient_boosting=[{n_trees: 5, max_depth: 2, learning_rate: 0.3}]"]
+    outdir = tmp_path / "models"
+    assert main(["train", "--panel", str(small_panel), "--out", str(outdir), *run]) == 0
+    settings = settings_from(apply_overrides({"seed": 6}, run[3::2]))
+    panel = parse_panel(small_panel)[0]
+    scorers = train_scorers(settings.backtest, panel)
+    X = panel.predictors[~np.isnan(panel.predictors).any(axis=1)]
+    files = sorted(outdir.iterdir())
+    assert len(files) == len(scorers) == 6
+    families = set()
+    for path in files:
+        loaded = scorer_from_dict(load_json(path))
+        family = load_json(path)["model"]["family"]
+        families.add(family)
+        names = loaded.feature_names
+        scorer = scorers[("All", f"{family}[{'+'.join(names)}]")]
+        cols = [PREDICTOR_FIELDS.index(name) for name in names]
+        for predict in ("predict_calibrated", "model.predict_proba"):
+            got, want = (attrgetter(predict)(s)(X[:, cols]) for s in (loaded, scorer))
+            assert got.tobytes() == want.tobytes()
+    assert families == set(FAMILIES)
 
 
 def test_train_and_backtest_models_write_identical_scorers(tmp_path):

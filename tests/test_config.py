@@ -1,0 +1,140 @@
+import json
+from pathlib import Path
+
+import pytest
+
+from snapgap.cli import main
+from snapgap.config import apply_overrides, load_config, settings_from
+from snapgap.errors import ValidationError
+from snapgap.labeling import LabelConfig
+from snapgap.pipeline import BacktestConfig, all_feature_subsets
+from snapgap.synth import SyntheticSpec
+
+WORKLOADS = sorted((Path(__file__).resolve().parents[1] / "bench" / "workloads").glob("*.yaml"))
+
+
+def test_no_keys_give_the_dataclass_defaults():
+    settings = settings_from({})
+    assert settings.backtest == BacktestConfig()
+    assert settings.synth == SyntheticSpec()
+    assert settings.read == {}
+
+
+def test_only_the_given_keys_leave_their_defaults():
+    settings = settings_from({"folds": 3, "lo_q": 0.2, "seed": 7, "synth": {"n_zips": 50}})
+    label = LabelConfig(lo_q=0.2)
+    assert settings.backtest == BacktestConfig(folds=3, seed=7, label=label)
+    assert settings.synth == SyntheticSpec(n_zips=50, seed=7, label=label)
+
+
+def test_floats_take_ints_and_store_floats():
+    settings = settings_from(
+        {"hidden_tail": 0, "families": ["logistic"], "grids": {"logistic": [{"c": 1}]}}
+    )
+    assert type(settings.backtest.hidden_tail) is float
+    assert settings.backtest.grids == {"logistic": [{"c": 1.0}]}
+    assert type(settings.backtest.grids["logistic"][0]["c"]) is float
+
+
+@pytest.mark.parametrize("value", [[2014, 2017], "2014-2017", "2014 2017"])
+def test_year_pairs_take_a_list_or_a_string(value):
+    assert settings_from({"p1_years": value}).backtest.p1_years == (2014, 2017)
+
+
+def test_feature_subsets_all_means_every_subset():
+    assert settings_from({"feature_subsets": "all"}).backtest.subsets() == all_feature_subsets()
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"importance_repeat": 5}, "unknown key 'importance_repeat'"),
+        ({"stratify_by_area": True}, "unknown key 'stratify_by_area'"),
+        ({"synth": {"seed": 1}}, "unknown key 'synth.seed'"),
+        ({"folds": True}, "folds must be int, got True"),
+        ({"folds": "5"}, "folds must be int, got '5'"),
+        ({"hidden_tail": False}, "hidden_tail must be float, got False"),
+        ({"families": "logistic"}, "families must be list[str, ...], got 'logistic'"),
+        ({"p1_years": [2014]}, "p1_years must be a year pair"),
+        ({"p1_years": [2014, "x"]}, "p1_years[1] must be int, got 'x'"),
+        ({"synth": {"area_mix": {"Urban": "half"}}}, "synth.area_mix.Urban must be float"),
+        ({"grids": {"lasso": [{"c": 1.0}]}}, "unknown key 'grids.lasso'"),
+        ({"grids": {"random_forest": [{"c": 1.0}]}}, "unknown key 'grids.random_forest[0].c'"),
+        ({"grids": {"logistic": [{"c": 1.0}]}}, "grids has no candidate for family 'random_forest'"),
+        (
+            {"grids": {"gradient_boosting": [{"n_trees": 10}, {"n_trees": 2.5}]}},
+            "grids.gradient_boosting[1].n_trees must be int, got 2.5",
+        ),
+    ],
+)
+def test_rejects_unknown_keys_and_wrong_types(config, message):
+    with pytest.raises(ValidationError) as exc:
+        settings_from(config)
+    assert message in str(exc.value)
+
+
+@pytest.mark.parametrize("path", WORKLOADS, ids=lambda p: p.stem)
+def test_benchmark_workloads_load_unedited(path):
+    settings = settings_from(apply_overrides(load_config(path), ["seed=1"]))
+    assert settings.synth.seed == settings.backtest.seed == 1
+    assert settings.synth.n_zips > 0
+
+
+@pytest.fixture(scope="module")
+def panel(tmp_path_factory):
+    path = tmp_path_factory.mktemp("config") / "panel.csv"
+    assert main(["synth", "--seed", "2", "--out", str(path), "--set", "synth.n_zips=20"]) == 0
+    return str(path)
+
+
+# Each of these ran without an error, read a value other than the one
+# given, or ended in a traceback, before every key was checked.
+DEFECTS = [
+    ("ingest", ["--set", "importance_repeat=5"], "importance_repeat"),
+    ("synth", ["--set", "synth.n_zip=50"], "synth.n_zip"),
+    ("ingest", ["--set", "folds=5.7"], "folds"),
+    ("ingest", ["--set", "use_capped_uptake='no'"], "use_capped_uptake"),
+    ("label", ["--set", "area_mode=Stratified"], "area_mode"),
+    ("backtest", ["--set", "grids={logistic: [{C: 0.01}]}", "--set", "families=[logistic]"],
+     "grids.logistic[0].C"),
+    ("ingest", ["--set", "folds=abc"], "folds"),
+    ("ingest", ["--set", "feature_subsets=3"], "feature_subsets"),
+    ("ingest", ["--set", "grids=[1]"], "grids"),
+    ("ingest", ["--set", "hidden_tail=x"], "hidden_tail"),
+    ("synth", ["--set", "synth=5"], "synth"),
+    ("ingest", ["--set", "schema=5"], "schema"),
+    ("ingest", ["--set", "delimiter=';;'"], "delimiter"),
+    ("ingest", ["--set", "families=logistic"], "families"),
+]
+
+
+def _args(command, panel, out):
+    if command == "synth":
+        return ["synth", "--seed", "1", "--out", str(out / "panel.csv")]
+    return [command, "--seed", "1", "--panel", panel, "--out", str(out / "out.csv")]
+
+
+@pytest.mark.parametrize("command, extra, key", DEFECTS, ids=[d[2] for d in DEFECTS])
+def test_each_defect_exits_2_naming_its_key(tmp_path, capsys, panel, command, extra, key):
+    assert main(_args(command, panel, tmp_path) + extra) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and key in err[0]
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["ingest", "label", "train", "backtest", "synth", "report"])
+def test_every_command_checks_keys_before_any_work(tmp_path, capsys, command):
+    missing = str(tmp_path / "missing")
+    args = {
+        "synth": ["synth", "--seed", "1", "--out", str(tmp_path / "p.csv")],
+        "report": ["report", "--manifest", missing, "--out", str(tmp_path / "r")],
+    }.get(command, [command, "--seed", "1", "--panel", missing, "--out", str(tmp_path / "o")])
+    assert main(args + ["--set", "importance_repeat=5"]) == 2
+    assert capsys.readouterr().err == "error: unknown key 'importance_repeat'\n"
+    assert not any(tmp_path.iterdir())
+
+
+def test_area_mode_decides_how_label_stratifies(tmp_path, panel):
+    out = tmp_path / "labeled.csv"
+    assert main(["label", "--panel", panel, "--out", str(out), "--set", "area_mode=stratified"]) == 0
+    assert json.loads(out.with_suffix(".json").read_text())["stratified"] is True

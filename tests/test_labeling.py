@@ -120,8 +120,8 @@ class TestQuantile:
             assert results == sorted(results)
 
 
-def brute_force_check(records, cfg):
-    panel = build_labels(panel_of(records), cfg)
+def brute_force_check(records, cfg, stratified=False):
+    panel = build_labels(panel_of(records), cfg, stratify_by_area=stratified)
     rows = [
         {
             "p": p,
@@ -144,7 +144,7 @@ def brute_force_check(records, cfg):
         poverty_floor=cfg.poverty_floor,
         hi_q=cfg.hi_q,
         lo_q=cfg.lo_q,
-        by_area=cfg.stratify_by_area,
+        by_area=stratified,
     )
     got = labels(panel)
     assert got == expected
@@ -184,17 +184,17 @@ class TestBuildLabels:
             brute_force_check(records, cfg)
 
     def test_matches_bruteforce_stratified(self, rng):
-        cfg = LabelConfig(stratify_by_area=True)
+        cfg = LabelConfig()
         for _ in range(30):
             records = random_records(rng, int(rng.integers(8, 51)))
             try:
-                brute_force_check(records, cfg)
+                brute_force_check(records, cfg, stratified=True)
             except NoEligibleRows:
                 pass
 
     def test_stratified_partition(self, rng):
         records = random_records(rng, 400)
-        panel = build_labels(panel_of(records), LabelConfig(stratify_by_area=True))
+        panel = build_labels(panel_of(records), LabelConfig(), stratify_by_area=True)
         for i in np.flatnonzero(panel.eligible):
             key = panel.panel.area[i]
             assert key in panel.thresholds
@@ -229,9 +229,11 @@ class TestBuildLabels:
     @pytest.mark.parametrize("stratified", [False, True])
     def test_own_thresholds_reproduce_the_panel(self, rng, stratified):
         records = random_records(rng, 400)
-        cfg = LabelConfig(stratify_by_area=stratified)
-        fitted = build_labels(panel_of(records), cfg)
-        relabeled = build_labels(panel_of(records), cfg, thresholds=fitted.thresholds)
+        cfg = LabelConfig()
+        fitted = build_labels(panel_of(records), cfg, stratify_by_area=stratified)
+        relabeled = build_labels(
+            panel_of(records), cfg, thresholds=fitted.thresholds, stratify_by_area=stratified
+        )
         for column in ("p", "s_raw", "eligible", "y"):
             assert np.array_equal(
                 getattr(relabeled, column), getattr(fitted, column), equal_nan=column != "y"
@@ -240,11 +242,12 @@ class TestBuildLabels:
         assert relabeled.prevalences == fitted.prevalences
 
     def test_frozen_thresholds_missing_an_area(self, rng):
-        cfg = LabelConfig(stratify_by_area=True)
-        frozen = dict(build_labels(random_panel(rng, 400, year=2015), cfg).thresholds)
+        cfg = LabelConfig()
+        fitted = build_labels(random_panel(rng, 400, year=2015), cfg, stratify_by_area=True)
+        frozen = dict(fitted.thresholds)
         del frozen[Area.RURAL.value]
         records = random_records(rng, 400, year=2020)
-        panel = build_labels(panel_of(records), cfg, thresholds=frozen)
+        panel = build_labels(panel_of(records), cfg, thresholds=frozen, stratify_by_area=True)
         is_rural = panel.panel.area == Area.RURAL.value
         rural = np.flatnonzero(panel.eligible & is_rural)
         others = np.flatnonzero(panel.eligible & ~is_rural)
@@ -304,7 +307,7 @@ class TestRowWiseReference:
     )
     def test_columns_match_reference(self, stratified, capped, records, quantiles, frozen, data):
         lo_q, hi_q = quantiles
-        cfg = LabelConfig(hi_q=hi_q, lo_q=lo_q, stratify_by_area=stratified, use_capped_uptake=capped)
+        cfg = LabelConfig(hi_q=hi_q, lo_q=lo_q, use_capped_uptake=capped)
         thresholds = oracle_thresholds = None
         if frozen:
             keys = [a.value for a in Area] if stratified else ["All"]
@@ -326,9 +329,9 @@ class TestRowWiseReference:
         )
         if all(y is None for y in expected):
             with pytest.raises(NoEligibleRows):
-                build_labels(panel_of(records), cfg, thresholds)
+                build_labels(panel_of(records), cfg, thresholds, stratify_by_area=stratified)
             return
-        panel = build_labels(panel_of(records), cfg, thresholds)
+        panel = build_labels(panel_of(records), cfg, thresholds, stratify_by_area=stratified)
 
         def column(key):
             return np.array([np.nan if r[key] is None else r[key] for r in rows], dtype=float)
@@ -389,7 +392,7 @@ class TestHiddenFragility:
     def _panel(self, rng, n=100):
         records = random_records(rng, n)
         panel = build_labels(panel_of(records), LabelConfig())
-        return fit_uptake_ols(panel)
+        return fit_uptake_ols(panel)[0]
 
     @staticmethod
     def _by_residual(panel):
@@ -401,16 +404,16 @@ class TestHiddenFragility:
         )
 
     def test_zero_tail_empty(self, rng):
-        panel, fit = self._panel(rng)
-        assert flag_hidden_fragility(panel, fit, 0.0) == set()
+        panel = self._panel(rng)
+        assert flag_hidden_fragility(panel, 0.0) == set()
 
     def test_no_disagreement_is_empty(self, rng):
-        panel, fit = self._panel(rng)
+        panel = self._panel(rng)
         scored = self._by_residual(panel)
         k = 0.10
         n_tail = math.floor(k * len(scored))
         if all(panel.y[i] == 1 for i in scored[:n_tail]):
-            assert flag_hidden_fragility(panel, fit, k) == set()
+            assert flag_hidden_fragility(panel, k) == set()
 
     def test_planted_mid_poverty_under_enrollment(self):
         # Mid-poverty rows cannot clear tau_hi, so a deep uptake shortfall
@@ -437,8 +440,8 @@ class TestHiddenFragility:
         panel = build_labels(panel_of(records), LabelConfig())
         planted = panel.panel.zip.tolist().index("88888")
         assert panel.y[planted] == 0  # below tau_hi, not caught by the quantile rule
-        panel, fit = fit_uptake_ols(panel)
-        flagged = flag_hidden_fragility(panel, fit, 0.05)
+        panel, _ = fit_uptake_ols(panel)
+        flagged = flag_hidden_fragility(panel, 0.05)
         assert "88888" in flagged
 
     def test_residual_ties_break_by_zip_then_year(self):
@@ -454,15 +457,15 @@ class TestHiddenFragility:
             records.append(
                 make_record(zip=zip_code, year=year, pov_fam=300.0, snap_fam=150.0, fam_universe=1000.0)
             )
-        panel, fit = fit_uptake_ols(build_labels(panel_of(records), LabelConfig()))
+        panel, _ = fit_uptake_ols(build_labels(panel_of(records), LabelConfig()))
         tied = panel.residual[-4:]
         assert (tied == tied[0]).all() and tied[0] == panel.residual.min()
         assert (panel.y[-4:] == 0).all()
-        assert flag_hidden_fragility(panel, fit, 2.5 / len(records)) == {"00001", "00002"}
+        assert flag_hidden_fragility(panel, 2.5 / len(records)) == {"00001", "00002"}
 
     def test_flagged_rows_never_y1(self, rng):
-        panel, fit = self._panel(rng, n=200)
-        flagged = flag_hidden_fragility(panel, fit, 0.2)
+        panel = self._panel(rng, n=200)
+        flagged = flag_hidden_fragility(panel, 0.2)
         # a zip flagged here had a non-fragile deep-residual row; it may still
         # have a fragile row in another year, so compare per-row via the rule
         scored = self._by_residual(panel)

@@ -64,6 +64,33 @@ class TestGuards:
         with pytest.raises(PeriodsOverlap):
             BacktestConfig(p1_years=(2019, 2023), p2_years=(2014, 2018)).validate()
 
+    def test_config_dict_holds_every_setting_in_manifest_form(self):
+        cfg = fast_cfg(area_mode="stratified", label=LabelConfig(lo_q=0.2, use_capped_uptake=False))
+        assert cfg.to_dict() == {
+            "p1_years": [2014, 2018],
+            "p2_years": [2019, 2023],
+            "label": {
+                "poverty_floor": 0.15,
+                "hi_q": 0.70,
+                "lo_q": 0.2,
+                "stratify_by_area": True,
+                "use_capped_uptake": False,
+            },
+            "feature_subsets": [["pct_no_vehicle"], ["pct_no_vehicle", "pct_hs_only"]],
+            "families": ["logistic"],
+            "grids": {"logistic": [{"c": 1.0}]},
+            "folds": 3,
+            "seed": 123,
+            "area_mode": "stratified",
+            "threshold_mode": "refit",
+            "decision": "prevalence",
+            "selection": "cv",
+            "hidden_tail": 0.05,
+            "reliability_bins": 10,
+            "importance_repeats": 2,
+        }
+        assert BacktestConfig().to_dict()["feature_subsets"] == [list(s) for s in all_feature_subsets()]
+
     def test_all_subsets_enumerated(self):
         subsets = all_feature_subsets()
         assert len(subsets) == 15
