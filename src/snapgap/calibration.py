@@ -180,34 +180,3 @@ def reliability_curve(
         )
     return rows
 
-
-def isotonic_to_dict(iso: IsotonicMap) -> dict:
-    return {
-        "scores": [float(v) for v in iso.scores],
-        "values": [float(v) for v in iso.values],
-        "fitted_on": iso.fitted_on,
-    }
-
-
-def isotonic_from_dict(data: dict) -> IsotonicMap:
-    return IsotonicMap(
-        scores=np.asarray(data["scores"], dtype=float),
-        values=np.asarray(data["values"], dtype=float),
-        fitted_on=int(data["fitted_on"]),
-    )
-
-
-def rule_to_dict(rule: DecisionRule) -> dict:
-    return {
-        "policy": rule.policy,
-        "threshold": rule.threshold,
-        "source_prevalence": rule.source_prevalence,
-    }
-
-
-def rule_from_dict(data: dict) -> DecisionRule:
-    return DecisionRule(
-        policy=data["policy"],
-        threshold=float(data["threshold"]),
-        source_prevalence=data.get("source_prevalence"),
-    )

@@ -5,8 +5,8 @@ Subcommands cover the full flow: `ingest` raw CSVs into a validated panel,
 `synth` a verification panel, and `report` a saved manifest. A YAML config
 supplies settings; any key can be overridden with repeated `--set key=value`
 flags (values parsed as YAML). Every command checks every key first (see
-`config`): an unknown key, or a value of the wrong type, exits 2 before any
-work. Exit codes: 0 ok, 2 validation error, 3 insufficient cohort, 4 I/O
+`config`): an unknown key, a value of the wrong type, or one out of range,
+exits 2 before any work. Exit codes: 0 ok, 2 validation error, 3 insufficient cohort, 4 I/O
 failure, 5 a run that failed on valid input (a worker process died, a fit
 did not converge).
 """
@@ -29,7 +29,7 @@ from .ingest import (
     write_rejects,
 )
 from .labeling import build_labels, fit_uptake_ols, write_labeled_panel
-from .jsonio import save_json
+from .jsonio import load_json, save_json
 from .models import scorer_to_dict
 from .pipeline import run_backtest, train_scorers
 from .report import ALL_FORMATS, emit_report
@@ -144,8 +144,7 @@ def cmd_synth(args) -> int:
 def cmd_report(args) -> int:
     _load_merged_config(args)  # a report takes no setting, but a bad key is still an error
     try:
-        with open(Path(args.manifest), "r", encoding="utf-8") as fh:
-            body = json.load(fh)
+        body = load_json(args.manifest)
     except OSError as exc:
         raise IoFailure(f"cannot read manifest {args.manifest}: {exc}") from exc
     except json.JSONDecodeError as exc:

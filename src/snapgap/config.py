@@ -30,8 +30,10 @@ and so is a value that is not of the declared type:
   `"2014-2018"`.
 
 Every error is a `ValidationError` that names the key, dotted, with list
-positions in brackets (`grids.logistic[0].C`). The CLI builds the settings
-before a command does any work, and exits 2 on one.
+positions in brackets (`grids.logistic[0].C`). `BacktestConfig.validate`
+then rejects values out of range, such as `folds: 1` or a grid candidate
+its fit would reject. The CLI builds the settings before a command does any
+work, and exits 2 on one.
 """
 from __future__ import annotations
 

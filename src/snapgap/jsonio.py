@@ -1,4 +1,15 @@
-"""Indented JSON files, written by the C encoder.
+"""JSON files: records as plain data, read and written.
+
+`plain(value)` is the one JSON form of a record: a dataclass is the dict of
+its fields, a tuple or list a list, a numpy array its `.tolist()`, and a
+dict's values are mapped in turn. Decision rules, isotonic maps, metric and
+importance reports, labeling thresholds and rules, ensemble
+hyperparameters, standardizations, run settings and synthetic specs are
+written through it; the ones a scorer file holds are read back by their
+dataclass constructors. The node lists of fitted trees are not: `plain`
+would leave their NaN thresholds and values as NaN, not null, and its
+per-element walk of a 100-tree, 39k-node forest took 0.20 s, against
+0.011 s for the column-at-a-time lists of `models.io` (2-core Xeon VM).
 
 `write_json(obj, fh)` writes exactly the text of
 `json.dump(obj, fh, sort_keys=True, indent=2)`. The standard library
@@ -24,11 +35,36 @@ exists as one string.
 from __future__ import annotations
 
 import json
+from dataclasses import fields, is_dataclass
 from itertools import chain
+from pathlib import Path
+
+import numpy as np
 
 INDENT = "  "
 _SCALARS = frozenset({str, int, float, bool, type(None)})
 _ARRAYS = frozenset({list, tuple})
+
+
+def plain(value):
+    """`value` as JSON data: dataclasses become dicts of their fields, tuples
+    and lists become lists, numpy arrays their `.tolist()`, and dict values
+    are mapped in turn."""
+    if is_dataclass(value):
+        return {f.name: plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, dict):
+        return {key: plain(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [plain(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return value
+
+
+def load_json(path):
+    """The JSON document in the UTF-8 file `path`."""
+    with open(Path(path), "r", encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def write_json(obj, fh) -> None:

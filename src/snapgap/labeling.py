@@ -19,7 +19,7 @@ did not flag are "hidden fragility" candidates.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -32,7 +32,7 @@ from .errors import (
     ValidationError,
 )
 from .ingest import Panel
-from .jsonio import save_json
+from .jsonio import plain, save_json
 
 POOLED_KEY = "All"
 UNLABELED = -1
@@ -302,16 +302,13 @@ def write_labeled_panel(panel: LabeledPanel, csv_path, sidecar_path=None) -> Non
     if sidecar_path is None:
         sidecar_path = csv_path.with_suffix(".json")
     sidecar = {
-        "thresholds": {
-            key: {"tau_hi": th.tau_hi, "tau_lo": th.tau_lo}
-            for key, th in sorted(panel.thresholds.items())
-        },
+        "thresholds": plain(panel.thresholds),
         "prevalence": panel.prevalence,
         "prevalences": dict(sorted(panel.prevalences.items())),
         "stratified": panel.stratified,
         "n_rows": len(cols),
         "n_eligible": panel.n_eligible(),
         "n_positive": panel.n_positive(),
-        "config": asdict(panel.config),
+        "config": plain(panel.config),
     }
     save_json(sidecar, sidecar_path)

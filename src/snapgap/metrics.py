@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .calibration import DecisionRule, classify, rule_to_dict
+from .calibration import DecisionRule, classify
 from .errors import EmptyInput, FeatureMismatch, NoPositives, SingleClass, ValidationError
 from .rng import STREAM_PERMUTE, derive_rng
 
@@ -229,28 +229,11 @@ class EvalReport:
     recall: float
     f1: float
     accuracy: float
-    precision_at: dict[float, float]
+    precision_at: dict[str, float]  # keyed by str(fraction)
     n: int
     n_pos: int
     rule: DecisionRule
     n_flagged: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "cohort": self.cohort,
-            "model": self.model,
-            "auc": self.auc,
-            "ap": self.ap,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "accuracy": self.accuracy,
-            "precision_at": {str(k): v for k, v in sorted(self.precision_at.items())},
-            "n": self.n,
-            "n_pos": self.n_pos,
-            "n_flagged": self.n_flagged,
-            "rule": rule_to_dict(self.rule),
-        }
 
 
 def evaluate(
@@ -273,7 +256,7 @@ def evaluate(
         recall=conf.recall,
         f1=conf.f1,
         accuracy=conf.accuracy,
-        precision_at={f: precision_at_k(p, y, f) for f in fractions},
+        precision_at={str(f): precision_at_k(p, y, f) for f in fractions},
         n=len(y),
         n_pos=int(np.sum(y == 1)),
         rule=rule,

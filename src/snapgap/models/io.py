@@ -1,23 +1,28 @@
-"""Versioned JSON serialization for fitted models and calibrated scorers."""
+"""Versioned JSON serialization for fitted models and calibrated scorers.
+
+Most blocks of a model or scorer file are derived from their records by
+`jsonio.plain` and read back by the record's constructor: the isotonic map,
+the decision rule, the ensemble hyperparameters (every `EnsembleParams`
+field but `kind`, which the file's `family` holds) and the logistic
+standardization. Two parts are mapped by hand:
+
+- the tree node lists, column by column with NaN as null, since a
+  per-element walk of a large forest is some 20 times slower (see `jsonio`);
+- the rest of a logistic model, whose file form is not its fields: the
+  `c` of its `hyperparameters` is the field `l2_strength`, and the fit
+  diagnostics `n_iter` and `grad_norm` are not written. Deriving it would
+  change the bytes of every logistic scorer file.
+"""
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from ..calibration import (
-    DecisionRule,
-    IsotonicMap,
-    apply_isotonic,
-    isotonic_from_dict,
-    isotonic_to_dict,
-    rule_from_dict,
-    rule_to_dict,
-)
+from ..calibration import DecisionRule, IsotonicMap, apply_isotonic
 from ..errors import ValidationError
+from ..jsonio import plain
 from .ensemble import EnsembleParams, TreeEnsembleModel
 from .logistic import LogisticModel
 from .matrix import Standardization
@@ -84,25 +89,13 @@ def model_to_dict(model) -> dict:
             "feature_names": list(model.feature_names),
             "coefficients": [float(c) for c in model.coefficients],
             "intercept": model.intercept,
-            "standardization": {
-                "mean": [float(v) for v in model.standardization.mean],
-                "sd": [float(v) for v in model.standardization.sd],
-            },
+            "standardization": plain(model.standardization),
         }
     if isinstance(model, TreeEnsembleModel):
-        p = model.params
         return {
             "format": MODEL_FORMAT,
             "family": model.kind,
-            "hyperparameters": {
-                "n_trees": p.n_trees,
-                "max_depth": p.max_depth,
-                "min_leaf": p.min_leaf,
-                "learning_rate": p.learning_rate,
-                "max_features": p.max_features,
-                "class_weighting": p.class_weighting,
-                "seed": p.seed,
-            },
+            "hyperparameters": {k: v for k, v in plain(model.params).items() if k != "kind"},
             "feature_names": list(model.feature_names),
             "base_score": model.base_score,
             "trees": [_tree_to_dict(t) for t in model.trees],
@@ -121,26 +114,12 @@ def model_from_dict(data: dict):
             l2_strength=float(data["hyperparameters"]["c"]),
             class_weighting=data["hyperparameters"]["class_weighting"],
             feature_names=tuple(data["feature_names"]),
-            standardization=Standardization(
-                mean=np.asarray(data["standardization"]["mean"], dtype=float),
-                sd=np.asarray(data["standardization"]["sd"], dtype=float),
-            ),
+            standardization=Standardization(**data["standardization"]),
         )
-    hp = data["hyperparameters"]
-    params = EnsembleParams(
-        kind=family,
-        n_trees=int(hp["n_trees"]),
-        max_depth=hp["max_depth"],
-        min_leaf=int(hp["min_leaf"]),
-        learning_rate=float(hp["learning_rate"]),
-        max_features=hp["max_features"],
-        class_weighting=hp["class_weighting"],
-        seed=int(hp["seed"]),
-    )
     return TreeEnsembleModel(
         kind=family,
         trees=tuple(_tree_from_dict(t) for t in data["trees"]),
-        params=params,
+        params=EnsembleParams(kind=family, **data["hyperparameters"]),
         feature_names=tuple(data["feature_names"]),
         base_score=float(data.get("base_score", 0.0)),
     )
@@ -150,19 +129,14 @@ def scorer_to_dict(scorer: CalibratedScorer) -> dict:
     return {
         "format": MODEL_FORMAT,
         "model": model_to_dict(scorer.model),
-        "calibration": isotonic_to_dict(scorer.isotonic),
-        "rule": rule_to_dict(scorer.rule),
+        "calibration": plain(scorer.isotonic),
+        "rule": plain(scorer.rule),
     }
 
 
 def scorer_from_dict(data: dict) -> CalibratedScorer:
     return CalibratedScorer(
         model=model_from_dict(data["model"]),
-        isotonic=isotonic_from_dict(data["calibration"]),
-        rule=rule_from_dict(data["rule"]),
+        isotonic=IsotonicMap(**data["calibration"]),
+        rule=DecisionRule(**data["rule"]),
     )
-
-
-def load_json(path) -> dict:
-    with open(Path(path), "r", encoding="utf-8") as fh:
-        return json.load(fh)

@@ -14,6 +14,10 @@ class Standardization:
     mean: np.ndarray
     sd: np.ndarray  # population sd; constant features carry sd=1
 
+    def __post_init__(self):
+        object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float))
+        object.__setattr__(self, "sd", np.asarray(self.sd, dtype=float))
+
     def apply(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.mean.shape[0]:

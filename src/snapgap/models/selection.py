@@ -108,6 +108,18 @@ def fit_family(fm: FeatureMatrix, family: str, params: dict, seed: int):
     raise ValidationError(f"unknown model family {family!r}")
 
 
+def check_candidate(family: str, params: dict) -> None:
+    """Raise the `ValidationError` that fitting grid candidate `params` of
+    `family` would: a logistic `c` that is not positive, or tree parameters
+    that `EnsembleParams.validate` rejects."""
+    if family == FAMILY_LOGISTIC:
+        c = params.get("c", _DEFAULT_C)
+        if c <= 0:
+            raise ValidationError(f"l2 strength C must be positive, got {c}")
+    else:
+        _ensemble_params(family, params, seed=0).validate()
+
+
 def _simplicity_key(family: str, params: dict) -> tuple:
     """Rank a candidate by the values it is fitted with, defaults included."""
     if family == FAMILY_LOGISTIC:

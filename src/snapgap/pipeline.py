@@ -45,7 +45,7 @@ import sys
 import threading
 import warnings
 from collections.abc import Iterator
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Literal
 
@@ -58,7 +58,6 @@ from .calibration import (
     fit_isotonic,
     prevalence_threshold,
     reliability_curve,
-    rule_to_dict,
     youden_threshold,
 )
 from .errors import (
@@ -72,7 +71,7 @@ from .errors import (
     WorkerDied,
 )
 from .ingest import PREDICTOR_FIELDS, Area, Panel
-from .jsonio import write_json
+from .jsonio import plain, write_json
 from .labeling import (
     UNLABELED,
     LabelConfig,
@@ -87,6 +86,7 @@ from .models import (
     FAMILIES,
     CalibratedScorer,
     FeatureMatrix,
+    check_candidate,
     cv_grid_search,
     fit_family,
     model_to_dict,
@@ -124,17 +124,6 @@ def all_feature_subsets() -> list[tuple[str, ...]]:
     return out
 
 
-def _plain(value):
-    """`value` as JSON data: dataclasses become dicts of their fields, tuples lists."""
-    if is_dataclass(value):
-        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
-    if isinstance(value, dict):
-        return {key: _plain(v) for key, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    return value
-
-
 @dataclass(frozen=True)
 class BacktestConfig:
     """One run's settings. `area_mode` alone decides whether labeling
@@ -157,6 +146,8 @@ class BacktestConfig:
     importance_repeats: int = 10
 
     def validate(self) -> None:
+        """Raise a `ValidationError` for any setting a task would reject,
+        so a run fails before its first fit."""
         a0, a1 = self.p1_years
         b0, b1 = self.p2_years
         if a0 > a1 or b0 > b1:
@@ -186,6 +177,20 @@ class BacktestConfig:
             raise ValidationError(f"unknown decision policy {self.decision!r}")
         if self.selection not in (SELECTION_CV, SELECTION_SPLIT):
             raise ValidationError(f"unknown selection protocol {self.selection!r}")
+        if self.folds < 2:
+            raise ValidationError(f"folds must be >= 2, got {self.folds}")
+        if not 0.0 <= self.hidden_tail <= 1.0:
+            raise ValidationError(f"hidden_tail must be in [0, 1], got {self.hidden_tail}")
+        if self.reliability_bins < 1:
+            raise ValidationError(f"reliability_bins must be >= 1, got {self.reliability_bins}")
+        if self.importance_repeats < 1:
+            raise ValidationError(f"importance_repeats must be >= 1, got {self.importance_repeats}")
+        for family, candidates in self.family_grids().items():
+            for i, params in enumerate(candidates):
+                try:
+                    check_candidate(family, params)
+                except ValidationError as exc:
+                    raise ValidationError(f"grids.{family}[{i}]: {exc}") from exc
 
     @property
     def stratified(self) -> bool:
@@ -203,7 +208,7 @@ class BacktestConfig:
     def to_dict(self) -> dict:
         """The fields as JSON data, with the subsets and grids the run uses
         written out, and the labeling's stratification beside its rule."""
-        out = _plain(replace(self, feature_subsets=self.subsets(), grids=self.family_grids()))
+        out = plain(replace(self, feature_subsets=self.subsets(), grids=self.family_grids()))
         out["label"]["stratify_by_area"] = self.stratified
         return out
 
@@ -269,10 +274,7 @@ def _panel_summary(panel: LabeledPanel) -> dict:
         "n_positive": panel.n_positive(),
         "prevalence": panel.prevalence,
         "prevalences": dict(sorted(panel.prevalences.items())),
-        "thresholds": {
-            key: {"tau_hi": th.tau_hi, "tau_lo": th.tau_lo}
-            for key, th in sorted(panel.thresholds.items())
-        },
+        "thresholds": plain(panel.thresholds),
         "anomaly_rows": _anomaly_count(panel),
     }
 
@@ -383,7 +385,7 @@ def _fit_task(
         rule = prevalence_threshold(p1_prevalence)
     else:
         rule = youden_threshold(np.asarray(cal_holdout), holdout_y)
-    detail["rule"] = rule_to_dict(rule)
+    detail["rule"] = plain(rule)
     detail["isotonic_fitted_on"] = iso.fitted_on
     scorer = CalibratedScorer(model=model, isotonic=iso, rule=rule)
     detail["model_digest"] = digest_of(model_to_dict(model))
@@ -416,7 +418,7 @@ def _evaluate_task(
         report = evaluate(calibrated, y2, scorer.rule, cohort=cohort, model=label)
     except CohortError as exc:
         raise InsufficientCohort(f"cohort {cohort!r}: {exc}") from exc
-    detail["eval"] = report.to_dict()
+    detail["eval"] = plain(report)
     detail["reliability"] = reliability_curve(calibrated, y2, cfg.reliability_bins)
 
     hits = np.flatnonzero(classify(calibrated, scorer.rule) == 1)
@@ -433,21 +435,7 @@ def _evaluate_task(
         repeats=cfg.importance_repeats,
         seed=cfg.seed,
     )
-    detail["importance"] = {
-        "metric": importance.metric,
-        "baseline_auc": importance.baseline_auc,
-        "baseline_ap": importance.baseline_ap,
-        "features": [
-            {
-                "name": f.name,
-                "delta_auc": f.delta_auc,
-                "delta_ap": f.delta_ap,
-                "repeats": f.repeats,
-                "dispersion": f.dispersion,
-            }
-            for f in importance.features
-        ],
-    }
+    detail["importance"] = plain(importance)
     return detail
 
 
@@ -730,12 +718,13 @@ def run_backtest(
         for cohort, models in cohort_models.items()
     }
 
+    config = cfg.to_dict()
     body = {
         "format": MANIFEST_FORMAT,
         "version": __version__,
         "seed": cfg.seed,
-        "config": cfg.to_dict(),
-        "config_hash": digest_of(cfg.to_dict()),
+        "config": config,
+        "config_hash": digest_of(config),
         "input_digests": dict(sorted((input_digests or {}).items())),
         "periods": {
             "p1": _panel_summary(p1_panel),

@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import InvalidSpec
 from .ingest import FLAG_SNAP_EXCEEDS_POVERTY, PREDICTOR_FIELDS, Area, Panel
+from .jsonio import plain
 from .labeling import LabelConfig
 from .models.logistic import sigmoid
 from .rng import STREAM_SYNTH, derive_rng
@@ -108,7 +109,9 @@ def _label_directly(
     universe: np.ndarray,
     spec: SyntheticSpec,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(eligible, fragile) masks by direct definition on realized counts."""
+    """(eligible, fragile) masks by direct definition on realized counts,
+    under `spec.label`: the low-uptake quantile is of capped or raw uptake
+    as its `use_capped_uptake` says."""
     with np.errstate(divide="ignore", invalid="ignore"):
         p = pov / universe
         s = np.where(pov > 0, snap / np.maximum(pov, 1), np.nan)
@@ -117,10 +120,10 @@ def _label_directly(
     fragile = np.zeros(len(pov), dtype=bool)
     if eligible.sum() == 0:
         return eligible, fragile
-    s_cap = np.minimum(s, 1.0)
+    uptake = np.minimum(s, 1.0) if rule.use_capped_uptake else s
     tau_hi = np.quantile(p[eligible], rule.hi_q, method="linear")
-    tau_lo = np.quantile(s_cap[eligible], rule.lo_q, method="linear")
-    fragile = eligible & (p >= tau_hi) & (s_cap <= tau_lo)
+    tau_lo = np.quantile(uptake[eligible], rule.lo_q, method="linear")
+    fragile = eligible & (p >= tau_hi) & (uptake <= tau_lo)
     return eligible, fragile
 
 
@@ -232,17 +235,7 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Panel, dict]:
         }
 
     truth = {
-        "spec": {
-            "n_zips": spec.n_zips,
-            "years": list(spec.years),
-            "area_mix": dict(sorted(spec.area_mix.items())),
-            "true_coefficients": dict(sorted(spec.true_coefficients.items())),
-            "target_prevalence": spec.target_prevalence
-            if isinstance(spec.target_prevalence, (int, float))
-            else list(spec.target_prevalence),
-            "anomaly_rate": spec.anomaly_rate,
-            "seed": spec.seed,
-        },
+        "spec": {k: v for k, v in plain(spec).items() if k != "label"},
         "years": truth_years,
         "planted_anomalies": planted_anomalies,
         "n_planted_anomalies": len(planted_anomalies),

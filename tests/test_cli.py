@@ -16,8 +16,9 @@ from snapgap.cli import main
 from snapgap.config import apply_overrides, settings_from
 from snapgap.errors import SingleClass
 from snapgap.ingest import PREDICTOR_FIELDS, parse_panel
+from snapgap.jsonio import load_json
 from snapgap.labeling import LabelConfig, build_labels, fit_uptake_ols
-from snapgap.models import FAMILIES, load_json, scorer_from_dict
+from snapgap.models import FAMILIES, scorer_from_dict
 from snapgap.pipeline import train_scorers
 
 PANEL_CSV = """zip,year,pov_fam,snap_fam,fam_universe,pct_no_vehicle,pct_no_internet,pct_no_computer,pct_hs_only
@@ -390,6 +391,8 @@ def run_tasks_in_workers(monkeypatch):
 
 def test_validation_error_in_a_worker_exits_2(tmp_path, small_panel, monkeypatch, capsys):
     run_tasks_in_workers(monkeypatch)
+    # The settings check rejects this grid up front; let it reach the worker.
+    monkeypatch.setattr(pipeline, "check_candidate", lambda family, params: None)
     code = main([
         "backtest", "--panel", str(small_panel), *SMALL_RUN, "--out", str(tmp_path / "run"),
         "--set", "grids={logistic: [{c: 1.0}], random_forest: [{n_trees: 0}],"

@@ -134,6 +134,40 @@ def test_every_command_checks_keys_before_any_work(tmp_path, capsys, command):
     assert not any(tmp_path.iterdir())
 
 
+# Each of these passed the settings check and failed only after the panel
+# was read: `hidden_tail` after every fit, the others in the first task.
+OUT_OF_RANGE = [
+    (["--set", "hidden_tail=2"], "hidden_tail must be in [0, 1], got 2.0"),
+    (["--set", "folds=1"], "folds must be >= 2, got 1"),
+    (["--set", "importance_repeats=0"], "importance_repeats must be >= 1, got 0"),
+    (["--set", "reliability_bins=0"], "reliability_bins must be >= 1, got 0"),
+    (
+        ["--set", "families=[random_forest]", "--set", "grids={random_forest: [{n_trees: 5}, {n_trees: 0}]}"],
+        "grids.random_forest[1]: tree count must be >= 1, got 0",
+    ),
+    (
+        ["--set", "families=[logistic]", "--set", "grids={logistic: [{c: -1}]}"],
+        "grids.logistic[0]: l2 strength C must be positive, got -1.0",
+    ),
+]
+RANGE_IDS = ["hidden_tail", "folds", "importance_repeats", "reliability_bins", "grids.tree", "grids.logistic"]
+
+
+@pytest.mark.parametrize("extra, message", OUT_OF_RANGE, ids=RANGE_IDS)
+def test_out_of_range_settings_exit_2_before_any_work(tmp_path, capsys, extra, message):
+    # The panel does not exist, so any work before the check would exit 4.
+    args = ["backtest", "--seed", "1", "--panel", str(tmp_path / "missing"), "--out", str(tmp_path / "o")]
+    assert main(args + extra) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not any(tmp_path.iterdir())
+
+
+def test_range_bounds_are_valid():
+    BacktestConfig(hidden_tail=0.0, folds=2, importance_repeats=1, reliability_bins=1).validate()
+    BacktestConfig(hidden_tail=1.0, grids={"logistic": [{}], "random_forest": [{}],
+                                            "gradient_boosting": [{"learning_rate": 1.0}]}).validate()
+
+
 def test_area_mode_decides_how_label_stratifies(tmp_path, panel):
     out = tmp_path / "labeled.csv"
     assert main(["label", "--panel", panel, "--out", str(out), "--set", "area_mode=stratified"]) == 0

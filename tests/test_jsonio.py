@@ -1,10 +1,17 @@
 import io
 import json
+from dataclasses import dataclass
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from snapgap.jsonio import save_json, write_json
+from snapgap.calibration import DecisionRule, IsotonicMap
+from snapgap.jsonio import plain, save_json, write_json
+from snapgap.labeling import LabelConfig, Thresholds
+from snapgap.metrics import EvalReport, FeatureImportance, ImportanceReport
+from snapgap.models import EnsembleParams, Standardization
+from snapgap.synth import SyntheticSpec, generate_synthetic
 
 # Strings that could look like the writer's own seams if it did not rely on
 # the encoder escaping line breaks.
@@ -62,3 +69,161 @@ def test_save_json_ends_with_a_newline(tmp_path):
     obj = {"b": [1, 2], "a": {"c": None}}
     save_json(obj, tmp_path / "x.json")
     assert (tmp_path / "x.json").read_text(encoding="utf-8") == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+@dataclass(frozen=True)
+class Inner:
+    values: np.ndarray
+    pair: tuple[int, int]
+
+
+@dataclass(frozen=True)
+class Outer:
+    name: str
+    inner: Inner
+    by_key: dict[str, Inner]
+    rows: list[tuple[str, float]]
+
+
+def test_plain_maps_arrays_tuples_and_nested_dataclasses():
+    inner = Inner(values=np.array([[1.5, 2.0], [3.0, 4.25]]), pair=(1, 2))
+    value = Outer("x", inner, {"k": Inner(np.arange(3), (3, 4))}, [("a", 0.5)])
+    assert plain(value) == {
+        "name": "x",
+        "inner": {"values": [[1.5, 2.0], [3.0, 4.25]], "pair": [1, 2]},
+        "by_key": {"k": {"values": [0, 1, 2], "pair": [3, 4]}},
+        "rows": [["a", 0.5]],
+    }
+    values = plain(value)["inner"]["values"][0] + plain(value)["by_key"]["k"]["values"]
+    assert [type(v) for v in values] == [float, float, int, int, int]
+
+
+# The forms below are the dicts that hand-written writers produced before
+# `plain` derived them; scorer files and manifests hold these forms.
+
+
+def test_decision_rule_form():
+    assert plain(DecisionRule("prevalence_anchored", 0.031, 0.031)) == {
+        "policy": "prevalence_anchored",
+        "threshold": 0.031,
+        "source_prevalence": 0.031,
+    }
+    assert plain(DecisionRule("youden", 0.42)) == {
+        "policy": "youden",
+        "threshold": 0.42,
+        "source_prevalence": None,
+    }
+
+
+def test_isotonic_map_form_reads_back():
+    iso = IsotonicMap(scores=[0.1, 0.5, 0.9], values=[0.0, 0.25, 0.75], fitted_on=40)
+    form = plain(iso)
+    assert form == {"scores": [0.1, 0.5, 0.9], "values": [0.0, 0.25, 0.75], "fitted_on": 40}
+    assert all(type(v) is float for v in form["scores"] + form["values"])
+    back = IsotonicMap(**json.loads(json.dumps(form)))
+    assert back.scores.tolist() == iso.scores.tolist() and back.values.tolist() == iso.values.tolist()
+
+
+def test_eval_report_form():
+    rule = DecisionRule("youden", 0.3)
+    report = EvalReport(
+        cohort="Rural", model="logistic[pct_hs_only]", auc=0.75, ap=0.5, precision=0.25,
+        recall=0.5, f1=1 / 3, accuracy=0.875, precision_at={"0.01": 1.0, "0.05": 0.5},
+        n=40, n_pos=4, rule=rule, n_flagged=8,
+    )
+    assert plain(report) == {
+        "cohort": "Rural",
+        "model": "logistic[pct_hs_only]",
+        "auc": 0.75,
+        "ap": 0.5,
+        "precision": 0.25,
+        "recall": 0.5,
+        "f1": 1 / 3,
+        "accuracy": 0.875,
+        "precision_at": {"0.01": 1.0, "0.05": 0.5},
+        "n": 40,
+        "n_pos": 4,
+        "n_flagged": 8,
+        "rule": {"policy": "youden", "threshold": 0.3, "source_prevalence": None},
+    }
+
+
+def test_importance_report_form():
+    report = ImportanceReport(
+        metric="auc",
+        baseline_auc=0.8,
+        baseline_ap=0.3,
+        features=(
+            FeatureImportance("pct_no_vehicle", 0.1, 0.05, 2, 0.01),
+            FeatureImportance("pct_hs_only", -0.02, 0.0, 2, 0.0),
+        ),
+    )
+    assert plain(report) == {
+        "metric": "auc",
+        "baseline_auc": 0.8,
+        "baseline_ap": 0.3,
+        "features": [
+            {"name": "pct_no_vehicle", "delta_auc": 0.1, "delta_ap": 0.05, "repeats": 2, "dispersion": 0.01},
+            {"name": "pct_hs_only", "delta_auc": -0.02, "delta_ap": 0.0, "repeats": 2, "dispersion": 0.0},
+        ],
+    }
+
+
+def test_thresholds_and_label_config_forms():
+    thresholds = {"Rural": Thresholds(0.31, 0.42), "Urban": Thresholds(0.28, 0.5)}
+    assert plain(thresholds) == {
+        "Rural": {"tau_hi": 0.31, "tau_lo": 0.42},
+        "Urban": {"tau_hi": 0.28, "tau_lo": 0.5},
+    }
+    assert plain(LabelConfig(lo_q=0.3)) == {
+        "poverty_floor": 0.15, "hi_q": 0.7, "lo_q": 0.3, "use_capped_uptake": True,
+    }
+
+
+def test_ensemble_params_form_reads_back():
+    params = EnsembleParams(
+        kind="gradient_boosting", n_trees=30, max_depth=3, min_leaf=2, learning_rate=0.05, seed=7
+    )
+    form = plain(params)
+    assert form.pop("kind") == "gradient_boosting"
+    assert form == {
+        "n_trees": 30,
+        "max_depth": 3,
+        "min_leaf": 2,
+        "learning_rate": 0.05,
+        "max_features": None,
+        "class_weighting": "balanced",
+        "seed": 7,
+    }
+    assert EnsembleParams(kind="gradient_boosting", **json.loads(json.dumps(form))) == params
+
+
+def test_standardization_form_reads_back():
+    std = Standardization(mean=np.array([10.5, 20.0]), sd=np.array([1.0, 2.5]))
+    form = plain(std)
+    assert form == {"mean": [10.5, 20.0], "sd": [1.0, 2.5]}
+    back = Standardization(**json.loads(json.dumps(form)))
+    assert back.mean.tolist() == [10.5, 20.0] and back.sd.dtype == np.float64
+
+
+def test_synthetic_spec_form():
+    spec = SyntheticSpec(
+        n_zips=50,
+        years=(2014, 2016),
+        true_coefficients={"pct_no_vehicle": -0.5},
+        target_prevalence=(0.03, 0.05),
+        anomaly_rate=0.01,
+        seed=3,
+    )
+    form = plain(spec)
+    assert form.pop("label") == plain(LabelConfig())
+    assert form == {
+        "n_zips": 50,
+        "years": [2014, 2016],
+        "area_mix": {"Mixed": 0.1, "Rural": 0.5, "Unknown": 0.1, "Urban": 0.3},
+        "true_coefficients": {"pct_no_vehicle": -0.5},
+        "target_prevalence": [0.03, 0.05],
+        "anomaly_rate": 0.01,
+        "seed": 3,
+    }
+    assert generate_synthetic(spec)[1]["spec"] == form

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from oracles import ap_rank_enum, auc_pairwise, precision_at_k_oracle
 from snapgap.calibration import DecisionRule
 from snapgap.errors import EmptyInput, FeatureMismatch, NoPositives, SingleClass
+from snapgap.jsonio import plain
 from snapgap.metrics import (
     average_precision,
     confusion_at,
@@ -294,7 +295,7 @@ class TestEvaluate:
         scores, labels = random_cohort(rng, n=60)
         rule = DecisionRule("fixed", 0.3)
         report = evaluate(scores, labels, rule, cohort="All", model="demo")
-        d = report.to_dict()
+        d = plain(report)
         for key in ("auc", "ap", "precision", "recall", "f1", "accuracy"):
             assert 0.0 <= d[key] <= 1.0
         assert set(d["precision_at"]) == {"0.01", "0.05"}

@@ -92,6 +92,18 @@ class TestGeneration:
             fragile = sorted(panel.panel.zip[panel.y == 1].tolist())
             assert fragile == sorted(truth["years"][str(year)]["fragile_zips"])
 
+    def test_sidecar_labels_follow_the_uncapped_rule(self):
+        # With most rows anomalous (uptake above 1), capping changes the
+        # low-uptake quantile: in 2014 the uncapped rule flags 4 ZIPs, the
+        # capped one 79.
+        label = LabelConfig(use_capped_uptake=False)
+        spec = SyntheticSpec(n_zips=300, years=(2014, 2015), anomaly_rate=0.95, label=label)
+        records, truth = generate_synthetic(spec)
+        for year in (2014, 2015):
+            panel = build_labels(records.take(records.year == year), label)
+            fragile = sorted(panel.panel.zip[panel.y == 1].tolist())
+            assert fragile == sorted(truth["years"][str(year)]["fragile_zips"])
+
     def test_drift_schedule_monotone(self):
         spec = SyntheticSpec(
             n_zips=1500,
