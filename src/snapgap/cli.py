@@ -6,15 +6,16 @@ Subcommands cover the full flow: `ingest` raw CSVs into a validated panel,
 supplies settings; any key can be overridden with repeated `--set key=value`
 flags (values parsed as YAML). Every command checks every key first (see
 `config`): an unknown key, a value of the wrong type, or one out of range,
-exits 2 before any work. Exit codes: 0 ok, 2 validation error, 3 insufficient cohort, 4 I/O
-failure, 5 a run that failed on valid input (a worker process died, a fit
-did not converge).
+exits 2 before any work. So does `report`, before writing anything, on a
+file that is not a manifest it can render: not UTF-8 JSON, another format,
+or a part the renderers read missing or of the wrong type. Exit codes: 0 ok,
+2 validation error, 3 insufficient cohort, 4 I/O failure, 5 a run that
+failed on valid input (a worker process died, a fit did not converge).
 """
 from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import sys
 from pathlib import Path
 
@@ -32,7 +33,7 @@ from .labeling import build_labels, fit_uptake_ols, write_labeled_panel
 from .jsonio import load_json, save_json
 from .models import scorer_to_dict
 from .pipeline import run_backtest, train_scorers
-from .report import ALL_FORMATS, emit_report
+from .report import ALL_FORMATS, emit_report, manifest_body
 from .synth import generate_synthetic
 
 EXIT_OK = 0
@@ -144,11 +145,15 @@ def cmd_synth(args) -> int:
 def cmd_report(args) -> int:
     _load_merged_config(args)  # a report takes no setting, but a bad key is still an error
     try:
-        body = load_json(args.manifest)
+        data = load_json(args.manifest)
     except OSError as exc:
         raise IoFailure(f"cannot read manifest {args.manifest}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"manifest {args.manifest} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ValidationError(f"manifest {args.manifest} is not UTF-8 JSON: {exc}") from exc
+    try:
+        body = manifest_body(data)
+    except ValidationError as exc:
+        raise ValidationError(f"cannot render {args.manifest}: {exc}") from exc
     formats = args.formats.split(",") if args.formats else list(ALL_FORMATS)
     written = emit_report(body, formats, Path(args.out))
     print(f"wrote {len(written)} report files -> {args.out}")

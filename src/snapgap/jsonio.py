@@ -1,55 +1,144 @@
 """JSON files: records as plain data, read and written.
 
 `plain(value)` is the one JSON form of a record: a dataclass is the dict of
-its fields, a tuple or list a list, a numpy array its `.tolist()`, and a
-dict's values are mapped in turn. Decision rules, isotonic maps, metric and
-importance reports, labeling thresholds and rules, ensemble
-hyperparameters, standardizations, run settings and synthetic specs are
-written through it; the ones a scorer file holds are read back by their
-dataclass constructors. The node lists of fitted trees are not: `plain`
-would leave their NaN thresholds and values as NaN, not null, and its
-per-element walk of a 100-tree, 39k-node forest took 0.20 s, against
-0.011 s for the column-at-a-time lists of `models.io` (2-core Xeon VM).
+its fields, a tuple or list a list, a numpy array its `.tolist()`, a
+`RowTable` the list of its rows, and a dict's values are mapped in turn.
+Decision rules, isotonic maps, metric and importance reports, labeling
+thresholds and rules, ensemble hyperparameters, standardizations, run
+settings and synthetic specs are written through it; the ones a scorer file
+holds are read back by their dataclass constructors. The node lists of
+fitted trees are not: `plain` would leave their NaN thresholds and values as
+NaN, not null, and its per-element walk of a 100-tree, 39k-node forest took
+0.20 s, against 0.011 s for the column-at-a-time lists of `models.io`
+(2-core Xeon VM).
+
+A `RowTable` holds rows of scalars, such as a manifest's flagged
+`[zip, year, p]` rows, as aligned numpy columns. Its rows travel between
+processes as a few arrays, not as one small list per row, and they are
+rendered from the columns: each distinct value of a column is rendered once
+(a float by `float.__repr__`, an int by `int.__repr__`, a string as the
+JSON encoder writes it), and numpy lays the row texts and their separators
+end to end for one `str.join`. Floats are told apart by their bits, so
+`-0.0` keeps its sign.
 
 `write_json(obj, fh)` writes exactly the text of
-`json.dump(obj, fh, sort_keys=True, indent=2)`. The standard library
-encodes indented JSON with its pure-Python encoder, because the C encoder
-does not indent; on a large manifest that costs several times the C
-encoding. Here the C encoder lays the lines out itself: the indentation of
-a container's items is part of the item separator it is given,
-`("," + "\\n" + pad, ": ")`.
+`json.dump(plain(obj), fh, sort_keys=True, indent=2)` for JSON data that may
+hold row tables. The standard library encodes indented JSON with its
+pure-Python encoder, because the C encoder does not indent; on a large
+manifest that costs several times the C encoding. Here the C encoder lays
+out every dict or list whose values are all scalars in one `json.dumps`
+call: the indentation of a container's items is part of the item separator
+it is given, `("," + "\\n" + pad, ": ")`. Every other container is walked
+here, one item at a time, and every piece goes to `fh` as it is encoded, so
+the whole document never exists as one string.
 
-- A dict or list whose values are all scalars is one `json.dumps` call.
-- So is a list of non-empty rows of scalars, such as a manifest's flagged
-  `[zip, year, p]` rows. The encoder then separates rows and row items
-  alike, and one `str.replace` rewrites each seam between two rows into the
-  closing and opening lines it has under `indent=2`. A seam is the only
-  place where `],` and a line break meet `[`: the encoder escapes line
-  breaks inside strings, and inside a row a separator sits between two
-  scalars.
-- Every other container is walked here, one item at a time.
-
-Every piece goes to `fh` as it is encoded, so the whole document never
-exists as one string.
+`canonical_pieces(obj)` gives the text of
+`json.dumps(plain(obj), sort_keys=True, separators=(",", ":"),
+allow_nan=False)` in pieces, for a digest to hash as they come. A value
+without row tables is one C encoder call. One that holds some is walked
+down to them: each container is first tried whole, and the encoder stops at
+the first row table it meets.
 """
 from __future__ import annotations
 
 import json
+from collections.abc import Callable, Iterator
 from dataclasses import fields, is_dataclass
-from itertools import chain
+from itertools import repeat
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
 
 INDENT = "  "
 _SCALARS = frozenset({str, int, float, bool, type(None)})
-_ARRAYS = frozenset({list, tuple})
+
+
+class RowTable:
+    """Rows of scalars as aligned 1-D numpy columns: str cells in an object
+    array, int cells in an integer array and float cells in a float array.
+    `plain(table)` is the list of its rows, each a list, and a table equals
+    another with the same columns, dtypes and values."""
+
+    __slots__ = ("columns",)
+
+    def __init__(self, *columns):
+        self.columns = tuple(map(np.asarray, columns))
+        if not self.columns or {c.shape for c in self.columns} != {self.columns[0].shape}:
+            raise ValueError("a row table needs one or more columns of one length")
+        if self.columns[0].ndim != 1 or any(c.dtype.kind not in "Oiuf" for c in self.columns):
+            raise TypeError("row table columns are 1-D object, integer or float arrays")
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RowTable):
+            return NotImplemented
+        return len(self.columns) == len(other.columns) and all(
+            a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(self.columns, other.columns)
+        )
+
+    def __reduce__(self):
+        return RowTable, self.columns
+
+    def rows(self) -> list[list]:
+        """The rows, each a list of Python scalars."""
+        return list(map(list, zip(*(c.tolist() for c in self.columns))))
+
+    def finite(self) -> bool:
+        """Whether every float cell is finite."""
+        return all(np.isfinite(c).all() for c in self.columns if c.dtype.kind == "f")
+
+    def text(
+        self,
+        begin: str,
+        sep: str,
+        end: str,
+        between: str,
+        encode: Callable[[list[str]], list[str]],
+    ) -> str:
+        """The rows as one string: each is `begin`, its cells joined by
+        `sep`, and `end`, and `between` joins the rows. `encode(values)`
+        gives the texts of a column's distinct strings; an int or float
+        cell is its `repr`."""
+        n, width = len(self), 2 * len(self.columns) + 1
+        parts = [sep] * (n * width)
+        parts[::width] = [begin] * n
+        parts[width - 1 :: width] = [end + between] * n
+        for j, column in enumerate(self.columns):
+            parts[2 * j + 1 :: width] = _cell_texts(column, encode)
+        if parts:
+            parts[-1] = end
+        return "".join(parts)
+
+
+def _cell_texts(column: np.ndarray, encode: Callable[[list[str]], list[str]]) -> list[str]:
+    """The text of each cell of `column`, each distinct value rendered once."""
+    if column.dtype.kind == "O":
+        cells = column.tolist()
+        distinct = list(set(cells))
+        if not all(map(isinstance, distinct, repeat(str))):
+            raise TypeError("row table object columns hold str cells")
+        texts = dict(zip(distinct, encode(distinct)))
+        return list(map(texts.__getitem__, cells))
+    # Floats are told apart by their bits, so -0.0 and 0.0 stay distinct.
+    keys = column.view(f"u{column.itemsize}") if column.dtype.kind == "f" else column
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    texts = list(map(repr, distinct.view(column.dtype).tolist()))
+    return np.array(texts, dtype=object)[inverse].tolist()
+
+
+def _json_strings(values: list[str]) -> list[str]:
+    return list(map(encode_basestring_ascii, values))
 
 
 def plain(value):
     """`value` as JSON data: dataclasses become dicts of their fields, tuples
-    and lists become lists, numpy arrays their `.tolist()`, and dict values
-    are mapped in turn."""
+    and lists become lists, numpy arrays their `.tolist()`, row tables the
+    lists of their rows, and dict values are mapped in turn."""
+    if isinstance(value, RowTable):
+        return value.rows()
     if is_dataclass(value):
         return {f.name: plain(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, dict):
@@ -68,8 +157,9 @@ def load_json(path):
 
 
 def write_json(obj, fh) -> None:
-    """Write `obj` to the text stream `fh` exactly as
-    `json.dump(obj, fh, sort_keys=True, indent=2)` would."""
+    """Write JSON data `obj`, which may hold row tables, to the text stream
+    `fh` exactly as `json.dump(plain(obj), fh, sort_keys=True, indent=2)`
+    would."""
     _write(obj, fh, "\n")
 
 
@@ -79,6 +169,52 @@ def save_json(obj, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         write_json(obj, fh)
         fh.write("\n")
+
+
+class _HoldsRowTable(Exception):
+    """Raised through the C encoder where it meets a row table."""
+
+
+def _refuse(value):
+    if isinstance(value, RowTable):
+        raise _HoldsRowTable
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+_compact = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), allow_nan=False, default=_refuse
+).encode
+
+
+def canonical_pieces(obj) -> Iterator[str]:
+    """The text of `json.dumps(plain(obj), sort_keys=True, separators=(",",
+    ":"), allow_nan=False)`, in pieces, for JSON data `obj` that may hold row
+    tables. A non-finite float raises `ValueError`, as there."""
+    if isinstance(obj, RowTable):
+        if not obj.finite():
+            _compact(obj.rows())  # raises the encoder's ValueError
+        yield "[" + obj.text("[", ",", "]", ",", _json_strings) + "]"
+        return
+    try:
+        text = _compact(obj)
+    except _HoldsRowTable:
+        pass
+    else:
+        yield text
+        return
+    if isinstance(obj, dict):
+        yield "{"
+        for i, (key, value) in enumerate(sorted(obj.items())):
+            yield f"{',' if i else ''}{_key(key)}:"
+            yield from canonical_pieces(value)
+        yield "}"
+    else:
+        yield "["
+        for i, value in enumerate(obj):
+            if i:
+                yield ","
+            yield from canonical_pieces(value)
+        yield "]"
 
 
 def _key(key) -> str:
@@ -96,6 +232,9 @@ def _key(key) -> str:
 def _write(obj, fh, newline: str) -> None:
     """`obj`, where `newline` is a line break and the indent of the line
     `obj` starts on."""
+    if isinstance(obj, RowTable):
+        _write_rows(obj, fh, newline)
+        return
     is_dict = isinstance(obj, dict)
     if not is_dict and not isinstance(obj, (list, tuple)):
         fh.write(json.dumps(obj))
@@ -105,20 +244,9 @@ def _write(obj, fh, newline: str) -> None:
         fh.write("{}" if is_dict else "[]")
         return
     inner = newline + INDENT
-    types = set(map(type, values))
-    if types <= _SCALARS:
+    if set(map(type, values)) <= _SCALARS:
         text = json.dumps(obj, sort_keys=True, separators=("," + inner, ": "))
         fh.write(f"{text[0]}{inner}{text[1:-1]}{newline}{text[-1]}")
-    elif (
-        not is_dict
-        and types <= _ARRAYS
-        and all(values)
-        and set(map(type, chain.from_iterable(values))) <= _SCALARS
-    ):
-        row = inner + INDENT
-        text = json.dumps(obj, separators=("," + row, ": "))
-        body = text[2:-2].replace(f"],{row}[", f"{inner}],{inner}[{row}")
-        fh.write(f"[{inner}[{row}{body}{inner}]{newline}]")
     elif not is_dict:
         fh.write("[")
         for i, value in enumerate(obj):
@@ -131,3 +259,15 @@ def _write(obj, fh, newline: str) -> None:
             fh.write(f"{',' if i else ''}{inner}{_key(key)}: ")
             _write(value, fh, inner)
         fh.write(newline + "}")
+
+
+def _write_rows(table: RowTable, fh, newline: str) -> None:
+    if not len(table):
+        fh.write("[]")
+    elif not table.finite():
+        _write(table.rows(), fh, newline)  # NaN and Infinity, as json.dump writes them
+    else:
+        inner = newline + INDENT
+        row = inner + INDENT
+        text = table.text("[" + row, "," + row, inner + "]", "," + inner, _json_strings)
+        fh.write(f"[{inner}{text}{newline}]")

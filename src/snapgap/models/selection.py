@@ -14,6 +14,11 @@ boosting is stagewise, so tree i of a fit does not depend on how many trees
 follow it. Tree candidates that differ only in `n_trees` therefore share one
 fit per fold, of their largest count, and each is scored from its first k
 trees: the same floats, added in the same order, as a fit of k trees.
+
+The candidates of a family share each fold's training matrix, built and
+checked once per fold. For logistic fits it is also standardized once, and
+a fit given a standardized matrix uses that standardization as it is: the
+same arrays as a fit that standardizes its own copy.
 """
 from __future__ import annotations
 
@@ -28,7 +33,7 @@ from ..rng import STREAM_FOLDS, derive_rng
 from ..metrics import average_precision
 from .ensemble import KIND_BOOSTING, KIND_FOREST, EnsembleParams, fit_tree_ensemble
 from .logistic import WEIGHTING_BALANCED, fit_logistic
-from .matrix import FeatureMatrix
+from .matrix import FeatureMatrix, standardize
 
 FAMILY_LOGISTIC = "logistic"
 FAMILY_FOREST = KIND_FOREST
@@ -146,6 +151,21 @@ class CvGridResult:
     oof_proba: np.ndarray = field(repr=False, default=None)  # winner's out-of-fold scores
 
 
+def fold_training_sets(
+    fm: FeatureMatrix, family: str, fold_idx: list[np.ndarray]
+) -> list[FeatureMatrix]:
+    """Each fold's training matrix: the rows outside the fold, standardized
+    here for a logistic fit, which then uses its standardization as given.
+    Every candidate fitted on a fold can share its matrix."""
+    out = []
+    for val in fold_idx:
+        keep = np.ones(fm.n, dtype=bool)
+        keep[val] = False
+        train = fm.subset(np.flatnonzero(keep))
+        out.append(standardize(train) if family == FAMILY_LOGISTIC else train)
+    return out
+
+
 def out_of_fold_proba(
     fm: FeatureMatrix,
     family: str,
@@ -153,6 +173,7 @@ def out_of_fold_proba(
     fold_idx: list[np.ndarray],
     seed: int,
     prefixes: Sequence[int] | None = None,
+    train: list[FeatureMatrix] | None = None,
 ) -> np.ndarray:
     """Held-out predictions for every row, each from the fit on the other folds.
 
@@ -160,14 +181,15 @@ def out_of_fold_proba(
     has one row per count instead: row i holds the predictions of the first
     prefixes[i] trees of each fold's fit. Tree i does not depend on the
     ensemble size, so these equal the predictions of a fit of that size.
+    `train` holds each fold's training matrix as `fold_training_sets` gives
+    it; without it they are built here.
     """
+    if train is None:
+        train = fold_training_sets(fm, family, fold_idx)
     counts = [None] if prefixes is None else list(prefixes)
     proba = np.empty((len(counts), fm.n))
-    for val in fold_idx:
-        keep = np.ones(fm.n, dtype=bool)
-        keep[val] = False
-        train = np.flatnonzero(keep)
-        model = fit_family(fm.subset(train), family, params, seed)
+    for val, fold_train in zip(fold_idx, train, strict=True):
+        model = fit_family(fold_train, family, params, seed)
         for row, k in zip(proba, counts):
             first_k = model
             if k is not None and k != len(model.trees):
@@ -178,9 +200,9 @@ def out_of_fold_proba(
     return proba[0] if prefixes is None else proba
 
 
-def _converged_oof(fm, family, params, fold_idx, seed) -> np.ndarray | NonConvergence:
+def _converged_oof(fm, family, params, fold_idx, seed, train) -> np.ndarray | NonConvergence:
     try:
-        return out_of_fold_proba(fm, family, params, fold_idx, seed)
+        return out_of_fold_proba(fm, family, params, fold_idx, seed, train=train)
     except NonConvergence as exc:
         return exc
 
@@ -191,13 +213,15 @@ def _grid_proba(
     """Out-of-fold predictions of each candidate, in order, or the
     `NonConvergence` its fit raised (only logistic fits can raise it).
 
-    Tree candidates whose resolved `EnsembleParams` differ only in `n_trees`
-    share one fit per fold, of their largest count; each is scored from its
-    prefix of those trees. Every candidate's parameters are validated before
-    any fit is shared, so an invalid count raises as it would on its own.
+    All candidates share each fold's training matrix. Tree candidates whose
+    resolved `EnsembleParams` differ only in `n_trees` also share one fit
+    per fold, of their largest count; each is scored from its prefix of
+    those trees. Every candidate's parameters are validated before any fit
+    is shared, so an invalid count raises as it would on its own.
     """
     if family not in TREE_FAMILIES:
-        return [_converged_oof(fm, family, p, fold_idx, seed) for p in candidates]
+        train = fold_training_sets(fm, family, fold_idx)
+        return [_converged_oof(fm, family, p, fold_idx, seed, train) for p in candidates]
     groups: dict[EnsembleParams, list[int]] = {}
     counts = []
     for i, params in enumerate(candidates):
@@ -205,11 +229,18 @@ def _grid_proba(
         ep.validate()
         counts.append(ep.n_trees)
         groups.setdefault(replace(ep, n_trees=0), []).append(i)
+    train = fold_training_sets(fm, family, fold_idx)
     out: list[np.ndarray] = [None] * len(candidates)
     for members in groups.values():
         largest = max(members, key=counts.__getitem__)
         rows = out_of_fold_proba(
-            fm, family, candidates[largest], fold_idx, seed, prefixes=[counts[i] for i in members]
+            fm,
+            family,
+            candidates[largest],
+            fold_idx,
+            seed,
+            prefixes=[counts[i] for i in members],
+            train=train,
         )
         for i, row in zip(members, rows):
             out[i] = row

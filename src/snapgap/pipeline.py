@@ -30,8 +30,12 @@ while another thread runs, they run here one after another through the same
 task function. Where a task runs cannot change a byte: it reads only the
 labeled panels, which workers inherit through fork, it draws only from its
 own keyed streams, and its result comes back by pickle, which keeps every
-float bit and dict order. The results are assembled in plan order, not in
-order of completion. Each task records its warnings, and they are issued in
+float bit and dict order. A model's flagged rows come back as one
+`jsonio.RowTable` of ZIP, year and probability columns, not as a list per
+row, and stay one in the manifest body; `plain(body)` is the body's JSON
+data, and the digest and report writers render the tables from their
+columns. The results are assembled in plan order, not in order of
+completion. Each task records its warnings, and they are issued in
 this process in plan order, so they print the same with any worker count.
 """
 from __future__ import annotations
@@ -39,7 +43,6 @@ from __future__ import annotations
 import hashlib
 import io
 import itertools
-import json
 import os
 import sys
 import threading
@@ -71,7 +74,7 @@ from .errors import (
     WorkerDied,
 )
 from .ingest import PREDICTOR_FIELDS, Area, Panel
-from .jsonio import plain, write_json
+from .jsonio import RowTable, canonical_pieces, plain, write_json
 from .labeling import (
     UNLABELED,
     LabelConfig,
@@ -213,16 +216,21 @@ class BacktestConfig:
         return out
 
 
-def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
-
-
 def digest_of(obj) -> str:
-    return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
+    """The sha256 of `obj`'s compact JSON text with sorted keys, hashed in
+    pieces (see `jsonio.canonical_pieces`)."""
+    digest = hashlib.sha256()
+    for piece in canonical_pieces(obj):
+        digest.update(piece.encode("utf-8"))
+    return digest.hexdigest()
 
 
 @dataclass
 class RunManifest:
+    """A run's manifest `body` and its fitted scorers. The body's flagged
+    lists are `RowTable`s; `plain(body)` is its JSON data, and `to_json`
+    its text."""
+
     body: dict
     scorers: dict[tuple[str, str], CalibratedScorer] = field(default_factory=dict)
 
@@ -392,11 +400,11 @@ def _fit_task(
     return scorer, detail
 
 
-def _flagged_rows(zips: np.ndarray, years: np.ndarray, probs: np.ndarray) -> list[list]:
-    """`[zip, year, probability]` rows, highest probability first, ties by
-    ZIP and then year."""
+def _flagged_rows(zips: np.ndarray, years: np.ndarray, probs: np.ndarray) -> RowTable:
+    """The `[zip, year, probability]` rows, highest probability first, ties
+    by ZIP and then year, as a table of ZIP, year and probability columns."""
     order = np.lexsort((years, zips, -probs))
-    return list(map(list, zip(zips[order].tolist(), years[order].tolist(), probs[order].tolist())))
+    return RowTable(zips[order], years[order], probs[order])
 
 
 def _evaluate_task(

@@ -4,25 +4,32 @@ Machine formats (JSON, CSV) carry full-precision fractions and agree
 field-for-field; the Markdown tables show percentages scaled by 100 with one
 decimal, with near-zero top-of-list precision shown as a dash.
 
-`manifest.json` goes through `jsonio.save_json`, which streams the text of
-`json.dump(body, fh, sort_keys=True, indent=2)` plus a newline, byte for
-byte, but encodes it with the C JSON encoder: every all-scalar container and
-every list of scalar rows (the flagged `[zip, year, p]` lists) is one
-`json.dumps` call whose separators carry the indentation, and only the mixed
-containers around them are walked in Python. `json.dump` itself encodes
-indented JSON in pure Python, which took most of the report's time on large
-runs. The flagged CSVs hand the manifest's rows to `csv` as they are: `csv`
-writes a float with `repr`, as the other CSVs do explicitly, so every float
-cell reads back to the same bits.
+A manifest body's flagged lists are `jsonio.RowTable`s of ZIP, year and
+probability columns, in a fresh manifest and in a saved one alike:
+`manifest_body` checks a loaded manifest and turns its flagged lists into
+row tables, so one path renders both. `manifest.json` goes through
+`jsonio.save_json`, which streams the text of
+`json.dump(plain(body), fh, sort_keys=True, indent=2)` plus a newline, byte
+for byte, with the C JSON encoder and the row tables rendered from their
+columns. The flagged CSVs are rendered from the columns too, with the bytes
+`csv.writer` writes for the rows: excel dialect, `\r\n` line ends, a ZIP
+quoted only where `csv` quotes it, and each float written with `repr`, as
+the other CSVs do explicitly, so every float cell reads back to the same
+bits.
 """
 from __future__ import annotations
 
 import csv
+import io
 import re
+from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .errors import IoFailure, ValidationError
-from .jsonio import save_json
+from .jsonio import RowTable, save_json
+from .pipeline import MANIFEST_FORMAT
 
 FORMAT_JSON = "json"
 FORMAT_CSV = "csv"
@@ -109,27 +116,48 @@ def write_yearly_csv(manifest_body: dict, path: Path) -> None:
             )
 
 
-# Per-model CSV files: name prefix, header, and the rows of one model's detail.
-MODEL_CSVS = (
-    (
-        "flagged",
-        ["zip", "year", "calibrated_probability"],
-        lambda detail: detail["flagged"],
-    ),
-    (
-        "reliability",
-        ["bin_center", "mean_predicted", "observed_rate", "count"],
-        lambda detail: (
-            [
-                repr(row["bin_center"]),
-                repr(row["mean_predicted"]),
-                repr(row["observed_rate"]),
-                row["count"],
-            ]
-            for row in detail["reliability"]
-        ),
-    ),
-)
+FLAGGED_HEADER = ["zip", "year", "calibrated_probability"]
+RELIABILITY_KEYS = ["bin_center", "mean_predicted", "observed_rate", "count"]
+
+
+def _csv_cells(values: list[str]) -> list[str]:
+    """Each of `values` as `csv.writer` writes it among other cells of a row:
+    as it is, unless `csv` quotes it."""
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow([*values, ""])
+    if out.getvalue() == ",".join(values) + ",\r\n":
+        return values
+    cells = []
+    for value in values:
+        out.seek(0)
+        out.truncate()
+        writer.writerow([value, ""])
+        cells.append(out.getvalue()[: -len(",\r\n")])
+    return cells
+
+
+def _write_flagged(detail: dict, fh) -> None:
+    csv.writer(fh).writerow(FLAGGED_HEADER)
+    fh.write(detail["flagged"].text("", ",", "\r\n", "", _csv_cells))
+
+
+def _write_reliability(detail: dict, fh) -> None:
+    writer = csv.writer(fh)
+    writer.writerow(RELIABILITY_KEYS)
+    writer.writerows(
+        [
+            repr(row["bin_center"]),
+            repr(row["mean_predicted"]),
+            repr(row["observed_rate"]),
+            row["count"],
+        ]
+        for row in detail["reliability"]
+    )
+
+
+# Per-model CSV files: name prefix, and the writer of one model's file.
+MODEL_CSVS = (("flagged", _write_flagged), ("reliability", _write_reliability))
 
 
 def write_model_csvs(manifest_body: dict, outdir: Path) -> list[Path]:
@@ -141,13 +169,11 @@ def write_model_csvs(manifest_body: dict, outdir: Path) -> list[Path]:
         if "error" not in detail
     ]
     paths = []
-    for prefix, header, rows in MODEL_CSVS:
+    for prefix, write in MODEL_CSVS:
         for cohort, label, detail in models:
             path = outdir / f"{prefix}_{_slug(cohort)}_{_slug(label)}.csv"
             with open(path, "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(header)
-                writer.writerows(rows(detail))
+                write(detail, fh)
             paths.append(path)
     return paths
 
@@ -230,10 +256,132 @@ def render_markdown(manifest_body: dict) -> str:
     return "\n".join(lines)
 
 
+@dataclass(frozen=True)
+class _Each:
+    """An object whose every value has `shape`, and every key passes `key`."""
+
+    shape: object
+    key: type = str
+
+
+@dataclass(frozen=True)
+class _OrError:
+    """An object holding "error", or one of `shape`."""
+
+    shape: object
+
+
+_FLAGGED = object()  # a list of [str, int, float] rows, read as a RowTable
+_NUMBER = (int, float)
+_NUMBER_OR_NULL = (int, float, type(None))
+_PERIOD = {
+    "thresholds": _Each({"tau_hi": _NUMBER_OR_NULL, "tau_lo": _NUMBER}),
+    "prevalences": _Each(_NUMBER_OR_NULL),
+}
+_MODEL = {
+    "eval": {
+        **dict.fromkeys(METRIC_COLUMNS, _NUMBER_OR_NULL),
+        "precision_at": _Each(_NUMBER_OR_NULL),
+    },
+    "reliability": [dict.fromkeys(RELIABILITY_KEYS, object)],
+    "flagged": _FLAGGED,
+}
+_AREA_SHARES = _Each(
+    _OrError({"by_area": _Each({"count": object, "share": _NUMBER_OR_NULL})}), key=float
+)
+
+# What the renderers read of a manifest body. A shape is a type or tuple of
+# types; a dict of keys and their shapes, where a key ending in "?" may be
+# missing; a one-item list, for a list of items of that shape; `_Each`,
+# `_OrError` or `_FLAGGED`.
+MANIFEST_SHAPE = {
+    "seed": object,
+    "config_hash": object,
+    "manifest_digest": object,
+    "periods": {"p1": _PERIOD, "p2": _PERIOD},
+    "cohorts?": _Each({"models?": _Each(_OrError(_MODEL))}),
+    "fragile_distribution?": {"p1?": _AREA_SHARES, "p2?": _AREA_SHARES},
+    "yearly?": [
+        {
+            **dict.fromkeys(("year", "n_rows", "n_eligible", "anomaly_rows"), object),
+            **dict.fromkeys(("tau_hi", "tau_lo", "prevalence"), _NUMBER_OR_NULL),
+        }
+    ],
+}
+
+
+def manifest_body(data) -> dict:
+    """The body of a saved manifest from its JSON data `data`, with its
+    flagged lists as row tables. Raises a `ValidationError` naming the first
+    part the renderers cannot read, unless `data` is a manifest object of
+    format `MANIFEST_FORMAT`."""
+    if not isinstance(data, dict) or data.get("format") != MANIFEST_FORMAT:
+        raise ValidationError(f"not a manifest: expected an object with format {MANIFEST_FORMAT!r}")
+    return _read(data, MANIFEST_SHAPE, "manifest")
+
+
+def _read(value, shape, where: str):
+    """`value`, checked to have `shape`, with its flagged lists as row tables."""
+
+    def fail(what: str):
+        return ValidationError(f"{where}: expected {what}")
+
+    if shape is _FLAGGED:
+        return _flagged_table(value, fail)
+    if isinstance(shape, _OrError):
+        if isinstance(value, dict) and "error" in value:
+            return value
+        shape = shape.shape
+    if isinstance(shape, list):
+        if not isinstance(value, list):
+            raise fail("a list")
+        return [_read(item, shape[0], f"{where}[{i}]") for i, item in enumerate(value)]
+    if isinstance(shape, (dict, _Each)):
+        if not isinstance(value, dict):
+            raise fail("an object")
+        if isinstance(shape, _Each):
+            for key in value:
+                try:
+                    shape.key(key)
+                except ValueError:
+                    raise fail(f"keys that read as {shape.key.__name__}, not {key!r}") from None
+            return {key: _read(item, shape.shape, f"{where}.{key}") for key, item in value.items()}
+        out = dict(value)
+        for key, item_shape in shape.items():
+            name = key.removesuffix("?")
+            if name in value:
+                out[name] = _read(value[name], item_shape, f"{where}.{name}")
+            elif name == key:
+                raise fail(f"a key {name!r}")
+        return out
+    if not isinstance(value, shape):
+        raise fail("a number" if shape == _NUMBER else "a number or null")
+    return value
+
+
+def _flagged_table(rows, fail) -> RowTable:
+    if not isinstance(rows, list) or not all(
+        type(row) is list
+        and len(row) == 3
+        and type(row[0]) is str
+        and type(row[1]) is int
+        and type(row[2]) is float
+        for row in rows
+    ):
+        raise fail("a list of [zip, year, probability] rows of a string, an integer and a float")
+    zips, years, probs = zip(*rows) if rows else ((), (), ())
+    try:
+        years = np.array(years, dtype=np.int64)
+    except OverflowError:
+        raise fail("years that fit in 64 bits") from None
+    return RowTable(np.array(zips, dtype=object), years, np.array(probs, dtype=np.float64))
+
+
 def emit_report(manifest, formats, outdir) -> list[Path]:
     """Write the requested formats into outdir; returns written paths.
 
-    `manifest` may be a RunManifest or its body dict.
+    `manifest` may be a RunManifest or its body dict, whose flagged lists
+    are row tables (see `manifest_body` for a saved one).
     """
     body = manifest.body if hasattr(manifest, "body") else manifest
     for fmt in formats:

@@ -171,6 +171,88 @@ def test_synth_backtest_report_flow(tmp_path):
     assert (rerender / "report.md").read_text() == (outdir / "report.md").read_text()
 
 
+@pytest.fixture(scope="module")
+def saved_manifest(tmp_path_factory):
+    """The JSON data of a small backtest's manifest."""
+    tmp = tmp_path_factory.mktemp("saved")
+    panel = tmp / "synth.csv"
+    main(["synth", "--seed", "4", "--out", str(panel), "--set", "synth.n_zips=250"])
+    args = ["backtest", "--panel", str(panel), "--out", str(tmp / "run"), "--formats", "json"]
+    assert main(args + SMALL_RUN) == 0
+    return load_json(tmp / "run" / "manifest.json")
+
+
+def _model(body):
+    return body["cohorts"]["All"]["models"]["logistic[pct_no_vehicle]"]
+
+
+def _set(path, value):
+    """A change to a manifest body that puts `value` at `path`."""
+
+    def change(body):
+        *parents, last = path
+        for key in parents:
+            body = body[key]
+        body[last] = value
+
+    return change
+
+
+MANIFEST_DAMAGE = {
+    "format": _set(["format"], "snapgap-manifest/0"),
+    "no periods": lambda body: body.pop("periods"),
+    "cohorts a list": _set(["cohorts"], []),
+    "tau_lo a string": _set(["periods", "p1", "thresholds", "All", "tau_lo"], "0.4"),
+    "group key": lambda body: body["fragile_distribution"]["p1"].update(x={"by_area": {}}),
+    "yearly prevalence": lambda body: body["yearly"][0].update(prevalence="high"),
+    "reliability row": lambda body: _model(body)["reliability"].append([0.5, 0.1]),
+    "no eval": lambda body: _model(body).pop("eval"),
+    "flagged a dict": lambda body: _model(body).update(flagged={}),
+    "year a string": lambda body: _model(body)["flagged"][0].__setitem__(1, "2019"),
+    "year a bool": lambda body: _model(body)["flagged"][0].__setitem__(1, True),
+    "year too large": lambda body: _model(body)["flagged"][0].__setitem__(1, 2**70),
+    "probability an int": lambda body: _model(body)["flagged"][0].__setitem__(2, 1),
+    "zip a number": lambda body: _model(body)["flagged"][0].__setitem__(0, 1001),
+    "short row": lambda body: _model(body)["flagged"][0].pop(),
+}
+
+
+def _report_fails_with_exit_2(tmp_path, capsys, manifest: Path) -> None:
+    out = tmp_path / "out"
+    assert main(["report", "--manifest", str(manifest), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe{}", b"{}", b"[1]", b'{"cohorts": 5}', b'{"format": "snapgap-manifest/1"', b"{} 1"],
+    ids=["not utf-8", "empty object", "a list", "no format", "cut short", "trailing data"],
+)
+def test_report_exits_2_on_a_file_that_is_not_a_manifest(tmp_path, capsys, content):
+    manifest = tmp_path / "bad.json"
+    manifest.write_bytes(content)
+    _report_fails_with_exit_2(tmp_path, capsys, manifest)
+
+
+@pytest.mark.parametrize("damage", MANIFEST_DAMAGE.values(), ids=MANIFEST_DAMAGE.keys())
+def test_report_exits_2_on_a_manifest_it_cannot_render(tmp_path, capsys, saved_manifest, damage):
+    body = json.loads(json.dumps(saved_manifest))
+    assert _model(body)["flagged"]
+    damage(body)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(body), encoding="utf-8")
+    _report_fails_with_exit_2(tmp_path, capsys, manifest)
+
+
+def test_report_renders_an_undamaged_copy(tmp_path, saved_manifest):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(saved_manifest), encoding="utf-8")
+    assert main(["report", "--manifest", str(manifest), "--out", str(tmp_path / "out")]) == 0
+    assert load_json(tmp_path / "out" / "manifest.json") == saved_manifest
+
+
 def test_train_writes_scorer_files(tmp_path):
     # training-period rows alone are enough for `train`
     panel = tmp_path / "synth.csv"

@@ -1,16 +1,24 @@
+import csv
+import hashlib
 import io
 import json
+import pickle
+import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from snapgap.calibration import DecisionRule, IsotonicMap
-from snapgap.jsonio import plain, save_json, write_json
+from snapgap.jsonio import RowTable, plain, save_json, write_json
 from snapgap.labeling import LabelConfig, Thresholds
 from snapgap.metrics import EvalReport, FeatureImportance, ImportanceReport
 from snapgap.models import EnsembleParams, Standardization
+from snapgap.pipeline import digest_of
+from snapgap.report import write_model_csvs
 from snapgap.synth import SyntheticSpec, generate_synthetic
 
 # Strings that could look like the writer's own seams if it did not rely on
@@ -63,6 +71,114 @@ def test_long_rows_of_scalars():
     fh = io.StringIO()
     write_json(obj, fh)
     assert fh.getvalue() == json.dumps(obj, sort_keys=True, indent=2)
+
+
+# Probabilities with many ties, signed zeros and the smallest subnormal.
+TIED_PROBABILITIES = [-0.0, 0.0, 5e-324, 1e-05, 0.1 + 0.2, 1.0]
+
+
+@st.composite
+def row_tables(draw, max_rows=200):
+    """A flagged-row table: ZIP strings (some that JSON escapes or `csv`
+    quotes), any int64 year and tie-heavy probabilities."""
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.one_of(st.text(max_size=5), st.sampled_from(TRICKY_TEXT + [",", "\r", "00001"])),
+                st.integers(-(2**63), 2**63 - 1),
+                st.sampled_from(TIED_PROBABILITIES),
+            ),
+            max_size=max_rows,
+        )
+    )
+    zips, years, probs = zip(*rows) if rows else ((), (), ())
+    return RowTable(
+        np.array(zips, dtype=object),
+        np.array(years, dtype=np.int64),
+        np.array(probs, dtype=np.float64),
+    )
+
+
+@st.composite
+def nested(draw, table):
+    """`table` inside 0 to 3 levels of dicts and lists, beside other values."""
+    value = table
+    for kind in draw(st.lists(st.sampled_from(["dict", "list"]), max_size=3)):
+        other = draw(json_values)
+        value = {"flagged": value, "other": other} if kind == "dict" else [other, value, table]
+    return value
+
+
+def compact(obj) -> str:
+    return json.dumps(plain(obj), sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_row_tables_render_as_their_rows(data):
+    table = data.draw(row_tables())
+    obj = data.draw(nested(table))
+    fh = io.StringIO()
+    write_json(obj, fh)
+    assert fh.getvalue() == json.dumps(plain(obj), sort_keys=True, indent=2)
+    try:
+        want = hashlib.sha256(compact(obj).encode("utf-8")).hexdigest()
+    except ValueError:  # a NaN or infinity beside the table
+        with pytest.raises(ValueError):
+            digest_of(obj)
+    else:
+        assert digest_of(obj) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(row_tables())
+def test_flagged_csv_is_what_csv_writer_writes(table):
+    body = {"cohorts": {"All": {"models": {"m": {"flagged": table, "reliability": []}}}}}
+    want = io.StringIO(newline="")
+    writer = csv.writer(want)
+    writer.writerow(["zip", "year", "calibrated_probability"])
+    writer.writerows(plain(table))
+    with tempfile.TemporaryDirectory() as tmp:
+        write_model_csvs(body, Path(tmp))
+        got = (Path(tmp) / "flagged_All_m.csv").read_bytes()
+    assert got == want.getvalue().encode("utf-8")
+
+
+@settings(max_examples=50, deadline=None)
+@given(row_tables())
+def test_a_pickled_row_table_keeps_its_dtypes_and_bits(table):
+    back = pickle.loads(pickle.dumps(table))
+    assert back == table
+    for got, want in zip(back.columns, table.columns):
+        assert got.dtype == want.dtype
+        if want.dtype != object:
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert got.tolist() == want.tolist()
+
+
+def test_row_tables_are_equal_by_dtypes_and_values():
+    zips = np.array(["00001", "00002"], dtype=object)
+    years, probs = np.array([2019, 2020]), np.array([0.5, 0.25])
+    table = RowTable(zips, years, probs)
+    assert table == RowTable(zips.copy(), years.copy(), probs.copy())
+    assert table != RowTable(zips, years.astype(np.int32), probs)
+    assert table != RowTable(zips, years, probs[::-1])
+    assert table != plain(table)
+
+
+@settings(max_examples=50, deadline=None)
+@given(row_tables(max_rows=20).filter(len), st.sampled_from([np.nan, np.inf, -np.inf]), st.data())
+def test_non_finite_probabilities(table, bad, data):
+    probs = table.columns[2].copy()
+    probs[data.draw(st.integers(0, len(table) - 1))] = bad
+    table = RowTable(table.columns[0], table.columns[1], probs)
+    obj = data.draw(nested(table))
+    with pytest.raises(ValueError):
+        digest_of(obj)
+    fh = io.StringIO()
+    write_json(obj, fh)  # json.dump writes NaN and Infinity
+    assert fh.getvalue() == json.dumps(plain(obj), sort_keys=True, indent=2)
 
 
 def test_save_json_ends_with_a_newline(tmp_path):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from snapgap.errors import InvalidParams, NonConvergence, TooFewPositives
 from snapgap.metrics import average_precision
+from snapgap.models import logistic
 from snapgap.models import (
     FeatureMatrix,
     selection,
@@ -187,6 +188,20 @@ class TestCvGridSearch:
         train = np.setdiff1d(np.arange(fm.n), val)
         model = fit_family(fm.subset(train), "logistic", {"c": 1.0}, 9)
         assert np.array_equal(oof[val], model.predict_proba(fm.X[val]))
+
+    def test_logistic_candidates_share_each_folds_training_matrix(self, rng, monkeypatch):
+        fm = informative_fm(rng, n=150)
+        grid = [{"c": 0.1}, {"c": 1.0}, {"c": 100.0}]
+        calls = []
+        for module in (selection, logistic):
+            real = module.standardize
+            monkeypatch.setattr(
+                module, "standardize", lambda m, real=real: calls.append(m.n) or real(m)
+            )
+        cv_grid_search(fm, {"logistic": grid}, folds=5, seed=3)
+        assert len(calls) == 5  # once per fold, not once per fold and candidate
+        monkeypatch.undo()
+        assert_matches_loop(fm, "logistic", grid, folds=5, seed=3)
 
 
 def per_candidate_grid(fm, family, grid, folds, seed):

@@ -14,6 +14,7 @@ from oracles import flagged_rows_reference, panel_of, records_of
 from snapgap import pipeline
 from snapgap.errors import InsufficientCohort, NonConvergence, PeriodsOverlap, WorkerDied
 from snapgap.ingest import PREDICTOR_FIELDS, Area
+from snapgap.jsonio import plain
 from snapgap.labeling import LabelConfig
 from snapgap.models import selection
 from snapgap.pipeline import (
@@ -194,7 +195,7 @@ class TestBacktestBody:
         records, _ = synth_panel
         manifest = run_backtest(fast_cfg(), records)
         for detail in manifest.body["cohorts"]["All"]["models"].values():
-            flagged = detail["flagged"]
+            flagged = plain(detail["flagged"])
             keys = [(-p, z, y) for z, y, p in flagged]
             assert keys == sorted(keys)
             assert all(p >= detail["rule"]["threshold"] for _, _, p in flagged)
@@ -313,7 +314,7 @@ class TestWorkerPool:
         assert pooled.to_json() == serial.to_json()
         assert pooled.scorers.keys() == serial.scorers.keys()
         models = pooled.body["cohorts"]["All"]["models"]
-        entries = json.dumps(models)
+        entries = json.dumps(plain(models))
         assert "no convergence" in entries
         assert all("eval" in models[f"random_forest[{'+'.join(s)}]"] for s in self.SUBSETS)
 
@@ -483,9 +484,9 @@ def test_flagged_rows_match_a_sort_on_tuples(rows):
     zips = [f"{z:05d}" for z, _, _ in rows]
     years = [yr for _, yr, _ in rows]
     probs = [p for _, _, p in rows]
-    got = pipeline._flagged_rows(
+    got = plain(pipeline._flagged_rows(
         np.array(zips, dtype=object), np.array(years, dtype=np.int64), np.array(probs)
-    )
+    ))
     want = flagged_rows_reference(zips, years, probs)
     assert got == want
     assert [list(map(type, row)) for row in got] == [[str, int, float]] * len(got)

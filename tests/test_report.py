@@ -4,6 +4,7 @@ import json
 import pytest
 
 from oracles import render_report_reference
+from snapgap.jsonio import plain
 from snapgap.pipeline import BacktestConfig, run_backtest
 from snapgap.report import emit_report, render_markdown
 from snapgap.synth import SyntheticSpec, generate_synthetic
@@ -81,7 +82,7 @@ def test_flagged_csv_sorted(manifest, tmp_path):
 
 def test_json_and_flagged_csvs_match_the_reference_renderer(manifest, tmp_path):
     (tmp_path / "ref").mkdir()
-    names = render_report_reference(manifest.body, tmp_path / "ref")
+    names = render_report_reference(plain(manifest.body), tmp_path / "ref")
     emit_report(manifest, ("json", "csv"), tmp_path / "out")
     assert len(names) == 3
     for name in names:
