@@ -8,7 +8,8 @@ flags (values parsed as YAML). Every command checks every key first (see
 `config`): an unknown key, a value of the wrong type, or one out of range,
 exits 2 before any work. So does `report`, before writing anything, on a
 file that is not a manifest it can render: not UTF-8 JSON, another format,
-or a part the renderers read missing or of the wrong type. Exit codes: 0 ok,
+a part the renderers read missing or of the wrong type, or a body that does
+not hash to its `manifest_digest` (edited after the run). Exit codes: 0 ok,
 2 validation error, 3 insufficient cohort, 4 I/O failure, 5 a run that
 failed on valid input (a worker process died, a fit did not converge).
 """

@@ -24,19 +24,22 @@ Every randomized task derives its own generator from (root seed, task label),
 so the manifest is byte-identical across runs.
 
 The (cohort, subset, family) tasks are independent, so they run in worker
-processes forked from this one: one worker per CPU in the process's affinity
-mask, at most one per task. With one CPU, where the platform cannot fork, or
-while another thread runs, they run here one after another through the same
-task function. Where a task runs cannot change a byte: it reads only the
-labeled panels, which workers inherit through fork, it draws only from its
-own keyed streams, and its result comes back by pickle, which keeps every
-float bit and dict order. A model's flagged rows come back as one
-`jsonio.RowTable` of ZIP, year and probability columns, not as a list per
-row, and stay one in the manifest body; `plain(body)` is the body's JSON
-data, and the digest and report writers render the tables from their
-columns. The results are assembled in plan order, not in order of
-completion. Each task records its warnings, and they are issued in
-this process in plan order, so they print the same with any worker count.
+processes forked from this one: one worker per CPU in the process's
+affinity mask, at most one per task. With one CPU, where the platform
+cannot fork, or while another thread runs, they run here one after another
+through the same task function. Where a task runs cannot change a byte: it
+reads only the labeled panels, which workers inherit through fork, it
+draws only from its own keyed streams, and its result comes back by
+pickle, which keeps every float bit and dict order. A model's flagged rows
+come back as two arrays, their late-period row numbers and probabilities
+(16 bytes a row), and this process makes them one `jsonio.RowTable` of its
+own panel's ZIP and year cells and the probabilities, so it holds one
+string per ZIP however many tasks flag it. The table stays one in the
+manifest body; `plain(body)` is the body's JSON data, and the digest and
+report writers render the tables from their columns. The results are
+assembled in plan order, not in order of completion. Each task records its
+warnings, and they are issued in this process in plan order, so they print
+the same with any worker count.
 """
 from __future__ import annotations
 
@@ -400,11 +403,18 @@ def _fit_task(
     return scorer, detail
 
 
-def _flagged_rows(zips: np.ndarray, years: np.ndarray, probs: np.ndarray) -> RowTable:
-    """The `[zip, year, probability]` rows, highest probability first, ties
-    by ZIP and then year, as a table of ZIP, year and probability columns."""
-    order = np.lexsort((years, zips, -probs))
-    return RowTable(zips[order], years[order], probs[order])
+def _flagged_order(zips: np.ndarray, years: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """The order of flagged `[zip, year, probability]` rows: highest
+    probability first, ties by ZIP and then year."""
+    return np.lexsort((years, zips, -probs))
+
+
+def _flagged_table(panel: Panel, flagged: tuple[np.ndarray, np.ndarray]) -> RowTable:
+    """A task's flagged rows, given as `panel` row numbers and their
+    probabilities, as a table of the panel's own ZIP and year cells and the
+    probabilities."""
+    rows, probs = flagged
+    return RowTable(panel.zip[rows], panel.year[rows], probs)
 
 
 def _evaluate_task(
@@ -430,10 +440,9 @@ def _evaluate_task(
     detail["reliability"] = reliability_curve(calibrated, y2, cfg.reliability_bins)
 
     hits = np.flatnonzero(classify(calibrated, scorer.rule) == 1)
-    rows = p2_rows[hits]
-    detail["flagged"] = _flagged_rows(
-        p2_panel.panel.zip[rows], p2_panel.panel.year[rows], calibrated[hits]
-    )
+    rows, probs = p2_rows[hits], calibrated[hits]
+    order = _flagged_order(p2_panel.panel.zip[rows], p2_panel.panel.year[rows], probs)
+    detail["flagged"] = rows[order], probs[order]  # a table in `run_backtest`
 
     importance = permutation_importance(
         scorer.model,
@@ -715,7 +724,9 @@ def run_backtest(
             cohort_models[cohort][label] = {"error": outcome}
             errors.append(outcome)
             continue
-        scorers[(cohort, label)], cohort_models[cohort][label] = outcome
+        scorers[(cohort, label)], detail = outcome
+        detail["flagged"] = _flagged_table(p2_panel.panel, detail["flagged"])
+        cohort_models[cohort][label] = detail
     if not scorers:
         raise InsufficientCohort(f"every cohort failed: {'; '.join(sorted(set(errors)))}")
 

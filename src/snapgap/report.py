@@ -6,8 +6,9 @@ decimal, with near-zero top-of-list precision shown as a dash.
 
 A manifest body's flagged lists are `jsonio.RowTable`s of ZIP, year and
 probability columns, in a fresh manifest and in a saved one alike:
-`manifest_body` checks a loaded manifest and turns its flagged lists into
-row tables, so one path renders both. `manifest.json` goes through
+`manifest_body` checks a loaded manifest, its shape and that its body
+hashes to its `manifest_digest`, and turns its flagged lists into row
+tables, so one path renders both. `manifest.json` goes through
 `jsonio.save_json`, which streams the text of
 `json.dump(plain(body), fh, sort_keys=True, indent=2)` plus a newline, byte
 for byte, with the C JSON encoder and the row tables rendered from their
@@ -29,7 +30,7 @@ import numpy as np
 
 from .errors import IoFailure, ValidationError
 from .jsonio import RowTable, save_json
-from .pipeline import MANIFEST_FORMAT
+from .pipeline import MANIFEST_FORMAT, digest_of
 
 FORMAT_JSON = "json"
 FORMAT_CSV = "csv"
@@ -314,10 +315,22 @@ def manifest_body(data) -> dict:
     """The body of a saved manifest from its JSON data `data`, with its
     flagged lists as row tables. Raises a `ValidationError` naming the first
     part the renderers cannot read, unless `data` is a manifest object of
-    format `MANIFEST_FORMAT`."""
+    format `MANIFEST_FORMAT`, or naming both digests when the body without
+    its `manifest_digest` does not hash to that digest: a report never shows
+    numbers a run did not produce under the digest it prints."""
     if not isinstance(data, dict) or data.get("format") != MANIFEST_FORMAT:
         raise ValidationError(f"not a manifest: expected an object with format {MANIFEST_FORMAT!r}")
-    return _read(data, MANIFEST_SHAPE, "manifest")
+    body = _read(data, MANIFEST_SHAPE, "manifest")
+    recorded = data["manifest_digest"]
+    try:
+        actual = digest_of({key: value for key, value in data.items() if key != "manifest_digest"})
+    except ValueError:  # NaN or an infinity, which no run writes
+        raise ValidationError("manifest: expected finite numbers") from None
+    if actual != recorded:
+        raise ValidationError(
+            f"manifest: the body digests to {actual}, not to its manifest_digest {recorded}"
+        )
+    return body
 
 
 def _read(value, shape, where: str):

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -103,28 +103,39 @@ def _zscore(v: np.ndarray) -> np.ndarray:
     return (v - v.mean()) / (sd if sd > 0 else 1.0)
 
 
-def _label_directly(
-    pov: np.ndarray,
-    snap: np.ndarray,
-    universe: np.ndarray,
-    spec: SyntheticSpec,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(eligible, fragile) masks by direct definition on realized counts,
-    under `spec.label`: the low-uptake quantile is of capped or raw uptake
-    as its `use_capped_uptake` says."""
+def _direct_labeler(
+    pov: np.ndarray, universe: np.ndarray, spec: SyntheticSpec
+) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """`label(snap)`: the (eligible, fragile) masks by direct definition on
+    the realized counts `pov`, `snap` and `universe`, under `spec.label`: the
+    low-uptake quantile is of capped or raw uptake as its
+    `use_capped_uptake` says. What does not depend on `snap` (the poverty
+    rate and the rows it allows) is computed once, and the poverty-rate
+    cutpoint is kept while the eligible rows stay the same."""
     with np.errstate(divide="ignore", invalid="ignore"):
         p = pov / universe
-        s = np.where(pov > 0, snap / np.maximum(pov, 1), np.nan)
     rule = spec.label
-    eligible = (pov > 0) & (p >= rule.poverty_floor) & (p > 0) & (s > 0) & np.isfinite(s)
-    fragile = np.zeros(len(pov), dtype=bool)
-    if eligible.sum() == 0:
+    base = np.flatnonzero((pov > 0) & (p >= rule.poverty_floor) & (p > 0))  # uptake decides these
+    p_base, pov_base = p[base], np.maximum(pov, 1)[base]
+    kept_eligible, tau_hi = None, None
+
+    def label(snap: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        nonlocal kept_eligible, tau_hi
+        s = snap[base] / pov_base
+        ok = (s > 0) & np.isfinite(s)
+        eligible = np.zeros(len(pov), dtype=bool)
+        eligible[base[ok]] = True
+        fragile = np.zeros(len(pov), dtype=bool)
+        if not ok.any():
+            return eligible, fragile
+        uptake = np.minimum(s, 1.0) if rule.use_capped_uptake else s
+        if kept_eligible is None or not np.array_equal(ok, kept_eligible):
+            kept_eligible, tau_hi = ok, np.quantile(p_base[ok], rule.hi_q, method="linear")
+        tau_lo = np.quantile(uptake[ok], rule.lo_q, method="linear")
+        fragile[base[ok & (p_base >= tau_hi) & (uptake <= tau_lo)]] = True
         return eligible, fragile
-    uptake = np.minimum(s, 1.0) if rule.use_capped_uptake else s
-    tau_hi = np.quantile(p[eligible], rule.hi_q, method="linear")
-    tau_lo = np.quantile(uptake[eligible], rule.lo_q, method="linear")
-    fragile = eligible & (p >= tau_hi) & (uptake <= tau_lo)
-    return eligible, fragile
+
+    return label
 
 
 def generate_synthetic(spec: SyntheticSpec) -> tuple[Panel, dict]:
@@ -134,7 +145,8 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Panel, dict]:
     bisection so that the realized fragile share of eligible rows matches the
     year's target prevalence as closely as the finite panel allows. Each
     year is one block of columns over all ZIPs; the panel is the blocks in
-    year order.
+    year order, joined one column at a time as `Panel.concat` joins parse
+    chunks.
     """
     spec.validate()
     rng0 = derive_rng(spec.seed, STREAM_SYNTH, 0)
@@ -148,73 +160,78 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Panel, dict]:
     universe = rng0.integers(200, 5000, size=n).astype(float)
     exceeds_flags = np.array([frozenset(), frozenset({FLAG_SNAP_EXCEEDS_POVERTY})], dtype=object)
 
-    blocks: list[Panel] = []
     truth_years: dict[str, dict] = {}
     planted_anomalies: list[list] = []
-    years = list(range(spec.years[0], spec.years[1] + 1))
 
-    for year in years:
-        rng = derive_rng(spec.seed, STREAM_SYNTH, year)
-        preds = {}
-        for name in PREDICTOR_FIELDS:
-            mus = np.array([AREA_PREDICTOR_MEANS[a][name] for a in area_per_zip])
-            preds[name] = np.clip(rng.normal(mus, PREDICTOR_SD), 0.0, 100.0)
-        p_rate = np.clip(rng.normal(0.25, 0.09, size=n), 0.02, 0.90)
-        pov = np.round(p_rate * universe)
-        noise = rng.normal(0.0, UPTAKE_NOISE_SD, size=n)
+    def year_blocks() -> Iterator[Panel]:
+        """Each year's block, after recording its truth."""
+        for year in range(spec.years[0], spec.years[1] + 1):
+            rng = derive_rng(spec.seed, STREAM_SYNTH, year)
+            preds = {}
+            for name in PREDICTOR_FIELDS:
+                mus = np.array([AREA_PREDICTOR_MEANS[a][name] for a in area_per_zip])
+                preds[name] = np.clip(rng.normal(mus, PREDICTOR_SD), 0.0, 100.0)
+            p_rate = np.clip(rng.normal(0.25, 0.09, size=n), 0.02, 0.90)
+            pov = np.round(p_rate * universe)
+            noise = rng.normal(0.0, UPTAKE_NOISE_SD, size=n)
 
-        eta = np.zeros(n)  # fragility propensity from planted effects
-        for name in PREDICTOR_FIELDS:
-            beta = spec.true_coefficients.get(name, 0.0)
-            if beta != 0.0:
-                eta += beta * _zscore(preds[name])
-        zp = _zscore(p_rate)
+            eta = np.zeros(n)  # fragility propensity from planted effects
+            for name in PREDICTOR_FIELDS:
+                beta = spec.true_coefficients.get(name, 0.0)
+                if beta != 0.0:
+                    eta += beta * _zscore(preds[name])
+            zp = _zscore(p_rate)
 
-        n_anom = int(round(spec.anomaly_rate * n))
-        anomaly_candidates = np.flatnonzero(pov >= 1)
-        if n_anom > len(anomaly_candidates):
-            raise InvalidSpec(
-                f"anomaly_rate {spec.anomaly_rate} asks for {n_anom} anomalies but only "
-                f"{len(anomaly_candidates)} rows have positive poverty counts in {year}"
-            )
-        anom_idx = np.sort(rng.choice(anomaly_candidates, size=n_anom, replace=False))
-        anom_mask = np.zeros(n, dtype=bool)
-        anom_mask[anom_idx] = True
-        anom_excess = rng.uniform(0.05, 0.50, size=n_anom)
+            n_anom = int(round(spec.anomaly_rate * n))
+            anomaly_candidates = np.flatnonzero(pov >= 1)
+            if n_anom > len(anomaly_candidates):
+                raise InvalidSpec(
+                    f"anomaly_rate {spec.anomaly_rate} asks for {n_anom} anomalies but only "
+                    f"{len(anomaly_candidates)} rows have positive poverty counts in {year}"
+                )
+            anom_idx = np.sort(rng.choice(anomaly_candidates, size=n_anom, replace=False))
+            anom_excess = rng.uniform(0.05, 0.50, size=n_anom)
+            anom_snap = np.ceil(pov[anom_idx] * (1.0 + anom_excess))
+            base_link = UPTAKE_BASE - eta + noise  # fragility effects lower the uptake latent
+            label = _direct_labeler(pov, universe, spec)
 
-        def realize(gamma: float) -> np.ndarray:
-            # fragility effects lower the uptake latent
-            link = UPTAKE_BASE - eta + noise + gamma * zp
-            s = UPTAKE_LO + (UPTAKE_HI - UPTAKE_LO) * sigmoid(link)
-            snap = np.round(s * pov)
-            snap[anom_mask] = np.ceil(pov[anom_mask] * (1.0 + anom_excess))
-            return snap
+            def realize(gamma: float) -> np.ndarray:
+                s = UPTAKE_LO + (UPTAKE_HI - UPTAKE_LO) * sigmoid(base_link + gamma * zp)
+                snap = np.round(s * pov)
+                snap[anom_idx] = anom_snap
+                return snap
 
-        target = spec.target_for_year(year)
+            target = spec.target_for_year(year)
 
-        def prevalence_of(gamma: float) -> tuple[float, np.ndarray, np.ndarray]:
-            snap = realize(gamma)
-            eligible, fragile = _label_directly(pov, snap, universe, spec)
-            n_el = int(eligible.sum())
-            prev = fragile.sum() / n_el if n_el else 0.0
-            return prev, snap, fragile
+            def prevalence_of(gamma: float) -> tuple[float, np.ndarray, np.ndarray]:
+                snap = realize(gamma)
+                eligible, fragile = label(snap)
+                n_el = int(eligible.sum())
+                prev = fragile.sum() / n_el if n_el else 0.0
+                return prev, snap, fragile
 
-        # prevalence decreases as gamma rises (high-poverty rows gain uptake)
-        lo, hi = -15.0, 15.0
-        best = None
-        for _ in range(48):
-            mid = (lo + hi) / 2.0
-            prev, snap, fragile = prevalence_of(mid)
-            if best is None or abs(prev - target) < abs(best[0] - target):
-                best = (prev, mid, snap, fragile)
-            if prev > target:
-                lo = mid
-            else:
-                hi = mid
-        realized_prev, gamma, snap, fragile = best
+            # prevalence decreases as gamma rises (high-poverty rows gain uptake)
+            lo, hi = -15.0, 15.0
+            best = None
+            for _ in range(48):
+                mid = (lo + hi) / 2.0
+                prev, snap, fragile = prevalence_of(mid)
+                if best is None or abs(prev - target) < abs(best[0] - target):
+                    best = (prev, mid, snap, fragile)
+                if prev > target:
+                    lo = mid
+                else:
+                    hi = mid
+            realized_prev, gamma, snap, fragile = best
 
-        blocks.append(
-            Panel(
+            planted_anomalies.extend([zips[i], year] for i in anom_idx)
+            truth_years[str(year)] = {
+                "target_prevalence": target,
+                "realized_prevalence": float(realized_prev),
+                "gamma": float(gamma),
+                "fragile_zips": [zips[i] for i in np.flatnonzero(fragile)],
+            }
+            yield Panel(
                 zip=zips,
                 year=np.full(n, year, dtype=np.int64),
                 area=area_column,
@@ -225,19 +242,12 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Panel, dict]:
                 pov_rate=np.full(n, np.nan),
                 predictors=np.column_stack([preds[name] for name in PREDICTOR_FIELDS]),
             )
-        )
-        planted_anomalies.extend([zips[i], year] for i in anom_idx)
-        truth_years[str(year)] = {
-            "target_prevalence": target,
-            "realized_prevalence": float(realized_prev),
-            "gamma": float(gamma),
-            "fragile_zips": [zips[i] for i in np.flatnonzero(fragile)],
-        }
 
+    panel = Panel.concat(year_blocks())
     truth = {
         "spec": {k: v for k, v in plain(spec).items() if k != "label"},
         "years": truth_years,
         "planted_anomalies": planted_anomalies,
         "n_planted_anomalies": len(planted_anomalies),
     }
-    return Panel.concat(blocks), truth
+    return panel, truth

@@ -19,7 +19,7 @@ from snapgap.ingest import PREDICTOR_FIELDS, parse_panel
 from snapgap.jsonio import load_json
 from snapgap.labeling import LabelConfig, build_labels, fit_uptake_ols
 from snapgap.models import FAMILIES, scorer_from_dict
-from snapgap.pipeline import train_scorers
+from snapgap.pipeline import digest_of, train_scorers
 
 PANEL_CSV = """zip,year,pov_fam,snap_fam,fam_universe,pct_no_vehicle,pct_no_internet,pct_no_computer,pct_hs_only
 01001,2015,120,60,400,12.0,15.0,9.0,30.0
@@ -244,6 +244,33 @@ def test_report_exits_2_on_a_manifest_it_cannot_render(tmp_path, capsys, saved_m
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps(body), encoding="utf-8")
     _report_fails_with_exit_2(tmp_path, capsys, manifest)
+
+
+def _halve_a_flagged_probability(body):
+    _model(body)["flagged"][0][2] /= 2
+
+
+def _raise_an_auc(body):
+    _model(body)["eval"]["auc"] += 0.01
+
+
+@pytest.mark.parametrize(
+    "edit", [_halve_a_flagged_probability, _raise_an_auc], ids=["a flagged probability", "an AUC"]
+)
+def test_report_exits_2_on_a_body_that_does_not_match_its_digest(
+    tmp_path, capsys, saved_manifest, edit
+):
+    body = json.loads(json.dumps(saved_manifest))
+    edit(body)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(body), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["report", "--manifest", str(manifest), "--out", str(out)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    actual = digest_of({k: v for k, v in body.items() if k != "manifest_digest"})
+    assert actual != body["manifest_digest"]
+    assert line.startswith("error: ") and actual in line and body["manifest_digest"] in line
+    assert not out.exists()
 
 
 def test_report_renders_an_undamaged_copy(tmp_path, saved_manifest):

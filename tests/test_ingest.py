@@ -1,4 +1,5 @@
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import make_record, random_records
 from oracles import dedupe_reference, panel_of, parse_panel_reference, records_of
+from snapgap import ingest
 from snapgap.errors import EmptyInput, LengthOverflow, MissingColumn, NonNumericZip
 from snapgap.ingest import (
     DEFAULT_SCHEMA,
@@ -317,9 +319,25 @@ class TestPanel:
         records = random_records(rng, 12)
         parts = [panel_of(records[:5]), panel_of([]), panel_of(records[5:])]
         assert records_of(Panel.concat(parts)) == records
+        assert records_of(Panel.concat(iter(parts))) == records
 
 
 class TestDedupe:
+    def test_keys_number_by_first_appearance(self):
+        records = [
+            make_record(zip="00009", year=2016, pov_fam=1.0),
+            make_record(zip="00001", year=2016),
+            make_record(zip="00009", year=2015),
+            make_record(zip="00009", year=2016, pov_fam=3.0),
+            make_record(zip="00001", year=2016),
+        ]
+        out = dedupe(panel_of(records))
+        assert list(zip(out.zip.tolist(), out.year.tolist())) == [
+            ("00009", 2016), ("00001", 2016), ("00009", 2015)
+        ]
+        assert out.pov_fam[0] == 2.0 and FLAG_DUPLICATE_AVERAGED in out.flags[0]
+        assert FLAG_DUPLICATE_AVERAGED not in out.flags[1]
+
     def test_exact_duplicates_collapse_without_flag(self):
         rec = make_record()
         out = dedupe_records([rec, rec])
@@ -404,6 +422,16 @@ def raw_panels(draw):
     return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
 
 
+def assert_same_panel(got: Panel, want: Panel) -> None:
+    """Equal columns: the same dtypes, and the same values with NaN equal to NaN."""
+    for name in ("zip", "year", "area", "flags"):
+        assert getattr(got, name).dtype == getattr(want, name).dtype
+        assert getattr(got, name).tolist() == getattr(want, name).tolist()
+    for name in ("pov_fam", "snap_fam", "fam_universe", "pov_rate", "predictors"):
+        assert getattr(got, name).dtype == getattr(want, name).dtype
+        assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True)
+
+
 class TestRowWiseReference:
     """Columnar parse and dedupe against the row-by-row reference."""
 
@@ -414,12 +442,14 @@ class TestRowWiseReference:
         records, expected_rejects = parse_panel_reference(text)
         assert [(r.row, r.reason) for r in rejects] == [(r.row, r.reason) for r in expected_rejects]
         assert records_of(panel) == records
+        # the tuple-keyed reference
+        assert_same_panel(dedupe(panel), panel_of(dedupe_reference(records)))
 
-        deduped, expected = dedupe(panel), panel_of(dedupe_reference(records))
-        for name in ("zip", "year", "area", "flags"):
-            assert getattr(deduped, name).tolist() == getattr(expected, name).tolist()
-        for name in ("pov_fam", "snap_fam", "fam_universe", "pov_rate", "predictors"):
-            assert np.array_equal(getattr(deduped, name), getattr(expected, name), equal_nan=True)
+        for rows in (1, 2, 3, 7):  # rejects and repeated keys straddle chunks
+            with mock.patch.object(ingest, "PARSE_CHUNK_ROWS", rows):
+                chunked, chunked_rejects = parse_panel(io.StringIO(text))
+            assert chunked_rejects == rejects
+            assert_same_panel(chunked, panel)
 
     def test_signed_zero_duplicates_are_exact(self):
         text = "\n".join([HEADER, "00001,2015,0.0,1,2,3,4,5", "00001,2015,-0.0,1,2,3,4,5"])

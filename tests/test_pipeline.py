@@ -14,7 +14,7 @@ from oracles import flagged_rows_reference, panel_of, records_of
 from snapgap import pipeline
 from snapgap.errors import InsufficientCohort, NonConvergence, PeriodsOverlap, WorkerDied
 from snapgap.ingest import PREDICTOR_FIELDS, Area
-from snapgap.jsonio import plain
+from snapgap.jsonio import RowTable, plain
 from snapgap.labeling import LabelConfig
 from snapgap.models import selection
 from snapgap.pipeline import (
@@ -318,6 +318,21 @@ class TestWorkerPool:
         assert "no convergence" in entries
         assert all("eval" in models[f"random_forest[{'+'.join(s)}]"] for s in self.SUBSETS)
 
+    def test_flagged_cells_are_the_panels_own(self, synth_panel, monkeypatch):
+        # tasks return row numbers, so no worker's copy of a ZIP string
+        # reaches the manifest
+        panel, _ = synth_panel
+        own = {id(z) for z in panel.zip.tolist()}
+        cfg = fast_cfg(feature_subsets=self.SUBSETS, families=("logistic", "random_forest"))
+        for workers in (1, 2):
+            pool_size(monkeypatch, workers)
+            models = run_backtest(cfg, panel).body["cohorts"]["All"]["models"]
+            assert len(models) == 4
+            for detail in models.values():
+                zips, years, probs = detail["flagged"].columns
+                assert [zips.dtype, years.dtype, probs.dtype] == [object, np.int64, np.float64]
+                assert len(zips) and all(id(z) in own for z in zips.tolist())
+
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity mask here")
     def test_pool_size_follows_the_affinity_mask_and_threads(self):
         cpus = len(os.sched_getaffinity(0))
@@ -484,9 +499,9 @@ def test_flagged_rows_match_a_sort_on_tuples(rows):
     zips = [f"{z:05d}" for z, _, _ in rows]
     years = [yr for _, yr, _ in rows]
     probs = [p for _, _, p in rows]
-    got = plain(pipeline._flagged_rows(
-        np.array(zips, dtype=object), np.array(years, dtype=np.int64), np.array(probs)
-    ))
+    columns = np.array(zips, dtype=object), np.array(years, dtype=np.int64), np.array(probs)
+    order = pipeline._flagged_order(*columns)
+    got = plain(RowTable(*(column[order] for column in columns)))
     want = flagged_rows_reference(zips, years, probs)
     assert got == want
     assert [list(map(type, row)) for row in got] == [[str, int, float]] * len(got)

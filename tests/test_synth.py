@@ -1,10 +1,11 @@
+import numpy as np
 import pytest
 
 from oracles import records_of
 from snapgap.errors import InvalidSpec
 from snapgap.ingest import FLAG_SNAP_EXCEEDS_POVERTY, Area
 from snapgap.labeling import LabelConfig, build_labels
-from snapgap.synth import SyntheticSpec, generate_synthetic
+from snapgap.synth import SyntheticSpec, _direct_labeler, generate_synthetic
 
 
 def small_spec(**kwargs):
@@ -103,6 +104,24 @@ class TestGeneration:
             panel = build_labels(records.take(records.year == year), label)
             fragile = sorted(panel.panel.zip[panel.y == 1].tolist())
             assert fragile == sorted(truth["years"][str(year)]["fragile_zips"])
+
+    def test_labeler_follows_the_eligible_rows(self):
+        # The labeler keeps its poverty-rate cutpoint while the eligible rows
+        # stay the same; a fresh labeler computes everything from scratch.
+        rng = np.random.default_rng(0)
+        universe = rng.integers(200, 5000, 400).astype(float)
+        pov = np.round(rng.uniform(0.02, 0.9, 400) * universe)
+        spec = small_spec(label=LabelConfig(poverty_floor=0.0))
+        label = _direct_labeler(pov, universe, spec)
+        # zero uptake makes a row ineligible; here, the highest-poverty rows
+        zeros = {"none": np.zeros(400, dtype=bool), "some": pov / universe > 0.6}
+        for pattern in ("none", "none", "some", "some", "none"):
+            snap = np.round(rng.uniform(0.2, 1.2, 400) * pov)
+            snap[zeros[pattern]] = 0.0
+            eligible, fragile = label(snap)
+            want_eligible, want_fragile = _direct_labeler(pov, universe, spec)(snap)
+            assert np.array_equal(eligible, want_eligible) and np.array_equal(fragile, want_fragile)
+            assert fragile.any() and eligible.all() == (pattern == "none")
 
     def test_drift_schedule_monotone(self):
         spec = SyntheticSpec(
