@@ -126,7 +126,7 @@ def cmd_backtest(args) -> int:
     manifest = run_backtest(settings.backtest, panel, input_digests=digests)
     outdir = Path(args.out)
     formats = args.formats.split(",") if args.formats else list(ALL_FORMATS)
-    written = emit_report(manifest, formats, outdir)
+    written = emit_report(manifest.body, formats, outdir)
     if args.models:
         _write_scorers(manifest.scorers, outdir / "models")
     print(f"manifest digest {manifest.digest}")

@@ -1,4 +1,5 @@
-"""JSON files: records as plain data, read and written.
+"""JSON files: records as plain data, read and written, and the canonical
+text that digests hash.
 
 `plain(value)` is the one JSON form of a record: a dataclass is the dict of
 its fields, a tuple or list a list, a numpy array its `.tolist()`, a
@@ -21,37 +22,52 @@ JSON encoder writes it), and numpy lays the row texts and their separators
 end to end for one `str.join`. Floats are told apart by their bits, so
 `-0.0` keeps its sign.
 
-`write_json(obj, fh)` writes exactly the text of
-`json.dump(plain(obj), fh, sort_keys=True, indent=2)` for JSON data that may
-hold row tables. The standard library encodes indented JSON with its
-pure-Python encoder, because the C encoder does not indent; on a large
-manifest that costs several times the C encoding. Here the C encoder lays
-out every dict or list whose values are all scalars in one `json.dumps`
-call: the indentation of a container's items is part of the item separator
-it is given, `("," + "\\n" + pad, ": ")`. Every other container is walked
-here, one item at a time, and every piece goes to `fh` as it is encoded, so
-the whole document never exists as one string.
-
-`canonical_pieces(obj)` gives the text of
+One walker writes every JSON value the program writes or hashes, in one of
+two layouts. `write_json(obj, fh)` writes exactly the text of
+`json.dump(plain(obj), fh, sort_keys=True, indent=2)` for JSON data that
+may hold row tables. `write_canonical(obj, write)` gives the text of
 `json.dumps(plain(obj), sort_keys=True, separators=(",", ":"),
-allow_nan=False)` in pieces, for a digest to hash as they come. A value
-without row tables is one C encoder call. One that holds some is walked
-down to them: each container is first tried whole, and the encoder stops at
-the first row table it meets.
+allow_nan=False)` in pieces, for a digest to hash as they come. The
+layouts differ in the indent each level adds (none in the compact one), in
+the separator after a key, and in strictness: in the canonical layout a
+non-finite float raises `ValueError` wherever it stands, as a value, a
+dict key or a row-table cell, as under `allow_nan=False`.
+
+The standard library encodes indented JSON with its pure-Python encoder,
+because the C encoder does not indent; on a large manifest that costs
+several times the C encoding. Here the C encoder lays out every dict or
+list whose values are all scalars in one `json.dumps` call: the line break
+and indentation of a container's items are part of the item separator it
+is given, `("," + "\\n" + pad, ": ")`, which is just `","` when compact.
+Every other container is walked, one item at a time, and every piece goes
+to `write` as it is encoded, so the whole document never exists as one
+string.
 """
 from __future__ import annotations
 
 import json
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from dataclasses import fields, is_dataclass
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-INDENT = "  "
 _SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+class _Layout(NamedTuple):
+    """How `_walk` lays out a document."""
+
+    indent: str  # added to the line break and indent for each level down
+    colon: str  # between a key and its value
+    allow_nan: bool  # False: strict, a non-finite float raises ValueError
+
+
+_INDENTED = _Layout("  ", ": ", allow_nan=True)
+_CANONICAL = _Layout("", ":", allow_nan=False)
 
 
 class RowTable:
@@ -160,7 +176,15 @@ def write_json(obj, fh) -> None:
     """Write JSON data `obj`, which may hold row tables, to the text stream
     `fh` exactly as `json.dump(plain(obj), fh, sort_keys=True, indent=2)`
     would."""
-    _write(obj, fh, "\n")
+    _walk(obj, fh.write, "\n", _INDENTED)
+
+
+def write_canonical(obj, write: Callable[[str], object]) -> None:
+    """Pass the text of `json.dumps(plain(obj), sort_keys=True,
+    separators=(",", ":"), allow_nan=False)` to `write` in pieces, for JSON
+    data `obj` that may hold row tables. A non-finite float, as a value, a
+    key or a row-table cell, raises `ValueError`, as there."""
+    _walk(obj, write, "", _CANONICAL)
 
 
 def save_json(obj, path) -> None:
@@ -171,103 +195,56 @@ def save_json(obj, path) -> None:
         fh.write("\n")
 
 
-class _HoldsRowTable(Exception):
-    """Raised through the C encoder where it meets a row table."""
-
-
-def _refuse(value):
-    if isinstance(value, RowTable):
-        raise _HoldsRowTable
-    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
-
-
-_compact = json.JSONEncoder(
-    sort_keys=True, separators=(",", ":"), allow_nan=False, default=_refuse
-).encode
-
-
-def canonical_pieces(obj) -> Iterator[str]:
-    """The text of `json.dumps(plain(obj), sort_keys=True, separators=(",",
-    ":"), allow_nan=False)`, in pieces, for JSON data `obj` that may hold row
-    tables. A non-finite float raises `ValueError`, as there."""
-    if isinstance(obj, RowTable):
-        if not obj.finite():
-            _compact(obj.rows())  # raises the encoder's ValueError
-        yield "[" + obj.text("[", ",", "]", ",", _json_strings) + "]"
-        return
-    try:
-        text = _compact(obj)
-    except _HoldsRowTable:
-        pass
-    else:
-        yield text
-        return
-    if isinstance(obj, dict):
-        yield "{"
-        for i, (key, value) in enumerate(sorted(obj.items())):
-            yield f"{',' if i else ''}{_key(key)}:"
-            yield from canonical_pieces(value)
-        yield "}"
-    else:
-        yield "["
-        for i, value in enumerate(obj):
-            if i:
-                yield ","
-            yield from canonical_pieces(value)
-        yield "]"
-
-
-def _key(key) -> str:
+def _key(key, layout: _Layout) -> str:
     """A dict key as `json.dump` writes it: int, float, bool and None keys
-    become their JSON text, and every key is a quoted string."""
+    become their JSON text, and every key is a quoted string. A non-finite
+    float key raises `ValueError` in the strict layout."""
     if not isinstance(key, str):
         if key is not None and not isinstance(key, (int, float)):
             raise TypeError(
                 f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
             )
-        key = json.dumps(key)
-    return json.dumps(key)
+        key = json.dumps(key, allow_nan=layout.allow_nan)
+    return encode_basestring_ascii(key)
 
 
-def _write(obj, fh, newline: str) -> None:
-    """`obj`, where `newline` is a line break and the indent of the line
-    `obj` starts on."""
+def _walk(obj, write: Callable[[str], object], newline: str, layout: _Layout) -> None:
+    """Pass the text of `obj` to `write` in `layout`, where `newline` is a
+    line break and the indent of the line `obj` starts on (empty in the
+    compact layout)."""
     if isinstance(obj, RowTable):
-        _write_rows(obj, fh, newline)
-        return
+        if len(obj) and obj.finite():
+            inner = newline + layout.indent
+            row = inner + layout.indent
+            text = obj.text("[" + row, "," + row, inner + "]", "," + inner, _json_strings)
+            write(f"[{inner}{text}{newline}]")
+            return
+        obj = obj.rows()  # NaN and Infinity as json.dump writes them, or the strict ValueError
     is_dict = isinstance(obj, dict)
     if not is_dict and not isinstance(obj, (list, tuple)):
-        fh.write(json.dumps(obj))
+        write(json.dumps(obj, allow_nan=layout.allow_nan))
         return
     values = obj.values() if is_dict else obj
     if not values:
-        fh.write("{}" if is_dict else "[]")
+        write("{}" if is_dict else "[]")
         return
-    inner = newline + INDENT
+    inner = newline + layout.indent
+    comma = "," + inner
     if set(map(type, values)) <= _SCALARS:
-        text = json.dumps(obj, sort_keys=True, separators=("," + inner, ": "))
-        fh.write(f"{text[0]}{inner}{text[1:-1]}{newline}{text[-1]}")
+        text = json.dumps(
+            obj, sort_keys=True, separators=(comma, layout.colon), allow_nan=layout.allow_nan
+        )
+        write(f"{text[0]}{inner}{text[1:-1]}{newline}{text[-1]}")
     elif not is_dict:
-        fh.write("[")
+        write("[")
         for i, value in enumerate(obj):
-            fh.write("," + inner if i else inner)
-            _write(value, fh, inner)
-        fh.write(newline + "]")
+            write(comma if i else inner)
+            _walk(value, write, inner, layout)
+        write(newline + "]")
     else:
-        fh.write("{")
+        write("{")
         for i, (key, value) in enumerate(sorted(obj.items())):
-            fh.write(f"{',' if i else ''}{inner}{_key(key)}: ")
-            _write(value, fh, inner)
-        fh.write(newline + "}")
+            write(f"{comma if i else inner}{_key(key, layout)}{layout.colon}")
+            _walk(value, write, inner, layout)
+        write(newline + "}")
 
-
-def _write_rows(table: RowTable, fh, newline: str) -> None:
-    if not len(table):
-        fh.write("[]")
-    elif not table.finite():
-        _write(table.rows(), fh, newline)  # NaN and Infinity, as json.dump writes them
-    else:
-        inner = newline + INDENT
-        row = inner + INDENT
-        text = table.text("[" + row, "," + row, inner + "]", "," + inner, _json_strings)
-        fh.write(f"[{inner}{text}{newline}]")

@@ -109,6 +109,19 @@ class LabeledPanel:
     def n_positive(self) -> int:
         return int(np.count_nonzero(self.y == 1))
 
+    def summary(self) -> dict:
+        """The row counts, prevalences and thresholds, as JSON data: the
+        part of a manifest's period entry and of the sidecar of
+        `write_labeled_panel` that both write."""
+        return {
+            "n_rows": len(self.panel),
+            "n_eligible": self.n_eligible(),
+            "n_positive": self.n_positive(),
+            "prevalence": self.prevalence,
+            "prevalences": dict(sorted(self.prevalences.items())),
+            "thresholds": plain(self.thresholds),
+        }
+
 
 def quantile(values: Sequence[float], q: float) -> float:
     """Linear-interpolation sample quantile (index h = (n-1)q convention)."""
@@ -301,14 +314,5 @@ def write_labeled_panel(panel: LabeledPanel, csv_path, sidecar_path=None) -> Non
         )
     if sidecar_path is None:
         sidecar_path = csv_path.with_suffix(".json")
-    sidecar = {
-        "thresholds": plain(panel.thresholds),
-        "prevalence": panel.prevalence,
-        "prevalences": dict(sorted(panel.prevalences.items())),
-        "stratified": panel.stratified,
-        "n_rows": len(cols),
-        "n_eligible": panel.n_eligible(),
-        "n_positive": panel.n_positive(),
-        "config": plain(panel.config),
-    }
+    sidecar = {**panel.summary(), "stratified": panel.stratified, "config": plain(panel.config)}
     save_json(sidecar, sidecar_path)

@@ -44,7 +44,6 @@ the same with any worker count.
 from __future__ import annotations
 
 import hashlib
-import io
 import itertools
 import os
 import sys
@@ -77,7 +76,7 @@ from .errors import (
     WorkerDied,
 )
 from .ingest import PREDICTOR_FIELDS, Area, Panel
-from .jsonio import RowTable, canonical_pieces, plain, write_json
+from .jsonio import RowTable, plain, write_canonical
 from .labeling import (
     UNLABELED,
     LabelConfig,
@@ -220,19 +219,19 @@ class BacktestConfig:
 
 
 def digest_of(obj) -> str:
-    """The sha256 of `obj`'s compact JSON text with sorted keys, hashed in
-    pieces (see `jsonio.canonical_pieces`)."""
+    """The sha256 of `json.dumps(plain(obj), sort_keys=True, separators=(",",
+    ":"), allow_nan=False)`, hashed piece by piece as
+    `jsonio.write_canonical` writes it, so the text never exists whole. A
+    non-finite float anywhere in `obj` raises `ValueError`."""
     digest = hashlib.sha256()
-    for piece in canonical_pieces(obj):
-        digest.update(piece.encode("utf-8"))
+    write_canonical(obj, lambda piece: digest.update(piece.encode("utf-8")))
     return digest.hexdigest()
 
 
 @dataclass
 class RunManifest:
     """A run's manifest `body` and its fitted scorers. The body's flagged
-    lists are `RowTable`s; `plain(body)` is its JSON data, and `to_json`
-    its text."""
+    lists are `RowTable`s; `plain(body)` is its JSON data."""
 
     body: dict
     scorers: dict[tuple[str, str], CalibratedScorer] = field(default_factory=dict)
@@ -240,12 +239,6 @@ class RunManifest:
     @property
     def digest(self) -> str:
         return self.body["manifest_digest"]
-
-    def to_json(self) -> str:
-        text = io.StringIO()
-        write_json(self.body, text)
-        text.write("\n")
-        return text.getvalue()
 
 
 def _model_label(family: str, subset: tuple[str, ...]) -> str:
@@ -276,24 +269,6 @@ def _matrix(
 
 def _anomaly_count(panel: LabeledPanel) -> int:
     return int(np.count_nonzero(panel.s_raw > 1.0))
-
-
-def _panel_summary(panel: LabeledPanel) -> dict:
-    return {
-        "n_rows": len(panel.panel),
-        "n_eligible": panel.n_eligible(),
-        "n_positive": panel.n_positive(),
-        "prevalence": panel.prevalence,
-        "prevalences": dict(sorted(panel.prevalences.items())),
-        "thresholds": plain(panel.thresholds),
-        "anomaly_rows": _anomaly_count(panel),
-    }
-
-
-def _cohort_prevalence(panel: LabeledPanel, cohort: str) -> float:
-    if cohort == POOLED_COHORT:
-        return panel.prevalence
-    return panel.prevalences[cohort]
 
 
 CALIBRATION_MAX_BINS = 50
@@ -532,7 +507,10 @@ def _plan_tasks(
     """The flat (cohort, subset, family) task list in manifest order, each
     task carrying its cohort's training and test row indices (none without a
     test panel) and training prevalence; plus the error of every cohort with
-    nothing to train on. Results assemble independently of execution order."""
+    nothing to train on. Results assemble independently of execution order.
+
+    Training thresholds are always fitted, so a cohort with a labeled row
+    has its own prevalence."""
     tasks = []
     cohort_errors: dict[str, str] = {}
     no_rows = np.empty(0, dtype=np.intp)
@@ -541,11 +519,7 @@ def _plan_tasks(
         if not p1_rows.size:
             cohort_errors[cohort] = f"cohort {cohort!r}: no labeled training rows"
             continue
-        try:
-            prevalence = _cohort_prevalence(p1_panel, cohort)
-        except KeyError:
-            cohort_errors[cohort] = f"cohort {cohort!r}: no eligible training rows"
-            continue
+        prevalence = p1_panel.prevalence if cohort == POOLED_COHORT else p1_panel.prevalences[cohort]
         p2_rows = no_rows if p2_panel is None else _cohort_rows(p2_panel, cohort)
         for subset in cfg.subsets():
             for family in cfg.families:
@@ -746,8 +720,8 @@ def run_backtest(
         "config_hash": digest_of(config),
         "input_digests": dict(sorted((input_digests or {}).items())),
         "periods": {
-            "p1": _panel_summary(p1_panel),
-            "p2": _panel_summary(p2_panel),
+            name: {**labeled.summary(), "anomaly_rows": _anomaly_count(labeled)}
+            for name, labeled in (("p1", p1_panel), ("p2", p2_panel))
         },
         "cohorts": cohort_body,
         "hidden_fragility": {

@@ -4,14 +4,15 @@ Machine formats (JSON, CSV) carry full-precision fractions and agree
 field-for-field; the Markdown tables show percentages scaled by 100 with one
 decimal, with near-zero top-of-list precision shown as a dash.
 
-A manifest body's flagged lists are `jsonio.RowTable`s of ZIP, year and
-probability columns, in a fresh manifest and in a saved one alike:
-`manifest_body` checks a loaded manifest, its shape and that its body
-hashes to its `manifest_digest`, and turns its flagged lists into row
-tables, so one path renders both. `manifest.json` goes through
-`jsonio.save_json`, which streams the text of
-`json.dump(plain(body), fh, sort_keys=True, indent=2)` plus a newline, byte
-for byte, with the C JSON encoder and the row tables rendered from their
+The renderers take a manifest body, whose flagged lists are
+`jsonio.RowTable`s of ZIP, year and probability columns, in a fresh
+manifest and in a saved one alike: `manifest_body` checks a loaded
+manifest's shape, turns its flagged lists into row tables, and checks that
+this body hashes to its `manifest_digest`, so one path renders and hashes
+both. `manifest.json` goes through `jsonio.save_json`, which streams the
+text of `json.dump(plain(body), fh, sort_keys=True, indent=2)` plus a
+newline, byte for byte, from the same walker that `pipeline.digest_of`
+hashes, with the C JSON encoder and the row tables rendered from their
 columns. The flagged CSVs are rendered from the columns too, with the bytes
 `csv.writer` writes for the rows: excel dialect, `\r\n` line ends, a ZIP
 quoted only where `csv` quotes it, and each float written with `repr`, as
@@ -88,15 +89,23 @@ def write_metrics_csv(manifest_body: dict, path: Path) -> None:
             writer.writerow([row["cohort"], row["model"]] + [repr(row[c]) for c in header[2:]])
 
 
+def _threshold_rows(manifest_body: dict) -> list[tuple]:
+    """(period, subset, tau_hi, tau_lo, prevalence) of each period's
+    thresholds; the prevalence is None for a subset with no labeled row."""
+    rows = []
+    for period in ("p1", "p2"):
+        summary = manifest_body["periods"][period]
+        for key, th in sorted(summary["thresholds"].items()):
+            rows.append((period, key, th["tau_hi"], th["tau_lo"], summary["prevalences"].get(key)))
+    return rows
+
+
 def write_thresholds_csv(manifest_body: dict, path: Path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["period", "subset", "tau_hi", "tau_lo", "prevalence"])
-        for period in ("p1", "p2"):
-            summary = manifest_body["periods"][period]
-            for key, th in sorted(summary["thresholds"].items()):
-                prev = summary["prevalences"].get(key)
-                writer.writerow([period, key, repr(th["tau_hi"]), repr(th["tau_lo"]), repr(prev)])
+        for period, key, *values in _threshold_rows(manifest_body):
+            writer.writerow([period, key, *map(repr, values)])
 
 
 def write_yearly_csv(manifest_body: dict, path: Path) -> None:
@@ -215,14 +224,10 @@ def render_markdown(manifest_body: dict) -> str:
     lines.append("")
     lines.append("| Period | Subset | tau_hi | tau_lo | Prevalence |")
     lines.append("|---|---|---|---|---|")
-    for period in ("p1", "p2"):
-        summary = manifest_body["periods"][period]
-        for key, th in sorted(summary["thresholds"].items()):
-            prev = summary["prevalences"].get(key)
-            lines.append(
-                f"| {period.upper()} | {key} | {_fmt_pct(th['tau_hi'])} | "
-                f"{th['tau_lo']:.3f} | {_fmt_pct(prev)} |"
-            )
+    for period, key, tau_hi, tau_lo, prev in _threshold_rows(manifest_body):
+        lines.append(
+            f"| {period.upper()} | {key} | {_fmt_pct(tau_hi)} | {tau_lo:.3f} | {_fmt_pct(prev)} |"
+        )
     lines.append("")
 
     lines.append("## Fragile-row distribution by area")
@@ -315,15 +320,16 @@ def manifest_body(data) -> dict:
     """The body of a saved manifest from its JSON data `data`, with its
     flagged lists as row tables. Raises a `ValidationError` naming the first
     part the renderers cannot read, unless `data` is a manifest object of
-    format `MANIFEST_FORMAT`, or naming both digests when the body without
-    its `manifest_digest` does not hash to that digest: a report never shows
-    numbers a run did not produce under the digest it prints."""
+    format `MANIFEST_FORMAT`, or naming both digests when that body, tables
+    and all, without its `manifest_digest` does not hash to that digest: a
+    report never shows numbers a run did not produce under the digest it
+    prints."""
     if not isinstance(data, dict) or data.get("format") != MANIFEST_FORMAT:
         raise ValidationError(f"not a manifest: expected an object with format {MANIFEST_FORMAT!r}")
     body = _read(data, MANIFEST_SHAPE, "manifest")
-    recorded = data["manifest_digest"]
+    recorded = body["manifest_digest"]
     try:
-        actual = digest_of({key: value for key, value in data.items() if key != "manifest_digest"})
+        actual = digest_of({key: value for key, value in body.items() if key != "manifest_digest"})
     except ValueError:  # NaN or an infinity, which no run writes
         raise ValidationError("manifest: expected finite numbers") from None
     if actual != recorded:
@@ -390,13 +396,10 @@ def _flagged_table(rows, fail) -> RowTable:
     return RowTable(np.array(zips, dtype=object), years, np.array(probs, dtype=np.float64))
 
 
-def emit_report(manifest, formats, outdir) -> list[Path]:
-    """Write the requested formats into outdir; returns written paths.
-
-    `manifest` may be a RunManifest or its body dict, whose flagged lists
-    are row tables (see `manifest_body` for a saved one).
-    """
-    body = manifest.body if hasattr(manifest, "body") else manifest
+def emit_report(body: dict, formats, outdir) -> list[Path]:
+    """Write the requested formats of a manifest body, whose flagged lists
+    are row tables (see `manifest_body` for a saved one), into outdir;
+    returns the written paths."""
     for fmt in formats:
         if fmt not in ALL_FORMATS:
             raise ValidationError(f"unknown report format {fmt!r}")

@@ -1,8 +1,11 @@
+import io
+
 import numpy as np
 import pytest
 
 from oracles import Record, panel_of
 from snapgap.ingest import Area
+from snapgap.jsonio import write_json
 
 
 def make_record(
@@ -74,3 +77,10 @@ def rng():
 def random_panel(rng: np.random.Generator, n: int, year=2015, areas=None):
     """`random_records` as a `Panel`."""
     return panel_of(random_records(rng, n, year, areas))
+
+
+def json_text(obj) -> str:
+    """The text `write_json` writes for `obj`."""
+    fh = io.StringIO()
+    write_json(obj, fh)
+    return fh.getvalue()

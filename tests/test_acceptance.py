@@ -10,7 +10,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import random_records
+from conftest import json_text, random_records
 from oracles import (
     Record,
     ap_rank_enum,
@@ -315,7 +315,7 @@ def test_criterion_9_backtest_determinism(acceptance_panel):
         records, _ = acceptance_panel
         cfg = _acceptance_cfg()
         runs = [run_backtest(cfg, records), run_backtest(cfg, records)]
-        blobs = {m.to_json() for m in runs}
+        blobs = {json_text(m.body) for m in runs}
         assert len(blobs) == 1
         digests = {m.digest for m in runs}
         assert len(digests) == 1

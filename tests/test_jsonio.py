@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import pickle
 import tempfile
 from dataclasses import dataclass
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from snapgap.calibration import DecisionRule, IsotonicMap
@@ -36,6 +37,15 @@ scalars = st.one_of(
     st.sampled_from(TRICKY_TEXT),
 )
 
+# Keys that `json.dump` writes as their JSON text: floats, non-finite ones
+# and a signed zero among them, and booleans. A None key has no other key
+# to sort against.
+float_keys = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0]),
+)
+odd_keys = st.one_of(float_keys, st.booleans(), st.none())
+
 
 def containers(children):
     return st.one_of(
@@ -43,6 +53,8 @@ def containers(children):
         st.lists(children, max_size=4).map(tuple),
         st.dictionaries(st.one_of(st.text(max_size=4), st.sampled_from(TRICKY_TEXT)), children, max_size=4),
         st.dictionaries(st.integers(), children, max_size=3),
+        st.dictionaries(st.one_of(float_keys, st.booleans()), children, max_size=4),
+        st.dictionaries(st.none(), children, max_size=1),
         # Rows of scalars, some empty, as lists or tuples.
         st.lists(st.lists(scalars, max_size=3), max_size=4),
         st.lists(st.lists(scalars, max_size=3).map(tuple), max_size=4),
@@ -60,6 +72,31 @@ def test_writes_what_json_dump_writes(obj):
     fh = io.StringIO()
     write_json(obj, fh)
     assert fh.getvalue() == json.dumps(obj, sort_keys=True, indent=2)
+
+
+def compact(obj) -> str:
+    return json.dumps(plain(obj), sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+def assert_digests_the_compact_text(obj):
+    """`digest_of(obj)` is the sha256 of the strict compact text, or raises
+    `ValueError` where `json.dumps` raises it."""
+    try:
+        want = hashlib.sha256(compact(obj).encode("utf-8")).hexdigest()
+    except ValueError:  # a NaN or infinity, as a value or a key
+        with pytest.raises(ValueError):
+            digest_of(obj)
+    else:
+        assert digest_of(obj) == want
+
+
+@settings(max_examples=400, deadline=None)
+@given(json_values)
+@example({math.nan: [1]})
+@example({-math.inf: {"a": None}, 0.5: [2]})
+@example({-0.0: [[]], True: {}})
+def test_digest_hashes_the_strict_compact_text(obj):
+    assert_digests_the_compact_text(obj)
 
 
 def test_long_rows_of_scalars():
@@ -101,16 +138,18 @@ def row_tables(draw, max_rows=200):
 
 @st.composite
 def nested(draw, table):
-    """`table` inside 0 to 3 levels of dicts and lists, beside other values."""
+    """`table` inside 0 to 3 levels of dicts and lists, beside other values,
+    or under a float, bool or None key."""
     value = table
-    for kind in draw(st.lists(st.sampled_from(["dict", "list"]), max_size=3)):
+    for kind in draw(st.lists(st.sampled_from(["dict", "list", "keyed"]), max_size=3)):
         other = draw(json_values)
-        value = {"flagged": value, "other": other} if kind == "dict" else [other, value, table]
+        if kind == "dict":
+            value = {"flagged": value, "other": other}
+        elif kind == "list":
+            value = [other, value, table]
+        else:
+            value = {draw(odd_keys): value}
     return value
-
-
-def compact(obj) -> str:
-    return json.dumps(plain(obj), sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 @settings(max_examples=150, deadline=None)
@@ -121,13 +160,7 @@ def test_row_tables_render_as_their_rows(data):
     fh = io.StringIO()
     write_json(obj, fh)
     assert fh.getvalue() == json.dumps(plain(obj), sort_keys=True, indent=2)
-    try:
-        want = hashlib.sha256(compact(obj).encode("utf-8")).hexdigest()
-    except ValueError:  # a NaN or infinity beside the table
-        with pytest.raises(ValueError):
-            digest_of(obj)
-    else:
-        assert digest_of(obj) == want
+    assert_digests_the_compact_text(obj)
 
 
 @settings(max_examples=100, deadline=None)

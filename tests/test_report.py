@@ -29,7 +29,7 @@ def manifest():
 
 
 def test_emits_all_formats(manifest, tmp_path):
-    written = emit_report(manifest, ("json", "csv", "markdown"), tmp_path)
+    written = emit_report(manifest.body, ("json", "csv", "markdown"), tmp_path)
     names = {p.name for p in written}
     assert "manifest.json" in names
     assert "metrics.csv" in names
@@ -41,7 +41,7 @@ def test_emits_all_formats(manifest, tmp_path):
 
 
 def test_csv_and_json_agree_field_for_field(manifest, tmp_path):
-    emit_report(manifest, ("json", "csv"), tmp_path)
+    emit_report(manifest.body, ("json", "csv"), tmp_path)
     with open(tmp_path / "manifest.json") as fh:
         body = json.load(fh)
     with open(tmp_path / "metrics.csv", newline="") as fh:
@@ -69,7 +69,7 @@ def test_markdown_one_row_per_model_cohort(manifest):
 
 
 def test_flagged_csv_sorted(manifest, tmp_path):
-    emit_report(manifest, ("csv",), tmp_path)
+    emit_report(manifest.body, ("csv",), tmp_path)
     path = next(tmp_path.glob("flagged_All_logistic_pct_no_vehicle.csv"))
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
@@ -83,14 +83,14 @@ def test_flagged_csv_sorted(manifest, tmp_path):
 def test_json_and_flagged_csvs_match_the_reference_renderer(manifest, tmp_path):
     (tmp_path / "ref").mkdir()
     names = render_report_reference(plain(manifest.body), tmp_path / "ref")
-    emit_report(manifest, ("json", "csv"), tmp_path / "out")
+    emit_report(manifest.body, ("json", "csv"), tmp_path / "out")
     assert len(names) == 3
     for name in names:
         assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes(), name
 
 
 def test_manifest_json_roundtrip_preserves_digest(manifest, tmp_path):
-    emit_report(manifest, ("json",), tmp_path)
+    emit_report(manifest.body, ("json",), tmp_path)
     with open(tmp_path / "manifest.json") as fh:
         body = json.load(fh)
     assert body["manifest_digest"] == manifest.digest
@@ -104,4 +104,4 @@ def test_unknown_format_rejected(manifest, tmp_path):
     from snapgap.errors import ValidationError
 
     with pytest.raises(ValidationError):
-        emit_report(manifest, ("pdf",), tmp_path)
+        emit_report(manifest.body, ("pdf",), tmp_path)
