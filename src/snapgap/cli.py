@@ -2,7 +2,9 @@
 
 Subcommands cover the full flow: `ingest` raw CSVs into a validated panel,
 `label` a panel, `train` scorers on the early period, `backtest` end to end,
-`synth` a verification panel, and `report` a saved manifest. A YAML config
+`synth` a verification panel, and `report` a saved manifest. `backtest`
+writes the fitted scorers only under `--models`; without it, no fitted model
+leaves the task that fit it, and the report files are the same. A YAML config
 supplies settings; any key can be overridden with repeated `--set key=value`
 flags (values parsed as YAML). Every command checks every key first (see
 `config`): an unknown key, a value of the wrong type, or one out of range,
@@ -16,7 +18,6 @@ failed on valid input (a worker process died, a fit did not converge).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import sys
 from pathlib import Path
 
@@ -33,7 +34,7 @@ from .ingest import (
 from .labeling import build_labels, fit_uptake_ols, write_labeled_panel
 from .jsonio import load_json, save_json
 from .models import scorer_to_dict
-from .pipeline import run_backtest, train_scorers
+from .pipeline import run_backtest, sha256, train_scorers
 from .report import ALL_FORMATS, emit_report, manifest_body
 from .synth import generate_synthetic
 
@@ -45,7 +46,7 @@ EXIT_RUN = 5
 
 
 def _file_digest(path: Path) -> str:
-    h = hashlib.sha256()
+    h = sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
@@ -123,7 +124,9 @@ def cmd_train(args) -> int:
 def cmd_backtest(args) -> int:
     settings = _load_merged_config(args)
     panel, _, digests = _load_panel(settings, args.panel, args.crosswalk)
-    manifest = run_backtest(settings.backtest, panel, input_digests=digests)
+    manifest = run_backtest(
+        settings.backtest, panel, input_digests=digests, keep_scorers=args.models
+    )
     outdir = Path(args.out)
     formats = args.formats.split(",") if args.formats else list(ALL_FORMATS)
     written = emit_report(manifest.body, formats, outdir)
@@ -207,7 +210,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--crosswalk")
     p.add_argument("--out", required=True, help="report output directory")
     p.add_argument("--formats", help="comma list of json,csv,markdown (default all)")
-    p.add_argument("--models", action="store_true", help="also write scorer JSON files")
+    p.add_argument(
+        "--models",
+        action="store_true",
+        help="also write scorer JSON files to <out>/models (the run then holds every fitted model)",
+    )
     p.set_defaults(func=cmd_backtest)
 
     p = sub.add_parser("synth", help="generate a synthetic verification panel")

@@ -33,6 +33,7 @@ from .tree import (
     FlatTrees,
     grow_tree,
     rank_columns,
+    state_without_flat,
 )
 
 KIND_FOREST = "random_forest"
@@ -76,6 +77,9 @@ class TreeEnsembleModel:
     @cached_property
     def _flat(self) -> FlatTrees:
         return FlatTrees(self.trees)
+
+    def __getstate__(self) -> dict:
+        return state_without_flat(self)
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)

@@ -66,12 +66,24 @@ class DecisionTree:
     def _flat(self) -> FlatTrees:
         return FlatTrees((self,))
 
+    def __getstate__(self) -> dict:
+        return state_without_flat(self)
+
     def leaf_for(self, X: np.ndarray) -> np.ndarray:
         """Leaf node index reached by each row."""
         return next(self._flat.leaves(X))
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return self._flat.value[self.leaf_for(X)]
+
+
+def state_without_flat(model) -> dict:
+    """`model`'s pickled state: its fields, without the compiled `_flat`
+    cache, which the next prediction after unpickling compiles again. The
+    cache is bigger than the node tuples it is compiled from."""
+    state = model.__dict__.copy()
+    state.pop("_flat", None)
+    return state
 
 
 def _stacked(trees: Sequence[DecisionTree], attr: str, dtype) -> np.ndarray:

@@ -30,8 +30,12 @@ cannot fork, or while another thread runs, they run here one after another
 through the same task function. Where a task runs cannot change a byte: it
 reads only the labeled panels, which workers inherit through fork, it
 draws only from its own keyed streams, and its result comes back by
-pickle, which keeps every float bit and dict order. A model's flagged rows
-come back as two arrays, their late-period row numbers and probabilities
+pickle, which keeps every float bit and dict order. A task sends back its
+manifest entry, and its fitted scorer only when the caller keeps scorers:
+`train_scorers` always does, `run_backtest` unless `keep_scorers` is false,
+as it is for `snapgap backtest` without `--models`. A scorer's model pickles
+without its compiled prediction cache. A model's flagged rows come back as
+two arrays, their late-period row numbers and probabilities
 (16 bytes a row), and this process makes them one `jsonio.RowTable` of its
 own panel's ZIP and year cells and the probabilities, so it holds one
 string per ZIP however many tasks flag it. The table stays one in the
@@ -43,7 +47,6 @@ the same with any worker count.
 """
 from __future__ import annotations
 
-import hashlib
 import itertools
 import os
 import sys
@@ -98,6 +101,19 @@ from .models import (
     stratified_folds,
 )
 from .rng import STREAM_SPLIT, derive_rng, stream_id
+
+# SHA-256 from CPython's own module, not from hashlib: `import hashlib` loads
+# OpenSSL (`_hashlib`), which holds 3.6 MB resident in every process, and the
+# digests are the same. The built-in is slower, about 160 MB/s against
+# OpenSSL's 1 GB/s on a 2-core Xeon VM, which adds roughly 25 ms to the
+# hashing of a `national_panel` run.
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 AREA_MODE_POOLED = "pooled"
 AREA_MODE_STRATIFIED = "stratified"
@@ -223,15 +239,16 @@ def digest_of(obj) -> str:
     ":"), allow_nan=False)`, hashed piece by piece as
     `jsonio.write_canonical` writes it, so the text never exists whole. A
     non-finite float anywhere in `obj` raises `ValueError`."""
-    digest = hashlib.sha256()
+    digest = sha256()
     write_canonical(obj, lambda piece: digest.update(piece.encode("utf-8")))
     return digest.hexdigest()
 
 
 @dataclass
 class RunManifest:
-    """A run's manifest `body` and its fitted scorers. The body's flagged
-    lists are `RowTable`s; `plain(body)` is its JSON data."""
+    """A run's manifest `body` and its fitted scorers, if the run kept
+    them. The body's flagged lists are `RowTable`s; `plain(body)` is its
+    JSON data."""
 
     body: dict
     scorers: dict[tuple[str, str], CalibratedScorer] = field(default_factory=dict)
@@ -527,13 +544,16 @@ def _plan_tasks(
     return tasks, cohort_errors
 
 
-def _task_outcome(state: tuple, i: int) -> tuple[tuple[CalibratedScorer, dict] | str, list[tuple]]:
-    """Task `i` of the plan in `state` = (cfg, tasks, p1_panel, p2_panel): its
-    scorer and manifest entry (the fit alone without a test panel), or the
-    message of the `CohortError` or `NonConvergence` that failed it; and
-    every warning it raised, as (message, category, filename, lineno), for
+def _task_outcome(
+    state: tuple, i: int
+) -> tuple[tuple[CalibratedScorer | None, dict] | str, list[tuple]]:
+    """Task `i` of the plan in `state` = (cfg, tasks, p1_panel, p2_panel,
+    keep_scorers): its scorer, or None unless `keep_scorers`, and its
+    manifest entry (the fit alone without a test panel), or the message of
+    the `CohortError` or `NonConvergence` that failed it; and every warning
+    it raised, as (message, category, filename, lineno), for
     `_reissue_warnings`."""
-    cfg, tasks, p1_panel, p2_panel = state
+    cfg, tasks, p1_panel, p2_panel, keep_scorers = state
     cohort, subset, family, p1_rows, p2_rows, prevalence = tasks[i]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -541,13 +561,15 @@ def _task_outcome(state: tuple, i: int) -> tuple[tuple[CalibratedScorer, dict] |
             scorer, detail = _fit_task(cfg, cohort, subset, family, p1_panel, p1_rows, prevalence)
             if p2_panel is not None:
                 detail = _evaluate_task(cfg, cohort, subset, family, scorer, detail, p2_panel, p2_rows)
-            outcome = scorer, detail
+            outcome = scorer if keep_scorers else None, detail
         except (CohortError, NonConvergence) as exc:
             outcome = str(exc)
     return outcome, [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
 
 
-def _reissue_warnings(results: Iterator[tuple]) -> Iterator[tuple[CalibratedScorer, dict] | str]:
+def _reissue_warnings(
+    results: Iterator[tuple],
+) -> Iterator[tuple[CalibratedScorer | None, dict] | str]:
     """The outcome of each `_task_outcome` result, after issuing in this
     process, under its filters, each of the result's warnings that no earlier
     result raised. A warning is issued at the file and line that raised it,
@@ -572,15 +594,15 @@ def _reissue_warnings(results: Iterator[tuple]) -> Iterator[tuple[CalibratedScor
 _worker_state: tuple | None = None
 
 
-def _init_worker(cfg, tasks, p1_panel, p2_panel, running) -> None:
+def _init_worker(state: tuple, running) -> None:
     global _worker_state
-    _worker_state = (cfg, tasks, p1_panel, p2_panel, running)
+    _worker_state = state, running
 
 
 def _worker_task(i: int) -> tuple:
     """`_task_outcome` of task `i`, with `running[i]` set while it runs, so
     the parent can name the task of a worker that dies."""
-    *state, running = _worker_state
+    state, running = _worker_state
     running[i] = 1
     outcome = _task_outcome(state, i)
     running[i] = 0
@@ -604,9 +626,10 @@ def _task_outcomes(
     tasks: list[tuple],
     p1_panel: LabeledPanel,
     p2_panel: LabeledPanel | None = None,
-) -> Iterator[tuple[CalibratedScorer, dict] | str]:
-    """Each task's outcome, in plan order, as the results arrive, each
-    after its warnings (see `_reissue_warnings`).
+    keep_scorers: bool = True,
+) -> Iterator[tuple[CalibratedScorer | None, dict] | str]:
+    """Each task's outcome (see `_task_outcome`), in plan order, as the
+    results arrive, each after its warnings (see `_reissue_warnings`).
 
     Tasks run in a pool of forked workers (see the module docstring), which
     inherit the panels through fork, so only task indices and results are
@@ -614,7 +637,7 @@ def _task_outcomes(
     are not imported. Any other exception a task raises is raised here; a
     worker that dies raises `WorkerDied`.
     """
-    state = (cfg, tasks, p1_panel, p2_panel)
+    state = (cfg, tasks, p1_panel, p2_panel, keep_scorers)
     workers = _pool_size(len(tasks))
     if workers < 2:
         yield from _reissue_warnings(map(partial(_task_outcome, state), range(len(tasks))))
@@ -627,7 +650,7 @@ def _task_outcomes(
     context = multiprocessing.get_context("fork")
     running = context.RawArray("b", len(tasks))
     with ProcessPoolExecutor(
-        workers, mp_context=context, initializer=_init_worker, initargs=(*state, running)
+        workers, mp_context=context, initializer=_init_worker, initargs=(state, running)
     ) as pool:
         try:
             yield from _reissue_warnings(pool.map(_worker_task, range(len(tasks))))
@@ -671,8 +694,16 @@ def run_backtest(
     cfg: BacktestConfig,
     panel: Panel,
     input_digests: dict[str, str] | None = None,
+    *,
+    keep_scorers: bool = True,
 ) -> RunManifest:
-    """Full train-on-P1 / evaluate-on-P2 run producing a reproducible manifest."""
+    """Full train-on-P1 / evaluate-on-P2 run producing a reproducible manifest.
+
+    The manifest's `scorers` hold every fitted scorer, or none when
+    `keep_scorers` is false: then no task sends its scorer back, and this
+    process never holds a fitted model. The body is the same either way.
+    Raises `InsufficientCohort` when no task succeeds.
+    """
     cfg.validate()
 
     p1 = _rows_in_years(panel, cfg.p1_years)
@@ -691,17 +722,19 @@ def run_backtest(
     cohort_models: dict[str, dict] = {c: {} for c in _cohorts(cfg)}
     errors = list(cohort_errors.values())
     for outcome, (cohort, subset, family, *_) in zip(
-        _task_outcomes(cfg, tasks, p1_panel, p2_panel), tasks, strict=True
+        _task_outcomes(cfg, tasks, p1_panel, p2_panel, keep_scorers), tasks, strict=True
     ):
         label = _model_label(family, subset)
         if isinstance(outcome, str):
             cohort_models[cohort][label] = {"error": outcome}
             errors.append(outcome)
             continue
-        scorers[(cohort, label)], detail = outcome
+        scorer, detail = outcome
+        if keep_scorers:
+            scorers[(cohort, label)] = scorer
         detail["flagged"] = _flagged_table(p2_panel.panel, detail["flagged"])
         cohort_models[cohort][label] = detail
-    if not scorers:
+    if all("error" in entry for models in cohort_models.values() for entry in models.values()):
         raise InsufficientCohort(f"every cohort failed: {'; '.join(sorted(set(errors)))}")
 
     cohort_body = {

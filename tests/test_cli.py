@@ -485,6 +485,42 @@ def test_task_warnings_print_the_same_pinned_or_not(tmp_path, small_panel):
     assert stderr[0].count("UserWarning: constant feature(s) passed through centered") == 1
 
 
+# Runs `synth`, `backtest` through two forked workers, and `report` in one
+# process, then prints the OpenSSL and pool modules it imported.
+RUN_COMMANDS = """\
+import json, sys
+from snapgap import pipeline
+from snapgap.cli import main
+pipeline._pool_size = lambda n_tasks: min(n_tasks, 2)
+for command in json.loads(sys.argv[1]):
+    assert main(command) == 0, command
+print(sorted({"_hashlib", "concurrent.futures"} & set(sys.modules)))
+import secrets  # the real module, not the stand-in numpy.random was imported against
+print(secrets.token_hex(0) == "", "_hashlib" in sys.modules)
+"""
+
+
+def test_no_command_loads_openssl(tmp_path):
+    # OpenSSL's hashlib holds megabytes resident; the digests need only
+    # CPython's own sha256.
+    panel, out = str(tmp_path / "synth.csv"), tmp_path / "run"
+    commands = [
+        ["synth", "--seed", "6", "--out", panel, "--set", "synth.n_zips=120"],
+        ["backtest", "--panel", panel, *SMALL_RUN, "--out", str(out)],
+        ["report", "--manifest", str(out / "manifest.json"), "--out", str(tmp_path / "again")],
+    ]
+    src = str(Path(snapgap.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", RUN_COMMANDS, json.dumps(commands)],
+        env=dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("['concurrent.futures']\nTrue True\n")
+
+
 def run_tasks_in_workers(monkeypatch):
     """Run every task in one of two forked workers; a task run in this
     process fails the test."""

@@ -18,7 +18,7 @@ from snapgap.jsonio import RowTable, plain, save_json, write_json
 from snapgap.labeling import LabelConfig, Thresholds
 from snapgap.metrics import EvalReport, FeatureImportance, ImportanceReport
 from snapgap.models import EnsembleParams, Standardization
-from snapgap.pipeline import digest_of
+from snapgap.pipeline import digest_of, sha256
 from snapgap.report import write_model_csvs
 from snapgap.synth import SyntheticSpec, generate_synthetic
 
@@ -97,6 +97,20 @@ def assert_digests_the_compact_text(obj):
 @example({-0.0: [[]], True: {}})
 def test_digest_hashes_the_strict_compact_text(obj):
     assert_digests_the_compact_text(obj)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.binary(max_size=300), st.lists(st.integers(0, 300), max_size=6))
+def test_sha256_is_hashlibs_for_any_split(data, cuts):
+    """The built-in `sha256` the digests use gives hashlib's digest of the
+    bytes, however they are split into `update` pieces."""
+    bounds = [0, *sorted(min(cut, len(data)) for cut in cuts), len(data)]
+    h = sha256()
+    for lo, hi in zip(bounds, bounds[1:]):
+        h.update(data[lo:hi])
+    assert h.hexdigest() == hashlib.sha256(data).hexdigest()
+    assert h.digest() == hashlib.sha256(data).digest()
+    assert sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
 
 
 def test_long_rows_of_scalars():

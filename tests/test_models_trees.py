@@ -1,4 +1,5 @@
 import json
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -20,7 +21,7 @@ from snapgap.models import (
     model_to_dict,
     sigmoid,
 )
-from snapgap.models.tree import rank_columns
+from snapgap.models.tree import FlatTrees, rank_columns
 from snapgap.rng import derive_rng
 
 
@@ -413,6 +414,27 @@ class TestSerialization:
         clone = model_from_dict(json.loads(json.dumps(data)))
         X_test = rng.normal(size=(40, 2))
         assert np.array_equal(model.predict_proba(X_test), clone.predict_proba(X_test))
+
+    @pytest.mark.parametrize("kind", ["random_forest", "gradient_boosting", "tree"])
+    def test_pickles_without_the_compiled_cache(self, rng, kind):
+        fm = xor_panel(rng, n=150)
+        if kind == "tree":
+            model, method = grown(fm.X, fm.y.astype(float), max_depth=4), "predict"
+        else:
+            model = fit_tree_ensemble(fm, EnsembleParams(kind=kind, n_trees=8, seed=3))
+            method = "predict_proba"
+        X_test = rng.normal(size=(40, 2))
+        X_test[::5, 0] = np.nan
+        want = getattr(model, method)(X_test)
+        assert isinstance(model._flat, FlatTrees)  # compiled by the prediction
+        data = pickle.dumps(model)
+        assert b"FlatTrees" not in data
+        clone = pickle.loads(data)
+        assert "_flat" not in vars(clone)
+        got = getattr(clone, method)(X_test)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert "_flat" in vars(model)  # pickling leaves the original's cache alone
 
     def test_logistic_roundtrip(self, rng):
         X = rng.normal(size=(80, 2))

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import pickle
 import threading
 import warnings
 
@@ -364,6 +365,52 @@ class TestWorkerPool:
         cfg = fast_cfg(feature_subsets=self.SUBSETS[:1], families=("logistic", "random_forest"))
         with pytest.raises(WorkerDied, match=r"while running .*All/random_forest\[pct_no_vehicle\]"):
             run_backtest(cfg, records)
+
+
+class TestDroppedScorers:
+    """`keep_scorers=False` keeps every fitted model in the task that fit it,
+    and changes nothing else."""
+
+    SUBSETS = TestWorkerPool.SUBSETS
+
+    def test_same_body_and_no_model_sent_back(self, synth_panel, monkeypatch, tmp_path):
+        panel, _ = synth_panel
+        task_outcome = pipeline._task_outcome
+
+        def recorded(state, i):
+            # runs in a worker when pooled, so it writes what the pipe carries
+            outcome = task_outcome(state, i)
+            (tmp_path / f"{state[4]}-{i}.pickle").write_bytes(pickle.dumps(outcome))
+            return outcome
+
+        monkeypatch.setattr(pipeline, "_task_outcome", recorded)
+        cfg = fast_cfg(feature_subsets=self.SUBSETS, families=("logistic", "random_forest"))
+        for workers in (1, 2):
+            pool_size(monkeypatch, workers)
+            kept = run_backtest(cfg, panel)
+            dropped = run_backtest(cfg, panel, keep_scorers=False)
+            assert json_text(dropped.body) == json_text(kept.body)
+            assert dropped.scorers == {}
+            assert len(kept.scorers) == 4
+            sent = {}
+            for path in tmp_path.iterdir():
+                sent[path.stem] = path.read_bytes()
+                path.unlink()
+            assert sorted(sent) == [f"{keep}-{i}" for keep in (False, True) for i in range(4)]
+            for i in range(4):
+                (scorer, detail), _ = pickle.loads(sent[f"False-{i}"])
+                assert scorer is None and "eval" in detail
+                assert b"CalibratedScorer" not in sent[f"False-{i}"]
+                assert b"CalibratedScorer" in sent[f"True-{i}"]
+
+    def test_every_task_failing_still_raises(self, synth_panel, monkeypatch):
+        panel, _ = synth_panel
+        fit_logistic_failing_at(monkeypatch, {1.0})
+        cfg = fast_cfg(feature_subsets=self.SUBSETS)
+        for workers in (1, 2):
+            pool_size(monkeypatch, workers)
+            with pytest.raises(InsufficientCohort, match="every cohort failed: no logistic grid"):
+                run_backtest(cfg, panel, keep_scorers=False)
 
 
 class TestStratified:
