@@ -6,8 +6,17 @@ is seeded and stratified: positives and negatives are shuffled separately and
 dealt round-robin, so per-fold class counts differ by at most one.
 
 A logistic candidate whose fit fails to converge on some fold keeps its
-error as its grid entry and cannot win; the search fails only when every
-candidate of a family does.
+first failing fold's error as its grid entry and cannot win; the search
+fails only when every candidate of a family does.
+
+A search is put together from folds: `fold_proba` fits every candidate of a
+family on one fold's training rows and writes its predictions for the
+fold's held-out rows into one out-of-fold matrix, and `cv_grid_search`
+reads each candidate's fold APs and out-of-fold scores off that matrix.
+Folds do not depend on each other, so the pipeline runs each fold of a
+tree-family search as its own worker-pool unit, all writing one shared
+matrix, and hands it to `cv_grid_search`, which picks the same winner from
+the same floats as when it makes the calls itself.
 
 `n_trees` is a prefix axis. Forest trees draw from per-index RNG streams and
 boosting is stagewise, so tree i of a fit does not depend on how many trees
@@ -151,19 +160,61 @@ class CvGridResult:
     oof_proba: np.ndarray = field(repr=False, default=None)  # winner's out-of-fold scores
 
 
-def fold_training_sets(
-    fm: FeatureMatrix, family: str, fold_idx: list[np.ndarray]
-) -> list[FeatureMatrix]:
-    """Each fold's training matrix: the rows outside the fold, standardized
-    here for a logistic fit, which then uses its standardization as given.
-    Every candidate fitted on a fold can share its matrix."""
-    out = []
-    for val in fold_idx:
-        keep = np.ones(fm.n, dtype=bool)
-        keep[val] = False
-        train = fm.subset(np.flatnonzero(keep))
-        out.append(standardize(train) if family == FAMILY_LOGISTIC else train)
-    return out
+def fold_proba(
+    fm: FeatureMatrix,
+    family: str,
+    candidates: Sequence[dict],
+    val: np.ndarray,
+    seed: int,
+    out: np.ndarray,
+) -> list[NonConvergence | None]:
+    """One fold of the grid search: write each candidate's predictions for
+    the rows `val`, from its fit on the other rows, to `out[i, val]`, and
+    return for each candidate the `NonConvergence` its fit raised (only
+    logistic fits can raise it; that candidate's row is left as it was), or
+    None.
+
+    All candidates share the fold's training matrix, standardized here for
+    logistic fits. Tree candidates whose resolved `EnsembleParams` differ
+    only in `n_trees` also share one fit, of their largest count; each is
+    scored from its prefix of those trees. Every candidate's parameters are
+    validated before any fit is shared, so an invalid count raises as it
+    would on its own.
+    """
+    keep = np.ones(fm.n, dtype=bool)
+    keep[val] = False
+    train = fm.subset(np.flatnonzero(keep))
+    X_val = fm.X[val]
+    errors: list[NonConvergence | None] = [None] * len(candidates)
+    if family not in TREE_FAMILIES:
+        if family == FAMILY_LOGISTIC:
+            train = standardize(train)
+        for i, params in enumerate(candidates):
+            try:
+                out[i, val] = fit_family(train, family, params, seed).predict_proba(X_val)
+            except NonConvergence as exc:
+                errors[i] = exc
+        return errors
+    groups: dict[EnsembleParams, list[int]] = {}
+    counts = []
+    for i, params in enumerate(candidates):
+        ep = _ensemble_params(family, params, seed)
+        ep.validate()
+        counts.append(ep.n_trees)
+        groups.setdefault(replace(ep, n_trees=0), []).append(i)
+    for members in groups.values():
+        largest = max(members, key=counts.__getitem__)
+        model = fit_family(train, family, candidates[largest], seed)
+        for i in members:
+            first_k = model
+            if counts[i] != len(model.trees):
+                first_k = replace(
+                    model,
+                    trees=model.trees[: counts[i]],
+                    params=replace(model.params, n_trees=counts[i]),
+                )
+            out[i, val] = first_k.predict_proba(X_val)
+    return errors
 
 
 def out_of_fold_proba(
@@ -173,7 +224,6 @@ def out_of_fold_proba(
     fold_idx: list[np.ndarray],
     seed: int,
     prefixes: Sequence[int] | None = None,
-    train: list[FeatureMatrix] | None = None,
 ) -> np.ndarray:
     """Held-out predictions for every row, each from the fit on the other folds.
 
@@ -181,70 +231,15 @@ def out_of_fold_proba(
     has one row per count instead: row i holds the predictions of the first
     prefixes[i] trees of each fold's fit. Tree i does not depend on the
     ensemble size, so these equal the predictions of a fit of that size.
-    `train` holds each fold's training matrix as `fold_training_sets` gives
-    it; without it they are built here.
+    Raises the `NonConvergence` of the first fold whose fit fails.
     """
-    if train is None:
-        train = fold_training_sets(fm, family, fold_idx)
-    counts = [None] if prefixes is None else list(prefixes)
-    proba = np.empty((len(counts), fm.n))
-    for val, fold_train in zip(fold_idx, train, strict=True):
-        model = fit_family(fold_train, family, params, seed)
-        for row, k in zip(proba, counts):
-            first_k = model
-            if k is not None and k != len(model.trees):
-                first_k = replace(
-                    model, trees=model.trees[:k], params=replace(model.params, n_trees=k)
-                )
-            row[val] = first_k.predict_proba(fm.X[val])
+    candidates = [params] if prefixes is None else [{**params, "n_trees": k} for k in prefixes]
+    proba = np.empty((len(candidates), fm.n))
+    for val in fold_idx:
+        for error in fold_proba(fm, family, candidates, val, seed, proba):
+            if error is not None:
+                raise error
     return proba[0] if prefixes is None else proba
-
-
-def _converged_oof(fm, family, params, fold_idx, seed, train) -> np.ndarray | NonConvergence:
-    try:
-        return out_of_fold_proba(fm, family, params, fold_idx, seed, train=train)
-    except NonConvergence as exc:
-        return exc
-
-
-def _grid_proba(
-    fm: FeatureMatrix, family: str, candidates: list[dict], fold_idx: list[np.ndarray], seed: int
-) -> list[np.ndarray | NonConvergence]:
-    """Out-of-fold predictions of each candidate, in order, or the
-    `NonConvergence` its fit raised (only logistic fits can raise it).
-
-    All candidates share each fold's training matrix. Tree candidates whose
-    resolved `EnsembleParams` differ only in `n_trees` also share one fit
-    per fold, of their largest count; each is scored from its prefix of
-    those trees. Every candidate's parameters are validated before any fit
-    is shared, so an invalid count raises as it would on its own.
-    """
-    if family not in TREE_FAMILIES:
-        train = fold_training_sets(fm, family, fold_idx)
-        return [_converged_oof(fm, family, p, fold_idx, seed, train) for p in candidates]
-    groups: dict[EnsembleParams, list[int]] = {}
-    counts = []
-    for i, params in enumerate(candidates):
-        ep = _ensemble_params(family, params, seed)
-        ep.validate()
-        counts.append(ep.n_trees)
-        groups.setdefault(replace(ep, n_trees=0), []).append(i)
-    train = fold_training_sets(fm, family, fold_idx)
-    out: list[np.ndarray] = [None] * len(candidates)
-    for members in groups.values():
-        largest = max(members, key=counts.__getitem__)
-        rows = out_of_fold_proba(
-            fm,
-            family,
-            candidates[largest],
-            fold_idx,
-            seed,
-            prefixes=[counts[i] for i in members],
-            train=train,
-        )
-        for i, row in zip(members, rows):
-            out[i] = row
-    return out
 
 
 def cv_grid_search(
@@ -253,6 +248,7 @@ def cv_grid_search(
     *,
     folds: int,
     seed: int = 0,
+    fold_results: dict[str, tuple[np.ndarray, list[list]]] | None = None,
 ) -> dict[str, CvGridResult]:
     """Grid search each family with shared stratified folds.
 
@@ -260,25 +256,39 @@ def cv_grid_search(
     strictly better mean AP, so exact ties resolve toward the simpler model.
     Each candidate's fold AP is read off its out-of-fold predictions, and the
     winner's predictions ride along for calibration without a refit. A
-    candidate that raised `NonConvergence` is an entry with its error;
-    `NonConvergence` is raised when no candidate of a family is left.
+    candidate whose fit raised `NonConvergence` on some fold is an entry with
+    the error of its first such fold; `NonConvergence` is raised when no
+    candidate of a family is left.
+
+    The predictions come from `fold_proba`, one call per fold with the
+    family's candidates as `grids` lists them. `fold_results[family]`, when
+    given, holds what those calls made elsewhere: the (candidates, rows)
+    matrix they filled and their returns in fold order (the pipeline makes
+    them in worker processes). The folds are drawn here all the same, so a
+    cohort they cannot fill raises as it would without them.
     """
     grids = DEFAULT_GRIDS if grids is None else grids
     fold_idx = stratified_folds(fm.y, folds, seed)
     results: dict[str, CvGridResult] = {}
     for family, candidates in grids.items():
+        if fold_results is None:
+            oof = np.empty((len(candidates), fm.n))
+            fold_errors = [fold_proba(fm, family, candidates, val, seed, oof) for val in fold_idx]
+        else:
+            oof, fold_errors = fold_results[family]
         entries: list[GridEntry] = []
         best_entry: GridEntry | None = None
-        ordered = sorted(candidates, key=lambda p: _simplicity_key(family, p))
-        for params, proba in zip(ordered, _grid_proba(fm, family, ordered, fold_idx, seed)):
-            if isinstance(proba, NonConvergence):
-                entries.append(GridEntry(params, np.nan, [], error=str(proba)))
+        for i in sorted(range(len(candidates)), key=lambda i: _simplicity_key(family, candidates[i])):
+            params = candidates[i]
+            failed = [errors[i] for errors in fold_errors if errors[i] is not None]
+            if failed:
+                entries.append(GridEntry(params, np.nan, [], error=str(failed[0])))
                 continue
-            fold_aps = [average_precision(proba[val], fm.y[val]) for val in fold_idx]
+            fold_aps = [average_precision(oof[i, val], fm.y[val]) for val in fold_idx]
             entry = GridEntry(params=params, mean_ap=float(np.mean(fold_aps)), fold_aps=fold_aps)
             entries.append(entry)
             if best_entry is None or entry.mean_ap > best_entry.mean_ap:
-                best_entry, oof = entry, proba
+                best_entry, best = entry, i
         if best_entry is None:
             raise NonConvergence(f"no {family} grid candidate converged: {entries[0].error}")
         results[family] = CvGridResult(
@@ -286,6 +296,6 @@ def cv_grid_search(
             grid=entries,
             winner=best_entry.params,
             folds=folds,
-            oof_proba=oof,
+            oof_proba=oof[best].copy(),
         )
     return results

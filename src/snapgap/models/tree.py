@@ -48,9 +48,13 @@ CRITERION_GINI = "gini"
 CRITERION_MSE = "mse"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecisionTree:
-    """Preorder node tuples; feature[i] == -1 marks a leaf with value[i]."""
+    """Preorder node tuples; feature[i] == -1 marks a leaf with value[i].
+
+    A leaf's threshold and a split node's value are NaN, so trees compare
+    their float tuples with NaN equal to NaN: a tree equals its pickled or
+    serialized copy."""
 
     feature: tuple[int, ...]
     threshold: tuple[float, ...]
@@ -61,6 +65,19 @@ class DecisionTree:
     @property
     def n_nodes(self) -> int:
         return len(self.feature)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DecisionTree):
+            return NotImplemented
+        if (self.feature, self.left, self.right) != (other.feature, other.left, other.right):
+            return False
+        return all(
+            np.array_equal(mine, theirs, equal_nan=True)
+            for mine, theirs in ((self.threshold, other.threshold), (self.value, other.value))
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.feature, self.left, self.right))
 
     @cached_property
     def _flat(self) -> FlatTrees:
@@ -171,9 +188,10 @@ def _best_split(xs, ts, ws, criterion, min_leaf):
         s2r = cs2[:, -1:] - s2l
         score = (s2l - sl**2 / wl) + (s2r - sr**2 / wr)
     invalid = ~(xs[:, :-1] < xs[:, 1:])
-    invalid[:, : max(min_leaf - 1, 0)] = True
-    invalid[:, m - min_leaf :] = True
-    score[invalid] = np.inf
+    if min_leaf > 1:
+        invalid[:, : min_leaf - 1] = True
+        invalid[:, m - min_leaf :] = True
+    np.putmask(score, invalid, np.inf)
     best = score.min(axis=1)
     r = int(best.argmin())
     pos = int(score[r].argmin())
@@ -190,7 +208,7 @@ def _node_impurity(t, w, criterion):
         p = (w * t).sum()
         return total_w - (p**2 + (total_w - p) ** 2) / total_w
     mean = (w * t).sum() / total_w
-    return float(np.sum(w * (t - mean) ** 2))
+    return float((w * (t - mean) ** 2).sum())
 
 
 def grow_tree(
@@ -210,8 +228,9 @@ def grow_tree(
     """Grow one tree depth-first (left child before right).
 
     `leaf_value(idx)` computes a leaf's stored value from the row indices it
-    holds; the default is the weighted mean of `targets` (positive fraction
-    for 0/1 labels). Feature subsets are drawn per split from `rng`.
+    holds; without it a leaf stores the weighted mean of its `targets`
+    (positive fraction for 0/1 labels). Feature subsets are drawn per split
+    from `rng`.
 
     `order`, when given, must be `np.argsort(X.T, axis=1, kind="stable")`,
     which the tree would otherwise compute. `row_leaf`, when given, receives
@@ -223,18 +242,14 @@ def grow_tree(
     weights = np.asarray(weights, dtype=float)
     n, d = X.shape
     XT = np.ascontiguousarray(X.T)
-    if leaf_value is None:
-        def leaf_value(idx):
-            return float(np.sum(weights[idx] * targets[idx]) / np.sum(weights[idx]))
-
     feature: list[int] = []
     threshold: list[float] = []
     left: list[int] = []
     right: list[int] = []
     value: list[float] = []
 
-    def make_leaf(node: int, idx: np.ndarray) -> None:
-        value[node] = leaf_value(idx)
+    def make_leaf(node: int, idx: np.ndarray, t: np.ndarray, w: np.ndarray) -> None:
+        value[node] = float((w * t).sum() / w.sum()) if leaf_value is None else leaf_value(idx)
         if row_leaf is not None:
             row_leaf[idx] = node
 
@@ -267,9 +282,9 @@ def grow_tree(
         if (
             (max_depth is not None and depth >= max_depth)
             or len(idx) < 2 * min_leaf
-            or np.all(t == t[0])
+            or not (t != t[0]).any()
         ):
-            make_leaf(node, idx)
+            make_leaf(node, idx, t, w)
             continue
 
         if max_features is not None and max_features < d:
@@ -282,7 +297,7 @@ def grow_tree(
         xs = XT[feats[:, None], rows]
         score, r, thr = _best_split(xs, targets[rows], weights[rows], criterion, min_leaf)
         if not score < parent - 1e-12 * max(1.0, abs(parent)):
-            make_leaf(node, idx)
+            make_leaf(node, idx, t, w)
             continue
 
         j = int(feats[r])

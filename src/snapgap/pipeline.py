@@ -24,12 +24,18 @@ Every randomized task derives its own generator from (root seed, task label),
 so the manifest is byte-identical across runs.
 
 The (cohort, subset, family) tasks are independent, so they run in worker
-processes forked from this one: one worker per CPU in the process's
-affinity mask, at most one per task. With one CPU, where the platform
-cannot fork, or while another thread runs, they run here one after another
-through the same task function. Where a task runs cannot change a byte: it
+processes forked from this one, in two passes over one pool: one worker per
+CPU in the process's affinity mask, at most one per unit of the first pass.
+A tree family's CV grid search holds most of a run's work, so such a task
+is split. Each of its folds is a unit of the first pass, which fits the
+grid on that fold (`selection.fold_proba`), and the second pass runs its
+tail: the grid selection from the fold results, the winner's refit,
+calibration, evaluation and importance. Any other task (logistic, split70)
+is one unit of the first pass. With one CPU, where the platform cannot
+fork, or while another thread runs, the same units run here one after
+another, in the same two passes. Where a unit runs cannot change a byte: it
 reads only the labeled panels, which workers inherit through fork, it
-draws only from its own keyed streams, and its result comes back by
+draws only from its task's keyed streams, and its result comes back by
 pickle, which keeps every float bit and dict order. A task sends back its
 manifest entry, and its fitted scorer only when the caller keeps scorers:
 `train_scorers` always does, `run_backtest` unless `keep_scorers` is false,
@@ -41,13 +47,15 @@ own panel's ZIP and year cells and the probabilities, so it holds one
 string per ZIP however many tasks flag it. The table stays one in the
 manifest body; `plain(body)` is the body's JSON data, and the digest and
 report writers render the tables from their columns. The results are
-assembled in plan order, not in order of completion. Each task records its
-warnings, and they are issued in this process in plan order, so they print
-the same with any worker count.
+assembled in plan order, not in order of completion. Each unit records its
+warnings, and they are issued in this process in plan order (a split task's
+folds in fold order, then its tail), so they print the same with any worker
+count.
 """
 from __future__ import annotations
 
 import itertools
+import mmap
 import os
 import sys
 import threading
@@ -94,9 +102,11 @@ from .models import (
     FAMILIES,
     CalibratedScorer,
     FeatureMatrix,
+    TREE_FAMILIES,
     check_candidate,
     cv_grid_search,
     fit_family,
+    fold_proba,
     model_to_dict,
     stratified_folds,
 )
@@ -284,6 +294,10 @@ def _matrix(
     return panel.panel.predictors[np.ix_(rows, cols)], panel.y[rows].astype(int)
 
 
+def _task_matrix(panel: LabeledPanel, rows: np.ndarray, subset: tuple[str, ...]) -> FeatureMatrix:
+    return FeatureMatrix(*_matrix(panel, rows, subset), feature_names=tuple(subset))
+
+
 def _anomaly_count(panel: LabeledPanel) -> int:
     return int(np.count_nonzero(panel.s_raw > 1.0))
 
@@ -331,8 +345,13 @@ def _fit_task(
     p1_panel: LabeledPanel,
     p1_rows: np.ndarray,
     p1_prevalence: float,
+    fold_results: tuple[np.ndarray, list[list]] | None = None,
 ) -> tuple[CalibratedScorer, dict]:
     """Train one (cohort, subset, family) scorer on early-period rows only.
+
+    Under CV selection, `fold_results`, when given, holds the out-of-fold
+    matrix the task's fold units filled and what their `fold_proba` calls
+    returned, in fold order.
 
     Raises a `CohortError`, or `NonConvergence` when the split70 fit, the
     winner's refit or every grid candidate fails to converge; either fails
@@ -340,7 +359,7 @@ def _fit_task(
     """
     label = f"{cohort}/{_model_label(family, subset)}"
     seed = cfg.seed
-    fm = FeatureMatrix(*_matrix(p1_panel, p1_rows, subset), feature_names=tuple(subset))
+    fm = _task_matrix(p1_panel, p1_rows, subset)
     n_pos = int(fm.y.sum())
     if n_pos == 0 or n_pos == fm.n:
         raise InsufficientCohort(
@@ -352,7 +371,13 @@ def _fit_task(
     if cfg.selection == SELECTION_CV:
         grid = {family: cfg.family_grids()[family]}
         try:
-            result = cv_grid_search(fm, grid, folds=cfg.folds, seed=seed)[family]
+            result = cv_grid_search(
+                fm,
+                grid,
+                folds=cfg.folds,
+                seed=seed,
+                fold_results=None if fold_results is None else {family: fold_results},
+            )[family]
         except CohortError as exc:
             raise InsufficientCohort(f"cohort {cohort!r}: {exc}") from exc
         winner = result.winner
@@ -544,27 +569,60 @@ def _plan_tasks(
     return tasks, cohort_errors
 
 
-def _task_outcome(
-    state: tuple, i: int
-) -> tuple[tuple[CalibratedScorer | None, dict] | str, list[tuple]]:
-    """Task `i` of the plan in `state` = (cfg, tasks, p1_panel, p2_panel,
-    keep_scorers): its scorer, or None unless `keep_scorers`, and its
-    manifest entry (the fit alone without a test panel), or the message of
-    the `CohortError` or `NonConvergence` that failed it; and every warning
-    it raised, as (message, category, filename, lineno), for
-    `_reissue_warnings`."""
-    cfg, tasks, p1_panel, p2_panel, keep_scorers = state
-    cohort, subset, family, p1_rows, p2_rows, prevalence = tasks[i]
+def _recording_warnings(fn) -> tuple:
+    """`fn()`, and every warning it raised, as (message, category,
+    filename, lineno), for `_reissue_warnings`."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
+        result = fn()
+    return result, [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+
+
+def _task_outcome(
+    state: tuple, i: int, fold_errors: list[list] | None = None
+) -> tuple[tuple[CalibratedScorer | None, dict] | str, list[tuple]]:
+    """Task `i` of the plan in `state` = (cfg, tasks, p1_panel, p2_panel,
+    keep_scorers, oof), whole, or, given what its fold units returned in
+    fold order, its tail, which reads their predictions from `oof[i]`: its
+    scorer, or None unless `keep_scorers`, and its manifest entry (the fit
+    alone without a test panel), or the message of the `CohortError` or
+    `NonConvergence` that failed it; and its warnings (see
+    `_recording_warnings`)."""
+    cfg, tasks, p1_panel, p2_panel, keep_scorers, oof = state
+    cohort, subset, family, p1_rows, p2_rows, prevalence = tasks[i]
+    fold_results = None if fold_errors is None else (oof[i], fold_errors)
+
+    def outcome():
         try:
-            scorer, detail = _fit_task(cfg, cohort, subset, family, p1_panel, p1_rows, prevalence)
+            scorer, detail = _fit_task(
+                cfg, cohort, subset, family, p1_panel, p1_rows, prevalence, fold_results
+            )
             if p2_panel is not None:
                 detail = _evaluate_task(cfg, cohort, subset, family, scorer, detail, p2_panel, p2_rows)
-            outcome = scorer if keep_scorers else None, detail
+            return scorer if keep_scorers else None, detail
         except (CohortError, NonConvergence) as exc:
-            outcome = str(exc)
-    return outcome, [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+            return str(exc)
+
+    return _recording_warnings(outcome)
+
+
+def _fold_outcome(state: tuple, i: int, k: int) -> tuple[list | None, list[tuple]]:
+    """Fold `k` of task `i` of the plan in `state` (see `_task_outcome`):
+    `fold_proba` of the task's grid on that fold, which writes to `oof[i]`,
+    or None when the task's rows cannot fill its folds, an error its tail
+    raises again; and its warnings."""
+    cfg, tasks, p1_panel, *_, oof = state
+    _, subset, family, p1_rows, *_ = tasks[i]
+
+    def outcome():
+        fm = _task_matrix(p1_panel, p1_rows, subset)
+        try:
+            val = stratified_folds(fm.y, cfg.folds, cfg.seed)[k]
+        except CohortError:
+            return None
+        return fold_proba(fm, family, cfg.family_grids()[family], val, cfg.seed, oof[i])
+
+    return _recording_warnings(outcome)
 
 
 def _reissue_warnings(
@@ -590,6 +648,85 @@ def _reissue_warnings(
         yield outcome
 
 
+def _first_pass(cfg: BacktestConfig, tasks: list[tuple]) -> list[tuple[int, int | None]]:
+    """The first pass's units, in plan order: (i, k) for fold k of task i
+    when the task is a tree family's CV grid search, (i, None) for any other
+    task, which runs whole."""
+    units: list[tuple[int, int | None]] = []
+    for i, (_, _, family, *_) in enumerate(tasks):
+        if cfg.selection == SELECTION_CV and family in TREE_FAMILIES:
+            units.extend((i, k) for k in range(cfg.folds))
+        else:
+            units.append((i, None))
+    return units
+
+
+def _shared_oof(
+    cfg: BacktestConfig, tasks: list[tuple], units: list[tuple[int, int | None]]
+) -> dict[int, np.ndarray]:
+    """For each task split into folds, its out-of-fold matrix (grid
+    candidates x training rows), all on one anonymous shared mapping.
+
+    Fold units write their predictions there and tails read them, in
+    whichever processes run them: workers inherit the mapping through fork.
+    When workers run the units, this process never touches its pages, so no
+    fold's predictions are pickled, sent or held here."""
+    shapes = {
+        i: (len(cfg.family_grids()[tasks[i][2]]), len(tasks[i][3]))
+        for i, k in units
+        if k is not None
+    }
+    if not shapes:
+        return {}
+    sizes = [rows * cols for rows, cols in shapes.values()]
+    mapping = mmap.mmap(-1, 8 * sum(sizes))
+    offsets = itertools.accumulate([0, *sizes])
+    return {
+        i: np.frombuffer(mapping, float, size, 8 * offset).reshape(shape)
+        for (i, shape), size, offset in zip(shapes.items(), sizes, offsets)
+    }
+
+
+def _run_unit(state: tuple, unit: tuple) -> tuple:
+    """Unit (i, part) of a pass: fold `part` of task `i` when `part` is a
+    fold number, else `_task_outcome(state, i, part)`, the whole task or
+    the tail given what its folds returned."""
+    i, part = unit
+    if isinstance(part, int):
+        return _fold_outcome(state, i, part)
+    return _task_outcome(state, i, part)
+
+
+def _in_plan_order(
+    units: list[tuple[int, int | None]], run
+) -> Iterator[tuple[tuple[CalibratedScorer | None, dict] | str, list[tuple]]]:
+    """Each task's outcome and warnings, in plan order, as they arrive,
+    where `run(units)` gives the results of `units` in order.
+
+    The first pass runs `units`; the second runs the tail of each task
+    split into folds, given what its folds returned, in fold order. A split
+    task's warnings are its folds', in fold order, then its tail's."""
+    ready: dict[int, tuple] = {}
+    fold_errors: dict[int, list] = {}
+    fold_warnings: dict[int, list[tuple]] = {}
+    next_task = 0
+    for (i, k), (result, caught) in zip(units, run(units), strict=True):
+        if k is None:
+            ready[i] = result, caught
+        else:
+            fold_errors.setdefault(i, []).append(result)
+            fold_warnings.setdefault(i, []).extend(caught)
+        while next_task in ready:
+            yield ready.pop(next_task)
+            next_task += 1
+    tails = list(fold_errors.items())
+    for (i, _), (outcome, caught) in zip(tails, run(tails), strict=True):
+        ready[i] = outcome, fold_warnings.pop(i) + caught
+        while next_task in ready:
+            yield ready.pop(next_task)
+            next_task += 1
+
+
 # Set by `_init_worker` in each worker process, never in the parent.
 _worker_state: tuple | None = None
 
@@ -599,26 +736,26 @@ def _init_worker(state: tuple, running) -> None:
     _worker_state = state, running
 
 
-def _worker_task(i: int) -> tuple:
-    """`_task_outcome` of task `i`, with `running[i]` set while it runs, so
-    the parent can name the task of a worker that dies."""
+def _worker_unit(j: int, unit: tuple) -> tuple:
+    """`_run_unit` of `unit`, with `running[j]` set while it runs, so the
+    parent can name the task of a worker that dies."""
     state, running = _worker_state
-    running[i] = 1
-    outcome = _task_outcome(state, i)
-    running[i] = 0
+    running[j] = 1
+    outcome = _run_unit(state, unit)
+    running[j] = 0
     return outcome
 
 
-def _pool_size(n_tasks: int) -> int:
-    """Worker processes for `n_tasks` tasks: one per CPU in this process's
-    affinity mask, at most one per task. 1 (run in-process) where the
-    platform has no fork or no affinity mask, or while another thread runs,
-    since a forked child keeps only the thread that forked it."""
+def _pool_size(n_units: int) -> int:
+    """Worker processes for a first pass of `n_units` units: one per CPU in
+    this process's affinity mask, at most one per unit. 1 (run in-process)
+    where the platform has no fork or no affinity mask, or while another
+    thread runs, since a forked child keeps only the thread that forked it."""
     if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
     if threading.active_count() > 1:
         return 1
-    return min(n_tasks, len(os.sched_getaffinity(0)))
+    return min(n_units, len(os.sched_getaffinity(0)))
 
 
 def _task_outcomes(
@@ -631,16 +768,19 @@ def _task_outcomes(
     """Each task's outcome (see `_task_outcome`), in plan order, as the
     results arrive, each after its warnings (see `_reissue_warnings`).
 
-    Tasks run in a pool of forked workers (see the module docstring), which
-    inherit the panels through fork, so only task indices and results are
-    pickled. With one worker they run in this process, and the pool modules
-    are not imported. Any other exception a task raises is raised here; a
-    worker that dies raises `WorkerDied`.
+    Tasks run in two passes over one pool of forked workers (see the module
+    docstring), which inherit the panels and the shared out-of-fold
+    matrices through fork, so only units, their errors and outcomes are
+    pickled. With one worker the same passes run in this process through the
+    built-in `map`, and the pool modules are not imported. Any other
+    exception a unit raises is raised here; a worker that dies raises
+    `WorkerDied`.
     """
-    state = (cfg, tasks, p1_panel, p2_panel, keep_scorers)
-    workers = _pool_size(len(tasks))
+    units = _first_pass(cfg, tasks)
+    state = (cfg, tasks, p1_panel, p2_panel, keep_scorers, _shared_oof(cfg, tasks, units))
+    workers = _pool_size(len(units))
     if workers < 2:
-        yield from _reissue_warnings(map(partial(_task_outcome, state), range(len(tasks))))
+        yield from _reissue_warnings(_in_plan_order(units, partial(map, partial(_run_unit, state))))
         return
 
     import multiprocessing
@@ -648,18 +788,25 @@ def _task_outcomes(
     from concurrent.futures.process import BrokenProcessPool
 
     context = multiprocessing.get_context("fork")
-    running = context.RawArray("b", len(tasks))
+    owners: list[int] = []  # the task of each unit submitted, by unit number
+    running = context.RawArray("b", len(units) + len(tasks))  # at most one tail per task
     with ProcessPoolExecutor(
         workers, mp_context=context, initializer=_init_worker, initargs=(state, running)
     ) as pool:
+
+        def run(batch):
+            start = len(owners)
+            owners.extend(i for i, _ in batch)
+            return pool.map(_worker_unit, range(start, len(owners)), batch)
+
         try:
-            yield from _reissue_warnings(pool.map(_worker_task, range(len(tasks))))
+            yield from _reissue_warnings(_in_plan_order(units, run))
         except BrokenProcessPool as exc:
-            labels = [
+            labels = dict.fromkeys(
                 f"{cohort}/{_model_label(family, subset)}"
-                for (cohort, subset, family, *_), flag in zip(tasks, running)
+                for (cohort, subset, family, *_), flag in zip((tasks[i] for i in owners), running)
                 if flag
-            ]
+            )
             raise WorkerDied(
                 f"a worker process exited abruptly while running {' or '.join(labels)}"
                 if labels

@@ -522,15 +522,16 @@ def test_no_command_loads_openssl(tmp_path):
 
 
 def run_tasks_in_workers(monkeypatch):
-    """Run every task in one of two forked workers; a task run in this
-    process fails the test."""
-    parent, task_outcome = os.getpid(), pipeline._task_outcome
+    """Run every task, and every fold of a task split into folds, in one of
+    two forked workers; a task or fold run in this process fails the test."""
+    parent = os.getpid()
+    for unit in ("_task_outcome", "_fold_outcome"):
 
-    def in_worker(state, i):
-        assert os.getpid() != parent, "task ran in the parent process"
-        return task_outcome(state, i)
+        def in_worker(state, i, *part, run_unit=getattr(pipeline, unit)):
+            assert os.getpid() != parent, "task ran in the parent process"
+            return run_unit(state, i, *part)
 
-    monkeypatch.setattr(pipeline, "_task_outcome", in_worker)
+        monkeypatch.setattr(pipeline, unit, in_worker)
     monkeypatch.setattr(pipeline, "_pool_size", lambda n_tasks: min(n_tasks, 2))
 
 
@@ -562,10 +563,10 @@ def test_cohort_error_in_a_worker_exits_3(tmp_path, small_panel, monkeypatch, ca
 def test_worker_death_exits_nonzero(tmp_path, small_panel, monkeypatch, capsys):
     parent, task_outcome = os.getpid(), pipeline._task_outcome
 
-    def die_in_boosting_worker(state, i):
+    def die_in_boosting_worker(state, i, fold_errors=None):
         if state[1][i][2] == "gradient_boosting" and os.getpid() != parent:
             os._exit(1)
-        return task_outcome(state, i)
+        return task_outcome(state, i, fold_errors)
 
     monkeypatch.setattr(pipeline, "_task_outcome", die_in_boosting_worker)
     monkeypatch.setattr(pipeline, "_pool_size", lambda n_tasks: min(n_tasks, 2))

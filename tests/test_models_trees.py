@@ -436,6 +436,31 @@ class TestSerialization:
         assert np.array_equal(np.signbit(got), np.signbit(want))
         assert "_flat" in vars(model)  # pickling leaves the original's cache alone
 
+    @pytest.mark.parametrize("kind", ["random_forest", "gradient_boosting", "tree"])
+    def test_copies_equal_the_original(self, rng, kind):
+        fm = xor_panel(rng, n=150)
+        if kind == "tree":
+            model = grown(fm.X, fm.y.astype(float), max_depth=4)
+            copies = [pickle.loads(pickle.dumps(model))]
+            tree = model
+        else:
+            model = fit_tree_ensemble(fm, EnsembleParams(kind=kind, n_trees=8, seed=3))
+            data = json.loads(json.dumps(model_to_dict(model)))
+            copies = [pickle.loads(pickle.dumps(model)), model_from_dict(data)]
+            tree = model.trees[0]
+        assert np.isnan(tree.threshold).any() and np.isnan(tree.value).any()
+        for copy in copies:
+            assert copy == model and not copy != model
+            assert hash(copy) == hash(model)
+        split = int(np.flatnonzero(np.array(tree.feature) >= 0)[0])
+        leaf = int(np.flatnonzero(np.array(tree.feature) < 0)[0])
+        moved = list(tree.threshold)
+        moved[split] += 1.0
+        refilled = list(tree.value)
+        refilled[leaf] = np.nan
+        for other in (replace(tree, threshold=tuple(moved)), replace(tree, value=tuple(refilled))):
+            assert other != tree and not other == tree
+
     def test_logistic_roundtrip(self, rng):
         X = rng.normal(size=(80, 2))
         y = (X[:, 0] + rng.normal(scale=0.5, size=80) > 0).astype(int)

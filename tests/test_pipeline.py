@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import multiprocessing
 import os
 import pickle
 import threading
@@ -351,20 +352,87 @@ class TestWorkerPool:
         assert pipeline._pool_size(1000) == cpus
 
     def test_worker_death_names_its_task(self, synth_panel, monkeypatch):
-        records, _ = synth_panel
-        parent, task_outcome = os.getpid(), pipeline._task_outcome
+        self.assert_death_in_forest_unit_named(synth_panel, monkeypatch, "_task_outcome")
 
-        def die_in_forest_worker(state, i):
+    def test_fold_unit_death_names_its_task(self, synth_panel, monkeypatch):
+        self.assert_death_in_forest_unit_named(synth_panel, monkeypatch, "_fold_outcome")
+
+    def assert_death_in_forest_unit_named(self, synth_panel, monkeypatch, unit):
+        # a forest CV task runs as fold units (`_fold_outcome`) and then its
+        # tail (`_task_outcome`); a worker dies in one of them
+        records, _ = synth_panel
+        parent, run_unit = os.getpid(), getattr(pipeline, unit)
+
+        def die_in_forest_worker(state, i, *part):
             family = state[1][i][2]
             if family == "random_forest" and os.getpid() != parent:
                 os._exit(1)
-            return task_outcome(state, i)
+            return run_unit(state, i, *part)
 
-        monkeypatch.setattr(pipeline, "_task_outcome", die_in_forest_worker)
+        monkeypatch.setattr(pipeline, unit, die_in_forest_worker)
         pool_size(monkeypatch, 2)
         cfg = fast_cfg(feature_subsets=self.SUBSETS[:1], families=("logistic", "random_forest"))
         with pytest.raises(WorkerDied, match=r"while running .*All/random_forest\[pct_no_vehicle\]"):
             run_backtest(cfg, records)
+
+    def test_split_tasks_match_in_process(self, synth_panel, monkeypatch):
+        # Mixed holds 7 training positives, too few for 8 stratified folds;
+        # a logistic candidate fails beside each forest and boosting search
+        panel, _ = synth_panel
+        fit_logistic_failing_at(monkeypatch, {100.0})
+        cfg = fast_cfg(
+            area_mode="stratified",
+            feature_subsets=self.SUBSETS,
+            families=("logistic", "random_forest", "gradient_boosting"),
+            grids=dict(
+                FAST_GRIDS,
+                logistic=[{"c": 1.0}, {"c": 100.0}],
+                random_forest=[{"n_trees": 4, "max_depth": 3}, {"n_trees": 8, "max_depth": 3}],
+            ),
+            folds=8,
+        )
+        runs = []
+        for workers in (1, 2):
+            pool_size(monkeypatch, workers)
+            runs.append(run_backtest(cfg, panel))
+        serial, pooled = runs
+        assert json_text(pooled.body) == json_text(serial.body)
+        assert pooled.scorers.keys() == serial.scorers.keys()
+        cohorts = serial.body["cohorts"]
+        for models in (cohorts["Urban"]["models"], cohorts["Rural"]["models"]):
+            assert len(models) == 6 and all("eval" in d for d in models.values())
+            for subset in self.SUBSETS:
+                logistic = models[f"logistic[{'+'.join(subset)}]"]["cv"]
+                assert logistic[1] == {"params": {"c": 100.0}, "error": "no convergence at c=100.0"}
+        mixed = cohorts["Mixed"]["models"]
+        assert len(mixed) == 6
+        assert all("minimum feasible folds: 7" in d["error"] for d in mixed.values())
+
+    def test_one_forest_task_uses_two_workers(self, synth_panel, monkeypatch):
+        # the first two fold units wait for each other, so they must run at
+        # once, in two processes
+        panel, _ = synth_panel
+        meet = multiprocessing.get_context("fork").Barrier(2, timeout=60)
+        parent, fold_outcome, sizes = os.getpid(), pipeline._fold_outcome, []
+
+        def meeting(state, i, k):
+            assert os.getpid() != parent, "a fold unit ran in the parent process"
+            if k < 2:
+                meet.wait()
+            return fold_outcome(state, i, k)
+
+        cfg = fast_cfg(feature_subsets=self.SUBSETS[:1], families=("random_forest",))
+        real_pool_size = pipeline._pool_size
+        pool_size(monkeypatch, 1)
+        expected = run_backtest(cfg, panel)
+        monkeypatch.setattr(pipeline, "_fold_outcome", meeting)
+        monkeypatch.setattr(
+            pipeline, "_pool_size", lambda n_units: sizes.append(n_units) or min(n_units, 2)
+        )
+        assert json_text(run_backtest(cfg, panel).body) == json_text(expected.body)
+        assert sizes == [cfg.folds]
+        if hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1:
+            assert real_pool_size(cfg.folds) == 2
 
 
 class TestDroppedScorers:
@@ -377,9 +445,9 @@ class TestDroppedScorers:
         panel, _ = synth_panel
         task_outcome = pipeline._task_outcome
 
-        def recorded(state, i):
+        def recorded(state, i, fold_errors=None):
             # runs in a worker when pooled, so it writes what the pipe carries
-            outcome = task_outcome(state, i)
+            outcome = task_outcome(state, i, fold_errors)
             (tmp_path / f"{state[4]}-{i}.pickle").write_bytes(pickle.dumps(outcome))
             return outcome
 
