@@ -4,14 +4,20 @@ Subcommands cover the full flow: `ingest` raw CSVs into a validated panel,
 `label` a panel, `train` scorers on the early period, `backtest` end to end,
 `synth` a verification panel, and `report` a saved manifest. `backtest`
 writes the fitted scorers only under `--models`; without it, no fitted model
-leaves the task that fit it, and the report files are the same. A YAML config
+leaves the task that fit it, and the report files are the same. It writes
+each model's flagged CSV, which the task that evaluated the model rendered,
+whatever `--formats` asks, since the manifest holds only each file's name,
+row count and sha256, and its digest covers the rows through them. `report`
+reads those CSVs beside the manifest and writes them unchanged. A YAML config
 supplies settings; any key can be overridden with repeated `--set key=value`
 flags (values parsed as YAML). Every command checks every key first (see
 `config`): an unknown key, a value of the wrong type, or one out of range,
 exits 2 before any work. So does `report`, before writing anything, on a
 file that is not a manifest it can render: not UTF-8 JSON, another format,
-a part the renderers read missing or of the wrong type, or a body that does
-not hash to its `manifest_digest` (edited after the run). Exit codes: 0 ok,
+a part the renderers read missing or of the wrong type, a body that does
+not hash to its `manifest_digest` (edited after the run), or a flagged CSV
+that does not hash to its recorded sha256 or holds another row count; and
+it exits 4 when a flagged CSV is missing. Exit codes: 0 ok,
 2 validation error, 3 insufficient cohort, 4 I/O failure, 5 a run that
 failed on valid input (a worker process died, a fit did not converge).
 """
@@ -35,7 +41,7 @@ from .labeling import build_labels, fit_uptake_ols, write_labeled_panel
 from .jsonio import load_json, save_json
 from .models import scorer_to_dict
 from .pipeline import run_backtest, sha256, train_scorers
-from .report import ALL_FORMATS, emit_report, manifest_body
+from .report import ALL_FORMATS, emit_report, flagged_csvs, manifest_body
 from .synth import generate_synthetic
 
 EXIT_OK = 0
@@ -129,7 +135,7 @@ def cmd_backtest(args) -> int:
     )
     outdir = Path(args.out)
     formats = args.formats.split(",") if args.formats else list(ALL_FORMATS)
-    written = emit_report(manifest.body, formats, outdir)
+    written = emit_report(manifest.body, formats, outdir, manifest.flagged_csvs)
     if args.models:
         _write_scorers(manifest.scorers, outdir / "models")
     print(f"manifest digest {manifest.digest}")
@@ -156,10 +162,11 @@ def cmd_report(args) -> int:
         raise ValidationError(f"manifest {args.manifest} is not UTF-8 JSON: {exc}") from exc
     try:
         body = manifest_body(data)
+        csvs = flagged_csvs(body, Path(args.manifest).parent)
     except ValidationError as exc:
         raise ValidationError(f"cannot render {args.manifest}: {exc}") from exc
     formats = args.formats.split(",") if args.formats else list(ALL_FORMATS)
-    written = emit_report(body, formats, Path(args.out))
+    written = emit_report(body, formats, Path(args.out), csvs)
     print(f"wrote {len(written)} report files -> {args.out}")
     return EXIT_OK
 

@@ -40,13 +40,15 @@ pickle, which keeps every float bit and dict order. A task sends back its
 manifest entry, and its fitted scorer only when the caller keeps scorers:
 `train_scorers` always does, `run_backtest` unless `keep_scorers` is false,
 as it is for `snapgap backtest` without `--models`. A scorer's model pickles
-without its compiled prediction cache. A model's flagged rows come back as
-two arrays, their late-period row numbers and probabilities
-(16 bytes a row), and this process makes them one `jsonio.RowTable` of its
-own panel's ZIP and year cells and the probabilities, so it holds one
-string per ZIP however many tasks flag it. The table stays one in the
-manifest body; `plain(body)` is the body's JSON data, and the digest and
-report writers render the tables from their columns. The results are
+without its compiled prediction cache. A task renders its model's flagged
+rows into the model's flagged CSV itself, from the ZIP and year cells of
+the panel it inherited and the probabilities it computed
+(`_flagged_csv`), and sends back those bytes beside its manifest entry.
+The entry, `{"file", "rows", "sha256"}`, names the file and holds its row
+count and the sha256 of its bytes, so the manifest digest covers every
+flagged row through those sha256s, and this process does no per-row work:
+`run_backtest` returns the bytes beside the body, in
+`RunManifest.flagged_csvs`, for the report to write. The results are
 assembled in plan order, not in order of completion. Each unit records its
 warnings, and they are issued in this process in plan order (a split task's
 folds in fold order, then its tail), so they print the same with any worker
@@ -54,9 +56,12 @@ count.
 """
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import mmap
 import os
+import re
 import sys
 import threading
 import warnings
@@ -87,7 +92,7 @@ from .errors import (
     WorkerDied,
 )
 from .ingest import PREDICTOR_FIELDS, Area, Panel
-from .jsonio import RowTable, plain, write_canonical
+from .jsonio import plain, write_canonical
 from .labeling import (
     UNLABELED,
     LabelConfig,
@@ -137,7 +142,8 @@ SELECTION_SPLIT = "split70"
 POOLED_COHORT = "All"
 MODELED_AREAS = (Area.URBAN, Area.RURAL, Area.MIXED)
 
-MANIFEST_FORMAT = "snapgap-manifest/1"
+MANIFEST_FORMAT = "snapgap-manifest/2"
+FLAGGED_HEADER = "zip,year,calibrated_probability\r\n"
 
 # Fixed hyperparameters for the 70/30 split path, which runs without a grid.
 SPLIT_DEFAULT_PARAMS = {
@@ -256,11 +262,11 @@ def digest_of(obj) -> str:
 
 @dataclass
 class RunManifest:
-    """A run's manifest `body` and its fitted scorers, if the run kept
-    them. The body's flagged lists are `RowTable`s; `plain(body)` is its
-    JSON data."""
+    """A run's manifest `body`, the bytes of each flagged CSV the body
+    names, by file name, and its fitted scorers, if the run kept them."""
 
     body: dict
+    flagged_csvs: dict[str, bytes]
     scorers: dict[tuple[str, str], CalibratedScorer] = field(default_factory=dict)
 
     @property
@@ -270,6 +276,16 @@ class RunManifest:
 
 def _model_label(family: str, subset: tuple[str, ...]) -> str:
     return f"{family}[{'+'.join(subset)}]"
+
+
+def _slug(text: str) -> str:
+    return re.sub(r"[^A-Za-z0-9_.-]+", "_", text).strip("_")
+
+
+def model_file(prefix: str, cohort: str, label: str) -> str:
+    """The name of the `prefix` CSV of a cohort's model, such as
+    `flagged_All_logistic_pct_no_vehicle.csv`."""
+    return f"{prefix}_{_slug(cohort)}_{_slug(label)}.csv"
 
 
 def _rows_in_years(panel: Panel, years: tuple[int, int]) -> Panel:
@@ -426,12 +442,49 @@ def _flagged_order(zips: np.ndarray, years: np.ndarray, probs: np.ndarray) -> np
     return np.lexsort((years, zips, -probs))
 
 
-def _flagged_table(panel: Panel, flagged: tuple[np.ndarray, np.ndarray]) -> RowTable:
-    """A task's flagged rows, given as `panel` row numbers and their
-    probabilities, as a table of the panel's own ZIP and year cells and the
-    probabilities."""
-    rows, probs = flagged
-    return RowTable(panel.zip[rows], panel.year[rows], probs)
+def _csv_strings(values: list[str]) -> list[str]:
+    """Each of `values` as `csv.writer` writes it among other cells of a row:
+    as it is, unless `csv` quotes it."""
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow([*values, ""])
+    if out.getvalue() == ",".join(values) + ",\r\n":
+        return values
+    cells = []
+    for value in values:
+        out.seek(0)
+        out.truncate()
+        writer.writerow([value, ""])
+        cells.append(out.getvalue()[: -len(",\r\n")])
+    return cells
+
+
+def _csv_cells(column: np.ndarray) -> list[str]:
+    """The text of each cell of a str, int or float column as `csv.writer`
+    writes it: a string as `_csv_strings` gives it, a number by its `repr`.
+    Each distinct value is rendered once; floats are told apart by their
+    bits, so -0.0 keeps its sign."""
+    if column.dtype.kind == "O":
+        cells = column.tolist()
+        distinct = list(set(cells))
+        return list(map(dict(zip(distinct, _csv_strings(distinct))).__getitem__, cells))
+    keys = column.view(f"u{column.itemsize}") if column.dtype.kind == "f" else column
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    texts = list(map(repr, distinct.view(column.dtype).tolist()))
+    return np.array(texts, dtype=object)[inverse].tolist()
+
+
+def _flagged_csv(zips: np.ndarray, years: np.ndarray, probs: np.ndarray) -> bytes:
+    """The flagged CSV of rows of a ZIP, a year and a probability: the UTF-8
+    bytes `csv.writer` writes for the header and the rows `[zip, year,
+    repr(p)]`, excel dialect, with CRLF line ends."""
+    n = len(probs)
+    parts = [","] * (6 * n)
+    parts[0::6] = _csv_cells(zips)
+    parts[2::6] = _csv_cells(years)
+    parts[4::6] = _csv_cells(probs)
+    parts[5::6] = ["\r\n"] * n
+    return (FLAGGED_HEADER + "".join(parts)).encode("utf-8")
 
 
 def _evaluate_task(
@@ -443,7 +496,9 @@ def _evaluate_task(
     detail: dict,
     p2_panel: LabeledPanel,
     p2_rows: np.ndarray,
-) -> dict:
+) -> tuple[dict, bytes]:
+    """`detail` with the task's late-period evaluation, and the bytes of its
+    flagged CSV, which `detail["flagged"]` names and digests."""
     label = _model_label(family, subset)
     if not p2_rows.size:
         raise InsufficientCohort(f"cohort {cohort!r}: no labeled test rows")
@@ -458,8 +513,14 @@ def _evaluate_task(
 
     hits = np.flatnonzero(classify(calibrated, scorer.rule) == 1)
     rows, probs = p2_rows[hits], calibrated[hits]
-    order = _flagged_order(p2_panel.panel.zip[rows], p2_panel.panel.year[rows], probs)
-    detail["flagged"] = rows[order], probs[order]  # a table in `run_backtest`
+    zips, years = p2_panel.panel.zip[rows], p2_panel.panel.year[rows]
+    order = _flagged_order(zips, years, probs)
+    flagged = _flagged_csv(zips[order], years[order], probs[order])
+    detail["flagged"] = {
+        "file": model_file("flagged", cohort, label),
+        "rows": len(rows),
+        "sha256": sha256(flagged).hexdigest(),
+    }
 
     importance = permutation_importance(
         scorer.model,
@@ -470,7 +531,7 @@ def _evaluate_task(
         seed=cfg.seed,
     )
     detail["importance"] = plain(importance)
-    return detail
+    return detail, flagged
 
 
 def _hidden_fragility_entry(panel: LabeledPanel, tail: float) -> dict:
@@ -578,15 +639,21 @@ def _recording_warnings(fn) -> tuple:
     return result, [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
 
 
+# A task's outcome: its scorer (None unless the run keeps scorers), its
+# manifest entry and the bytes of its flagged CSV (None without a test
+# panel), or the message of the error that failed it.
+_Outcome = tuple[CalibratedScorer | None, dict, bytes | None] | str
+
+
 def _task_outcome(
     state: tuple, i: int, fold_errors: list[list] | None = None
-) -> tuple[tuple[CalibratedScorer | None, dict] | str, list[tuple]]:
+) -> tuple[_Outcome, list[tuple]]:
     """Task `i` of the plan in `state` = (cfg, tasks, p1_panel, p2_panel,
     keep_scorers, oof), whole, or, given what its fold units returned in
     fold order, its tail, which reads their predictions from `oof[i]`: its
-    scorer, or None unless `keep_scorers`, and its manifest entry (the fit
-    alone without a test panel), or the message of the `CohortError` or
-    `NonConvergence` that failed it; and its warnings (see
+    scorer, or None unless `keep_scorers`, its manifest entry (the fit
+    alone without a test panel) and its flagged CSV, or the message of the
+    `CohortError` or `NonConvergence` that failed it; and its warnings (see
     `_recording_warnings`)."""
     cfg, tasks, p1_panel, p2_panel, keep_scorers, oof = state
     cohort, subset, family, p1_rows, p2_rows, prevalence = tasks[i]
@@ -597,9 +664,12 @@ def _task_outcome(
             scorer, detail = _fit_task(
                 cfg, cohort, subset, family, p1_panel, p1_rows, prevalence, fold_results
             )
+            flagged = None
             if p2_panel is not None:
-                detail = _evaluate_task(cfg, cohort, subset, family, scorer, detail, p2_panel, p2_rows)
-            return scorer if keep_scorers else None, detail
+                detail, flagged = _evaluate_task(
+                    cfg, cohort, subset, family, scorer, detail, p2_panel, p2_rows
+                )
+            return scorer if keep_scorers else None, detail, flagged
         except (CohortError, NonConvergence) as exc:
             return str(exc)
 
@@ -625,9 +695,7 @@ def _fold_outcome(state: tuple, i: int, k: int) -> tuple[list | None, list[tuple
     return _recording_warnings(outcome)
 
 
-def _reissue_warnings(
-    results: Iterator[tuple],
-) -> Iterator[tuple[CalibratedScorer | None, dict] | str]:
+def _reissue_warnings(results: Iterator[tuple]) -> Iterator[_Outcome]:
     """The outcome of each `_task_outcome` result, after issuing in this
     process, under its filters, each of the result's warnings that no earlier
     result raised. A warning is issued at the file and line that raised it,
@@ -699,7 +767,7 @@ def _run_unit(state: tuple, unit: tuple) -> tuple:
 
 def _in_plan_order(
     units: list[tuple[int, int | None]], run
-) -> Iterator[tuple[tuple[CalibratedScorer | None, dict] | str, list[tuple]]]:
+) -> Iterator[tuple[_Outcome, list[tuple]]]:
     """Each task's outcome and warnings, in plan order, as they arrive,
     where `run(units)` gives the results of `units` in order.
 
@@ -764,7 +832,7 @@ def _task_outcomes(
     p1_panel: LabeledPanel,
     p2_panel: LabeledPanel | None = None,
     keep_scorers: bool = True,
-) -> Iterator[tuple[CalibratedScorer | None, dict] | str]:
+) -> Iterator[_Outcome]:
     """Each task's outcome (see `_task_outcome`), in plan order, as the
     results arrive, each after its warnings (see `_reissue_warnings`).
 
@@ -846,10 +914,11 @@ def run_backtest(
 ) -> RunManifest:
     """Full train-on-P1 / evaluate-on-P2 run producing a reproducible manifest.
 
-    The manifest's `scorers` hold every fitted scorer, or none when
-    `keep_scorers` is false: then no task sends its scorer back, and this
-    process never holds a fitted model. The body is the same either way.
-    Raises `InsufficientCohort` when no task succeeds.
+    The manifest's `flagged_csvs` hold the bytes of each flagged CSV its
+    body names, as the tasks rendered them. Its `scorers` hold every fitted
+    scorer, or none when `keep_scorers` is false: then no task sends its
+    scorer back, and this process never holds a fitted model. The body is
+    the same either way. Raises `InsufficientCohort` when no task succeeds.
     """
     cfg.validate()
 
@@ -864,8 +933,22 @@ def run_backtest(
     frozen = p1_panel.thresholds if cfg.threshold_mode == THRESHOLD_FROZEN else None
     p2_panel = build_labels(p2, cfg.label, frozen, stratify_by_area=cfg.stratified)
     tasks, cohort_errors = _plan_tasks(cfg, p1_panel, p2_panel)
+    # Before the tasks, so their arrays come and go while this process holds
+    # no flagged CSV.
+    diagnostics = {
+        "hidden_fragility": {
+            "p1": _hidden_fragility_entry(p1_panel, cfg.hidden_tail),
+            "p2": _hidden_fragility_entry(p2_panel, cfg.hidden_tail),
+        },
+        "fragile_distribution": {
+            "p1": _fragile_distribution(p1, cfg),
+            "p2": _fragile_distribution(p2, cfg),
+        },
+        "yearly": run_yearly_diagnostics(cfg, panel),
+    }
 
     scorers: dict[tuple[str, str], CalibratedScorer] = {}
+    flagged_csvs: dict[str, bytes] = {}
     cohort_models: dict[str, dict] = {c: {} for c in _cohorts(cfg)}
     errors = list(cohort_errors.values())
     for outcome, (cohort, subset, family, *_) in zip(
@@ -876,10 +959,10 @@ def run_backtest(
             cohort_models[cohort][label] = {"error": outcome}
             errors.append(outcome)
             continue
-        scorer, detail = outcome
+        scorer, detail, flagged = outcome
+        flagged_csvs[detail["flagged"]["file"]] = flagged
         if keep_scorers:
             scorers[(cohort, label)] = scorer
-        detail["flagged"] = _flagged_table(p2_panel.panel, detail["flagged"])
         cohort_models[cohort][label] = detail
     if all("error" in entry for models in cohort_models.values() for entry in models.values()):
         raise InsufficientCohort(f"every cohort failed: {'; '.join(sorted(set(errors)))}")
@@ -904,15 +987,7 @@ def run_backtest(
             for name, labeled in (("p1", p1_panel), ("p2", p2_panel))
         },
         "cohorts": cohort_body,
-        "hidden_fragility": {
-            "p1": _hidden_fragility_entry(p1_panel, cfg.hidden_tail),
-            "p2": _hidden_fragility_entry(p2_panel, cfg.hidden_tail),
-        },
-        "fragile_distribution": {
-            "p1": _fragile_distribution(p1, cfg),
-            "p2": _fragile_distribution(p2, cfg),
-        },
-        "yearly": run_yearly_diagnostics(cfg, panel),
+        **diagnostics,
     }
     body["manifest_digest"] = digest_of(body)
-    return RunManifest(body=body, scorers=scorers)
+    return RunManifest(body=body, flagged_csvs=flagged_csvs, scorers=scorers)

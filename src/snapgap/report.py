@@ -4,34 +4,31 @@ Machine formats (JSON, CSV) carry full-precision fractions and agree
 field-for-field; the Markdown tables show percentages scaled by 100 with one
 decimal, with near-zero top-of-list precision shown as a dash.
 
-The renderers take a manifest body, whose flagged lists are
-`jsonio.RowTable`s of ZIP, year and probability columns, in a fresh
-manifest and in a saved one alike: `manifest_body` checks a loaded
-manifest's shape, turns its flagged lists into row tables, and checks that
-this body hashes to its `manifest_digest`, so one path renders and hashes
-both. `manifest.json` goes through `jsonio.save_json`, which streams the
-text of `json.dump(plain(body), fh, sort_keys=True, indent=2)` plus a
+The renderers take a manifest body, a fresh one or a saved one that
+`manifest_body` has checked: its shape, and that the body hashes to its
+`manifest_digest`. `manifest.json` goes through `jsonio.save_json`, which
+streams the text of `json.dump(body, fh, sort_keys=True, indent=2)` plus a
 newline, byte for byte, from the same walker that `pipeline.digest_of`
-hashes, with the C JSON encoder and the row tables rendered from their
-columns. The flagged CSVs are rendered from the columns too, with the bytes
-`csv.writer` writes for the rows: excel dialect, `\r\n` line ends, a ZIP
-quoted only where `csv` quotes it, and each float written with `repr`, as
-the other CSVs do explicitly, so every float cell reads back to the same
-bits.
+hashes. A model's flagged rows are not in the body: the task that
+evaluated the model rendered them into its flagged CSV (see `pipeline`),
+and the body's `flagged` entry holds that file's name, row count and
+sha256, so the digest covers the rows through the sha256. `emit_report`
+writes each flagged CSV the body names from its bytes, on every run and
+whatever formats it is asked for: a backtest's bytes from
+`RunManifest.flagged_csvs`, a saved manifest's from the files beside it,
+which `flagged_csvs` reads and checks against their entries. The other
+CSVs write each float with `repr`, so every float cell reads back to the
+same bits.
 """
 from __future__ import annotations
 
 import csv
-import io
-import re
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .errors import IoFailure, ValidationError
-from .jsonio import RowTable, save_json
-from .pipeline import MANIFEST_FORMAT, digest_of
+from .jsonio import save_json
+from .pipeline import MANIFEST_FORMAT, digest_of, model_file, sha256
 
 FORMAT_JSON = "json"
 FORMAT_CSV = "csv"
@@ -55,10 +52,6 @@ def _fmt_pct_dash(value: float | None) -> str:
     if value is None or value < DASH_BELOW:
         return "--"
     return f"{value * 100:.1f}"
-
-
-def _slug(text: str) -> str:
-    return re.sub(r"[^A-Za-z0-9_.-]+", "_", text).strip("_")
 
 
 def _metric_rows(manifest_body: dict) -> list[dict]:
@@ -126,65 +119,38 @@ def write_yearly_csv(manifest_body: dict, path: Path) -> None:
             )
 
 
-FLAGGED_HEADER = ["zip", "year", "calibrated_probability"]
 RELIABILITY_KEYS = ["bin_center", "mean_predicted", "observed_rate", "count"]
 
 
-def _csv_cells(values: list[str]) -> list[str]:
-    """Each of `values` as `csv.writer` writes it among other cells of a row:
-    as it is, unless `csv` quotes it."""
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow([*values, ""])
-    if out.getvalue() == ",".join(values) + ",\r\n":
-        return values
-    cells = []
-    for value in values:
-        out.seek(0)
-        out.truncate()
-        writer.writerow([value, ""])
-        cells.append(out.getvalue()[: -len(",\r\n")])
-    return cells
-
-
-def _write_flagged(detail: dict, fh) -> None:
-    csv.writer(fh).writerow(FLAGGED_HEADER)
-    fh.write(detail["flagged"].text("", ",", "\r\n", "", _csv_cells))
-
-
-def _write_reliability(detail: dict, fh) -> None:
-    writer = csv.writer(fh)
-    writer.writerow(RELIABILITY_KEYS)
-    writer.writerows(
-        [
-            repr(row["bin_center"]),
-            repr(row["mean_predicted"]),
-            repr(row["observed_rate"]),
-            row["count"],
-        ]
-        for row in detail["reliability"]
-    )
-
-
-# Per-model CSV files: name prefix, and the writer of one model's file.
-MODEL_CSVS = (("flagged", _write_flagged), ("reliability", _write_reliability))
-
-
-def write_model_csvs(manifest_body: dict, outdir: Path) -> list[Path]:
-    """One CSV per fitted model and MODEL_CSVS entry; failed models are skipped."""
-    models = [
+def _fitted_models(manifest_body: dict) -> list[tuple[str, str, dict]]:
+    """(cohort, model label, entry) of each fitted model; failed models are
+    skipped."""
+    return [
         (cohort, label, detail)
         for cohort, cdata in sorted(manifest_body.get("cohorts", {}).items())
         for label, detail in sorted(cdata.get("models", {}).items())
         if "error" not in detail
     ]
+
+
+def write_reliability_csvs(manifest_body: dict, outdir: Path) -> list[Path]:
+    """One reliability CSV per fitted model."""
     paths = []
-    for prefix, write in MODEL_CSVS:
-        for cohort, label, detail in models:
-            path = outdir / f"{prefix}_{_slug(cohort)}_{_slug(label)}.csv"
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                write(detail, fh)
-            paths.append(path)
+    for cohort, label, detail in _fitted_models(manifest_body):
+        path = outdir / model_file("reliability", cohort, label)
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(RELIABILITY_KEYS)
+            writer.writerows(
+                [
+                    repr(row["bin_center"]),
+                    repr(row["mean_predicted"]),
+                    repr(row["observed_rate"]),
+                    row["count"],
+                ]
+                for row in detail["reliability"]
+            )
+        paths.append(path)
     return paths
 
 
@@ -277,9 +243,11 @@ class _OrError:
     shape: object
 
 
-_FLAGGED = object()  # a list of [str, int, float] rows, read as a RowTable
 _NUMBER = (int, float)
 _NUMBER_OR_NULL = (int, float, type(None))
+_TYPE_NAMES = {
+    _NUMBER: "a number", _NUMBER_OR_NULL: "a number or null", str: "a string", int: "an integer"
+}
 _PERIOD = {
     "thresholds": _Each({"tau_hi": _NUMBER_OR_NULL, "tau_lo": _NUMBER}),
     "prevalences": _Each(_NUMBER_OR_NULL),
@@ -290,7 +258,7 @@ _MODEL = {
         "precision_at": _Each(_NUMBER_OR_NULL),
     },
     "reliability": [dict.fromkeys(RELIABILITY_KEYS, object)],
-    "flagged": _FLAGGED,
+    "flagged": {"file": str, "rows": int, "sha256": str},
 }
 _AREA_SHARES = _Each(
     _OrError({"by_area": _Each({"count": object, "share": _NUMBER_OR_NULL})}), key=float
@@ -298,8 +266,8 @@ _AREA_SHARES = _Each(
 
 # What the renderers read of a manifest body. A shape is a type or tuple of
 # types; a dict of keys and their shapes, where a key ending in "?" may be
-# missing; a one-item list, for a list of items of that shape; `_Each`,
-# `_OrError` or `_FLAGGED`.
+# missing; a one-item list, for a list of items of that shape; `_Each` or
+# `_OrError`.
 MANIFEST_SHAPE = {
     "seed": object,
     "config_hash": object,
@@ -317,13 +285,12 @@ MANIFEST_SHAPE = {
 
 
 def manifest_body(data) -> dict:
-    """The body of a saved manifest from its JSON data `data`, with its
-    flagged lists as row tables. Raises a `ValidationError` naming the first
-    part the renderers cannot read, unless `data` is a manifest object of
-    format `MANIFEST_FORMAT`, or naming both digests when that body, tables
-    and all, without its `manifest_digest` does not hash to that digest: a
-    report never shows numbers a run did not produce under the digest it
-    prints."""
+    """The body of a saved manifest from its JSON data `data`. Raises a
+    `ValidationError` naming the first part the renderers cannot read,
+    unless `data` is a manifest object of format `MANIFEST_FORMAT`, or
+    naming both digests when that body without its `manifest_digest` does
+    not hash to that digest: a report never shows numbers a run did not
+    produce under the digest it prints."""
     if not isinstance(data, dict) or data.get("format") != MANIFEST_FORMAT:
         raise ValidationError(f"not a manifest: expected an object with format {MANIFEST_FORMAT!r}")
     body = _read(data, MANIFEST_SHAPE, "manifest")
@@ -340,13 +307,11 @@ def manifest_body(data) -> dict:
 
 
 def _read(value, shape, where: str):
-    """`value`, checked to have `shape`, with its flagged lists as row tables."""
+    """`value`, checked to have `shape`."""
 
     def fail(what: str):
         return ValidationError(f"{where}: expected {what}")
 
-    if shape is _FLAGGED:
-        return _flagged_table(value, fail)
     if isinstance(shape, _OrError):
         if isinstance(value, dict) and "error" in value:
             return value
@@ -374,32 +339,42 @@ def _read(value, shape, where: str):
                 raise fail(f"a key {name!r}")
         return out
     if not isinstance(value, shape):
-        raise fail("a number" if shape == _NUMBER else "a number or null")
+        raise fail(_TYPE_NAMES[shape])
     return value
 
 
-def _flagged_table(rows, fail) -> RowTable:
-    if not isinstance(rows, list) or not all(
-        type(row) is list
-        and len(row) == 3
-        and type(row[0]) is str
-        and type(row[1]) is int
-        and type(row[2]) is float
-        for row in rows
-    ):
-        raise fail("a list of [zip, year, probability] rows of a string, an integer and a float")
-    zips, years, probs = zip(*rows) if rows else ((), (), ())
-    try:
-        years = np.array(years, dtype=np.int64)
-    except OverflowError:
-        raise fail("years that fit in 64 bits") from None
-    return RowTable(np.array(zips, dtype=object), years, np.array(probs, dtype=np.float64))
+
+def flagged_csvs(body: dict, directory: Path) -> dict[str, bytes]:
+    """The bytes of each flagged CSV a checked manifest body names, by file
+    name, read from `directory`. Raises a `ValidationError` when an entry
+    names another file than its model's, or when a file's bytes do not hash
+    to its entry's sha256 or hold another number of rows, and `IoFailure`
+    when one cannot be read. A row is a line: ZIPs are five digits, so no
+    cell holds a line break."""
+    csvs = {}
+    for cohort, label, detail in _fitted_models(body):
+        entry, name = detail["flagged"], model_file("flagged", cohort, label)
+        if entry["file"] != name:
+            raise ValidationError(
+                f"manifest.cohorts.{cohort}.models.{label}.flagged: expected file {name!r}"
+            )
+        path = directory / name
+        try:
+            data = path.read_bytes()
+        except OSError as exc:
+            raise IoFailure(f"cannot read flagged CSV {path}: {exc}") from exc
+        if sha256(data).hexdigest() != entry["sha256"]:
+            raise ValidationError(f"{path} does not hash to the sha256 its manifest records")
+        if data.count(b"\n") - 1 != entry["rows"]:
+            raise ValidationError(f"{path} does not hold the {entry['rows']} rows its manifest records")
+        csvs[name] = data
+    return csvs
 
 
-def emit_report(body: dict, formats, outdir) -> list[Path]:
-    """Write the requested formats of a manifest body, whose flagged lists
-    are row tables (see `manifest_body` for a saved one), into outdir;
-    returns the written paths."""
+def emit_report(body: dict, formats, outdir, flagged_csvs: dict[str, bytes]) -> list[Path]:
+    """Write each flagged CSV `body` names, from its bytes in
+    `flagged_csvs`, and the requested formats of the manifest body, into
+    outdir; returns the written paths."""
     for fmt in formats:
         if fmt not in ALL_FORMATS:
             raise ValidationError(f"unknown report format {fmt!r}")
@@ -407,6 +382,10 @@ def emit_report(body: dict, formats, outdir) -> list[Path]:
     try:
         outdir.mkdir(parents=True, exist_ok=True)
         written: list[Path] = []
+        for _, _, detail in _fitted_models(body):
+            path = outdir / detail["flagged"]["file"]
+            path.write_bytes(flagged_csvs[path.name])
+            written.append(path)
         if FORMAT_JSON in formats:
             path = outdir / "manifest.json"
             save_json(body, path)
@@ -420,7 +399,7 @@ def emit_report(body: dict, formats, outdir) -> list[Path]:
                 path = outdir / name
                 writer(body, path)
                 written.append(path)
-            written.extend(write_model_csvs(body, outdir))
+            written.extend(write_reliability_csvs(body, outdir))
         if FORMAT_MARKDOWN in formats:
             path = outdir / "report.md"
             with open(path, "w", encoding="utf-8") as fh:

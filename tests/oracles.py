@@ -706,10 +706,12 @@ def _report_slug(text):
     return re.sub(r"[^A-Za-z0-9_.-]+", "_", text).strip("_")
 
 
-def render_report_reference(body, outdir):
-    """`manifest.json` through the standard library's `json.dump`, and one
-    flagged CSV per fitted model with each probability written through
-    `repr`, into `outdir`. Returns the written file names."""
+def render_report_reference(body, flagged_rows, outdir):
+    """`manifest.json` through the standard library's `json.dump`, and the
+    flagged CSV of each fitted model from its `[zip, year, p]` rows in
+    `flagged_rows[(cohort, label)]`, through `csv.writer` with each
+    probability written through `repr`, into `outdir`. Returns the written
+    file names."""
     names = ["manifest.json"]
     with open(outdir / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(body, fh, sort_keys=True, indent=2)
@@ -722,6 +724,8 @@ def render_report_reference(body, outdir):
             with open(outdir / name, "w", encoding="utf-8", newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(["zip", "year", "calibrated_probability"])
-                writer.writerows([zcta, year, repr(prob)] for zcta, year, prob in detail["flagged"])
+                writer.writerows(
+                    [zcta, year, repr(prob)] for zcta, year, prob in flagged_rows[(cohort, label)]
+                )
             names.append(name)
     return names

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from operator import attrgetter
@@ -172,14 +173,20 @@ def test_synth_backtest_report_flow(tmp_path):
 
 
 @pytest.fixture(scope="module")
-def saved_manifest(tmp_path_factory):
-    """The JSON data of a small backtest's manifest."""
+def saved_run(tmp_path_factory):
+    """The directory of a small backtest run under `--formats json`."""
     tmp = tmp_path_factory.mktemp("saved")
     panel = tmp / "synth.csv"
     main(["synth", "--seed", "4", "--out", str(panel), "--set", "synth.n_zips=250"])
     args = ["backtest", "--panel", str(panel), "--out", str(tmp / "run"), "--formats", "json"]
     assert main(args + SMALL_RUN) == 0
-    return load_json(tmp / "run" / "manifest.json")
+    return tmp / "run"
+
+
+@pytest.fixture(scope="module")
+def saved_manifest(saved_run):
+    """The JSON data of a small backtest's manifest."""
+    return load_json(saved_run / "manifest.json")
 
 
 def _model(body):
@@ -198,6 +205,8 @@ def _set(path, value):
     return change
 
 
+FLAGGED = ["cohorts", "All", "models", "logistic[pct_no_vehicle]", "flagged"]
+
 MANIFEST_DAMAGE = {
     "format": _set(["format"], "snapgap-manifest/0"),
     "no periods": lambda body: body.pop("periods"),
@@ -208,12 +217,11 @@ MANIFEST_DAMAGE = {
     "reliability row": lambda body: _model(body)["reliability"].append([0.5, 0.1]),
     "no eval": lambda body: _model(body).pop("eval"),
     "flagged a dict": lambda body: _model(body).update(flagged={}),
-    "year a string": lambda body: _model(body)["flagged"][0].__setitem__(1, "2019"),
-    "year a bool": lambda body: _model(body)["flagged"][0].__setitem__(1, True),
-    "year too large": lambda body: _model(body)["flagged"][0].__setitem__(1, 2**70),
-    "probability an int": lambda body: _model(body)["flagged"][0].__setitem__(2, 1),
-    "zip a number": lambda body: _model(body)["flagged"][0].__setitem__(0, 1001),
-    "short row": lambda body: _model(body)["flagged"][0].pop(),
+    "flagged a list": lambda body: _model(body).update(flagged=[["01001", 2019, 0.5]]),
+    "rows a string": _set([*FLAGGED, "rows"], "12"),
+    "sha256 a number": _set([*FLAGGED, "sha256"], 0),
+    "file a number": _set([*FLAGGED, "file"], 1),
+    "no sha256": lambda body: _model(body)["flagged"].pop("sha256"),
 }
 
 
@@ -236,48 +244,115 @@ def test_report_exits_2_on_a_file_that_is_not_a_manifest(tmp_path, capsys, conte
     _report_fails_with_exit_2(tmp_path, capsys, manifest)
 
 
-@pytest.mark.parametrize("damage", MANIFEST_DAMAGE.values(), ids=MANIFEST_DAMAGE.keys())
-def test_report_exits_2_on_a_manifest_it_cannot_render(tmp_path, capsys, saved_manifest, damage):
-    body = json.loads(json.dumps(saved_manifest))
-    assert _model(body)["flagged"]
-    damage(body)
-    manifest = tmp_path / "manifest.json"
+def _copy_run(saved_run, body, directory: Path) -> Path:
+    """`body` as a manifest in `directory`, beside copies of the flagged
+    CSVs of `saved_run`; returns the manifest's path."""
+    directory.mkdir(exist_ok=True)
+    for path in saved_run.glob("flagged_*.csv"):
+        shutil.copy(path, directory)
+    manifest = directory / "manifest.json"
     manifest.write_text(json.dumps(body), encoding="utf-8")
-    _report_fails_with_exit_2(tmp_path, capsys, manifest)
+    return manifest
 
 
-def _halve_a_flagged_probability(body):
-    _model(body)["flagged"][0][2] /= 2
+def _redigested(body):
+    """`body` with the `manifest_digest` of what it now holds."""
+    body["manifest_digest"] = digest_of({k: v for k, v in body.items() if k != "manifest_digest"})
+    return body
 
 
-def _raise_an_auc(body):
+@pytest.mark.parametrize("damage", MANIFEST_DAMAGE.values(), ids=MANIFEST_DAMAGE.keys())
+def test_report_exits_2_on_a_manifest_it_cannot_render(
+    tmp_path, capsys, saved_run, saved_manifest, damage
+):
+    body = json.loads(json.dumps(saved_manifest))
+    assert _model(body)["flagged"]["rows"]
+    damage(body)
+    _report_fails_with_exit_2(tmp_path, capsys, _copy_run(saved_run, _redigested(body), tmp_path))
+
+
+def _edit_a_flagged_probability(body, directory):
+    """Change the last digit of the first probability in a flagged CSV;
+    returns the text the error names."""
+    path = directory / _model(body)["flagged"]["file"]
+    header, first, rest = path.read_bytes().split(b"\r\n", 2)
+    digit = b"1" if first.endswith(b"2") else b"2"
+    path.write_bytes(b"\r\n".join([header, first[:-1] + digit, rest]))
+    return str(path)
+
+
+def _raise_an_auc(body, directory):
     _model(body)["eval"]["auc"] += 0.01
+    actual = digest_of({k: v for k, v in body.items() if k != "manifest_digest"})
+    assert actual != body["manifest_digest"]
+    return f"digests to {actual}, not to its manifest_digest {body['manifest_digest']}"
 
 
 @pytest.mark.parametrize(
-    "edit", [_halve_a_flagged_probability, _raise_an_auc], ids=["a flagged probability", "an AUC"]
+    "edit", [_edit_a_flagged_probability, _raise_an_auc], ids=["a flagged probability", "an AUC"]
 )
 def test_report_exits_2_on_a_body_that_does_not_match_its_digest(
-    tmp_path, capsys, saved_manifest, edit
+    tmp_path, capsys, saved_run, saved_manifest, edit
 ):
+    # the digest covers the flagged rows through each CSV's sha256
     body = json.loads(json.dumps(saved_manifest))
-    edit(body)
-    manifest = tmp_path / "manifest.json"
+    manifest = _copy_run(saved_run, body, tmp_path / "copy")
+    named = edit(body, manifest.parent)
     manifest.write_text(json.dumps(body), encoding="utf-8")
     out = tmp_path / "out"
     assert main(["report", "--manifest", str(manifest), "--out", str(out)]) == 2
     (line,) = capsys.readouterr().err.splitlines()
-    actual = digest_of({k: v for k, v in body.items() if k != "manifest_digest"})
-    assert actual != body["manifest_digest"]
-    assert line.startswith("error: ") and actual in line and body["manifest_digest"] in line
+    assert line.startswith("error: ") and named in line
     assert not out.exists()
 
 
-def test_report_renders_an_undamaged_copy(tmp_path, saved_manifest):
-    manifest = tmp_path / "manifest.json"
-    manifest.write_text(json.dumps(saved_manifest), encoding="utf-8")
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda entry: entry.update(rows=entry["rows"] + 1),
+        lambda entry: entry.update(file="../flagged_All_logistic_pct_no_vehicle.csv"),
+        lambda entry: entry.update(file="flagged_All_logistic_pct_hs_only.csv"),
+    ],
+    ids=["another row count", "a path", "another model's file"],
+)
+def test_report_exits_2_on_a_flagged_entry_its_file_does_not_match(
+    tmp_path, capsys, saved_run, saved_manifest, edit
+):
+    # a manifest edited and digested again
+    body = json.loads(json.dumps(saved_manifest))
+    edit(_model(body)["flagged"])
+    _report_fails_with_exit_2(tmp_path, capsys, _copy_run(saved_run, _redigested(body), tmp_path))
+
+
+def test_report_exits_4_on_a_missing_flagged_csv(tmp_path, capsys, saved_run, saved_manifest):
+    manifest = _copy_run(saved_run, saved_manifest, tmp_path / "copy")
+    missing = manifest.parent / _model(saved_manifest)["flagged"]["file"]
+    missing.unlink()
+    out = tmp_path / "out"
+    assert main(["report", "--manifest", str(manifest), "--out", str(out)]) == 4
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and str(missing) in line
+    assert not out.exists()
+
+
+def test_report_renders_an_undamaged_copy(tmp_path, saved_run, saved_manifest):
+    manifest = _copy_run(saved_run, saved_manifest, tmp_path / "copy")
     assert main(["report", "--manifest", str(manifest), "--out", str(tmp_path / "out")]) == 0
     assert load_json(tmp_path / "out" / "manifest.json") == saved_manifest
+    for path in saved_run.glob("flagged_*.csv"):
+        assert (tmp_path / "out" / path.name).read_bytes() == path.read_bytes()
+
+
+def test_backtest_writes_every_flagged_csv_under_any_format(tmp_path, saved_run, saved_manifest):
+    # the run wrote only `--formats json`
+    models = [m for c in saved_manifest["cohorts"].values() for m in c["models"].values()]
+    named = {m["flagged"]["file"] for m in models}
+    assert len(named) == len(models) == 6
+    assert {p.name for p in saved_run.iterdir()} == {"manifest.json", *named}
+    out = tmp_path / "out"
+    assert main(["report", "--manifest", str(saved_run / "manifest.json"), "--out", str(out)]) == 0
+    for name in named:
+        assert (out / name).read_bytes() == (saved_run / name).read_bytes()
 
 
 def test_train_writes_scorer_files(tmp_path):

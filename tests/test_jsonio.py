@@ -3,10 +3,7 @@ import hashlib
 import io
 import json
 import math
-import pickle
-import tempfile
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,12 +11,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from snapgap.calibration import DecisionRule, IsotonicMap
-from snapgap.jsonio import RowTable, plain, save_json, write_json
+from snapgap import pipeline
+from snapgap.jsonio import plain, save_json, write_json
 from snapgap.labeling import LabelConfig, Thresholds
 from snapgap.metrics import EvalReport, FeatureImportance, ImportanceReport
 from snapgap.models import EnsembleParams, Standardization
 from snapgap.pipeline import digest_of, sha256
-from snapgap.report import write_model_csvs
 from snapgap.synth import SyntheticSpec, generate_synthetic
 
 # Strings that could look like the writer's own seams if it did not rely on
@@ -44,7 +41,6 @@ float_keys = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.sampled_from([math.nan, math.inf, -math.inf, -0.0]),
 )
-odd_keys = st.one_of(float_keys, st.booleans(), st.none())
 
 
 def containers(children):
@@ -124,108 +120,36 @@ def test_long_rows_of_scalars():
     assert fh.getvalue() == json.dumps(obj, sort_keys=True, indent=2)
 
 
-# Probabilities with many ties, signed zeros and the smallest subnormal.
-TIED_PROBABILITIES = [-0.0, 0.0, 5e-324, 1e-05, 0.1 + 0.2, 1.0]
+# Probabilities with many ties, signed zeros, the smallest subnormal and a
+# float whose `repr` takes an exponent.
+TIED_PROBABILITIES = [-0.0, 0.0, 5e-324, 1e-05, 0.1 + 0.2, 1.0, 1e300]
 
-
-@st.composite
-def row_tables(draw, max_rows=200):
-    """A flagged-row table: ZIP strings (some that JSON escapes or `csv`
-    quotes), any int64 year and tie-heavy probabilities."""
-    rows = draw(
-        st.lists(
-            st.tuples(
-                st.one_of(st.text(max_size=5), st.sampled_from(TRICKY_TEXT + [",", "\r", "00001"])),
-                st.integers(-(2**63), 2**63 - 1),
-                st.sampled_from(TIED_PROBABILITIES),
-            ),
-            max_size=max_rows,
-        )
-    )
-    zips, years, probs = zip(*rows) if rows else ((), (), ())
-    return RowTable(
-        np.array(zips, dtype=object),
-        np.array(years, dtype=np.int64),
-        np.array(probs, dtype=np.float64),
-    )
-
-
-@st.composite
-def nested(draw, table):
-    """`table` inside 0 to 3 levels of dicts and lists, beside other values,
-    or under a float, bool or None key."""
-    value = table
-    for kind in draw(st.lists(st.sampled_from(["dict", "list", "keyed"]), max_size=3)):
-        other = draw(json_values)
-        if kind == "dict":
-            value = {"flagged": value, "other": other}
-        elif kind == "list":
-            value = [other, value, table]
-        else:
-            value = {draw(odd_keys): value}
-    return value
+flagged_rows = st.lists(
+    st.tuples(
+        # ZIP strings, some that `csv` quotes
+        st.one_of(st.text(max_size=5), st.sampled_from(TRICKY_TEXT + [",", "\r", "", "00001"])),
+        st.integers(-(2**63), 2**63 - 1),
+        st.sampled_from(TIED_PROBABILITIES),
+    ),
+    max_size=200,
+)
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_row_tables_render_as_their_rows(data):
-    table = data.draw(row_tables())
-    obj = data.draw(nested(table))
-    fh = io.StringIO()
-    write_json(obj, fh)
-    assert fh.getvalue() == json.dumps(plain(obj), sort_keys=True, indent=2)
-    assert_digests_the_compact_text(obj)
-
-
-@settings(max_examples=100, deadline=None)
-@given(row_tables())
-def test_flagged_csv_is_what_csv_writer_writes(table):
-    body = {"cohorts": {"All": {"models": {"m": {"flagged": table, "reliability": []}}}}}
+@given(flagged_rows)
+@example([])
+@example([("00001", 2019, -0.0), ("00001", 2019, 0.0), ('a"b', 2020, 5e-324), ("x,y", 2021, 1e300)])
+def test_flagged_csv_is_what_csv_writer_writes(rows):
+    # the flagged CSV a task renders from its columns
     want = io.StringIO(newline="")
     writer = csv.writer(want)
     writer.writerow(["zip", "year", "calibrated_probability"])
-    writer.writerows(plain(table))
-    with tempfile.TemporaryDirectory() as tmp:
-        write_model_csvs(body, Path(tmp))
-        got = (Path(tmp) / "flagged_All_m.csv").read_bytes()
+    writer.writerows([zcta, year, repr(p)] for zcta, year, p in rows)
+    zips, years, probs = zip(*rows) if rows else ((), (), ())
+    got = pipeline._flagged_csv(
+        np.array(zips, dtype=object), np.array(years, dtype=np.int64), np.array(probs, dtype=np.float64)
+    )
     assert got == want.getvalue().encode("utf-8")
-
-
-@settings(max_examples=50, deadline=None)
-@given(row_tables())
-def test_a_pickled_row_table_keeps_its_dtypes_and_bits(table):
-    back = pickle.loads(pickle.dumps(table))
-    assert back == table
-    for got, want in zip(back.columns, table.columns):
-        assert got.dtype == want.dtype
-        if want.dtype != object:
-            assert got.tobytes() == want.tobytes()
-        else:
-            assert got.tolist() == want.tolist()
-
-
-def test_row_tables_are_equal_by_dtypes_and_values():
-    zips = np.array(["00001", "00002"], dtype=object)
-    years, probs = np.array([2019, 2020]), np.array([0.5, 0.25])
-    table = RowTable(zips, years, probs)
-    assert table == RowTable(zips.copy(), years.copy(), probs.copy())
-    assert table != RowTable(zips, years.astype(np.int32), probs)
-    assert table != RowTable(zips, years, probs[::-1])
-    assert table != plain(table)
-
-
-@settings(max_examples=50, deadline=None)
-@given(row_tables(max_rows=20).filter(len), st.sampled_from([np.nan, np.inf, -np.inf]), st.data())
-def test_non_finite_probabilities(table, bad, data):
-    probs = table.columns[2].copy()
-    probs[data.draw(st.integers(0, len(table) - 1))] = bad
-    table = RowTable(table.columns[0], table.columns[1], probs)
-    obj = data.draw(nested(table))
-    with pytest.raises(ValueError):
-        digest_of(obj)
-    fh = io.StringIO()
-    write_json(obj, fh)  # json.dump writes NaN and Infinity
-    assert fh.getvalue() == json.dumps(plain(obj), sort_keys=True, indent=2)
 
 
 def test_save_json_ends_with_a_newline(tmp_path):

@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import json
 import multiprocessing
 import os
@@ -16,11 +18,12 @@ from oracles import flagged_rows_reference, panel_of, records_of
 from snapgap import pipeline
 from snapgap.errors import InsufficientCohort, NonConvergence, PeriodsOverlap, WorkerDied
 from snapgap.ingest import PREDICTOR_FIELDS, Area
-from snapgap.jsonio import RowTable, plain
+from snapgap.jsonio import plain
 from snapgap.labeling import LabelConfig
 from snapgap.models import selection
 from snapgap.pipeline import (
     BacktestConfig,
+    sha256,
     all_feature_subsets,
     run_backtest,
     run_yearly_diagnostics,
@@ -196,8 +199,17 @@ class TestBacktestBody:
     def test_flagged_lists_sorted_and_thresholded(self, synth_panel):
         records, _ = synth_panel
         manifest = run_backtest(fast_cfg(), records)
-        for detail in manifest.body["cohorts"]["All"]["models"].values():
-            flagged = plain(detail["flagged"])
+        models = manifest.body["cohorts"]["All"]["models"]
+        assert sorted(manifest.flagged_csvs) == sorted(d["flagged"]["file"] for d in models.values())
+        for label, detail in models.items():
+            entry = detail["flagged"]
+            assert entry["file"] == pipeline.model_file("flagged", "All", label)
+            data = manifest.flagged_csvs[entry["file"]]
+            assert sha256(data).hexdigest() == entry["sha256"]
+            header, *rows = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
+            assert header == ["zip", "year", "calibrated_probability"]
+            assert len(rows) == entry["rows"] == detail["eval"]["n_flagged"] > 0
+            flagged = [(z, int(y), float(p)) for z, y, p in rows]
             keys = [(-p, z, y) for z, y, p in flagged]
             assert keys == sorted(keys)
             assert all(p >= detail["rule"]["threshold"] for _, _, p in flagged)
@@ -321,19 +333,22 @@ class TestWorkerPool:
         assert all("eval" in models[f"random_forest[{'+'.join(s)}]"] for s in self.SUBSETS)
 
     def test_flagged_cells_are_the_panels_own(self, synth_panel, monkeypatch):
-        # tasks return row numbers, so no worker's copy of a ZIP string
-        # reaches the manifest
+        # each task renders its flagged CSV from the panel's ZIP and year
+        # cells, with the same bytes in a worker and in this process
         panel, _ = synth_panel
-        own = {id(z) for z in panel.zip.tolist()}
+        late = {(z, y) for z, y in zip(panel.zip.tolist(), panel.year.tolist()) if y >= 2019}
         cfg = fast_cfg(feature_subsets=self.SUBSETS, families=("logistic", "random_forest"))
+        runs = []
         for workers in (1, 2):
             pool_size(monkeypatch, workers)
-            models = run_backtest(cfg, panel).body["cohorts"]["All"]["models"]
-            assert len(models) == 4
-            for detail in models.values():
-                zips, years, probs = detail["flagged"].columns
-                assert [zips.dtype, years.dtype, probs.dtype] == [object, np.int64, np.float64]
-                assert len(zips) and all(id(z) in own for z in zips.tolist())
+            runs.append(run_backtest(cfg, panel))
+        serial, pooled = runs
+        assert json_text(pooled.body) == json_text(serial.body)
+        assert pooled.flagged_csvs == serial.flagged_csvs
+        assert len(serial.flagged_csvs) == 4
+        for data in serial.flagged_csvs.values():
+            _, *rows = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
+            assert rows and {(z, int(y)) for z, y, _ in rows} <= late
 
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity mask here")
     def test_pool_size_follows_the_affinity_mask_and_threads(self):
@@ -397,6 +412,7 @@ class TestWorkerPool:
             runs.append(run_backtest(cfg, panel))
         serial, pooled = runs
         assert json_text(pooled.body) == json_text(serial.body)
+        assert pooled.flagged_csvs == serial.flagged_csvs
         assert pooled.scorers.keys() == serial.scorers.keys()
         cohorts = serial.body["cohorts"]
         for models in (cohorts["Urban"]["models"], cohorts["Rural"]["models"]):
@@ -458,6 +474,7 @@ class TestDroppedScorers:
             kept = run_backtest(cfg, panel)
             dropped = run_backtest(cfg, panel, keep_scorers=False)
             assert json_text(dropped.body) == json_text(kept.body)
+            assert dropped.flagged_csvs == kept.flagged_csvs
             assert dropped.scorers == {}
             assert len(kept.scorers) == 4
             sent = {}
@@ -466,8 +483,9 @@ class TestDroppedScorers:
                 path.unlink()
             assert sorted(sent) == [f"{keep}-{i}" for keep in (False, True) for i in range(4)]
             for i in range(4):
-                (scorer, detail), _ = pickle.loads(sent[f"False-{i}"])
+                (scorer, detail, flagged), _ = pickle.loads(sent[f"False-{i}"])
                 assert scorer is None and "eval" in detail
+                assert sha256(flagged).hexdigest() == detail["flagged"]["sha256"]
                 assert b"CalibratedScorer" not in sent[f"False-{i}"]
                 assert b"CalibratedScorer" in sent[f"True-{i}"]
 
@@ -616,7 +634,7 @@ def test_flagged_rows_match_a_sort_on_tuples(rows):
     probs = [p for _, _, p in rows]
     columns = np.array(zips, dtype=object), np.array(years, dtype=np.int64), np.array(probs)
     order = pipeline._flagged_order(*columns)
-    got = plain(RowTable(*(column[order] for column in columns)))
+    got = list(map(list, zip(*(column[order].tolist() for column in columns))))
     want = flagged_rows_reference(zips, years, probs)
     assert got == want
     assert [list(map(type, row)) for row in got] == [[str, int, float]] * len(got)

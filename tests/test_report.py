@@ -1,35 +1,49 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
-from oracles import render_report_reference
+from oracles import flagged_rows_reference, render_report_reference
+from snapgap import pipeline
+from snapgap.calibration import classify
+from snapgap.ingest import PREDICTOR_FIELDS
 from snapgap.jsonio import plain
+from snapgap.labeling import build_labels
 from snapgap.pipeline import BacktestConfig, run_backtest
 from snapgap.report import emit_report, render_markdown
 from snapgap.synth import SyntheticSpec, generate_synthetic
 
+CFG = BacktestConfig(
+    feature_subsets=(("pct_no_vehicle",), ("pct_no_vehicle", "pct_hs_only")),
+    families=("logistic",),
+    grids={"logistic": [{"c": 1.0}]},
+    folds=3,
+    seed=5,
+    importance_repeats=2,
+)
+
 
 @pytest.fixture(scope="module")
-def manifest():
+def records():
     spec = SyntheticSpec(
         n_zips=400, years=(2014, 2023), target_prevalence=0.031,
         true_coefficients={"pct_no_vehicle": -0.5}, seed=3,
     )
-    records, _ = generate_synthetic(spec)
-    cfg = BacktestConfig(
-        feature_subsets=(("pct_no_vehicle",), ("pct_no_vehicle", "pct_hs_only")),
-        families=("logistic",),
-        grids={"logistic": [{"c": 1.0}]},
-        folds=3,
-        seed=5,
-        importance_repeats=2,
-    )
-    return run_backtest(cfg, records)
+    return generate_synthetic(spec)[0]
+
+
+@pytest.fixture(scope="module")
+def manifest(records):
+    return run_backtest(CFG, records)
+
+
+def emit(manifest, formats, outdir):
+    return emit_report(manifest.body, formats, outdir, manifest.flagged_csvs)
 
 
 def test_emits_all_formats(manifest, tmp_path):
-    written = emit_report(manifest.body, ("json", "csv", "markdown"), tmp_path)
+    written = emit(manifest, ("json", "csv", "markdown"), tmp_path)
     names = {p.name for p in written}
     assert "manifest.json" in names
     assert "metrics.csv" in names
@@ -41,7 +55,7 @@ def test_emits_all_formats(manifest, tmp_path):
 
 
 def test_csv_and_json_agree_field_for_field(manifest, tmp_path):
-    emit_report(manifest.body, ("json", "csv"), tmp_path)
+    emit(manifest, ("json", "csv"), tmp_path)
     with open(tmp_path / "manifest.json") as fh:
         body = json.load(fh)
     with open(tmp_path / "metrics.csv", newline="") as fh:
@@ -69,7 +83,7 @@ def test_markdown_one_row_per_model_cohort(manifest):
 
 
 def test_flagged_csv_sorted(manifest, tmp_path):
-    emit_report(manifest.body, ("csv",), tmp_path)
+    emit(manifest, ("csv",), tmp_path)
     path = next(tmp_path.glob("flagged_All_logistic_pct_no_vehicle.csv"))
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
@@ -80,17 +94,28 @@ def test_flagged_csv_sorted(manifest, tmp_path):
             assert (a["zip"], a["year"]) <= (b["zip"], b["year"])
 
 
-def test_json_and_flagged_csvs_match_the_reference_renderer(manifest, tmp_path):
+def test_json_and_flagged_csvs_match_the_reference_renderer(records, manifest, tmp_path):
+    # each model's flagged rows, worked out again from its kept scorer
+    p2 = build_labels(pipeline._rows_in_years(records, CFG.p2_years), CFG.label)
+    rows = pipeline._cohort_rows(p2, "All")
+    flagged = {}
+    for (cohort, label), scorer in manifest.scorers.items():
+        columns = [PREDICTOR_FIELDS.index(f) for f in scorer.model.feature_names]
+        probs = scorer.predict_calibrated(p2.panel.predictors[np.ix_(rows, columns)])
+        hit = classify(probs, scorer.rule) == 1
+        flagged[cohort, label] = flagged_rows_reference(
+            p2.panel.zip[rows[hit]].tolist(), p2.panel.year[rows[hit]].tolist(), probs[hit].tolist()
+        )
     (tmp_path / "ref").mkdir()
-    names = render_report_reference(plain(manifest.body), tmp_path / "ref")
-    emit_report(manifest.body, ("json", "csv"), tmp_path / "out")
+    names = render_report_reference(plain(manifest.body), flagged, tmp_path / "ref")
+    emit(manifest, ("json",), tmp_path / "out")
     assert len(names) == 3
     for name in names:
         assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes(), name
 
 
 def test_manifest_json_roundtrip_preserves_digest(manifest, tmp_path):
-    emit_report(manifest.body, ("json",), tmp_path)
+    emit(manifest, ("json",), tmp_path)
     with open(tmp_path / "manifest.json") as fh:
         body = json.load(fh)
     assert body["manifest_digest"] == manifest.digest
@@ -104,4 +129,4 @@ def test_unknown_format_rejected(manifest, tmp_path):
     from snapgap.errors import ValidationError
 
     with pytest.raises(ValidationError):
-        emit_report(manifest.body, ("pdf",), tmp_path)
+        emit(manifest, ("pdf",), tmp_path)
