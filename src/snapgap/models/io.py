@@ -6,8 +6,10 @@ the decision rule, the ensemble hyperparameters (every `EnsembleParams`
 field but `kind`, which the file's `family` holds) and the logistic
 standardization. Two parts are mapped by hand:
 
-- the tree node lists, column by column with NaN as null, since a
-  per-element walk of a large forest is some 20 times slower (see `jsonio`);
+- the tree node lists, column by column with NaN as null: `plain` would
+  leave their NaN thresholds and values as NaN, not null, and its
+  per-element walk of a 100-tree, 39k-node forest took 0.20 s, against
+  0.011 s for the column-at-a-time lists (2-core Xeon VM);
 - the rest of a logistic model, whose file form is not its fields: the
   `c` of its `hyperparameters` is the field `l2_strength`, and the fit
   diagnostics `n_iter` and `grad_norm` are not written. Deriving it would

@@ -59,6 +59,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import json
 import mmap
 import os
 import re
@@ -92,7 +93,7 @@ from .errors import (
     WorkerDied,
 )
 from .ingest import PREDICTOR_FIELDS, Area, Panel
-from .jsonio import plain, write_canonical
+from .jsonio import plain
 from .labeling import (
     UNLABELED,
     LabelConfig,
@@ -251,13 +252,11 @@ class BacktestConfig:
 
 
 def digest_of(obj) -> str:
-    """The sha256 of `json.dumps(plain(obj), sort_keys=True, separators=(",",
-    ":"), allow_nan=False)`, hashed piece by piece as
-    `jsonio.write_canonical` writes it, so the text never exists whole. A
-    non-finite float anywhere in `obj` raises `ValueError`."""
-    digest = sha256()
-    write_canonical(obj, lambda piece: digest.update(piece.encode("utf-8")))
-    return digest.hexdigest()
+    """The sha256 of the canonical text of JSON data `obj`: compact, with
+    sorted keys, as `json.dumps` writes it. A non-finite float anywhere in
+    `obj`, as a value or a key, raises `ValueError`."""
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    return sha256(text.encode("utf-8")).hexdigest()
 
 
 @dataclass

@@ -6,10 +6,9 @@ decimal, with near-zero top-of-list precision shown as a dash.
 
 The renderers take a manifest body, a fresh one or a saved one that
 `manifest_body` has checked: its shape, and that the body hashes to its
-`manifest_digest`. `manifest.json` goes through `jsonio.save_json`, which
-streams the text of `json.dump(body, fh, sort_keys=True, indent=2)` plus a
-newline, byte for byte, from the same walker that `pipeline.digest_of`
-hashes. A model's flagged rows are not in the body: the task that
+`manifest_digest`. `manifest.json` is the body as `jsonio.save_json`
+writes it, so `json.load` gives back the dict that `pipeline.digest_of`
+hashed. A model's flagged rows are not in the body: the task that
 evaluated the model rendered them into its flagged CSV (see `pipeline`),
 and the body's `flagged` entry holds that file's name, row count and
 sha256, so the digest covers the rows through the sha256. `emit_report`

@@ -1,11 +1,10 @@
-import io
+import json
 
 import numpy as np
 import pytest
 
 from oracles import Record, panel_of
 from snapgap.ingest import Area
-from snapgap.jsonio import write_json
 
 
 def make_record(
@@ -80,7 +79,5 @@ def random_panel(rng: np.random.Generator, n: int, year=2015, areas=None):
 
 
 def json_text(obj) -> str:
-    """The text `write_json` writes for `obj`."""
-    fh = io.StringIO()
-    write_json(obj, fh)
-    return fh.getvalue()
+    """The indented text of a JSON file holding `obj`, without its final newline."""
+    return json.dumps(obj, sort_keys=True, indent=2)

@@ -12,15 +12,15 @@ from hypothesis import strategies as st
 
 from snapgap.calibration import DecisionRule, IsotonicMap
 from snapgap import pipeline
-from snapgap.jsonio import plain, save_json, write_json
+from snapgap.jsonio import plain, save_json
 from snapgap.labeling import LabelConfig, Thresholds
 from snapgap.metrics import EvalReport, FeatureImportance, ImportanceReport
 from snapgap.models import EnsembleParams, Standardization
 from snapgap.pipeline import digest_of, sha256
 from snapgap.synth import SyntheticSpec, generate_synthetic
 
-# Strings that could look like the writer's own seams if it did not rely on
-# the encoder escaping line breaks.
+# Strings that JSON escapes or `csv` quotes, or that look like the seams
+# between items of an indented JSON text.
 TRICKY_TEXT = ['"', "\\", "\n", "],  [", "],\n    [", "é", " ", "x\ty"]
 
 scalars = st.one_of(
@@ -62,14 +62,6 @@ def containers(children):
 json_values = st.recursive(scalars, containers, max_leaves=40)
 
 
-@settings(max_examples=400, deadline=None)
-@given(json_values)
-def test_writes_what_json_dump_writes(obj):
-    fh = io.StringIO()
-    write_json(obj, fh)
-    assert fh.getvalue() == json.dumps(obj, sort_keys=True, indent=2)
-
-
 def compact(obj) -> str:
     return json.dumps(plain(obj), sort_keys=True, separators=(",", ":"), allow_nan=False)
 
@@ -109,17 +101,6 @@ def test_sha256_is_hashlibs_for_any_split(data, cuts):
     assert sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
 
 
-def test_long_rows_of_scalars():
-    obj = {
-        "flagged": [[f"{i:05d}", 2019 + i % 5, i / 7] for i in range(500)],
-        "empty": [[], {}],
-        "single": [["only"]],
-    }
-    fh = io.StringIO()
-    write_json(obj, fh)
-    assert fh.getvalue() == json.dumps(obj, sort_keys=True, indent=2)
-
-
 # Probabilities with many ties, signed zeros, the smallest subnormal and a
 # float whose `repr` takes an exponent.
 TIED_PROBABILITIES = [-0.0, 0.0, 5e-324, 1e-05, 0.1 + 0.2, 1.0, 1e300]
@@ -156,6 +137,115 @@ def test_save_json_ends_with_a_newline(tmp_path):
     obj = {"b": [1, 2], "a": {"c": None}}
     save_json(obj, tmp_path / "x.json")
     assert (tmp_path / "x.json").read_text(encoding="utf-8") == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+# A fixed document with every kind of key, float and string the format has
+# to get right. Its digest and file text below are literals, so a change to
+# the format itself fails here, where tests that compare against `json`
+# at run time would not see it.
+PINNED_DOCUMENT = {
+    "keys": {
+        "floats": {1e300: "big", -0.0: "signed zero", 5e-324: "tiny"},
+        "ints": {10: "ten", -3: "minus three", 2: "two"},
+        "mixed numbers": {2: "int", 0.5: "float", False: "bool"},
+        "bools": {True: "yes", False: "no"},
+        "none": {None: "null"},
+    },
+    "floats": [-0.0, 5e-324, 1e300, 0.1, 1 / 3, -2.5e-8],
+    "ints": [0, -7, 2**64],
+    "literals": (True, False, None),
+    "text": ["é", "snow ☃", "😀", '"quoted"', "back\\slash", "tab\tline\nbreak", "\x01\x7f", "</script>"],
+    "empty": [[], {}, (), ""],
+    "nested": {"rows": [("a", 1, [0.5, ()]), {"b": {"c": [[]]}}], "z": {}},
+}
+
+PINNED_FILE = r"""{
+  "empty": [
+    [],
+    {},
+    [],
+    ""
+  ],
+  "floats": [
+    -0.0,
+    5e-324,
+    1e+300,
+    0.1,
+    0.3333333333333333,
+    -2.5e-08
+  ],
+  "ints": [
+    0,
+    -7,
+    18446744073709551616
+  ],
+  "keys": {
+    "bools": {
+      "false": "no",
+      "true": "yes"
+    },
+    "floats": {
+      "-0.0": "signed zero",
+      "5e-324": "tiny",
+      "1e+300": "big"
+    },
+    "ints": {
+      "-3": "minus three",
+      "2": "two",
+      "10": "ten"
+    },
+    "mixed numbers": {
+      "false": "bool",
+      "0.5": "float",
+      "2": "int"
+    },
+    "none": {
+      "null": "null"
+    }
+  },
+  "literals": [
+    true,
+    false,
+    null
+  ],
+  "nested": {
+    "rows": [
+      [
+        "a",
+        1,
+        [
+          0.5,
+          []
+        ]
+      ],
+      {
+        "b": {
+          "c": [
+            []
+          ]
+        }
+      }
+    ],
+    "z": {}
+  },
+  "text": [
+    "\u00e9",
+    "snow \u2603",
+    "\ud83d\ude00",
+    "\"quoted\"",
+    "back\\slash",
+    "tab\tline\nbreak",
+    "\u0001\u007f",
+    "</script>"
+  ]
+}
+"""
+
+
+def test_a_fixed_document_keeps_its_digest_and_file_bytes(tmp_path):
+    assert digest_of(PINNED_DOCUMENT) == "642d93e0d6be78d89f2c8a697df55fb1bf7468ab4296d98593adf273ca4872b7"
+    save_json(PINNED_DOCUMENT, tmp_path / "x.json")
+    assert (tmp_path / "x.json").read_bytes() == PINNED_FILE.encode("ascii")
 
 
 @dataclass(frozen=True)
