@@ -557,35 +557,36 @@ def _number_cells(column: np.ndarray) -> list[str]:
     return ["" if v != v else str(int(v)) if v.is_integer() else repr(v) for v in column.tolist()]
 
 
-@contextmanager
-def _csv_writer(dest) -> Iterator:
-    """A CSV writer on a path (opened and closed here) or a text stream."""
+def write_csv(dest, header: Iterable, rows: Iterable[Iterable]) -> None:
+    """Write `header` and `rows` to `dest`, a path (opened as UTF-8 with
+    `newline=""`) or a text stream, by `csv.writer` in its excel dialect.
+    Each cell is written by csv's rules: a float by its `repr`, so it reads
+    back to the same bits, None blank, and a string quoted where needed."""
     if isinstance(dest, (str, Path)):
         with open(dest, "w", encoding="utf-8", newline="") as fh:
-            yield csv.writer(fh)
-    else:
-        yield csv.writer(dest)
+            return write_csv(fh, header, rows)
+    writer = csv.writer(dest)
+    writer.writerow(header)
+    writer.writerows(rows)
 
 
 def write_records(panel: Panel, dest) -> None:
     """Write a panel as CSV with identity headers; re-parsing round-trips."""
     joined = {flags: ";".join(sorted(flags)) for flags in set(panel.flags.tolist())}
-    with _csv_writer(dest) as writer:
-        writer.writerow(RECORD_COLUMNS)
-        writer.writerows(
-            zip(
-                panel.zip.tolist(),
-                panel.year.tolist(),
-                *(_number_cells(getattr(panel, name)) for name in COUNT_FIELDS),
-                *(_number_cells(column) for column in panel.predictors.T),
-                panel.area.tolist(),
-                [joined[flags] for flags in panel.flags.tolist()],
-            )
-        )
+    write_csv(
+        dest,
+        RECORD_COLUMNS,
+        zip(
+            panel.zip.tolist(),
+            panel.year.tolist(),
+            *(_number_cells(getattr(panel, name)) for name in COUNT_FIELDS),
+            *(_number_cells(column) for column in panel.predictors.T),
+            panel.area.tolist(),
+            [joined[flags] for flags in panel.flags.tolist()],
+        ),
+    )
 
 
 def write_rejects(rejects: Iterable[Reject], dest) -> None:
     """Write the reject report as CSV with columns (source, row, reason)."""
-    with _csv_writer(dest) as writer:
-        writer.writerow(["source", "row", "reason"])
-        writer.writerows([rej.source, rej.row, rej.reason] for rej in rejects)
+    write_csv(dest, ["source", "row", "reason"], ([rej.source, rej.row, rej.reason] for rej in rejects))

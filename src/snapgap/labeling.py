@@ -31,7 +31,7 @@ from .errors import (
     NoEligibleRows,
     ValidationError,
 )
-from .ingest import Panel
+from .ingest import Panel, write_csv
 from .jsonio import plain, save_json
 
 POOLED_KEY = "All"
@@ -283,35 +283,32 @@ def flag_hidden_fragility(panel: LabeledPanel, k: float) -> set[str]:
 LABELED_COLUMNS = ["zip", "year", "p", "s_raw", "s_capped", "eligible", "y", "residual", "area", "flags"]
 
 
-def _float_cells(values: np.ndarray) -> list[str]:
-    return ["" if math.isnan(v) else repr(v) for v in values.tolist()]
+def _float_cells(values: np.ndarray) -> list[float | None]:
+    return [None if math.isnan(v) else v for v in values.tolist()]
 
 
 def write_labeled_panel(panel: LabeledPanel, csv_path, sidecar_path=None) -> None:
     """Export the labeled panel as CSV plus a JSON sidecar with the
     thresholds, the counts and the labeling rule that made them."""
-    import csv as _csv
-
     cols = panel.panel
     residual = np.full(len(cols), np.nan) if panel.residual is None else panel.residual
     csv_path = Path(csv_path)
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(LABELED_COLUMNS)
-        writer.writerows(
-            zip(
-                cols.zip.tolist(),
-                cols.year.tolist(),
-                _float_cells(panel.p),
-                _float_cells(panel.s_raw),
-                _float_cells(panel.s_capped),
-                panel.eligible.astype(int).tolist(),
-                ["" if y == UNLABELED else y for y in panel.y.tolist()],
-                _float_cells(residual),
-                cols.area.tolist(),
-                [";".join(sorted(flags)) for flags in cols.flags],
-            )
-        )
+    write_csv(
+        csv_path,
+        LABELED_COLUMNS,
+        zip(
+            cols.zip.tolist(),
+            cols.year.tolist(),
+            _float_cells(panel.p),
+            _float_cells(panel.s_raw),
+            _float_cells(panel.s_capped),
+            panel.eligible.astype(int).tolist(),
+            [None if y == UNLABELED else y for y in panel.y.tolist()],
+            _float_cells(residual),
+            cols.area.tolist(),
+            [";".join(sorted(flags)) for flags in cols.flags],
+        ),
+    )
     if sidecar_path is None:
         sidecar_path = csv_path.with_suffix(".json")
     sidecar = {**panel.summary(), "stratified": panel.stratified, "config": plain(panel.config)}

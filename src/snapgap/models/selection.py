@@ -244,13 +244,14 @@ def out_of_fold_proba(
 
 def cv_grid_search(
     fm: FeatureMatrix,
-    grids: dict[str, list[dict]] | None = None,
+    family: str,
+    candidates: list[dict],
     *,
     folds: int,
-    seed: int = 0,
-    fold_results: dict[str, tuple[np.ndarray, list[list]]] | None = None,
-) -> dict[str, CvGridResult]:
-    """Grid search each family with shared stratified folds.
+    seed: int,
+    fold_results: tuple[np.ndarray, list[list]] | None = None,
+) -> CvGridResult:
+    """Grid search one family's `candidates` over stratified folds.
 
     Candidates are evaluated in simplicity order and replaced only on a
     strictly better mean AP, so exact ties resolve toward the simpler model.
@@ -258,44 +259,40 @@ def cv_grid_search(
     winner's predictions ride along for calibration without a refit. A
     candidate whose fit raised `NonConvergence` on some fold is an entry with
     the error of its first such fold; `NonConvergence` is raised when no
-    candidate of a family is left.
+    candidate is left.
 
     The predictions come from `fold_proba`, one call per fold with the
-    family's candidates as `grids` lists them. `fold_results[family]`, when
-    given, holds what those calls made elsewhere: the (candidates, rows)
-    matrix they filled and their returns in fold order (the pipeline makes
-    them in worker processes). The folds are drawn here all the same, so a
-    cohort they cannot fill raises as it would without them.
+    candidates as listed. `fold_results`, when given, holds what those calls
+    made elsewhere: the (candidates, rows) matrix they filled and their
+    returns in fold order (the pipeline makes them in worker processes). The
+    folds are drawn here all the same, so a cohort they cannot fill raises
+    as it would without them.
     """
-    grids = DEFAULT_GRIDS if grids is None else grids
     fold_idx = stratified_folds(fm.y, folds, seed)
-    results: dict[str, CvGridResult] = {}
-    for family, candidates in grids.items():
-        if fold_results is None:
-            oof = np.empty((len(candidates), fm.n))
-            fold_errors = [fold_proba(fm, family, candidates, val, seed, oof) for val in fold_idx]
-        else:
-            oof, fold_errors = fold_results[family]
-        entries: list[GridEntry] = []
-        best_entry: GridEntry | None = None
-        for i in sorted(range(len(candidates)), key=lambda i: _simplicity_key(family, candidates[i])):
-            params = candidates[i]
-            failed = [errors[i] for errors in fold_errors if errors[i] is not None]
-            if failed:
-                entries.append(GridEntry(params, np.nan, [], error=str(failed[0])))
-                continue
-            fold_aps = [average_precision(oof[i, val], fm.y[val]) for val in fold_idx]
-            entry = GridEntry(params=params, mean_ap=float(np.mean(fold_aps)), fold_aps=fold_aps)
-            entries.append(entry)
-            if best_entry is None or entry.mean_ap > best_entry.mean_ap:
-                best_entry, best = entry, i
-        if best_entry is None:
-            raise NonConvergence(f"no {family} grid candidate converged: {entries[0].error}")
-        results[family] = CvGridResult(
-            family=family,
-            grid=entries,
-            winner=best_entry.params,
-            folds=folds,
-            oof_proba=oof[best].copy(),
-        )
-    return results
+    if fold_results is None:
+        oof = np.empty((len(candidates), fm.n))
+        fold_errors = [fold_proba(fm, family, candidates, val, seed, oof) for val in fold_idx]
+    else:
+        oof, fold_errors = fold_results
+    entries: list[GridEntry] = []
+    best_entry: GridEntry | None = None
+    for i in sorted(range(len(candidates)), key=lambda i: _simplicity_key(family, candidates[i])):
+        params = candidates[i]
+        failed = [errors[i] for errors in fold_errors if errors[i] is not None]
+        if failed:
+            entries.append(GridEntry(params, np.nan, [], error=str(failed[0])))
+            continue
+        fold_aps = [average_precision(oof[i, val], fm.y[val]) for val in fold_idx]
+        entry = GridEntry(params=params, mean_ap=float(np.mean(fold_aps)), fold_aps=fold_aps)
+        entries.append(entry)
+        if best_entry is None or entry.mean_ap > best_entry.mean_ap:
+            best_entry, best = entry, i
+    if best_entry is None:
+        raise NonConvergence(f"no {family} grid candidate converged: {entries[0].error}")
+    return CvGridResult(
+        family=family,
+        grid=entries,
+        winner=best_entry.params,
+        folds=folds,
+        oof_proba=oof[best].copy(),
+    )

@@ -198,15 +198,26 @@ class BacktestConfig:
             raise ValidationError("need at least one feature subset")
         if not self.families:
             raise ValidationError("need at least one model family")
-        for fam in self.families:
+        # A model is keyed by its family and subset, so a repeat would fit
+        # twice and keep one of the two; a subset in another order would fit
+        # the same model twice.
+        for i, fam in enumerate(self.families):
             if fam not in FAMILIES:
                 raise ValidationError(f"unknown family {fam!r}")
+            if fam in self.families[:i]:
+                raise ValidationError(f"families[{i}] repeats family {fam!r}")
             if self.grids is not None and not self.grids.get(fam):
                 raise ValidationError(f"grids has no candidate for family {fam!r}")
-        for subset in self.subsets():
-            for name in subset:
+        first: dict[frozenset, int] = {}
+        for i, subset in enumerate(self.subsets()):
+            for j, name in enumerate(subset):
                 if name not in PREDICTOR_FIELDS:
                     raise ValidationError(f"unknown predictor {name!r}")
+                if name in subset[:j]:
+                    raise ValidationError(f"feature_subsets[{i}] repeats predictor {name!r}")
+            earlier = first.setdefault(frozenset(subset), i)
+            if earlier != i:
+                raise ValidationError(f"feature_subsets[{i}] repeats feature_subsets[{earlier}]")
         if self.area_mode not in (AREA_MODE_POOLED, AREA_MODE_STRATIFIED):
             raise ValidationError(f"unknown area_mode {self.area_mode!r}")
         if self.threshold_mode not in (THRESHOLD_REFIT, THRESHOLD_FROZEN):
@@ -384,15 +395,15 @@ def _fit_task(
 
     detail: dict = {"family": family, "features": list(subset)}
     if cfg.selection == SELECTION_CV:
-        grid = {family: cfg.family_grids()[family]}
         try:
             result = cv_grid_search(
                 fm,
-                grid,
+                family,
+                cfg.family_grids()[family],
                 folds=cfg.folds,
                 seed=seed,
-                fold_results=None if fold_results is None else {family: fold_results},
-            )[family]
+                fold_results=fold_results,
+            )
         except CohortError as exc:
             raise InsufficientCohort(f"cohort {cohort!r}: {exc}") from exc
         winner = result.winner
@@ -473,6 +484,13 @@ def _csv_cells(column: np.ndarray) -> list[str]:
     return np.array(texts, dtype=object)[inverse].tolist()
 
 
+# The flagged CSVs, the largest tables a run writes, are rendered here and
+# not by `ingest.write_csv`. A `national_panel` job writes 81,103 flagged
+# rows in 15 CSVs. On its 5,333-row `logistic[pct_no_vehicle]` file, with
+# 1,859 distinct probabilities, `csv.writer` took 8.4 ms against 3.0 ms for
+# this renderer. With `write_csv` in its place, rendering took about 160 ms
+# per job instead of 57 ms, and the benchmark's `national_panel` `run_s`
+# went from 1.762 to 1.850 s (median, higher in 9 of 10 pairs).
 def _flagged_csv(zips: np.ndarray, years: np.ndarray, probs: np.ndarray) -> bytes:
     """The flagged CSV of rows of a ZIP, a year and a probability: the UTF-8
     bytes `csv.writer` writes for the header and the rows `[zip, year,

@@ -16,16 +16,18 @@ writes each flagged CSV the body names from its bytes, on every run and
 whatever formats it is asked for: a backtest's bytes from
 `RunManifest.flagged_csvs`, a saved manifest's from the files beside it,
 which `flagged_csvs` reads and checks against their entries. The other
-CSVs write each float with `repr`, so every float cell reads back to the
-same bits.
+CSVs go through `ingest.write_csv`, so their cells are written by csv's own
+rules: a float by its `repr`, so it reads back to the same bits, an int by
+its `str`, and None, such as the prevalence of a subset with no labeled
+row, blank.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import IoFailure, ValidationError
+from .ingest import write_csv
 from .jsonio import save_json
 from .pipeline import MANIFEST_FORMAT, digest_of, model_file, sha256
 
@@ -53,32 +55,35 @@ def _fmt_pct_dash(value: float | None) -> str:
     return f"{value * 100:.1f}"
 
 
-def _metric_rows(manifest_body: dict) -> list[dict]:
-    rows = []
-    for cohort, cdata in sorted(manifest_body.get("cohorts", {}).items()):
-        for label, detail in sorted(cdata.get("models", {}).items()):
-            if "error" in detail:
-                rows.append({"cohort": cohort, "model": label, "error": detail["error"]})
-                continue
-            ev = detail["eval"]
-            row = {"cohort": cohort, "model": label}
-            for col in METRIC_COLUMNS:
-                row[col] = ev[col]
-            for key in PCT_AT_KEYS:
-                row[f"precision_at_{key}"] = ev["precision_at"].get(key)
-            rows.append(row)
-    return rows
+def _fmt_fixed(value: float | None) -> str:
+    if value is None:
+        return "--"
+    return f"{value:.3f}"
+
+
+def _models(manifest_body: dict) -> list[tuple[str, str, dict]]:
+    """(cohort, model label, entry) of each model, failed ones too."""
+    return [
+        (cohort, label, detail)
+        for cohort, cdata in sorted(manifest_body.get("cohorts", {}).items())
+        for label, detail in sorted(cdata.get("models", {}).items())
+    ]
+
+
+def _fitted_models(manifest_body: dict) -> list[tuple[str, str, dict]]:
+    """(cohort, model label, entry) of each fitted model."""
+    return [model for model in _models(manifest_body) if "error" not in model[2]]
+
+
+def _metric_values(ev: dict) -> list:
+    """The metrics of a model's `eval` entry, in the order of `metrics.csv`."""
+    return [ev[c] for c in METRIC_COLUMNS] + [ev["precision_at"].get(k) for k in PCT_AT_KEYS]
 
 
 def write_metrics_csv(manifest_body: dict, path: Path) -> None:
     header = ["cohort", "model"] + METRIC_COLUMNS + [f"precision_at_{k}" for k in PCT_AT_KEYS]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in _metric_rows(manifest_body):
-            if "error" in row:
-                continue
-            writer.writerow([row["cohort"], row["model"]] + [repr(row[c]) for c in header[2:]])
+    fitted = _fitted_models(manifest_body)
+    write_csv(path, header, ([cohort, label, *_metric_values(d["eval"])] for cohort, label, d in fitted))
 
 
 def _threshold_rows(manifest_body: dict) -> list[tuple]:
@@ -93,43 +98,19 @@ def _threshold_rows(manifest_body: dict) -> list[tuple]:
 
 
 def write_thresholds_csv(manifest_body: dict, path: Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["period", "subset", "tau_hi", "tau_lo", "prevalence"])
-        for period, key, *values in _threshold_rows(manifest_body):
-            writer.writerow([period, key, *map(repr, values)])
+    header = ["period", "subset", "tau_hi", "tau_lo", "prevalence"]
+    write_csv(path, header, _threshold_rows(manifest_body))
+
+
+YEARLY_KEYS = ["year", "n_rows", "n_eligible", "tau_hi", "tau_lo", "prevalence", "anomaly_rows"]
 
 
 def write_yearly_csv(manifest_body: dict, path: Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["year", "n_rows", "n_eligible", "tau_hi", "tau_lo", "prevalence", "anomaly_rows"])
-        for row in manifest_body.get("yearly", []):
-            writer.writerow(
-                [
-                    row["year"],
-                    row["n_rows"],
-                    row["n_eligible"],
-                    "" if row["tau_hi"] is None else repr(row["tau_hi"]),
-                    "" if row["tau_lo"] is None else repr(row["tau_lo"]),
-                    "" if row["prevalence"] is None else repr(row["prevalence"]),
-                    row["anomaly_rows"],
-                ]
-            )
+    rows = ([row[k] for k in YEARLY_KEYS] for row in manifest_body.get("yearly", []))
+    write_csv(path, YEARLY_KEYS, rows)
 
 
 RELIABILITY_KEYS = ["bin_center", "mean_predicted", "observed_rate", "count"]
-
-
-def _fitted_models(manifest_body: dict) -> list[tuple[str, str, dict]]:
-    """(cohort, model label, entry) of each fitted model; failed models are
-    skipped."""
-    return [
-        (cohort, label, detail)
-        for cohort, cdata in sorted(manifest_body.get("cohorts", {}).items())
-        for label, detail in sorted(cdata.get("models", {}).items())
-        if "error" not in detail
-    ]
 
 
 def write_reliability_csvs(manifest_body: dict, outdir: Path) -> list[Path]:
@@ -137,93 +118,74 @@ def write_reliability_csvs(manifest_body: dict, outdir: Path) -> list[Path]:
     paths = []
     for cohort, label, detail in _fitted_models(manifest_body):
         path = outdir / model_file("reliability", cohort, label)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(RELIABILITY_KEYS)
-            writer.writerows(
-                [
-                    repr(row["bin_center"]),
-                    repr(row["mean_predicted"]),
-                    repr(row["observed_rate"]),
-                    row["count"],
-                ]
-                for row in detail["reliability"]
-            )
+        rows = ([row[k] for k in RELIABILITY_KEYS] for row in detail["reliability"])
+        write_csv(path, RELIABILITY_KEYS, rows)
         paths.append(path)
     return paths
 
 
+def _markdown_table(title: str, header: list[str], rows) -> list[str]:
+    """The lines of a report section: its title, a table of `header` and
+    `rows`, and a blank line. An empty cell is nothing between its bars."""
+
+    def line(cells) -> str:
+        return "|" + "".join(f" {text} |" if text else "|" for text in map(str, cells))
+
+    return [f"## {title}", "", line(header), "|" + "---|" * len(header), *map(line, rows), ""]
+
+
 def render_markdown(manifest_body: dict) -> str:
-    lines = ["# Backtest report", ""]
-    lines.append(f"- seed: {manifest_body['seed']}")
-    lines.append(f"- config hash: `{manifest_body['config_hash']}`")
-    lines.append(f"- manifest digest: `{manifest_body['manifest_digest']}`")
-    lines.append("")
-
-    lines.append("## Out-of-time performance (all values x100)")
-    lines.append("")
-    lines.append("| Cohort | Model | AUC | AP | Precision | Recall | F1 | Accuracy | Pre@1% / Pre@5% |")
-    lines.append("|---|---|---|---|---|---|---|---|---|")
-    for row in _metric_rows(manifest_body):
-        if "error" in row:
-            lines.append(f"| {row['cohort']} | {row['model']} | error: {row['error']} |||||||")
-            continue
-        at1 = _fmt_pct_dash(row["precision_at_0.01"])
-        at5 = _fmt_pct_dash(row["precision_at_0.05"])
-        lines.append(
-            "| {cohort} | {model} | {auc} | {ap} | {precision} | {recall} | {f1} | {accuracy} | {at} |".format(
-                cohort=row["cohort"],
-                model=row["model"],
-                auc=_fmt_pct(row["auc"]),
-                ap=_fmt_pct(row["ap"]),
-                precision=_fmt_pct(row["precision"]),
-                recall=_fmt_pct(row["recall"]),
-                f1=_fmt_pct(row["f1"]),
-                accuracy=_fmt_pct(row["accuracy"]),
-                at=f"{at1} / {at5}",
-            )
+    metrics = []
+    for cohort, label, detail in _models(manifest_body):
+        if "error" in detail:  # the error spans the row
+            metrics.append([cohort, label, f"error: {detail['error']}"] + [""] * 6)
+        else:
+            *values, at1, at5 = _metric_values(detail["eval"])
+            at = f"{_fmt_pct_dash(at1)} / {_fmt_pct_dash(at5)}"
+            metrics.append([cohort, label, *map(_fmt_pct, values), at])
+    thresholds = [
+        (period.upper(), key, _fmt_pct(tau_hi), _fmt_fixed(tau_lo), _fmt_pct(prevalence))
+        for period, key, tau_hi, tau_lo, prevalence in _threshold_rows(manifest_body)
+    ]
+    shares = manifest_body.get("fragile_distribution", {})
+    fragile = [
+        (period.upper(), f"bottom {float(group):.0%}", area, adata["count"], _fmt_pct(adata["share"]))
+        for period in ("p1", "p2")
+        for group, gdata in sorted(shares.get(period, {}).items())
+        if "error" not in gdata
+        for area, adata in gdata["by_area"].items()
+    ]
+    yearly = [
+        (
+            row["year"], row["n_rows"], row["n_eligible"], _fmt_pct(row["tau_hi"]),
+            _fmt_fixed(row["tau_lo"]), _fmt_pct(row["prevalence"]), row["anomaly_rows"],
         )
-    lines.append("")
-
-    lines.append("## Thresholds and prevalence")
-    lines.append("")
-    lines.append("| Period | Subset | tau_hi | tau_lo | Prevalence |")
-    lines.append("|---|---|---|---|---|")
-    for period, key, tau_hi, tau_lo, prev in _threshold_rows(manifest_body):
-        lines.append(
-            f"| {period.upper()} | {key} | {_fmt_pct(tau_hi)} | {tau_lo:.3f} | {_fmt_pct(prev)} |"
-        )
-    lines.append("")
-
-    lines.append("## Fragile-row distribution by area")
-    lines.append("")
-    lines.append("| Period | Group | Area | Count | Share |")
-    lines.append("|---|---|---|---|---|")
-    for period in ("p1", "p2"):
-        dist = manifest_body.get("fragile_distribution", {}).get(period, {})
-        for group, gdata in sorted(dist.items()):
-            if "error" in gdata:
-                continue
-            for area, adata in gdata["by_area"].items():
-                lines.append(
-                    f"| {period.upper()} | bottom {float(group):.0%} | {area} "
-                    f"| {adata['count']} | {_fmt_pct(adata['share'])} |"
-                )
-    lines.append("")
-
-    lines.append("## Yearly diagnostics")
-    lines.append("")
-    lines.append("| Year | Rows | Eligible | tau_hi | tau_lo | Prevalence | Anomalies |")
-    lines.append("|---|---|---|---|---|---|---|")
-    for row in manifest_body.get("yearly", []):
-        tau_hi = "--" if row["tau_hi"] is None else _fmt_pct(row["tau_hi"])
-        tau_lo = "--" if row["tau_lo"] is None else f"{row['tau_lo']:.3f}"
-        prev = "--" if row["prevalence"] is None else _fmt_pct(row["prevalence"])
-        lines.append(
-            f"| {row['year']} | {row['n_rows']} | {row['n_eligible']} | {tau_hi} "
-            f"| {tau_lo} | {prev} | {row['anomaly_rows']} |"
-        )
-    lines.append("")
+        for row in manifest_body.get("yearly", [])
+    ]
+    lines = [
+        "# Backtest report",
+        "",
+        f"- seed: {manifest_body['seed']}",
+        f"- config hash: `{manifest_body['config_hash']}`",
+        f"- manifest digest: `{manifest_body['manifest_digest']}`",
+        "",
+        *_markdown_table(
+            "Out-of-time performance (all values x100)",
+            ["Cohort", "Model", "AUC", "AP", "Precision", "Recall", "F1", "Accuracy", "Pre@1% / Pre@5%"],
+            metrics,
+        ),
+        *_markdown_table(
+            "Thresholds and prevalence", ["Period", "Subset", "tau_hi", "tau_lo", "Prevalence"], thresholds
+        ),
+        *_markdown_table(
+            "Fragile-row distribution by area", ["Period", "Group", "Area", "Count", "Share"], fragile
+        ),
+        *_markdown_table(
+            "Yearly diagnostics",
+            ["Year", "Rows", "Eligible", "tau_hi", "tau_lo", "Prevalence", "Anomalies"],
+            yearly,
+        ),
+    ]
     return "\n".join(lines)
 
 

@@ -172,6 +172,45 @@ def test_synth_backtest_report_flow(tmp_path):
     assert (rerender / "report.md").read_text() == (outdir / "report.md").read_text()
 
 
+STRATIFIED = str(Path(__file__).resolve().parents[1] / "bench" / "workloads" / "score_stratified.yaml")
+
+
+def test_a_subset_with_no_labeled_row_has_a_blank_prevalence(tmp_path):
+    # Stratified labeling with every late-period Mixed row moved to Urban:
+    # the late period keeps the Mixed thresholds, frozen from the early
+    # period, but no row is labeled under them, so its prevalence is None.
+    panel = tmp_path / "panel.csv"
+    synth = ["synth", "--config", STRATIFIED, "--seed", "3", "--set", "synth.n_zips=300"]
+    assert main([*synth, "--out", str(panel)]) == 0
+    with open(panel, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    area, year = rows[0].index("area"), rows[0].index("year")
+    for row in rows[1:]:
+        if row[area] == "Mixed" and 2019 <= int(row[year]) <= 2023:
+            row[area] = "Urban"
+    with open(panel, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+    run = tmp_path / "run"
+    backtest = ["backtest", "--config", STRATIFIED, "--seed", "3", "--panel", str(panel)]
+    assert main([*backtest, "--set", "families=[logistic]", "--out", str(run)]) == 0
+
+    with open(run / "thresholds.csv", newline="", encoding="utf-8") as fh:
+        thresholds = {(row[0], row[1]): row[2:] for row in csv.reader(fh)}
+    tau_hi, tau_lo, prevalence = thresholds["p2", "Mixed"]
+    assert (float(tau_hi), float(tau_lo)) == tuple(map(float, thresholds["p1", "Mixed"][:2]))
+    assert prevalence == ""  # blank, as a missing value is in yearly.csv
+    markdown = (run / "report.md").read_text(encoding="utf-8").splitlines()
+    [line] = [line for line in markdown if line.startswith("| P2 | Mixed |")]
+    assert line.endswith(" | -- |")
+
+    rerendered = tmp_path / "rerendered"
+    assert main(["report", "--manifest", str(run / "manifest.json"), "--out", str(rerendered)]) == 0
+    files = sorted(path.name for path in run.iterdir())
+    assert sorted(path.name for path in rerendered.iterdir()) == files
+    for name in files:
+        assert (rerendered / name).read_bytes() == (run / name).read_bytes(), name
+
+
 @pytest.fixture(scope="module")
 def saved_run(tmp_path_factory):
     """The directory of a small backtest run under `--formats json`."""

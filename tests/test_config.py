@@ -65,12 +65,46 @@ def test_feature_subsets_all_means_every_subset():
             {"grids": {"gradient_boosting": [{"n_trees": 10}, {"n_trees": 2.5}]}},
             "grids.gradient_boosting[1].n_trees must be int, got 2.5",
         ),
+        # A model is keyed by its family and subset, so a repeat would be
+        # fitted twice and then overwrite the other in the manifest and the
+        # scorer files; a subset in another order fits the same model twice.
+        ({"families": ["logistic", "random_forest", "logistic"]}, "families[2] repeats family 'logistic'"),
+        (
+            {"feature_subsets": [["pct_no_vehicle"], ["pct_hs_only"], ["pct_no_vehicle"]]},
+            "feature_subsets[2] repeats feature_subsets[0]",
+        ),
+        (
+            {"feature_subsets": [["pct_no_vehicle", "pct_hs_only"], ["pct_hs_only", "pct_no_vehicle"]]},
+            "feature_subsets[1] repeats feature_subsets[0]",
+        ),
+        (
+            {"feature_subsets": [["pct_no_vehicle"], ["pct_hs_only", "pct_no_vehicle", "pct_hs_only"]]},
+            "feature_subsets[1] repeats predictor 'pct_hs_only'",
+        ),
     ],
 )
 def test_rejects_unknown_keys_and_wrong_types(config, message):
     with pytest.raises(ValidationError) as exc:
         settings_from(config)
     assert message in str(exc.value)
+
+
+@pytest.mark.parametrize("command", ["backtest", "train"])
+def test_a_repeated_model_exits_2_before_any_work(tmp_path, capsys, command):
+    # the panel does not exist, so reading it first would exit 4
+    code = main(
+        [
+            command,
+            "--panel", str(tmp_path / "missing.csv"),
+            "--seed", "3",
+            "--out", str(tmp_path / "out"),
+            "--set", "feature_subsets=[[pct_no_vehicle], [pct_no_vehicle], [pct_hs_only, pct_hs_only]]",
+            "--set", "families=[logistic, logistic]",
+        ]
+    )
+    assert code == 2
+    assert "families[1] repeats family 'logistic'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("path", WORKLOADS, ids=lambda p: p.stem)

@@ -58,14 +58,14 @@ class TestStratifiedFolds:
 class TestCvGridSearch:
     def test_singleton_grid_wins(self, rng):
         fm = informative_fm(rng)
-        res = cv_grid_search(fm, {"logistic": [{"c": 0.5}]}, folds=3, seed=0)["logistic"]
+        res = cv_grid_search(fm, "logistic", [{"c": 0.5}], folds=3, seed=0)
         assert res.winner == {"c": 0.5}
         assert len(res.grid) == 1
         assert res.folds == 3
 
     def test_oof_covers_every_row(self, rng):
         fm = informative_fm(rng)
-        res = cv_grid_search(fm, {"logistic": [{"c": 1.0}]}, folds=4, seed=2)["logistic"]
+        res = cv_grid_search(fm, "logistic", [{"c": 1.0}], folds=4, seed=2)
         assert res.oof_proba.shape == (fm.n,)
         assert np.all((res.oof_proba > 0) & (res.oof_proba < 1))
 
@@ -73,7 +73,7 @@ class TestCvGridSearch:
         fm = informative_fm(rng, n=240)
         grid = [{"c": c} for c in (0.01, 0.1, 1.0, 10.0)]
         folds, seed = 4, 17
-        res = cv_grid_search(fm, {"logistic": grid}, folds=folds, seed=seed)["logistic"]
+        res = cv_grid_search(fm, "logistic", grid, folds=folds, seed=seed)
 
         # independent fold reconstruction from the documented seeding contract
         fold_rng = derive_rng(seed, STREAM_FOLDS)
@@ -109,7 +109,7 @@ class TestCvGridSearch:
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            res = cv_grid_search(fm, {"logistic": grid}, folds=3, seed=5)["logistic"]
+            res = cv_grid_search(fm, "logistic", grid, folds=3, seed=5)
         assert res.winner == {"c": 0.01}
 
     @pytest.mark.parametrize(
@@ -142,7 +142,7 @@ class TestCvGridSearch:
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            res = cv_grid_search(fm, {family: grid}, folds=3, seed=5)[family]
+            res = cv_grid_search(fm, family, grid, folds=3, seed=5)
         assert len({e.mean_ap for e in res.grid}) == 1
         assert res.winner == winner
 
@@ -152,10 +152,10 @@ class TestCvGridSearch:
             "random_forest": [{"n_trees": 5, "max_depth": 2}],
             "gradient_boosting": [{"n_trees": 5, "max_depth": 2, "learning_rate": 0.1}],
         }
-        res = cv_grid_search(fm, grids, folds=3, seed=4)
-        assert set(res) == {"random_forest", "gradient_boosting"}
-        for family in res.values():
-            assert 0.0 <= family.grid[0].mean_ap <= 1.0
+        for family, grid in grids.items():
+            res = cv_grid_search(fm, family, grid, folds=3, seed=4)
+            assert res.family == family
+            assert 0.0 <= res.grid[0].mean_ap <= 1.0
 
     def test_non_converged_candidate_is_an_entry(self, rng, monkeypatch):
         fm = informative_fm(rng, n=120)
@@ -168,7 +168,7 @@ class TestCvGridSearch:
 
         monkeypatch.setattr(selection, "fit_logistic", fit)
         grid = [{"c": 100.0}, {"c": 1.0}]
-        res = cv_grid_search(fm, {"logistic": grid}, folds=3, seed=4)["logistic"]
+        res = cv_grid_search(fm, "logistic", grid, folds=3, seed=4)
         assert res.winner == {"c": 1.0}
         assert [(e.params, e.error) for e in res.grid] == [
             ({"c": 1.0}, None),
@@ -176,7 +176,7 @@ class TestCvGridSearch:
         ]
         assert np.isnan(res.grid[1].mean_ap) and res.grid[1].fold_aps == []
         with pytest.raises(NonConvergence, match="stuck"):
-            cv_grid_search(fm, {"logistic": [{"c": 100.0}]}, folds=3, seed=4)
+            cv_grid_search(fm, "logistic", [{"c": 100.0}], folds=3, seed=4)
 
     def test_out_of_fold_proba_alignment(self, rng):
         fm = informative_fm(rng, n=90)
@@ -198,7 +198,7 @@ class TestCvGridSearch:
             monkeypatch.setattr(
                 module, "standardize", lambda m, real=real: calls.append(m.n) or real(m)
             )
-        cv_grid_search(fm, {"logistic": grid}, folds=5, seed=3)
+        cv_grid_search(fm, "logistic", grid, folds=5, seed=3)
         assert len(calls) == 5  # once per fold, not once per fold and candidate
         monkeypatch.undo()
         assert_matches_loop(fm, "logistic", grid, folds=5, seed=3)
@@ -233,7 +233,7 @@ def per_candidate_grid(fm, family, grid, folds, seed):
 
 
 def assert_matches_loop(fm, family, grid, folds, seed):
-    got = cv_grid_search(fm, {family: grid}, folds=folds, seed=seed)[family]
+    got = cv_grid_search(fm, family, grid, folds=folds, seed=seed)
     entries, winner, oof = per_candidate_grid(fm, family, grid, folds, seed)
     assert [(e.params, e.mean_ap, e.fold_aps) for e in got.grid] == entries
     assert got.winner == winner
@@ -292,4 +292,4 @@ class TestPrefixSharing:
         fm = informative_fm(rng, n=60)
         grid = [{"n_trees": 30, "max_depth": 2}, {"n_trees": 0, "max_depth": 2}]
         with pytest.raises(InvalidParams):
-            cv_grid_search(fm, {family: grid}, folds=3, seed=0)
+            cv_grid_search(fm, family, grid, folds=3, seed=0)
