@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -160,16 +160,24 @@ def permutation_importance(
     *,
     repeats: int,
     seed: int = 0,
+    base_scores: np.ndarray | None = None,
 ) -> ImportanceReport:
     """Mean metric drop when one predictor column is shuffled.
 
     Each (feature, repeat) pair draws its permutation from its own seeded
-    stream, so results do not depend on evaluation order. The `repeats`
-    permuted copies of one feature are stacked into a single
-    (repeats * n, d) matrix and scored in one `predict_proba` call, which
-    relies on the model scoring each row independently of the others in its
-    batch. Working memory is one such matrix, repeats * n * d floats, reused
-    for every feature.
+    stream, so results do not depend on evaluation order. `base_scores`, when
+    given, must be `model.predict_proba(X)`, which a caller that already has
+    it need not compute again.
+
+    A model with a `permuted_proba` method, a tree ensemble, scores every
+    permuted copy in one call from its leaf masks (see `models/tree.py`).
+    Its working memory is the (d, repeats, n) permutations and scores, two
+    arrays of repeats * n * d words, and per tree a few arrays of repeats *
+    n words. Any other model, a logistic one, scores the `repeats` permuted
+    copies of one feature stacked into a single (repeats * n, d) matrix in
+    one `predict_proba` call, which relies on the model scoring each row
+    independently of the others in its batch. Its working memory is one such
+    matrix, repeats * n * d floats, reused for every feature.
     """
     if metric not in (METRIC_AUC, METRIC_AP):
         raise ValidationError(f"metric must be 'auc' or 'ap', got {metric!r}")
@@ -181,19 +189,22 @@ def permutation_importance(
     if X.ndim != 2 or X.shape[1] != len(names):
         raise FeatureMismatch(f"expected {len(names)} features, got shape {X.shape}")
 
-    base_scores = model.predict_proba(X)
+    if base_scores is None:
+        base_scores = model.predict_proba(X)
     baseline_auc = roc_auc(base_scores, y)
     baseline_ap = average_precision(base_scores, y)
 
-    n = X.shape[0]
-    stacked = np.tile(X, (repeats, 1))
+    n, d = X.shape
+    permuted = getattr(model, "permuted_proba", None)
+    if permuted is not None:
+        perms = np.empty((d, repeats, n), dtype=np.intp)
+        for j, r in np.ndindex(d, repeats):
+            perms[j, r] = _permutation(seed, j, r, n)
+        per_feature = permuted(X, perms)
+    else:
+        per_feature = _stacked_proba(model, X, repeats, seed)
     results = []
-    for j, name in enumerate(names):
-        for r in range(repeats):
-            perm = derive_rng(seed, STREAM_PERMUTE, j, r).permutation(n)
-            stacked[r * n : (r + 1) * n, j] = X[perm, j]
-        scores = model.predict_proba(stacked).reshape(repeats, n)
-        stacked[:, j] = np.tile(X[:, j], repeats)
+    for name, scores in zip(names, per_feature):
         d_auc = [baseline_auc - roc_auc(s, y) for s in scores]
         d_ap = [baseline_ap - average_precision(s, y) for s in scores]
         primary = d_auc if metric == METRIC_AUC else d_ap
@@ -212,6 +223,23 @@ def permutation_importance(
         baseline_ap=baseline_ap,
         features=tuple(results),
     )
+
+
+def _permutation(seed: int, j: int, r: int, n: int) -> np.ndarray:
+    return derive_rng(seed, STREAM_PERMUTE, j, r).permutation(n)
+
+
+def _stacked_proba(model, X: np.ndarray, repeats: int, seed: int) -> Iterator[np.ndarray]:
+    """Each feature's (repeats, n) permuted scores, from one `predict_proba`
+    of its permuted copies stacked into one matrix."""
+    n, d = X.shape
+    stacked = np.tile(X, (repeats, 1))
+    for j in range(d):
+        for r in range(repeats):
+            stacked[r * n : (r + 1) * n, j] = X[_permutation(seed, j, r, n), j]
+        scores = model.predict_proba(stacked).reshape(repeats, n)
+        stacked[:, j] = np.tile(X[:, j], repeats)
+        yield scores
 
 
 PRECISION_AT_FRACTIONS = (0.01, 0.05)

@@ -13,6 +13,15 @@ the permutation the float sort of `X[boot]` gives, and small integer ranks
 sort by radix in O(n). Boosting also reads each round's score update off the
 rows `grow_tree` routed to each leaf, by the comparison prediction makes,
 instead of walking `X` down the new tree.
+
+`predict_proba` walks the trees (`FlatTrees`). `permuted_proba`, which
+permutation importance calls, scores every permuted copy of every column
+from the trees' leaf masks (`LeafMasks`, see `tree.py`) instead of walking
+stacked permuted matrices: for the six `score_stratified` tree models at
+panel seed 3 (`--seed 3`, one CPU), importance took 0.51 s with masks,
+compiling included, against 2.19 s for the walk. Both add leaf values in
+tree order, so their scores are equal bit for bit. Plain prediction keeps
+the walk, which needs no second compiled form (see `tree.py`).
 """
 from __future__ import annotations
 
@@ -31,9 +40,11 @@ from .tree import (
     CRITERION_MSE,
     DecisionTree,
     FlatTrees,
+    LeafMasks,
     grow_tree,
+    lowest_slots,
     rank_columns,
-    state_without_flat,
+    state_without_caches,
 )
 
 KIND_FOREST = "random_forest"
@@ -78,15 +89,23 @@ class TreeEnsembleModel:
     def _flat(self) -> FlatTrees:
         return FlatTrees(self.trees)
 
-    def __getstate__(self) -> dict:
-        return state_without_flat(self)
+    @cached_property
+    def _masks(self) -> tuple[LeafMasks, ...]:
+        return tuple(map(LeafMasks, self.trees))
 
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
+    def __getstate__(self) -> dict:
+        return state_without_caches(self)
+
+    def _checked(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != len(self.feature_names):
             raise FeatureMismatch(
                 f"expected {len(self.feature_names)} features, got shape {X.shape}"
             )
+        return X
+
+    def predict_proba(self, X: np.ndarray) -> np.ndarray:
+        X = self._checked(X)
         flat = self._flat
         # per-tree values are added one tree at a time, in tree order, so the
         # float sums do not depend on how the traversal is organized
@@ -99,6 +118,62 @@ class TreeEnsembleModel:
         for leaves in flat.leaves(X):
             score += self.params.learning_rate * flat.value[leaves]
         return sigmoid(score)
+
+    def permuted_proba(self, X: np.ndarray, perms: np.ndarray) -> np.ndarray:
+        """(d, repeats, n) probabilities, where [j, r] is `predict_proba` of X
+        with column j replaced by `X[perms[j, r], j]`, bit for bit.
+
+        Leaf values are added per tree, in tree order, as `predict_proba`
+        adds them. A tree's leaves come from its leaf masks: the AND of its
+        features' masks is a row's leaf, and permuting column j swaps only
+        the j mask. Rows are taken in chunks whose permuted masks, repeats *
+        rows * words, hold no more than the repeats * n words of one
+        feature's scores.
+        """
+        X = self._checked(X)
+        n, d = X.shape
+        if perms.ndim != 3 or perms.shape[0] != d or perms.shape[2] != n:
+            raise FeatureMismatch(f"expected ({d}, repeats, {n}) permutations, got {perms.shape}")
+        ranks = rank_columns(X)
+        uniques = [np.unique(column) for column in X.T]
+        forest = self.kind == KIND_FOREST
+        out = np.full((d, perms.shape[1], n), 0.0 if forest else self.base_score)
+        for masks in self._masks:
+            value = masks.slot_value if forest else self.params.learning_rate * masks.slot_value
+            codes = masks.codes(uniques, ranks)
+            split = {f: i for i, f in enumerate(masks.features.tolist())}
+            rows = max(1, n // masks.words)
+            for a in range(0, n, rows):
+                own = masks.table[codes[:, a : a + rows]]
+                if len(split) < d:
+                    unsplit = value[lowest_slots(np.bitwise_and.reduce(own, axis=0))]
+                for j in range(d):
+                    if j not in split:
+                        out[j, :, a : a + rows] += unsplit
+                        continue
+                    i = split[j]
+                    _add_leaf_values(
+                        out[j, :, a : a + rows],
+                        value,
+                        np.bitwise_and.reduce(np.delete(own, i, axis=0), axis=0),
+                        own[i][perms[j]]
+                        if rows == n
+                        else masks.table[codes[i][perms[j, :, a : a + rows]]],
+                    )
+        if forest:
+            out /= len(self.trees)
+            return out
+        for scores in out.reshape(-1, n):
+            scores[...] = sigmoid(scores)
+        return out
+
+
+def _add_leaf_values(scores, value, rest, words) -> None:
+    """Add to `scores` the value of the leaf each row of masks `words`
+    reaches once ANDed with `rest`. A function, so that `words`, as large as
+    `scores`, is freed as soon as it is read."""
+    words &= rest
+    scores += value[lowest_slots(words)]
 
 
 def _resolve_max_features(params: EnsembleParams, d: int) -> int | None:

@@ -47,7 +47,11 @@ class CalibratedScorer:
         return tuple(self.model.feature_names)
 
     def predict_calibrated(self, X: np.ndarray) -> np.ndarray:
-        return np.asarray(apply_isotonic(self.isotonic, self.model.predict_proba(X)))
+        return self.calibrate(self.model.predict_proba(X))
+
+    def calibrate(self, scores: np.ndarray) -> np.ndarray:
+        """The calibrated probabilities of the model's raw `scores`."""
+        return np.asarray(apply_isotonic(self.isotonic, scores))
 
 
 def _nan_to_none(values) -> list:

@@ -520,7 +520,8 @@ def _evaluate_task(
     if not p2_rows.size:
         raise InsufficientCohort(f"cohort {cohort!r}: no labeled test rows")
     X2, y2 = _matrix(p2_panel, p2_rows, subset)
-    calibrated = scorer.predict_calibrated(X2)
+    scores = scorer.model.predict_proba(X2)
+    calibrated = scorer.calibrate(scores)
     try:
         report = evaluate(calibrated, y2, scorer.rule, cohort=cohort, model=label)
     except CohortError as exc:
@@ -546,6 +547,7 @@ def _evaluate_task(
         metric=METRIC_AUC,
         repeats=cfg.importance_repeats,
         seed=cfg.seed,
+        base_scores=scores,
     )
     detail["importance"] = plain(importance)
     return detail, flagged

@@ -18,10 +18,12 @@ from snapgap.metrics import (
     roc_auc,
 )
 from snapgap.models import (
+    DecisionTree,
     EnsembleParams,
     FeatureMatrix,
     LogisticModel,
     Standardization,
+    TreeEnsembleModel,
     fit_logistic,
     fit_tree_ensemble,
 )
@@ -270,6 +272,47 @@ def per_repeat_importance(model, X, y, metric, repeats, seed):
     return out
 
 
+def mask_words(model) -> int:
+    """Mask words of the model's largest tree: one per 64 leaves."""
+    return max(-(-sum(f < 0 for f in tree.feature) // 64) for tree in model.trees)
+
+
+@cache
+def deep_forest(words):
+    """A fully grown forest on noise whose largest tree needs `words` words."""
+    rng = np.random.default_rng(words)
+    n = {2: 260, 3: 420}[words]
+    X = np.round(rng.normal(size=(n, 3)), 1)
+    y = (rng.random(n) < 0.5).astype(int)
+    fm = FeatureMatrix(X=X, y=y, feature_names=("a", "b", "c"))
+    return fit_tree_ensemble(fm, EnsembleParams(kind="random_forest", n_trees=4, seed=words))
+
+
+def hand_built(kind):
+    """Trees that a fit on this data would not grow: a one-leaf tree, two
+    nodes on feature 0 with the same threshold 0.0, a node whose threshold
+    is NaN, and no split on feature 2."""
+    nan = np.nan
+    trees = (
+        DecisionTree((-1,), (nan,), (-1,), (-1,), (0.3,)),
+        DecisionTree(
+            (0, 0, -1, -1, 1, -1, 1, -1, -1),
+            (0.0, 0.0, nan, nan, 0.5, nan, nan, nan, nan),
+            (1, 2, -1, -1, 5, -1, 7, -1, -1),
+            (4, 3, -1, -1, 6, -1, 8, -1, -1),
+            (nan, nan, 0.1, 0.2, nan, 0.9, nan, 0.4, 0.6),
+        ),
+        DecisionTree((1, -1, -1), (-0.5, nan, nan), (1, -1, -1), (2, -1, -1), (nan, 0.7, 0.8)),
+    )
+    return TreeEnsembleModel(
+        kind=kind,
+        trees=trees,
+        params=EnsembleParams(kind=kind, n_trees=len(trees), learning_rate=0.5),
+        feature_names=("a", "b", "c"),
+        base_score=-0.2,
+    )
+
+
 class TestBatchedImportance:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -288,6 +331,59 @@ class TestBatchedImportance:
         report = permutation_importance(model, X, y, metric=metric, repeats=repeats, seed=seed)
         got = [(f.delta_auc, f.delta_ap, f.dispersion) for f in report.features]
         assert got == per_repeat_importance(model, X, y, metric, repeats, seed)
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        words=st.sampled_from([2, 3]),
+        n=st.integers(min_value=2, max_value=150),
+        repeats=st.integers(min_value=1, max_value=4),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    def test_trees_over_64_leaves_equal_per_repeat_loop(self, words, n, repeats, seed):
+        model = deep_forest(words)
+        assert mask_words(model) == words
+        rng = np.random.default_rng(seed)
+        X = np.round(rng.normal(size=(n, 3)), 1)
+        y = (rng.random(n) < 0.5).astype(int)
+        y[0], y[1] = 1, 0
+        report = permutation_importance(model, X, y, repeats=repeats, seed=seed)
+        got = [(f.delta_auc, f.delta_ap, f.dispersion) for f in report.features]
+        assert got == per_repeat_importance(model, X, y, "auc", repeats, seed)
+
+    @pytest.mark.parametrize("kind", ["random_forest", "gradient_boosting"])
+    def test_edge_trees_and_cells_equal_per_repeat_loop(self, kind):
+        model = hand_built(kind)
+        rng = np.random.default_rng(5)
+        X = rng.choice([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0, np.nan], size=(80, 3))
+        y = (rng.random(80) < 0.5).astype(int)
+        y[0], y[1] = 1, 0
+        report = permutation_importance(model, X, y, metric="ap", repeats=5, seed=9)
+        got = [(f.delta_auc, f.delta_ap, f.dispersion) for f in report.features]
+        assert got == per_repeat_importance(model, X, y, "ap", 5, seed=9)
+        assert report.features[2].delta_auc == 0.0  # no tree splits on c
+
+    @pytest.mark.parametrize("model", ["deep_2", "deep_3", "random_forest", "gradient_boosting"])
+    def test_permuted_proba_is_predict_proba_bit_for_bit(self, model):
+        model = deep_forest(int(model[-1])) if model.startswith("deep") else hand_built(model)
+        rng = np.random.default_rng(8)
+        X = rng.choice([-1.0, -0.5, -0.0, 0.0, 0.3, 0.5, 1.0, np.nan], size=(70, 3))
+        perms = np.array([[rng.permutation(70) for _ in range(3)] for _ in range(3)])
+        got = model.permuted_proba(X, perms)
+        for j, r in np.ndindex(3, 3):
+            Xp = X.copy()
+            Xp[:, j] = X[perms[j, r], j]
+            assert np.array_equal(got[j, r].view(np.int64), model.predict_proba(Xp).view(np.int64))
+
+    def test_base_scores_are_the_model_scores(self):
+        model = fitted_model("random_forest")
+        rng = np.random.default_rng(3)
+        X = np.round(rng.normal(size=(60, 3)), 1)
+        y = (rng.random(60) < 0.4).astype(int)
+        y[0], y[1] = 1, 0
+        given_scores = permutation_importance(
+            model, X, y, repeats=2, seed=1, base_scores=model.predict_proba(X)
+        )
+        assert given_scores == permutation_importance(model, X, y, repeats=2, seed=1)
 
 
 class TestEvaluate:

@@ -21,7 +21,7 @@ from snapgap.models import (
     model_to_dict,
     sigmoid,
 )
-from snapgap.models.tree import FlatTrees, rank_columns
+from snapgap.models.tree import FlatTrees, LeafMasks, rank_columns
 from snapgap.rng import derive_rng
 
 
@@ -427,14 +427,23 @@ class TestSerialization:
         X_test[::5, 0] = np.nan
         want = getattr(model, method)(X_test)
         assert isinstance(model._flat, FlatTrees)  # compiled by the prediction
+        caches = ("_flat",)
+        if kind != "tree":
+            perms = np.array([[rng.permutation(40)] for _ in range(2)])
+            want_permuted = model.permuted_proba(X_test, perms)
+            assert all(isinstance(m, LeafMasks) for m in model._masks)  # compiled too
+            caches += ("_masks",)
         data = pickle.dumps(model)
         assert b"FlatTrees" not in data
+        assert b"LeafMasks" not in data
         clone = pickle.loads(data)
-        assert "_flat" not in vars(clone)
+        assert not set(caches) & set(vars(clone))
         got = getattr(clone, method)(X_test)
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
-        assert "_flat" in vars(model)  # pickling leaves the original's cache alone
+        if kind != "tree":
+            assert np.array_equal(clone.permuted_proba(X_test, perms), want_permuted)
+        assert set(caches) <= set(vars(model))  # pickling leaves the original's caches alone
 
     @pytest.mark.parametrize("kind", ["random_forest", "gradient_boosting", "tree"])
     def test_copies_equal_the_original(self, rng, kind):
