@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -169,15 +169,11 @@ def permutation_importance(
     given, must be `model.predict_proba(X)`, which a caller that already has
     it need not compute again.
 
-    A model with a `permuted_proba` method, a tree ensemble, scores every
-    permuted copy in one call from its leaf masks (see `models/tree.py`).
-    Its working memory is the (d, repeats, n) permutations and scores, two
-    arrays of repeats * n * d words, and per tree a few arrays of repeats *
-    n words. Any other model, a logistic one, scores the `repeats` permuted
-    copies of one feature stacked into a single (repeats * n, d) matrix in
-    one `predict_proba` call, which relies on the model scoring each row
-    independently of the others in its batch. Its working memory is one such
-    matrix, repeats * n * d floats, reused for every feature.
+    The model scores every permuted copy in one `permuted_proba` call, from
+    the (d, repeats, n) permutations: a tree ensemble from its leaf masks
+    (see `models/tree.py`), a logistic model from each feature's copies
+    stacked into one matrix. The permutations and their scores are two
+    arrays of repeats * n * d words.
     """
     if metric not in (METRIC_AUC, METRIC_AP):
         raise ValidationError(f"metric must be 'auc' or 'ap', got {metric!r}")
@@ -195,16 +191,11 @@ def permutation_importance(
     baseline_ap = average_precision(base_scores, y)
 
     n, d = X.shape
-    permuted = getattr(model, "permuted_proba", None)
-    if permuted is not None:
-        perms = np.empty((d, repeats, n), dtype=np.intp)
-        for j, r in np.ndindex(d, repeats):
-            perms[j, r] = _permutation(seed, j, r, n)
-        per_feature = permuted(X, perms)
-    else:
-        per_feature = _stacked_proba(model, X, repeats, seed)
+    perms = np.empty((d, repeats, n), dtype=np.intp)
+    for j, r in np.ndindex(d, repeats):
+        perms[j, r] = derive_rng(seed, STREAM_PERMUTE, j, r).permutation(n)
     results = []
-    for name, scores in zip(names, per_feature):
+    for name, scores in zip(names, model.permuted_proba(X, perms)):
         d_auc = [baseline_auc - roc_auc(s, y) for s in scores]
         d_ap = [baseline_ap - average_precision(s, y) for s in scores]
         primary = d_auc if metric == METRIC_AUC else d_ap
@@ -223,23 +214,6 @@ def permutation_importance(
         baseline_ap=baseline_ap,
         features=tuple(results),
     )
-
-
-def _permutation(seed: int, j: int, r: int, n: int) -> np.ndarray:
-    return derive_rng(seed, STREAM_PERMUTE, j, r).permutation(n)
-
-
-def _stacked_proba(model, X: np.ndarray, repeats: int, seed: int) -> Iterator[np.ndarray]:
-    """Each feature's (repeats, n) permuted scores, from one `predict_proba`
-    of its permuted copies stacked into one matrix."""
-    n, d = X.shape
-    stacked = np.tile(X, (repeats, 1))
-    for j in range(d):
-        for r in range(repeats):
-            stacked[r * n : (r + 1) * n, j] = X[_permutation(seed, j, r, n), j]
-        scores = model.predict_proba(stacked).reshape(repeats, n)
-        stacked[:, j] = np.tile(X[:, j], repeats)
-        yield scores
 
 
 PRECISION_AT_FRACTIONS = (0.01, 0.05)

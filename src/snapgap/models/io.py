@@ -74,13 +74,31 @@ def _tree_to_dict(tree: DecisionTree) -> dict:
 
 
 def _tree_from_dict(data: dict) -> DecisionTree:
-    return DecisionTree(
+    """The tree of a node list in preorder, by which the leaf masks number
+    its leaves (see `tree.py`). Raises a `ValidationError` unless a preorder
+    walk from the root, stopped after n visits, visits nodes 0 to n - 1 in
+    turn and then ends."""
+    tree = DecisionTree(
         feature=tuple(data["feature"]),
         threshold=tuple(_none_to_nan(data["threshold"])),
         left=tuple(data["left"]),
         right=tuple(data["right"]),
         value=tuple(_none_to_nan(data["value"])),
     )
+    n = tree.n_nodes
+    if {len(tree.threshold), len(tree.left), len(tree.right), len(tree.value)} != {n}:
+        raise ValidationError("tree node lists differ in length")
+    stack, visits = [0], 0
+    while stack and visits < n and stack[-1] == visits:
+        node = stack.pop()
+        visits += 1
+        if tree.feature[node] >= 0:
+            stack += [tree.right[node], tree.left[node]]
+    if stack or visits < n:
+        raise ValidationError(
+            f"tree nodes are not in preorder: a walk from the root strays at node {visits} of {n}"
+        )
+    return tree
 
 
 def model_to_dict(model) -> dict:

@@ -41,6 +41,21 @@ class LogisticModel:
         Xs = self.standardization.apply(np.asarray(X, dtype=float))
         return sigmoid(Xs @ self.coefficients + self.intercept)
 
+    def permuted_proba(self, X: np.ndarray, perms: np.ndarray) -> np.ndarray:
+        """(d, repeats, n) probabilities, where [j, r] is `predict_proba` of X
+        with column j replaced by `X[perms[j, r], j]`: one `predict_proba` of
+        the `repeats` permuted copies of column j stacked into one matrix,
+        reused for every column. Each row scores independently of its batch."""
+        X = np.asarray(X, dtype=float)
+        d, repeats, n = perms.shape
+        out = np.empty(perms.shape)
+        stacked = np.tile(X, (repeats, 1))
+        for j in range(d):
+            stacked[:, j] = X[perms[j].ravel(), j]
+            out[j] = self.predict_proba(stacked).reshape(repeats, n)
+            stacked[:, j] = np.tile(X[:, j], repeats)
+        return out
+
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
     """1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, so exp never overflows."""

@@ -223,7 +223,8 @@ class LeafMasks:
     sends every value right, so its mask is in all of those rows.
     `slot_value[s]` is the value of the leaf whose bit `lowest_slots`
     reports as slot s. The leaf numbering relies on the tree's nodes being
-    in preorder, as `DecisionTree` documents.
+    in preorder, as `DecisionTree` documents and `models/io` checks when it
+    reads a tree.
     """
 
     def __init__(self, tree: DecisionTree):

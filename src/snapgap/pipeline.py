@@ -24,35 +24,37 @@ Every randomized task derives its own generator from (root seed, task label),
 so the manifest is byte-identical across runs.
 
 The (cohort, subset, family) tasks are independent, so they run in worker
-processes forked from this one, in two passes over one pool: one worker per
-CPU in the process's affinity mask, at most one per unit of the first pass.
-A tree family's CV grid search holds most of a run's work, so such a task
-is split. Each of its folds is a unit of the first pass, which fits the
-grid on that fold (`selection.fold_proba`), and the second pass runs its
-tail: the grid selection from the fold results, the winner's refit,
-calibration, evaluation and importance. Any other task (logistic, split70)
-is one unit of the first pass. With one CPU, where the platform cannot
-fork, or while another thread runs, the same units run here one after
-another, in the same two passes. Where a unit runs cannot change a byte: it
-reads only the labeled panels, which workers inherit through fork, it
-draws only from its task's keyed streams, and its result comes back by
-pickle, which keeps every float bit and dict order. A task sends back its
-manifest entry, and its fitted scorer only when the caller keeps scorers:
-`train_scorers` always does, `run_backtest` unless `keep_scorers` is false,
-as it is for `snapgap backtest` without `--models`. A scorer's model pickles
-without its compiled prediction cache. A task renders its model's flagged
-rows into the model's flagged CSV itself, from the ZIP and year cells of
-the panel it inherited and the probabilities it computed
-(`_flagged_csv`), and sends back those bytes beside its manifest entry.
-The entry, `{"file", "rows", "sha256"}`, names the file and holds its row
-count and the sha256 of its bytes, so the manifest digest covers every
-flagged row through those sha256s, and this process does no per-row work:
-`run_backtest` returns the bytes beside the body, in
-`RunManifest.flagged_csvs`, for the report to write. The results are
-assembled in plan order, not in order of completion. Each unit records its
-warnings, and they are issued in this process in plan order (a split task's
-folds in fold order, then its tail), so they print the same with any worker
-count.
+processes forked from this one, in two fixed passes over one pool: one
+worker per CPU in the process's affinity mask, at most one per unit of the
+larger pass. A tree family's CV grid search holds most of a run's work, so
+such a task is split. The first pass runs the folds of every split task and
+nothing else: each fold is one unit, which fits the grid on that fold
+(`selection.fold_proba`). Their results are gathered per task in fold
+order, so no output depends on the order in which the pass hands them
+out. The second pass runs one unit per task, in plan order: the tail of a
+split task (the grid selection from its fold results, the winner's refit,
+calibration, evaluation and importance), or the whole of any other task
+(logistic, split70), and its outcomes come back in plan order. With one
+CPU, where the platform cannot fork, or while another thread runs, the same
+units run here one after another, in the same two passes. Where a unit
+runs cannot change a byte: it reads only the labeled panels, which workers
+inherit through fork, it draws only from its task's keyed streams, and its
+result comes back by pickle, which keeps every float bit and dict order. A
+task sends back its manifest entry, and its fitted scorer only when the
+caller keeps scorers: `train_scorers` always does, `run_backtest` unless
+`keep_scorers` is false, as it is for `snapgap backtest` without
+`--models`. A scorer's model pickles without its compiled prediction cache.
+A task renders its model's flagged rows into the model's flagged CSV
+itself, from the ZIP and year cells of the panel it inherited and the
+probabilities it computed (`_flagged_csv`), and sends back those bytes
+beside its manifest entry. The entry, `{"file", "rows", "sha256"}`, names
+the file and holds its row count and the sha256 of its bytes, so the
+manifest digest covers every flagged row through those sha256s, and this
+process does no per-row work: `run_backtest` returns the bytes beside the
+body, in `RunManifest.flagged_csvs`, for the report to write. The code that
+runs a unit records its warnings, and they are issued in this process in
+plan order (a split task's folds in fold order, then its tail), so they
+print the same with any worker count.
 """
 from __future__ import annotations
 
@@ -69,7 +71,7 @@ import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Literal
+from typing import Literal, NamedTuple
 
 import numpy as np
 
@@ -284,10 +286,6 @@ class RunManifest:
         return self.body["manifest_digest"]
 
 
-def _model_label(family: str, subset: tuple[str, ...]) -> str:
-    return f"{family}[{'+'.join(subset)}]"
-
-
 def _slug(text: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]+", "_", text).strip("_")
 
@@ -363,17 +361,35 @@ def _stratified_split(y: np.ndarray, train_frac: float, rng) -> tuple[np.ndarray
     return np.sort(np.concatenate(train_parts)), np.sort(np.concatenate(test_parts))
 
 
+class _Task(NamedTuple):
+    """One (cohort, subset, family) task of a plan, with its cohort's
+    training and test row indices and training prevalence."""
+
+    cohort: str
+    subset: tuple[str, ...]
+    family: str
+    p1_rows: np.ndarray
+    p2_rows: np.ndarray
+    prevalence: float
+
+    @property
+    def model(self) -> str:
+        """The model's name in its cohort, such as `logistic[pct_no_vehicle]`."""
+        return f"{self.family}[{'+'.join(self.subset)}]"
+
+    @property
+    def label(self) -> str:
+        """The task's name in the run, such as `All/logistic[pct_no_vehicle]`."""
+        return f"{self.cohort}/{self.model}"
+
+
 def _fit_task(
     cfg: BacktestConfig,
-    cohort: str,
-    subset: tuple[str, ...],
-    family: str,
+    task: _Task,
     p1_panel: LabeledPanel,
-    p1_rows: np.ndarray,
-    p1_prevalence: float,
     fold_results: tuple[np.ndarray, list[list]] | None = None,
 ) -> tuple[CalibratedScorer, dict]:
-    """Train one (cohort, subset, family) scorer on early-period rows only.
+    """Train `task`'s scorer on early-period rows only.
 
     Under CV selection, `fold_results`, when given, holds the out-of-fold
     matrix the task's fold units filled and what their `fold_proba` calls
@@ -383,9 +399,9 @@ def _fit_task(
     winner's refit or every grid candidate fails to converge; either fails
     this task alone.
     """
-    label = f"{cohort}/{_model_label(family, subset)}"
+    cohort, subset, family = task.cohort, task.subset, task.family
     seed = cfg.seed
-    fm = _task_matrix(p1_panel, p1_rows, subset)
+    fm = _task_matrix(p1_panel, task.p1_rows, subset)
     n_pos = int(fm.y.sum())
     if n_pos == 0 or n_pos == fm.n:
         raise InsufficientCohort(
@@ -420,7 +436,7 @@ def _fit_task(
         cal_holdout = apply_isotonic(iso, oof)
         holdout_y = fm.y
     else:
-        rng = derive_rng(seed, STREAM_SPLIT, stream_id(label))
+        rng = derive_rng(seed, STREAM_SPLIT, stream_id(task.label))
         train_idx, test_idx = _stratified_split(fm.y, 0.70, rng)
         if fm.y[train_idx].sum() == 0 or fm.y[test_idx].sum() == 0:
             raise InsufficientCohort(
@@ -436,7 +452,7 @@ def _fit_task(
         holdout_y = fm.y[test_idx]
 
     if cfg.decision == DECISION_PREVALENCE:
-        rule = prevalence_threshold(p1_prevalence)
+        rule = prevalence_threshold(task.prevalence)
     else:
         rule = youden_threshold(np.asarray(cal_holdout), holdout_y)
     detail["rule"] = plain(rule)
@@ -506,24 +522,21 @@ def _flagged_csv(zips: np.ndarray, years: np.ndarray, probs: np.ndarray) -> byte
 
 def _evaluate_task(
     cfg: BacktestConfig,
-    cohort: str,
-    subset: tuple[str, ...],
-    family: str,
+    task: _Task,
     scorer: CalibratedScorer,
     detail: dict,
     p2_panel: LabeledPanel,
-    p2_rows: np.ndarray,
 ) -> tuple[dict, bytes]:
-    """`detail` with the task's late-period evaluation, and the bytes of its
+    """`detail` with `task`'s late-period evaluation, and the bytes of its
     flagged CSV, which `detail["flagged"]` names and digests."""
-    label = _model_label(family, subset)
+    cohort, p2_rows = task.cohort, task.p2_rows
     if not p2_rows.size:
         raise InsufficientCohort(f"cohort {cohort!r}: no labeled test rows")
-    X2, y2 = _matrix(p2_panel, p2_rows, subset)
+    X2, y2 = _matrix(p2_panel, p2_rows, task.subset)
     scores = scorer.model.predict_proba(X2)
     calibrated = scorer.calibrate(scores)
     try:
-        report = evaluate(calibrated, y2, scorer.rule, cohort=cohort, model=label)
+        report = evaluate(calibrated, y2, scorer.rule, cohort=cohort, model=task.model)
     except CohortError as exc:
         raise InsufficientCohort(f"cohort {cohort!r}: {exc}") from exc
     detail["eval"] = plain(report)
@@ -535,7 +548,7 @@ def _evaluate_task(
     order = _flagged_order(zips, years, probs)
     flagged = _flagged_csv(zips[order], years[order], probs[order])
     detail["flagged"] = {
-        "file": model_file("flagged", cohort, label),
+        "file": model_file("flagged", cohort, task.model),
         "rows": len(rows),
         "sha256": sha256(flagged).hexdigest(),
     }
@@ -625,11 +638,11 @@ def _cohorts(cfg: BacktestConfig) -> list[str]:
 
 def _plan_tasks(
     cfg: BacktestConfig, p1_panel: LabeledPanel, p2_panel: LabeledPanel | None = None
-) -> tuple[list[tuple], dict[str, str]]:
-    """The flat (cohort, subset, family) task list in manifest order, each
-    task carrying its cohort's training and test row indices (none without a
-    test panel) and training prevalence; plus the error of every cohort with
-    nothing to train on. Results assemble independently of execution order.
+) -> tuple[list[_Task], dict[str, str]]:
+    """The flat task list in manifest order, each task carrying its cohort's
+    training and test row indices (none without a test panel) and training
+    prevalence; plus the error of every cohort with nothing to train on.
+    Results assemble independently of execution order.
 
     Training thresholds are always fitted, so a cohort with a labeled row
     has its own prevalence."""
@@ -645,17 +658,8 @@ def _plan_tasks(
         p2_rows = no_rows if p2_panel is None else _cohort_rows(p2_panel, cohort)
         for subset in cfg.subsets():
             for family in cfg.families:
-                tasks.append((cohort, subset, family, p1_rows, p2_rows, prevalence))
+                tasks.append(_Task(cohort, subset, family, p1_rows, p2_rows, prevalence))
     return tasks, cohort_errors
-
-
-def _recording_warnings(fn) -> tuple:
-    """`fn()`, and every warning it raised, as (message, category,
-    filename, lineno), for `_reissue_warnings`."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = fn()
-    return result, [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
 
 
 # A task's outcome: its scorer (None unless the run keeps scorers), its
@@ -664,62 +668,57 @@ def _recording_warnings(fn) -> tuple:
 _Outcome = tuple[CalibratedScorer | None, dict, bytes | None] | str
 
 
-def _task_outcome(
-    state: tuple, i: int, fold_errors: list[list] | None = None
-) -> tuple[_Outcome, list[tuple]]:
+def _task_outcome(state: tuple, i: int, fold_errors: list[list] | None = None) -> _Outcome:
     """Task `i` of the plan in `state` = (cfg, tasks, p1_panel, p2_panel,
     keep_scorers, oof), whole, or, given what its fold units returned in
     fold order, its tail, which reads their predictions from `oof[i]`: its
     scorer, or None unless `keep_scorers`, its manifest entry (the fit
     alone without a test panel) and its flagged CSV, or the message of the
-    `CohortError` or `NonConvergence` that failed it; and its warnings (see
-    `_recording_warnings`)."""
+    `CohortError` or `NonConvergence` that failed it."""
     cfg, tasks, p1_panel, p2_panel, keep_scorers, oof = state
-    cohort, subset, family, p1_rows, p2_rows, prevalence = tasks[i]
     fold_results = None if fold_errors is None else (oof[i], fold_errors)
-
-    def outcome():
-        try:
-            scorer, detail = _fit_task(
-                cfg, cohort, subset, family, p1_panel, p1_rows, prevalence, fold_results
-            )
-            flagged = None
-            if p2_panel is not None:
-                detail, flagged = _evaluate_task(
-                    cfg, cohort, subset, family, scorer, detail, p2_panel, p2_rows
-                )
-            return scorer if keep_scorers else None, detail, flagged
-        except (CohortError, NonConvergence) as exc:
-            return str(exc)
-
-    return _recording_warnings(outcome)
+    try:
+        scorer, detail = _fit_task(cfg, tasks[i], p1_panel, fold_results)
+        flagged = None
+        if p2_panel is not None:
+            detail, flagged = _evaluate_task(cfg, tasks[i], scorer, detail, p2_panel)
+        return scorer if keep_scorers else None, detail, flagged
+    except (CohortError, NonConvergence) as exc:
+        return str(exc)
 
 
-def _fold_outcome(state: tuple, i: int, k: int) -> tuple[list | None, list[tuple]]:
+def _fold_outcome(state: tuple, i: int, k: int) -> list | None:
     """Fold `k` of task `i` of the plan in `state` (see `_task_outcome`):
     `fold_proba` of the task's grid on that fold, which writes to `oof[i]`,
     or None when the task's rows cannot fill its folds, an error its tail
-    raises again; and its warnings."""
+    raises again."""
     cfg, tasks, p1_panel, *_, oof = state
-    _, subset, family, p1_rows, *_ = tasks[i]
+    task = tasks[i]
+    fm = _task_matrix(p1_panel, task.p1_rows, task.subset)
+    try:
+        val = stratified_folds(fm.y, cfg.folds, cfg.seed)[k]
+    except CohortError:
+        return None
+    return fold_proba(fm, task.family, cfg.family_grids()[task.family], val, cfg.seed, oof[i])
 
-    def outcome():
-        fm = _task_matrix(p1_panel, p1_rows, subset)
-        try:
-            val = stratified_folds(fm.y, cfg.folds, cfg.seed)[k]
-        except CohortError:
-            return None
-        return fold_proba(fm, family, cfg.family_grids()[family], val, cfg.seed, oof[i])
 
-    return _recording_warnings(outcome)
+def _run_unit(fn: str, state: tuple, unit: tuple) -> tuple:
+    """The result of the unit function named `fn` on `state` and `unit`,
+    and every warning it raised, as (message, category, filename, lineno),
+    for `_reissue_warnings`. The function is the module global of that name
+    in the process that runs the unit, looked up as the unit runs."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = globals()[fn](state, *unit)
+    return result, [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
 
 
 def _reissue_warnings(results: Iterator[tuple]) -> Iterator[_Outcome]:
-    """The outcome of each `_task_outcome` result, after issuing in this
+    """The outcome of each (outcome, warnings) result, after issuing in this
     process, under its filters, each of the result's warnings that no earlier
     result raised. A warning is issued at the file and line that raised it,
     from the module loaded from that file, once per run, whichever process
-    ran the tasks that raised it."""
+    ran the units that raised it."""
     issued = set()
     for outcome, caught in results:
         for warning in caught:
@@ -735,21 +734,22 @@ def _reissue_warnings(results: Iterator[tuple]) -> Iterator[_Outcome]:
         yield outcome
 
 
-def _first_pass(cfg: BacktestConfig, tasks: list[tuple]) -> list[tuple[int, int | None]]:
-    """The first pass's units, in plan order: (i, k) for fold k of task i
-    when the task is a tree family's CV grid search, (i, None) for any other
-    task, which runs whole."""
-    units: list[tuple[int, int | None]] = []
-    for i, (_, _, family, *_) in enumerate(tasks):
-        if cfg.selection == SELECTION_CV and family in TREE_FAMILIES:
-            units.extend((i, k) for k in range(cfg.folds))
-        else:
-            units.append((i, None))
-    return units
+def _first_pass(cfg: BacktestConfig, tasks: list[_Task]) -> list[tuple[int, int]]:
+    """The first pass's units: (i, k) for fold k of task i, for each task
+    that is a tree family's CV grid search. Empty under split70 selection
+    or without a tree family. No output depends on their order."""
+    if cfg.selection != SELECTION_CV:
+        return []
+    return [
+        (i, k)
+        for i, task in enumerate(tasks)
+        if task.family in TREE_FAMILIES
+        for k in range(cfg.folds)
+    ]
 
 
 def _shared_oof(
-    cfg: BacktestConfig, tasks: list[tuple], units: list[tuple[int, int | None]]
+    cfg: BacktestConfig, tasks: list[_Task], units: list[tuple[int, int]]
 ) -> dict[int, np.ndarray]:
     """For each task split into folds, its out-of-fold matrix (grid
     candidates x training rows), all on one anonymous shared mapping.
@@ -759,9 +759,7 @@ def _shared_oof(
     When workers run the units, this process never touches its pages, so no
     fold's predictions are pickled, sent or held here."""
     shapes = {
-        i: (len(cfg.family_grids()[tasks[i][2]]), len(tasks[i][3]))
-        for i, k in units
-        if k is not None
+        i: (len(cfg.family_grids()[tasks[i].family]), len(tasks[i].p1_rows)) for i, _ in units
     }
     if not shapes:
         return {}
@@ -774,44 +772,27 @@ def _shared_oof(
     }
 
 
-def _run_unit(state: tuple, unit: tuple) -> tuple:
-    """Unit (i, part) of a pass: fold `part` of task `i` when `part` is a
-    fold number, else `_task_outcome(state, i, part)`, the whole task or
-    the tail given what its folds returned."""
-    i, part = unit
-    if isinstance(part, int):
-        return _fold_outcome(state, i, part)
-    return _task_outcome(state, i, part)
-
-
-def _in_plan_order(
-    units: list[tuple[int, int | None]], run
+def _two_passes(
+    units: list[tuple[int, int]], n_tasks: int, run
 ) -> Iterator[tuple[_Outcome, list[tuple]]]:
-    """Each task's outcome and warnings, in plan order, as they arrive,
-    where `run(units)` gives the results of `units` in order.
+    """Each task's outcome and warnings, in plan order, where `run(fn,
+    batch)` gives the results of `_run_unit(fn, state, unit)` for the units
+    of `batch`, in order.
 
-    The first pass runs `units`; the second runs the tail of each task
-    split into folds, given what its folds returned, in fold order. A split
-    task's warnings are its folds', in fold order, then its tail's."""
-    ready: dict[int, tuple] = {}
+    The first pass runs `_fold_outcome` on the fold `units`, and their
+    results are gathered per task in fold order. The second runs
+    `_task_outcome` on one unit per task, in plan order: the tail of a task
+    split into folds, given what its folds returned, or else the whole task.
+    A split task's warnings are its folds', in fold order, then its tail's."""
     fold_errors: dict[int, list] = {}
     fold_warnings: dict[int, list[tuple]] = {}
-    next_task = 0
-    for (i, k), (result, caught) in zip(units, run(units), strict=True):
-        if k is None:
-            ready[i] = result, caught
-        else:
-            fold_errors.setdefault(i, []).append(result)
-            fold_warnings.setdefault(i, []).extend(caught)
-        while next_task in ready:
-            yield ready.pop(next_task)
-            next_task += 1
-    tails = list(fold_errors.items())
-    for (i, _), (outcome, caught) in zip(tails, run(tails), strict=True):
-        ready[i] = outcome, fold_warnings.pop(i) + caught
-        while next_task in ready:
-            yield ready.pop(next_task)
-            next_task += 1
+    results = zip(units, run("_fold_outcome", units), strict=True)
+    for (i, _), (result, caught) in sorted(results, key=lambda pair: pair[0]):
+        fold_errors.setdefault(i, []).append(result)
+        fold_warnings.setdefault(i, []).extend(caught)
+    tails = [(i, fold_errors[i]) if i in fold_errors else (i,) for i in range(n_tasks)]
+    for i, (outcome, caught) in enumerate(run("_task_outcome", tails)):
+        yield outcome, fold_warnings.get(i, []) + caught
 
 
 # Set by `_init_worker` in each worker process, never in the parent.
@@ -823,21 +804,22 @@ def _init_worker(state: tuple, running) -> None:
     _worker_state = state, running
 
 
-def _worker_unit(j: int, unit: tuple) -> tuple:
-    """`_run_unit` of `unit`, with `running[j]` set while it runs, so the
-    parent can name the task of a worker that dies."""
+def _worker_unit(fn: str, j: int, unit: tuple) -> tuple:
+    """`_run_unit` of `fn` on `unit`, with `running[j]` set while it runs,
+    so the parent can name the task of a worker that dies."""
     state, running = _worker_state
     running[j] = 1
-    outcome = _run_unit(state, unit)
+    result = _run_unit(fn, state, unit)
     running[j] = 0
-    return outcome
+    return result
 
 
 def _pool_size(n_units: int) -> int:
-    """Worker processes for a first pass of `n_units` units: one per CPU in
-    this process's affinity mask, at most one per unit. 1 (run in-process)
-    where the platform has no fork or no affinity mask, or while another
-    thread runs, since a forked child keeps only the thread that forked it."""
+    """Worker processes for passes of at most `n_units` units: one per CPU
+    in this process's affinity mask, at most one per unit of the larger
+    pass. 1 (run in-process) where the platform has no fork or no affinity
+    mask, or while another thread runs, since a forked child keeps only the
+    thread that forked it."""
     if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
     if threading.active_count() > 1:
@@ -847,27 +829,33 @@ def _pool_size(n_units: int) -> int:
 
 def _task_outcomes(
     cfg: BacktestConfig,
-    tasks: list[tuple],
+    tasks: list[_Task],
     p1_panel: LabeledPanel,
     p2_panel: LabeledPanel | None = None,
     keep_scorers: bool = True,
 ) -> Iterator[_Outcome]:
-    """Each task's outcome (see `_task_outcome`), in plan order, as the
-    results arrive, each after its warnings (see `_reissue_warnings`).
+    """Each task's outcome (see `_task_outcome`), in plan order, each after
+    its warnings (see `_reissue_warnings`).
 
-    Tasks run in two passes over one pool of forked workers (see the module
-    docstring), which inherit the panels and the shared out-of-fold
-    matrices through fork, so only units, their errors and outcomes are
-    pickled. With one worker the same passes run in this process through the
-    built-in `map`, and the pool modules are not imported. Any other
-    exception a unit raises is raised here; a worker that dies raises
-    `WorkerDied`.
+    The units run in two fixed passes (see `_two_passes` and the module
+    docstring): every fold of every tree family's CV grid search, then one
+    unit per task in plan order. Both passes run on one pool of forked
+    workers, sized by the larger pass, which inherit the panels and the
+    shared out-of-fold matrices through fork, so only units, their errors
+    and outcomes are pickled. With one worker the same passes run in this
+    process through the built-in `map`, and the pool modules are not
+    imported. Any other exception a unit raises is raised here; a worker
+    that dies raises `WorkerDied`.
     """
     units = _first_pass(cfg, tasks)
     state = (cfg, tasks, p1_panel, p2_panel, keep_scorers, _shared_oof(cfg, tasks, units))
-    workers = _pool_size(len(units))
+    workers = _pool_size(max(len(units), len(tasks)))
     if workers < 2:
-        yield from _reissue_warnings(_in_plan_order(units, partial(map, partial(_run_unit, state))))
+
+        def run(fn, batch):
+            return map(partial(_run_unit, fn, state), batch)
+
+        yield from _reissue_warnings(_two_passes(units, len(tasks), run))
         return
 
     import multiprocessing
@@ -876,24 +864,20 @@ def _task_outcomes(
 
     context = multiprocessing.get_context("fork")
     owners: list[int] = []  # the task of each unit submitted, by unit number
-    running = context.RawArray("b", len(units) + len(tasks))  # at most one tail per task
+    running = context.RawArray("b", len(units) + len(tasks))
     with ProcessPoolExecutor(
         workers, mp_context=context, initializer=_init_worker, initargs=(state, running)
     ) as pool:
 
-        def run(batch):
+        def run(fn, batch):
             start = len(owners)
-            owners.extend(i for i, _ in batch)
-            return pool.map(_worker_unit, range(start, len(owners)), batch)
+            owners.extend(i for i, *_ in batch)
+            return pool.map(partial(_worker_unit, fn), range(start, len(owners)), batch)
 
         try:
-            yield from _reissue_warnings(_in_plan_order(units, run))
+            yield from _reissue_warnings(_two_passes(units, len(tasks), run))
         except BrokenProcessPool as exc:
-            labels = dict.fromkeys(
-                f"{cohort}/{_model_label(family, subset)}"
-                for (cohort, subset, family, *_), flag in zip((tasks[i] for i in owners), running)
-                if flag
-            )
+            labels = dict.fromkeys(tasks[i].label for i, flag in zip(owners, running) if flag)
             raise WorkerDied(
                 f"a worker process exited abruptly while running {' or '.join(labels)}"
                 if labels
@@ -912,13 +896,11 @@ def train_scorers(cfg: BacktestConfig, panel: Panel) -> dict[tuple[str, str], Ca
 
     scorers: dict[tuple[str, str], CalibratedScorer] = {}
     errors = list(cohort_errors.values())
-    for outcome, (cohort, subset, family, *_) in zip(
-        _task_outcomes(cfg, tasks, p1_panel), tasks, strict=True
-    ):
+    for outcome, task in zip(_task_outcomes(cfg, tasks, p1_panel), tasks, strict=True):
         if isinstance(outcome, str):
             errors.append(outcome)
             continue
-        scorers[(cohort, _model_label(family, subset))] = outcome[0]
+        scorers[(task.cohort, task.model)] = outcome[0]
     if not scorers:
         raise InsufficientCohort("; ".join(sorted(set(errors))) or "nothing to train")
     return scorers
@@ -970,19 +952,19 @@ def run_backtest(
     flagged_csvs: dict[str, bytes] = {}
     cohort_models: dict[str, dict] = {c: {} for c in _cohorts(cfg)}
     errors = list(cohort_errors.values())
-    for outcome, (cohort, subset, family, *_) in zip(
+    for outcome, task in zip(
         _task_outcomes(cfg, tasks, p1_panel, p2_panel, keep_scorers), tasks, strict=True
     ):
-        label = _model_label(family, subset)
+        models = cohort_models[task.cohort]
         if isinstance(outcome, str):
-            cohort_models[cohort][label] = {"error": outcome}
+            models[task.model] = {"error": outcome}
             errors.append(outcome)
             continue
         scorer, detail, flagged = outcome
         flagged_csvs[detail["flagged"]["file"]] = flagged
         if keep_scorers:
-            scorers[(cohort, label)] = scorer
-        cohort_models[cohort][label] = detail
+            scorers[(task.cohort, task.model)] = scorer
+        models[task.model] = detail
     if all("error" in entry for models in cohort_models.values() for entry in models.values()):
         raise InsufficientCohort(f"every cohort failed: {'; '.join(sorted(set(errors)))}")
 

@@ -665,8 +665,8 @@ def test_validation_error_in_a_worker_exits_2(tmp_path, small_panel, monkeypatch
 def test_cohort_error_in_a_worker_exits_3(tmp_path, small_panel, monkeypatch, capsys):
     run_tasks_in_workers(monkeypatch)
 
-    def single_class(cfg, cohort, *args):
-        raise SingleClass(f"cohort {cohort!r}: one class in a worker")
+    def single_class(cfg, task, *args):
+        raise SingleClass(f"cohort {task.cohort!r}: one class in a worker")
 
     monkeypatch.setattr(pipeline, "_fit_task", single_class)
     code = main(["backtest", "--panel", str(small_panel), *SMALL_RUN, "--out", str(tmp_path / "run")])

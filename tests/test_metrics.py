@@ -362,9 +362,14 @@ class TestBatchedImportance:
         assert got == per_repeat_importance(model, X, y, "ap", 5, seed=9)
         assert report.features[2].delta_auc == 0.0  # no tree splits on c
 
-    @pytest.mark.parametrize("model", ["deep_2", "deep_3", "random_forest", "gradient_boosting"])
+    @pytest.mark.parametrize(
+        "model", ["deep_2", "deep_3", "random_forest", "gradient_boosting", "logistic"]
+    )
     def test_permuted_proba_is_predict_proba_bit_for_bit(self, model):
-        model = deep_forest(int(model[-1])) if model.startswith("deep") else hand_built(model)
+        if model.startswith("deep"):
+            model = deep_forest(int(model[-1]))
+        else:
+            model = fitted_model(model) if model == "logistic" else hand_built(model)
         rng = np.random.default_rng(8)
         X = rng.choice([-1.0, -0.5, -0.0, 0.0, 0.3, 0.5, 1.0, np.nan], size=(70, 3))
         perms = np.array([[rng.permutation(70) for _ in range(3)] for _ in range(3)])

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import ensemble_walk_score, fit_tree_ensemble_reference, grow_tree_reference, tree_walk
-from snapgap.errors import InvalidParams, SingleClass
+from snapgap.errors import InvalidParams, SingleClass, ValidationError
 from snapgap.metrics import roc_auc
 from snapgap.models import (
     EnsembleParams,
@@ -478,3 +478,34 @@ class TestSerialization:
         clone = model_from_dict(model_to_dict(model))
         X_test = rng.normal(size=(25, 2))
         assert np.array_equal(model.predict_proba(X_test), clone.predict_proba(X_test))
+
+    @pytest.mark.parametrize(
+        "left,right",
+        [
+            ((1, 3, -1, -1, -1), (2, 4, -1, -1, -1)),
+            ((1, 0, -1, -1, -1), (4, 3, -1, -1, -1)),
+            ((1, 2, -1, -1, -1), (5, 3, -1, -1, -1)),
+        ],
+        ids=["breadth_first", "child_cycle", "child_out_of_range"],
+    )
+    def test_tree_nodes_out_of_preorder_are_refused(self, rng, left, right):
+        # leaf masks number leaves in node order, so a tree file must list
+        # its nodes in preorder: a root, a split on its left, three leaves
+        fm = xor_panel(rng, n=150)
+        model = fit_tree_ensemble(fm, EnsembleParams(kind="random_forest", n_trees=2, seed=17))
+        data = json.loads(json.dumps(model_to_dict(model)))
+        clone = model_from_dict(data)
+        assert clone.trees == model.trees
+        data["trees"][0] = {
+            "feature": [0, 1, -1, -1, -1],
+            "threshold": [0.0, 0.5, None, None, None],
+            "left": [1, 2, -1, -1, -1],
+            "right": [4, 3, -1, -1, -1],
+            "value": [None, None, 0.2, 0.4, 0.6],
+        }
+        preorder = model_from_dict(data)
+        X = np.array([[-1.0, 0.0], [-1.0, 1.0], [1.0, 0.0]])
+        assert np.array_equal(preorder.trees[0].predict(X), [0.2, 0.4, 0.6])
+        data["trees"][0].update(left=list(left), right=list(right))
+        with pytest.raises(ValidationError, match="not in preorder"):
+            model_from_dict(data)

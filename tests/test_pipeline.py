@@ -424,6 +424,41 @@ class TestWorkerPool:
         assert len(mixed) == 6
         assert all("minimum feasible folds: 7" in d["error"] for d in mixed.values())
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_first_pass_order_changes_nothing(self, synth_panel, monkeypatch, workers):
+        # fold units handed out in reverse give the same manifest, flagged
+        # CSVs and warnings: their results are gathered in fold order
+        records, _ = synth_panel
+        predictors = records.predictors.copy()
+        predictors[:, PREDICTOR_FIELDS.index("pct_hs_only")] = 30.0
+        panel = dataclasses.replace(records, predictors=predictors)
+        fold_proba, first_pass = pipeline.fold_proba, pipeline._first_pass
+
+        def announced(fm, family, grid, val, *args):
+            warnings.warn(f"{family}[{'+'.join(fm.feature_names)}] fold from row {val[0]}")
+            return fold_proba(fm, family, grid, val, *args)
+
+        monkeypatch.setattr(pipeline, "fold_proba", announced)
+        pool_size(monkeypatch, workers)
+        cfg = fast_cfg(
+            feature_subsets=self.SUBSETS, families=("logistic", "random_forest", "gradient_boosting")
+        )
+        runs = []
+        for order in (list, reversed):
+            def ordered(cfg, tasks, order=order):
+                return list(order(first_pass(cfg, tasks)))
+
+            monkeypatch.setattr(pipeline, "_first_pass", ordered)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                manifest = run_backtest(cfg, panel)
+            messages = [str(w.message) for w in caught]
+            runs.append((json_text(manifest.body), manifest.flagged_csvs, messages))
+        assert runs[0] == runs[1]
+        messages = runs[0][2]
+        assert sum("fold from row" in m for m in messages) == 4 * cfg.folds
+        assert any("constant feature" in m for m in messages)
+
     def test_one_forest_task_uses_two_workers(self, synth_panel, monkeypatch):
         # the first two fold units wait for each other, so they must run at
         # once, in two processes
@@ -483,7 +518,7 @@ class TestDroppedScorers:
                 path.unlink()
             assert sorted(sent) == [f"{keep}-{i}" for keep in (False, True) for i in range(4)]
             for i in range(4):
-                (scorer, detail, flagged), _ = pickle.loads(sent[f"False-{i}"])
+                scorer, detail, flagged = pickle.loads(sent[f"False-{i}"])
                 assert scorer is None and "eval" in detail
                 assert sha256(flagged).hexdigest() == detail["flagged"]["sha256"]
                 assert b"CalibratedScorer" not in sent[f"False-{i}"]
