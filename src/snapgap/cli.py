@@ -12,12 +12,13 @@ reads those CSVs beside the manifest and writes them unchanged. A YAML config
 supplies settings; any key can be overridden with repeated `--set key=value`
 flags (values parsed as YAML). Every command checks every key first (see
 `config`): an unknown key, a value of the wrong type, or one out of range,
-exits 2 before any work. So does `report`, before writing anything, on a
-file that is not a manifest it can render: not UTF-8 JSON, another format,
-a part the renderers read missing or of the wrong type, a body that does
-not hash to its `manifest_digest` (edited after the run), or a flagged CSV
-that does not hash to its recorded sha256 or holds another row count; and
-it exits 4 when a flagged CSV is missing. Exit codes: 0 ok,
+exits 2 before any work, and so does an unknown `--formats` name. So does
+`report`, before writing anything, on a file that is not a manifest it can
+render: not UTF-8 JSON, another format, a part the renderers read missing or
+of the wrong type, a body that does not hash to its `manifest_digest`
+(edited after the run), or a flagged CSV that does not hash to its recorded
+sha256 or holds another row count; and it exits 4 when a flagged CSV is
+missing. Exit codes: 0 ok,
 2 validation error, 3 insufficient cohort, 4 I/O failure, 5 a run that
 failed on valid input (a worker process died, a fit did not converge).
 """
@@ -40,8 +41,8 @@ from .ingest import (
 from .labeling import build_labels, fit_uptake_ols, write_labeled_panel
 from .jsonio import load_json, save_json
 from .models import scorer_to_dict
-from .pipeline import run_backtest, sha256, train_scorers
-from .report import ALL_FORMATS, emit_report, flagged_csvs, manifest_body
+from .pipeline import model_file, run_backtest, sha256, train_scorers
+from .report import ALL_FORMATS, check_formats, emit_report, flagged_csvs, manifest_body
 from .synth import generate_synthetic
 
 EXIT_OK = 0
@@ -83,11 +84,18 @@ def _load_panel(settings: Settings, panel: str, crosswalk: str | None = None):
     return panel, rejects, digests
 
 
+def _formats(args) -> list[str]:
+    """The report formats `--formats` names, every one by default. An
+    unknown format is a validation error, raised before any work."""
+    formats = args.formats.split(",") if args.formats else list(ALL_FORMATS)
+    check_formats(formats)
+    return formats
+
+
 def _write_scorers(scorers: dict, outdir: Path) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
     for (cohort, label), scorer in sorted(scorers.items()):
-        name = f"model_{cohort}_{label}".replace("[", "_").replace("]", "").replace("+", "-")
-        save_json(scorer_to_dict(scorer), outdir / f"{name}.json")
+        save_json(scorer_to_dict(scorer), outdir / model_file("model", cohort, label, ".json"))
 
 
 def cmd_ingest(args) -> int:
@@ -129,12 +137,12 @@ def cmd_train(args) -> int:
 
 def cmd_backtest(args) -> int:
     settings = _load_merged_config(args)
+    formats = _formats(args)
     panel, _, digests = _load_panel(settings, args.panel, args.crosswalk)
     manifest = run_backtest(
         settings.backtest, panel, input_digests=digests, keep_scorers=args.models
     )
     outdir = Path(args.out)
-    formats = args.formats.split(",") if args.formats else list(ALL_FORMATS)
     written = emit_report(manifest.body, formats, outdir, manifest.flagged_csvs)
     if args.models:
         _write_scorers(manifest.scorers, outdir / "models")
@@ -154,6 +162,7 @@ def cmd_synth(args) -> int:
 
 def cmd_report(args) -> int:
     _load_merged_config(args)  # a report takes no setting, but a bad key is still an error
+    formats = _formats(args)
     try:
         data = load_json(args.manifest)
     except OSError as exc:
@@ -165,7 +174,6 @@ def cmd_report(args) -> int:
         csvs = flagged_csvs(body, Path(args.manifest).parent)
     except ValidationError as exc:
         raise ValidationError(f"cannot render {args.manifest}: {exc}") from exc
-    formats = args.formats.split(",") if args.formats else list(ALL_FORMATS)
     written = emit_report(body, formats, Path(args.out), csvs)
     print(f"wrote {len(written)} report files -> {args.out}")
     return EXIT_OK

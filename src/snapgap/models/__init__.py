@@ -38,47 +38,6 @@ from .selection import (
     cv_grid_search,
     fit_family,
     fold_proba,
-    out_of_fold_proba,
     stratified_folds,
 )
 from .tree import DecisionTree, grow_tree
-
-__all__ = [
-    "CalibratedScorer",
-    "CvGridResult",
-    "DecisionTree",
-    "DEFAULT_GRIDS",
-    "EnsembleParams",
-    "FAMILIES",
-    "FAMILY_BOOSTING",
-    "FAMILY_FOREST",
-    "FAMILY_LOGISTIC",
-    "FeatureMatrix",
-    "GridEntry",
-    "KIND_BOOSTING",
-    "KIND_FOREST",
-    "LogisticModel",
-    "MODEL_FORMAT",
-    "Standardization",
-    "TREE_FAMILIES",
-    "TreeEnsembleModel",
-    "WEIGHTING_BALANCED",
-    "WEIGHTING_NONE",
-    "check_candidate",
-    "cv_grid_search",
-    "fit_family",
-    "fit_logistic",
-    "fit_tree_ensemble",
-    "fold_proba",
-    "grow_tree",
-    "model_from_dict",
-    "model_to_dict",
-    "out_of_fold_proba",
-    "penalized_loss_grad",
-    "sample_weights",
-    "scorer_from_dict",
-    "scorer_to_dict",
-    "sigmoid",
-    "standardize",
-    "stratified_folds",
-]

@@ -44,7 +44,6 @@ from .tree import (
     grow_tree,
     lowest_slots,
     rank_columns,
-    state_without_caches,
 )
 
 KIND_FOREST = "random_forest"
@@ -94,7 +93,13 @@ class TreeEnsembleModel:
         return tuple(map(LeafMasks, self.trees))
 
     def __getstate__(self) -> dict:
-        return state_without_caches(self)
+        """The fields, without the compiled `_flat` and `_masks` caches: they
+        are bigger than the node tuples they are compiled from, and the next
+        call that needs one after unpickling compiles it again."""
+        state = self.__dict__.copy()
+        state.pop("_flat", None)
+        state.pop("_masks", None)
+        return state
 
     def _checked(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -134,8 +139,7 @@ class TreeEnsembleModel:
         n, d = X.shape
         if perms.ndim != 3 or perms.shape[0] != d or perms.shape[2] != n:
             raise FeatureMismatch(f"expected ({d}, repeats, {n}) permutations, got {perms.shape}")
-        ranks = rank_columns(X)
-        uniques = [np.unique(column) for column in X.T]
+        ranks, uniques = rank_columns(X)
         forest = self.kind == KIND_FOREST
         out = np.full((d, perms.shape[1], n), 0.0 if forest else self.base_score)
         for masks in self._masks:
@@ -195,7 +199,7 @@ def fit_tree_ensemble(fm: FeatureMatrix, params: EnsembleParams) -> TreeEnsemble
     max_features = _resolve_max_features(params, d)
 
     if params.kind == KIND_FOREST:
-        ranks = rank_columns(X)
+        ranks, _ = rank_columns(X)
         trees = []
         for i in range(params.n_trees):
             rng = derive_rng(params.seed, STREAM_TREE, i)

@@ -217,31 +217,6 @@ def fold_proba(
     return errors
 
 
-def out_of_fold_proba(
-    fm: FeatureMatrix,
-    family: str,
-    params: dict,
-    fold_idx: list[np.ndarray],
-    seed: int,
-    prefixes: Sequence[int] | None = None,
-) -> np.ndarray:
-    """Held-out predictions for every row, each from the fit on the other folds.
-
-    With `prefixes`, tree counts no larger than the fitted one, the result
-    has one row per count instead: row i holds the predictions of the first
-    prefixes[i] trees of each fold's fit. Tree i does not depend on the
-    ensemble size, so these equal the predictions of a fit of that size.
-    Raises the `NonConvergence` of the first fold whose fit fails.
-    """
-    candidates = [params] if prefixes is None else [{**params, "n_trees": k} for k in prefixes]
-    proba = np.empty((len(candidates), fm.n))
-    for val in fold_idx:
-        for error in fold_proba(fm, family, candidates, val, seed, proba):
-            if error is not None:
-                raise error
-    return proba[0] if prefixes is None else proba
-
-
 def cv_grid_search(
     fm: FeatureMatrix,
     family: str,

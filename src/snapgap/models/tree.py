@@ -23,12 +23,13 @@ column's dense ranks follow value order and give equal values one rank, so a
 stable sort of the ranks of any selection of rows is the stable float sort of
 those rows' values, and uint16 ranks sort in O(n) by radix.
 
-A grown tree is immutable: five preorder node tuples (feature, threshold,
-left, right, value), which is also its serialized form. For prediction the
-tuples are compiled once into `FlatTrees`, numpy node arrays that can hold
-many trees end to end. In the compiled layout a leaf points both child slots
-at itself, so a row that reaches a leaf stays there: every row takes exactly
-`depth` steps, with no per-step bookkeeping of which rows are still moving.
+A grown tree is an immutable record: five preorder node tuples (feature,
+threshold, left, right, value), which is also its serialized form, and no
+traversal of its own. For prediction an ensemble compiles its trees' tuples
+once into `FlatTrees`, numpy node arrays laid end to end. In the compiled
+layout a leaf points both child slots at itself, so a row that reaches a leaf
+stays there: every row takes exactly `depth` steps, with no per-step
+bookkeeping of which rows are still moving.
 A step reads the row's feature from the flattened input matrix, compares it
 with the node's threshold (`x <= threshold` goes left; NaN compares false and
 goes right) and gathers the child index.
@@ -58,7 +59,6 @@ the fold and calibration predictions of a run would pay for nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 from typing import Iterator, Sequence
 
@@ -100,31 +100,6 @@ class DecisionTree:
 
     def __hash__(self) -> int:
         return hash((self.feature, self.left, self.right))
-
-    @cached_property
-    def _flat(self) -> FlatTrees:
-        return FlatTrees((self,))
-
-    def __getstate__(self) -> dict:
-        return state_without_caches(self)
-
-    def leaf_for(self, X: np.ndarray) -> np.ndarray:
-        """Leaf node index reached by each row."""
-        return next(self._flat.leaves(X))
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return self._flat.value[self.leaf_for(X)]
-
-
-def state_without_caches(model) -> dict:
-    """`model`'s pickled state: its fields, without the compiled `_flat`
-    and `_masks` caches, which the next call that needs them after
-    unpickling compiles again. The caches are bigger than the node tuples
-    they are compiled from."""
-    state = model.__dict__.copy()
-    state.pop("_flat", None)
-    state.pop("_masks", None)
-    return state
 
 
 def _stacked(trees: Sequence[DecisionTree], attr: str, dtype) -> np.ndarray:
@@ -356,8 +331,9 @@ def grow_tree(
 
     `order`, when given, must be `np.argsort(X.T, axis=1, kind="stable")`,
     which the tree would otherwise compute. `row_leaf`, when given, receives
-    each row's leaf node index: rows are routed by the comparison `predict`
-    makes, so it equals `leaf_for(X)`.
+    each row's leaf node index: rows are routed by the comparison a
+    `FlatTrees` walk makes, so it is the leaf that walk reaches for each row
+    of X.
     """
     X = np.asarray(X, dtype=float)
     targets = np.asarray(targets, dtype=float)
@@ -437,9 +413,10 @@ def grow_tree(
     return DecisionTree(tuple(feature), tuple(threshold), tuple(left), tuple(right), tuple(value))
 
 
-def rank_columns(X: np.ndarray) -> np.ndarray:
+def rank_columns(X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """(d, n) dense ranks of X's columns, in the smallest unsigned dtype that
-    holds them.
+    holds them, and each column's ascending distinct values, which the ranks
+    index.
 
     Ranks follow value order, NaN last; equal values share a rank, and so do
     0.0 and -0.0 and all NaNs, exactly the values a float sort keeps in row
@@ -450,6 +427,8 @@ def rank_columns(X: np.ndarray) -> np.ndarray:
     sort, with the same result.
     """
     X = np.asarray(X, dtype=float)
-    inverse = [np.unique(column, return_inverse=True)[1] for column in X.T]
+    pairs = [np.unique(column, return_inverse=True) for column in X.T]
+    inverse = [r for _, r in pairs]
     top = max((int(r.max(initial=0)) for r in inverse), default=0)
-    return np.array(inverse, dtype=np.min_scalar_type(top)).reshape(X.shape[1], X.shape[0])
+    ranks = np.array(inverse, dtype=np.min_scalar_type(top)).reshape(X.shape[1], X.shape[0])
+    return ranks, [u for u, _ in pairs]

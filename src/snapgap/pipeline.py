@@ -90,7 +90,6 @@ from .errors import (
     InsufficientCohort,
     NonConvergence,
     PeriodsOverlap,
-    SingleClass,
     ValidationError,
     WorkerDied,
 )
@@ -290,10 +289,11 @@ def _slug(text: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]+", "_", text).strip("_")
 
 
-def model_file(prefix: str, cohort: str, label: str) -> str:
-    """The name of the `prefix` CSV of a cohort's model, such as
-    `flagged_All_logistic_pct_no_vehicle.csv`."""
-    return f"{prefix}_{_slug(cohort)}_{_slug(label)}.csv"
+def model_file(prefix: str, cohort: str, label: str, suffix: str) -> str:
+    """The name of a cohort's model's `prefix` file, such as
+    `flagged_All_logistic_pct_no_vehicle.csv` or
+    `model_All_logistic_pct_no_vehicle_pct_hs_only.json`."""
+    return f"{prefix}_{_slug(cohort)}_{_slug(label)}{suffix}"
 
 
 def _rows_in_years(panel: Panel, years: tuple[int, int]) -> Panel:
@@ -548,7 +548,7 @@ def _evaluate_task(
     order = _flagged_order(zips, years, probs)
     flagged = _flagged_csv(zips[order], years[order], probs[order])
     detail["flagged"] = {
-        "file": model_file("flagged", cohort, task.model),
+        "file": model_file("flagged", cohort, task.model, ".csv"),
         "rows": len(rows),
         "sha256": sha256(flagged).hexdigest(),
     }
@@ -579,14 +579,15 @@ def _hidden_fragility_entry(panel: LabeledPanel, tail: float) -> dict:
 
 
 def _fragile_distribution(period: Panel, cfg: BacktestConfig) -> dict:
-    """Share of fragile rows by area for the bottom-10% and bottom-30% rules."""
+    """Share of fragile rows by area for the bottom-10% and bottom-30% rules.
+    A rule that cannot be built (a `hi_q` at or below its `lo_q`) or cannot
+    label the period is that rule's error."""
     out: dict[str, dict] = {}
     for lo_q in (0.10, 0.30):
         try:
-            panel = build_labels(
-                period, replace(cfg.label, lo_q=lo_q), stratify_by_area=cfg.stratified
-            )
-        except CohortError as exc:
+            rule = replace(cfg.label, lo_q=lo_q)
+            panel = build_labels(period, rule, stratify_by_area=cfg.stratified)
+        except (CohortError, ValidationError) as exc:
             out[f"{lo_q:.2f}"] = {"error": str(exc)}
             continue
         areas, counts = np.unique(period.area[panel.y == 1], return_counts=True)

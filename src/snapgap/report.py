@@ -117,7 +117,7 @@ def write_reliability_csvs(manifest_body: dict, outdir: Path) -> list[Path]:
     """One reliability CSV per fitted model."""
     paths = []
     for cohort, label, detail in _fitted_models(manifest_body):
-        path = outdir / model_file("reliability", cohort, label)
+        path = outdir / model_file("reliability", cohort, label, ".csv")
         rows = ([row[k] for k in RELIABILITY_KEYS] for row in detail["reliability"])
         write_csv(path, RELIABILITY_KEYS, rows)
         paths.append(path)
@@ -314,7 +314,7 @@ def flagged_csvs(body: dict, directory: Path) -> dict[str, bytes]:
     cell holds a line break."""
     csvs = {}
     for cohort, label, detail in _fitted_models(body):
-        entry, name = detail["flagged"], model_file("flagged", cohort, label)
+        entry, name = detail["flagged"], model_file("flagged", cohort, label, ".csv")
         if entry["file"] != name:
             raise ValidationError(
                 f"manifest.cohorts.{cohort}.models.{label}.flagged: expected file {name!r}"
@@ -332,13 +332,18 @@ def flagged_csvs(body: dict, directory: Path) -> dict[str, bytes]:
     return csvs
 
 
+def check_formats(formats) -> None:
+    """Raise `ValidationError` on a format not in `ALL_FORMATS`."""
+    for fmt in formats:
+        if fmt not in ALL_FORMATS:
+            raise ValidationError(f"unknown report format {fmt!r}")
+
+
 def emit_report(body: dict, formats, outdir, flagged_csvs: dict[str, bytes]) -> list[Path]:
     """Write each flagged CSV `body` names, from its bytes in
     `flagged_csvs`, and the requested formats of the manifest body, into
     outdir; returns the written paths."""
-    for fmt in formats:
-        if fmt not in ALL_FORMATS:
-            raise ValidationError(f"unknown report format {fmt!r}")
+    check_formats(formats)
     outdir = Path(outdir)
     try:
         outdir.mkdir(parents=True, exist_ok=True)

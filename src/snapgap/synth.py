@@ -18,7 +18,6 @@ cross-check.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 

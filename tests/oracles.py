@@ -651,8 +651,9 @@ def fit_tree_ensemble_reference(fm, params):
     Forest tree i grows on the bootstrap drawn from stream (seed, tree, i)
     with the Gini criterion; boosting round m fits the residual y - p by
     squared error, takes the Newton leaf step sum(w r) / sum(w p (1 - p)) and
-    adds learning_rate * `DecisionTree.predict(X)` to the scores. Weights
-    are class-balanced: n / (2 n_c) for class c.
+    adds learning_rate times the value of each row's leaf, found by
+    `tree_walk`, to the scores. Weights are class-balanced: n / (2 n_c) for
+    class c.
     """
     X, y = fm.X, fm.y.astype(float)
     n, d = X.shape
@@ -690,7 +691,7 @@ def fit_tree_ensemble_reference(fm, params):
             X, residual, w, criterion="mse", rng=derive_rng(params.seed, STREAM_TREE, m),
             leaf_value=newton_step, **kw,
         )
-        score += params.learning_rate * tree.predict(X)
+        score += params.learning_rate * np.array([tree.value[i] for i in tree_walk(tree, X)])
         trees.append(tree)
     return tuple(trees), base
 

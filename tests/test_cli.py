@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import snapgap
-from snapgap import pipeline
+from snapgap import cli, pipeline
 from snapgap.cli import main
 from snapgap.config import apply_overrides, settings_from
 from snapgap.errors import SingleClass
@@ -416,7 +416,7 @@ def test_train_writes_scorer_files(tmp_path):
     )
     assert code == 0
     files = list(outdir.glob("model_*.json"))
-    assert len(files) == 1
+    assert [f.name for f in files] == ["model_All_logistic_pct_no_vehicle.json"]
     doc = json.loads(files[0].read_text())
     assert doc["format"] == "snapgap-model/1"
     assert doc["model"]["family"] == "logistic"
@@ -463,7 +463,12 @@ def test_train_and_backtest_models_write_identical_scorers(tmp_path):
     assert main(["backtest", *common, "--out", str(tmp_path / "run"), "--models"]) == 0
     trained = {p.name: p.read_bytes() for p in (tmp_path / "trained").iterdir()}
     backtested = {p.name: p.read_bytes() for p in (tmp_path / "run" / "models").iterdir()}
-    assert len(trained) == 4
+    assert sorted(trained) == [
+        "model_All_logistic_pct_no_vehicle.json",
+        "model_All_logistic_pct_no_vehicle_pct_hs_only.json",
+        "model_All_random_forest_pct_no_vehicle.json",
+        "model_All_random_forest_pct_no_vehicle_pct_hs_only.json",
+    ]
     assert trained == backtested
 
 
@@ -480,6 +485,41 @@ def test_validation_exit_code(tmp_path):
         ]
     )
     assert code == 2
+
+
+def test_hi_q_below_the_wider_rule_records_its_error(tmp_path, small_panel, capsys):
+    # hi_q = 0.25 is valid with lo_q = 0.10, but the 30% fragile-distribution
+    # rule cannot be built with it: that rule's groups record the error
+    run = tmp_path / "run"
+    args = ["backtest", "--panel", str(small_panel), "--out", str(run), *SMALL_RUN[:2]]
+    args += ["--set", "hi_q=0.25", "--set", "feature_subsets=[[pct_no_vehicle]]"]
+    args += ["--set", "families=[logistic]", "--set", "folds=3", "--set", "importance_repeats=1"]
+    assert main(args) == 0, capsys.readouterr().err
+    body = load_json(run / "manifest.json")
+    for period in ("p1", "p2"):
+        dist = body["fragile_distribution"][period]
+        assert dist["0.30"] == {"error": "need 0 < lo_q < hi_q < 1, got 0.3, 0.25"}
+        assert "by_area" in dist["0.10"]
+    assert main(["report", "--manifest", str(run / "manifest.json"), "--out", str(tmp_path / "again")]) == 0
+    assert (tmp_path / "again" / "report.md").read_bytes() == (run / "report.md").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["backtest", "report"])
+def test_an_unknown_format_exits_2_before_any_work(tmp_path, capsys, monkeypatch, command):
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran before checking --formats")
+
+    monkeypatch.setattr(cli, "run_backtest", no_work)
+    monkeypatch.setattr(cli, "_load_panel", no_work)
+    monkeypatch.setattr(cli, "load_json", no_work)
+    args = [command, "--out", str(tmp_path / "out"), "--formats", "json,xml"]
+    if command == "backtest":
+        args += ["--panel", str(tmp_path / "panel.csv"), "--seed", "1"]
+    else:
+        args += ["--manifest", str(tmp_path / "manifest.json")]
+    assert main(args) == 2
+    assert capsys.readouterr().err == "error: unknown report format 'xml'\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_io_exit_code(tmp_path):

@@ -11,7 +11,7 @@ from snapgap.models import (
     selection,
     cv_grid_search,
     fit_family,
-    out_of_fold_proba,
+    fold_proba,
     stratified_folds,
 )
 from snapgap.rng import STREAM_FOLDS, derive_rng
@@ -181,7 +181,10 @@ class TestCvGridSearch:
     def test_out_of_fold_proba_alignment(self, rng):
         fm = informative_fm(rng, n=90)
         folds = stratified_folds(fm.y, 3, seed=9)
-        oof = out_of_fold_proba(fm, "logistic", {"c": 1.0}, folds, seed=9)
+        oof = np.empty((1, fm.n))
+        for val in folds:
+            assert fold_proba(fm, "logistic", [{"c": 1.0}], val, 9, oof) == [None]
+        oof = oof[0]
         # rows in a validation fold must be scored by a model that never saw them;
         # verify by recomputing one fold by hand
         val = folds[0]
@@ -280,12 +283,19 @@ class TestPrefixSharing:
         fm = informative_fm(rng, n=90)
         folds = stratified_folds(fm.y, 3, seed=2)
         params = {"n_trees": 6, "max_depth": 2}
-        rows = out_of_fold_proba(fm, "gradient_boosting", params, folds, seed=2, prefixes=[2, 6, 4])
-        for row, k in zip(rows, [2, 6, 4]):
-            alone = out_of_fold_proba(
-                fm, "gradient_boosting", {**params, "n_trees": k}, folds, seed=2
+        prefixes = [2, 6, 4]
+        rows = np.empty((len(prefixes), fm.n))
+        alone = np.empty((len(prefixes), fm.n))
+        for val in folds:
+            fold_proba(
+                fm, "gradient_boosting", [{**params, "n_trees": k} for k in prefixes], val, 2, rows
             )
-            assert row.tobytes() == alone.tobytes()
+            for i, k in enumerate(prefixes):
+                fold_proba(
+                    fm, "gradient_boosting", [{**params, "n_trees": k}], val, 2, alone[i : i + 1]
+                )
+        for row, one in zip(rows, alone):
+            assert row.tobytes() == one.tobytes()
 
     @pytest.mark.parametrize("family", ["random_forest", "gradient_boosting"])
     def test_invalid_count_still_raises(self, rng, family):

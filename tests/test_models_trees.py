@@ -25,6 +25,16 @@ from snapgap.models.tree import FlatTrees, LeafMasks, rank_columns
 from snapgap.rng import derive_rng
 
 
+def compiled_leaves(tree, X):
+    """Leaf node reached by each row of X, through the compiled walk."""
+    return next(FlatTrees((tree,)).leaves(X))
+
+
+def compiled_values(tree, X):
+    """Value of the leaf each row of X reaches, through the compiled walk."""
+    return np.array(tree.value)[compiled_leaves(tree, X)]
+
+
 def xor_panel(rng, n=400, noise=0.15):
     """Four clusters at (+-1, +-1); label = sign parity. Linearly hopeless."""
     centers = np.array([[1, 1], [-1, -1], [1, -1], [-1, 1]], dtype=float)
@@ -44,7 +54,7 @@ class TestGrowTree:
             X, y, w, criterion="gini", max_depth=1, min_leaf=1, max_features=None,
             rng=derive_rng(0, 1),
         )
-        preds = tree.predict(X)
+        preds = compiled_values(tree, X)
         assert np.all((preds >= 0.5).astype(int) == y)
         assert tree.feature[0] == 0
         assert -1.0 <= tree.threshold[0] <= 1.0
@@ -67,7 +77,7 @@ class TestGrowTree:
             X, y, np.ones(40), criterion="gini", max_depth=None, min_leaf=5,
             max_features=None, rng=derive_rng(0, 1),
         )
-        leaves = tree.leaf_for(X)
+        leaves = compiled_leaves(tree, X)
         _, counts = np.unique(leaves, return_counts=True)
         assert counts.min() >= 5
 
@@ -196,8 +206,11 @@ class TestSortOncePerFit:
     def test_rank_presort_matches_float_sort(self, columns, boot_seed):
         X = np.array(columns).T
         boot = np.random.default_rng(boot_seed).integers(0, len(X), size=len(X))
-        ranks = rank_columns(X)
+        ranks, uniques = rank_columns(X)
         assert ranks.dtype == np.uint8
+        for column, distinct, rank in zip(X.T, uniques, ranks):
+            assert np.array_equal(distinct, np.unique(column), equal_nan=True)
+            assert np.array_equal(distinct[rank], column, equal_nan=True)
         assert np.array_equal(
             np.argsort(ranks[:, boot], axis=1, kind="stable"),
             np.argsort(X[boot].T, axis=1, kind="stable"),
@@ -211,7 +224,7 @@ class TestSortOncePerFit:
         wide = np.concatenate([distinct, [-0.0, 0.0], distinct[:ties]])
         X = np.column_stack([wide, np.round(rng.normal(size=wide.size))])
         boot = rng.integers(0, len(X), size=len(X))
-        ranks = rank_columns(X)
+        ranks, _ = rank_columns(X)
         assert ranks.dtype == np.uint32
         assert np.array_equal(
             np.argsort(ranks[:, boot], axis=1, kind="stable"),
@@ -226,13 +239,14 @@ def grown(X, y, **kw):
 
 
 def assert_matches_walk(tree, X):
-    leaves = tree.leaf_for(X)
+    flat = FlatTrees((tree,))
+    leaves = next(flat.leaves(X))
     assert leaves.tolist() == tree_walk(tree, X)
-    assert np.array_equal(tree.predict(X), np.array([tree.value[i] for i in leaves]))
+    assert np.array_equal(flat.value[leaves], np.array([tree.value[i] for i in leaves]))
 
 
 class TestCompiledTraversal:
-    """predict and leaf_for against a row-by-row walk of the node tuples."""
+    """`FlatTrees.leaves` against a row-by-row walk of the node tuples."""
 
     def test_root_only_tree(self, rng):
         X = rng.normal(size=(30, 2))
@@ -263,7 +277,7 @@ class TestCompiledTraversal:
         assert_matches_walk(tree, Xq)
         at_root = np.full((1, 2), 0.0)
         at_root[0, tree.feature[0]] = np.nan
-        assert tree.leaf_for(at_root)[0] >= tree.right[0]  # preorder: right subtree
+        assert compiled_leaves(tree, at_root)[0] >= tree.right[0]  # preorder: right subtree
 
     @pytest.mark.parametrize("kind", ["random_forest", "gradient_boosting"])
     def test_ensembles(self, rng, kind):
@@ -415,35 +429,27 @@ class TestSerialization:
         X_test = rng.normal(size=(40, 2))
         assert np.array_equal(model.predict_proba(X_test), clone.predict_proba(X_test))
 
-    @pytest.mark.parametrize("kind", ["random_forest", "gradient_boosting", "tree"])
+    @pytest.mark.parametrize("kind", ["random_forest", "gradient_boosting"])
     def test_pickles_without_the_compiled_cache(self, rng, kind):
         fm = xor_panel(rng, n=150)
-        if kind == "tree":
-            model, method = grown(fm.X, fm.y.astype(float), max_depth=4), "predict"
-        else:
-            model = fit_tree_ensemble(fm, EnsembleParams(kind=kind, n_trees=8, seed=3))
-            method = "predict_proba"
+        model = fit_tree_ensemble(fm, EnsembleParams(kind=kind, n_trees=8, seed=3))
         X_test = rng.normal(size=(40, 2))
         X_test[::5, 0] = np.nan
-        want = getattr(model, method)(X_test)
+        want = model.predict_proba(X_test)
         assert isinstance(model._flat, FlatTrees)  # compiled by the prediction
-        caches = ("_flat",)
-        if kind != "tree":
-            perms = np.array([[rng.permutation(40)] for _ in range(2)])
-            want_permuted = model.permuted_proba(X_test, perms)
-            assert all(isinstance(m, LeafMasks) for m in model._masks)  # compiled too
-            caches += ("_masks",)
+        perms = np.array([[rng.permutation(40)] for _ in range(2)])
+        want_permuted = model.permuted_proba(X_test, perms)
+        assert all(isinstance(m, LeafMasks) for m in model._masks)  # compiled too
         data = pickle.dumps(model)
         assert b"FlatTrees" not in data
         assert b"LeafMasks" not in data
         clone = pickle.loads(data)
-        assert not set(caches) & set(vars(clone))
-        got = getattr(clone, method)(X_test)
+        assert not {"_flat", "_masks"} & set(vars(clone))
+        got = clone.predict_proba(X_test)
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
-        if kind != "tree":
-            assert np.array_equal(clone.permuted_proba(X_test, perms), want_permuted)
-        assert set(caches) <= set(vars(model))  # pickling leaves the original's caches alone
+        assert np.array_equal(clone.permuted_proba(X_test, perms), want_permuted)
+        assert {"_flat", "_masks"} <= set(vars(model))  # pickling leaves the original's caches alone
 
     @pytest.mark.parametrize("kind", ["random_forest", "gradient_boosting", "tree"])
     def test_copies_equal_the_original(self, rng, kind):
@@ -505,7 +511,7 @@ class TestSerialization:
         }
         preorder = model_from_dict(data)
         X = np.array([[-1.0, 0.0], [-1.0, 1.0], [1.0, 0.0]])
-        assert np.array_equal(preorder.trees[0].predict(X), [0.2, 0.4, 0.6])
+        assert np.array_equal(compiled_values(preorder.trees[0], X), [0.2, 0.4, 0.6])
         data["trees"][0].update(left=list(left), right=list(right))
         with pytest.raises(ValidationError, match="not in preorder"):
             model_from_dict(data)

@@ -203,7 +203,7 @@ class TestBacktestBody:
         assert sorted(manifest.flagged_csvs) == sorted(d["flagged"]["file"] for d in models.values())
         for label, detail in models.items():
             entry = detail["flagged"]
-            assert entry["file"] == pipeline.model_file("flagged", "All", label)
+            assert entry["file"] == pipeline.model_file("flagged", "All", label, ".csv")
             data = manifest.flagged_csvs[entry["file"]]
             assert sha256(data).hexdigest() == entry["sha256"]
             header, *rows = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
