@@ -69,16 +69,19 @@ def _load_merged_config(args) -> Settings:
 
 
 def _load_panel(settings: Settings, panel: str, crosswalk: str | None = None):
-    """Parse and dedupe a panel CSV, then designate areas from the crosswalk
-    when one is given. Returns (panel, rejects, input digests)."""
+    """Parse and dedupe a panel CSV, keeping the years from the start of the
+    training period to the end of the test period, then designate areas
+    from the crosswalk when one is given. Returns (panel, rejects, input
+    digests)."""
     panel_path = Path(panel)
-    panel, rejects = parse_panel(panel_path, **settings.read)
+    years = (settings.backtest.p1_years[0], settings.backtest.p2_years[1])
+    panel, rejects = parse_panel(panel_path, **settings.read, year_range=years)
     panel = dedupe(panel)
     digests = {"panel": _file_digest(panel_path)}
     if crosswalk:
         cw_path = Path(crosswalk)
-        table, cw_rejects = parse_crosswalk(cw_path)
-        panel = designate_all(panel, table)
+        areas, cw_rejects = parse_crosswalk(cw_path)
+        panel = designate_all(panel, areas)
         rejects = rejects + cw_rejects
         digests["crosswalk"] = _file_digest(cw_path)
     return panel, rejects, digests

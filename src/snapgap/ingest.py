@@ -10,7 +10,9 @@ A panel travels as one `Panel` of numpy columns from the CSV reader to the
 CSV writer; no per-row object is built. `parse_panel` reads the file in
 chunks of rows, turns each chunk's cells into columns, converts each numeric
 column in one call and builds rejects from per-row masks. `dedupe`,
-`designate_all` and `write_records` work on the columns too.
+`designate_all` and `write_records` work on the columns too. The crosswalk
+is read straight into a ZIP -> area map (`parse_crosswalk`), each row adding
+to its ZIP's urban or rural mass, so it builds no per-row object either.
 
 Memory follows the panel's numbers, not its text. A chunk is
 PARSE_CHUNK_ROWS = 1024 raw rows, about 12k Python strings against 98k for
@@ -79,11 +81,8 @@ class Area(str, Enum):
     UNKNOWN = "Unknown"
 
 
-@dataclass(frozen=True)
-class CrosswalkRow:
-    zip: str
-    tract_status: Area  # Urban / Rural / Unknown
-    res_ratio: float
+# Tract status -> index of the ZIP mass its residential ratio adds to.
+_MASS_INDEX = {Area.URBAN.value: 0, Area.RURAL.value: 1}
 
 
 @dataclass
@@ -456,8 +455,19 @@ def dedupe(panel: Panel) -> Panel:
 
 def parse_crosswalk(
     csv_source, *, delimiter: str = ","
-) -> tuple[list[CrosswalkRow], list[Reject]]:
-    """Parse the ZIP-tract crosswalk CSV (columns: zip, tract_status, res_ratio)."""
+) -> tuple[dict[str, str], list[Reject]]:
+    """Read the ZIP-tract crosswalk CSV (columns: zip, tract_status,
+    res_ratio) into each ZIP's area name, and the rejected rows in row order.
+
+    No row is kept: each accepted row adds its res_ratio to its ZIP's urban
+    or rural residential mass (the status read in any case, between blanks;
+    any other status adds nothing), each mass summed from 0.0 in row order.
+    The 0.80/0.20 rule then designates each ZIP: an urban share of the urban
+    plus rural mass >= 0.80 is Urban, <= 0.20 Rural, between them Mixed, and
+    no mass Unknown. A row is rejected for too few fields, then its zip, then
+    a res_ratio that is not a plain ASCII decimal in [0, 1]; blank lines are
+    skipped. Each distinct ZIP and status token is read once.
+    """
     with _text_source(csv_source) as stream:
         reader = csv.reader(stream, delimiter=delimiter)
         try:
@@ -470,78 +480,62 @@ def parse_crosswalk(
         zi, si, ri = header.index("zip"), header.index("tract_status"), header.index("res_ratio")
         width = max(zi, si, ri) + 1
 
-        rows: list[CrosswalkRow] = []
+        zips: dict[str, tuple[str | None, str | None]] = {}
+        statuses: dict[str, int | None] = {}  # token -> index of its mass, None for neither
+        masses: dict[str, list[float]] = {}  # ZIP -> [urban, rural]
         rejects: list[Reject] = []
         for row_num, row in enumerate(reader, start=1):
-            if not any(cell.strip() for cell in row):
-                continue
             if len(row) < width:
-                reason = f"row: {len(row)} fields, need {width}"
-                rejects.append(Reject(row_num, reason, "crosswalk"))
+                if not _is_blank(row):
+                    rejects.append(Reject(row_num, f"row: {len(row)} fields, need {width}", "crosswalk"))
                 continue
-            try:
-                zcta = normalize_zip(row[zi])
-            except (NonNumericZip, LengthOverflow) as exc:
-                rejects.append(Reject(row_num, f"zip: {exc}", "crosswalk"))
+            token = row[zi]
+            zcta, reason = zips[token] if token in zips else zips.setdefault(token, _zip_entry(token))
+            if zcta is None:
+                if not _is_blank(row):  # a blank line's zip is blank
+                    rejects.append(Reject(row_num, reason, "crosswalk"))
                 continue
-            status_token = row[si].strip().capitalize()
-            if status_token in (Area.URBAN.value, Area.RURAL.value):
-                status = Area(status_token)
-            else:
-                status = Area.UNKNOWN
+            text = row[ri]
             try:
-                if not _is_plain(row[ri]):
-                    raise ValueError(row[ri])
-                ratio = float(row[ri])
+                ratio = float(text) if _is_plain(text) else None
             except ValueError:
-                rejects.append(Reject(row_num, f"res_ratio: unparseable {row[ri]!r}", "crosswalk"))
+                ratio = None
+            if ratio is None:
+                rejects.append(Reject(row_num, f"res_ratio: unparseable {text!r}", "crosswalk"))
                 continue
             if not 0.0 <= ratio <= 1.0:
                 rejects.append(Reject(row_num, f"res_ratio: {ratio} outside [0,1]", "crosswalk"))
                 continue
-            rows.append(CrosswalkRow(zip=zcta, tract_status=status, res_ratio=ratio))
-    return rows, rejects
+            token = row[si]
+            if token not in statuses:
+                statuses[token] = _MASS_INDEX.get(token.strip().capitalize())
+            mass = masses.setdefault(zcta, [0.0, 0.0])
+            if (status := statuses[token]) is not None:
+                mass[status] += ratio
+
+    areas: dict[str, str] = {}
+    for zcta, (urban, rural) in masses.items():
+        total = urban + rural
+        if total <= 0.0:
+            area = Area.UNKNOWN
+        elif urban / total >= 0.80:
+            area = Area.URBAN
+        elif urban / total <= 0.20:
+            area = Area.RURAL
+        else:
+            area = Area.MIXED
+        areas[zcta] = area.value
+    return areas, rejects
 
 
-def designate_area(zcta: str, crosswalk: Iterable[CrosswalkRow]) -> Area:
-    """Designate one ZIP from its crosswalk rows using the 0.80/0.20 rule.
-
-    Residential mass is summed by tract status; Unknown-status mass is
-    excluded from the denominator. Urban share >= 0.80 -> Urban, <= 0.20 ->
-    Rural, otherwise Mixed. No rows or no urban+rural mass -> Unknown.
-    Row order never matters.
-    """
-    urban = rural = 0.0
-    for row in crosswalk:
-        if row.zip != zcta:
-            continue
-        if row.tract_status is Area.URBAN:
-            urban += row.res_ratio
-        elif row.tract_status is Area.RURAL:
-            rural += row.res_ratio
-    mass = urban + rural
-    if mass <= 0.0:
-        return Area.UNKNOWN
-    share = urban / mass
-    if share >= 0.80:
-        return Area.URBAN
-    if share <= 0.20:
-        return Area.RURAL
-    return Area.MIXED
-
-
-def designate_all(panel: Panel, crosswalk: list[CrosswalkRow]) -> Panel:
-    """Apply a fixed, crosswalk-derived area designation to every row.
-
-    Each distinct ZIP is designated once from the reference crosswalk, and
-    the result applies to all years of that ZIP.
-    """
-    by_zip: dict[str, list[CrosswalkRow]] = {}
-    for row in crosswalk:
-        by_zip.setdefault(row.zip, []).append(row)
+def designate_all(panel: Panel, areas: dict[str, str]) -> Panel:
+    """Give every row its ZIP's area name from `areas`, as `parse_crosswalk`
+    reads it (the 0.80/0.20 rule over the ZIP's urban and rural mass, summed
+    in crosswalk row order), or Unknown for a ZIP it does not name. One
+    designation applies to all years of a ZIP."""
     zips, inv = _factorize(panel.zip.tolist())
-    areas = [designate_area(z, by_zip.get(z, [])).value for z in zips]
-    return replace(panel, area=np.array(areas, dtype=object)[inv])
+    names = [areas.get(z, Area.UNKNOWN.value) for z in zips]
+    return replace(panel, area=np.array(names, dtype=object)[inv])
 
 
 # --- serialization ---------------------------------------------------------

@@ -96,6 +96,7 @@ from .errors import (
 from .ingest import PREDICTOR_FIELDS, Area, Panel
 from .jsonio import plain
 from .labeling import (
+    POOLED_KEY,
     UNLABELED,
     LabelConfig,
     LabeledPanel,
@@ -141,7 +142,6 @@ DECISION_YOUDEN = "youden"
 SELECTION_CV = "cv"
 SELECTION_SPLIT = "split70"
 
-POOLED_COHORT = "All"
 MODELED_AREAS = (Area.URBAN, Area.RURAL, Area.MIXED)
 
 MANIFEST_FORMAT = "snapgap-manifest/2"
@@ -305,7 +305,7 @@ def _cohort_rows(panel: LabeledPanel, cohort: str) -> np.ndarray:
     """Indices of the rows a model may see: labeled, known area, matching the cohort."""
     area = panel.panel.area
     keep = (panel.y != UNLABELED) & (area != Area.UNKNOWN.value)
-    if cohort != POOLED_COHORT:
+    if cohort != POOLED_KEY:
         keep &= area == cohort
     return np.flatnonzero(keep)
 
@@ -634,7 +634,7 @@ def run_yearly_diagnostics(cfg: BacktestConfig, panel: Panel) -> list[dict]:
 def _cohorts(cfg: BacktestConfig) -> list[str]:
     if cfg.stratified:
         return [a.value for a in MODELED_AREAS]
-    return [POOLED_COHORT]
+    return [POOLED_KEY]
 
 
 def _plan_tasks(
@@ -655,7 +655,7 @@ def _plan_tasks(
         if not p1_rows.size:
             cohort_errors[cohort] = f"cohort {cohort!r}: no labeled training rows"
             continue
-        prevalence = p1_panel.prevalence if cohort == POOLED_COHORT else p1_panel.prevalences[cohort]
+        prevalence = p1_panel.prevalences[cohort]
         p2_rows = no_rows if p2_panel is None else _cohort_rows(p2_panel, cohort)
         for subset in cfg.subsets():
             for family in cfg.families:

@@ -7,7 +7,8 @@ threshold, poverty rate, uptake and eligibility one record at a time,
 gradients by central differences, tree prediction by walking
 one row at a time down the node tuples, tree growth by sorting each
 candidate feature again at every node, ensembles tree by tree with that
-grower, CSV parsing and dedupe one `Record` at a time, flagged-row order by
+grower, CSV parsing and dedupe one `Record` at a time, crosswalk areas from
+one tuple per row grouped by ZIP, flagged-row order by
 `sorted` on tuples, and report files through the standard library's
 `json.dump`.
 """
@@ -271,6 +272,73 @@ def dedupe_reference(records):
         flags = frozenset().union(*(r.flags for r in distinct)) | {FLAG_DUPLICATE_AVERAGED}
         out.append(replace(distinct[0], **merged, flags=flags))
     return out
+
+
+def designate_area_reference(rows):
+    """One ZIP's area from its (zip, status, res_ratio) rows by the
+    0.80/0.20 rule: residential mass summed by tract status, Unknown-status
+    mass left out of the denominator. Urban share >= 0.80 -> Urban, <= 0.20
+    -> Rural, otherwise Mixed; no urban or rural mass -> Unknown."""
+    urban = rural = 0.0
+    for _, status, ratio in rows:
+        if status is Area.URBAN:
+            urban += ratio
+        elif status is Area.RURAL:
+            rural += ratio
+    mass = urban + rural
+    if mass <= 0.0:
+        return Area.UNKNOWN
+    share = urban / mass
+    if share >= 0.80:
+        return Area.URBAN
+    if share <= 0.20:
+        return Area.RURAL
+    return Area.MIXED
+
+
+def parse_crosswalk_reference(csv_text, *, delimiter=","):
+    """Row-by-row parse of crosswalk text into one (zip, status, res_ratio)
+    tuple per accepted row and the Rejects, those rows grouped per ZIP in
+    row order, and each group designated: (ZIP -> area name, rejects)."""
+    reader = csv.reader(io.StringIO(csv_text), delimiter=delimiter)
+    try:
+        header = [h.strip().lower() for h in next(reader)]
+    except StopIteration:
+        raise EmptyInput("crosswalk CSV has no header row") from None
+    for col in ("zip", "tract_status", "res_ratio"):
+        if col not in header:
+            raise MissingColumn(f"crosswalk column {col!r} not in header")
+    zi, si, ri = header.index("zip"), header.index("tract_status"), header.index("res_ratio")
+    width = max(zi, si, ri) + 1
+
+    rows, rejects = [], []
+    for row_num, row in enumerate(reader, start=1):
+        if not any(cell.strip() for cell in row):
+            continue
+        if len(row) < width:
+            rejects.append(Reject(row_num, f"row: {len(row)} fields, need {width}", "crosswalk"))
+            continue
+        try:
+            zcta = normalize_zip_reference(row[zi])
+        except (NonNumericZip, LengthOverflow) as exc:
+            rejects.append(Reject(row_num, f"zip: {exc}", "crosswalk"))
+            continue
+        status_token = row[si].strip().capitalize()
+        status = Area(status_token) if status_token in ("Urban", "Rural") else Area.UNKNOWN
+        try:
+            ratio = _plain_float(row[ri])
+        except ValueError:
+            rejects.append(Reject(row_num, f"res_ratio: unparseable {row[ri]!r}", "crosswalk"))
+            continue
+        if not 0.0 <= ratio <= 1.0:
+            rejects.append(Reject(row_num, f"res_ratio: {ratio} outside [0,1]", "crosswalk"))
+            continue
+        rows.append((zcta, status, ratio))
+
+    by_zip = {}
+    for row in rows:
+        by_zip.setdefault(row[0], []).append(row)
+    return {z: designate_area_reference(group).value for z, group in by_zip.items()}, rejects
 
 
 def quantile_interp(values, q):

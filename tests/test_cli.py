@@ -487,6 +487,24 @@ def test_validation_exit_code(tmp_path):
     assert code == 2
 
 
+def test_panel_years_follow_the_periods(tmp_path):
+    # a run whose periods start in 2010 reads the 2010-2013 rows, which the
+    # default periods (2014-2023) reject
+    panel = tmp_path / "synth.csv"
+    synth = ["synth", "--seed", "1", "--out", str(panel), "--set", "synth.n_zips=200"]
+    assert main([*synth, "--set", "synth.years=[2010, 2023]"]) == 0
+    periods = ["--set", "p1_years=[2010, 2014]", "--set", "p2_years=[2015, 2023]"]
+    for extra, n_rejects in (([], 800), (periods, 0)):
+        rejects = tmp_path / "rejects.csv"
+        args = ["ingest", "--panel", str(panel), "--out", str(tmp_path / "i.csv"), "--rejects", str(rejects)]
+        assert main([*args, *extra]) == 0
+        assert len(rejects.read_text().splitlines()) == 1 + n_rejects
+    run = tmp_path / "run"
+    args = ["backtest", "--panel", str(panel), "--seed", "1", "--out", str(run), *periods]
+    args += ["--set", "families=[logistic]", "--set", "feature_subsets=[[pct_no_vehicle]]"]
+    assert main(args) == 0
+    assert load_json(run / "manifest.json")["periods"]["p1"]["n_rows"] == 1000
+
 def test_hi_q_below_the_wider_rule_records_its_error(tmp_path, small_panel, capsys):
     # hi_q = 0.25 is valid with lo_q = 0.10, but the 30% fragile-distribution
     # rule cannot be built with it: that rule's groups record the error

@@ -7,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_record, random_records
-from oracles import dedupe_reference, panel_of, parse_panel_reference, records_of
+from oracles import (
+    dedupe_reference,
+    panel_of,
+    parse_crosswalk_reference,
+    parse_panel_reference,
+    records_of,
+)
 from snapgap import ingest
 from snapgap.errors import EmptyInput, LengthOverflow, MissingColumn, NonNumericZip
 from snapgap.ingest import (
@@ -18,11 +24,9 @@ from snapgap.ingest import (
     FLAG_SNAP_EXCEEDS_POVERTY,
     PREDICTOR_FIELDS,
     Area,
-    CrosswalkRow,
     Panel,
     dedupe,
     designate_all,
-    designate_area,
     normalize_zip,
     parse_crosswalk,
     parse_panel,
@@ -87,8 +91,8 @@ class TestNormalizeZip:
         ]
         assert [r.zip for r in records] == ["00012"]
         text = "zip,tract_status,res_ratio\n\u0661\u0662\u0663.0,Urban,1\n12,Rural,1\n"
-        rows, rejects = parse_crosswalk(io.StringIO(text))
-        assert [r.zip for r in rows] == ["00012"]
+        areas, rejects = parse_crosswalk(io.StringIO(text))
+        assert areas == {"00012": "Rural"}
         assert [(r.row, r.reason, r.source) for r in rejects] == [
             (1, "zip: not a ZIP code: '\u0661\u0662\u0663.0'", "crosswalk")
         ]
@@ -468,105 +472,152 @@ class TestRowWiseReference:
         assert merged.flags == frozenset({FLAG_DUPLICATE_AVERAGED})
 
 
+CROSSWALK_HEADER = "zip,tract_status,res_ratio"
+
+
+def crosswalk_areas(*rows):
+    """The areas `parse_crosswalk` reads from these data rows, and its rejects."""
+    return parse_crosswalk(io.StringIO("\n".join([CROSSWALK_HEADER, *rows])))
+
+
 class TestDesignateArea:
     def test_urban_above_080(self):
-        rows = [
-            CrosswalkRow("01234", Area.URBAN, 0.85),
-            CrosswalkRow("01234", Area.RURAL, 0.15),
-        ]
-        assert designate_area("01234", rows) is Area.URBAN
+        areas, _ = crosswalk_areas("01234,Urban,0.85", "01234,Rural,0.15")
+        assert areas == {"01234": "Urban"}
 
     def test_rural_below_020(self):
-        rows = [
-            CrosswalkRow("01234", Area.URBAN, 0.10),
-            CrosswalkRow("01234", Area.RURAL, 0.90),
-        ]
-        assert designate_area("01234", rows) is Area.RURAL
+        areas, _ = crosswalk_areas("01234,Urban,0.10", "01234,Rural,0.90")
+        assert areas == {"01234": "Rural"}
 
     def test_mixed_between(self):
-        rows = [
-            CrosswalkRow("01234", Area.URBAN, 0.5),
-            CrosswalkRow("01234", Area.RURAL, 0.5),
-        ]
-        assert designate_area("01234", rows) is Area.MIXED
+        areas, _ = crosswalk_areas("01234,Urban,0.5", "01234,Rural,0.5")
+        assert areas == {"01234": "Mixed"}
 
     def test_no_rows_unknown(self):
-        assert designate_area("01234", []) is Area.UNKNOWN
+        areas, _ = crosswalk_areas()
+        assert areas == {}
+        out = designate_all(panel_of([make_record(zip="01234", area=Area.URBAN)]), areas)
+        assert [r.area for r in records_of(out)] == [Area.UNKNOWN]
 
     def test_unknown_mass_excluded_from_denominator(self):
-        rows = [
-            CrosswalkRow("01234", Area.URBAN, 0.09),
-            CrosswalkRow("01234", Area.RURAL, 0.01),
-            CrosswalkRow("01234", Area.UNKNOWN, 0.90),
-        ]
-        assert designate_area("01234", rows) is Area.URBAN
+        areas, _ = crosswalk_areas("01234,Urban,0.09", "01234,Rural,0.01", "01234,Unknown,0.90")
+        assert areas == {"01234": "Urban"}
 
     def test_all_unknown_mass(self):
-        rows = [CrosswalkRow("01234", Area.UNKNOWN, 1.0)]
-        assert designate_area("01234", rows) is Area.UNKNOWN
+        areas, _ = crosswalk_areas("01234,Unknown,1.0")
+        assert areas == {"01234": "Unknown"}
 
     def test_boundaries_inclusive(self):
-        rows = [
-            CrosswalkRow("0", Area.URBAN, 0.80),
-            CrosswalkRow("0", Area.RURAL, 0.20),
-        ]
-        assert designate_area("0", rows) is Area.URBAN
-        rows = [
-            CrosswalkRow("0", Area.URBAN, 0.20),
-            CrosswalkRow("0", Area.RURAL, 0.80),
-        ]
-        assert designate_area("0", rows) is Area.RURAL
+        areas, _ = crosswalk_areas("0,Urban,0.80", "0,Rural,0.20")
+        assert areas == {"00000": "Urban"}
+        areas, _ = crosswalk_areas("0,Urban,0.20", "0,Rural,0.80")
+        assert areas == {"00000": "Rural"}
 
     def test_row_order_invariance(self, rng):
         for _ in range(30):
             n = int(rng.integers(1, 8))
-            statuses = [Area.URBAN, Area.RURAL, Area.UNKNOWN]
-            rows = [
-                CrosswalkRow("00042", statuses[int(rng.integers(0, 3))], float(rng.random()))
-                for _ in range(n)
-            ]
-            base = designate_area("00042", rows)
-            assert base in (Area.URBAN, Area.RURAL, Area.MIXED, Area.UNKNOWN)
+            statuses = ["Urban", "Rural", "Unknown"]
+            rows = [f"00042,{statuses[int(rng.integers(0, 3))]},{float(rng.random())!r}" for _ in range(n)]
+            base, _ = crosswalk_areas(*rows)
+            assert base["00042"] in ("Urban", "Rural", "Mixed", "Unknown")
+            assert base == parse_crosswalk_reference("\n".join([CROSSWALK_HEADER, *rows]))[0]
             shuffled = list(rows)
             rng.shuffle(shuffled)
-            assert designate_area("00042", shuffled) is base
+            assert crosswalk_areas(*shuffled)[0] == base
 
     def test_designate_all_fixed_across_years(self):
         recs = [make_record(zip="00042", year=y, area=Area.UNKNOWN) for y in (2014, 2019)]
-        crosswalk = [CrosswalkRow("00042", Area.RURAL, 1.0)]
-        out = designate_all(panel_of(recs), crosswalk)
+        areas, _ = crosswalk_areas("00042,Rural,1.0")
+        out = designate_all(panel_of(recs), areas)
         assert all(r.area is Area.RURAL for r in records_of(out))
 
 
 class TestParseCrosswalk:
     def test_basic(self):
-        text = "zip,tract_status,res_ratio\n1234,Urban,0.7\n1234,rural,0.3\n"
-        rows, rejects = parse_crosswalk(io.StringIO(text))
+        areas, rejects = crosswalk_areas("1234,Urban,0.7", "1234,rural,0.3", "2345, RURAL ,0.4")
         assert rejects == []
-        assert rows[0].zip == "01234"
-        assert rows[0].tract_status is Area.URBAN
-        assert rows[1].tract_status is Area.RURAL
+        assert areas == {"01234": "Mixed", "02345": "Rural"}
 
     def test_bad_ratio_rejected(self):
-        text = "zip,tract_status,res_ratio\n1234,Urban,1.7\n"
-        rows, rejects = parse_crosswalk(io.StringIO(text))
-        assert rows == []
-        assert len(rejects) == 1
+        areas, rejects = crosswalk_areas("1234,Urban,1.7")
+        assert areas == {}
+        assert [(r.row, r.reason) for r in rejects] == [(1, "res_ratio: 1.7 outside [0,1]")]
 
     def test_res_ratio_must_be_a_plain_decimal(self):
-        text = "zip,tract_status,res_ratio\n01001,Urban,0_5\n01002,Rural,\u0660.5\n01003,Urban, 0.5\n"
-        rows, rejects = parse_crosswalk(io.StringIO(text))
-        assert [(r.zip, r.res_ratio) for r in rows] == [("01003", 0.5)]
+        areas, rejects = crosswalk_areas("01001,Urban,0_5", "01002,Rural,\u0660.5", "01003,Urban, 0.5")
+        assert areas == {"01003": "Urban"}
         assert [(r.row, r.reason) for r in rejects] == [
             (1, "res_ratio: unparseable '0_5'"),
             (2, "res_ratio: unparseable '\u0660.5'"),
         ]
 
     def test_short_row_rejected(self):
-        text = "zip,tract_status,res_ratio\n01001,Urban\n01002\n1234,Urban,0.7\n"
-        rows, rejects = parse_crosswalk(io.StringIO(text))
-        assert [r.zip for r in rows] == ["01234"]
+        areas, rejects = crosswalk_areas("01001,Urban", "01002", "1234,Urban,0.7")
+        assert areas == {"01234": "Urban"}
         assert [(r.row, r.reason) for r in rejects] == [
             (1, "row: 2 fields, need 3"),
             (2, "row: 1 fields, need 3"),
         ]
+
+
+CROSSWALK_TOKENS = {
+    "zip": [
+        "1234", "01234", "2345", " 2345 ", "02345-6789", "3456.0", "4567", "",
+        "XYZ", "1234567", "12-34567", "\u0661\u0662", "\u00a01234", "\uff11",
+    ],
+    "tract_status": [
+        "Urban", "urban", " URBAN ", "uRBAN", "Rural", "rural ", " RuRaL", "Mixed", "Unknown", "",
+        "suburb", "\u00a0Rural", "Urban area",
+    ],
+    "res_ratio": [
+        "0", "0.0", "-0.0", "0.1", "0.2", "0.25", "0.5", "0.8", "1", "1.0", "1e-1", ".5", " 0.5",
+        "0_5", "\u0660.5", "nan", "inf", "-inf", "1.0000001", "-0.1", "", "x",
+    ],
+    "note": ["", "free text"],
+}
+
+
+@st.composite
+def raw_crosswalks(draw):
+    """Crosswalk text with a shuffled, padded header and rows that are
+    blank, short, long, repeated, drawn cell by cell from valid and
+    malformed tokens, or pairs that give a ZIP an urban share of exactly
+    0.80 or 0.20; in any order."""
+    columns = ["zip", "tract_status", "res_ratio", *draw(st.lists(st.just("note"), max_size=1))]
+    columns = draw(st.permutations(columns))
+    header = [draw(st.sampled_from([c, c.upper(), f" {c} "])) for c in columns]
+    lines = []
+    for _ in range(draw(st.integers(0, 25))):
+        kind = draw(st.sampled_from(["row"] * 6 + ["float", "blank", "short", "long", "repeat", "edge"]))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", " ", ",,", "," * len(columns)])))
+        elif kind == "repeat" and lines:
+            lines.append(draw(st.sampled_from(lines)))
+        elif kind == "edge":  # shares of 0.8 / 1.0, 0.4 / 0.5 and their mirrors
+            zcta = draw(st.sampled_from(["77777", "88888"]))
+            big, small = draw(st.sampled_from([("0.8", "0.2"), ("0.4", "0.1")]))
+            urban, rural = draw(st.permutations([big, small]))
+            for status, ratio in (("Urban", urban), ("Rural", rural)):
+                cells = {"zip": zcta, "tract_status": status, "res_ratio": ratio, "note": ""}
+                lines.append(",".join(cells[c] for c in columns))
+        else:
+            cells = {c: draw(st.sampled_from(CROSSWALK_TOKENS[c])) for c in columns}
+            if kind == "float":
+                cells["res_ratio"] = repr(draw(st.floats(0.0, 1.0)))
+            row = [cells[c] for c in columns]
+            if kind == "short":
+                row = row[: draw(st.integers(1, len(row) - 1))]
+            elif kind == "long":
+                row += draw(st.lists(st.sampled_from(["0.5", "junk", ""]), min_size=1, max_size=2))
+            lines.append(",".join(row))
+    lines = draw(st.permutations(lines))
+    return "\n".join([",".join(header), *lines]) + draw(st.sampled_from(["", "\n"]))
+
+
+class TestCrosswalkReference:
+    """The crosswalk read into areas against the row-by-row reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=raw_crosswalks())
+    def test_areas_and_rejects_match_reference(self, text):
+        assert parse_crosswalk(io.StringIO(text)) == parse_crosswalk_reference(text)
