@@ -96,12 +96,9 @@ def fit_isotonic(scores: Sequence[float], labels: Sequence[float]) -> IsotonicMa
     return IsotonicMap(scores=np.asarray(xs), values=fitted, fitted_on=s.size)
 
 
-def apply_isotonic(iso: IsotonicMap, score) -> np.ndarray | float:
-    """Calibrated value(s): linear between breakpoints, clamped outside."""
-    out = np.interp(score, iso.scores, iso.values)
-    if np.ndim(score) == 0:
-        return float(out)
-    return out
+def apply_isotonic(iso: IsotonicMap, scores: np.ndarray) -> np.ndarray:
+    """Calibrated values: linear between breakpoints, clamped outside."""
+    return np.interp(scores, iso.scores, iso.values)
 
 
 def prevalence_threshold(train_prevalence: float) -> DecisionRule:

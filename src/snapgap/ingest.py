@@ -1,10 +1,11 @@
 """Parse, clean, and normalize raw ZIP-level CSV panels and the ZIP-tract crosswalk.
 
 Raw exports arrive as UTF-8 CSVs with arbitrary column headers; a schema map
-translates logical field names to the headers actually present. Cleaning is
-conservative and auditable: sentinel codes become missing values, out-of-range
-percentages are clipped, and every dropped row lands in a reject report with
-its row number and reason. Nothing is silently discarded.
+translates logical field names to the headers actually present. A reader's
+source is a path, opened as UTF-8, or a text stream. Cleaning is
+conservative and auditable: sentinel codes become missing values,
+out-of-range percentages are clipped, and every dropped row lands in a
+reject report with its row number and reason. Nothing is silently discarded.
 
 A panel travels as one `Panel` of numpy columns from the CSV reader to the
 CSV writer; no per-row object is built. `parse_panel` reads the file in
@@ -25,10 +26,9 @@ by side, and `dedupe` keys each row by one integer.
 from __future__ import annotations
 
 import csv
-import io
 import itertools
 import re
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from pathlib import Path
@@ -83,6 +83,8 @@ class Area(str, Enum):
 
 # Tract status -> index of the ZIP mass its residential ratio adds to.
 _MASS_INDEX = {Area.URBAN.value: 0, Area.RURAL.value: 1}
+
+CROSSWALK_COLUMNS = ("zip", "tract_status", "res_ratio")
 
 
 @dataclass
@@ -200,21 +202,29 @@ def _floats(tokens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @contextmanager
 def _text_source(csv_source) -> Iterator[IO[str]]:
-    """A text stream over a path (closed afterwards), bytes, or a stream."""
+    """A text stream over a path (closed afterwards) or a text stream, whose
+    text that is not UTF-8 raises `UnreadableStream` wherever it is read."""
     if isinstance(csv_source, (str, Path)):
         try:
             stream = open(csv_source, "r", encoding="utf-8", newline="")
         except OSError as exc:
             raise UnreadableStream(f"cannot open {csv_source}: {exc}") from exc
-        with stream:
-            yield stream
-    elif isinstance(csv_source, bytes):
-        yield io.StringIO(csv_source.decode("utf-8"))
-    elif hasattr(csv_source, "read"):
-        binary = isinstance(csv_source.read(0), bytes)
-        yield io.TextIOWrapper(csv_source, encoding="utf-8", newline="") if binary else csv_source
+    elif hasattr(csv_source, "read") and isinstance(csv_source.read(0), str):
+        stream = nullcontext(csv_source)
     else:
         raise UnreadableStream(f"unsupported CSV source: {type(csv_source)!r}")
+    try:
+        with stream as text:
+            yield text
+    except UnicodeDecodeError as exc:
+        raise UnreadableStream(f"CSV is not valid UTF-8: {exc}") from exc
+
+
+def _named_once(header: list[str], columns: Iterable[str]) -> None:
+    """Raise a `ValidationError` for any of `columns` that `header` repeats."""
+    for column in columns:
+        if (count := header.count(column)) > 1:
+            raise ValidationError(f"column {column!r} appears {count} times in header")
 
 
 def _is_blank(row: list[str]) -> bool:
@@ -346,7 +356,8 @@ def parse_panel(
     simply be absent. Rows with fewer or more fields than the header and rows
     that cannot be keyed (bad zip or year) are rejected with a reason;
     cleaning of field values never drops a row. Panel rows keep file order.
-    A schema or delimiter that cannot apply raises before the source is read.
+    A schema or delimiter that cannot apply raises before the source is read,
+    and a header that names a mapped column twice before any data row is.
     """
     if len(delimiter) != 1:
         raise ValidationError(f"delimiter must be one character, got {delimiter!r}")
@@ -365,8 +376,6 @@ def parse_panel(
             header = next(reader)
         except StopIteration:
             raise EmptyInput("CSV has no header row") from None
-        except UnicodeDecodeError as exc:
-            raise UnreadableStream(f"CSV is not valid UTF-8: {exc}") from exc
 
         if identity:
             schema = {
@@ -379,6 +388,7 @@ def parse_panel(
             if column not in header:
                 raise MissingColumn(f"column {column!r} (field {logical!r}) not in header")
             positions[logical] = header.index(column)
+        _named_once(header, schema.values())
 
         rejects: list[Reject] = []
         zips: dict[str, tuple[str | None, str | None]] = {}
@@ -392,10 +402,7 @@ def parse_panel(
                 first_row += count
                 yield part
 
-        try:
-            panel = Panel.concat(parts())
-        except UnicodeDecodeError as exc:
-            raise UnreadableStream(f"CSV is not valid UTF-8: {exc}") from exc
+        panel = Panel.concat(parts())
 
     rejects.sort(key=lambda r: r.row)
     return panel, rejects
@@ -453,9 +460,7 @@ def dedupe(panel: Panel) -> Panel:
     return replace(out, flags=flags, predictors=merged[:, len(COUNT_FIELDS):].copy(), **columns)
 
 
-def parse_crosswalk(
-    csv_source, *, delimiter: str = ","
-) -> tuple[dict[str, str], list[Reject]]:
+def parse_crosswalk(csv_source) -> tuple[dict[str, str], list[Reject]]:
     """Read the ZIP-tract crosswalk CSV (columns: zip, tract_status,
     res_ratio) into each ZIP's area name, and the rejected rows in row order.
 
@@ -466,18 +471,20 @@ def parse_crosswalk(
     plus rural mass >= 0.80 is Urban, <= 0.20 Rural, between them Mixed, and
     no mass Unknown. A row is rejected for too few fields, then its zip, then
     a res_ratio that is not a plain ASCII decimal in [0, 1]; blank lines are
-    skipped. Each distinct ZIP and status token is read once.
+    skipped. Each distinct ZIP and status token is read once. A header that
+    names one of the three columns twice raises before any row is read.
     """
     with _text_source(csv_source) as stream:
-        reader = csv.reader(stream, delimiter=delimiter)
+        reader = csv.reader(stream)
         try:
             header = [h.strip().lower() for h in next(reader)]
         except StopIteration:
             raise EmptyInput("crosswalk CSV has no header row") from None
-        for col in ("zip", "tract_status", "res_ratio"):
+        for col in CROSSWALK_COLUMNS:
             if col not in header:
                 raise MissingColumn(f"crosswalk column {col!r} not in header")
-        zi, si, ri = header.index("zip"), header.index("tract_status"), header.index("res_ratio")
+        _named_once(header, CROSSWALK_COLUMNS)
+        zi, si, ri = map(header.index, CROSSWALK_COLUMNS)
         width = max(zi, si, ri) + 1
 
         zips: dict[str, tuple[str | None, str | None]] = {}
@@ -564,9 +571,15 @@ def write_csv(dest, header: Iterable, rows: Iterable[Iterable]) -> None:
     writer.writerows(rows)
 
 
+def flag_cells(flags: np.ndarray) -> list[str]:
+    """Each row's flag set sorted and joined by ";", rendering each set once."""
+    flags = flags.tolist()
+    joined = {key: ";".join(sorted(key)) for key in set(flags)}
+    return [joined[key] for key in flags]
+
+
 def write_records(panel: Panel, dest) -> None:
     """Write a panel as CSV with identity headers; re-parsing round-trips."""
-    joined = {flags: ";".join(sorted(flags)) for flags in set(panel.flags.tolist())}
     write_csv(
         dest,
         RECORD_COLUMNS,
@@ -576,7 +589,7 @@ def write_records(panel: Panel, dest) -> None:
             *(_number_cells(getattr(panel, name)) for name in COUNT_FIELDS),
             *(_number_cells(column) for column in panel.predictors.T),
             panel.area.tolist(),
-            [joined[flags] for flags in panel.flags.tolist()],
+            flag_cells(panel.flags),
         ),
     )
 

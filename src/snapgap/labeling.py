@@ -31,7 +31,7 @@ from .errors import (
     NoEligibleRows,
     ValidationError,
 )
-from .ingest import Panel, write_csv
+from .ingest import Panel, flag_cells, write_csv
 from .jsonio import plain, save_json
 
 POOLED_KEY = "All"
@@ -287,9 +287,9 @@ def _float_cells(values: np.ndarray) -> list[float | None]:
     return [None if math.isnan(v) else v for v in values.tolist()]
 
 
-def write_labeled_panel(panel: LabeledPanel, csv_path, sidecar_path=None) -> None:
-    """Export the labeled panel as CSV plus a JSON sidecar with the
-    thresholds, the counts and the labeling rule that made them."""
+def write_labeled_panel(panel: LabeledPanel, csv_path) -> None:
+    """Export the labeled panel as CSV plus a JSON sidecar at its .json path
+    with the thresholds, the counts and the labeling rule that made them."""
     cols = panel.panel
     residual = np.full(len(cols), np.nan) if panel.residual is None else panel.residual
     csv_path = Path(csv_path)
@@ -306,10 +306,8 @@ def write_labeled_panel(panel: LabeledPanel, csv_path, sidecar_path=None) -> Non
             [None if y == UNLABELED else y for y in panel.y.tolist()],
             _float_cells(residual),
             cols.area.tolist(),
-            [";".join(sorted(flags)) for flags in cols.flags],
+            flag_cells(cols.flags),
         ),
     )
-    if sidecar_path is None:
-        sidecar_path = csv_path.with_suffix(".json")
     sidecar = {**panel.summary(), "stratified": panel.stratified, "config": plain(panel.config)}
-    save_json(sidecar, sidecar_path)
+    save_json(sidecar, csv_path.with_suffix(".json"))

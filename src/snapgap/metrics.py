@@ -18,9 +18,6 @@ from .calibration import DecisionRule, classify
 from .errors import EmptyInput, FeatureMismatch, NoPositives, SingleClass, ValidationError
 from .rng import STREAM_PERMUTE, derive_rng
 
-METRIC_AUC = "auc"
-METRIC_AP = "ap"
-
 
 def _as_arrays(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     s = np.asarray(scores, dtype=float)
@@ -137,32 +134,28 @@ class FeatureImportance:
     delta_auc: float
     delta_ap: float
     repeats: int
-    dispersion: float  # std of the primary-metric deltas across repeats
+    dispersion: float  # std of the AUC deltas across repeats
 
 
 @dataclass(frozen=True)
 class ImportanceReport:
-    metric: str  # primary metric used for ranking/dispersion
+    metric: str  # the metric whose deltas give the dispersion: always "auc"
     baseline_auc: float
     baseline_ap: float
     features: tuple[FeatureImportance, ...]
-
-    def ranked(self) -> list[FeatureImportance]:
-        key = (lambda f: f.delta_auc) if self.metric == METRIC_AUC else (lambda f: f.delta_ap)
-        return sorted(self.features, key=key, reverse=True)
 
 
 def permutation_importance(
     model,
     X: np.ndarray,
     labels: Sequence[int],
-    metric: str = METRIC_AUC,
     *,
     repeats: int,
     seed: int = 0,
     base_scores: np.ndarray | None = None,
 ) -> ImportanceReport:
-    """Mean metric drop when one predictor column is shuffled.
+    """Mean AUC and AP drop when one predictor column is shuffled, and the
+    standard deviation of the AUC drops.
 
     Each (feature, repeat) pair draws its permutation from its own seeded
     stream, so results do not depend on evaluation order. `base_scores`, when
@@ -175,8 +168,6 @@ def permutation_importance(
     stacked into one matrix. The permutations and their scores are two
     arrays of repeats * n * d words.
     """
-    if metric not in (METRIC_AUC, METRIC_AP):
-        raise ValidationError(f"metric must be 'auc' or 'ap', got {metric!r}")
     if repeats < 1:
         raise ValidationError(f"repeats must be >= 1, got {repeats}")
     X = np.asarray(X, dtype=float)
@@ -198,18 +189,17 @@ def permutation_importance(
     for name, scores in zip(names, model.permuted_proba(X, perms)):
         d_auc = [baseline_auc - roc_auc(s, y) for s in scores]
         d_ap = [baseline_ap - average_precision(s, y) for s in scores]
-        primary = d_auc if metric == METRIC_AUC else d_ap
         results.append(
             FeatureImportance(
                 name=name,
                 delta_auc=float(np.mean(d_auc)),
                 delta_ap=float(np.mean(d_ap)),
                 repeats=repeats,
-                dispersion=float(np.std(primary)),
+                dispersion=float(np.std(d_auc)),
             )
         )
     return ImportanceReport(
-        metric=metric,
+        metric="auc",
         baseline_auc=baseline_auc,
         baseline_ap=baseline_ap,
         features=tuple(results),
@@ -244,7 +234,6 @@ def evaluate(
     rule: DecisionRule,
     cohort: str,
     model: str = "",
-    fractions: tuple[float, ...] = PRECISION_AT_FRACTIONS,
 ) -> EvalReport:
     """Assemble the full suite for one cohort at one decision rule."""
     p, y = _as_arrays(probabilities, labels)
@@ -258,7 +247,7 @@ def evaluate(
         recall=conf.recall,
         f1=conf.f1,
         accuracy=conf.accuracy,
-        precision_at={str(f): precision_at_k(p, y, f) for f in fractions},
+        precision_at={str(f): precision_at_k(p, y, f) for f in PRECISION_AT_FRACTIONS},
         n=len(y),
         n_pos=int(np.sum(y == 1)),
         rule=rule,

@@ -21,13 +21,15 @@ stacked permuted matrices: for the six `score_stratified` tree models at
 panel seed 3 (`--seed 3`, one CPU), importance took 0.51 s with masks,
 compiling included, against 2.19 s for the walk. Both add leaf values in
 tree order, so their scores are equal bit for bit. Plain prediction keeps
-the walk, which needs no second compiled form (see `tree.py`).
+the walk (see `tree.py`). A model keeps no compiled form: each
+`predict_proba` call builds `FlatTrees`, and `permuted_proba` builds each
+tree's `LeafMasks` in its tree loop (21 and 63 ms for a 100-tree forest of
+72,584 nodes, 2-core Xeon VM).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -84,23 +86,6 @@ class TreeEnsembleModel:
     feature_names: tuple[str, ...]
     base_score: float = 0.0  # boosting log-odds offset
 
-    @cached_property
-    def _flat(self) -> FlatTrees:
-        return FlatTrees(self.trees)
-
-    @cached_property
-    def _masks(self) -> tuple[LeafMasks, ...]:
-        return tuple(map(LeafMasks, self.trees))
-
-    def __getstate__(self) -> dict:
-        """The fields, without the compiled `_flat` and `_masks` caches: they
-        are bigger than the node tuples they are compiled from, and the next
-        call that needs one after unpickling compiles it again."""
-        state = self.__dict__.copy()
-        state.pop("_flat", None)
-        state.pop("_masks", None)
-        return state
-
     def _checked(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != len(self.feature_names):
@@ -111,7 +96,7 @@ class TreeEnsembleModel:
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         X = self._checked(X)
-        flat = self._flat
+        flat = FlatTrees(self.trees)
         # per-tree values are added one tree at a time, in tree order, so the
         # float sums do not depend on how the traversal is organized
         if self.kind == KIND_FOREST:
@@ -142,7 +127,7 @@ class TreeEnsembleModel:
         ranks, uniques = rank_columns(X)
         forest = self.kind == KIND_FOREST
         out = np.full((d, perms.shape[1], n), 0.0 if forest else self.base_score)
-        for masks in self._masks:
+        for masks in map(LeafMasks, self.trees):
             value = masks.slot_value if forest else self.params.learning_rate * masks.slot_value
             codes = masks.codes(uniques, ranks)
             split = {f: i for i, f in enumerate(masks.features.tolist())}

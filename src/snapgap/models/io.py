@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..calibration import DecisionRule, IsotonicMap, apply_isotonic
+from ..calibration import DecisionRule, IsotonicMap
 from ..errors import ValidationError
 from ..jsonio import plain
 from .ensemble import EnsembleParams, TreeEnsembleModel
@@ -41,17 +41,6 @@ class CalibratedScorer:
     model: LogisticModel | TreeEnsembleModel
     isotonic: IsotonicMap
     rule: DecisionRule
-
-    @property
-    def feature_names(self) -> tuple[str, ...]:
-        return tuple(self.model.feature_names)
-
-    def predict_calibrated(self, X: np.ndarray) -> np.ndarray:
-        return self.calibrate(self.model.predict_proba(X))
-
-    def calibrate(self, scores: np.ndarray) -> np.ndarray:
-        """The calibrated probabilities of the model's raw `scores`."""
-        return np.asarray(apply_isotonic(self.isotonic, scores))
 
 
 def _nan_to_none(values) -> list:

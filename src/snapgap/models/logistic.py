@@ -114,11 +114,9 @@ def fit_logistic(
     fm: FeatureMatrix,
     c: float = 1.0,
     weighting: str = WEIGHTING_BALANCED,
-    *,
-    tol: float = GRAD_TOL,
-    max_iter: int = MAX_ITER,
 ) -> LogisticModel:
-    """Fit by damped Newton to gradient norm <= tol.
+    """Fit by damped Newton to gradient norm <= GRAD_TOL, in at most MAX_ITER
+    iterations.
 
     Standardizes the matrix first if it has not been already; the fitted
     (mean, sd) are stored on the model and reused at prediction time.
@@ -137,9 +135,9 @@ def fit_logistic(
     pen[-1] = 0.0
     loss, grad, p = _loss_grad_proba(theta, X, y, w, c)
     n_iter = 0
-    for n_iter in range(1, max_iter + 1):
+    for n_iter in range(1, MAX_ITER + 1):
         gnorm = float(np.linalg.norm(grad))
-        if gnorm <= tol:
+        if gnorm <= GRAD_TOL:
             break
         curv = w * p * (1.0 - p)
         H = np.empty((fm.d + 1, fm.d + 1))
@@ -171,9 +169,9 @@ def fit_logistic(
         theta, loss, grad, p = cand, cand_loss, cand_grad, cand_p
     else:
         gnorm = float(np.linalg.norm(grad))
-        if gnorm > tol:
+        if gnorm > GRAD_TOL:
             raise NonConvergence(
-                f"gradient norm {gnorm:.3e} > {tol:.1e} after {max_iter} iterations"
+                f"gradient norm {gnorm:.3e} > {GRAD_TOL:.1e} after {MAX_ITER} iterations"
             )
 
     return LogisticModel(

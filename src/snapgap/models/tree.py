@@ -25,8 +25,8 @@ those rows' values, and uint16 ranks sort in O(n) by radix.
 
 A grown tree is an immutable record: five preorder node tuples (feature,
 threshold, left, right, value), which is also its serialized form, and no
-traversal of its own. For prediction an ensemble compiles its trees' tuples
-once into `FlatTrees`, numpy node arrays laid end to end. In the compiled
+traversal of its own. Each prediction of an ensemble compiles its trees'
+tuples into `FlatTrees`, numpy node arrays laid end to end. In the compiled
 layout a leaf points both child slots at itself, so a row that reaches a leaf
 stays there: every row takes exactly `depth` steps, with no per-step
 bookkeeping of which rows are still moving.
@@ -34,20 +34,21 @@ A step reads the row's feature from the flattened input matrix, compares it
 with the node's threshold (`x <= threshold` goes left; NaN compares false and
 goes right) and gathers the child index.
 
-Permutation importance compiles each tree a second way, into `LeafMasks`:
-the leaf-bitmask form of QuickScorer (Lucchese et al., SIGIR 2015). A tree's
-leaves are numbered left to right, which in preorder is node order. A split
-node whose test fails (`x > threshold`, or NaN) rules out the leaves of its
-left subtree, so its mask has the bits of every other leaf. The leaf a row
-reaches is the lowest one that no failing node rules out: the lowest set bit
-of the AND of the failing nodes' masks, whether or not those nodes lie on the
-row's path. A feature's failing nodes are those with a threshold below the
-row's value, a prefix of its nodes in threshold order, so one row of a table
-of running ANDs is the mask the feature allows. The row's leaf is the lowest
-set bit of the AND over features. Permuting column j changes only the j
-masks: for each tree the AND over the other features is computed once, and
-each permuted copy costs a gather of the j masks, an AND and a lowest-bit
-lookup (see `TreeEnsembleModel.permuted_proba`).
+Each permutation importance call compiles each tree a second way, one tree
+at a time, into `LeafMasks`: the leaf-bitmask form of QuickScorer (Lucchese
+et al., SIGIR 2015). A tree's leaves are numbered left to right, which in
+preorder is node order. A split node whose test fails (`x > threshold`, or
+NaN) rules out the leaves of its left subtree, so its mask has the bits of
+every other leaf. The leaf a row reaches is the lowest one that no failing
+node rules out: the lowest set bit of the AND of the failing nodes' masks,
+whether or not those nodes lie on the row's path. A feature's failing nodes
+are those with a threshold below the row's value, a prefix of its nodes in
+threshold order, so one row of a table of running ANDs is the mask the
+feature allows. The row's leaf is the lowest set bit of the AND over
+features. Permuting column j changes only the j masks: for each tree the AND
+over the other features is computed once, and each permuted copy costs a
+gather of the j masks, an AND and a lowest-bit lookup (see
+`TreeEnsembleModel.permuted_proba`).
 
 Plain prediction keeps the walk. With nothing permuted there is no AND to
 share: every row looks up every feature's mask in every tree. For the

@@ -30,25 +30,24 @@ larger pass. A tree family's CV grid search holds most of a run's work, so
 such a task is split. The first pass runs the folds of every split task and
 nothing else: each fold is one unit, which fits the grid on that fold
 (`selection.fold_proba`). Their results are gathered per task in fold
-order, so no output depends on the order in which the pass hands them
-out. The second pass runs one unit per task, in plan order: the tail of a
-split task (the grid selection from its fold results, the winner's refit,
+order, so no output depends on the order in which the pass hands them out.
+The second pass runs one unit per task, in plan order: the tail of a split
+task (the grid selection from its fold results, the winner's refit,
 calibration, evaluation and importance), or the whole of any other task
 (logistic, split70), and its outcomes come back in plan order. With one
 CPU, where the platform cannot fork, or while another thread runs, the same
-units run here one after another, in the same two passes. Where a unit
-runs cannot change a byte: it reads only the labeled panels, which workers
+units run here one after another, in the same two passes. Where a unit runs
+cannot change a byte: it reads only the labeled panels, which workers
 inherit through fork, it draws only from its task's keyed streams, and its
 result comes back by pickle, which keeps every float bit and dict order. A
 task sends back its manifest entry, and its fitted scorer only when the
 caller keeps scorers: `train_scorers` always does, `run_backtest` unless
 `keep_scorers` is false, as it is for `snapgap backtest` without
-`--models`. A scorer's model pickles without its compiled prediction cache.
-A task renders its model's flagged rows into the model's flagged CSV
-itself, from the ZIP and year cells of the panel it inherited and the
-probabilities it computed (`_flagged_csv`), and sends back those bytes
-beside its manifest entry. The entry, `{"file", "rows", "sha256"}`, names
-the file and holds its row count and the sha256 of its bytes, so the
+`--models`. A task renders its model's flagged rows into the model's
+flagged CSV itself, from the ZIP and year cells of the panel it inherited
+and the probabilities it computed (`_flagged_csv`), and sends back those
+bytes beside its manifest entry. The entry, `{"file", "rows", "sha256"}`,
+names the file and holds its row count and the sha256 of its bytes, so the
 manifest digest covers every flagged row through those sha256s, and this
 process does no per-row work: `run_backtest` returns the bytes beside the
 body, in `RunManifest.flagged_csvs`, for the report to write. The code that
@@ -104,7 +103,7 @@ from .labeling import (
     fit_uptake_ols,
     flag_hidden_fragility,
 )
-from .metrics import METRIC_AUC, evaluate, permutation_importance
+from .metrics import evaluate, permutation_importance
 from .models import (
     DEFAULT_GRIDS,
     FAMILIES,
@@ -454,7 +453,7 @@ def _fit_task(
     if cfg.decision == DECISION_PREVALENCE:
         rule = prevalence_threshold(task.prevalence)
     else:
-        rule = youden_threshold(np.asarray(cal_holdout), holdout_y)
+        rule = youden_threshold(cal_holdout, holdout_y)
     detail["rule"] = plain(rule)
     detail["isotonic_fitted_on"] = iso.fitted_on
     scorer = CalibratedScorer(model=model, isotonic=iso, rule=rule)
@@ -534,7 +533,7 @@ def _evaluate_task(
         raise InsufficientCohort(f"cohort {cohort!r}: no labeled test rows")
     X2, y2 = _matrix(p2_panel, p2_rows, task.subset)
     scores = scorer.model.predict_proba(X2)
-    calibrated = scorer.calibrate(scores)
+    calibrated = apply_isotonic(scorer.isotonic, scores)
     try:
         report = evaluate(calibrated, y2, scorer.rule, cohort=cohort, model=task.model)
     except CohortError as exc:
@@ -557,7 +556,6 @@ def _evaluate_task(
         scorer.model,
         X2,
         y2,
-        metric=METRIC_AUC,
         repeats=cfg.importance_repeats,
         seed=cfg.seed,
         base_scores=scores,

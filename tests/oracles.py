@@ -19,11 +19,18 @@ import io
 import json
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from snapgap.errors import EmptyInput, LengthOverflow, MissingColumn, NonNumericZip
+from snapgap.errors import (
+    EmptyInput,
+    LengthOverflow,
+    MissingColumn,
+    NonNumericZip,
+    ValidationError,
+)
 from snapgap.ingest import (
     COUNT_FIELDS,
     DEFAULT_SCHEMA,
@@ -175,6 +182,10 @@ def parse_panel_reference(csv_text, schema=None, *, delimiter=",", year_range=DE
         if column not in header:
             raise MissingColumn(f"column {column!r} (field {logical!r}) not in header")
         positions[logical] = header.index(column)
+    named = Counter(header)
+    for column in schema.values():  # a column read from must be named once
+        if named[column] != 1:
+            raise ValidationError(f"column {column!r} appears {named[column]} times in header")
 
     records, rejects = [], []
     lo_year, hi_year = year_range
@@ -296,11 +307,11 @@ def designate_area_reference(rows):
     return Area.MIXED
 
 
-def parse_crosswalk_reference(csv_text, *, delimiter=","):
+def parse_crosswalk_reference(csv_text):
     """Row-by-row parse of crosswalk text into one (zip, status, res_ratio)
     tuple per accepted row and the Rejects, those rows grouped per ZIP in
     row order, and each group designated: (ZIP -> area name, rejects)."""
-    reader = csv.reader(io.StringIO(csv_text), delimiter=delimiter)
+    reader = csv.reader(io.StringIO(csv_text))
     try:
         header = [h.strip().lower() for h in next(reader)]
     except StopIteration:
@@ -308,6 +319,10 @@ def parse_crosswalk_reference(csv_text, *, delimiter=","):
     for col in ("zip", "tract_status", "res_ratio"):
         if col not in header:
             raise MissingColumn(f"crosswalk column {col!r} not in header")
+    named = Counter(header)
+    for col in ("zip", "tract_status", "res_ratio"):  # a column read from must be named once
+        if named[col] != 1:
+            raise ValidationError(f"column {col!r} appears {named[col]} times in header")
     zi, si, ri = header.index("zip"), header.index("tract_status"), header.index("res_ratio")
     width = max(zi, si, ri) + 1
 

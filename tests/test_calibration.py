@@ -84,16 +84,16 @@ class TestApplyIsotonic:
     ISO = IsotonicMap(scores=np.array([0.2, 0.4]), values=np.array([0.1, 0.3]), fitted_on=2)
 
     def test_clamp_below(self):
-        assert apply_isotonic(self.ISO, -5.0) == 0.1
+        assert apply_isotonic(self.ISO, np.array([-5.0])).tolist() == [0.1]
 
     def test_clamp_above(self):
-        assert apply_isotonic(self.ISO, 99.0) == 0.3
+        assert apply_isotonic(self.ISO, np.array([99.0])).tolist() == [0.3]
 
     def test_exact_breakpoint(self):
-        assert apply_isotonic(self.ISO, 0.4) == 0.3
+        assert apply_isotonic(self.ISO, np.array([0.4])).tolist() == [0.3]
 
     def test_linear_between(self):
-        assert apply_isotonic(self.ISO, 0.3) == pytest.approx(0.2, abs=1e-12)
+        assert apply_isotonic(self.ISO, np.array([0.3])) == pytest.approx([0.2], abs=1e-12)
 
     def test_vectorized(self):
         out = apply_isotonic(self.ISO, np.array([0.2, 0.3, 0.4]))

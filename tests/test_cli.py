@@ -5,7 +5,6 @@ import os
 import shutil
 import subprocess
 import sys
-from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +12,7 @@ import pytest
 
 import snapgap
 from snapgap import cli, pipeline
+from snapgap.calibration import apply_isotonic
 from snapgap.cli import main
 from snapgap.config import apply_overrides, settings_from
 from snapgap.errors import SingleClass
@@ -438,12 +438,15 @@ def test_scorer_files_read_back_to_the_same_predictions(tmp_path, small_panel):
         loaded = scorer_from_dict(load_json(path))
         family = load_json(path)["model"]["family"]
         families.add(family)
-        names = loaded.feature_names
+        names = loaded.model.feature_names
         scorer = scorers[("All", f"{family}[{'+'.join(names)}]")]
         cols = [PREDICTOR_FIELDS.index(name) for name in names]
-        for predict in ("predict_calibrated", "model.predict_proba"):
-            got, want = (attrgetter(predict)(s)(X[:, cols]) for s in (loaded, scorer))
-            assert got.tobytes() == want.tobytes()
+        got, want = (
+            (raw.tobytes(), apply_isotonic(s.isotonic, raw).tobytes())
+            for s in (loaded, scorer)
+            for raw in [s.model.predict_proba(X[:, cols])]
+        )
+        assert got == want
     assert families == set(FAMILIES)
 
 
@@ -545,6 +548,31 @@ def test_io_exit_code(tmp_path):
         ["backtest", "--panel", str(tmp_path / "missing.csv"), "--seed", "1", "--out", str(tmp_path)]
     )
     assert code == 4
+
+
+GOOD_PANEL = b"zip,year,pov_fam,snap_fam\n01234,2015,100,40\n"
+GOOD_CROSSWALK = b"zip,tract_status,res_ratio\n01234,Urban,1.0\n"
+MALFORMED_INPUTS = {
+    "panel header not utf-8": (b"zip,year,pov_fam,snap_fam\xff\xfe\n01234,2015,100,40\n", GOOD_CROSSWALK, 4),
+    "panel cell not utf-8": (b"zip,year,pov_fam,snap_fam\n01234,2015,100,\xff\xfe\n", GOOD_CROSSWALK, 4),
+    "crosswalk header not utf-8": (GOOD_PANEL, b"zip,tract_status,res_ratio\xff\xfe\n01234,Urban,1\n", 4),
+    "crosswalk cell not utf-8": (GOOD_PANEL, b"zip,tract_status,res_ratio\n\xff\xfe,Urban,1.0\n", 4),
+    "panel repeats year": (b"zip,year,pov_fam,snap_fam,year\n01234,2015,100,40,2016\n", GOOD_CROSSWALK, 2),
+    "crosswalk repeats zip": (GOOD_PANEL, b"zip,tract_status,res_ratio,zip\n01234,Urban,1.0,01235\n", 2),
+}
+
+
+@pytest.mark.parametrize("panel, crosswalk, code", MALFORMED_INPUTS.values(), ids=MALFORMED_INPUTS.keys())
+def test_malformed_input_files_exit_with_one_error_line(tmp_path, capsys, panel, crosswalk, code):
+    (tmp_path / "p.csv").write_bytes(panel)
+    (tmp_path / "cw.csv").write_bytes(crosswalk)
+    out = tmp_path / "out.csv"
+    args = ["ingest", "--panel", str(tmp_path / "p.csv"), "--crosswalk", str(tmp_path / "cw.csv")]
+    assert main([*args, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_insufficient_cohort_exit_code(tmp_path):

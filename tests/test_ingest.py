@@ -15,7 +15,14 @@ from oracles import (
     records_of,
 )
 from snapgap import ingest
-from snapgap.errors import EmptyInput, LengthOverflow, MissingColumn, NonNumericZip
+from snapgap.errors import (
+    EmptyInput,
+    LengthOverflow,
+    MissingColumn,
+    NonNumericZip,
+    UnreadableStream,
+    ValidationError,
+)
 from snapgap.ingest import (
     DEFAULT_SCHEMA,
     FLAG_CLIPPED,
@@ -249,10 +256,51 @@ class TestParsePanel:
         panel, _ = parse_panel(io.StringIO(header + "\n01234,2015,100,40,1,1,1,1"), schema)
         assert panel.pov_fam[0] == 100.0
 
-    def test_bytes_source(self):
-        data = (HEADER + "\n01234,2015,100,40,1,1,1,1").encode("utf-8")
-        panel, _ = parse_panel(data, SCHEMA)
-        assert len(panel) == 1
+    def test_path_and_text_stream_sources(self, tmp_path):
+        text = HEADER + "\n01234,2015,100,40,1,1,1,1"
+        path = tmp_path / "p.csv"
+        path.write_text(text, encoding="utf-8")
+        stream = io.StringIO(text)
+        for source in (path, str(path), stream):
+            panel, _ = parse_panel(source, SCHEMA)
+            assert panel.zip.tolist() == ["01234"]
+        assert not stream.closed  # a caller's stream stays the caller's
+
+    @pytest.mark.parametrize("read", [parse_panel, parse_crosswalk])
+    @pytest.mark.parametrize("source", [b"zip\n", io.BytesIO(b"zip\n"), 5])
+    def test_bytes_and_other_sources_are_refused(self, read, source):
+        with pytest.raises(UnreadableStream, match="unsupported CSV source"):
+            read(source)
+
+    @pytest.mark.parametrize("read", [parse_panel, parse_crosswalk])
+    @pytest.mark.parametrize("where", ["header", "body"])
+    def test_text_that_is_not_utf8_is_unreadable(self, tmp_path, read, where):
+        header, row = (
+            (HEADER, "01234,2015,100,40,1,1,1,1")
+            if read is parse_panel
+            else (CROSSWALK_HEADER, "01234,Urban,1.0")
+        )
+        lines = [line.encode() for line in [header] + [row] * 3000]  # past one parse chunk
+        bad = 0 if where == "header" else -1
+        lines[bad] = b"\xff\xfe" + lines[bad]
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(UnreadableStream, match="CSV is not valid UTF-8"):
+            read(path)
+
+    def test_a_read_column_named_twice_is_an_error(self):
+        for header, schema in ((HEADER + ",year", SCHEMA), ("zip,year,pov_fam,snap_fam,year", None)):
+            with pytest.raises(ValidationError, match="column 'year' appears 2 times in header"):
+                parse_panel(io.StringIO(header + "\n" + "1," * header.count(",") + "1"), schema)
+        schema = dict(SCHEMA, pct_hs_only="h")
+        with pytest.raises(ValidationError, match="column 'h' appears 3 times"):
+            parse_panel(io.StringIO(HEADER.replace("pct_hs_only", "h,h,h")), schema)
+
+    def test_an_unread_column_may_repeat(self):
+        records, rejects = parse_rows("01234,2015,100,40,1,2,3,4,a,b", header=HEADER + ",note,note")
+        assert rejects == [] and records[0].pct_hs_only == 4.0
+        panel, rejects = parse_panel(io.StringIO("note,zip,note,year,pov_fam,snap_fam\na,1,b,2015,9,3"))
+        assert rejects == [] and panel.zip.tolist() == ["00001"]
 
     def test_no_silent_drops(self, rng):
         rows = []
@@ -405,9 +453,11 @@ def token_pool(column):
 @st.composite
 def raw_panels(draw):
     """CSV text with a shuffled header of the required and some optional
-    columns, and rows that are blank, short, long, duplicated or drawn cell
-    by cell from valid, sentinel and garbage tokens."""
+    columns, at times with a column that no reader reads or a read column
+    named twice, and rows that are blank, short, long, duplicated or drawn
+    cell by cell from valid, sentinel and garbage tokens."""
     optional = draw(st.lists(st.sampled_from(OPTIONAL_COLUMNS), unique=True))
+    optional += draw(st.sampled_from([[]] * 6 + [["note"], ["note", "note"], ["year"], ["pov_fam"]]))
     header = draw(st.permutations(["zip", "year", "pov_fam", "snap_fam", *optional]))
     lines = [",".join(header)]
     for _ in range(draw(st.integers(0, 25))):
@@ -426,6 +476,14 @@ def raw_panels(draw):
     return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
 
 
+def read_outcome(read, source):
+    """`read(source)`, or the type and message of the ValidationError it raises."""
+    try:
+        return read(source)
+    except ValidationError as exc:
+        return type(exc), str(exc)
+
+
 def assert_same_panel(got: Panel, want: Panel) -> None:
     """Equal columns: the same dtypes, and the same values with NaN equal to NaN."""
     for name in ("zip", "year", "area", "flags"):
@@ -442,8 +500,12 @@ class TestRowWiseReference:
     @settings(max_examples=300, deadline=None)
     @given(text=raw_panels())
     def test_parse_and_dedupe_match_reference(self, text):
+        try:
+            records, expected_rejects = parse_panel_reference(text)
+        except ValidationError as exc:
+            assert read_outcome(parse_panel, io.StringIO(text)) == (type(exc), str(exc))
+            return
         panel, rejects = parse_panel(io.StringIO(text))
-        records, expected_rejects = parse_panel_reference(text)
         assert [(r.row, r.reason) for r in rejects] == [(r.row, r.reason) for r in expected_rejects]
         assert records_of(panel) == records
         # the tuple-keyed reference
@@ -551,6 +613,13 @@ class TestParseCrosswalk:
             (2, "res_ratio: unparseable '\u0660.5'"),
         ]
 
+    def test_a_read_column_named_twice_is_an_error(self):
+        for header in ("zip,tract_status,res_ratio,zip", "ZIP,tract_status, zip ,res_ratio"):
+            with pytest.raises(ValidationError, match="column 'zip' appears 2 times in header"):
+                parse_crosswalk(io.StringIO(header + "\n01234,Urban,1.0,0"))
+        areas, rejects = parse_crosswalk(io.StringIO("note,zip,tract_status,res_ratio,NOTE\na,1,Rural,1,b"))
+        assert areas == {"00001": "Rural"} and rejects == []
+
     def test_short_row_rejected(self):
         areas, rejects = crosswalk_areas("01001,Urban", "01002", "1234,Urban,0.7")
         assert areas == {"01234": "Urban"}
@@ -579,12 +648,13 @@ CROSSWALK_TOKENS = {
 
 @st.composite
 def raw_crosswalks(draw):
-    """Crosswalk text with a shuffled, padded header and rows that are
+    """Crosswalk text with a shuffled, padded header, at times with a column
+    that no reader reads or a read column named twice, and rows that are
     blank, short, long, repeated, drawn cell by cell from valid and
     malformed tokens, or pairs that give a ZIP an urban share of exactly
     0.80 or 0.20; in any order."""
-    columns = ["zip", "tract_status", "res_ratio", *draw(st.lists(st.just("note"), max_size=1))]
-    columns = draw(st.permutations(columns))
+    extra = draw(st.sampled_from([[]] * 5 + [["note"], ["note", "note"], ["zip"], ["res_ratio"]]))
+    columns = draw(st.permutations(["zip", "tract_status", "res_ratio", *extra]))
     header = [draw(st.sampled_from([c, c.upper(), f" {c} "])) for c in columns]
     lines = []
     for _ in range(draw(st.integers(0, 25))):
@@ -620,4 +690,6 @@ class TestCrosswalkReference:
     @settings(max_examples=300, deadline=None)
     @given(text=raw_crosswalks())
     def test_areas_and_rejects_match_reference(self, text):
-        assert parse_crosswalk(io.StringIO(text)) == parse_crosswalk_reference(text)
+        assert read_outcome(parse_crosswalk, io.StringIO(text)) == read_outcome(
+            parse_crosswalk_reference, text
+        )

@@ -205,14 +205,14 @@ class TestPermutationImportance:
         X = rng.normal(size=(200, 2))
         y = (rng.random(200) < model.predict_proba(X)).astype(int)
         y[0], y[1] = 1, 0
-        report = permutation_importance(model, X, y, metric="auc", repeats=5, seed=3)
+        report = permutation_importance(model, X, y, repeats=5, seed=3)
         unused = next(f for f in report.features if f.name == "unused")
         assert unused.delta_auc == 0.0
         assert unused.dispersion == 0.0
 
     def test_single_feature_drop_matches_oracle_recompute(self, rng):
         model, X, y = fitted_logistic(rng, [2.0], n=20)
-        report = permutation_importance(model, X, y, metric="auc", repeats=3, seed=11)
+        report = permutation_importance(model, X, y, repeats=3, seed=11)
         from snapgap.metrics import roc_auc as auc
         from snapgap.rng import STREAM_PERMUTE, derive_rng
 
@@ -227,8 +227,8 @@ class TestPermutationImportance:
 
     def test_dominant_feature_ranks_first(self, rng):
         model, X, y = fitted_logistic(rng, [-2.5, 0.3, 0.0], n=500)
-        report = permutation_importance(model, X, y, metric="auc", repeats=8, seed=5)
-        assert report.ranked()[0].name == "f0"
+        report = permutation_importance(model, X, y, repeats=8, seed=5)
+        assert max(report.features, key=lambda f: f.delta_auc).name == "f0"
 
     def test_feature_mismatch(self, rng):
         model, X, y = fitted_logistic(rng, [1.0, 1.0])
@@ -253,7 +253,7 @@ def fitted_model(family):
     return fit_tree_ensemble(fm, EnsembleParams(kind=family, n_trees=15, max_depth=4, seed=6))
 
 
-def per_repeat_importance(model, X, y, metric, repeats, seed):
+def per_repeat_importance(model, X, y, repeats, seed):
     """One predict_proba call per (feature, repeat): the unbatched definition."""
     base = model.predict_proba(X)
     base_auc, base_ap = roc_auc(base, y), average_precision(base, y)
@@ -267,8 +267,7 @@ def per_repeat_importance(model, X, y, metric, repeats, seed):
             scores = model.predict_proba(Xp)
             d_auc.append(base_auc - roc_auc(scores, y))
             d_ap.append(base_ap - average_precision(scores, y))
-        primary = d_auc if metric == "auc" else d_ap
-        out.append((float(np.mean(d_auc)), float(np.mean(d_ap)), float(np.std(primary))))
+        out.append((float(np.mean(d_auc)), float(np.mean(d_ap)), float(np.std(d_auc))))
     return out
 
 
@@ -320,17 +319,16 @@ class TestBatchedImportance:
         n=st.integers(min_value=2, max_value=120),
         repeats=st.integers(min_value=1, max_value=6),
         seed=st.integers(min_value=0, max_value=2**31),
-        metric=st.sampled_from(["auc", "ap"]),
     )
-    def test_equals_per_repeat_loop(self, family, n, repeats, seed, metric):
+    def test_equals_per_repeat_loop(self, family, n, repeats, seed):
         rng = np.random.default_rng(seed)
         X = np.round(rng.normal(size=(n, 3)), 1)  # ties within each column
         y = (rng.random(n) < 0.3).astype(int)
         y[0], y[1] = 1, 0
         model = fitted_model(family)
-        report = permutation_importance(model, X, y, metric=metric, repeats=repeats, seed=seed)
+        report = permutation_importance(model, X, y, repeats=repeats, seed=seed)
         got = [(f.delta_auc, f.delta_ap, f.dispersion) for f in report.features]
-        assert got == per_repeat_importance(model, X, y, metric, repeats, seed)
+        assert got == per_repeat_importance(model, X, y, repeats, seed)
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -348,7 +346,7 @@ class TestBatchedImportance:
         y[0], y[1] = 1, 0
         report = permutation_importance(model, X, y, repeats=repeats, seed=seed)
         got = [(f.delta_auc, f.delta_ap, f.dispersion) for f in report.features]
-        assert got == per_repeat_importance(model, X, y, "auc", repeats, seed)
+        assert got == per_repeat_importance(model, X, y, repeats, seed)
 
     @pytest.mark.parametrize("kind", ["random_forest", "gradient_boosting"])
     def test_edge_trees_and_cells_equal_per_repeat_loop(self, kind):
@@ -357,9 +355,9 @@ class TestBatchedImportance:
         X = rng.choice([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0, np.nan], size=(80, 3))
         y = (rng.random(80) < 0.5).astype(int)
         y[0], y[1] = 1, 0
-        report = permutation_importance(model, X, y, metric="ap", repeats=5, seed=9)
+        report = permutation_importance(model, X, y, repeats=5, seed=9)
         got = [(f.delta_auc, f.delta_ap, f.dispersion) for f in report.features]
-        assert got == per_repeat_importance(model, X, y, "ap", 5, seed=9)
+        assert got == per_repeat_importance(model, X, y, 5, seed=9)
         assert report.features[2].delta_auc == 0.0  # no tree splits on c
 
     @pytest.mark.parametrize(

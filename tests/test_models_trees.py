@@ -21,7 +21,7 @@ from snapgap.models import (
     model_to_dict,
     sigmoid,
 )
-from snapgap.models.tree import FlatTrees, LeafMasks, rank_columns
+from snapgap.models.tree import FlatTrees, rank_columns
 from snapgap.rng import derive_rng
 
 
@@ -436,20 +436,16 @@ class TestSerialization:
         X_test = rng.normal(size=(40, 2))
         X_test[::5, 0] = np.nan
         want = model.predict_proba(X_test)
-        assert isinstance(model._flat, FlatTrees)  # compiled by the prediction
         perms = np.array([[rng.permutation(40)] for _ in range(2)])
         want_permuted = model.permuted_proba(X_test, perms)
-        assert all(isinstance(m, LeafMasks) for m in model._masks)  # compiled too
         data = pickle.dumps(model)
         assert b"FlatTrees" not in data
         assert b"LeafMasks" not in data
         clone = pickle.loads(data)
-        assert not {"_flat", "_masks"} & set(vars(clone))
         got = clone.predict_proba(X_test)
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
         assert np.array_equal(clone.permuted_proba(X_test, perms), want_permuted)
-        assert {"_flat", "_masks"} <= set(vars(model))  # pickling leaves the original's caches alone
 
     @pytest.mark.parametrize("kind", ["random_forest", "gradient_boosting", "tree"])
     def test_copies_equal_the_original(self, rng, kind):

@@ -6,7 +6,7 @@ import pytest
 
 from oracles import flagged_rows_reference, render_report_reference
 from snapgap import pipeline
-from snapgap.calibration import classify
+from snapgap.calibration import apply_isotonic, classify
 from snapgap.ingest import PREDICTOR_FIELDS
 from snapgap.jsonio import plain
 from snapgap.labeling import build_labels
@@ -101,7 +101,8 @@ def test_json_and_flagged_csvs_match_the_reference_renderer(records, manifest, t
     flagged = {}
     for (cohort, label), scorer in manifest.scorers.items():
         columns = [PREDICTOR_FIELDS.index(f) for f in scorer.model.feature_names]
-        probs = scorer.predict_calibrated(p2.panel.predictors[np.ix_(rows, columns)])
+        scores = scorer.model.predict_proba(p2.panel.predictors[np.ix_(rows, columns)])
+        probs = apply_isotonic(scorer.isotonic, scores)
         hit = classify(probs, scorer.rule) == 1
         flagged[cohort, label] = flagged_rows_reference(
             p2.panel.zip[rows[hit]].tolist(), p2.panel.year[rows[hit]].tolist(), probs[hit].tolist()
