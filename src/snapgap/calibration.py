@@ -14,12 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    DegeneratePrevalence,
-    InsufficientData,
-    SingleClass,
-    ValidationError,
-)
+from .errors import CohortError, ValidationError
 
 POLICY_PREVALENCE = "prevalence_anchored"
 POLICY_YOUDEN = "youden"
@@ -61,7 +56,7 @@ def fit_isotonic(scores: Sequence[float], labels: Sequence[float]) -> IsotonicMa
     if s.shape != y.shape or s.ndim != 1:
         raise ValidationError("scores and labels must be equal-length 1-D sequences")
     if s.size < 2:
-        raise InsufficientData(f"need at least 2 pairs, got {s.size}")
+        raise CohortError(f"need at least 2 pairs, got {s.size}")
     if not (np.all(np.isfinite(s)) and np.all(np.isfinite(y))):
         raise ValidationError("scores and labels must be finite")
 
@@ -104,7 +99,7 @@ def apply_isotonic(iso: IsotonicMap, scores: np.ndarray) -> np.ndarray:
 def prevalence_threshold(train_prevalence: float) -> DecisionRule:
     """Flag when calibrated probability >= the training-period prevalence."""
     if not 0.0 < train_prevalence < 1.0:
-        raise DegeneratePrevalence(f"prevalence must be in (0,1), got {train_prevalence}")
+        raise ValidationError(f"prevalence must be in (0,1), got {train_prevalence}")
     return DecisionRule(
         policy=POLICY_PREVALENCE,
         threshold=train_prevalence,
@@ -124,7 +119,7 @@ def youden_threshold(scores: Sequence[float], labels: Sequence[int]) -> Decision
     n_pos = int(np.sum(y == 1))
     n_neg = int(np.sum(y == 0))
     if n_pos == 0 or n_neg == 0:
-        raise SingleClass("Youden threshold needs both classes")
+        raise CohortError("Youden threshold needs both classes")
 
     uniq, inverse = np.unique(s, return_inverse=True)
     m = len(uniq)

@@ -12,7 +12,9 @@ reads those CSVs beside the manifest and writes them unchanged. A YAML config
 supplies settings; any key can be overridden with repeated `--set key=value`
 flags (values parsed as YAML). Every command checks every key first (see
 `config`): an unknown key, a value of the wrong type, or one out of range,
-exits 2 before any work, and so does an unknown `--formats` name. So does
+exits 2 before any work, and so does an unknown `--formats` name or a
+command's two outputs at one path (`--out` and `--rejects`, `--out` and
+`--truth`, or `label --out x.json` and its sidecar). So does
 `report`, before writing anything, on a file that is not a manifest it can
 render: not UTF-8 JSON, another format, a part the renderers read missing or
 of the wrong type, a body that does not hash to its `manifest_digest`
@@ -95,6 +97,13 @@ def _formats(args) -> list[str]:
     return formats
 
 
+def _distinct_outputs(names: str, first: Path, second: Path) -> None:
+    """Refuse two outputs of one command at one path, before any work: the
+    second write would replace the first."""
+    if first.resolve() == second.resolve():
+        raise ValidationError(f"{names} are the same file: {second}")
+
+
 def _write_scorers(scorers: dict, outdir: Path) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
     for (cohort, label), scorer in sorted(scorers.items()):
@@ -103,6 +112,8 @@ def _write_scorers(scorers: dict, outdir: Path) -> None:
 
 def cmd_ingest(args) -> int:
     settings = _load_merged_config(args)
+    if args.rejects:
+        _distinct_outputs("--out and --rejects", Path(args.out), Path(args.rejects))
     panel, rejects, _ = _load_panel(settings, args.panel, args.crosswalk)
     write_records(panel, Path(args.out))
     if args.rejects:
@@ -113,6 +124,8 @@ def cmd_ingest(args) -> int:
 
 def cmd_label(args) -> int:
     settings = _load_merged_config(args)
+    out = Path(args.out)
+    _distinct_outputs("--out and its JSON sidecar", out, out.with_suffix(".json"))
     panel, _, _ = _load_panel(settings, args.panel)
     cfg = settings.backtest
     labeled = build_labels(panel, cfg.label, stratify_by_area=cfg.stratified)
@@ -120,7 +133,7 @@ def cmd_label(args) -> int:
         labeled, _ = fit_uptake_ols(labeled)
     except DegenerateDesign:
         pass  # the residual column stays blank
-    write_labeled_panel(labeled, Path(args.out))
+    write_labeled_panel(labeled, out)
     print(
         f"labeled {len(panel)} rows: {labeled.n_eligible()} eligible, "
         f"{labeled.n_positive()} fragile (prevalence {labeled.prevalence:.4f}) -> {args.out}"
@@ -155,9 +168,12 @@ def cmd_backtest(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    panel, truth = generate_synthetic(_load_merged_config(args).synth)
-    write_records(panel, Path(args.out))
-    truth_path = Path(args.truth) if args.truth else Path(args.out).with_suffix(".truth.json")
+    settings = _load_merged_config(args)
+    out = Path(args.out)
+    truth_path = Path(args.truth) if args.truth else out.with_suffix(".truth.json")
+    _distinct_outputs("--out and --truth", out, truth_path)
+    panel, truth = generate_synthetic(settings.synth)
+    write_records(panel, out)
     save_json(truth, truth_path)
     print(f"generated {len(panel)} rows -> {args.out} (truth: {truth_path})")
     return EXIT_OK

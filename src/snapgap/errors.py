@@ -1,9 +1,21 @@
-"""Exception hierarchy shared across the package.
+"""Exception classes shared across the package: one per CLI exit code, and
+two that callers catch to carry on.
 
-Three broad families map onto CLI exit codes: validation problems (bad
-inputs, bad config), cohort problems (not enough usable data to fit or
-evaluate), and I/O problems. Every other error is a run that failed on input
-the families accept, such as a dead worker process; it exits with code 5.
+- `ValidationError`: bad inputs or configuration. Exit code 2.
+- `CohortError`: not enough usable data to fit or evaluate. Exit code 3.
+- `IoFailure`: a file or stream that cannot be read or written. Exit code 4.
+- `SnapGapError`: the base of them all; raised itself, it is a run that
+  failed on input the families accept, such as a dead worker process.
+  Exit code 5.
+- `DegenerateDesign` (a `ValidationError`): the uptake OLS has too few count
+  pairs, or no spread in x. The pipeline records it as the diagnostic's
+  error and `snapgap label` leaves the residuals blank; both carry on.
+- `NonConvergence` (a `SnapGapError`): a fit did not converge. CV records it
+  as a failed candidate and the pipeline as a failed task; exit code 5 when
+  it ends the run.
+
+The CLI prints only the message, so a raise site names what went wrong in
+its text, not in a class of its own.
 """
 
 
@@ -24,90 +36,9 @@ class IoFailure(SnapGapError):
     """Filesystem or stream failure. CLI exit code 4."""
 
 
-# --- ingest ---------------------------------------------------------------
-
-class MissingColumn(ValidationError):
-    pass
-
-
-class UnreadableStream(IoFailure):
-    pass
-
-
-class EmptyInput(ValidationError):
-    pass
-
-
-class NonNumericZip(ValidationError):
-    pass
-
-
-class LengthOverflow(ValidationError):
-    pass
-
-
-# --- labeling -------------------------------------------------------------
-
-class NoEligibleRows(CohortError):
-    pass
-
-
 class DegenerateDesign(ValidationError):
-    pass
-
-
-# --- models ---------------------------------------------------------------
-
-class SingleClass(CohortError):
-    pass
+    """The uptake OLS cannot be fit. Caught to skip the diagnostic."""
 
 
 class NonConvergence(SnapGapError):
     """A fit did not converge. CLI exit code 5 when it ends the run."""
-
-
-class FeatureMismatch(ValidationError):
-    pass
-
-
-class InvalidParams(ValidationError):
-    pass
-
-
-class TooFewPositives(CohortError):
-    pass
-
-
-# --- calibration ----------------------------------------------------------
-
-class InsufficientData(CohortError):
-    pass
-
-
-class DegeneratePrevalence(ValidationError):
-    pass
-
-
-# --- metrics --------------------------------------------------------------
-
-class NoPositives(CohortError):
-    pass
-
-
-# --- pipeline -------------------------------------------------------------
-
-class PeriodsOverlap(ValidationError):
-    pass
-
-
-class InsufficientCohort(CohortError):
-    pass
-
-
-class WorkerDied(SnapGapError):
-    """A worker process running pipeline tasks exited without a result. CLI
-    exit code 5."""
-
-
-class InvalidSpec(ValidationError):
-    pass

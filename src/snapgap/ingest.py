@@ -36,14 +36,7 @@ from typing import IO, Iterable, Iterator
 
 import numpy as np
 
-from .errors import (
-    EmptyInput,
-    LengthOverflow,
-    MissingColumn,
-    NonNumericZip,
-    UnreadableStream,
-    ValidationError,
-)
+from .errors import IoFailure, ValidationError
 
 # Quality flags carried on each record.
 FLAG_SENTINEL_RECODED = "SentinelRecoded"
@@ -156,10 +149,10 @@ def normalize_zip(raw: str) -> str:
     """
     match = _ZIP_RE.fullmatch(str(raw))
     if not match:
-        raise NonNumericZip(f"not a ZIP code: {raw!r}")
+        raise ValidationError(f"not a ZIP code: {raw!r}")
     digits = match.group(1)
     if len(digits) > 5:
-        raise LengthOverflow(f"ZIP has {len(digits)} digits after suffix strip: {raw!r}")
+        raise ValidationError(f"ZIP has {len(digits)} digits after suffix strip: {raw!r}")
     return digits.zfill(5)
 
 
@@ -203,21 +196,21 @@ def _floats(tokens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 @contextmanager
 def _text_source(csv_source) -> Iterator[IO[str]]:
     """A text stream over a path (closed afterwards) or a text stream, whose
-    text that is not UTF-8 raises `UnreadableStream` wherever it is read."""
+    text that is not UTF-8 raises `IoFailure` wherever it is read."""
     if isinstance(csv_source, (str, Path)):
         try:
             stream = open(csv_source, "r", encoding="utf-8", newline="")
         except OSError as exc:
-            raise UnreadableStream(f"cannot open {csv_source}: {exc}") from exc
+            raise IoFailure(f"cannot open {csv_source}: {exc}") from exc
     elif hasattr(csv_source, "read") and isinstance(csv_source.read(0), str):
         stream = nullcontext(csv_source)
     else:
-        raise UnreadableStream(f"unsupported CSV source: {type(csv_source)!r}")
+        raise IoFailure(f"unsupported CSV source: {type(csv_source)!r}")
     try:
         with stream as text:
             yield text
     except UnicodeDecodeError as exc:
-        raise UnreadableStream(f"CSV is not valid UTF-8: {exc}") from exc
+        raise IoFailure(f"CSV is not valid UTF-8: {exc}") from exc
 
 
 def _named_once(header: list[str], columns: Iterable[str]) -> None:
@@ -235,7 +228,7 @@ def _zip_entry(token: str) -> tuple[str | None, str | None]:
     """(normalized ZIP, None), or (None, reject reason)."""
     try:
         return normalize_zip(token), None
-    except (NonNumericZip, LengthOverflow) as exc:
+    except ValidationError as exc:
         return None, f"zip: {exc}"
 
 
@@ -368,14 +361,14 @@ def parse_panel(
             raise ValidationError(f"schema maps unknown field {key!r}")
     for key in REQUIRED_SCHEMA_KEYS:
         if key not in schema:
-            raise MissingColumn(f"schema does not map required field {key!r}")
+            raise ValidationError(f"schema does not map required field {key!r}")
 
     with _text_source(csv_source) as stream:
         reader = csv.reader(stream, delimiter=delimiter)
         try:
             header = next(reader)
         except StopIteration:
-            raise EmptyInput("CSV has no header row") from None
+            raise ValidationError("CSV has no header row") from None
 
         if identity:
             schema = {
@@ -386,7 +379,7 @@ def parse_panel(
         positions: dict[str, int] = {}
         for logical, column in schema.items():
             if column not in header:
-                raise MissingColumn(f"column {column!r} (field {logical!r}) not in header")
+                raise ValidationError(f"column {column!r} (field {logical!r}) not in header")
             positions[logical] = header.index(column)
         _named_once(header, schema.values())
 
@@ -479,10 +472,10 @@ def parse_crosswalk(csv_source) -> tuple[dict[str, str], list[Reject]]:
         try:
             header = [h.strip().lower() for h in next(reader)]
         except StopIteration:
-            raise EmptyInput("crosswalk CSV has no header row") from None
+            raise ValidationError("crosswalk CSV has no header row") from None
         for col in CROSSWALK_COLUMNS:
             if col not in header:
-                raise MissingColumn(f"crosswalk column {col!r} not in header")
+                raise ValidationError(f"crosswalk column {col!r} not in header")
         _named_once(header, CROSSWALK_COLUMNS)
         zi, si, ri = map(header.index, CROSSWALK_COLUMNS)
         width = max(zi, si, ri) + 1

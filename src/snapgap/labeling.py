@@ -25,12 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    DegenerateDesign,
-    EmptyInput,
-    NoEligibleRows,
-    ValidationError,
-)
+from .errors import CohortError, DegenerateDesign, ValidationError
 from .ingest import Panel, flag_cells, write_csv
 from .jsonio import plain, save_json
 
@@ -127,7 +122,7 @@ def quantile(values: Sequence[float], q: float) -> float:
     """Linear-interpolation sample quantile (index h = (n-1)q convention)."""
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
-        raise EmptyInput("quantile of empty list")
+        raise ValidationError("quantile of empty list")
     if not np.all(np.isfinite(arr)):
         raise ValidationError("quantile requires finite values")
     if not 0.0 < q < 1.0:
@@ -172,7 +167,7 @@ def build_labels(
         & ~np.isnan(panel.predictors).any(axis=1)
     )
     if not eligible.any():
-        raise NoEligibleRows("no rows pass the eligibility filters")
+        raise CohortError("no rows pass the eligibility filters")
     uptake = np.minimum(s_raw, 1.0) if cfg.use_capped_uptake else s_raw
     keys = panel.area if stratify_by_area else np.full(n, POOLED_KEY, dtype=object)
     if thresholds is None:
@@ -199,7 +194,7 @@ def build_labels(
             labeled += n_group
 
     if not labeled:
-        raise NoEligibleRows("no eligible rows fall under the supplied thresholds")
+        raise CohortError("no eligible rows fall under the supplied thresholds")
     return LabeledPanel(
         panel=panel,
         p=p,

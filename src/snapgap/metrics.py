@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .calibration import DecisionRule, classify
-from .errors import EmptyInput, FeatureMismatch, NoPositives, SingleClass, ValidationError
+from .errors import CohortError, ValidationError
 from .rng import STREAM_PERMUTE, derive_rng
 
 
@@ -46,7 +46,7 @@ def roc_auc(scores: Sequence[float], labels: Sequence[int]) -> float:
     n_pos = int(np.sum(y == 1))
     n_neg = int(np.sum(y == 0))
     if n_pos == 0 or n_neg == 0:
-        raise SingleClass("AUC needs both classes")
+        raise CohortError("AUC needs both classes")
     ranks = _average_ranks(s)
     rank_sum = float(np.sum(ranks[y == 1]))
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
@@ -57,7 +57,7 @@ def average_precision(scores: Sequence[float], labels: Sequence[int]) -> float:
     s, y = _as_arrays(scores, labels)
     n_pos = int(np.sum(y == 1))
     if n_pos == 0:
-        raise NoPositives("AP needs at least one positive")
+        raise CohortError("AP needs at least one positive")
     order = np.argsort(-s, kind="stable")
     y_sorted = y[order]
     tp = np.cumsum(y_sorted)
@@ -119,7 +119,7 @@ def precision_at_k(scores: Sequence[float], labels: Sequence[int], fraction: flo
     """
     s, y = _as_arrays(scores, labels)
     if s.size == 0:
-        raise EmptyInput("precision@K of empty cohort")
+        raise ValidationError("precision@K of empty cohort")
     if not 0.0 < fraction <= 1.0:
         raise ValidationError(f"fraction must be in (0,1], got {fraction}")
     k = math.ceil(fraction * s.size)
@@ -174,7 +174,7 @@ def permutation_importance(
     y = np.asarray(labels, dtype=int)
     names = tuple(model.feature_names)
     if X.ndim != 2 or X.shape[1] != len(names):
-        raise FeatureMismatch(f"expected {len(names)} features, got shape {X.shape}")
+        raise ValidationError(f"expected {len(names)} features, got shape {X.shape}")
 
     if base_scores is None:
         base_scores = model.predict_proba(X)

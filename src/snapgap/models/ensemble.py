@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import FeatureMismatch, InvalidParams, SingleClass
+from ..errors import CohortError, ValidationError
 from ..rng import STREAM_TREE, derive_rng
 from .logistic import WEIGHTING_BALANCED, sample_weights, sigmoid
 from .matrix import FeatureMatrix
@@ -65,17 +65,17 @@ class EnsembleParams:
 
     def validate(self) -> None:
         if self.kind not in (KIND_FOREST, KIND_BOOSTING):
-            raise InvalidParams(f"unknown ensemble kind {self.kind!r}")
+            raise ValidationError(f"unknown ensemble kind {self.kind!r}")
         if self.n_trees < 1:
-            raise InvalidParams(f"tree count must be >= 1, got {self.n_trees}")
+            raise ValidationError(f"tree count must be >= 1, got {self.n_trees}")
         if self.max_depth is not None and self.max_depth < 1:
-            raise InvalidParams(f"max_depth must be >= 1 or None, got {self.max_depth}")
+            raise ValidationError(f"max_depth must be >= 1 or None, got {self.max_depth}")
         if self.min_leaf < 1:
-            raise InvalidParams(f"min_leaf must be >= 1, got {self.min_leaf}")
+            raise ValidationError(f"min_leaf must be >= 1, got {self.min_leaf}")
         if self.kind == KIND_BOOSTING and not 0.0 < self.learning_rate <= 1.0:
-            raise InvalidParams(f"learning rate must be in (0,1], got {self.learning_rate}")
+            raise ValidationError(f"learning rate must be in (0,1], got {self.learning_rate}")
         if self.max_features is not None and self.max_features < 1:
-            raise InvalidParams(f"max_features must be >= 1 or None, got {self.max_features}")
+            raise ValidationError(f"max_features must be >= 1 or None, got {self.max_features}")
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,7 @@ class TreeEnsembleModel:
     def _checked(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != len(self.feature_names):
-            raise FeatureMismatch(
+            raise ValidationError(
                 f"expected {len(self.feature_names)} features, got shape {X.shape}"
             )
         return X
@@ -123,7 +123,7 @@ class TreeEnsembleModel:
         X = self._checked(X)
         n, d = X.shape
         if perms.ndim != 3 or perms.shape[0] != d or perms.shape[2] != n:
-            raise FeatureMismatch(f"expected ({d}, repeats, {n}) permutations, got {perms.shape}")
+            raise ValidationError(f"expected ({d}, repeats, {n}) permutations, got {perms.shape}")
         ranks, uniques = rank_columns(X)
         forest = self.kind == KIND_FOREST
         out = np.full((d, perms.shape[1], n), 0.0 if forest else self.base_score)
@@ -177,7 +177,7 @@ def fit_tree_ensemble(fm: FeatureMatrix, params: EnsembleParams) -> TreeEnsemble
     """Fit a forest (bootstrapped Gini trees) or boosting (stagewise Newton)."""
     params.validate()
     if len(np.unique(fm.y)) < 2:
-        raise SingleClass("both classes required to fit")
+        raise CohortError("both classes required to fit")
     X, y = fm.X, fm.y.astype(float)
     n, d = fm.n, fm.d
     w = sample_weights(fm.y, params.class_weighting)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import NonConvergence, SingleClass, ValidationError
+from ..errors import CohortError, NonConvergence, ValidationError
 from .matrix import FeatureMatrix, Standardization, standardize
 
 WEIGHTING_NONE = "none"
@@ -73,7 +73,7 @@ def sample_weights(y: np.ndarray, weighting: str) -> np.ndarray:
     n_pos = int(np.sum(y == 1))
     n_neg = n - n_pos
     if n_pos == 0 or n_neg == 0:
-        raise SingleClass("balanced weighting needs both classes")
+        raise CohortError("balanced weighting needs both classes")
     w_pos = n / (2.0 * n_pos)
     w_neg = n / (2.0 * n_neg)
     return np.where(y == 1, w_pos, w_neg)
@@ -127,7 +127,7 @@ def fit_logistic(
         fm = standardize(fm)
     X, y = fm.X, fm.y.astype(float)
     if len(np.unique(fm.y)) < 2:
-        raise SingleClass("both classes required to fit")
+        raise CohortError("both classes required to fit")
     w = sample_weights(fm.y, weighting)
 
     theta = np.zeros(fm.d + 1)

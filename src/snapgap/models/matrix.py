@@ -6,7 +6,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..errors import FeatureMismatch, ValidationError
+from ..errors import ValidationError
 
 
 @dataclass(frozen=True)
@@ -21,7 +21,7 @@ class Standardization:
     def apply(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.mean.shape[0]:
-            raise FeatureMismatch(
+            raise ValidationError(
                 f"expected {self.mean.shape[0]} features, got shape {X.shape}"
             )
         return (X - self.mean) / self.sd

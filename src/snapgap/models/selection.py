@@ -37,7 +37,7 @@ from typing import Sequence, get_type_hints
 
 import numpy as np
 
-from ..errors import NonConvergence, TooFewPositives, ValidationError
+from ..errors import CohortError, NonConvergence, ValidationError
 from ..rng import STREAM_FOLDS, derive_rng
 from ..metrics import average_precision
 from .ensemble import KIND_BOOSTING, KIND_FOREST, EnsembleParams, fit_tree_ensemble
@@ -88,7 +88,7 @@ DEFAULT_GRIDS: dict[str, list[dict]] = {
 def stratified_folds(y: Sequence[int], folds: int, seed: int) -> list[np.ndarray]:
     """Validation index arrays for k stratified folds.
 
-    Raises TooFewPositives when some fold would hold no positive (or no
+    Raises CohortError when some fold would hold no positive (or no
     negative), reporting the largest feasible fold count.
     """
     y = np.asarray(y, dtype=int)
@@ -98,7 +98,7 @@ def stratified_folds(y: Sequence[int], folds: int, seed: int) -> list[np.ndarray
     neg = np.flatnonzero(y == 0)
     feasible = min(len(pos), len(neg))
     if feasible < folds:
-        raise TooFewPositives(
+        raise CohortError(
             f"{len(pos)} positives / {len(neg)} negatives cannot fill {folds} folds; "
             f"minimum feasible folds: {feasible}"
         )

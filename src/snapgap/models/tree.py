@@ -65,7 +65,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ..errors import FeatureMismatch
+from ..errors import ValidationError
 
 CRITERION_GINI = "gini"
 CRITERION_MSE = "mse"
@@ -146,7 +146,7 @@ class FlatTrees:
         array per tree, in tree order."""
         X = np.ascontiguousarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] < self.n_features:
-            raise FeatureMismatch(
+            raise ValidationError(
                 f"trees split on {self.n_features} features, got shape {X.shape}"
             )
         flat = X.ravel()

@@ -83,15 +83,7 @@ from .calibration import (
     reliability_curve,
     youden_threshold,
 )
-from .errors import (
-    CohortError,
-    DegenerateDesign,
-    InsufficientCohort,
-    NonConvergence,
-    PeriodsOverlap,
-    ValidationError,
-    WorkerDied,
-)
+from .errors import CohortError, DegenerateDesign, NonConvergence, SnapGapError, ValidationError
 from .ingest import PREDICTOR_FIELDS, Area, Panel
 from .jsonio import plain
 from .labeling import (
@@ -191,7 +183,7 @@ class BacktestConfig:
         if a0 > a1 or b0 > b1:
             raise ValidationError(f"invalid year ranges {self.p1_years}, {self.p2_years}")
         if a1 >= b0:
-            raise PeriodsOverlap(
+            raise ValidationError(
                 f"training years {self.p1_years} must end before test years {self.p2_years}"
             )
         if not self.subsets():
@@ -403,7 +395,7 @@ def _fit_task(
     fm = _task_matrix(p1_panel, task.p1_rows, subset)
     n_pos = int(fm.y.sum())
     if n_pos == 0 or n_pos == fm.n:
-        raise InsufficientCohort(
+        raise CohortError(
             f"cohort {cohort!r}: training rows hold a single class "
             f"({n_pos} positives of {fm.n})"
         )
@@ -420,7 +412,7 @@ def _fit_task(
                 fold_results=fold_results,
             )
         except CohortError as exc:
-            raise InsufficientCohort(f"cohort {cohort!r}: {exc}") from exc
+            raise CohortError(f"cohort {cohort!r}: {exc}") from exc
         winner = result.winner
         oof = result.oof_proba
         detail["winner"] = winner
@@ -438,7 +430,7 @@ def _fit_task(
         rng = derive_rng(seed, STREAM_SPLIT, stream_id(task.label))
         train_idx, test_idx = _stratified_split(fm.y, 0.70, rng)
         if fm.y[train_idx].sum() == 0 or fm.y[test_idx].sum() == 0:
-            raise InsufficientCohort(
+            raise CohortError(
                 f"cohort {cohort!r}: 70/30 split leaves a side with no positives"
             )
         params = SPLIT_DEFAULT_PARAMS[family]
@@ -530,14 +522,14 @@ def _evaluate_task(
     flagged CSV, which `detail["flagged"]` names and digests."""
     cohort, p2_rows = task.cohort, task.p2_rows
     if not p2_rows.size:
-        raise InsufficientCohort(f"cohort {cohort!r}: no labeled test rows")
+        raise CohortError(f"cohort {cohort!r}: no labeled test rows")
     X2, y2 = _matrix(p2_panel, p2_rows, task.subset)
     scores = scorer.model.predict_proba(X2)
     calibrated = apply_isotonic(scorer.isotonic, scores)
     try:
         report = evaluate(calibrated, y2, scorer.rule, cohort=cohort, model=task.model)
     except CohortError as exc:
-        raise InsufficientCohort(f"cohort {cohort!r}: {exc}") from exc
+        raise CohortError(f"cohort {cohort!r}: {exc}") from exc
     detail["eval"] = plain(report)
     detail["reliability"] = reliability_curve(calibrated, y2, cfg.reliability_bins)
 
@@ -844,7 +836,7 @@ def _task_outcomes(
     and outcomes are pickled. With one worker the same passes run in this
     process through the built-in `map`, and the pool modules are not
     imported. Any other exception a unit raises is raised here; a worker
-    that dies raises `WorkerDied`.
+    that dies raises `SnapGapError`.
     """
     units = _first_pass(cfg, tasks)
     state = (cfg, tasks, p1_panel, p2_panel, keep_scorers, _shared_oof(cfg, tasks, units))
@@ -877,7 +869,7 @@ def _task_outcomes(
             yield from _reissue_warnings(_two_passes(units, len(tasks), run))
         except BrokenProcessPool as exc:
             labels = dict.fromkeys(tasks[i].label for i, flag in zip(owners, running) if flag)
-            raise WorkerDied(
+            raise SnapGapError(
                 f"a worker process exited abruptly while running {' or '.join(labels)}"
                 if labels
                 else "a worker process exited abruptly"
@@ -889,7 +881,7 @@ def train_scorers(cfg: BacktestConfig, panel: Panel) -> dict[tuple[str, str], Ca
     cfg.validate()
     p1 = _rows_in_years(panel, cfg.p1_years)
     if not len(p1):
-        raise InsufficientCohort(f"no rows in training years {cfg.p1_years}")
+        raise CohortError(f"no rows in training years {cfg.p1_years}")
     p1_panel = build_labels(p1, cfg.label, stratify_by_area=cfg.stratified)
     tasks, cohort_errors = _plan_tasks(cfg, p1_panel)
 
@@ -901,7 +893,7 @@ def train_scorers(cfg: BacktestConfig, panel: Panel) -> dict[tuple[str, str], Ca
             continue
         scorers[(task.cohort, task.model)] = outcome[0]
     if not scorers:
-        raise InsufficientCohort("; ".join(sorted(set(errors))) or "nothing to train")
+        raise CohortError("; ".join(sorted(set(errors))) or "nothing to train")
     return scorers
 
 
@@ -918,14 +910,14 @@ def run_backtest(
     body names, as the tasks rendered them. Its `scorers` hold every fitted
     scorer, or none when `keep_scorers` is false: then no task sends its
     scorer back, and this process never holds a fitted model. The body is
-    the same either way. Raises `InsufficientCohort` when no task succeeds.
+    the same either way. Raises `CohortError` when no task succeeds.
     """
     cfg.validate()
 
     p1 = _rows_in_years(panel, cfg.p1_years)
     p2 = _rows_in_years(panel, cfg.p2_years)
     if not len(p1) or not len(p2):
-        raise InsufficientCohort(
+        raise CohortError(
             f"panel must cover both periods: {len(p1)} training rows, {len(p2)} test rows"
         )
 
@@ -965,7 +957,7 @@ def run_backtest(
             scorers[(task.cohort, task.model)] = scorer
         models[task.model] = detail
     if all("error" in entry for models in cohort_models.values() for entry in models.values()):
-        raise InsufficientCohort(f"every cohort failed: {'; '.join(sorted(set(errors)))}")
+        raise CohortError(f"every cohort failed: {'; '.join(sorted(set(errors)))}")
 
     cohort_body = {
         cohort: {"error": cohort_errors[cohort]}

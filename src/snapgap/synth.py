@@ -23,7 +23,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import InvalidSpec
+from .errors import ValidationError
 from .ingest import FLAG_SNAP_EXCEEDS_POVERTY, PREDICTOR_FIELDS, Area, Panel
 from .jsonio import plain
 from .labeling import LabelConfig
@@ -59,27 +59,27 @@ class SyntheticSpec:
 
     def validate(self) -> None:
         if not 1 <= self.n_zips <= 99999:
-            raise InvalidSpec(f"n_zips must be in [1, 99999], got {self.n_zips}")
+            raise ValidationError(f"n_zips must be in [1, 99999], got {self.n_zips}")
         if self.years[0] > self.years[1]:
-            raise InvalidSpec(f"invalid year range {self.years}")
+            raise ValidationError(f"invalid year range {self.years}")
         if abs(sum(self.area_mix.values()) - 1.0) > 1e-9:
-            raise InvalidSpec(f"area_mix must sum to 1, got {sum(self.area_mix.values())}")
+            raise ValidationError(f"area_mix must sum to 1, got {sum(self.area_mix.values())}")
         for name in self.area_mix:
             if name not in Area._value2member_map_:
-                raise InvalidSpec(f"unknown area {name!r} in area_mix")
+                raise ValidationError(f"unknown area {name!r} in area_mix")
         for name in self.true_coefficients:
             if name not in PREDICTOR_FIELDS:
-                raise InvalidSpec(f"unknown predictor {name!r} in true_coefficients")
+                raise ValidationError(f"unknown predictor {name!r} in true_coefficients")
         for t in self._targets():
             if not 0.0 < t < 1.0:
-                raise InvalidSpec(f"target prevalence must be in (0,1), got {t}")
+                raise ValidationError(f"target prevalence must be in (0,1), got {t}")
             if t >= self.label.lo_q:
-                raise InvalidSpec(
+                raise ValidationError(
                     f"target prevalence {t} is unreachable: the fragile set lives inside "
                     f"the bottom-{self.label.lo_q:.0%} uptake tail"
                 )
         if not 0.0 <= self.anomaly_rate < 1.0:
-            raise InvalidSpec(f"anomaly_rate must be in [0,1), got {self.anomaly_rate}")
+            raise ValidationError(f"anomaly_rate must be in [0,1), got {self.anomaly_rate}")
 
     def _targets(self) -> list[float]:
         if isinstance(self.target_prevalence, (int, float)):
@@ -184,7 +184,7 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Panel, dict]:
             n_anom = int(round(spec.anomaly_rate * n))
             anomaly_candidates = np.flatnonzero(pov >= 1)
             if n_anom > len(anomaly_candidates):
-                raise InvalidSpec(
+                raise ValidationError(
                     f"anomaly_rate {spec.anomaly_rate} asks for {n_anom} anomalies but only "
                     f"{len(anomaly_candidates)} rows have positive poverty counts in {year}"
                 )

@@ -24,13 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from snapgap.errors import (
-    EmptyInput,
-    LengthOverflow,
-    MissingColumn,
-    NonNumericZip,
-    ValidationError,
-)
+from snapgap.errors import ValidationError
 from snapgap.ingest import (
     COUNT_FIELDS,
     DEFAULT_SCHEMA,
@@ -145,9 +139,9 @@ def normalize_zip_reference(raw):
         if cut >= 0 and 1 <= len(token) - cut - 1 <= 4 and _ascii_digits(token[cut + 1:]):
             head = token[:cut]
     if not _ascii_digits(head):
-        raise NonNumericZip(f"not a ZIP code: {raw!r}")
+        raise ValidationError(f"not a ZIP code: {raw!r}")
     if len(head) > 5:
-        raise LengthOverflow(f"ZIP has {len(head)} digits after suffix strip: {raw!r}")
+        raise ValidationError(f"ZIP has {len(head)} digits after suffix strip: {raw!r}")
     return "0" * (5 - len(head)) + head
 
 
@@ -169,18 +163,18 @@ def parse_panel_reference(csv_text, schema=None, *, delimiter=",", year_range=DE
     schema = dict(DEFAULT_SCHEMA if identity else schema)
     for key in REQUIRED_SCHEMA_KEYS:
         if key not in schema:
-            raise MissingColumn(f"schema does not map required field {key!r}")
+            raise ValidationError(f"schema does not map required field {key!r}")
     reader = csv.reader(io.StringIO(csv_text), delimiter=delimiter)
     try:
         header = next(reader)
     except StopIteration:
-        raise EmptyInput("CSV has no header row") from None
+        raise ValidationError("CSV has no header row") from None
     if identity:
         schema = {k: c for k, c in schema.items() if c in header or k in REQUIRED_SCHEMA_KEYS}
     positions = {}
     for logical, column in schema.items():
         if column not in header:
-            raise MissingColumn(f"column {column!r} (field {logical!r}) not in header")
+            raise ValidationError(f"column {column!r} (field {logical!r}) not in header")
         positions[logical] = header.index(column)
     named = Counter(header)
     for column in schema.values():  # a column read from must be named once
@@ -202,7 +196,7 @@ def parse_panel_reference(csv_text, schema=None, *, delimiter=",", year_range=DE
 
         try:
             zcta = normalize_zip_reference(cell("zip"))
-        except (NonNumericZip, LengthOverflow) as exc:
+        except ValidationError as exc:
             rejects.append(Reject(row_num, f"zip: {exc}"))
             continue
         try:
@@ -315,10 +309,10 @@ def parse_crosswalk_reference(csv_text):
     try:
         header = [h.strip().lower() for h in next(reader)]
     except StopIteration:
-        raise EmptyInput("crosswalk CSV has no header row") from None
+        raise ValidationError("crosswalk CSV has no header row") from None
     for col in ("zip", "tract_status", "res_ratio"):
         if col not in header:
-            raise MissingColumn(f"crosswalk column {col!r} not in header")
+            raise ValidationError(f"crosswalk column {col!r} not in header")
     named = Counter(header)
     for col in ("zip", "tract_status", "res_ratio"):  # a column read from must be named once
         if named[col] != 1:
@@ -335,7 +329,7 @@ def parse_crosswalk_reference(csv_text):
             continue
         try:
             zcta = normalize_zip_reference(row[zi])
-        except (NonNumericZip, LengthOverflow) as exc:
+        except ValidationError as exc:
             rejects.append(Reject(row_num, f"zip: {exc}", "crosswalk"))
             continue
         status_token = row[si].strip().capitalize()

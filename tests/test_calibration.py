@@ -15,9 +15,8 @@ from snapgap.calibration import (
     youden_threshold,
 )
 from snapgap.errors import (
-    DegeneratePrevalence,
-    InsufficientData,
-    SingleClass,
+    CohortError,
+    ValidationError,
     ValidationError,
 )
 
@@ -39,7 +38,7 @@ class TestFitIsotonic:
         assert iso.values[1] == 1.0
 
     def test_insufficient_data(self):
-        with pytest.raises(InsufficientData):
+        with pytest.raises(CohortError, match="need at least 2 pairs, got 1"):
             fit_isotonic([0.4], [1])
 
     def test_values_nondecreasing(self, rng):
@@ -111,7 +110,7 @@ class TestPrevalenceThreshold:
 
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.5])
     def test_degenerate(self, bad):
-        with pytest.raises(DegeneratePrevalence):
+        with pytest.raises(ValidationError, match=r"prevalence must be in \(0,1\), got "):
             prevalence_threshold(bad)
 
 
@@ -162,7 +161,7 @@ class TestYoudenThreshold:
         assert rule.threshold == pytest.approx(0.85)
 
     def test_single_class(self):
-        with pytest.raises(SingleClass):
+        with pytest.raises(CohortError, match="Youden threshold needs both classes"):
             youden_threshold([0.1, 0.9], [1, 1])
 
 

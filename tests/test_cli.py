@@ -15,7 +15,7 @@ from snapgap import cli, pipeline
 from snapgap.calibration import apply_isotonic
 from snapgap.cli import main
 from snapgap.config import apply_overrides, settings_from
-from snapgap.errors import SingleClass
+from snapgap.errors import CohortError
 from snapgap.ingest import PREDICTOR_FIELDS, parse_panel
 from snapgap.jsonio import load_json
 from snapgap.labeling import LabelConfig, build_labels, fit_uptake_ols
@@ -575,7 +575,71 @@ def test_malformed_input_files_exit_with_one_error_line(tmp_path, capsys, panel,
     assert not out.exists()
 
 
-def test_insufficient_cohort_exit_code(tmp_path):
+@pytest.fixture(scope="module")
+def error_inputs(tmp_path_factory):
+    """A directory holding a synthetic panel, `synth.csv`, one without its
+    `pov_fam` column, `no-pov.csv`, and an empty file, `empty.csv`."""
+    tmp = tmp_path_factory.mktemp("inputs")
+    assert main(["synth", "--seed", "1", "--out", str(tmp / "synth.csv"), "--set", "synth.n_zips=200"]) == 0
+    (tmp / "no-pov.csv").write_text("zip,year,snap_fam\n01001,2015,60\n")
+    (tmp / "empty.csv").write_text("")
+    return tmp
+
+
+# One case per typed error the CLI reaches from a bad setting or input file.
+CLI_ERRORS = {
+    "periods overlap": (
+        ["backtest", "--panel", "synth.csv", "--seed", "1", "--set", "p1_years=[2014,2019]"],
+        2, "training years (2014, 2019) must end before test years (2019, 2023)",
+    ),
+    "backtest, no eligible row": (
+        ["backtest", "--panel", "synth.csv", "--seed", "1", "--set", "poverty_floor=0.95"],
+        3, "no rows pass the eligibility filters",
+    ),
+    "label, no eligible row": (
+        ["label", "--panel", "synth.csv", "--set", "poverty_floor=0.95"],
+        3, "no rows pass the eligibility filters",
+    ),
+    "bad synth spec": (["synth", "--seed", "1", "--set", "synth.n_zips=0"], 2, "n_zips must be in [1, 99999], got 0"),
+    "panel without pov_fam": (
+        ["ingest", "--panel", "no-pov.csv"], 2, "column 'pov_fam' (field 'pov_fam') not in header",
+    ),
+    "empty panel": (["ingest", "--panel", "empty.csv"], 2, "CSV has no header row"),
+}
+
+
+@pytest.mark.parametrize("args, code, error", CLI_ERRORS.values(), ids=CLI_ERRORS.keys())
+def test_typed_errors_exit_with_their_code_and_line(tmp_path, capsys, monkeypatch, error_inputs, args, code, error):
+    monkeypatch.chdir(error_inputs)
+    out = tmp_path / "out"
+    assert main([*args, "--out", str(out)]) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {error}\n")
+    assert not out.exists()
+
+
+# Each command writes two files here, and the second would replace the first.
+OUTPUT_CLASHES = {
+    "label": (["label", "--panel", "p.csv", "--out", "lab.json"], "--out and its JSON sidecar are the same file: lab.json"),
+    "ingest": (
+        ["ingest", "--panel", "p.csv", "--out", "x.csv", "--rejects", "{cwd}/x.csv"],
+        "--out and --rejects are the same file: {cwd}/x.csv",
+    ),
+    "synth": (["synth", "--seed", "1", "--out", "x.csv", "--truth", "x.csv"], "--out and --truth are the same file: x.csv"),
+}
+
+
+@pytest.mark.parametrize("args, error", OUTPUT_CLASHES.values(), ids=OUTPUT_CLASHES.keys())
+def test_two_outputs_at_one_path_exit_2_before_any_work(tmp_path, capsys, monkeypatch, args, error):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "p.csv").write_text(PANEL_CSV)
+    assert main([arg.format(cwd=tmp_path) for arg in args]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {error.format(cwd=tmp_path)}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["p.csv"]
+
+
+def test_insufficient_cohort_exit_code(tmp_path, capsys):
     panel = tmp_path / "tiny.csv"
     panel.write_text(
         "zip,year,pov_fam,snap_fam,fam_universe,pct_no_vehicle,pct_no_internet,pct_no_computer,pct_hs_only\n"
@@ -584,6 +648,7 @@ def test_insufficient_cohort_exit_code(tmp_path):
     )
     code = main(["backtest", "--panel", str(panel), "--seed", "1", "--out", str(tmp_path / "y")])
     assert code == 3
+    assert capsys.readouterr().err == "error: every cohort failed: cohort 'All': no labeled training rows\n"
 
 
 def test_seed_required_for_backtest_and_synth(tmp_path, capsys):
@@ -752,7 +817,7 @@ def test_cohort_error_in_a_worker_exits_3(tmp_path, small_panel, monkeypatch, ca
     run_tasks_in_workers(monkeypatch)
 
     def single_class(cfg, task, *args):
-        raise SingleClass(f"cohort {task.cohort!r}: one class in a worker")
+        raise CohortError(f"cohort {task.cohort!r}: one class in a worker")
 
     monkeypatch.setattr(pipeline, "_fit_task", single_class)
     code = main(["backtest", "--panel", str(small_panel), *SMALL_RUN, "--out", str(tmp_path / "run")])

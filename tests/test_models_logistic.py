@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import fd_gradient, grid_minimize_2d
-from snapgap.errors import NonConvergence, SingleClass, ValidationError
+from snapgap.errors import CohortError, NonConvergence, ValidationError
 from snapgap.models import (
     FeatureMatrix,
     LogisticModel,
@@ -143,7 +143,7 @@ class TestFitLogistic:
     def test_single_class_raises(self, rng):
         X = rng.normal(size=(10, 2))
         fm = FeatureMatrix(X=X, y=np.ones(10, dtype=int), feature_names=("a", "b"))
-        with pytest.raises(SingleClass):
+        with pytest.raises(CohortError, match="both classes required to fit"):
             fit_logistic(fm, c=1.0)
 
     def test_nonconvergence_reports_gradient_norm(self, rng, monkeypatch):
@@ -213,7 +213,5 @@ class TestPredictProba:
 
     def test_feature_mismatch(self, rng):
         model = fit_logistic(make_fm(rng, d=3), c=1.0)
-        from snapgap.errors import FeatureMismatch
-
-        with pytest.raises(FeatureMismatch):
+        with pytest.raises(ValidationError, match=r"expected 3 features, got shape \(5, 2\)"):
             model.predict_proba(np.zeros((5, 2)))

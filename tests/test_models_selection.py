@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from snapgap.errors import InvalidParams, NonConvergence, TooFewPositives
+from snapgap.errors import CohortError, NonConvergence, ValidationError
 from snapgap.metrics import average_precision
 from snapgap.models import logistic
 from snapgap.models import (
@@ -39,7 +39,7 @@ class TestStratifiedFolds:
 
     def test_too_few_positives_reports_feasible(self):
         y = np.array([1] * 3 + [0] * 50)
-        with pytest.raises(TooFewPositives, match="minimum feasible folds: 3"):
+        with pytest.raises(CohortError, match="minimum feasible folds: 3"):
             stratified_folds(y, 5, seed=0)
 
     def test_ratio_within_rounding(self, rng):
@@ -301,5 +301,5 @@ class TestPrefixSharing:
     def test_invalid_count_still_raises(self, rng, family):
         fm = informative_fm(rng, n=60)
         grid = [{"n_trees": 30, "max_depth": 2}, {"n_trees": 0, "max_depth": 2}]
-        with pytest.raises(InvalidParams):
+        with pytest.raises(ValidationError, match="tree count must be >= 1, got 0"):
             cv_grid_search(fm, family, grid, folds=3, seed=0)

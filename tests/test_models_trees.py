@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import ensemble_walk_score, fit_tree_ensemble_reference, grow_tree_reference, tree_walk
-from snapgap.errors import InvalidParams, SingleClass, ValidationError
+from snapgap.errors import CohortError, ValidationError
 from snapgap.metrics import roc_auc
 from snapgap.models import (
     EnsembleParams,
@@ -342,16 +342,16 @@ class TestRandomForest:
         fm_y[0] = 0
         X = np.random.default_rng(0).normal(size=(10, 2))
         fm = FeatureMatrix(X=X, y=fm_y, feature_names=("a", "b"))
-        with pytest.raises(SingleClass):
+        with pytest.raises(CohortError, match="both classes required to fit"):
             fit_tree_ensemble(fm, EnsembleParams(kind="random_forest", n_trees=3))
 
     def test_invalid_params(self, rng):
         fm = xor_panel(rng, n=50)
-        with pytest.raises(InvalidParams):
+        with pytest.raises(ValidationError, match="tree count must be >= 1, got 0"):
             fit_tree_ensemble(fm, EnsembleParams(kind="random_forest", n_trees=0))
-        with pytest.raises(InvalidParams):
+        with pytest.raises(ValidationError, match="unknown ensemble kind 'extra_trees'"):
             fit_tree_ensemble(fm, EnsembleParams(kind="extra_trees", n_trees=5))
-        with pytest.raises(InvalidParams):
+        with pytest.raises(ValidationError, match=r"learning rate must be in \(0,1\], got 0.0"):
             fit_tree_ensemble(fm, EnsembleParams(kind="gradient_boosting", learning_rate=0.0))
 
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from conftest import json_text, make_record
 from oracles import flagged_rows_reference, panel_of, records_of
 from snapgap import pipeline
-from snapgap.errors import InsufficientCohort, NonConvergence, PeriodsOverlap, WorkerDied
+from snapgap.errors import CohortError, NonConvergence, SnapGapError, ValidationError
 from snapgap.ingest import PREDICTOR_FIELDS, Area
 from snapgap.jsonio import plain
 from snapgap.labeling import LabelConfig
@@ -65,9 +65,11 @@ def synth_panel():
 
 class TestGuards:
     def test_periods_overlap(self):
-        with pytest.raises(PeriodsOverlap):
+        overlap = r"training years \(2014, 2019\) must end before test years \(2019, 2023\)"
+        with pytest.raises(ValidationError, match=overlap):
             BacktestConfig(p1_years=(2014, 2019), p2_years=(2019, 2023)).validate()
-        with pytest.raises(PeriodsOverlap):
+        reversed_periods = r"training years \(2019, 2023\) must end before test years \(2014, 2018\)"
+        with pytest.raises(ValidationError, match=reversed_periods):
             BacktestConfig(p1_years=(2019, 2023), p2_years=(2014, 2018)).validate()
 
     def test_config_dict_holds_every_setting_in_manifest_form(self):
@@ -108,7 +110,7 @@ class TestGuards:
     def test_panel_must_cover_both_periods(self, synth_panel):
         panel, _ = synth_panel
         p1_only = panel.take(panel.year <= 2018)
-        with pytest.raises(InsufficientCohort):
+        with pytest.raises(CohortError, match="panel must cover both periods: .* training rows, 0 test rows"):
             run_backtest(fast_cfg(), p1_only)
 
 
@@ -387,7 +389,7 @@ class TestWorkerPool:
         monkeypatch.setattr(pipeline, unit, die_in_forest_worker)
         pool_size(monkeypatch, 2)
         cfg = fast_cfg(feature_subsets=self.SUBSETS[:1], families=("logistic", "random_forest"))
-        with pytest.raises(WorkerDied, match=r"while running .*All/random_forest\[pct_no_vehicle\]"):
+        with pytest.raises(SnapGapError, match=r"while running .*All/random_forest\[pct_no_vehicle\]"):
             run_backtest(cfg, records)
 
     def test_split_tasks_match_in_process(self, synth_panel, monkeypatch):
@@ -530,7 +532,7 @@ class TestDroppedScorers:
         cfg = fast_cfg(feature_subsets=self.SUBSETS)
         for workers in (1, 2):
             pool_size(monkeypatch, workers)
-            with pytest.raises(InsufficientCohort, match="every cohort failed: no logistic grid"):
+            with pytest.raises(CohortError, match="every cohort failed: no logistic grid"):
                 run_backtest(cfg, panel, keep_scorers=False)
 
 

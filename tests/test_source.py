@@ -33,3 +33,33 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(PACKAGE)))
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def caught_names(source: str) -> set[str]:
+    """Names of the classes that the `except` clauses of `source` catch."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            names.update(t.attr if isinstance(t, ast.Attribute) else t.id for t in types)
+    return names
+
+
+def uncaught_classes(errors_source: str, module_sources: list[str]) -> list[str]:
+    """The classes of `errors_source` that no `except` clause of
+    `module_sources` names."""
+    classes = [node.name for node in ast.parse(errors_source).body if isinstance(node, ast.ClassDef)]
+    caught = set().union(*map(caught_names, module_sources))
+    return [name for name in classes if name not in caught]
+
+
+def test_the_check_sees_an_uncaught_error_class():
+    errors = "class Base(Exception): pass\nclass Leaf(Base): pass\nclass Other(Base): pass\n"
+    modules = ["try:\n    f()\nexcept (OSError, errors.Other):\n    pass\n", "try:\n    g()\nexcept Base:\n    pass\n"]
+    assert uncaught_classes(errors, modules) == ["Leaf"]
+
+
+def test_every_error_class_is_an_exit_code_or_caught():
+    # A class that no caller catches tells no one anything its message does not.
+    sources = [path.read_text(encoding="utf-8") for path in MODULES]
+    assert uncaught_classes((PACKAGE / "errors.py").read_text(encoding="utf-8"), sources) == []
