@@ -8,21 +8,23 @@ leaves the task that fit it, and the report files are the same. It writes
 each model's flagged CSV, which the task that evaluated the model rendered,
 whatever `--formats` asks, since the manifest holds only each file's name,
 row count and sha256, and its digest covers the rows through them. `report`
-reads those CSVs beside the manifest and writes them unchanged. A YAML config
-supplies settings; any key can be overridden with repeated `--set key=value`
-flags (values parsed as YAML). Every command checks every key first (see
-`config`): an unknown key, a value of the wrong type, or one out of range,
-exits 2 before any work, and so does an unknown `--formats` name or a
-command's two outputs at one path (`--out` and `--rejects`, `--out` and
-`--truth`, or `label --out x.json` and its sidecar). So does
-`report`, before writing anything, on a file that is not a manifest it can
-render: not UTF-8 JSON, another format, a part the renderers read missing or
-of the wrong type, a body that does not hash to its `manifest_digest`
-(edited after the run), or a flagged CSV that does not hash to its recorded
-sha256 or holds another row count; and it exits 4 when a flagged CSV is
-missing. Exit codes: 0 ok,
-2 validation error, 3 insufficient cohort, 4 I/O failure, 5 a run that
-failed on valid input (a worker process died, a fit did not converge).
+reads those CSVs beside the manifest and writes them unchanged. A YAML
+config supplies settings; any key can be overridden with repeated `--set
+key=value` flags (values parsed as YAML). Every command checks every key
+first (see `config`): an unknown key, a value of the wrong type, or one out
+of range, exits 2 before any work, and so does an unknown `--formats` name
+or a command's two outputs at one path (`--out` and `--rejects`, `--out` and
+`--truth`, or `label --out x.json` and its sidecar). Before it reads any
+input, a command exits 4, writing nothing, on an output it cannot write: a
+file that is a directory or is in none, or a directory (`train`, `backtest`
+and `report --out`) under a regular file. `report` exits 2, before writing
+anything, on a file that is not a manifest it can render: not UTF-8 JSON,
+another format, a part the renderers read missing or of the wrong type, a
+body that does not hash to its `manifest_digest` (edited after the run), or
+a flagged CSV that does not hash to its recorded sha256 or holds another row
+count; and it exits 4 when a flagged CSV is missing. Exit codes: 0 ok, 2
+validation error, 3 insufficient cohort, 4 I/O failure, 5 a run that failed
+on valid input (a worker process died, a fit did not converge).
 """
 from __future__ import annotations
 
@@ -97,11 +99,28 @@ def _formats(args) -> list[str]:
     return formats
 
 
-def _distinct_outputs(names: str, first: Path, second: Path) -> None:
-    """Refuse two outputs of one command at one path, before any work: the
-    second write would replace the first."""
+def _output_file(path: Path) -> None:
+    """Refuse, before any work, an output file that is a directory or is in none."""
+    if path.is_dir():
+        raise IoFailure(f"cannot write {path}: it is a directory")
+    if not path.parent.is_dir():
+        raise IoFailure(f"cannot write {path}: {path.parent} is not a directory")
+
+
+def _second_output(names: str, first: Path, second: Path) -> None:
+    """Refuse, before any work, a command's second output file at the path
+    of its first, which it would replace, or one `_output_file` refuses."""
     if first.resolve() == second.resolve():
         raise ValidationError(f"{names} are the same file: {second}")
+    _output_file(second)
+
+
+def _output_dir(path: Path) -> None:
+    """Refuse, before any work, an output directory whose nearest existing
+    ancestor, or itself, is not a directory."""
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise IoFailure(f"cannot write {path}: {existing} is not a directory")
 
 
 def _write_scorers(scorers: dict, outdir: Path) -> None:
@@ -112,8 +131,9 @@ def _write_scorers(scorers: dict, outdir: Path) -> None:
 
 def cmd_ingest(args) -> int:
     settings = _load_merged_config(args)
+    _output_file(Path(args.out))
     if args.rejects:
-        _distinct_outputs("--out and --rejects", Path(args.out), Path(args.rejects))
+        _second_output("--out and --rejects", Path(args.out), Path(args.rejects))
     panel, rejects, _ = _load_panel(settings, args.panel, args.crosswalk)
     write_records(panel, Path(args.out))
     if args.rejects:
@@ -125,7 +145,8 @@ def cmd_ingest(args) -> int:
 def cmd_label(args) -> int:
     settings = _load_merged_config(args)
     out = Path(args.out)
-    _distinct_outputs("--out and its JSON sidecar", out, out.with_suffix(".json"))
+    _output_file(out)
+    _second_output("--out and its JSON sidecar", out, out.with_suffix(".json"))
     panel, _, _ = _load_panel(settings, args.panel)
     cfg = settings.backtest
     labeled = build_labels(panel, cfg.label, stratify_by_area=cfg.stratified)
@@ -143,9 +164,10 @@ def cmd_label(args) -> int:
 
 def cmd_train(args) -> int:
     settings = _load_merged_config(args)
+    outdir = Path(args.out)
+    _output_dir(outdir)
     panel, _, _ = _load_panel(settings, args.panel, args.crosswalk)
     scorers = train_scorers(settings.backtest, panel)
-    outdir = Path(args.out)
     _write_scorers(scorers, outdir)
     print(f"wrote {len(scorers)} scorer files -> {outdir}")
     return EXIT_OK
@@ -154,11 +176,12 @@ def cmd_train(args) -> int:
 def cmd_backtest(args) -> int:
     settings = _load_merged_config(args)
     formats = _formats(args)
+    outdir = Path(args.out)
+    _output_dir(outdir / "models" if args.models else outdir)
     panel, _, digests = _load_panel(settings, args.panel, args.crosswalk)
     manifest = run_backtest(
         settings.backtest, panel, input_digests=digests, keep_scorers=args.models
     )
-    outdir = Path(args.out)
     written = emit_report(manifest.body, formats, outdir, manifest.flagged_csvs)
     if args.models:
         _write_scorers(manifest.scorers, outdir / "models")
@@ -170,8 +193,9 @@ def cmd_backtest(args) -> int:
 def cmd_synth(args) -> int:
     settings = _load_merged_config(args)
     out = Path(args.out)
+    _output_file(out)
     truth_path = Path(args.truth) if args.truth else out.with_suffix(".truth.json")
-    _distinct_outputs("--out and --truth", out, truth_path)
+    _second_output("--out and --truth", out, truth_path)
     panel, truth = generate_synthetic(settings.synth)
     write_records(panel, out)
     save_json(truth, truth_path)
@@ -182,6 +206,7 @@ def cmd_synth(args) -> int:
 def cmd_report(args) -> int:
     _load_merged_config(args)  # a report takes no setting, but a bad key is still an error
     formats = _formats(args)
+    _output_dir(Path(args.out))
     try:
         data = load_json(args.manifest)
     except OSError as exc:

@@ -22,17 +22,22 @@ benchmark workloads at about the same speed (see the constant).
 `Panel.concat` joins the chunks one column at a time and releases that
 column's pieces, so the chunks and the joined panel never exist whole side
 by side, and `dedupe` keys each row by one integer.
+
+Every CSV the package writes, the flagged CSVs too, is `csv_text` of a table
+given by column: the text `csv.writer` writes, with each column's distinct
+values rendered once and the cells joined into CRLF rows.
 """
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import re
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -546,22 +551,74 @@ RECORD_COLUMNS = (
 )
 
 
-def _number_cells(column: np.ndarray) -> list[str]:
-    """Missing is blank, an integral value has no decimal point, else repr."""
-    return ["" if v != v else str(int(v)) if v.is_integer() else repr(v) for v in column.tolist()]
+def _string_cells(values: list[str]) -> list[str]:
+    """Each of `values` as `csv.writer` writes it among other cells of a row:
+    one call writes them all, and one per value follows if any is quoted."""
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow([*values, ""])
+    if out.getvalue() == ",".join(values) + ",\r\n":
+        return values
+    cells = []
+    for value in values:
+        out.seek(0)
+        out.truncate()
+        writer.writerow([value, ""])
+        cells.append(out.getvalue()[: -len(",\r\n")])
+    return cells
 
 
-def write_csv(dest, header: Iterable, rows: Iterable[Iterable]) -> None:
-    """Write `header` and `rows` to `dest`, a path (opened as UTF-8 with
-    `newline=""`) or a text stream, by `csv.writer` in its excel dialect.
-    Each cell is written by csv's rules: a float by its `repr`, so it reads
-    back to the same bits, None blank, and a string quoted where needed."""
+def _scalar_text(value, float_text: Callable[[float], str]) -> str:
+    """None and NaN blank, a float by `float_text`, an int by `str`."""
+    if value is None or value != value:
+        return ""
+    return float_text(value) if isinstance(value, float) else str(value)
+
+
+def _cells(column, float_text: Callable[[float], str]) -> list[str]:
+    """The text of each cell of `column`, a numeric array or a sequence of
+    str, int, float and None, each distinct value rendered once: an array's
+    values told apart by their bits, so -0.0 keeps its sign, and a
+    sequence's by value unless it holds floats or bools (0 == -0.0 == False),
+    whose cells are rendered one by one."""
+    if isinstance(column, np.ndarray) and column.dtype.kind in "iuf":
+        distinct, inverse = np.unique(column.view(f"u{column.itemsize}"), return_inverse=True)
+        values = distinct.view(column.dtype)
+        texts = list(map(float_text if column.dtype.kind == "f" else str, values.tolist()))
+        texts = np.array(texts, dtype=object)
+        texts[np.isnan(values)] = ""
+        return texts[inverse].tolist()
+    cells = column.tolist() if isinstance(column, np.ndarray) else list(column)
+    by_value = set(map(type, cells)) <= {str, int, type(None)}
+    distinct = set(cells) if by_value else {v for v in cells if v.__class__ is str}
+    strings = [v for v in distinct if v.__class__ is str]
+    texts = dict(zip(strings, _string_cells(strings)))
+    if by_value:
+        texts.update((v, _scalar_text(v, float_text)) for v in distinct if v.__class__ is not str)
+        return list(map(texts.__getitem__, cells))
+    return [texts[v] if v.__class__ is str else _scalar_text(v, float_text) for v in cells]
+
+
+def csv_text(header: Iterable[str], columns: list, float_text: Callable[[float], str] = repr) -> str:
+    """The text `csv.writer` (excel dialect, CRLF line ends) writes for
+    `header` and the rows of `columns`, two or more of equal length, where a
+    float is written by `float_text` and None and NaN are blank."""
+    cells = [_cells(column, float_text) for column in columns]
+    width, n = len(cells), len(cells[0])
+    parts = [","] * (2 * width * n)
+    for j, column in enumerate(cells):
+        parts[2 * j :: 2 * width] = column
+    parts[2 * width - 1 :: 2 * width] = ["\r\n"] * n
+    return ",".join(_string_cells(list(header))) + "\r\n" + "".join(parts)
+
+
+def write_csv(dest, header: Iterable[str], columns: list, float_text: Callable[[float], str] = repr) -> None:
+    """Write `csv_text(header, columns, float_text)` to `dest`, a path
+    (as UTF-8) or a text stream opened with `newline=""`."""
     if isinstance(dest, (str, Path)):
         with open(dest, "w", encoding="utf-8", newline="") as fh:
-            return write_csv(fh, header, rows)
-    writer = csv.writer(dest)
-    writer.writerow(header)
-    writer.writerows(rows)
+            return write_csv(fh, header, columns, float_text)
+    dest.write(csv_text(header, columns, float_text))
 
 
 def flag_cells(flags: np.ndarray) -> list[str]:
@@ -571,22 +628,19 @@ def flag_cells(flags: np.ndarray) -> list[str]:
     return [joined[key] for key in flags]
 
 
+def _integral_or_repr(value: float) -> str:
+    return str(int(value)) if value.is_integer() else repr(value)
+
+
 def write_records(panel: Panel, dest) -> None:
-    """Write a panel as CSV with identity headers; re-parsing round-trips."""
-    write_csv(
-        dest,
-        RECORD_COLUMNS,
-        zip(
-            panel.zip.tolist(),
-            panel.year.tolist(),
-            *(_number_cells(getattr(panel, name)) for name in COUNT_FIELDS),
-            *(_number_cells(column) for column in panel.predictors.T),
-            panel.area.tolist(),
-            flag_cells(panel.flags),
-        ),
-    )
+    """Write a panel as CSV with identity headers; re-parsing round-trips.
+    A number with an integral value has no decimal point."""
+    numbers = [*(getattr(panel, name) for name in COUNT_FIELDS), *panel.predictors.T]
+    columns = [panel.zip, panel.year, *numbers, panel.area, flag_cells(panel.flags)]
+    write_csv(dest, RECORD_COLUMNS, columns, _integral_or_repr)
 
 
-def write_rejects(rejects: Iterable[Reject], dest) -> None:
+def write_rejects(rejects: list[Reject], dest) -> None:
     """Write the reject report as CSV with columns (source, row, reason)."""
-    write_csv(dest, ["source", "row", "reason"], ([rej.source, rej.row, rej.reason] for rej in rejects))
+    columns = [[getattr(rej, name) for rej in rejects] for name in ("source", "row", "reason")]
+    write_csv(dest, ["source", "row", "reason"], columns)

@@ -278,31 +278,17 @@ def flag_hidden_fragility(panel: LabeledPanel, k: float) -> set[str]:
 LABELED_COLUMNS = ["zip", "year", "p", "s_raw", "s_capped", "eligible", "y", "residual", "area", "flags"]
 
 
-def _float_cells(values: np.ndarray) -> list[float | None]:
-    return [None if math.isnan(v) else v for v in values.tolist()]
-
-
 def write_labeled_panel(panel: LabeledPanel, csv_path) -> None:
     """Export the labeled panel as CSV plus a JSON sidecar at its .json path
-    with the thresholds, the counts and the labeling rule that made them."""
+    with the thresholds, the counts and the labeling rule that made them.
+    A missing value, and the target of an unlabeled row, is blank."""
     cols = panel.panel
     residual = np.full(len(cols), np.nan) if panel.residual is None else panel.residual
+    y = panel.y.astype(object)
+    y[panel.y == UNLABELED] = None
+    floats = [panel.p, panel.s_raw, panel.s_capped]
+    columns = [cols.zip, cols.year, *floats, panel.eligible.astype(np.int64), y, residual, cols.area]
     csv_path = Path(csv_path)
-    write_csv(
-        csv_path,
-        LABELED_COLUMNS,
-        zip(
-            cols.zip.tolist(),
-            cols.year.tolist(),
-            _float_cells(panel.p),
-            _float_cells(panel.s_raw),
-            _float_cells(panel.s_capped),
-            panel.eligible.astype(int).tolist(),
-            [None if y == UNLABELED else y for y in panel.y.tolist()],
-            _float_cells(residual),
-            cols.area.tolist(),
-            flag_cells(cols.flags),
-        ),
-    )
+    write_csv(csv_path, LABELED_COLUMNS, [*columns, flag_cells(cols.flags)])
     sidecar = {**panel.summary(), "stratified": panel.stratified, "config": plain(panel.config)}
     save_json(sidecar, csv_path.with_suffix(".json"))

@@ -45,8 +45,9 @@ caller keeps scorers: `train_scorers` always does, `run_backtest` unless
 `keep_scorers` is false, as it is for `snapgap backtest` without
 `--models`. A task renders its model's flagged rows into the model's
 flagged CSV itself, from the ZIP and year cells of the panel it inherited
-and the probabilities it computed (`_flagged_csv`), and sends back those
-bytes beside its manifest entry. The entry, `{"file", "rows", "sha256"}`,
+and the probabilities it computed (`ingest.csv_text`, which renders every
+CSV the package writes), and sends back those bytes beside its manifest
+entry. The entry, `{"file", "rows", "sha256"}`,
 names the file and holds its row count and the sha256 of its bytes, so the
 manifest digest covers every flagged row through those sha256s, and this
 process does no per-row work: `run_backtest` returns the bytes beside the
@@ -57,8 +58,6 @@ print the same with any worker count.
 """
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import json
 import mmap
@@ -84,7 +83,7 @@ from .calibration import (
     youden_threshold,
 )
 from .errors import CohortError, DegenerateDesign, NonConvergence, SnapGapError, ValidationError
-from .ingest import PREDICTOR_FIELDS, Area, Panel
+from .ingest import PREDICTOR_FIELDS, Area, Panel, csv_text
 from .jsonio import plain
 from .labeling import (
     POOLED_KEY,
@@ -136,7 +135,6 @@ SELECTION_SPLIT = "split70"
 MODELED_AREAS = (Area.URBAN, Area.RURAL, Area.MIXED)
 
 MANIFEST_FORMAT = "snapgap-manifest/2"
-FLAGGED_HEADER = "zip,year,calibrated_probability\r\n"
 
 # Fixed hyperparameters for the 70/30 split path, which runs without a grid.
 SPLIT_DEFAULT_PARAMS = {
@@ -459,58 +457,6 @@ def _flagged_order(zips: np.ndarray, years: np.ndarray, probs: np.ndarray) -> np
     return np.lexsort((years, zips, -probs))
 
 
-def _csv_strings(values: list[str]) -> list[str]:
-    """Each of `values` as `csv.writer` writes it among other cells of a row:
-    as it is, unless `csv` quotes it."""
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow([*values, ""])
-    if out.getvalue() == ",".join(values) + ",\r\n":
-        return values
-    cells = []
-    for value in values:
-        out.seek(0)
-        out.truncate()
-        writer.writerow([value, ""])
-        cells.append(out.getvalue()[: -len(",\r\n")])
-    return cells
-
-
-def _csv_cells(column: np.ndarray) -> list[str]:
-    """The text of each cell of a str, int or float column as `csv.writer`
-    writes it: a string as `_csv_strings` gives it, a number by its `repr`.
-    Each distinct value is rendered once; floats are told apart by their
-    bits, so -0.0 keeps its sign."""
-    if column.dtype.kind == "O":
-        cells = column.tolist()
-        distinct = list(set(cells))
-        return list(map(dict(zip(distinct, _csv_strings(distinct))).__getitem__, cells))
-    keys = column.view(f"u{column.itemsize}") if column.dtype.kind == "f" else column
-    distinct, inverse = np.unique(keys, return_inverse=True)
-    texts = list(map(repr, distinct.view(column.dtype).tolist()))
-    return np.array(texts, dtype=object)[inverse].tolist()
-
-
-# The flagged CSVs, the largest tables a run writes, are rendered here and
-# not by `ingest.write_csv`. A `national_panel` job writes 81,103 flagged
-# rows in 15 CSVs. On its 5,333-row `logistic[pct_no_vehicle]` file, with
-# 1,859 distinct probabilities, `csv.writer` took 8.4 ms against 3.0 ms for
-# this renderer. With `write_csv` in its place, rendering took about 160 ms
-# per job instead of 57 ms, and the benchmark's `national_panel` `run_s`
-# went from 1.762 to 1.850 s (median, higher in 9 of 10 pairs).
-def _flagged_csv(zips: np.ndarray, years: np.ndarray, probs: np.ndarray) -> bytes:
-    """The flagged CSV of rows of a ZIP, a year and a probability: the UTF-8
-    bytes `csv.writer` writes for the header and the rows `[zip, year,
-    repr(p)]`, excel dialect, with CRLF line ends."""
-    n = len(probs)
-    parts = [","] * (6 * n)
-    parts[0::6] = _csv_cells(zips)
-    parts[2::6] = _csv_cells(years)
-    parts[4::6] = _csv_cells(probs)
-    parts[5::6] = ["\r\n"] * n
-    return (FLAGGED_HEADER + "".join(parts)).encode("utf-8")
-
-
 def _evaluate_task(
     cfg: BacktestConfig,
     task: _Task,
@@ -537,7 +483,8 @@ def _evaluate_task(
     rows, probs = p2_rows[hits], calibrated[hits]
     zips, years = p2_panel.panel.zip[rows], p2_panel.panel.year[rows]
     order = _flagged_order(zips, years, probs)
-    flagged = _flagged_csv(zips[order], years[order], probs[order])
+    header = ["zip", "year", "calibrated_probability"]
+    flagged = csv_text(header, [zips[order], years[order], probs[order]]).encode("utf-8")
     detail["flagged"] = {
         "file": model_file("flagged", cohort, task.model, ".csv"),
         "rows": len(rows),

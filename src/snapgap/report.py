@@ -15,11 +15,11 @@ sha256, so the digest covers the rows through the sha256. `emit_report`
 writes each flagged CSV the body names from its bytes, on every run and
 whatever formats it is asked for: a backtest's bytes from
 `RunManifest.flagged_csvs`, a saved manifest's from the files beside it,
-which `flagged_csvs` reads and checks against their entries. The other
-CSVs go through `ingest.write_csv`, so their cells are written by csv's own
-rules: a float by its `repr`, so it reads back to the same bits, an int by
-its `str`, and None, such as the prevalence of a subset with no labeled
-row, blank.
+which `flagged_csvs` reads and checks against their entries. The tasks
+rendered those with `ingest.csv_text`, and the other CSVs go through
+`ingest.write_csv`, so every cell is written by csv's own rules: a float by
+its `repr`, so it reads back to the same bits, an int by its `str`, and
+None, such as the prevalence of a subset with no labeled row, blank.
 """
 from __future__ import annotations
 
@@ -80,12 +80,6 @@ def _metric_values(ev: dict) -> list:
     return [ev[c] for c in METRIC_COLUMNS] + [ev["precision_at"].get(k) for k in PCT_AT_KEYS]
 
 
-def write_metrics_csv(manifest_body: dict, path: Path) -> None:
-    header = ["cohort", "model"] + METRIC_COLUMNS + [f"precision_at_{k}" for k in PCT_AT_KEYS]
-    fitted = _fitted_models(manifest_body)
-    write_csv(path, header, ([cohort, label, *_metric_values(d["eval"])] for cohort, label, d in fitted))
-
-
 def _threshold_rows(manifest_body: dict) -> list[tuple]:
     """(period, subset, tau_hi, tau_lo, prevalence) of each period's
     thresholds; the prevalence is None for a subset with no labeled row."""
@@ -97,31 +91,28 @@ def _threshold_rows(manifest_body: dict) -> list[tuple]:
     return rows
 
 
-def write_thresholds_csv(manifest_body: dict, path: Path) -> None:
-    header = ["period", "subset", "tau_hi", "tau_lo", "prevalence"]
-    write_csv(path, header, _threshold_rows(manifest_body))
-
-
+THRESHOLD_COLUMNS = ["period", "subset", "tau_hi", "tau_lo", "prevalence"]
 YEARLY_KEYS = ["year", "n_rows", "n_eligible", "tau_hi", "tau_lo", "prevalence", "anomaly_rows"]
-
-
-def write_yearly_csv(manifest_body: dict, path: Path) -> None:
-    rows = ([row[k] for k in YEARLY_KEYS] for row in manifest_body.get("yearly", []))
-    write_csv(path, YEARLY_KEYS, rows)
-
-
 RELIABILITY_KEYS = ["bin_center", "mean_predicted", "observed_rate", "count"]
 
 
-def write_reliability_csvs(manifest_body: dict, outdir: Path) -> list[Path]:
-    """One reliability CSV per fitted model."""
-    paths = []
-    for cohort, label, detail in _fitted_models(manifest_body):
-        path = outdir / model_file("reliability", cohort, label, ".csv")
-        rows = ([row[k] for k in RELIABILITY_KEYS] for row in detail["reliability"])
-        write_csv(path, RELIABILITY_KEYS, rows)
-        paths.append(path)
-    return paths
+def _csv_tables(manifest_body: dict) -> dict[str, tuple[list[str], list]]:
+    """The header and rows of each CSV table of the report, by file name:
+    metrics, thresholds, yearly, and one reliability table per fitted model."""
+    fitted = _fitted_models(manifest_body)
+    yearly = manifest_body.get("yearly", [])
+    tables = {
+        "metrics.csv": (
+            ["cohort", "model", *METRIC_COLUMNS, *(f"precision_at_{k}" for k in PCT_AT_KEYS)],
+            [[cohort, label, *_metric_values(d["eval"])] for cohort, label, d in fitted],
+        ),
+        "thresholds.csv": (THRESHOLD_COLUMNS, _threshold_rows(manifest_body)),
+        "yearly.csv": (YEARLY_KEYS, [[row[k] for k in YEARLY_KEYS] for row in yearly]),
+    }
+    for cohort, label, detail in fitted:
+        rows = [[row[k] for k in RELIABILITY_KEYS] for row in detail["reliability"]]
+        tables[model_file("reliability", cohort, label, ".csv")] = (RELIABILITY_KEYS, rows)
+    return tables
 
 
 def _markdown_table(title: str, header: list[str], rows) -> list[str]:
@@ -357,15 +348,10 @@ def emit_report(body: dict, formats, outdir, flagged_csvs: dict[str, bytes]) -> 
             save_json(body, path)
             written.append(path)
         if FORMAT_CSV in formats:
-            for name, writer in (
-                ("metrics.csv", write_metrics_csv),
-                ("thresholds.csv", write_thresholds_csv),
-                ("yearly.csv", write_yearly_csv),
-            ):
+            for name, (header, rows) in _csv_tables(body).items():
                 path = outdir / name
-                writer(body, path)
+                write_csv(path, header, list(zip(*rows)) or [()] * len(header))
                 written.append(path)
-            written.extend(write_reliability_csvs(body, outdir))
         if FORMAT_MARKDOWN in formats:
             path = outdir / "report.md"
             with open(path, "w", encoding="utf-8") as fh:

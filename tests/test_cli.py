@@ -639,6 +639,42 @@ def test_two_outputs_at_one_path_exit_2_before_any_work(tmp_path, capsys, monkey
     assert [p.name for p in tmp_path.iterdir()] == ["p.csv"]
 
 
+# An output each command cannot write, found before it reads any input:
+# `afile` is a regular file and `nodir` does not exist.
+UNWRITABLE_OUTPUTS = {
+    "synth": (
+        ["synth", "--seed", "1", "--out", "q.csv", "--truth", "nodir/t.json"],
+        "generate_synthetic", "cannot write nodir/t.json: nodir is not a directory",
+    ),
+    "ingest": (
+        ["ingest", "--panel", "p.csv", "--out", "x.csv", "--rejects", "nodir/r.csv"],
+        "parse_panel", "cannot write nodir/r.csv: nodir is not a directory",
+    ),
+    "backtest": (
+        ["backtest", "--seed", "1", "--panel", "p.csv", "--out", "afile/sub"],
+        "parse_panel", "cannot write afile/sub: afile is not a directory",
+    ),
+    "train": (["train", "--panel", "p.csv", "--out", "afile"], "parse_panel", "cannot write afile: afile is not a directory"),
+    # `Path(".").with_suffix` raised a ValueError traceback here
+    "synth into a directory": (["synth", "--seed", "1", "--out", "."], "generate_synthetic", "cannot write .: it is a directory"),
+}
+
+
+@pytest.mark.parametrize("args, reader, error", UNWRITABLE_OUTPUTS.values(), ids=UNWRITABLE_OUTPUTS.keys())
+def test_an_unwritable_output_exits_4_before_any_input_is_read(tmp_path, capsys, monkeypatch, args, reader, error):
+    def no_input(*args, **kwargs):
+        raise AssertionError("read an input before checking the outputs")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, reader, no_input)
+    (tmp_path / "p.csv").write_text(PANEL_CSV)
+    (tmp_path / "afile").write_text("")
+    assert main(args) == 4
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {error}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "p.csv"]
+
+
 def test_insufficient_cohort_exit_code(tmp_path, capsys):
     panel = tmp_path / "tiny.csv"
     panel.write_text(

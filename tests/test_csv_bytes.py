@@ -11,8 +11,7 @@ from hashlib import sha256
 import numpy as np
 
 from conftest import make_panel, make_record
-from snapgap import pipeline
-from snapgap.ingest import Area, Reject, write_records, write_rejects
+from snapgap.ingest import Area, Reject, csv_text, write_records, write_rejects
 from snapgap.labeling import UNLABELED, LabeledPanel, Thresholds, write_labeled_panel
 from snapgap.report import emit_report
 
@@ -152,9 +151,13 @@ def test_emit_report_bytes(tmp_path):
 
 
 def test_flagged_csv_bytes():
-    got = pipeline._flagged_csv(
-        np.array(["00001", "a,b", 'q"x', "00001"], dtype=object),
-        np.array([2019, 2020, 2021, 2019], dtype=np.int64),
-        np.array([1e300, 5e-324, -0.0, 0.1 + 0.2]),
-    )
+    # a flagged CSV as a task renders it
+    got = csv_text(
+        ["zip", "year", "calibrated_probability"],
+        [
+            np.array(["00001", "a,b", 'q"x', "00001"], dtype=object),
+            np.array([2019, 2020, 2021, 2019], dtype=np.int64),
+            np.array([1e300, 5e-324, -0.0, 0.1 + 0.2]),
+        ],
+    ).encode("utf-8")
     assert sha256(got).hexdigest() == "32b9395f4890e0069e41654ee9b4856b42952f88b50b4835020433a54f365072"

@@ -1,9 +1,11 @@
+import csv
 import io
+import math
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_record, random_records
@@ -25,6 +27,7 @@ from snapgap.ingest import (
     PREDICTOR_FIELDS,
     Area,
     Panel,
+    csv_text,
     dedupe,
     designate_all,
     normalize_zip,
@@ -325,6 +328,47 @@ class TestRoundTrip:
         for rec in records_of(reparsed):
             assert FLAG_CLIPPED not in rec.flags
             assert FLAG_SENTINEL_RECODED not in rec.flags
+
+
+# Cells of each kind a CSV column holds: strings that `csv` quotes, empty
+# strings and non-ASCII text; int64 extremes; signed zeros, the smallest
+# subnormal, a float whose `repr` takes an exponent, and NaN; and None.
+CSV_STRINGS = st.one_of(st.text(max_size=5), st.sampled_from([",", '"', "\r", "\n", "a,b", 'q"x', "", "é", "00001"]))
+CSV_INTS = st.one_of(st.integers(-(2**63), 2**63 - 1), st.sampled_from([-(2**63), 2**63 - 1, 0]))
+CSV_FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, 1e-05, 0.1 + 0.2, 1.0, 1e300, math.nan])
+CSV_COLUMNS = {
+    "str": lambda n: st.lists(CSV_STRINGS, min_size=n, max_size=n).map(lambda c: np.array(c, dtype=object)),
+    "int": lambda n: st.lists(CSV_INTS, min_size=n, max_size=n).map(lambda c: np.array(c, dtype=np.int64)),
+    "float": lambda n: st.lists(CSV_FLOATS, min_size=n, max_size=n).map(lambda c: np.array(c, dtype=np.float64)),
+    "str, int or None": lambda n: st.lists(st.one_of(st.none(), CSV_STRINGS, CSV_INTS), min_size=n, max_size=n),
+    "any": lambda n: st.lists(st.one_of(st.none(), CSV_STRINGS, CSV_INTS, CSV_FLOATS), min_size=n, max_size=n),
+}
+
+
+@st.composite
+def csv_tables(draw):
+    """A header and the columns of a table of two or more columns."""
+    n, width = draw(st.integers(0, 30)), draw(st.integers(2, 5))
+    kinds = draw(st.lists(st.sampled_from(sorted(CSV_COLUMNS)), min_size=width, max_size=width))
+    header = draw(st.lists(CSV_STRINGS, min_size=width, max_size=width))
+    return header, [draw(CSV_COLUMNS[kind](n)) for kind in kinds]
+
+
+@settings(max_examples=300, deadline=None)
+@given(csv_tables())
+@example((["zip", "year", "calibrated_probability"], [np.array([], dtype=object), np.array([], dtype=np.int64), np.array([])]))
+@example((
+    ["a,b", ""],
+    [np.array([-0.0, 0.0, 5e-324, 1e300, math.nan]), [None, 'q"x', -(2**63), 2**63 - 1, 0.0]],
+))
+def test_csv_text_is_what_csv_writer_writes(table):
+    header, columns = table
+    want = io.StringIO(newline="")
+    writer = csv.writer(want)
+    writer.writerow(header)
+    cells = [column.tolist() if isinstance(column, np.ndarray) else column for column in columns]
+    writer.writerows([None if v != v else v for v in row] for row in zip(*cells))
+    assert csv_text(header, columns) == want.getvalue()
 
 
 class TestPanel:

@@ -1,6 +1,4 @@
-import csv
 import hashlib
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -11,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from snapgap.calibration import DecisionRule, IsotonicMap
-from snapgap import pipeline
 from snapgap.jsonio import plain, save_json
 from snapgap.labeling import LabelConfig, Thresholds
 from snapgap.metrics import EvalReport, FeatureImportance, ImportanceReport
@@ -99,38 +96,6 @@ def test_sha256_is_hashlibs_for_any_split(data, cuts):
     assert h.hexdigest() == hashlib.sha256(data).hexdigest()
     assert h.digest() == hashlib.sha256(data).digest()
     assert sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
-
-
-# Probabilities with many ties, signed zeros, the smallest subnormal and a
-# float whose `repr` takes an exponent.
-TIED_PROBABILITIES = [-0.0, 0.0, 5e-324, 1e-05, 0.1 + 0.2, 1.0, 1e300]
-
-flagged_rows = st.lists(
-    st.tuples(
-        # ZIP strings, some that `csv` quotes
-        st.one_of(st.text(max_size=5), st.sampled_from(TRICKY_TEXT + [",", "\r", "", "00001"])),
-        st.integers(-(2**63), 2**63 - 1),
-        st.sampled_from(TIED_PROBABILITIES),
-    ),
-    max_size=200,
-)
-
-
-@settings(max_examples=150, deadline=None)
-@given(flagged_rows)
-@example([])
-@example([("00001", 2019, -0.0), ("00001", 2019, 0.0), ('a"b', 2020, 5e-324), ("x,y", 2021, 1e300)])
-def test_flagged_csv_is_what_csv_writer_writes(rows):
-    # the flagged CSV a task renders from its columns
-    want = io.StringIO(newline="")
-    writer = csv.writer(want)
-    writer.writerow(["zip", "year", "calibrated_probability"])
-    writer.writerows([zcta, year, repr(p)] for zcta, year, p in rows)
-    zips, years, probs = zip(*rows) if rows else ((), (), ())
-    got = pipeline._flagged_csv(
-        np.array(zips, dtype=object), np.array(years, dtype=np.int64), np.array(probs, dtype=np.float64)
-    )
-    assert got == want.getvalue().encode("utf-8")
 
 
 def test_save_json_ends_with_a_newline(tmp_path):
