@@ -9,10 +9,12 @@ each model's flagged CSV, which the task that evaluated the model rendered,
 whatever `--formats` asks, since the manifest holds only each file's name,
 row count and sha256, and its digest covers the rows through them. `report`
 reads those CSVs beside the manifest and writes them unchanged. A YAML
-config supplies settings; any key can be overridden with repeated `--set
-key=value` flags (values parsed as YAML). Every command checks every key
-first (see `config`): an unknown key, a value of the wrong type, or one out
-of range, exits 2 before any work, and so does an unknown `--formats` name
+`--config` supplies settings, repeated `--set key=value` flags override any
+key (values parsed as YAML), and `--seed` is the root seed of the commands
+that draw random numbers: `synth`, `train` and `backtest`. `report` takes
+none of the three. Every other command checks every key first (see
+`config`): an unknown key, a value of the wrong type, or one out of range,
+exits 2 before any work, and so does an unknown `--formats` name
 or a command's two outputs at one path (`--out` and `--rejects`, `--out` and
 `--truth`, or `label --out x.json` and its sidecar). Before it reads any
 input, a command exits 4, writing nothing, on an output it cannot write: a
@@ -149,7 +151,7 @@ def cmd_label(args) -> int:
     _second_output("--out and its JSON sidecar", out, out.with_suffix(".json"))
     panel, _, _ = _load_panel(settings, args.panel)
     cfg = settings.backtest
-    labeled = build_labels(panel, cfg.label, stratify_by_area=cfg.stratified)
+    labeled = build_labels(panel, cfg.label, by=cfg.label_by)
     try:
         labeled, _ = fit_uptake_ols(labeled)
     except DegenerateDesign:
@@ -204,7 +206,6 @@ def cmd_synth(args) -> int:
 
 
 def cmd_report(args) -> int:
-    _load_merged_config(args)  # a report takes no setting, but a bad key is still an error
     formats = _formats(args)
     _output_dir(Path(args.out))
     try:
@@ -230,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed_required=False):
+    def config_flags(p):
         p.add_argument("--config", help="YAML config file")
         p.add_argument(
             "--set",
@@ -238,12 +239,9 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="KEY=VALUE",
             help="override any config key (YAML-parsed value); repeatable",
         )
-        p.add_argument(
-            "--seed", type=int, required=seed_required, help="root random seed"
-        )
 
     p = sub.add_parser("ingest", help="parse + clean raw panel CSV into a validated panel")
-    common(p)
+    config_flags(p)
     p.add_argument("--panel", required=True, help="raw panel CSV")
     p.add_argument("--crosswalk", help="ZIP-tract crosswalk CSV for area designation")
     p.add_argument("--out", required=True, help="output panel CSV")
@@ -251,20 +249,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("label", help="build eligibility, thresholds, the target and uptake residuals")
-    common(p)
+    config_flags(p)
     p.add_argument("--panel", required=True, help="validated panel CSV")
     p.add_argument("--out", required=True, help="labeled panel CSV (JSON sidecar beside it)")
     p.set_defaults(func=cmd_label)
 
     p = sub.add_parser("train", help="train calibrated scorers on the early period")
-    common(p, seed_required=False)
+    config_flags(p)
+    p.add_argument("--seed", type=int, help="root random seed")
     p.add_argument("--panel", required=True)
     p.add_argument("--crosswalk")
     p.add_argument("--out", required=True, help="directory for scorer JSON files")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("backtest", help="full out-of-time run with reports")
-    common(p, seed_required=True)
+    config_flags(p)
+    p.add_argument("--seed", type=int, required=True, help="root random seed")
     p.add_argument("--panel", required=True)
     p.add_argument("--crosswalk")
     p.add_argument("--out", required=True, help="report output directory")
@@ -277,13 +277,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_backtest)
 
     p = sub.add_parser("synth", help="generate a synthetic verification panel")
-    common(p, seed_required=True)
+    config_flags(p)
+    p.add_argument("--seed", type=int, required=True, help="root random seed")
     p.add_argument("--out", required=True, help="output panel CSV")
     p.add_argument("--truth", help="ground-truth sidecar path (default: <out>.truth.json)")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("report", help="render reports from a saved manifest")
-    common(p)
     p.add_argument("--manifest", required=True, help="manifest.json from a backtest run")
     p.add_argument("--out", required=True)
     p.add_argument("--formats", help="comma list of json,csv,markdown (default all)")

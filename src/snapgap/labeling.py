@@ -7,10 +7,12 @@ NaN, and unlabeled rows carry y = -1.
 
 A unit-period row is *eligible* when its poverty rate clears the floor, its
 uptake ratio is finite and positive, and all four structural predictors are
-present. Within the eligible pool, a row is flagged fragile (y=1) when its
-poverty rate sits at or above the high-poverty quantile AND its (capped)
-uptake ratio sits at or below the low-uptake quantile. Ineligible rows stay
-unlabeled so they are explicitly excluded rather than misclassified.
+present. Within the eligible pool of its group, a row is flagged fragile
+(y=1) when its poverty rate sits at or above the group's high-poverty
+quantile AND its (capped) uptake ratio sits at or below the low-uptake
+quantile. The groups are the values of a key column, `by`: all rows pooled,
+each area, or each year. Ineligible rows stay unlabeled so they are
+explicitly excluded rather than misclassified.
 
 An OLS regression of benefit counts on poverty counts provides a residual
 diagnostic: rows in the deep negative-residual tail that the quantile rule
@@ -35,8 +37,8 @@ UNLABELED = -1
 
 @dataclass(frozen=True)
 class LabelConfig:
-    """Fixed design choices for target construction. Whether thresholds are
-    fitted per area is the caller's `stratify_by_area`, not part of the rule."""
+    """Fixed design choices for target construction. The groups the
+    thresholds are fitted in are the caller's `by`, not part of the rule."""
 
     poverty_floor: float = 0.15
     hi_q: float = 0.70
@@ -62,8 +64,9 @@ class LabeledPanel:
 
     `p`, `s_raw`, `eligible`, `y` (1 / 0, or UNLABELED) and, after
     `fit_uptake_ols`, `residual` are columns aligned with `panel`.
-    `thresholds` is keyed by area name when stratified, else by "All". Every
-    labeled row is labeled under exactly one key's thresholds.
+    `thresholds` and `prevalences` are keyed by the values of the panel
+    column named `by`, or by "All" when `by` is None. Every labeled row is
+    labeled under exactly one key's thresholds.
     """
 
     panel: Panel
@@ -71,10 +74,10 @@ class LabeledPanel:
     s_raw: np.ndarray
     eligible: np.ndarray
     y: np.ndarray
-    thresholds: dict[str, Thresholds]
+    thresholds: dict[str | int, Thresholds]
     prevalence: float
-    prevalences: dict[str, float] = field(default_factory=dict)
-    stratified: bool = False
+    prevalences: dict[str | int, float] = field(default_factory=dict)
+    by: str | None = None
     config: LabelConfig = field(default_factory=LabelConfig)
     residual: np.ndarray | None = None  # NaN off the eligible pool
 
@@ -82,21 +85,6 @@ class LabeledPanel:
     def s_capped(self) -> np.ndarray:
         """Uptake capped at 1; a raw ratio above 1 is an anomaly, kept and flagged."""
         return np.minimum(self.s_raw, 1.0)
-
-    @property
-    def tau_hi(self) -> float:
-        return self.thresholds[self._only_key()].tau_hi
-
-    @property
-    def tau_lo(self) -> float:
-        return self.thresholds[self._only_key()].tau_lo
-
-    def _only_key(self) -> str:
-        if POOLED_KEY in self.thresholds:
-            return POOLED_KEY
-        if len(self.thresholds) == 1:
-            return next(iter(self.thresholds))
-        raise ValidationError("panel is stratified; use .thresholds[area]")
 
     def n_eligible(self) -> int:
         return int(np.count_nonzero(self.eligible))
@@ -130,12 +118,19 @@ def quantile(values: Sequence[float], q: float) -> float:
     return float(np.quantile(arr, q, method="linear"))
 
 
+def uptake_ratio(panel: Panel) -> np.ndarray:
+    """Benefit over poverty families, NaN unless poverty families are positive."""
+    return np.divide(
+        panel.snap_fam, panel.pov_fam, out=np.full(len(panel), np.nan), where=panel.pov_fam > 0
+    )
+
+
 def build_labels(
     panel: Panel,
     cfg: LabelConfig,
-    thresholds: dict[str, Thresholds] | None = None,
+    thresholds: dict[str | int, Thresholds] | None = None,
     *,
-    stratify_by_area: bool = False,
+    by: str | None = None,
 ) -> LabeledPanel:
     """Compute eligibility, thresholds, and the binary target for one panel.
 
@@ -144,10 +139,10 @@ def build_labels(
     is benefit families over poverty families, defined only for a positive
     poverty count; zero uptake counts as missing for eligibility.
 
-    Pooled mode derives one (tau_hi, tau_lo) pair from all eligible rows;
-    with `stratify_by_area` the pair is recomputed within each area subset
-    (including Unknown, whose rows are labeled descriptively but excluded
-    from fitting).
+    One (tau_hi, tau_lo) pair is fitted on the eligible rows of each value
+    of the panel column `by`: `None` pools every row under "All", `"area"`
+    fits each area (Unknown too, whose rows are labeled descriptively but
+    excluded from model fitting), and `"year"` each year.
 
     Supplied `thresholds` (frozen cutpoints, e.g. from the training period)
     replace the fit. Eligible rows whose key has no supplied pair stay
@@ -157,7 +152,7 @@ def build_labels(
     p = np.divide(
         panel.pov_fam, panel.fam_universe, out=panel.pov_rate.copy(), where=panel.fam_universe > 0
     )
-    s_raw = np.divide(panel.snap_fam, panel.pov_fam, out=np.full(n, np.nan), where=panel.pov_fam > 0)
+    s_raw = uptake_ratio(panel)
     eligible = (
         np.isfinite(p)
         & (p > 0)
@@ -169,7 +164,7 @@ def build_labels(
     if not eligible.any():
         raise CohortError("no rows pass the eligibility filters")
     uptake = np.minimum(s_raw, 1.0) if cfg.use_capped_uptake else s_raw
-    keys = panel.area if stratify_by_area else np.full(n, POOLED_KEY, dtype=object)
+    keys = np.full(n, POOLED_KEY, dtype=object) if by is None else getattr(panel, by)
     if thresholds is None:
         thresholds = {}
         for key in np.unique(keys[eligible]).tolist():
@@ -181,7 +176,7 @@ def build_labels(
         thresholds = dict(thresholds)
 
     y = np.full(n, UNLABELED, dtype=np.int8)
-    prevalences: dict[str, float] = {}
+    prevalences: dict[str | int, float] = {}
     positives = labeled = 0
     for key, th in thresholds.items():
         group = eligible & (keys == key)
@@ -204,7 +199,7 @@ def build_labels(
         thresholds=thresholds,
         prevalence=positives / labeled,
         prevalences=prevalences,
-        stratified=stratify_by_area,
+        by=by,
         config=cfg,
     )
 
@@ -290,5 +285,5 @@ def write_labeled_panel(panel: LabeledPanel, csv_path) -> None:
     columns = [cols.zip, cols.year, *floats, panel.eligible.astype(np.int64), y, residual, cols.area]
     csv_path = Path(csv_path)
     write_csv(csv_path, LABELED_COLUMNS, [*columns, flag_cells(cols.flags)])
-    sidecar = {**panel.summary(), "stratified": panel.stratified, "config": plain(panel.config)}
+    sidecar = {**panel.summary(), "stratified": panel.by == "area", "config": plain(panel.config)}
     save_json(sidecar, csv_path.with_suffix(".json"))

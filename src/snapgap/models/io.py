@@ -62,11 +62,12 @@ def _tree_to_dict(tree: DecisionTree) -> dict:
     }
 
 
-def _tree_from_dict(data: dict) -> DecisionTree:
+def _tree_from_dict(data: dict, n_features: int) -> DecisionTree:
     """The tree of a node list in preorder, by which the leaf masks number
-    its leaves (see `tree.py`). Raises a `ValidationError` unless a preorder
-    walk from the root, stopped after n visits, visits nodes 0 to n - 1 in
-    turn and then ends."""
+    its leaves (see `tree.py`). Raises a `ValidationError` on a node feature
+    outside -1 (a leaf) to `n_features` - 1, or unless a preorder walk from
+    the root, stopped after n visits, visits nodes 0 to n - 1 in turn and
+    then ends."""
     tree = DecisionTree(
         feature=tuple(data["feature"]),
         threshold=tuple(_none_to_nan(data["threshold"])),
@@ -77,6 +78,9 @@ def _tree_from_dict(data: dict) -> DecisionTree:
     n = tree.n_nodes
     if {len(tree.threshold), len(tree.left), len(tree.right), len(tree.value)} != {n}:
         raise ValidationError("tree node lists differ in length")
+    outside = [f for f in tree.feature if not -1 <= f < n_features]
+    if outside:
+        raise ValidationError(f"tree node feature {outside[0]} is not one of the model's {n_features}")
     stack, visits = [0], 0
     while stack and visits < n and stack[-1] == visits:
         node = stack.pop()
@@ -129,11 +133,12 @@ def model_from_dict(data: dict):
             feature_names=tuple(data["feature_names"]),
             standardization=Standardization(**data["standardization"]),
         )
+    feature_names = tuple(data["feature_names"])
     return TreeEnsembleModel(
         kind=family,
-        trees=tuple(_tree_from_dict(t) for t in data["trees"]),
+        trees=tuple(_tree_from_dict(t, len(feature_names)) for t in data["trees"]),
         params=EnsembleParams(kind=family, **data["hyperparameters"]),
-        feature_names=tuple(data["feature_names"]),
+        feature_names=feature_names,
         base_score=float(data.get("base_score", 0.0)),
     )
 

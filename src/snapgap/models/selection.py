@@ -153,11 +153,9 @@ class GridEntry:
 
 @dataclass
 class CvGridResult:
-    family: str
     grid: list[GridEntry]
     winner: dict
-    folds: int
-    oof_proba: np.ndarray = field(repr=False, default=None)  # winner's out-of-fold scores
+    oof_proba: np.ndarray = field(repr=False)  # winner's out-of-fold scores
 
 
 def fold_proba(
@@ -264,10 +262,4 @@ def cv_grid_search(
             best_entry, best = entry, i
     if best_entry is None:
         raise NonConvergence(f"no {family} grid candidate converged: {entries[0].error}")
-    return CvGridResult(
-        family=family,
-        grid=entries,
-        winner=best_entry.params,
-        folds=folds,
-        oof_proba=oof[best].copy(),
-    )
+    return CvGridResult(grid=entries, winner=best_entry.params, oof_proba=oof[best].copy())

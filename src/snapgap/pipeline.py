@@ -15,7 +15,8 @@ The flow per cohort (pooled, or one per area when stratified):
 The input is one columnar `Panel`, as ingest and the synthetic generator
 produce it. Periods, years and cohorts are boolean masks or row-index
 arrays over it, a model matrix is a slice of its predictor block, and the
-yearly and fragile-distribution diagnostics are mask counts.
+yearly and fragile-distribution diagnostics are mask counts over labelings
+(the yearly table's, one labeling with a threshold pair per year).
 
 Nothing fitted ever sees a late-period row: training consumes only the early
 panel, and that separation is asserted by the test suite bit-for-bit.
@@ -93,6 +94,7 @@ from .labeling import (
     build_labels,
     fit_uptake_ols,
     flag_hidden_fragility,
+    uptake_ratio,
 )
 from .metrics import evaluate, permutation_importance
 from .models import (
@@ -232,8 +234,9 @@ class BacktestConfig:
                     raise ValidationError(f"grids.{family}[{i}]: {exc}") from exc
 
     @property
-    def stratified(self) -> bool:
-        return self.area_mode == AREA_MODE_STRATIFIED
+    def label_by(self) -> str | None:
+        """The panel column that keys the labeling's thresholds, or None to pool."""
+        return "area" if self.area_mode == AREA_MODE_STRATIFIED else None
 
     def subsets(self) -> list[tuple[str, ...]]:
         if self.feature_subsets in (None, "all"):
@@ -248,7 +251,7 @@ class BacktestConfig:
         """The fields as JSON data, with the subsets and grids the run uses
         written out, and the labeling's stratification beside its rule."""
         out = plain(replace(self, feature_subsets=self.subsets(), grids=self.family_grids()))
-        out["label"]["stratify_by_area"] = self.stratified
+        out["label"]["stratify_by_area"] = self.label_by == "area"
         return out
 
 
@@ -309,10 +312,6 @@ def _matrix(
 
 def _task_matrix(panel: LabeledPanel, rows: np.ndarray, subset: tuple[str, ...]) -> FeatureMatrix:
     return FeatureMatrix(*_matrix(panel, rows, subset), feature_names=tuple(subset))
-
-
-def _anomaly_count(panel: LabeledPanel) -> int:
-    return int(np.count_nonzero(panel.s_raw > 1.0))
 
 
 CALIBRATION_MAX_BINS = 50
@@ -523,7 +522,7 @@ def _fragile_distribution(period: Panel, cfg: BacktestConfig) -> dict:
     for lo_q in (0.10, 0.30):
         try:
             rule = replace(cfg.label, lo_q=lo_q)
-            panel = build_labels(period, rule, stratify_by_area=cfg.stratified)
+            panel = build_labels(period, rule, by=cfg.label_by)
         except (CohortError, ValidationError) as exc:
             out[f"{lo_q:.2f}"] = {"error": str(exc)}
             continue
@@ -540,36 +539,36 @@ def _fragile_distribution(period: Panel, cfg: BacktestConfig) -> dict:
 
 
 def run_yearly_diagnostics(cfg: BacktestConfig, panel: Panel) -> list[dict]:
-    """Per-year eligible count, thresholds, prevalence, and anomaly count."""
-    years = list(range(cfg.p1_years[0], cfg.p1_years[1] + 1)) + list(
-        range(cfg.p2_years[0], cfg.p2_years[1] + 1)
-    )
+    """Each period year's row, eligible and anomaly counts, thresholds and
+    prevalence, off one labeling with a threshold pair per year. A year with
+    no eligible row has no thresholds or prevalence; its anomalies count."""
+    (a, b), (c, d) = cfg.p1_years, cfg.p2_years
+    anomalous = uptake_ratio(panel) > 1.0
+    try:
+        labeled = build_labels(panel, cfg.label, by="year")
+        eligible, thresholds, prevalences = labeled.eligible, labeled.thresholds, labeled.prevalences
+    except CohortError:  # no year has an eligible row
+        eligible, thresholds, prevalences = np.zeros(len(panel), dtype=bool), {}, {}
     table = []
-    for year in years:
-        year_rows = panel.take(panel.year == year)
-        entry: dict = {"year": year, "n_rows": len(year_rows)}
-        try:
-            labeled = build_labels(year_rows, cfg.label)  # pooled; raises on an empty year too
-        except CohortError:
-            entry.update(
-                {"n_eligible": 0, "tau_hi": None, "tau_lo": None, "prevalence": None, "anomaly_rows": 0}
-            )
-        else:
-            entry.update(
-                {
-                    "n_eligible": labeled.n_eligible(),
-                    "tau_hi": labeled.tau_hi,
-                    "tau_lo": labeled.tau_lo,
-                    "prevalence": labeled.prevalence,
-                    "anomaly_rows": _anomaly_count(labeled),
-                }
-            )
-        table.append(entry)
+    for year in [*range(a, b + 1), *range(c, d + 1)]:
+        rows = panel.year == year
+        th = thresholds.get(year)
+        table.append(
+            {
+                "year": year,
+                "n_rows": int(np.count_nonzero(rows)),
+                "n_eligible": int(np.count_nonzero(rows & eligible)),
+                "tau_hi": None if th is None else th.tau_hi,
+                "tau_lo": None if th is None else th.tau_lo,
+                "prevalence": prevalences.get(year),
+                "anomaly_rows": int(np.count_nonzero(rows & anomalous)),
+            }
+        )
     return table
 
 
 def _cohorts(cfg: BacktestConfig) -> list[str]:
-    if cfg.stratified:
+    if cfg.label_by == "area":
         return [a.value for a in MODELED_AREAS]
     return [POOLED_KEY]
 
@@ -829,7 +828,7 @@ def train_scorers(cfg: BacktestConfig, panel: Panel) -> dict[tuple[str, str], Ca
     p1 = _rows_in_years(panel, cfg.p1_years)
     if not len(p1):
         raise CohortError(f"no rows in training years {cfg.p1_years}")
-    p1_panel = build_labels(p1, cfg.label, stratify_by_area=cfg.stratified)
+    p1_panel = build_labels(p1, cfg.label, by=cfg.label_by)
     tasks, cohort_errors = _plan_tasks(cfg, p1_panel)
 
     scorers: dict[tuple[str, str], CalibratedScorer] = {}
@@ -868,9 +867,9 @@ def run_backtest(
             f"panel must cover both periods: {len(p1)} training rows, {len(p2)} test rows"
         )
 
-    p1_panel = build_labels(p1, cfg.label, stratify_by_area=cfg.stratified)
+    p1_panel = build_labels(p1, cfg.label, by=cfg.label_by)
     frozen = p1_panel.thresholds if cfg.threshold_mode == THRESHOLD_FROZEN else None
-    p2_panel = build_labels(p2, cfg.label, frozen, stratify_by_area=cfg.stratified)
+    p2_panel = build_labels(p2, cfg.label, frozen, by=cfg.label_by)
     tasks, cohort_errors = _plan_tasks(cfg, p1_panel, p2_panel)
     # Before the tasks, so their arrays come and go while this process holds
     # no flagged CSV.
@@ -922,7 +921,7 @@ def run_backtest(
         "config_hash": digest_of(config),
         "input_digests": dict(sorted((input_digests or {}).items())),
         "periods": {
-            name: {**labeled.summary(), "anomaly_rows": _anomaly_count(labeled)}
+            name: {**labeled.summary(), "anomaly_rows": int(np.count_nonzero(labeled.s_raw > 1.0))}
             for name, labeled in (("p1", p1_panel), ("p2", p2_panel))
         },
         "cohorts": cohort_body,

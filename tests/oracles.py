@@ -9,8 +9,9 @@ one row at a time down the node tuples, tree growth by sorting each
 candidate feature again at every node, ensembles tree by tree with that
 grower, CSV parsing and dedupe one `Record` at a time, crosswalk areas from
 one tuple per row grouped by ZIP, flagged-row order by
-`sorted` on tuples, and report files through the standard library's
-`json.dump`.
+`sorted` on tuples, report files through the standard library's
+`json.dump`, and the yearly table one sliced and pooled-labeled year at a
+time.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from snapgap.errors import ValidationError
+from snapgap.errors import CohortError, ValidationError
 from snapgap.ingest import (
     COUNT_FIELDS,
     DEFAULT_SCHEMA,
@@ -42,6 +43,7 @@ from snapgap.ingest import (
     Panel,
     Reject,
 )
+from snapgap.labeling import build_labels
 from snapgap.models import DecisionTree
 from snapgap.rng import STREAM_TREE, derive_rng
 
@@ -442,6 +444,34 @@ def label_oracle(
             p, s = rows[i]["p"], uptake(rows[i])
             labels[i] = 1 if (p >= tau_hi and s <= tau_lo) else 0
     return labels
+
+
+def yearly_reference(cfg, panel: Panel) -> list[dict]:
+    """The manifest's yearly table, one year of the periods at a time: the
+    year's rows sliced out and labeled pooled, and its anomalies (rows whose
+    benefit-to-poverty ratio exceeds 1) counted over all of those rows,
+    labeled or not."""
+    (a, b), (c, d) = cfg.p1_years, cfg.p2_years
+    table = []
+    for year in [*range(a, b + 1), *range(c, d + 1)]:
+        rows = panel.take(panel.year == year)
+        entry = {"year": year, "n_rows": len(rows)}
+        try:
+            labeled = build_labels(rows, cfg.label)
+        except CohortError:  # no eligible row, or no row at all
+            entry.update(n_eligible=0, tau_hi=None, tau_lo=None, prevalence=None)
+        else:
+            th = labeled.thresholds["All"]
+            entry.update(
+                n_eligible=labeled.n_eligible(),
+                tau_hi=th.tau_hi,
+                tau_lo=th.tau_lo,
+                prevalence=labeled.prevalence,
+            )
+        counts = zip(rows.pov_fam.tolist(), rows.snap_fam.tolist())
+        entry["anomaly_rows"] = sum(1 for pov, snap in counts if pov > 0 and snap / pov > 1.0)
+        table.append(entry)
+    return table
 
 
 def ols_normal_equations(x, y):

@@ -145,7 +145,8 @@ DEFECTS = [
 def _args(command, panel, out):
     if command == "synth":
         return ["synth", "--seed", "1", "--out", str(out / "panel.csv")]
-    return [command, "--seed", "1", "--panel", panel, "--out", str(out / "out.csv")]
+    seed = ["--seed", "1"] if command in ("train", "backtest") else []
+    return [command, *seed, "--panel", panel, "--out", str(out / "out.csv")]
 
 
 @pytest.mark.parametrize("command, extra, key", DEFECTS, ids=[d[2] for d in DEFECTS])
@@ -159,12 +160,40 @@ def test_each_defect_exits_2_naming_its_key(tmp_path, capsys, panel, command, ex
 @pytest.mark.parametrize("command", ["ingest", "label", "train", "backtest", "synth", "report"])
 def test_every_command_checks_keys_before_any_work(tmp_path, capsys, command):
     missing = str(tmp_path / "missing")
+    seed = ["--seed", "1"] if command in ("train", "backtest") else []
     args = {
         "synth": ["synth", "--seed", "1", "--out", str(tmp_path / "p.csv")],
         "report": ["report", "--manifest", missing, "--out", str(tmp_path / "r")],
-    }.get(command, [command, "--seed", "1", "--panel", missing, "--out", str(tmp_path / "o")])
-    assert main(args + ["--set", "importance_repeat=5"]) == 2
-    assert capsys.readouterr().err == "error: unknown key 'importance_repeat'\n"
+    }.get(command, [command, *seed, "--panel", missing, "--out", str(tmp_path / "o")])
+    args += ["--set", "importance_repeat=5"]
+    if command == "report":  # takes no settings: --set is an unknown flag
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --set importance_repeat=5" in capsys.readouterr().err
+    else:
+        assert main(args) == 2
+        assert capsys.readouterr().err == "error: unknown key 'importance_repeat'\n"
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("report", ["--config", "c.yaml"]),
+        ("report", ["--seed", "1"]),
+        ("ingest", ["--seed", "1"]),
+        ("label", ["--seed", "1"]),
+    ],
+)
+def test_flags_that_set_nothing_are_unknown(tmp_path, capsys, command, flags):
+    # report reads no setting (its --set is refused above), and neither
+    # ingest nor label draws a random number
+    given = {"report": ["--manifest", "m.json"]}.get(command, ["--panel", "p.csv"])
+    with pytest.raises(SystemExit) as exc:
+        main([command, *given, "--out", str(tmp_path / "o"), *flags])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
 

@@ -121,7 +121,7 @@ class TestQuantile:
 
 
 def brute_force_check(records, cfg, stratified=False):
-    panel = build_labels(panel_of(records), cfg, stratify_by_area=stratified)
+    panel = build_labels(panel_of(records), cfg, by="area" if stratified else None)
     rows = [
         {
             "p": p,
@@ -164,8 +164,8 @@ class TestBuildLabels:
         for y, eligible, p, s_capped in zip(panel.y, panel.eligible, panel.p, panel.s_capped):
             if y == 1:
                 assert eligible
-                assert p >= panel.tau_hi
-                assert s_capped <= panel.tau_lo
+                assert p >= panel.thresholds["All"].tau_hi
+                assert s_capped <= panel.thresholds["All"].tau_lo
             if not eligible:
                 assert y == UNLABELED
 
@@ -194,7 +194,7 @@ class TestBuildLabels:
 
     def test_stratified_partition(self, rng):
         records = random_records(rng, 400)
-        panel = build_labels(panel_of(records), LabelConfig(), stratify_by_area=True)
+        panel = build_labels(panel_of(records), LabelConfig(), by="area")
         for i in np.flatnonzero(panel.eligible):
             key = panel.panel.area[i]
             assert key in panel.thresholds
@@ -211,9 +211,10 @@ class TestBuildLabels:
         records = random_records(rng, 200)
         capped = build_labels(panel_of(records), LabelConfig(use_capped_uptake=True))
         raw = build_labels(panel_of(records), LabelConfig(use_capped_uptake=False))
-        assert raw.tau_lo >= 0
+        raw_lo, capped_lo = raw.thresholds["All"].tau_lo, capped.thresholds["All"].tau_lo
+        assert raw_lo >= 0
         # anomalies (s>1) can push the raw threshold above the capped one
-        assert raw.tau_lo >= capped.tau_lo or math.isclose(raw.tau_lo, capped.tau_lo)
+        assert raw_lo >= capped_lo or math.isclose(raw_lo, capped_lo)
 
     def test_apply_frozen_thresholds(self, rng):
         p1 = random_records(rng, 300, year=2015)
@@ -222,17 +223,18 @@ class TestBuildLabels:
         panel1 = build_labels(panel_of(p1), cfg)
         panel2 = build_labels(panel_of(p2), cfg, thresholds=panel1.thresholds)
         assert panel2.thresholds == panel1.thresholds
+        th = panel1.thresholds["All"]
         for y, p, s_capped in zip(panel2.y, panel2.p, panel2.s_capped):
             if y == 1:
-                assert p >= panel1.tau_hi and s_capped <= panel1.tau_lo
+                assert p >= th.tau_hi and s_capped <= th.tau_lo
 
     @pytest.mark.parametrize("stratified", [False, True])
     def test_own_thresholds_reproduce_the_panel(self, rng, stratified):
         records = random_records(rng, 400)
         cfg = LabelConfig()
-        fitted = build_labels(panel_of(records), cfg, stratify_by_area=stratified)
+        fitted = build_labels(panel_of(records), cfg, by="area" if stratified else None)
         relabeled = build_labels(
-            panel_of(records), cfg, thresholds=fitted.thresholds, stratify_by_area=stratified
+            panel_of(records), cfg, thresholds=fitted.thresholds, by="area" if stratified else None
         )
         for column in ("p", "s_raw", "eligible", "y"):
             assert np.array_equal(
@@ -243,11 +245,11 @@ class TestBuildLabels:
 
     def test_frozen_thresholds_missing_an_area(self, rng):
         cfg = LabelConfig()
-        fitted = build_labels(random_panel(rng, 400, year=2015), cfg, stratify_by_area=True)
+        fitted = build_labels(random_panel(rng, 400, year=2015), cfg, by="area")
         frozen = dict(fitted.thresholds)
         del frozen[Area.RURAL.value]
         records = random_records(rng, 400, year=2020)
-        panel = build_labels(panel_of(records), cfg, thresholds=frozen, stratify_by_area=True)
+        panel = build_labels(panel_of(records), cfg, thresholds=frozen, by="area")
         is_rural = panel.panel.area == Area.RURAL.value
         rural = np.flatnonzero(panel.eligible & is_rural)
         others = np.flatnonzero(panel.eligible & ~is_rural)
@@ -330,9 +332,9 @@ class TestRowWiseReference:
         if all(y is None for y in expected):
             no_rows = "no (rows pass the eligibility filters|eligible rows fall under the supplied thresholds)"
             with pytest.raises(CohortError, match=no_rows):
-                build_labels(panel_of(records), cfg, thresholds, stratify_by_area=stratified)
+                build_labels(panel_of(records), cfg, thresholds, by="area" if stratified else None)
             return
-        panel = build_labels(panel_of(records), cfg, thresholds, stratify_by_area=stratified)
+        panel = build_labels(panel_of(records), cfg, thresholds, by="area" if stratified else None)
 
         def column(key):
             return np.array([np.nan if r[key] is None else r[key] for r in rows], dtype=float)

@@ -61,7 +61,6 @@ class TestCvGridSearch:
         res = cv_grid_search(fm, "logistic", [{"c": 0.5}], folds=3, seed=0)
         assert res.winner == {"c": 0.5}
         assert len(res.grid) == 1
-        assert res.folds == 3
 
     def test_oof_covers_every_row(self, rng):
         fm = informative_fm(rng)
@@ -154,7 +153,6 @@ class TestCvGridSearch:
         }
         for family, grid in grids.items():
             res = cv_grid_search(fm, family, grid, folds=3, seed=4)
-            assert res.family == family
             assert 0.0 <= res.grid[0].mean_ap <= 1.0
 
     def test_non_converged_candidate_is_an_entry(self, rng, monkeypatch):

@@ -511,3 +511,16 @@ class TestSerialization:
         data["trees"][0].update(left=list(left), right=list(right))
         with pytest.raises(ValidationError, match="not in preorder"):
             model_from_dict(data)
+
+    @pytest.mark.parametrize("feature", [5, 2, -2])
+    def test_tree_node_on_a_feature_the_model_lacks_is_refused(self, rng, feature):
+        # permutation importance of such a model, given base scores, ended
+        # in an IndexError from LeafMasks.codes
+        fm = xor_panel(rng, n=150)
+        model = fit_tree_ensemble(fm, EnsembleParams(kind="random_forest", n_trees=2, seed=17))
+        data = json.loads(json.dumps(model_to_dict(model)))
+        assert data["feature_names"] == ["a", "b"] and data["trees"][0]["feature"][0] >= 0
+        data["trees"][0]["feature"][0] = feature
+        message = f"tree node feature {feature} is not one of the model's 2"
+        with pytest.raises(ValidationError, match=message):
+            model_from_dict(data)

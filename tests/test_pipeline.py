@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import json_text, make_record
-from oracles import flagged_rows_reference, panel_of, records_of
+from oracles import flagged_rows_reference, panel_of, records_of, yearly_reference
 from snapgap import pipeline
 from snapgap.errors import CohortError, NonConvergence, SnapGapError, ValidationError
 from snapgap.ingest import PREDICTOR_FIELDS, Area
@@ -651,6 +651,83 @@ class TestYearlyDiagnostics:
         assert np.mean(prevs[5:]) > np.mean(prevs[:5])
         corr = np.corrcoef(np.arange(10), prevs)[0, 1]
         assert corr > 0.5
+
+    def test_a_year_without_eligible_rows_counts_its_anomalies(self):
+        spec = SyntheticSpec(
+            n_zips=500,
+            years=(2014, 2023),
+            true_coefficients={"pct_no_vehicle": -0.5},
+            anomaly_rate=0.01,
+            seed=3,
+        )
+        panel, _ = generate_synthetic(spec)
+        # every 2016 row below the poverty floor, with more benefit families than poverty families
+        moved = panel.year == 2016
+        panel = dataclasses.replace(
+            panel,
+            pov_fam=np.where(moved, 10.0, panel.pov_fam),
+            snap_fam=np.where(moved, 20.0, panel.snap_fam),
+            fam_universe=np.where(moved, 1000.0, panel.fam_universe),
+        )
+        body = run_backtest(fast_cfg(feature_subsets=(("pct_no_vehicle",),)), panel).body
+        yearly = {entry["year"]: entry for entry in body["yearly"]}
+        assert yearly[2016]["n_eligible"] == 0 and yearly[2016]["tau_hi"] is None
+        assert yearly[2016]["anomaly_rows"] == 500
+        for period, years in (("p1", range(2014, 2019)), ("p2", range(2019, 2024))):
+            for key in ("n_rows", "n_eligible", "anomaly_rows"):
+                assert sum(yearly[year][key] for year in years) == body["periods"][period][key]
+        assert body["periods"]["p1"]["anomaly_rows"] == 520
+
+
+@st.composite
+def yearly_records(draw):
+    """Rows over 2013-2019, around periods 2014-2015 and 2016-2018: each
+    year empty, with no eligible row (every poverty rate under the floor),
+    or mixed, with missing, zero and fractional counts, anomalies, rows
+    outside the periods and all four areas."""
+    count = st.one_of(st.sampled_from([None, 0.0, 2.0, 40.0, 100.0, 300.0]), st.floats(0.5, 400.0))
+    records = []
+    for year in range(2013, 2020):
+        kind = draw(st.sampled_from(["empty", "ineligible", "mixed", "mixed"]))
+        if kind == "empty":
+            continue
+        for i in range(draw(st.integers(1, 12))):
+            universe = 1e6 if kind == "ineligible" else draw(st.sampled_from([None, 0.0, 500.0, 900.0]))
+            records.append(
+                make_record(
+                    zip=f"{i + 1:05d}",
+                    year=year,
+                    pov_fam=draw(count),
+                    snap_fam=draw(count),
+                    fam_universe=universe,
+                    pov_rate=None if kind == "ineligible" else draw(st.sampled_from([None, 0.1, 0.4])),
+                    pct_no_vehicle=draw(st.sampled_from([None, 5.0, 20.0])),
+                    area=draw(st.sampled_from(list(Area))),
+                )
+            )
+    return records
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    records=yearly_records(),
+    area_mode=st.sampled_from(["pooled", "stratified"]),
+    quantiles=st.sampled_from([(0.10, 0.70), (0.50, 0.60)]),
+)
+def test_yearly_table_matches_the_per_year_reference(records, area_mode, quantiles):
+    lo_q, hi_q = quantiles
+    cfg = fast_cfg(
+        p1_years=(2014, 2015),
+        p2_years=(2016, 2018),
+        area_mode=area_mode,
+        label=LabelConfig(lo_q=lo_q, hi_q=hi_q),
+    )
+    panel = panel_of(records)
+    got, want = run_yearly_diagnostics(cfg, panel), yearly_reference(cfg, panel)
+    assert got == want
+    assert [[(k, type(v)) for k, v in entry.items()] for entry in got] == [
+        [(k, type(v)) for k, v in entry.items()] for entry in want
+    ]
 
 
 @settings(max_examples=200, deadline=None)
