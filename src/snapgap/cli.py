@@ -10,23 +10,24 @@ whatever `--formats` asks, since the manifest holds only each file's name,
 row count and sha256, and its digest covers the rows through them. `report`
 reads those CSVs beside the manifest and writes them unchanged. A YAML
 `--config` supplies settings, repeated `--set key=value` flags override any
-key (values parsed as YAML), and `--seed` is the root seed of the commands
-that draw random numbers: `synth`, `train` and `backtest`. `report` takes
-none of the three. Every other command checks every key first (see
-`config`): an unknown key, a value of the wrong type, or one out of range,
-exits 2 before any work, and so does an unknown `--formats` name
-or a command's two outputs at one path (`--out` and `--rejects`, `--out` and
-`--truth`, or `label --out x.json` and its sidecar). Before it reads any
-input, a command exits 4, writing nothing, on an output it cannot write: a
-file that is a directory or is in none, or a directory (`train`, `backtest`
-and `report --out`) under a regular file. `report` exits 2, before writing
-anything, on a file that is not a manifest it can render: not UTF-8 JSON,
-another format, a part the renderers read missing or of the wrong type, a
-body that does not hash to its `manifest_digest` (edited after the run), or
-a flagged CSV that does not hash to its recorded sha256 or holds another row
-count; and it exits 4 when a flagged CSV is missing. Exit codes: 0 ok, 2
-validation error, 3 insufficient cohort, 4 I/O failure, 5 a run that failed
-on valid input (a worker process died, a fit did not converge).
+key (values parsed as YAML), and `--seed`, an int >= 0, is the root seed of
+the commands that draw random numbers: `synth`, `train` and `backtest`.
+`report` takes none of the three. Every other command checks every key
+first (see `config`), the `synth.*` keys included: an unknown key, a value
+of the wrong type, or one out of range, exits 2 before any work, and so
+does an unknown `--formats` name or a command's two outputs at one path
+(`--out` and `--rejects`, `--out` and `--truth`, or `label --out x.json`
+and its sidecar). Before it reads any input, a command exits 4, writing
+nothing, on an output it cannot write: a file that is a directory or is in
+none, or a directory (`train`, `backtest` and `report --out`) under a
+regular file. `report` exits 2, before writing anything, on a file that is
+not a manifest it can render: not UTF-8 JSON, another format, a part the
+renderers read missing or of the wrong type, a body that does not hash to
+its `manifest_digest` (edited after the run), or a flagged CSV that does not
+hash to its recorded sha256 or holds another row count; and it exits 4 when
+a flagged CSV is missing. Exit codes: 0 ok, 2 validation error, 3
+insufficient cohort, 4 I/O failure, 5 a run that failed on valid input (a
+worker process died, a fit did not converge).
 """
 from __future__ import annotations
 

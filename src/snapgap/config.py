@@ -20,7 +20,8 @@ its dataclass or function. A key that none of these declares is an error,
 and so is a value that is not of the declared type:
 
 - an int is a YAML int, not a bool, a float or a quoted number;
-- a float is a YAML int or float, and is stored as a float;
+- a float is a YAML int or float, and is stored as a float; it must be
+  finite, since no manifest can hold a non-finite number;
 - a bool is a YAML bool;
 - a string is a YAML string, and a literal (`feature_subsets: all`) that
   string;
@@ -30,13 +31,15 @@ and so is a value that is not of the declared type:
   `"2014-2018"`.
 
 Every error is a `ValidationError` that names the key, dotted, with list
-positions in brackets (`grids.logistic[0].C`). `BacktestConfig.validate`
-then rejects values out of range, such as `folds: 1` or a grid candidate
+positions in brackets (`grids.logistic[0].C`). The records the keys build
+check themselves: `BacktestConfig` and `SyntheticSpec` reject values out of
+range when built, such as `folds: 1`, a negative seed or a grid candidate
 its fit would reject. The CLI builds the settings before a command does any
 work, and exits 2 on one.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import fields
 from pathlib import Path
 from types import NoneType, UnionType
@@ -127,7 +130,13 @@ def _convert(value, tp, key: str):
             }
     elif tp is float:
         if isinstance(value, (int, float)) and not isinstance(value, bool):
-            return float(value)
+            try:
+                number = float(value)
+            except OverflowError:  # an int past the float range
+                number = math.inf
+            if not math.isfinite(number):
+                raise ValidationError(f"{key} must be finite, got {value!r}")
+            return number
     elif tp is int:
         if isinstance(value, int) and not isinstance(value, bool):
             return value
@@ -160,8 +169,8 @@ def _checked_grids(grids: dict) -> dict:
 
 
 def settings_from(config: dict) -> Settings:
-    """The settings of a merged config mapping, every key checked and the
-    backtest settings validated."""
+    """The settings of a merged config mapping, every key checked and each
+    record checked as it is built."""
     given = dict(config)
     synth = _convert(given.pop("synth", {}), dict, "synth")
     top = _checked(_TOP_KEYS, given)
@@ -169,7 +178,6 @@ def settings_from(config: dict) -> Settings:
         top["grids"] = _checked_grids(top["grids"])
     label = LabelConfig(**{k: v for k, v in top.items() if k in _LABEL_KEYS})
     backtest = BacktestConfig(label=label, **{k: v for k, v in top.items() if k in _BACKTEST_KEYS})
-    backtest.validate()
     seed = {"seed": top["seed"]} if "seed" in top else {}
     spec = SyntheticSpec(label=label, **seed, **_checked(_SYNTH_KEYS, synth, "synth."))
     return Settings(backtest, spec, {k: v for k, v in top.items() if k in _READ_KEYS})

@@ -54,6 +54,9 @@ KIND_BOOSTING = "gradient_boosting"
 
 @dataclass(frozen=True)
 class EnsembleParams:
+    """A forest's or a boosting run's settings. A record checks itself when
+    built, so an out-of-range one raises a `ValidationError` there."""
+
     kind: str
     n_trees: int = 100
     max_depth: int | None = None
@@ -63,7 +66,7 @@ class EnsembleParams:
     class_weighting: str = WEIGHTING_BALANCED
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.kind not in (KIND_FOREST, KIND_BOOSTING):
             raise ValidationError(f"unknown ensemble kind {self.kind!r}")
         if self.n_trees < 1:
@@ -175,7 +178,6 @@ def _resolve_max_features(params: EnsembleParams, d: int) -> int | None:
 
 def fit_tree_ensemble(fm: FeatureMatrix, params: EnsembleParams) -> TreeEnsembleModel:
     """Fit a forest (bootstrapped Gini trees) or boosting (stagewise Newton)."""
-    params.validate()
     if len(np.unique(fm.y)) < 2:
         raise CohortError("both classes required to fit")
     X, y = fm.X, fm.y.astype(float)

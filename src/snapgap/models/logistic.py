@@ -110,6 +110,12 @@ def _loss_grad_proba(
     return loss, grad, p
 
 
+def check_l2_strength(c: float) -> None:
+    """Raise a `ValidationError` unless `c` is positive; NaN is not."""
+    if not c > 0:
+        raise ValidationError(f"l2 strength C must be positive, got {c}")
+
+
 def fit_logistic(
     fm: FeatureMatrix,
     c: float = 1.0,
@@ -121,8 +127,7 @@ def fit_logistic(
     Standardizes the matrix first if it has not been already; the fitted
     (mean, sd) are stored on the model and reused at prediction time.
     """
-    if c <= 0:
-        raise ValidationError(f"l2 strength C must be positive, got {c}")
+    check_l2_strength(c)
     if fm.standardization is None:
         fm = standardize(fm)
     X, y = fm.X, fm.y.astype(float)

@@ -41,7 +41,7 @@ from ..errors import CohortError, NonConvergence, ValidationError
 from ..rng import STREAM_FOLDS, derive_rng
 from ..metrics import average_precision
 from .ensemble import KIND_BOOSTING, KIND_FOREST, EnsembleParams, fit_tree_ensemble
-from .logistic import WEIGHTING_BALANCED, fit_logistic
+from .logistic import WEIGHTING_BALANCED, check_l2_strength, fit_logistic
 from .matrix import FeatureMatrix, standardize
 
 FAMILY_LOGISTIC = "logistic"
@@ -125,13 +125,11 @@ def fit_family(fm: FeatureMatrix, family: str, params: dict, seed: int):
 def check_candidate(family: str, params: dict) -> None:
     """Raise the `ValidationError` that fitting grid candidate `params` of
     `family` would: a logistic `c` that is not positive, or tree parameters
-    that `EnsembleParams.validate` rejects."""
+    that `EnsembleParams` rejects when built."""
     if family == FAMILY_LOGISTIC:
-        c = params.get("c", _DEFAULT_C)
-        if c <= 0:
-            raise ValidationError(f"l2 strength C must be positive, got {c}")
+        check_l2_strength(params.get("c", _DEFAULT_C))
     else:
-        _ensemble_params(family, params, seed=0).validate()
+        _ensemble_params(family, params, seed=0)
 
 
 def _simplicity_key(family: str, params: dict) -> tuple:
@@ -175,9 +173,9 @@ def fold_proba(
     All candidates share the fold's training matrix, standardized here for
     logistic fits. Tree candidates whose resolved `EnsembleParams` differ
     only in `n_trees` also share one fit, of their largest count; each is
-    scored from its prefix of those trees. Every candidate's parameters are
-    validated before any fit is shared, so an invalid count raises as it
-    would on its own.
+    scored from its prefix of those trees. Every candidate's `EnsembleParams`
+    is built, and so checked, before any fit is shared, so an invalid count
+    raises as it would on its own.
     """
     keep = np.ones(fm.n, dtype=bool)
     keep[val] = False
@@ -193,13 +191,13 @@ def fold_proba(
             except NonConvergence as exc:
                 errors[i] = exc
         return errors
-    groups: dict[EnsembleParams, list[int]] = {}
+    groups: dict[tuple, list[int]] = {}
     counts = []
     for i, params in enumerate(candidates):
         ep = _ensemble_params(family, params, seed)
-        ep.validate()
         counts.append(ep.n_trees)
-        groups.setdefault(replace(ep, n_trees=0), []).append(i)
+        key = tuple(getattr(ep, f.name) for f in fields(ep) if f.name != "n_trees")
+        groups.setdefault(key, []).append(i)
     for members in groups.values():
         largest = max(members, key=counts.__getitem__)
         model = fit_family(train, family, candidates[largest], seed)

@@ -157,7 +157,9 @@ def all_feature_subsets() -> list[tuple[str, ...]]:
 @dataclass(frozen=True)
 class BacktestConfig:
     """One run's settings. `area_mode` alone decides whether labeling
-    thresholds, and cohorts, are per area."""
+    thresholds, and cohorts, are per area. A record checks itself when
+    built: a setting a task would reject raises a `ValidationError` there,
+    so no run starts that would fail at its first fit."""
 
     p1_years: tuple[int, int] = (2014, 2018)
     p2_years: tuple[int, int] = (2019, 2023)
@@ -175,9 +177,7 @@ class BacktestConfig:
     reliability_bins: int = 10
     importance_repeats: int = 10
 
-    def validate(self) -> None:
-        """Raise a `ValidationError` for any setting a task would reject,
-        so a run fails before its first fit."""
+    def __post_init__(self):
         a0, a1 = self.p1_years
         b0, b1 = self.p2_years
         if a0 > a1 or b0 > b1:
@@ -202,6 +202,8 @@ class BacktestConfig:
                 raise ValidationError(f"grids has no candidate for family {fam!r}")
         first: dict[frozenset, int] = {}
         for i, subset in enumerate(self.subsets()):
+            if not subset:
+                raise ValidationError(f"feature_subsets[{i}] is empty")
             for j, name in enumerate(subset):
                 if name not in PREDICTOR_FIELDS:
                     raise ValidationError(f"unknown predictor {name!r}")
@@ -218,6 +220,8 @@ class BacktestConfig:
             raise ValidationError(f"unknown decision policy {self.decision!r}")
         if self.selection not in (SELECTION_CV, SELECTION_SPLIT):
             raise ValidationError(f"unknown selection protocol {self.selection!r}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.folds < 2:
             raise ValidationError(f"folds must be >= 2, got {self.folds}")
         if not 0.0 <= self.hidden_tail <= 1.0:
@@ -824,7 +828,6 @@ def _task_outcomes(
 
 def train_scorers(cfg: BacktestConfig, panel: Panel) -> dict[tuple[str, str], CalibratedScorer]:
     """Fit calibrated scorers on the training period only (no test rows needed)."""
-    cfg.validate()
     p1 = _rows_in_years(panel, cfg.p1_years)
     if not len(p1):
         raise CohortError(f"no rows in training years {cfg.p1_years}")
@@ -858,8 +861,6 @@ def run_backtest(
     scorer back, and this process never holds a fitted model. The body is
     the same either way. Raises `CohortError` when no task succeeds.
     """
-    cfg.validate()
-
     p1 = _rows_in_years(panel, cfg.p1_years)
     p2 = _rows_in_years(panel, cfg.p2_years)
     if not len(p1) or not len(p2):

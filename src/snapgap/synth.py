@@ -46,6 +46,11 @@ UPTAKE_LO, UPTAKE_HI = 0.02, 1.0
 
 @dataclass(frozen=True)
 class SyntheticSpec:
+    """A synthetic panel's settings. A record checks itself when built and
+    raises a `ValidationError` on a value out of range; whether the target
+    prevalence is reachable under `label` is checked by `generate_synthetic`,
+    so that a run that reads no synthetic panel may set any label rule."""
+
     n_zips: int = 1000
     years: tuple[int, int] = (2014, 2023)
     area_mix: dict[str, float] = field(
@@ -57,29 +62,28 @@ class SyntheticSpec:
     seed: int = 0
     label: LabelConfig = field(default_factory=LabelConfig)  # the rule the targets are met under
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not 1 <= self.n_zips <= 99999:
             raise ValidationError(f"n_zips must be in [1, 99999], got {self.n_zips}")
         if self.years[0] > self.years[1]:
             raise ValidationError(f"invalid year range {self.years}")
         if abs(sum(self.area_mix.values()) - 1.0) > 1e-9:
             raise ValidationError(f"area_mix must sum to 1, got {sum(self.area_mix.values())}")
-        for name in self.area_mix:
+        for name, share in self.area_mix.items():
             if name not in Area._value2member_map_:
                 raise ValidationError(f"unknown area {name!r} in area_mix")
+            if not share >= 0.0:
+                raise ValidationError(f"area_mix share of {name!r} must be >= 0, got {share}")
         for name in self.true_coefficients:
             if name not in PREDICTOR_FIELDS:
                 raise ValidationError(f"unknown predictor {name!r} in true_coefficients")
         for t in self._targets():
             if not 0.0 < t < 1.0:
                 raise ValidationError(f"target prevalence must be in (0,1), got {t}")
-            if t >= self.label.lo_q:
-                raise ValidationError(
-                    f"target prevalence {t} is unreachable: the fragile set lives inside "
-                    f"the bottom-{self.label.lo_q:.0%} uptake tail"
-                )
         if not 0.0 <= self.anomaly_rate < 1.0:
             raise ValidationError(f"anomaly_rate must be in [0,1), got {self.anomaly_rate}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
     def _targets(self) -> list[float]:
         if isinstance(self.target_prevalence, (int, float)):
@@ -147,7 +151,12 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Panel, dict]:
     year order, joined one column at a time as `Panel.concat` joins parse
     chunks.
     """
-    spec.validate()
+    for t in spec._targets():
+        if t >= spec.label.lo_q:
+            raise ValidationError(
+                f"target prevalence {t} is unreachable: the fragile set lives inside "
+                f"the bottom-{spec.label.lo_q:.0%} uptake tail"
+            )
     rng0 = derive_rng(spec.seed, STREAM_SYNTH, 0)
     n = spec.n_zips
     zips = np.array([f"{i:05d}" for i in range(1, n + 1)], dtype=object)

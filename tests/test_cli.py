@@ -525,6 +525,18 @@ def test_hi_q_below_the_wider_rule_records_its_error(tmp_path, small_panel, caps
     assert (tmp_path / "again" / "report.md").read_bytes() == (run / "report.md").read_bytes()
 
 
+def test_a_label_rule_the_synthetic_target_misses_still_backtests(tmp_path, small_panel, capsys):
+    # The default synthetic target prevalence, 0.031, is not below lo_q =
+    # 0.02, so no synthetic panel could be made under this rule; a backtest
+    # makes none, and runs.
+    run = tmp_path / "run"
+    args = ["backtest", "--panel", str(small_panel), "--out", str(run), *SMALL_RUN[:2]]
+    args += ["--set", "lo_q=0.02", "--set", "feature_subsets=[[pct_no_vehicle]]"]
+    args += ["--set", "families=[logistic]", "--set", "folds=3", "--set", "importance_repeats=1"]
+    assert main(args) == 0, capsys.readouterr().err
+    assert load_json(run / "manifest.json")["config"]["label"]["lo_q"] == 0.02
+
+
 @pytest.mark.parametrize("command", ["backtest", "report"])
 def test_an_unknown_format_exits_2_before_any_work(tmp_path, capsys, monkeypatch, command):
     def no_work(*args, **kwargs):

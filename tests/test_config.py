@@ -225,10 +225,78 @@ def test_out_of_range_settings_exit_2_before_any_work(tmp_path, capsys, extra, m
     assert not any(tmp_path.iterdir())
 
 
+# Each of these ended in a traceback, ran to the end and wrote garbage, or
+# failed only after its work: a negative seed in numpy's seeding, a
+# non-finite float at the manifest digest, in a fit or in the panel's cells,
+# an int past the float range in its conversion, a negative area share in
+# the area draw, an empty feature subset as a model with no features or in
+# the first tree fit, and a synth key out of range on a backtest not at all.
+BAD_SETTINGS = [
+    ("synth", ["--seed", "-1"], "seed must be >= 0, got -1"),
+    ("backtest", ["--seed", "-5"], "seed must be >= 0, got -5"),
+    (
+        "backtest",
+        ["--seed", "1", "--set", "families=[logistic]", "--set", "grids={logistic: [{c: .inf}]}"],
+        "grids.logistic[0].c must be finite, got inf",
+    ),
+    (
+        "backtest",
+        ["--seed", "1", "--set", "families=[logistic]", "--set", "grids={logistic: [{c: .nan}]}"],
+        "grids.logistic[0].c must be finite, got nan",
+    ),
+    (
+        "synth",
+        ["--seed", "1", "--set", "synth.true_coefficients={pct_no_vehicle: .nan}"],
+        "synth.true_coefficients.pct_no_vehicle must be finite, got nan",
+    ),
+    (
+        "synth",
+        ["--seed", "1", "--set", "synth.area_mix={Urban: .nan, Rural: 1.0}"],
+        "synth.area_mix.Urban must be finite, got nan",
+    ),
+    (
+        "synth",
+        ["--seed", "1", "--set", "synth.area_mix={Urban: 2.0, Rural: -1.0}"],
+        "area_mix share of 'Rural' must be >= 0, got -1.0",
+    ),
+    (
+        "backtest",
+        ["--seed", "1", "--set", "hidden_tail=1" + "0" * 309],
+        "hidden_tail must be finite, got 1" + "0" * 309,
+    ),
+    ("backtest", ["--seed", "1", "--set", "feature_subsets=[[]]"], "feature_subsets[0] is empty"),
+    ("backtest", ["--seed", "1", "--set", "synth.anomaly_rate=5"], "anomaly_rate must be in [0,1), got 5.0"),
+]
+BAD_IDS = [
+    "synth-negative-seed",
+    "backtest-negative-seed",
+    "c-inf",
+    "c-nan",
+    "coefficient-nan",
+    "area-share-nan",
+    "negative-area-share",
+    "int-past-float-range",
+    "empty-subset",
+    "synth-key-on-backtest",
+]
+
+
+@pytest.mark.parametrize("command, extra, message", BAD_SETTINGS, ids=BAD_IDS)
+def test_bad_settings_exit_2_before_any_work(tmp_path, capsys, command, extra, message):
+    # A backtest's panel does not exist, so any work before the check would exit 4.
+    args = {
+        "synth": ["synth", "--out", str(tmp_path / "p.csv")],
+        "backtest": ["backtest", "--panel", str(tmp_path / "missing"), "--out", str(tmp_path / "o")],
+    }[command]
+    assert main(args + extra) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not any(tmp_path.iterdir())
+
+
 def test_range_bounds_are_valid():
-    BacktestConfig(hidden_tail=0.0, folds=2, importance_repeats=1, reliability_bins=1).validate()
+    BacktestConfig(hidden_tail=0.0, folds=2, importance_repeats=1, reliability_bins=1)
     BacktestConfig(hidden_tail=1.0, grids={"logistic": [{}], "random_forest": [{}],
-                                            "gradient_boosting": [{"learning_rate": 1.0}]}).validate()
+                                            "gradient_boosting": [{"learning_rate": 1.0}]})
 
 
 def test_area_mode_decides_how_label_stratifies(tmp_path, panel):

@@ -155,6 +155,8 @@ class TestFitLogistic:
     def test_invalid_c(self, rng):
         with pytest.raises(ValidationError):
             fit_logistic(make_fm(rng), c=0.0)
+        with pytest.raises(ValidationError, match="l2 strength C must be positive, got nan"):
+            fit_logistic(make_fm(rng), c=float("nan"))
 
     def test_scale_invariance_of_probabilities(self, rng):
         fm = make_fm(rng, n=150, d=3, beta=[1.0, -1.0, 0.5])

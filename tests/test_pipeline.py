@@ -67,10 +67,10 @@ class TestGuards:
     def test_periods_overlap(self):
         overlap = r"training years \(2014, 2019\) must end before test years \(2019, 2023\)"
         with pytest.raises(ValidationError, match=overlap):
-            BacktestConfig(p1_years=(2014, 2019), p2_years=(2019, 2023)).validate()
+            BacktestConfig(p1_years=(2014, 2019), p2_years=(2019, 2023))
         reversed_periods = r"training years \(2019, 2023\) must end before test years \(2014, 2018\)"
         with pytest.raises(ValidationError, match=reversed_periods):
-            BacktestConfig(p1_years=(2019, 2023), p2_years=(2014, 2018)).validate()
+            BacktestConfig(p1_years=(2019, 2023), p2_years=(2014, 2018))
 
     def test_config_dict_holds_every_setting_in_manifest_form(self):
         cfg = fast_cfg(area_mode="stratified", label=LabelConfig(lo_q=0.2, use_capped_uptake=False))

@@ -17,23 +17,23 @@ def small_spec(**kwargs):
 class TestSpecValidation:
     def test_bad_area_mix(self):
         with pytest.raises(ValidationError, match="area_mix must sum to 1, got 0.7"):
-            small_spec(area_mix={"Urban": 0.5, "Rural": 0.2}).validate()
+            small_spec(area_mix={"Urban": 0.5, "Rural": 0.2})
 
     def test_bad_prevalence(self):
         with pytest.raises(ValidationError, match=r"target prevalence must be in \(0,1\), got 0.0"):
-            small_spec(target_prevalence=0.0).validate()
+            small_spec(target_prevalence=0.0)
 
     def test_unreachable_prevalence(self):
         with pytest.raises(ValidationError, match="unreachable"):
-            small_spec(target_prevalence=0.25).validate()
+            generate_synthetic(small_spec(target_prevalence=0.25))
 
     def test_unknown_predictor(self):
         with pytest.raises(ValidationError, match="unknown predictor 'pct_no_tv' in true_coefficients"):
-            small_spec(true_coefficients={"pct_no_tv": 1.0}).validate()
+            small_spec(true_coefficients={"pct_no_tv": 1.0})
 
     def test_bad_years(self):
         with pytest.raises(ValidationError, match=r"invalid year range \(2020, 2015\)"):
-            small_spec(years=(2020, 2015)).validate()
+            small_spec(years=(2020, 2015))
 
 
 class TestGeneration:
