@@ -8,7 +8,10 @@ leaves the task that fit it, and the report files are the same. It writes
 each model's flagged CSV, which the task that evaluated the model rendered,
 whatever `--formats` asks, since the manifest holds only each file's name,
 row count and sha256, and its digest covers the rows through them. `report`
-reads those CSVs beside the manifest and writes them unchanged. A YAML
+checks those CSVs beside the manifest and copies them unchanged. Both
+commands gather the flagged CSVs in a staging directory inside `--out` and
+move them into place once every one is there, so a run that fails leaves
+`--out` as it found it, and does not make one that was not there. A YAML
 `--config` supplies settings, repeated `--set key=value` flags override any
 key (values parsed as YAML), and `--seed`, an int >= 0, is the root seed of
 the commands that draw random numbers: `synth`, `train` and `backtest`.
@@ -32,7 +35,11 @@ worker process died, a fit did not converge).
 from __future__ import annotations
 
 import argparse
+import shutil
 import sys
+import tempfile
+from collections.abc import Iterator
+from contextlib import contextmanager
 from pathlib import Path
 
 from .config import Settings, apply_overrides, load_config, settings_from
@@ -126,6 +133,25 @@ def _output_dir(path: Path) -> None:
         raise IoFailure(f"cannot write {path}: {existing} is not a directory")
 
 
+@contextmanager
+def _staging(outdir: Path) -> Iterator[Path]:
+    """A fresh directory inside `outdir`, for the flagged CSVs that
+    `emit_report` moves into `outdir`. It is made on entry, with `outdir`
+    and its missing parents, and removed on exit; when the block raises,
+    so is every directory made here."""
+    made = next((p for p in reversed((outdir, *outdir.parents)) if not p.exists()), None)
+    outdir.mkdir(parents=True, exist_ok=True)
+    stage = Path(tempfile.mkdtemp(prefix=".staging-", dir=outdir))
+    try:
+        yield stage
+    except BaseException:
+        if made is not None:
+            shutil.rmtree(made, ignore_errors=True)
+        raise
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
+
+
 def _write_scorers(scorers: dict, outdir: Path) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
     for (cohort, label), scorer in sorted(scorers.items()):
@@ -182,10 +208,11 @@ def cmd_backtest(args) -> int:
     outdir = Path(args.out)
     _output_dir(outdir / "models" if args.models else outdir)
     panel, _, digests = _load_panel(settings, args.panel, args.crosswalk)
-    manifest = run_backtest(
-        settings.backtest, panel, input_digests=digests, keep_scorers=args.models
-    )
-    written = emit_report(manifest.body, formats, outdir, manifest.flagged_csvs)
+    with _staging(outdir) as stage:
+        manifest = run_backtest(
+            settings.backtest, panel, stage, input_digests=digests, keep_scorers=args.models
+        )
+        written = emit_report(manifest.body, formats, outdir, stage)
     if args.models:
         _write_scorers(manifest.scorers, outdir / "models")
     print(f"manifest digest {manifest.digest}")
@@ -208,7 +235,8 @@ def cmd_synth(args) -> int:
 
 def cmd_report(args) -> int:
     formats = _formats(args)
-    _output_dir(Path(args.out))
+    outdir = Path(args.out)
+    _output_dir(outdir)
     try:
         data = load_json(args.manifest)
     except OSError as exc:
@@ -217,10 +245,13 @@ def cmd_report(args) -> int:
         raise ValidationError(f"manifest {args.manifest} is not UTF-8 JSON: {exc}") from exc
     try:
         body = manifest_body(data)
-        csvs = flagged_csvs(body, Path(args.manifest).parent)
+        sources = flagged_csvs(body, Path(args.manifest).parent)
     except ValidationError as exc:
         raise ValidationError(f"cannot render {args.manifest}: {exc}") from exc
-    written = emit_report(body, formats, Path(args.out), csvs)
+    with _staging(outdir) as stage:
+        for source in sources:
+            shutil.copyfile(source, stage / source.name)
+        written = emit_report(body, formats, outdir, stage)
     print(f"wrote {len(written)} report files -> {args.out}")
     return EXIT_OK
 

@@ -3,7 +3,10 @@ metrics, precision among the top-ranked fraction, and permutation importance.
 
 Rank metrics order rows by score descending with a stable sort, so exact
 score ties resolve toward the earlier input index; that convention is shared
-with the brute-force oracles in the test suite. All functions are pure.
+with the brute-force oracles in the test suite. A score vector is sorted
+once (`_ranked`), and AUC, AP and precision@k all read that one order. The
+scores must be finite: NaN has no place in that order, so a non-finite score
+is a `ValidationError`. All functions are pure.
 """
 from __future__ import annotations
 
@@ -27,42 +30,61 @@ def _as_arrays(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     return s, y
 
 
-def _average_ranks(s: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties sharing their group's average rank."""
-    order = np.argsort(s, kind="stable")
-    sorted_s = s[order]
-    n = len(s)
-    starts = np.flatnonzero(np.r_[True, sorted_s[1:] != sorted_s[:-1]])
-    ends = np.r_[starts[1:], n]
-    avg = (starts + 1 + ends) / 2.0
-    ranks = np.empty(n)
-    ranks[order] = np.repeat(avg, ends - starts)
-    return ranks
-
-
-def roc_auc(scores: Sequence[float], labels: Sequence[int]) -> float:
-    """Probability a random positive outranks a random negative, ties count half."""
+def _ranked(scores, labels) -> tuple[np.ndarray, np.ndarray]:
+    """The scores and labels in descending stable order of score."""
     s, y = _as_arrays(scores, labels)
+    if not np.isfinite(s).all():
+        raise ValidationError("scores must be finite")
+    order = np.argsort(-s, kind="stable")
+    return s[order], y[order]
+
+
+def _auc_ranked(s: np.ndarray, y: np.ndarray) -> float:
+    """`roc_auc` of scores `s` and labels `y` in descending order. A tie
+    group at descending positions [a, b) has the average ascending 1-based
+    rank ((n - b) + 1 + (n - a)) / 2; every rank is a half-integer, so the
+    rank sum is exact in any order."""
     n_pos = int(np.sum(y == 1))
     n_neg = int(np.sum(y == 0))
     if n_pos == 0 or n_neg == 0:
         raise CohortError("AUC needs both classes")
-    ranks = _average_ranks(s)
+    n = len(s)
+    starts = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
+    ends = np.r_[starts[1:], n]
+    avg = ((n - ends) + 1 + (n - starts)) / 2.0
+    ranks = np.repeat(avg, ends - starts)
     rank_sum = float(np.sum(ranks[y == 1]))
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def average_precision(scores: Sequence[float], labels: Sequence[int]) -> float:
-    """Step-interpolated AP: sum over positives of precision at their rank."""
-    s, y = _as_arrays(scores, labels)
+def _ap_ranked(y: np.ndarray) -> float:
+    """`average_precision` of labels `y` in descending order of score."""
     n_pos = int(np.sum(y == 1))
     if n_pos == 0:
         raise CohortError("AP needs at least one positive")
-    order = np.argsort(-s, kind="stable")
-    y_sorted = y[order]
-    tp = np.cumsum(y_sorted)
-    k = np.arange(1, len(s) + 1)
-    return float(np.sum((tp / k) * y_sorted) / n_pos)
+    tp = np.cumsum(y)
+    k = np.arange(1, len(y) + 1)
+    return float(np.sum((tp / k) * y) / n_pos)
+
+
+def _precision_at_ranked(y: np.ndarray, fraction: float) -> float:
+    """`precision_at_k` of labels `y` in descending order of score."""
+    if y.size == 0:
+        raise ValidationError("precision@K of empty cohort")
+    if not 0.0 < fraction <= 1.0:
+        raise ValidationError(f"fraction must be in (0,1], got {fraction}")
+    k = math.ceil(fraction * y.size)
+    return float(y[:k].sum() / k)
+
+
+def roc_auc(scores: Sequence[float], labels: Sequence[int]) -> float:
+    """Probability a random positive outranks a random negative, ties count half."""
+    return _auc_ranked(*_ranked(scores, labels))
+
+
+def average_precision(scores: Sequence[float], labels: Sequence[int]) -> float:
+    """Step-interpolated AP: sum over positives of precision at their rank."""
+    return _ap_ranked(_ranked(scores, labels)[1])
 
 
 @dataclass(frozen=True)
@@ -117,15 +139,7 @@ def precision_at_k(scores: Sequence[float], labels: Sequence[int], fraction: flo
     Boundary ties resolve by the stable descending order (lowest input index
     first), so the selected set is deterministic.
     """
-    s, y = _as_arrays(scores, labels)
-    if s.size == 0:
-        raise ValidationError("precision@K of empty cohort")
-    if not 0.0 < fraction <= 1.0:
-        raise ValidationError(f"fraction must be in (0,1], got {fraction}")
-    k = math.ceil(fraction * s.size)
-    order = np.argsort(-s, kind="stable")
-    top = y[order[:k]]
-    return float(top.sum() / k)
+    return _precision_at_ranked(_ranked(scores, labels)[1], fraction)
 
 
 @dataclass(frozen=True)
@@ -178,8 +192,8 @@ def permutation_importance(
 
     if base_scores is None:
         base_scores = model.predict_proba(X)
-    baseline_auc = roc_auc(base_scores, y)
-    baseline_ap = average_precision(base_scores, y)
+    s, ranked_y = _ranked(base_scores, y)
+    baseline_auc, baseline_ap = _auc_ranked(s, ranked_y), _ap_ranked(ranked_y)
 
     n, d = X.shape
     perms = np.empty((d, repeats, n), dtype=np.intp)
@@ -187,8 +201,11 @@ def permutation_importance(
         perms[j, r] = derive_rng(seed, STREAM_PERMUTE, j, r).permutation(n)
     results = []
     for name, scores in zip(names, model.permuted_proba(X, perms)):
-        d_auc = [baseline_auc - roc_auc(s, y) for s in scores]
-        d_ap = [baseline_ap - average_precision(s, y) for s in scores]
+        d_auc, d_ap = [], []
+        for copy in scores:
+            s, ranked_y = _ranked(copy, y)
+            d_auc.append(baseline_auc - _auc_ranked(s, ranked_y))
+            d_ap.append(baseline_ap - _ap_ranked(ranked_y))
         results.append(
             FeatureImportance(
                 name=name,
@@ -238,16 +255,17 @@ def evaluate(
     """Assemble the full suite for one cohort at one decision rule."""
     p, y = _as_arrays(probabilities, labels)
     conf = confusion_at(p, y, rule)
+    s, ranked_y = _ranked(p, y)
     return EvalReport(
         cohort=cohort,
         model=model,
-        auc=roc_auc(p, y),
-        ap=average_precision(p, y),
+        auc=_auc_ranked(s, ranked_y),
+        ap=_ap_ranked(ranked_y),
         precision=conf.precision,
         recall=conf.recall,
         f1=conf.f1,
         accuracy=conf.accuracy,
-        precision_at={str(f): precision_at_k(p, y, f) for f in PRECISION_AT_FRACTIONS},
+        precision_at={str(f): _precision_at_ranked(ranked_y, f) for f in PRECISION_AT_FRACTIONS},
         n=len(y),
         n_pos=int(np.sum(y == 1)),
         rule=rule,

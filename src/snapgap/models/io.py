@@ -18,7 +18,7 @@ standardization. Two parts are mapped by hand:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -32,6 +32,10 @@ from .selection import FAMILY_LOGISTIC
 from .tree import DecisionTree
 
 MODEL_FORMAT = "snapgap-model/1"
+
+# The keys of a tree model's `hyperparameters`: every `EnsembleParams` field
+# but `kind`, which the file's `family` holds.
+_ENSEMBLE_HYPERPARAMETERS = frozenset(f.name for f in fields(EnsembleParams)) - {"kind"}
 
 
 @dataclass(frozen=True)
@@ -134,10 +138,14 @@ def model_from_dict(data: dict):
             standardization=Standardization(**data["standardization"]),
         )
     feature_names = tuple(data["feature_names"])
+    hyperparameters = data["hyperparameters"]
+    for key in hyperparameters:
+        if key not in _ENSEMBLE_HYPERPARAMETERS:
+            raise ValidationError(f"unknown ensemble hyperparameter {key!r}")
     return TreeEnsembleModel(
         kind=family,
         trees=tuple(_tree_from_dict(t, len(feature_names)) for t in data["trees"]),
-        params=EnsembleParams(kind=family, **data["hyperparameters"]),
+        params=EnsembleParams(kind=family, **hyperparameters),
         feature_names=feature_names,
         base_score=float(data.get("base_score", 0.0)),
     )

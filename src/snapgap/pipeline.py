@@ -48,14 +48,15 @@ caller keeps scorers: `train_scorers` always does, `run_backtest` unless
 flagged CSV itself, from the ZIP and year cells of the panel it inherited
 and the probabilities it computed (`ingest.csv_text`, which renders every
 CSV the package writes), and sends back those bytes beside its manifest
-entry. The entry, `{"file", "rows", "sha256"}`,
-names the file and holds its row count and the sha256 of its bytes, so the
-manifest digest covers every flagged row through those sha256s, and this
-process does no per-row work: `run_backtest` returns the bytes beside the
-body, in `RunManifest.flagged_csvs`, for the report to write. The code that
-runs a unit records its warnings, and they are issued in this process in
-plan order (a split task's folds in fold order, then its tail), so they
-print the same with any worker count.
+entry. The entry, `{"file", "rows", "sha256"}`, names the file and holds
+its row count and the sha256 of its bytes, so the manifest digest covers
+every flagged row through those sha256s, and this process does no per-row
+work: `run_backtest` writes each task's bytes to the file the entry names,
+in the directory its caller gives, as the task's outcome arrives, so it
+holds at most one flagged CSV at a time, however many models the run has.
+The code that runs a unit records its warnings, and they are issued in
+this process in plan order (a split task's folds in fold order, then its
+tail), so they print the same with any worker count.
 """
 from __future__ import annotations
 
@@ -70,6 +71,7 @@ import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from functools import partial
+from pathlib import Path
 from typing import Literal, NamedTuple
 
 import numpy as np
@@ -83,7 +85,14 @@ from .calibration import (
     reliability_curve,
     youden_threshold,
 )
-from .errors import CohortError, DegenerateDesign, NonConvergence, SnapGapError, ValidationError
+from .errors import (
+    CohortError,
+    DegenerateDesign,
+    IoFailure,
+    NonConvergence,
+    SnapGapError,
+    ValidationError,
+)
 from .ingest import PREDICTOR_FIELDS, Area, Panel, csv_text
 from .jsonio import plain
 from .labeling import (
@@ -269,11 +278,9 @@ def digest_of(obj) -> str:
 
 @dataclass
 class RunManifest:
-    """A run's manifest `body`, the bytes of each flagged CSV the body
-    names, by file name, and its fitted scorers, if the run kept them."""
+    """A run's manifest `body` and its fitted scorers, if the run kept them."""
 
     body: dict
-    flagged_csvs: dict[str, bytes]
     scorers: dict[tuple[str, str], CalibratedScorer] = field(default_factory=dict)
 
     @property
@@ -849,17 +856,21 @@ def train_scorers(cfg: BacktestConfig, panel: Panel) -> dict[tuple[str, str], Ca
 def run_backtest(
     cfg: BacktestConfig,
     panel: Panel,
+    flagged_dir: Path,
     input_digests: dict[str, str] | None = None,
     *,
     keep_scorers: bool = True,
 ) -> RunManifest:
     """Full train-on-P1 / evaluate-on-P2 run producing a reproducible manifest.
 
-    The manifest's `flagged_csvs` hold the bytes of each flagged CSV its
-    body names, as the tasks rendered them. Its `scorers` hold every fitted
-    scorer, or none when `keep_scorers` is false: then no task sends its
-    scorer back, and this process never holds a fitted model. The body is
-    the same either way. Raises `CohortError` when no task succeeds.
+    Each flagged CSV the body names is written into the existing directory
+    `flagged_dir`, as the task that rendered it returns, so no more than one
+    is held here; a failed task writes none. The manifest's `scorers` hold
+    every fitted scorer, or none when `keep_scorers` is false: then no task
+    sends its scorer back, and this process never holds a fitted model. The
+    body is the same either way. Raises `CohortError` when no task
+    succeeds, and `IoFailure` when a flagged CSV cannot be written; files
+    written before a failure stay in `flagged_dir`.
     """
     p1 = _rows_in_years(panel, cfg.p1_years)
     p2 = _rows_in_years(panel, cfg.p2_years)
@@ -872,8 +883,6 @@ def run_backtest(
     frozen = p1_panel.thresholds if cfg.threshold_mode == THRESHOLD_FROZEN else None
     p2_panel = build_labels(p2, cfg.label, frozen, by=cfg.label_by)
     tasks, cohort_errors = _plan_tasks(cfg, p1_panel, p2_panel)
-    # Before the tasks, so their arrays come and go while this process holds
-    # no flagged CSV.
     diagnostics = {
         "hidden_fragility": {
             "p1": _hidden_fragility_entry(p1_panel, cfg.hidden_tail),
@@ -887,7 +896,6 @@ def run_backtest(
     }
 
     scorers: dict[tuple[str, str], CalibratedScorer] = {}
-    flagged_csvs: dict[str, bytes] = {}
     cohort_models: dict[str, dict] = {c: {} for c in _cohorts(cfg)}
     errors = list(cohort_errors.values())
     for outcome, task in zip(
@@ -899,7 +907,11 @@ def run_backtest(
             errors.append(outcome)
             continue
         scorer, detail, flagged = outcome
-        flagged_csvs[detail["flagged"]["file"]] = flagged
+        path = flagged_dir / detail["flagged"]["file"]
+        try:
+            path.write_bytes(flagged)
+        except OSError as exc:
+            raise IoFailure(f"cannot write flagged CSV {path}: {exc}") from exc
         if keep_scorers:
             scorers[(task.cohort, task.model)] = scorer
         models[task.model] = detail
@@ -929,4 +941,4 @@ def run_backtest(
         **diagnostics,
     }
     body["manifest_digest"] = digest_of(body)
-    return RunManifest(body=body, flagged_csvs=flagged_csvs, scorers=scorers)
+    return RunManifest(body=body, scorers=scorers)

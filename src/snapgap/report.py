@@ -12,10 +12,12 @@ hashed. A model's flagged rows are not in the body: the task that
 evaluated the model rendered them into its flagged CSV (see `pipeline`),
 and the body's `flagged` entry holds that file's name, row count and
 sha256, so the digest covers the rows through the sha256. `emit_report`
-writes each flagged CSV the body names from its bytes, on every run and
-whatever formats it is asked for: a backtest's bytes from
-`RunManifest.flagged_csvs`, a saved manifest's from the files beside it,
-which `flagged_csvs` reads and checks against their entries. The tasks
+moves each flagged CSV the body names from a staging directory into the
+output directory, on every run and whatever formats it is asked for: a
+backtest's CSVs as `run_backtest` wrote them there, a saved manifest's
+as the CLI copied them there from beside it, after `flagged_csvs` read
+each one in chunks and checked it against its entry. A backtest holds
+one flagged CSV's bytes at a time, and a re-render none. The tasks
 rendered those with `ingest.csv_text`, and the other CSVs go through
 `ingest.write_csv`, so every cell is written by csv's own rules: a float by
 its `repr`, so it reads back to the same bits, an int by its `str`, and
@@ -23,6 +25,7 @@ None, such as the prevalence of a subset with no labeled row, blank.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -296,14 +299,19 @@ def _read(value, shape, where: str):
 
 
 
-def flagged_csvs(body: dict, directory: Path) -> dict[str, bytes]:
-    """The bytes of each flagged CSV a checked manifest body names, by file
-    name, read from `directory`. Raises a `ValidationError` when an entry
-    names another file than its model's, or when a file's bytes do not hash
-    to its entry's sha256 or hold another number of rows, and `IoFailure`
-    when one cannot be read. A row is a line: ZIPs are five digits, so no
-    cell holds a line break."""
-    csvs = {}
+# The bytes `flagged_csvs` reads at a time: memory for one chunk, not a file.
+CHUNK_BYTES = 1 << 16
+
+
+def flagged_csvs(body: dict, directory: Path) -> list[Path]:
+    """The path in `directory` of each flagged CSV a checked manifest body
+    names, each read in chunks of `CHUNK_BYTES` and checked against its
+    entry. Raises a `ValidationError` when an entry names another file
+    than its model's, or when a file's bytes do not hash to its entry's
+    sha256 or hold another number of rows, and `IoFailure` when one cannot
+    be read. A row is a line: ZIPs are five digits, so no cell holds a line
+    break."""
+    paths = []
     for cohort, label, detail in _fitted_models(body):
         entry, name = detail["flagged"], model_file("flagged", cohort, label, ".csv")
         if entry["file"] != name:
@@ -311,16 +319,20 @@ def flagged_csvs(body: dict, directory: Path) -> dict[str, bytes]:
                 f"manifest.cohorts.{cohort}.models.{label}.flagged: expected file {name!r}"
             )
         path = directory / name
+        digest, lines = sha256(), 0
         try:
-            data = path.read_bytes()
+            with open(path, "rb") as fh:
+                for chunk in iter(lambda: fh.read(CHUNK_BYTES), b""):
+                    digest.update(chunk)
+                    lines += chunk.count(b"\n")
         except OSError as exc:
             raise IoFailure(f"cannot read flagged CSV {path}: {exc}") from exc
-        if sha256(data).hexdigest() != entry["sha256"]:
+        if digest.hexdigest() != entry["sha256"]:
             raise ValidationError(f"{path} does not hash to the sha256 its manifest records")
-        if data.count(b"\n") - 1 != entry["rows"]:
+        if lines - 1 != entry["rows"]:
             raise ValidationError(f"{path} does not hold the {entry['rows']} rows its manifest records")
-        csvs[name] = data
-    return csvs
+        paths.append(path)
+    return paths
 
 
 def check_formats(formats) -> None:
@@ -330,10 +342,11 @@ def check_formats(formats) -> None:
             raise ValidationError(f"unknown report format {fmt!r}")
 
 
-def emit_report(body: dict, formats, outdir, flagged_csvs: dict[str, bytes]) -> list[Path]:
-    """Write each flagged CSV `body` names, from its bytes in
-    `flagged_csvs`, and the requested formats of the manifest body, into
-    outdir; returns the written paths."""
+def emit_report(body: dict, formats, outdir, flagged_dir: Path) -> list[Path]:
+    """Move each flagged CSV `body` names from `flagged_dir`, a directory
+    on the file system of `outdir`, into `outdir`, and write the requested
+    formats of the manifest body there; returns the paths placed, the
+    flagged CSVs first."""
     check_formats(formats)
     outdir = Path(outdir)
     try:
@@ -341,7 +354,7 @@ def emit_report(body: dict, formats, outdir, flagged_csvs: dict[str, bytes]) -> 
         written: list[Path] = []
         for _, _, detail in _fitted_models(body):
             path = outdir / detail["flagged"]["file"]
-            path.write_bytes(flagged_csvs[path.name])
+            os.replace(flagged_dir / path.name, path)
             written.append(path)
         if FORMAT_JSON in formats:
             path = outdir / "manifest.json"

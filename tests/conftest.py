@@ -81,3 +81,14 @@ def random_panel(rng: np.random.Generator, n: int, year=2015, areas=None):
 def json_text(obj) -> str:
     """The indented text of a JSON file holding `obj`, without its final newline."""
     return json.dumps(obj, sort_keys=True, indent=2)
+
+
+def new_dir(path):
+    """`path`, made as an empty directory."""
+    path.mkdir()
+    return path
+
+
+def files_in(directory) -> dict[str, bytes]:
+    """The bytes of each file in `directory`, by name."""
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}

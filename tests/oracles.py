@@ -526,6 +526,30 @@ def ap_rank_enum(scores, labels):
     return ap / n_pos
 
 
+def auc_ascending_ranks(scores, labels):
+    """ROC AUC as the rank-sum statistic over one ascending stable sort, each
+    tie group at its average 1-based rank: the arithmetic `roc_auc` must
+    match bit for bit."""
+    s, y = np.asarray(scores, dtype=float), np.asarray(labels, dtype=int)
+    order = np.argsort(s, kind="stable")
+    sorted_s, n = s[order], len(s)
+    starts = np.flatnonzero(np.r_[True, sorted_s[1:] != sorted_s[:-1]])
+    ends = np.r_[starts[1:], n]
+    ranks = np.empty(n)
+    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
+    n_pos, n_neg = int(np.sum(y == 1)), int(np.sum(y == 0))
+    return (float(np.sum(ranks[y == 1])) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def ap_descending_sort(scores, labels):
+    """Average precision over one descending stable sort: the arithmetic
+    `average_precision` must match bit for bit."""
+    s, y = np.asarray(scores, dtype=float), np.asarray(labels, dtype=int)
+    y_sorted = y[np.argsort(-s, kind="stable")]
+    k = np.arange(1, len(s) + 1)
+    return float(np.sum((np.cumsum(y_sorted) / k) * y_sorted) / int(np.sum(y == 1)))
+
+
 def precision_at_k_oracle(scores, labels, fraction):
     order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
     k = math.ceil(fraction * len(scores))

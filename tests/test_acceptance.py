@@ -277,11 +277,11 @@ def acceptance_panel():
     return generate_synthetic(spec)
 
 
-def test_criterion_8_out_of_time_hygiene(acceptance_panel):
+def test_criterion_8_out_of_time_hygiene(acceptance_panel, tmp_path):
     with criterion(8, "mutating test-period rows leaves training fits bit-identical", 10.0):
         panel, _ = acceptance_panel
         cfg = _acceptance_cfg()
-        base = run_backtest(cfg, panel)
+        base = run_backtest(cfg, panel, tmp_path)
         rng = np.random.default_rng(1)
         mutated = [
             dataclasses.replace(
@@ -294,7 +294,7 @@ def test_criterion_8_out_of_time_hygiene(acceptance_panel):
             else r
             for r in records_of(panel)
         ]
-        other = run_backtest(cfg, panel_of(mutated))
+        other = run_backtest(cfg, panel_of(mutated), tmp_path)
 
         from snapgap.models import model_to_dict
 
@@ -308,18 +308,18 @@ def test_criterion_8_out_of_time_hygiene(acceptance_panel):
             assert np.array_equal(scorer.isotonic.values, twin.isotonic.values)
 
 
-def test_criterion_9_backtest_determinism(acceptance_panel):
+def test_criterion_9_backtest_determinism(acceptance_panel, tmp_path):
     with criterion(9, "byte-identical manifests across reruns", 60.0):
         records, _ = acceptance_panel
         cfg = _acceptance_cfg()
-        runs = [run_backtest(cfg, records), run_backtest(cfg, records)]
+        runs = [run_backtest(cfg, records, tmp_path), run_backtest(cfg, records, tmp_path)]
         blobs = {json_text(m.body) for m in runs}
         assert len(blobs) == 1
         digests = {m.digest for m in runs}
         assert len(digests) == 1
 
 
-def test_criterion_10_null_calibration():
+def test_criterion_10_null_calibration(tmp_path):
     with criterion(10, "null effects: mean reliability gap <= 0.05 on n=5000 test rows", 30.0):
         spec = SyntheticSpec(
             n_zips=1000,
@@ -335,7 +335,7 @@ def test_criterion_10_null_calibration():
             grids={"logistic": [{"c": 1.0}]},
             folds=5,
         )
-        manifest = run_backtest(cfg, records)
+        manifest = run_backtest(cfg, records, tmp_path)
         assert manifest.body["periods"]["p2"]["n_rows"] == 5000
         label = "logistic[{}]".format("+".join(PREDICTOR_FIELDS))
         rows = manifest.body["cohorts"]["All"]["models"][label]["reliability"]

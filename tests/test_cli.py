@@ -5,22 +5,24 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import files_in
 import snapgap
 from snapgap import cli, pipeline
 from snapgap.calibration import apply_isotonic
 from snapgap.cli import main
 from snapgap.config import apply_overrides, settings_from
-from snapgap.errors import CohortError
+from snapgap.errors import CohortError, SnapGapError
 from snapgap.ingest import PREDICTOR_FIELDS, parse_panel
 from snapgap.jsonio import load_json
 from snapgap.labeling import LabelConfig, build_labels, fit_uptake_ols
 from snapgap.models import FAMILIES, scorer_from_dict
-from snapgap.pipeline import digest_of, train_scorers
+from snapgap.pipeline import digest_of, sha256, train_scorers
 
 PANEL_CSV = """zip,year,pov_fam,snap_fam,fam_universe,pct_no_vehicle,pct_no_internet,pct_no_computer,pct_hs_only
 01001,2015,120,60,400,12.0,15.0,9.0,30.0
@@ -392,6 +394,70 @@ def test_backtest_writes_every_flagged_csv_under_any_format(tmp_path, saved_run,
     assert main(["report", "--manifest", str(saved_run / "manifest.json"), "--out", str(out)]) == 0
     for name in named:
         assert (out / name).read_bytes() == (saved_run / name).read_bytes()
+
+
+def test_report_rerenders_into_the_manifests_own_directory(tmp_path, saved_run):
+    run = tmp_path / "run"
+    shutil.copytree(saved_run, run)
+    args = ["report", "--manifest", str(run / "manifest.json"), "--out", str(run)]
+    assert main([*args, "--formats", "json"]) == 0
+    assert files_in(run) == files_in(saved_run)
+
+
+def test_report_holds_no_flagged_csv(tmp_path, saved_run, saved_manifest):
+    # each flagged CSV replaced by 10,000 rows, about 300 kB, and its
+    # manifest entry edited to match
+    body = json.loads(json.dumps(saved_manifest))
+    manifest = _copy_run(saved_run, body, tmp_path / "big")
+    rows = "".join(f"{i:05d},2019,0.{i:016d}\r\n" for i in range(10_000))
+    data = ("zip,year,calibrated_probability\r\n" + rows).encode("utf-8")
+    total = 0
+    for model in body["cohorts"]["All"]["models"].values():
+        (manifest.parent / model["flagged"]["file"]).write_bytes(data)
+        model["flagged"].update(rows=10_000, sha256=sha256(data).hexdigest())
+        total += len(data)
+    manifest.write_text(json.dumps(_redigested(body)), encoding="utf-8")
+    assert total > 1 << 20
+    tracemalloc.start()
+    try:
+        code = main(["report", "--manifest", str(manifest), "--out", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    for model in body["cohorts"]["All"]["models"].values():
+        assert (tmp_path / "out" / model["flagged"]["file"]).read_bytes() == data
+    assert peak < total / 2, (peak, total)
+
+
+def failing_last_task(monkeypatch):
+    """Make the last task of every plan raise `SnapGapError` after the
+    others have run."""
+    task_outcome = pipeline._task_outcome
+
+    def outcome(state, i, fold_errors=None):
+        if i == len(state[1]) - 1:
+            raise SnapGapError("the last task failed")
+        return task_outcome(state, i, fold_errors)
+
+    monkeypatch.setattr(pipeline, "_task_outcome", outcome)
+
+
+@pytest.mark.parametrize("existing", [True, False], ids=["an existing --out", "a new --out"])
+def test_a_failed_backtest_leaves_out_as_it_found_it(
+    tmp_path, small_panel, saved_run, monkeypatch, capsys, existing
+):
+    out = tmp_path / "out" / "run"
+    if existing:
+        shutil.copytree(saved_run, out)
+    failing_last_task(monkeypatch)
+    args = ["backtest", "--panel", str(small_panel), "--out", str(out), *SMALL_RUN]
+    assert main(args) == 5
+    assert capsys.readouterr().err == "error: the last task failed\n"
+    if existing:
+        assert files_in(out) == files_in(saved_run)
+    else:
+        assert not (tmp_path / "out").exists()
 
 
 def test_train_writes_scorer_files(tmp_path):

@@ -135,11 +135,13 @@ BODY = {
 
 
 def test_emit_report_bytes(tmp_path):
-    flagged = {FLAGGED: b"zip,year,calibrated_probability\r\n00001,2019,0.5\r\n"}
-    written = emit_report(BODY, ("csv", "markdown"), tmp_path, flagged)
+    flagged = b"zip,year,calibrated_probability\r\n00001,2019,0.5\r\n"
+    (tmp_path / "stage").mkdir()
+    (tmp_path / "stage" / FLAGGED).write_bytes(flagged)
+    written = emit_report(BODY, ("csv", "markdown"), tmp_path / "out", tmp_path / "stage")
     digests = {path.name: sha256(path.read_bytes()).hexdigest() for path in written}
     assert digests == {
-        FLAGGED: sha256(flagged[FLAGGED]).hexdigest(),
+        FLAGGED: sha256(flagged).hexdigest(),
         "metrics.csv": "8b478b833905c04ddd26b1732e1ddfaa061ac8b2b0ade4e201f1e98e4aa68ec0",
         "thresholds.csv": "30ca5116ff2bdcd6cec4e3102ea43c6d53bcd3fa73ecc83b6f0ae4ed6c6eb397",
         "yearly.csv": "0c673c18b0b0f89c267f5d5904c32d141edd52c6d17427a6bfcdfa0a4ad54d70",

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ap_rank_enum, auc_pairwise, precision_at_k_oracle
+from oracles import (
+    ap_descending_sort,
+    ap_rank_enum,
+    auc_ascending_ranks,
+    auc_pairwise,
+    precision_at_k_oracle,
+)
 from snapgap.calibration import DecisionRule
 from snapgap.errors import CohortError, ValidationError
 from snapgap.jsonio import plain
@@ -116,6 +122,31 @@ class TestAveragePrecision:
             scores = rng.random(n)
             aps.append(average_precision(scores, labels))
         assert abs(np.mean(aps) - prevalence) < 0.02
+
+
+class TestOneOrder:
+    """AUC, AP and precision@k read one descending stable order."""
+
+    def test_auc_and_ap_keep_their_bits(self, rng):
+        # tie-heavy vectors with both zeros, whose signs no sort tells apart
+        for _ in range(300):
+            scores, labels = random_cohort(rng, tie_prob=0.8)
+            scores = np.where(rng.random(len(scores)) < 0.3, rng.choice([-0.0, 0.0], len(scores)), scores)
+            assert roc_auc(scores, labels) == auc_ascending_ranks(scores, labels)
+            assert average_precision(scores, labels) == ap_descending_sort(scores, labels)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_score_is_refused(self, bad):
+        scores, labels = np.array([0.2, bad, 0.7, 0.4]), np.array([0, 1, 1, 0])
+        rule = DecisionRule("fixed", 0.5)
+        for metric in (
+            lambda: roc_auc(scores, labels),
+            lambda: average_precision(scores, labels),
+            lambda: precision_at_k(scores, labels, 0.5),
+            lambda: evaluate(scores, labels, rule, cohort="All"),
+        ):
+            with pytest.raises(ValidationError, match="scores must be finite"):
+                metric()
 
 
 class TestConfusionAt:

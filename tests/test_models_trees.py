@@ -524,3 +524,13 @@ class TestSerialization:
         message = f"tree node feature {feature} is not one of the model's 2"
         with pytest.raises(ValidationError, match=message):
             model_from_dict(data)
+
+    @pytest.mark.parametrize("key", ["foo", "kind"])
+    def test_an_unknown_hyperparameter_is_refused(self, rng, key):
+        # it ended in a TypeError from the EnsembleParams constructor
+        fm = xor_panel(rng, n=150)
+        model = fit_tree_ensemble(fm, EnsembleParams(kind="random_forest", n_trees=2, seed=17))
+        data = json.loads(json.dumps(model_to_dict(model)))
+        data["hyperparameters"][key] = 1
+        with pytest.raises(ValidationError, match=f"unknown ensemble hyperparameter '{key}'"):
+            model_from_dict(data)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import json_text, make_record
+from conftest import files_in, json_text, make_record, new_dir
 from oracles import flagged_rows_reference, panel_of, records_of, yearly_reference
 from snapgap import pipeline
 from snapgap.errors import CohortError, NonConvergence, SnapGapError, ValidationError
@@ -107,35 +107,35 @@ class TestGuards:
             "pct_no_vehicle", "pct_no_internet", "pct_no_computer", "pct_hs_only",
         )
 
-    def test_panel_must_cover_both_periods(self, synth_panel):
+    def test_panel_must_cover_both_periods(self, synth_panel, tmp_path):
         panel, _ = synth_panel
         p1_only = panel.take(panel.year <= 2018)
         with pytest.raises(CohortError, match="panel must cover both periods: .* training rows, 0 test rows"):
-            run_backtest(fast_cfg(), p1_only)
+            run_backtest(fast_cfg(), p1_only, tmp_path)
 
 
 class TestDeterminism:
-    def test_identical_runs_identical_manifests(self, synth_panel):
+    def test_identical_runs_identical_manifests(self, synth_panel, tmp_path):
         records, _ = synth_panel
         cfg = fast_cfg()
-        m1 = run_backtest(cfg, records)
-        m2 = run_backtest(cfg, records)
+        m1 = run_backtest(cfg, records, tmp_path)
+        m2 = run_backtest(cfg, records, tmp_path)
         assert m1.body == m2.body
         assert json_text(m1.body) == json_text(m2.body)
         assert m1.digest == m2.digest
 
-    def test_seed_changes_results(self, synth_panel):
+    def test_seed_changes_results(self, synth_panel, tmp_path):
         records, _ = synth_panel
-        m1 = run_backtest(fast_cfg(seed=1), records)
-        m2 = run_backtest(fast_cfg(seed=2), records)
+        m1 = run_backtest(fast_cfg(seed=1), records, tmp_path)
+        m2 = run_backtest(fast_cfg(seed=2), records, tmp_path)
         assert m1.digest != m2.digest
 
 
 class TestNoLeakage:
-    def test_mutating_p2_leaves_p1_fits_bit_identical(self, synth_panel):
+    def test_mutating_p2_leaves_p1_fits_bit_identical(self, synth_panel, tmp_path):
         records, _ = synth_panel
         cfg = fast_cfg()
-        base = run_backtest(cfg, records)
+        base = run_backtest(cfg, records, tmp_path)
 
         mutated = []
         rng = np.random.default_rng(0)
@@ -150,7 +150,7 @@ class TestNoLeakage:
                 )
             else:
                 mutated.append(r)
-        other = run_backtest(cfg, panel_of(mutated))
+        other = run_backtest(cfg, panel_of(mutated), tmp_path)
 
         assert base.body["periods"]["p1"] == other.body["periods"]["p1"]
         for key, scorer in base.scorers.items():
@@ -173,40 +173,41 @@ class TestNoLeakage:
 
 
 class TestBacktestBody:
-    def test_threshold_modes(self, synth_panel):
+    def test_threshold_modes(self, synth_panel, tmp_path):
         records, _ = synth_panel
-        refit = run_backtest(fast_cfg(threshold_mode="refit"), records)
-        frozen = run_backtest(fast_cfg(threshold_mode="frozen"), records)
+        refit = run_backtest(fast_cfg(threshold_mode="refit"), records, tmp_path)
+        frozen = run_backtest(fast_cfg(threshold_mode="frozen"), records, tmp_path)
         p1_th = refit.body["periods"]["p1"]["thresholds"]["All"]
         assert frozen.body["periods"]["p2"]["thresholds"]["All"] == p1_th
         assert refit.body["periods"]["p2"]["thresholds"]["All"] != p1_th
 
-    def test_prevalence_anchored_rule_uses_p1(self, synth_panel):
+    def test_prevalence_anchored_rule_uses_p1(self, synth_panel, tmp_path):
         records, _ = synth_panel
-        manifest = run_backtest(fast_cfg(), records)
+        manifest = run_backtest(fast_cfg(), records, tmp_path)
         p1_prev = manifest.body["periods"]["p1"]["prevalence"]
         for detail in manifest.body["cohorts"]["All"]["models"].values():
             assert detail["rule"]["threshold"] == p1_prev
             assert detail["rule"]["policy"] == "prevalence_anchored"
 
-    def test_anomaly_accounting_matches_planted(self, synth_panel):
+    def test_anomaly_accounting_matches_planted(self, synth_panel, tmp_path):
         records, truth = synth_panel
-        manifest = run_backtest(fast_cfg(), records)
+        manifest = run_backtest(fast_cfg(), records, tmp_path)
         total = (
             manifest.body["periods"]["p1"]["anomaly_rows"]
             + manifest.body["periods"]["p2"]["anomaly_rows"]
         )
         assert total == truth["n_planted_anomalies"]
 
-    def test_flagged_lists_sorted_and_thresholded(self, synth_panel):
+    def test_flagged_lists_sorted_and_thresholded(self, synth_panel, tmp_path):
         records, _ = synth_panel
-        manifest = run_backtest(fast_cfg(), records)
+        manifest = run_backtest(fast_cfg(), records, tmp_path)
         models = manifest.body["cohorts"]["All"]["models"]
-        assert sorted(manifest.flagged_csvs) == sorted(d["flagged"]["file"] for d in models.values())
+        flagged_csvs = files_in(tmp_path)
+        assert sorted(flagged_csvs) == sorted(d["flagged"]["file"] for d in models.values())
         for label, detail in models.items():
             entry = detail["flagged"]
             assert entry["file"] == pipeline.model_file("flagged", "All", label, ".csv")
-            data = manifest.flagged_csvs[entry["file"]]
+            data = flagged_csvs[entry["file"]]
             assert sha256(data).hexdigest() == entry["sha256"]
             header, *rows = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
             assert header == ["zip", "year", "calibrated_probability"]
@@ -216,31 +217,31 @@ class TestBacktestBody:
             assert keys == sorted(keys)
             assert all(p >= detail["rule"]["threshold"] for _, _, p in flagged)
 
-    def test_univariate_auc_ordering_vehicle_dominant(self, synth_panel):
+    def test_univariate_auc_ordering_vehicle_dominant(self, synth_panel, tmp_path):
         records, _ = synth_panel
         cfg = fast_cfg(
             feature_subsets=tuple((f,) for f in (
                 "pct_no_vehicle", "pct_no_internet", "pct_no_computer", "pct_hs_only",
             )),
         )
-        manifest = run_backtest(cfg, records)
+        manifest = run_backtest(cfg, records, tmp_path)
         aucs = {
             detail["features"][0]: detail["eval"]["auc"]
             for detail in manifest.body["cohorts"]["All"]["models"].values()
         }
         assert max(aucs, key=aucs.get) == "pct_no_vehicle"
 
-    def test_youden_split_path(self, synth_panel):
+    def test_youden_split_path(self, synth_panel, tmp_path):
         records, _ = synth_panel
         cfg = fast_cfg(selection="split70", decision="youden")
-        manifest = run_backtest(cfg, records)
+        manifest = run_backtest(cfg, records, tmp_path)
         for detail in manifest.body["cohorts"]["All"]["models"].values():
             assert detail["cv"] is None
             assert detail["rule"]["policy"] == "youden"
 
-    def test_importance_present(self, synth_panel):
+    def test_importance_present(self, synth_panel, tmp_path):
         records, _ = synth_panel
-        manifest = run_backtest(fast_cfg(), records)
+        manifest = run_backtest(fast_cfg(), records, tmp_path)
         detail = manifest.body["cohorts"]["All"]["models"]["logistic[pct_no_vehicle+pct_hs_only]"]
         names = [f["name"] for f in detail["importance"]["features"]]
         assert names == ["pct_no_vehicle", "pct_hs_only"]
@@ -263,12 +264,12 @@ class TestNonConvergence:
 
     SUBSET = (("pct_no_vehicle", "pct_hs_only"),)
 
-    def test_failed_candidate_is_an_entry_and_cannot_win(self, synth_panel, monkeypatch):
+    def test_failed_candidate_is_an_entry_and_cannot_win(self, synth_panel, monkeypatch, tmp_path):
         records, _ = synth_panel
         grids = dict(FAST_GRIDS, logistic=[{"c": 1.0}, {"c": 100.0}])
-        expected = run_backtest(fast_cfg(feature_subsets=self.SUBSET), records)
+        expected = run_backtest(fast_cfg(feature_subsets=self.SUBSET), records, tmp_path)
         fit_logistic_failing_at(monkeypatch, {100.0})
-        manifest = run_backtest(fast_cfg(feature_subsets=self.SUBSET, grids=grids), records)
+        manifest = run_backtest(fast_cfg(feature_subsets=self.SUBSET, grids=grids), records, tmp_path)
         (detail,) = manifest.body["cohorts"]["All"]["models"].values()
         (want,) = expected.body["cohorts"]["All"]["models"].values()
         assert detail["winner"] == {"c": 1.0}
@@ -281,7 +282,7 @@ class TestNonConvergence:
 
     @pytest.mark.parametrize("selection_mode", ["cv", "split70"])
     def test_task_without_a_converged_fit_gets_an_error(
-        self, synth_panel, monkeypatch, selection_mode
+        self, synth_panel, monkeypatch, selection_mode, tmp_path
     ):
         records, _ = synth_panel
         fit_logistic_failing_at(monkeypatch, {0.01, 0.1, 1.0, 10.0, 100.0})
@@ -290,7 +291,7 @@ class TestNonConvergence:
             families=("logistic", "random_forest"),
             selection=selection_mode,
         )
-        models = run_backtest(cfg, records).body["cohorts"]["All"]["models"]
+        models = run_backtest(cfg, records, tmp_path).body["cohorts"]["All"]["models"]
         assert set(models["logistic[pct_no_vehicle+pct_hs_only]"]) == {"error"}
         assert "no convergence" in models["logistic[pct_no_vehicle+pct_hs_only]"]["error"]
         assert "eval" in models["random_forest[pct_no_vehicle+pct_hs_only]"]
@@ -312,7 +313,7 @@ class TestWorkerPool:
         [("cv", {100.0}), ("cv", {1.0, 100.0}), ("split70", {1.0})],
     )
     def test_non_convergence_entries_match_in_process(
-        self, synth_panel, monkeypatch, selection_mode, failing_c
+        self, synth_panel, monkeypatch, selection_mode, failing_c, tmp_path
     ):
         records, _ = synth_panel
         fit_logistic_failing_at(monkeypatch, failing_c)
@@ -325,7 +326,7 @@ class TestWorkerPool:
         runs = []
         for workers in (1, 2):
             pool_size(monkeypatch, workers)
-            runs.append(run_backtest(cfg, records))
+            runs.append(run_backtest(cfg, records, tmp_path))
         serial, pooled = runs
         assert json_text(pooled.body) == json_text(serial.body)
         assert pooled.scorers.keys() == serial.scorers.keys()
@@ -334,21 +335,22 @@ class TestWorkerPool:
         assert "no convergence" in entries
         assert all("eval" in models[f"random_forest[{'+'.join(s)}]"] for s in self.SUBSETS)
 
-    def test_flagged_cells_are_the_panels_own(self, synth_panel, monkeypatch):
+    def test_flagged_cells_are_the_panels_own(self, synth_panel, monkeypatch, tmp_path):
         # each task renders its flagged CSV from the panel's ZIP and year
         # cells, with the same bytes in a worker and in this process
         panel, _ = synth_panel
         late = {(z, y) for z, y in zip(panel.zip.tolist(), panel.year.tolist()) if y >= 2019}
         cfg = fast_cfg(feature_subsets=self.SUBSETS, families=("logistic", "random_forest"))
-        runs = []
+        runs, flagged = [], []
         for workers in (1, 2):
             pool_size(monkeypatch, workers)
-            runs.append(run_backtest(cfg, panel))
+            runs.append(run_backtest(cfg, panel, new_dir(tmp_path / str(workers))))
+            flagged.append(files_in(tmp_path / str(workers)))
         serial, pooled = runs
         assert json_text(pooled.body) == json_text(serial.body)
-        assert pooled.flagged_csvs == serial.flagged_csvs
-        assert len(serial.flagged_csvs) == 4
-        for data in serial.flagged_csvs.values():
+        assert flagged[1] == flagged[0]
+        assert len(flagged[0]) == 4
+        for data in flagged[0].values():
             _, *rows = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
             assert rows and {(z, int(y)) for z, y, _ in rows} <= late
 
@@ -368,13 +370,13 @@ class TestWorkerPool:
         assert not waiter.is_alive()
         assert pipeline._pool_size(1000) == cpus
 
-    def test_worker_death_names_its_task(self, synth_panel, monkeypatch):
-        self.assert_death_in_forest_unit_named(synth_panel, monkeypatch, "_task_outcome")
+    def test_worker_death_names_its_task(self, synth_panel, monkeypatch, tmp_path):
+        self.assert_death_in_forest_unit_named(synth_panel, monkeypatch, tmp_path, "_task_outcome")
 
-    def test_fold_unit_death_names_its_task(self, synth_panel, monkeypatch):
-        self.assert_death_in_forest_unit_named(synth_panel, monkeypatch, "_fold_outcome")
+    def test_fold_unit_death_names_its_task(self, synth_panel, monkeypatch, tmp_path):
+        self.assert_death_in_forest_unit_named(synth_panel, monkeypatch, tmp_path, "_fold_outcome")
 
-    def assert_death_in_forest_unit_named(self, synth_panel, monkeypatch, unit):
+    def assert_death_in_forest_unit_named(self, synth_panel, monkeypatch, tmp_path, unit):
         # a forest CV task runs as fold units (`_fold_outcome`) and then its
         # tail (`_task_outcome`); a worker dies in one of them
         records, _ = synth_panel
@@ -390,9 +392,9 @@ class TestWorkerPool:
         pool_size(monkeypatch, 2)
         cfg = fast_cfg(feature_subsets=self.SUBSETS[:1], families=("logistic", "random_forest"))
         with pytest.raises(SnapGapError, match=r"while running .*All/random_forest\[pct_no_vehicle\]"):
-            run_backtest(cfg, records)
+            run_backtest(cfg, records, tmp_path)
 
-    def test_split_tasks_match_in_process(self, synth_panel, monkeypatch):
+    def test_split_tasks_match_in_process(self, synth_panel, monkeypatch, tmp_path):
         # Mixed holds 7 training positives, too few for 8 stratified folds;
         # a logistic candidate fails beside each forest and boosting search
         panel, _ = synth_panel
@@ -411,10 +413,10 @@ class TestWorkerPool:
         runs = []
         for workers in (1, 2):
             pool_size(monkeypatch, workers)
-            runs.append(run_backtest(cfg, panel))
+            runs.append(run_backtest(cfg, panel, new_dir(tmp_path / str(workers))))
         serial, pooled = runs
         assert json_text(pooled.body) == json_text(serial.body)
-        assert pooled.flagged_csvs == serial.flagged_csvs
+        assert files_in(tmp_path / "2") == files_in(tmp_path / "1")
         assert pooled.scorers.keys() == serial.scorers.keys()
         cohorts = serial.body["cohorts"]
         for models in (cohorts["Urban"]["models"], cohorts["Rural"]["models"]):
@@ -427,7 +429,7 @@ class TestWorkerPool:
         assert all("minimum feasible folds: 7" in d["error"] for d in mixed.values())
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_first_pass_order_changes_nothing(self, synth_panel, monkeypatch, workers):
+    def test_first_pass_order_changes_nothing(self, synth_panel, monkeypatch, tmp_path, workers):
         # fold units handed out in reverse give the same manifest, flagged
         # CSVs and warnings: their results are gathered in fold order
         records, _ = synth_panel
@@ -451,17 +453,18 @@ class TestWorkerPool:
                 return list(order(first_pass(cfg, tasks)))
 
             monkeypatch.setattr(pipeline, "_first_pass", ordered)
+            flagged_dir = new_dir(tmp_path / order.__name__)
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                manifest = run_backtest(cfg, panel)
+                manifest = run_backtest(cfg, panel, flagged_dir)
             messages = [str(w.message) for w in caught]
-            runs.append((json_text(manifest.body), manifest.flagged_csvs, messages))
+            runs.append((json_text(manifest.body), files_in(flagged_dir), messages))
         assert runs[0] == runs[1]
         messages = runs[0][2]
         assert sum("fold from row" in m for m in messages) == 4 * cfg.folds
         assert any("constant feature" in m for m in messages)
 
-    def test_one_forest_task_uses_two_workers(self, synth_panel, monkeypatch):
+    def test_one_forest_task_uses_two_workers(self, synth_panel, monkeypatch, tmp_path):
         # the first two fold units wait for each other, so they must run at
         # once, in two processes
         panel, _ = synth_panel
@@ -477,12 +480,12 @@ class TestWorkerPool:
         cfg = fast_cfg(feature_subsets=self.SUBSETS[:1], families=("random_forest",))
         real_pool_size = pipeline._pool_size
         pool_size(monkeypatch, 1)
-        expected = run_backtest(cfg, panel)
+        expected = run_backtest(cfg, panel, tmp_path)
         monkeypatch.setattr(pipeline, "_fold_outcome", meeting)
         monkeypatch.setattr(
             pipeline, "_pool_size", lambda n_units: sizes.append(n_units) or min(n_units, 2)
         )
-        assert json_text(run_backtest(cfg, panel).body) == json_text(expected.body)
+        assert json_text(run_backtest(cfg, panel, tmp_path).body) == json_text(expected.body)
         assert sizes == [cfg.folds]
         if hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1:
             assert real_pool_size(cfg.folds) == 2
@@ -498,24 +501,27 @@ class TestDroppedScorers:
         panel, _ = synth_panel
         task_outcome = pipeline._task_outcome
 
+        pipe = new_dir(tmp_path / "pipe")
+
         def recorded(state, i, fold_errors=None):
             # runs in a worker when pooled, so it writes what the pipe carries
             outcome = task_outcome(state, i, fold_errors)
-            (tmp_path / f"{state[4]}-{i}.pickle").write_bytes(pickle.dumps(outcome))
+            (pipe / f"{state[4]}-{i}.pickle").write_bytes(pickle.dumps(outcome))
             return outcome
 
         monkeypatch.setattr(pipeline, "_task_outcome", recorded)
         cfg = fast_cfg(feature_subsets=self.SUBSETS, families=("logistic", "random_forest"))
         for workers in (1, 2):
             pool_size(monkeypatch, workers)
-            kept = run_backtest(cfg, panel)
-            dropped = run_backtest(cfg, panel, keep_scorers=False)
+            kept_dir, dropped_dir = (new_dir(tmp_path / f"{name}-{workers}") for name in ("kept", "dropped"))
+            kept = run_backtest(cfg, panel, kept_dir)
+            dropped = run_backtest(cfg, panel, dropped_dir, keep_scorers=False)
             assert json_text(dropped.body) == json_text(kept.body)
-            assert dropped.flagged_csvs == kept.flagged_csvs
+            assert files_in(dropped_dir) == files_in(kept_dir)
             assert dropped.scorers == {}
             assert len(kept.scorers) == 4
             sent = {}
-            for path in tmp_path.iterdir():
+            for path in pipe.iterdir():
                 sent[path.stem] = path.read_bytes()
                 path.unlink()
             assert sorted(sent) == [f"{keep}-{i}" for keep in (False, True) for i in range(4)]
@@ -526,26 +532,26 @@ class TestDroppedScorers:
                 assert b"CalibratedScorer" not in sent[f"False-{i}"]
                 assert b"CalibratedScorer" in sent[f"True-{i}"]
 
-    def test_every_task_failing_still_raises(self, synth_panel, monkeypatch):
+    def test_every_task_failing_still_raises(self, synth_panel, monkeypatch, tmp_path):
         panel, _ = synth_panel
         fit_logistic_failing_at(monkeypatch, {1.0})
         cfg = fast_cfg(feature_subsets=self.SUBSETS)
         for workers in (1, 2):
             pool_size(monkeypatch, workers)
             with pytest.raises(CohortError, match="every cohort failed: no logistic grid"):
-                run_backtest(cfg, panel, keep_scorers=False)
+                run_backtest(cfg, panel, tmp_path, keep_scorers=False)
 
 
 class TestStratified:
-    def test_per_area_thresholds_and_models(self, synth_panel):
+    def test_per_area_thresholds_and_models(self, synth_panel, tmp_path):
         records, _ = synth_panel
         cfg = fast_cfg(area_mode="stratified", feature_subsets=(("pct_no_vehicle",),))
-        manifest = run_backtest(cfg, records)
+        manifest = run_backtest(cfg, records, tmp_path)
         th = manifest.body["periods"]["p1"]["thresholds"]
         assert {"Urban", "Rural", "Mixed"} <= set(th)
         assert set(manifest.body["cohorts"]) == {"Urban", "Rural", "Mixed"}
 
-    def test_zero_positive_area_isolated(self):
+    def test_zero_positive_area_isolated(self, tmp_path):
         # Urban rows constant: all fragile together (prevalence 1) is
         # impossible to model; craft urban rows with no positives instead
         records = []
@@ -573,13 +579,13 @@ class TestStratified:
                     )
                 )
         cfg = fast_cfg(area_mode="stratified", feature_subsets=(("pct_no_vehicle",),))
-        manifest = run_backtest(cfg, panel_of(records))
+        manifest = run_backtest(cfg, panel_of(records), tmp_path)
         urban_models = manifest.body["cohorts"]["Urban"]["models"]
         assert all("error" in d for d in urban_models.values())
         rural_models = manifest.body["cohorts"]["Rural"]["models"]
         assert any("error" not in d for d in rural_models.values())
 
-    def test_single_area_stratified_matches_pooled_metrics(self):
+    def test_single_area_stratified_matches_pooled_metrics(self, tmp_path):
         spec = SyntheticSpec(
             n_zips=500,
             years=(2014, 2023),
@@ -588,8 +594,8 @@ class TestStratified:
             seed=15,
         )
         records, _ = generate_synthetic(spec)
-        pooled = run_backtest(fast_cfg(), records)
-        strat = run_backtest(fast_cfg(area_mode="stratified"), records)
+        pooled = run_backtest(fast_cfg(), records, tmp_path)
+        strat = run_backtest(fast_cfg(area_mode="stratified"), records, tmp_path)
         pooled_models = pooled.body["cohorts"]["All"]["models"]
         strat_models = strat.body["cohorts"]["Rural"]["models"]
         for label, detail in pooled_models.items():
@@ -597,9 +603,9 @@ class TestStratified:
             assert strat_eval == detail["eval"]
             assert strat_models[label]["model_digest"] == detail["model_digest"]
 
-    def test_fragile_distribution_shape(self, synth_panel):
+    def test_fragile_distribution_shape(self, synth_panel, tmp_path):
         records, _ = synth_panel
-        manifest = run_backtest(fast_cfg(), records)
+        manifest = run_backtest(fast_cfg(), records, tmp_path)
         dist = manifest.body["fragile_distribution"]["p2"]
         assert set(dist) == {"0.10", "0.30"}
         for group in dist.values():
@@ -652,7 +658,7 @@ class TestYearlyDiagnostics:
         corr = np.corrcoef(np.arange(10), prevs)[0, 1]
         assert corr > 0.5
 
-    def test_a_year_without_eligible_rows_counts_its_anomalies(self):
+    def test_a_year_without_eligible_rows_counts_its_anomalies(self, tmp_path):
         spec = SyntheticSpec(
             n_zips=500,
             years=(2014, 2023),
@@ -669,7 +675,7 @@ class TestYearlyDiagnostics:
             snap_fam=np.where(moved, 20.0, panel.snap_fam),
             fam_universe=np.where(moved, 1000.0, panel.fam_universe),
         )
-        body = run_backtest(fast_cfg(feature_subsets=(("pct_no_vehicle",),)), panel).body
+        body = run_backtest(fast_cfg(feature_subsets=(("pct_no_vehicle",),)), panel, tmp_path).body
         yearly = {entry["year"]: entry for entry in body["yearly"]}
         assert yearly[2016]["n_eligible"] == 0 and yearly[2016]["tau_hi"] is None
         assert yearly[2016]["anomaly_rows"] == 500
@@ -756,7 +762,7 @@ def test_flagged_rows_match_a_sort_on_tuples(rows):
     assert [np.signbit(p) for _, _, p in got] == [np.signbit(p) for _, _, p in want]
 
 
-def test_task_warnings_meet_module_filters(synth_panel, monkeypatch):
+def test_task_warnings_meet_module_filters(synth_panel, monkeypatch, tmp_path):
     records, _ = synth_panel
     predictors = records.predictors.copy()
     predictors[:, PREDICTOR_FIELDS.index("pct_hs_only")] = 30.0
@@ -767,4 +773,4 @@ def test_task_warnings_meet_module_filters(synth_panel, monkeypatch):
         with warnings.catch_warnings():
             warnings.filterwarnings("error", category=UserWarning, module=r"snapgap\.models\.matrix\Z")
             with pytest.raises(UserWarning, match="constant feature"):
-                run_backtest(cfg, panel)
+                run_backtest(cfg, panel, tmp_path)

@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -34,16 +35,30 @@ def records():
 
 
 @pytest.fixture(scope="module")
-def manifest(records):
-    return run_backtest(CFG, records)
+def run_dir(tmp_path_factory):
+    """The directory of the flagged CSVs of the `manifest` run."""
+    return tmp_path_factory.mktemp("flagged")
 
 
-def emit(manifest, formats, outdir):
-    return emit_report(manifest.body, formats, outdir, manifest.flagged_csvs)
+@pytest.fixture(scope="module")
+def manifest(records, run_dir):
+    return run_backtest(CFG, records, run_dir)
 
 
-def test_emits_all_formats(manifest, tmp_path):
-    written = emit(manifest, ("json", "csv", "markdown"), tmp_path)
+@pytest.fixture
+def emit(manifest, run_dir, tmp_path):
+    """`emit_report` of the `manifest` run, from copies of its flagged CSVs."""
+
+    def emit(formats, outdir):
+        stage = tmp_path / "stage"
+        shutil.copytree(run_dir, stage)
+        return emit_report(manifest.body, formats, outdir, stage)
+
+    return emit
+
+
+def test_emits_all_formats(emit, tmp_path):
+    written = emit(("json", "csv", "markdown"), tmp_path)
     names = {p.name for p in written}
     assert "manifest.json" in names
     assert "metrics.csv" in names
@@ -54,8 +69,8 @@ def test_emits_all_formats(manifest, tmp_path):
     assert any(name.startswith("reliability_") for name in names)
 
 
-def test_csv_and_json_agree_field_for_field(manifest, tmp_path):
-    emit(manifest, ("json", "csv"), tmp_path)
+def test_csv_and_json_agree_field_for_field(emit, tmp_path):
+    emit(("json", "csv"), tmp_path)
     with open(tmp_path / "manifest.json") as fh:
         body = json.load(fh)
     with open(tmp_path / "metrics.csv", newline="") as fh:
@@ -82,8 +97,8 @@ def test_markdown_one_row_per_model_cohort(manifest):
     assert header.count("|") == 10  # 9 columns
 
 
-def test_flagged_csv_sorted(manifest, tmp_path):
-    emit(manifest, ("csv",), tmp_path)
+def test_flagged_csv_sorted(emit, tmp_path):
+    emit(("csv",), tmp_path)
     path = next(tmp_path.glob("flagged_All_logistic_pct_no_vehicle.csv"))
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
@@ -94,7 +109,7 @@ def test_flagged_csv_sorted(manifest, tmp_path):
             assert (a["zip"], a["year"]) <= (b["zip"], b["year"])
 
 
-def test_json_and_flagged_csvs_match_the_reference_renderer(records, manifest, tmp_path):
+def test_json_and_flagged_csvs_match_the_reference_renderer(records, manifest, emit, tmp_path):
     # each model's flagged rows, worked out again from its kept scorer
     p2 = build_labels(pipeline._rows_in_years(records, CFG.p2_years), CFG.label)
     rows = pipeline._cohort_rows(p2, "All")
@@ -109,14 +124,14 @@ def test_json_and_flagged_csvs_match_the_reference_renderer(records, manifest, t
         )
     (tmp_path / "ref").mkdir()
     names = render_report_reference(plain(manifest.body), flagged, tmp_path / "ref")
-    emit(manifest, ("json",), tmp_path / "out")
+    emit(("json",), tmp_path / "out")
     assert len(names) == 3
     for name in names:
         assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes(), name
 
 
-def test_manifest_json_roundtrip_preserves_digest(manifest, tmp_path):
-    emit(manifest, ("json",), tmp_path)
+def test_manifest_json_roundtrip_preserves_digest(manifest, emit, tmp_path):
+    emit(("json",), tmp_path)
     with open(tmp_path / "manifest.json") as fh:
         body = json.load(fh)
     assert body["manifest_digest"] == manifest.digest
@@ -126,8 +141,8 @@ def test_manifest_json_roundtrip_preserves_digest(manifest, tmp_path):
     assert digest_of(stripped) == body["manifest_digest"]
 
 
-def test_unknown_format_rejected(manifest, tmp_path):
+def test_unknown_format_rejected(emit, tmp_path):
     from snapgap.errors import ValidationError
 
     with pytest.raises(ValidationError):
-        emit(manifest, ("pdf",), tmp_path)
+        emit(("pdf",), tmp_path)
