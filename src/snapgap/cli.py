@@ -8,10 +8,11 @@ leaves the task that fit it, and the report files are the same. It writes
 each model's flagged CSV, which the task that evaluated the model rendered,
 whatever `--formats` asks, since the manifest holds only each file's name,
 row count and sha256, and its digest covers the rows through them. `report`
-checks those CSVs beside the manifest and copies them unchanged. Both
-commands gather the flagged CSVs in a staging directory inside `--out` and
-move them into place once every one is there, so a run that fails leaves
-`--out` as it found it, and does not make one that was not there. A YAML
+checks those CSVs beside the manifest and copies them unchanged. `train`,
+`backtest` and `report` write every file into a staging directory inside
+`--out`, the flagged CSVs from the tasks that render them, and move them
+into place when all are there and none would land on a directory, so a
+run that fails leaves `--out` as it found it, or makes none. A YAML
 `--config` supplies settings, repeated `--set key=value` flags override any
 key (values parsed as YAML), and `--seed`, an int >= 0, is the root seed of
 the commands that draw random numbers: `synth`, `train` and `backtest`.
@@ -35,6 +36,7 @@ worker process died, a fit did not converge).
 from __future__ import annotations
 
 import argparse
+import os
 import shutil
 import sys
 import tempfile
@@ -135,15 +137,23 @@ def _output_dir(path: Path) -> None:
 
 @contextmanager
 def _staging(outdir: Path) -> Iterator[Path]:
-    """A fresh directory inside `outdir`, for the flagged CSVs that
-    `emit_report` moves into `outdir`. It is made on entry, with `outdir`
-    and its missing parents, and removed on exit; when the block raises,
-    so is every directory made here."""
+    """A fresh directory inside `outdir`, the stage, for every file a command
+    puts in `outdir`, moved there when the block ends, unless one would
+    land on an existing directory: that is an `IoFailure`, before any file
+    moves. The stage is made on entry, with `outdir` and its missing
+    parents, and removed on exit; on a raise, so is every directory made."""
     made = next((p for p in reversed((outdir, *outdir.parents)) if not p.exists()), None)
     outdir.mkdir(parents=True, exist_ok=True)
     stage = Path(tempfile.mkdtemp(prefix=".staging-", dir=outdir))
     try:
         yield stage
+        staged = sorted(path.relative_to(stage) for path in stage.rglob("*") if path.is_file())
+        for name in staged:
+            if (outdir / name).is_dir():
+                raise IoFailure(f"cannot write {outdir / name}: it is a directory")
+        for name in staged:
+            (outdir / name).parent.mkdir(exist_ok=True)
+            os.replace(stage / name, outdir / name)
     except BaseException:
         if made is not None:
             shutil.rmtree(made, ignore_errors=True)
@@ -153,7 +163,7 @@ def _staging(outdir: Path) -> Iterator[Path]:
 
 
 def _write_scorers(scorers: dict, outdir: Path) -> None:
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir.mkdir(exist_ok=True)
     for (cohort, label), scorer in sorted(scorers.items()):
         save_json(scorer_to_dict(scorer), outdir / model_file("model", cohort, label, ".json"))
 
@@ -197,7 +207,8 @@ def cmd_train(args) -> int:
     _output_dir(outdir)
     panel, _, _ = _load_panel(settings, args.panel, args.crosswalk)
     scorers = train_scorers(settings.backtest, panel)
-    _write_scorers(scorers, outdir)
+    with _staging(outdir) as stage:
+        _write_scorers(scorers, stage)
     print(f"wrote {len(scorers)} scorer files -> {outdir}")
     return EXIT_OK
 
@@ -212,9 +223,9 @@ def cmd_backtest(args) -> int:
         manifest = run_backtest(
             settings.backtest, panel, stage, input_digests=digests, keep_scorers=args.models
         )
-        written = emit_report(manifest.body, formats, outdir, stage)
-    if args.models:
-        _write_scorers(manifest.scorers, outdir / "models")
+        written = emit_report(manifest.body, formats, stage)
+        if args.models:
+            _write_scorers(manifest.scorers, stage / "models")
     print(f"manifest digest {manifest.digest}")
     print(f"wrote {len(written)} report files -> {outdir}")
     return EXIT_OK
@@ -243,15 +254,13 @@ def cmd_report(args) -> int:
         raise IoFailure(f"cannot read manifest {args.manifest}: {exc}") from exc
     except ValueError as exc:  # not UTF-8, or not JSON
         raise ValidationError(f"manifest {args.manifest} is not UTF-8 JSON: {exc}") from exc
-    try:
-        body = manifest_body(data)
-        sources = flagged_csvs(body, Path(args.manifest).parent)
-    except ValidationError as exc:
-        raise ValidationError(f"cannot render {args.manifest}: {exc}") from exc
     with _staging(outdir) as stage:
-        for source in sources:
-            shutil.copyfile(source, stage / source.name)
-        written = emit_report(body, formats, outdir, stage)
+        try:
+            body = manifest_body(data)
+            flagged_csvs(body, Path(args.manifest).parent, stage)
+        except ValidationError as exc:
+            raise ValidationError(f"cannot render {args.manifest}: {exc}") from exc
+        written = emit_report(body, formats, stage)
     print(f"wrote {len(written)} report files -> {args.out}")
     return EXIT_OK
 

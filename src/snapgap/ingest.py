@@ -200,11 +200,12 @@ def _floats(tokens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @contextmanager
 def _text_source(csv_source) -> Iterator[IO[str]]:
-    """A text stream over a path (closed afterwards) or a text stream, whose
-    text that is not UTF-8 raises `IoFailure` wherever it is read."""
+    """A text stream over a path (closed afterwards, and past the UTF-8
+    byte-order mark of a spreadsheet's "CSV UTF-8" export) or a text stream,
+    whose text that is not UTF-8 raises `IoFailure` wherever it is read."""
     if isinstance(csv_source, (str, Path)):
         try:
-            stream = open(csv_source, "r", encoding="utf-8", newline="")
+            stream = open(csv_source, "r", encoding="utf-8-sig", newline="")
         except OSError as exc:
             raise IoFailure(f"cannot open {csv_source}: {exc}") from exc
     elif hasattr(csv_source, "read") and isinstance(csv_source.read(0), str):
@@ -351,9 +352,11 @@ def parse_panel(
     fam_universe, pov_rate, area, flags) to the column headers of this export.
     Every mapped header must exist; zip/year/pov_fam/snap_fam must be mapped.
     With no schema, logical names double as headers and optional columns may
-    simply be absent. Rows with fewer or more fields than the header and rows
-    that cannot be keyed (bad zip or year) are rejected with a reason;
-    cleaning of field values never drops a row. Panel rows keep file order.
+    simply be absent. A row with fewer or more fields than the header, a bad
+    zip or year, an unparseable numeric cell or an unknown area is rejected
+    with a reason (see `_parse_chunk`); other cells are cleaned in place,
+    flagging a recoded sentinel or a clipped percentage. Panel rows keep
+    file order.
     A schema or delimiter that cannot apply raises before the source is read,
     and a header that names a mapped column twice before any data row is.
     """

@@ -47,13 +47,12 @@ caller keeps scorers: `train_scorers` always does, `run_backtest` unless
 `--models`. A task renders its model's flagged rows into the model's
 flagged CSV itself, from the ZIP and year cells of the panel it inherited
 and the probabilities it computed (`ingest.csv_text`, which renders every
-CSV the package writes), and sends back those bytes beside its manifest
-entry. The entry, `{"file", "rows", "sha256"}`, names the file and holds
-its row count and the sha256 of its bytes, so the manifest digest covers
-every flagged row through those sha256s, and this process does no per-row
-work: `run_backtest` writes each task's bytes to the file the entry names,
-in the directory its caller gives, as the task's outcome arrives, so it
-holds at most one flagged CSV at a time, however many models the run has.
+CSV the package writes), and writes it into the directory `run_backtest`'s
+caller gives, the CLI's staging directory. Its manifest entry, `{"file",
+"rows", "sha256"}`, names the file and holds its row count and the sha256
+of its bytes, so the manifest digest covers every flagged row through
+those sha256s, and this process does no per-row work and holds no flagged
+CSV, however many models the run has.
 The code that runs a unit records its warnings, and they are issued in
 this process in plan order (a split task's folds in fold order, then its
 tail), so they print the same with any worker count.
@@ -473,9 +472,11 @@ def _evaluate_task(
     scorer: CalibratedScorer,
     detail: dict,
     p2_panel: LabeledPanel,
-) -> tuple[dict, bytes]:
-    """`detail` with `task`'s late-period evaluation, and the bytes of its
-    flagged CSV, which `detail["flagged"]` names and digests."""
+    flagged_dir: Path,
+) -> dict:
+    """`detail` with `task`'s late-period evaluation, after writing its
+    flagged CSV into `flagged_dir`, which `detail["flagged"]` names and
+    digests. Raises `IoFailure` when the CSV cannot be written."""
     cohort, p2_rows = task.cohort, task.p2_rows
     if not p2_rows.size:
         raise CohortError(f"cohort {cohort!r}: no labeled test rows")
@@ -489,28 +490,25 @@ def _evaluate_task(
     detail["eval"] = plain(report)
     detail["reliability"] = reliability_curve(calibrated, y2, cfg.reliability_bins)
 
+    importance = permutation_importance(
+        scorer.model, X2, y2, repeats=cfg.importance_repeats, seed=cfg.seed, base_scores=scores
+    )
+    detail["importance"] = plain(importance)
+
     hits = np.flatnonzero(classify(calibrated, scorer.rule) == 1)
     rows, probs = p2_rows[hits], calibrated[hits]
     zips, years = p2_panel.panel.zip[rows], p2_panel.panel.year[rows]
     order = _flagged_order(zips, years, probs)
     header = ["zip", "year", "calibrated_probability"]
     flagged = csv_text(header, [zips[order], years[order], probs[order]]).encode("utf-8")
-    detail["flagged"] = {
-        "file": model_file("flagged", cohort, task.model, ".csv"),
-        "rows": len(rows),
-        "sha256": sha256(flagged).hexdigest(),
-    }
-
-    importance = permutation_importance(
-        scorer.model,
-        X2,
-        y2,
-        repeats=cfg.importance_repeats,
-        seed=cfg.seed,
-        base_scores=scores,
-    )
-    detail["importance"] = plain(importance)
-    return detail, flagged
+    path = flagged_dir / model_file("flagged", cohort, task.model, ".csv")
+    try:
+        path.write_bytes(flagged)
+    except OSError as exc:
+        raise IoFailure(f"cannot write flagged CSV {path}: {exc}") from exc
+    digest = sha256(flagged).hexdigest()
+    detail["flagged"] = {"file": path.name, "rows": len(rows), "sha256": digest}
+    return detail
 
 
 def _hidden_fragility_entry(panel: LabeledPanel, tail: float) -> dict:
@@ -610,27 +608,26 @@ def _plan_tasks(
     return tasks, cohort_errors
 
 
-# A task's outcome: its scorer (None unless the run keeps scorers), its
-# manifest entry and the bytes of its flagged CSV (None without a test
-# panel), or the message of the error that failed it.
-_Outcome = tuple[CalibratedScorer | None, dict, bytes | None] | str
+# A task's outcome: its scorer (None unless the run keeps scorers) and its
+# manifest entry, or the message of the error that failed it.
+_Outcome = tuple[CalibratedScorer | None, dict] | str
 
 
 def _task_outcome(state: tuple, i: int, fold_errors: list[list] | None = None) -> _Outcome:
     """Task `i` of the plan in `state` = (cfg, tasks, p1_panel, p2_panel,
-    keep_scorers, oof), whole, or, given what its fold units returned in
-    fold order, its tail, which reads their predictions from `oof[i]`: its
-    scorer, or None unless `keep_scorers`, its manifest entry (the fit
-    alone without a test panel) and its flagged CSV, or the message of the
-    `CohortError` or `NonConvergence` that failed it."""
-    cfg, tasks, p1_panel, p2_panel, keep_scorers, oof = state
+    flagged_dir, keep_scorers, oof), whole, or, given what its fold units
+    returned in fold order, its tail, which reads their predictions from
+    `oof[i]`: its scorer, or None unless `keep_scorers`, and its manifest
+    entry (the fit alone without a test panel, else after the task wrote
+    its flagged CSV into `flagged_dir`), or the message of the failing
+    `CohortError` or `NonConvergence`, which leaves no file."""
+    cfg, tasks, p1_panel, p2_panel, flagged_dir, keep_scorers, oof = state
     fold_results = None if fold_errors is None else (oof[i], fold_errors)
     try:
         scorer, detail = _fit_task(cfg, tasks[i], p1_panel, fold_results)
-        flagged = None
         if p2_panel is not None:
-            detail, flagged = _evaluate_task(cfg, tasks[i], scorer, detail, p2_panel)
-        return scorer if keep_scorers else None, detail, flagged
+            detail = _evaluate_task(cfg, tasks[i], scorer, detail, p2_panel, flagged_dir)
+        return scorer if keep_scorers else None, detail
     except (CohortError, NonConvergence) as exc:
         return str(exc)
 
@@ -780,6 +777,7 @@ def _task_outcomes(
     tasks: list[_Task],
     p1_panel: LabeledPanel,
     p2_panel: LabeledPanel | None = None,
+    flagged_dir: Path | None = None,
     keep_scorers: bool = True,
 ) -> Iterator[_Outcome]:
     """Each task's outcome (see `_task_outcome`), in plan order, each after
@@ -796,7 +794,8 @@ def _task_outcomes(
     that dies raises `SnapGapError`.
     """
     units = _first_pass(cfg, tasks)
-    state = (cfg, tasks, p1_panel, p2_panel, keep_scorers, _shared_oof(cfg, tasks, units))
+    oof = _shared_oof(cfg, tasks, units)
+    state = (cfg, tasks, p1_panel, p2_panel, flagged_dir, keep_scorers, oof)
     workers = _pool_size(max(len(units), len(tasks)))
     if workers < 2:
 
@@ -864,13 +863,12 @@ def run_backtest(
     """Full train-on-P1 / evaluate-on-P2 run producing a reproducible manifest.
 
     Each flagged CSV the body names is written into the existing directory
-    `flagged_dir`, as the task that rendered it returns, so no more than one
-    is held here; a failed task writes none. The manifest's `scorers` hold
-    every fitted scorer, or none when `keep_scorers` is false: then no task
-    sends its scorer back, and this process never holds a fitted model. The
-    body is the same either way. Raises `CohortError` when no task
-    succeeds, and `IoFailure` when a flagged CSV cannot be written; files
-    written before a failure stay in `flagged_dir`.
+    `flagged_dir` by the task that rendered it; a failed task writes none.
+    The manifest's `scorers` hold every fitted scorer, or none when
+    `keep_scorers` is false: then no task sends its scorer back, and this
+    process never holds a fitted model. The body is the same either way.
+    Raises `CohortError` when no task succeeds, and `IoFailure` when a
+    flagged CSV cannot be written; files written before a failure stay.
     """
     p1 = _rows_in_years(panel, cfg.p1_years)
     p2 = _rows_in_years(panel, cfg.p2_years)
@@ -898,20 +896,14 @@ def run_backtest(
     scorers: dict[tuple[str, str], CalibratedScorer] = {}
     cohort_models: dict[str, dict] = {c: {} for c in _cohorts(cfg)}
     errors = list(cohort_errors.values())
-    for outcome, task in zip(
-        _task_outcomes(cfg, tasks, p1_panel, p2_panel, keep_scorers), tasks, strict=True
-    ):
+    outcomes = _task_outcomes(cfg, tasks, p1_panel, p2_panel, flagged_dir, keep_scorers)
+    for outcome, task in zip(outcomes, tasks, strict=True):
         models = cohort_models[task.cohort]
         if isinstance(outcome, str):
             models[task.model] = {"error": outcome}
             errors.append(outcome)
             continue
-        scorer, detail, flagged = outcome
-        path = flagged_dir / detail["flagged"]["file"]
-        try:
-            path.write_bytes(flagged)
-        except OSError as exc:
-            raise IoFailure(f"cannot write flagged CSV {path}: {exc}") from exc
+        scorer, detail = outcome
         if keep_scorers:
             scorers[(task.cohort, task.model)] = scorer
         models[task.model] = detail

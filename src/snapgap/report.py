@@ -12,20 +12,19 @@ hashed. A model's flagged rows are not in the body: the task that
 evaluated the model rendered them into its flagged CSV (see `pipeline`),
 and the body's `flagged` entry holds that file's name, row count and
 sha256, so the digest covers the rows through the sha256. `emit_report`
-moves each flagged CSV the body names from a staging directory into the
-output directory, on every run and whatever formats it is asked for: a
-backtest's CSVs as `run_backtest` wrote them there, a saved manifest's
-as the CLI copied them there from beside it, after `flagged_csvs` read
-each one in chunks and checked it against its entry. A backtest holds
-one flagged CSV's bytes at a time, and a re-render none. The tasks
-rendered those with `ingest.csv_text`, and the other CSVs go through
-`ingest.write_csv`, so every cell is written by csv's own rules: a float by
-its `repr`, so it reads back to the same bits, an int by its `str`, and
-None, such as the prevalence of a subset with no labeled row, blank.
+writes the requested formats beside the flagged CSVs the body names, and
+lists those CSVs first among its outputs, whatever formats it is asked
+for: a backtest's CSVs as its tasks wrote them, a saved manifest's as
+`flagged_csvs` copied them from beside it, in chunks, checking each
+against its entry as it went. Both write only into the directory the CLI
+gives them, its stage (see `cli`). The tasks rendered the flagged CSVs
+with `ingest.csv_text`, and the other CSVs go through `ingest.write_csv`,
+so every cell is written by csv's own rules: a float by its `repr`, so it
+reads back to the same bits, an int by its `str`, and None, such as the
+prevalence of a subset with no labeled row, blank.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -65,11 +64,14 @@ def _fmt_fixed(value: float | None) -> str:
 
 
 def _models(manifest_body: dict) -> list[tuple[str, str, dict]]:
-    """(cohort, model label, entry) of each model, failed ones too."""
+    """(cohort, model label, entry) of each model, failed ones too, and
+    (cohort, "", entry) of each cohort that failed before any model."""
     return [
         (cohort, label, detail)
         for cohort, cdata in sorted(manifest_body.get("cohorts", {}).items())
-        for label, detail in sorted(cdata.get("models", {}).items())
+        for label, detail in (
+            [("", cdata)] if "error" in cdata else sorted(cdata.get("models", {}).items())
+        )
     ]
 
 
@@ -143,11 +145,14 @@ def render_markdown(manifest_body: dict) -> str:
     ]
     shares = manifest_body.get("fragile_distribution", {})
     fragile = [
-        (period.upper(), f"bottom {float(group):.0%}", area, adata["count"], _fmt_pct(adata["share"]))
+        (period.upper(), f"bottom {float(group):.0%}", *cells)
         for period in ("p1", "p2")
         for group, gdata in sorted(shares.get(period, {}).items())
-        if "error" not in gdata
-        for area, adata in gdata["by_area"].items()
+        for cells in (
+            [(f"error: {gdata['error']}", "", "")]
+            if "error" in gdata
+            else [(area, a["count"], _fmt_pct(a["share"])) for area, a in gdata["by_area"].items()]
+        )
     ]
     yearly = [
         (
@@ -228,7 +233,7 @@ MANIFEST_SHAPE = {
     "config_hash": object,
     "manifest_digest": object,
     "periods": {"p1": _PERIOD, "p2": _PERIOD},
-    "cohorts?": _Each({"models?": _Each(_OrError(_MODEL))}),
+    "cohorts?": _Each(_OrError({"models?": _Each(_OrError(_MODEL))})),
     "fragile_distribution?": {"p1?": _AREA_SHARES, "p2?": _AREA_SHARES},
     "yearly?": [
         {
@@ -299,19 +304,17 @@ def _read(value, shape, where: str):
 
 
 
-# The bytes `flagged_csvs` reads at a time: memory for one chunk, not a file.
+# The bytes `flagged_csvs` copies at a time: memory for one chunk, not a file.
 CHUNK_BYTES = 1 << 16
 
 
-def flagged_csvs(body: dict, directory: Path) -> list[Path]:
-    """The path in `directory` of each flagged CSV a checked manifest body
-    names, each read in chunks of `CHUNK_BYTES` and checked against its
-    entry. Raises a `ValidationError` when an entry names another file
-    than its model's, or when a file's bytes do not hash to its entry's
-    sha256 or hold another number of rows, and `IoFailure` when one cannot
-    be read. A row is a line: ZIPs are five digits, so no cell holds a line
-    break."""
-    paths = []
+def flagged_csvs(body: dict, directory: Path, stage: Path) -> None:
+    """Copy each flagged CSV a checked manifest body names from `directory`
+    into `stage`, in chunks of `CHUNK_BYTES`, checking it against its entry
+    in the same pass. Raises a `ValidationError` when an entry names another
+    file than its model's, or a file does not hash to its entry's sha256 or
+    holds another number of rows, and `IoFailure` when one cannot be copied.
+    A row is a line: ZIPs are five digits, so no cell holds a line break."""
     for cohort, label, detail in _fitted_models(body):
         entry, name = detail["flagged"], model_file("flagged", cohort, label, ".csv")
         if entry["file"] != name:
@@ -321,18 +324,17 @@ def flagged_csvs(body: dict, directory: Path) -> list[Path]:
         path = directory / name
         digest, lines = sha256(), 0
         try:
-            with open(path, "rb") as fh:
+            with open(path, "rb") as fh, open(stage / name, "wb") as copy:
                 for chunk in iter(lambda: fh.read(CHUNK_BYTES), b""):
                     digest.update(chunk)
                     lines += chunk.count(b"\n")
+                    copy.write(chunk)
         except OSError as exc:
-            raise IoFailure(f"cannot read flagged CSV {path}: {exc}") from exc
+            raise IoFailure(f"cannot copy flagged CSV {path}: {exc}") from exc
         if digest.hexdigest() != entry["sha256"]:
             raise ValidationError(f"{path} does not hash to the sha256 its manifest records")
         if lines - 1 != entry["rows"]:
             raise ValidationError(f"{path} does not hold the {entry['rows']} rows its manifest records")
-        paths.append(path)
-    return paths
 
 
 def check_formats(formats) -> None:
@@ -342,20 +344,14 @@ def check_formats(formats) -> None:
             raise ValidationError(f"unknown report format {fmt!r}")
 
 
-def emit_report(body: dict, formats, outdir, flagged_dir: Path) -> list[Path]:
-    """Move each flagged CSV `body` names from `flagged_dir`, a directory
-    on the file system of `outdir`, into `outdir`, and write the requested
-    formats of the manifest body there; returns the paths placed, the
-    flagged CSVs first."""
+def emit_report(body: dict, formats, outdir) -> list[Path]:
+    """Write the requested formats of the manifest body into the existing
+    directory `outdir`, beside the flagged CSVs the body names, which are
+    there already; returns the paths of those CSVs, then the paths written."""
     check_formats(formats)
     outdir = Path(outdir)
+    written = [outdir / detail["flagged"]["file"] for _, _, detail in _fitted_models(body)]
     try:
-        outdir.mkdir(parents=True, exist_ok=True)
-        written: list[Path] = []
-        for _, _, detail in _fitted_models(body):
-            path = outdir / detail["flagged"]["file"]
-            os.replace(flagged_dir / path.name, path)
-            written.append(path)
         if FORMAT_JSON in formats:
             path = outdir / "manifest.json"
             save_json(body, path)

@@ -89,6 +89,10 @@ def new_dir(path):
     return path
 
 
-def files_in(directory) -> dict[str, bytes]:
-    """The bytes of each file in `directory`, by name."""
-    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+def files_in(directory) -> dict[str, bytes | None]:
+    """The bytes of each file under `directory`, and None for each
+    directory, by path relative to it."""
+    return {
+        str(path.relative_to(directory)): None if path.is_dir() else path.read_bytes()
+        for path in sorted(directory.rglob("*"))
+    }

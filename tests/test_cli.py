@@ -798,6 +798,38 @@ def small_panel(tmp_path):
     return panel
 
 
+# A path each command writes in `--out`, made a directory there beforehand.
+PUBLISH_BLOCKED = {
+    "backtest": (["backtest", *SMALL_RUN], "manifest.json"),
+    "backtest --models": (
+        ["backtest", "--models", *SMALL_RUN], "models/model_All_random_forest_pct_no_vehicle.json"
+    ),
+    "train": (["train", *SMALL_RUN], "model_All_gradient_boosting_pct_no_vehicle_pct_hs_only.json"),
+    "report": (["report"], "metrics.csv"),
+}
+
+
+@pytest.mark.parametrize("args, blocked", PUBLISH_BLOCKED.values(), ids=PUBLISH_BLOCKED.keys())
+def test_a_command_that_cannot_publish_leaves_out_as_it_found_it(
+    tmp_path, small_panel, saved_run, capsys, args, blocked
+):
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    (out / "note.txt").write_text("kept")
+    (out / blocked / "note.txt").write_text("kept")
+    before = files_in(out)
+    source = (
+        ["--manifest", str(saved_run / "manifest.json")]
+        if args[0] == "report"
+        else ["--panel", str(small_panel)]
+    )
+    assert main([*args, *source, "--out", str(out)]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot write {out / blocked}: it is a directory\n"
+    assert "wrote" not in captured.out
+    assert files_in(out) == before
+
+
 def pin_to_one_cpu():
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 

@@ -136,9 +136,8 @@ BODY = {
 
 def test_emit_report_bytes(tmp_path):
     flagged = b"zip,year,calibrated_probability\r\n00001,2019,0.5\r\n"
-    (tmp_path / "stage").mkdir()
-    (tmp_path / "stage" / FLAGGED).write_bytes(flagged)
-    written = emit_report(BODY, ("csv", "markdown"), tmp_path / "out", tmp_path / "stage")
+    (tmp_path / FLAGGED).write_bytes(flagged)
+    written = emit_report(BODY, ("csv", "markdown"), tmp_path)
     digests = {path.name: sha256(path.read_bytes()).hexdigest() for path in written}
     assert digests == {
         FLAGGED: sha256(flagged).hexdigest(),
@@ -148,7 +147,7 @@ def test_emit_report_bytes(tmp_path):
         "reliability_All_logistic_pct_no_vehicle.csv": (
             "7d1adc92e0dbf8966ac9b9cb2921ff18609518317bff5841f37cdc07264436a5"
         ),
-        "report.md": "fb7aeda15dbf96132a5feb5a0bef001b492a1d0bdb40b03c6eecfe0d4ad5716b",
+        "report.md": "43e2cb7ff0426d7367fcc60d25bb58f01c49ba656748e3cdd9c8ad84eb35d52d",
     }
 
 

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+from dataclasses import asdict
 from unittest import mock
 
 import numpy as np
@@ -283,6 +284,25 @@ class TestParsePanel:
         path.write_bytes(b"\n".join(lines))
         with pytest.raises(IoFailure, match="CSV is not valid UTF-8"):
             read(path)
+
+    @pytest.mark.parametrize("read", [parse_panel, parse_crosswalk])
+    def test_a_utf8_byte_order_mark_is_skipped(self, tmp_path, read):
+        # spreadsheet "CSV UTF-8" exports start with one
+        header, row = (
+            (HEADER, "01234,2015,100,40,1,1,1,1")
+            if read is parse_panel
+            else (CROSSWALK_HEADER, "01234,Urban,1.0")
+        )
+        text = "\n".join([header, row, "x" + row]) + "\n"
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text(text, encoding="utf-8")
+        bom.write_text(text, encoding="utf-8-sig")
+        assert bom.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+        (got, got_rejects), (expected, expected_rejects) = read(bom), read(plain)
+        assert got_rejects == expected_rejects and len(got_rejects) == 1
+        if read is parse_panel:
+            got, expected = asdict(got), asdict(expected)
+        np.testing.assert_equal(got, expected)
 
     def test_a_read_column_named_twice_is_an_error(self):
         for header, schema in ((HEADER + ",year", SCHEMA), ("zip,year,pov_fam,snap_fam,year", None)):

@@ -506,7 +506,7 @@ class TestDroppedScorers:
         def recorded(state, i, fold_errors=None):
             # runs in a worker when pooled, so it writes what the pipe carries
             outcome = task_outcome(state, i, fold_errors)
-            (pipe / f"{state[4]}-{i}.pickle").write_bytes(pickle.dumps(outcome))
+            (pipe / f"{state[5]}-{i}.pickle").write_bytes(pickle.dumps(outcome))
             return outcome
 
         monkeypatch.setattr(pipeline, "_task_outcome", recorded)
@@ -526,9 +526,9 @@ class TestDroppedScorers:
                 path.unlink()
             assert sorted(sent) == [f"{keep}-{i}" for keep in (False, True) for i in range(4)]
             for i in range(4):
-                scorer, detail, flagged = pickle.loads(sent[f"False-{i}"])
+                scorer, detail = pickle.loads(sent[f"False-{i}"])
                 assert scorer is None and "eval" in detail
-                assert sha256(flagged).hexdigest() == detail["flagged"]["sha256"]
+                assert b"calibrated_probability" not in sent[f"False-{i}"]  # the task wrote its CSV
                 assert b"CalibratedScorer" not in sent[f"False-{i}"]
                 assert b"CalibratedScorer" in sent[f"True-{i}"]
 

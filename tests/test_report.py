@@ -1,6 +1,7 @@
 import csv
 import json
 import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from snapgap import pipeline
 from snapgap.calibration import apply_isotonic, classify
 from snapgap.ingest import PREDICTOR_FIELDS
 from snapgap.jsonio import plain
-from snapgap.labeling import build_labels
+from snapgap.labeling import LabelConfig, build_labels
 from snapgap.pipeline import BacktestConfig, run_backtest
 from snapgap.report import emit_report, render_markdown
 from snapgap.synth import SyntheticSpec, generate_synthetic
@@ -47,12 +48,11 @@ def manifest(records, run_dir):
 
 @pytest.fixture
 def emit(manifest, run_dir, tmp_path):
-    """`emit_report` of the `manifest` run, from copies of its flagged CSVs."""
+    """`emit_report` of the `manifest` run, beside copies of its flagged CSVs."""
 
     def emit(formats, outdir):
-        stage = tmp_path / "stage"
-        shutil.copytree(run_dir, stage)
-        return emit_report(manifest.body, formats, outdir, stage)
+        shutil.copytree(run_dir, outdir, dirs_exist_ok=True)
+        return emit_report(manifest.body, formats, outdir)
 
     return emit
 
@@ -95,6 +95,34 @@ def test_markdown_one_row_per_model_cohort(manifest):
     assert len(table_rows) == 2
     header = next(line for line in md.splitlines() if line.startswith("| Cohort |"))
     assert header.count("|") == 10  # 9 columns
+
+
+def error_rows(body, title: str) -> list[str]:
+    """The rows of the report.md section `title` that show an error."""
+    table = render_markdown(body).split(f"## {title}\n\n", 1)[1].split("\n\n", 1)[0]
+    return [line for line in table.splitlines() if "error: " in line]
+
+
+def test_markdown_shows_a_failed_cohort(records, tmp_path):
+    # a stratified run on a panel with no Mixed ZIP, so the Mixed cohort
+    # has nothing to train on
+    cfg = replace(CFG, area_mode="stratified")
+    body = run_backtest(cfg, records.take(records.area != "Mixed"), tmp_path).body
+    error = "cohort 'Mixed': no labeled training rows"
+    assert body["cohorts"]["Mixed"] == {"error": error}
+    rows = error_rows(body, "Out-of-time performance (all values x100)")
+    assert rows == [f"| Mixed || error: {error} |" + "|" * 6]
+
+
+def test_markdown_shows_a_fragile_rule_that_cannot_be_built(records, tmp_path):
+    # the bottom-30% rule needs lo_q 0.30 below hi_q 0.25
+    body = run_backtest(replace(CFG, label=LabelConfig(hi_q=0.25)), records, tmp_path).body
+    rows = error_rows(body, "Fragile-row distribution by area")
+    for period in ("p1", "p2"):
+        error = body["fragile_distribution"][period]["0.30"]["error"]
+        assert "0.3, 0.25" in error
+        assert f"| {period.upper()} | bottom 30% | error: {error} |||" in rows
+    assert len(rows) == 2
 
 
 def test_flagged_csv_sorted(emit, tmp_path):
