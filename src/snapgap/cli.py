@@ -87,20 +87,15 @@ def _load_merged_config(args) -> Settings:
 def _load_panel(settings: Settings, panel: str, crosswalk: str | None = None):
     """Parse and dedupe a panel CSV, keeping the years from the start of the
     training period to the end of the test period, then designate areas
-    from the crosswalk when one is given. Returns (panel, rejects, input
-    digests)."""
-    panel_path = Path(panel)
+    from the crosswalk when one is given. Returns (panel, rejects)."""
     years = (settings.backtest.p1_years[0], settings.backtest.p2_years[1])
-    panel, rejects = parse_panel(panel_path, **settings.read, year_range=years)
+    panel, rejects = parse_panel(Path(panel), **settings.read, year_range=years)
     panel = dedupe(panel)
-    digests = {"panel": _file_digest(panel_path)}
     if crosswalk:
-        cw_path = Path(crosswalk)
-        areas, cw_rejects = parse_crosswalk(cw_path)
+        areas, cw_rejects = parse_crosswalk(Path(crosswalk))
         panel = designate_all(panel, areas)
         rejects = rejects + cw_rejects
-        digests["crosswalk"] = _file_digest(cw_path)
-    return panel, rejects, digests
+    return panel, rejects
 
 
 def _formats(args) -> list[str]:
@@ -173,7 +168,7 @@ def cmd_ingest(args) -> int:
     _output_file(Path(args.out))
     if args.rejects:
         _second_output("--out and --rejects", Path(args.out), Path(args.rejects))
-    panel, rejects, _ = _load_panel(settings, args.panel, args.crosswalk)
+    panel, rejects = _load_panel(settings, args.panel, args.crosswalk)
     write_records(panel, Path(args.out))
     if args.rejects:
         write_rejects(rejects, Path(args.rejects))
@@ -186,7 +181,7 @@ def cmd_label(args) -> int:
     out = Path(args.out)
     _output_file(out)
     _second_output("--out and its JSON sidecar", out, out.with_suffix(".json"))
-    panel, _, _ = _load_panel(settings, args.panel)
+    panel, _ = _load_panel(settings, args.panel)
     cfg = settings.backtest
     labeled = build_labels(panel, cfg.label, by=cfg.label_by)
     try:
@@ -205,7 +200,7 @@ def cmd_train(args) -> int:
     settings = _load_merged_config(args)
     outdir = Path(args.out)
     _output_dir(outdir)
-    panel, _, _ = _load_panel(settings, args.panel, args.crosswalk)
+    panel, _ = _load_panel(settings, args.panel, args.crosswalk)
     scorers = train_scorers(settings.backtest, panel)
     with _staging(outdir) as stage:
         _write_scorers(scorers, stage)
@@ -218,7 +213,11 @@ def cmd_backtest(args) -> int:
     formats = _formats(args)
     outdir = Path(args.out)
     _output_dir(outdir / "models" if args.models else outdir)
-    panel, _, digests = _load_panel(settings, args.panel, args.crosswalk)
+    panel, _ = _load_panel(settings, args.panel, args.crosswalk)
+    # only a backtest records its inputs' digests, so only it reads them twice
+    digests = {"panel": _file_digest(Path(args.panel))}
+    if args.crosswalk:
+        digests["crosswalk"] = _file_digest(Path(args.crosswalk))
     with _staging(outdir) as stage:
         manifest = run_backtest(
             settings.backtest, panel, stage, input_digests=digests, keep_scorers=args.models

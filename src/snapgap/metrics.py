@@ -7,6 +7,11 @@ with the brute-force oracles in the test suite. A score vector is sorted
 once (`_ranked`), and AUC, AP and precision@k all read that one order. The
 scores must be finite: NaN has no place in that order, so a non-finite score
 is a `ValidationError`. All functions are pure.
+
+The order is `stable_argsort`'s, which is `np.argsort(v, kind="stable")`
+exactly, from numpy's faster unstable argsort: scores without ties have only
+one ascending order, and when some tie, one more argsort of unique integer
+keys puts each tie group in index order.
 """
 from __future__ import annotations
 
@@ -30,12 +35,28 @@ def _as_arrays(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     return s, y
 
 
+def stable_argsort(values: np.ndarray) -> np.ndarray:
+    """`np.argsort(values, kind="stable")` of a 1-D array without NaN, from
+    the unstable argsort: it can differ only within a run of equal values
+    (-0.0 equals 0.0), so when adjacent sorted values tie, each value's key
+    is its run's number times n plus its index, and those unique keys have
+    one order, the stable one."""
+    order = np.argsort(values)
+    s = values[order]
+    tie = s[1:] == s[:-1]
+    if not tie.any():
+        return order
+    run = np.empty(s.size, dtype=np.int64)
+    run[order] = np.concatenate(([0], np.cumsum(~tie)))
+    return np.argsort(run * s.size + np.arange(s.size))
+
+
 def _ranked(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     """The scores and labels in descending stable order of score."""
     s, y = _as_arrays(scores, labels)
     if not np.isfinite(s).all():
         raise ValidationError("scores must be finite")
-    order = np.argsort(-s, kind="stable")
+    order = stable_argsort(-s)
     return s[order], y[order]
 
 

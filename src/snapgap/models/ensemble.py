@@ -178,7 +178,7 @@ def _resolve_max_features(params: EnsembleParams, d: int) -> int | None:
 
 def fit_tree_ensemble(fm: FeatureMatrix, params: EnsembleParams) -> TreeEnsembleModel:
     """Fit a forest (bootstrapped Gini trees) or boosting (stagewise Newton)."""
-    if len(np.unique(fm.y)) < 2:
+    if fm.y.min() == fm.y.max():
         raise CohortError("both classes required to fit")
     X, y = fm.X, fm.y.astype(float)
     n, d = fm.n, fm.d

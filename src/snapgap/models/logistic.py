@@ -8,6 +8,16 @@ penalty of strength 1/C on the coefficients (the intercept is unpenalized):
 with z_i = x_i . beta + b. Balanced weighting assigns class c the weight
 n / (2 * n_c). The problem is strictly convex, so a damped Newton iteration
 driven to a hard gradient-norm tolerance gives a reproducible optimum.
+
+The line search (Armijo backtracking, Nocedal & Wright, *Numerical
+Optimization*, 2006, section 3.1) accepts a candidate step when its gradient
+norm is at most half the current one, or when its loss meets the Armijo
+condition; it halves the step otherwise, down to 2^-30. The gradient test
+comes first, so a loss is computed only when it fails: then the current
+iterate's, once per iteration, and the candidate's. Either test accepts the
+same candidate in either order, so every iterate is the one the loss-first
+order gives, bit for bit, and a fit whose every step contracts the
+gradient computes no loss at all.
 """
 from __future__ import annotations
 
@@ -90,24 +100,31 @@ def penalized_loss_grad(
 
     theta = (coefficients..., intercept); the intercept is unpenalized.
     """
-    return _loss_grad_proba(theta, X, y, weights, c)[:2]
+    z, grad, _ = _grad_proba(theta, X, y, weights, c)
+    return _loss(theta, z, y, weights, c), grad
 
 
-def _loss_grad_proba(
+def _grad_proba(
     theta: np.ndarray, X: np.ndarray, y: np.ndarray, weights: np.ndarray, c: float
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """`penalized_loss_grad` plus the probabilities at theta, for the Hessian."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The linear scores z = X beta + b at theta, the gradient of
+    `penalized_loss_grad`, and the probabilities at theta, for the Hessian."""
     beta, b = theta[:-1], theta[-1]
     z = X @ beta + b
-    # log(1+e^z) - y z, computed stably
-    loss = float(np.sum(weights * (np.logaddexp(0.0, z) - y * z)))
-    loss += float(beta @ beta) / (2.0 * c)
     p = sigmoid(z)
     wr = weights * (p - y)
     grad = np.empty_like(theta)
     grad[:-1] = X.T @ wr + beta / c
     grad[-1] = np.sum(wr)
-    return loss, grad, p
+    return z, grad, p
+
+
+def _loss(theta: np.ndarray, z: np.ndarray, y: np.ndarray, weights: np.ndarray, c: float) -> float:
+    """The loss of `penalized_loss_grad` at theta, from its scores z."""
+    beta = theta[:-1]
+    # log(1+e^z) - y z, computed stably
+    loss = float(np.sum(weights * (np.logaddexp(0.0, z) - y * z)))
+    return loss + float(beta @ beta) / (2.0 * c)
 
 
 def check_l2_strength(c: float) -> None:
@@ -131,14 +148,15 @@ def fit_logistic(
     if fm.standardization is None:
         fm = standardize(fm)
     X, y = fm.X, fm.y.astype(float)
-    if len(np.unique(fm.y)) < 2:
+    if fm.y.min() == fm.y.max():
         raise CohortError("both classes required to fit")
     w = sample_weights(fm.y, weighting)
 
     theta = np.zeros(fm.d + 1)
     pen = np.ones(fm.d + 1) / c
     pen[-1] = 0.0
-    loss, grad, p = _loss_grad_proba(theta, X, y, w, c)
+    z, grad, p = _grad_proba(theta, X, y, w, c)
+    loss = None  # the loss at theta, once a line search has needed it
     n_iter = 0
     for n_iter in range(1, MAX_ITER + 1):
         gnorm = float(np.linalg.norm(grad))
@@ -161,17 +179,21 @@ def fit_logistic(
         slope = float(grad @ step)
         while True:
             cand = theta + t * step
-            cand_loss, cand_grad, cand_p = _loss_grad_proba(cand, X, y, w, c)
-            if cand_loss <= loss + 1e-4 * t * slope:
-                break
+            cand_z, cand_grad, cand_p = _grad_proba(cand, X, y, w, c)
+            cand_loss = None
             # near the optimum the loss sits at its float resolution floor;
             # the contracting gradient still certifies the Newton step
             if np.linalg.norm(cand_grad) <= 0.5 * gnorm:
                 break
+            if loss is None:
+                loss = _loss(theta, z, y, w, c)
+            cand_loss = _loss(cand, cand_z, y, w, c)
+            if cand_loss <= loss + 1e-4 * t * slope:
+                break
             if t < 2**-30:
                 break
             t *= 0.5
-        theta, loss, grad, p = cand, cand_loss, cand_grad, cand_p
+        theta, z, loss, grad, p = cand, cand_z, cand_loss, cand_grad, cand_p
     else:
         gnorm = float(np.linalg.norm(grad))
         if gnorm > GRAD_TOL:

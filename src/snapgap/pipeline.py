@@ -104,7 +104,7 @@ from .labeling import (
     flag_hidden_fragility,
     uptake_ratio,
 )
-from .metrics import evaluate, permutation_importance
+from .metrics import evaluate, permutation_importance, stable_argsort
 from .models import (
     DEFAULT_GRIDS,
     FAMILIES,
@@ -342,7 +342,7 @@ def _calibration_pairs(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarr
     bins = min(CALIBRATION_MAX_BINS, len(scores) // CALIBRATION_MIN_PER_BIN)
     if bins < 2:
         return scores, labels
-    order = np.argsort(scores, kind="stable")
+    order = stable_argsort(scores)
     xs = np.array([c.mean() for c in np.array_split(scores[order], bins)])
     ys = np.array([c.mean() for c in np.array_split(labels[order], bins)])
     return xs, ys

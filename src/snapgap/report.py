@@ -154,6 +154,11 @@ def render_markdown(manifest_body: dict) -> str:
             else [(area, a["count"], _fmt_pct(a["share"])) for area, a in gdata["by_area"].items()]
         )
     ]
+    fragile += [
+        (period.upper(), "hidden fragility", f"error: {entry['error']}", "", "")
+        for period, entry in sorted(manifest_body.get("hidden_fragility", {}).items())
+        if "error" in entry
+    ]
     yearly = [
         (
             row["year"], row["n_rows"], row["n_eligible"], _fmt_pct(row["tau_hi"]),
@@ -235,6 +240,7 @@ MANIFEST_SHAPE = {
     "periods": {"p1": _PERIOD, "p2": _PERIOD},
     "cohorts?": _Each(_OrError({"models?": _Each(_OrError(_MODEL))})),
     "fragile_distribution?": {"p1?": _AREA_SHARES, "p2?": _AREA_SHARES},
+    "hidden_fragility?": {"p1?": _OrError({}), "p2?": _OrError({})},
     "yearly?": [
         {
             **dict.fromkeys(("year", "n_rows", "n_eligible", "anomaly_rows"), object),

@@ -10,8 +10,9 @@ candidate feature again at every node, ensembles tree by tree with that
 grower, CSV parsing and dedupe one `Record` at a time, crosswalk areas from
 one tuple per row grouped by ZIP, flagged-row order by
 `sorted` on tuples, report files through the standard library's
-`json.dump`, and the yearly table one sliced and pooled-labeled year at a
-time.
+`json.dump`, the yearly table one sliced and pooled-labeled year at a
+time, the logistic Newton loop with every candidate's loss computed and
+tested first, and the stable order by numpy's stable argsort.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from snapgap.errors import CohortError, ValidationError
+from snapgap.errors import CohortError, NonConvergence, ValidationError
 from snapgap.ingest import (
     COUNT_FIELDS,
     DEFAULT_SCHEMA,
@@ -44,7 +45,7 @@ from snapgap.ingest import (
     Reject,
 )
 from snapgap.labeling import build_labels
-from snapgap.models import DecisionTree
+from snapgap.models import DecisionTree, LogisticModel, logistic, sigmoid, standardize
 from snapgap.rng import STREAM_TREE, derive_rng
 
 
@@ -825,6 +826,105 @@ def fit_tree_ensemble_reference(fm, params):
         score += params.learning_rate * np.array([tree.value[i] for i in tree_walk(tree, X)])
         trees.append(tree)
     return tuple(trees), base
+
+
+def _loss_grad_proba_reference(theta, X, y, weights, c):
+    """The penalized loss, its gradient and the probabilities at theta, in
+    one pass."""
+    beta, b = theta[:-1], theta[-1]
+    z = X @ beta + b
+    loss = float(np.sum(weights * (np.logaddexp(0.0, z) - y * z)))
+    loss += float(beta @ beta) / (2.0 * c)
+    p = sigmoid(z)
+    wr = weights * (p - y)
+    grad = np.empty_like(theta)
+    grad[:-1] = X.T @ wr + beta / c
+    grad[-1] = np.sum(wr)
+    return loss, grad, p
+
+
+def fit_logistic_reference(fm, c=1.0, weighting="balanced", counts=None):
+    """`fit_logistic` by the loss-first Newton loop: each candidate's loss,
+    gradient and probabilities in one pass, then the Armijo test, then the
+    gradient-contraction test. `counts`, a Counter when given, counts the
+    halved steps under "halvings"."""
+    logistic.check_l2_strength(c)
+    if fm.standardization is None:
+        fm = standardize(fm)
+    X, y = fm.X, fm.y.astype(float)
+    if len(np.unique(fm.y)) < 2:
+        raise CohortError("both classes required to fit")
+    w = logistic.sample_weights(fm.y, weighting)
+
+    theta = np.zeros(fm.d + 1)
+    pen = np.ones(fm.d + 1) / c
+    pen[-1] = 0.0
+    loss, grad, p = _loss_grad_proba_reference(theta, X, y, w, c)
+    n_iter = 0
+    for n_iter in range(1, logistic.MAX_ITER + 1):
+        gnorm = float(np.linalg.norm(grad))
+        if gnorm <= logistic.GRAD_TOL:
+            break
+        curv = w * p * (1.0 - p)
+        H = np.empty((fm.d + 1, fm.d + 1))
+        Xw = X * curv[:, None]
+        H[:-1, :-1] = X.T @ Xw
+        H[:-1, -1] = Xw.sum(axis=0)
+        H[-1, :-1] = H[:-1, -1]
+        H[-1, -1] = curv.sum()
+        H[np.diag_indices_from(H)] += pen
+        H[np.diag_indices_from(H)] += 1e-12
+        step = np.linalg.solve(H, -grad)
+
+        t = 1.0
+        slope = float(grad @ step)
+        while True:
+            cand = theta + t * step
+            cand_loss, cand_grad, cand_p = _loss_grad_proba_reference(cand, X, y, w, c)
+            if cand_loss <= loss + 1e-4 * t * slope:
+                break
+            if np.linalg.norm(cand_grad) <= 0.5 * gnorm:
+                break
+            if t < 2**-30:
+                break
+            t *= 0.5
+            if counts is not None:
+                counts["halvings"] += 1
+        theta, loss, grad, p = cand, cand_loss, cand_grad, cand_p
+    else:
+        gnorm = float(np.linalg.norm(grad))
+        if gnorm > logistic.GRAD_TOL:
+            raise NonConvergence(
+                f"gradient norm {gnorm:.3e} > {logistic.GRAD_TOL:.1e} "
+                f"after {logistic.MAX_ITER} iterations"
+            )
+
+    return LogisticModel(
+        coefficients=theta[:-1].copy(),
+        intercept=float(theta[-1]),
+        l2_strength=float(c),
+        class_weighting=weighting,
+        feature_names=fm.feature_names,
+        standardization=fm.standardization,
+        n_iter=n_iter,
+        grad_norm=float(np.linalg.norm(grad)),
+    )
+
+
+def stable_argsort_reference(values):
+    """The ascending order of `values`, ties by index: numpy's stable argsort."""
+    return np.argsort(values, kind="stable")
+
+
+def reference_logistic_path(patch):
+    """Swap the reference Newton loop and stable argsort into the package
+    with `patch(obj, name, value)` (`monkeypatch.setattr`, or `setattr`)."""
+    from snapgap import metrics, pipeline
+    from snapgap.models import selection
+
+    patch(selection, "fit_logistic", fit_logistic_reference)
+    patch(metrics, "stable_argsort", stable_argsort_reference)
+    patch(pipeline, "stable_argsort", stable_argsort_reference)
 
 
 def flagged_rows_reference(zips, years, probs):

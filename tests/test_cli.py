@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import files_in
+from oracles import reference_logistic_path
 import snapgap
 from snapgap import cli, pipeline
 from snapgap.calibration import apply_isotonic
@@ -458,6 +459,19 @@ def test_a_failed_backtest_leaves_out_as_it_found_it(
         assert files_in(out) == files_in(saved_run)
     else:
         assert not (tmp_path / "out").exists()
+
+
+def test_the_reference_logistic_path_writes_the_same_bytes(tmp_path, small_panel, monkeypatch):
+    # the loss-first Newton loop and numpy's stable argsort, patched in
+    # before any worker forks
+    args = [
+        "--panel", str(small_panel), "--models", *SMALL_RUN,
+        "--set", "grids.logistic=[{c: 0.1}, {c: 10000.0}]",
+    ]
+    assert main(["backtest", "--out", str(tmp_path / "fast"), *args]) == 0
+    reference_logistic_path(monkeypatch.setattr)
+    assert main(["backtest", "--out", str(tmp_path / "reference"), *args]) == 0
+    assert files_in(tmp_path / "reference") == files_in(tmp_path / "fast")
 
 
 def test_train_writes_scorer_files(tmp_path):

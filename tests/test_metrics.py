@@ -11,6 +11,7 @@ from oracles import (
     auc_ascending_ranks,
     auc_pairwise,
     precision_at_k_oracle,
+    stable_argsort_reference,
 )
 from snapgap.calibration import DecisionRule
 from snapgap.errors import CohortError, ValidationError
@@ -22,6 +23,7 @@ from snapgap.metrics import (
     permutation_importance,
     precision_at_k,
     roc_auc,
+    stable_argsort,
 )
 from snapgap.models import (
     DecisionTree,
@@ -147,6 +149,55 @@ class TestOneOrder:
         ):
             with pytest.raises(ValidationError, match="scores must be finite"):
                 metric()
+
+
+class TestStableArgsort:
+    """`stable_argsort` is `np.argsort(kind="stable")`, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [],
+            [0.5],
+            [0.5, 0.5],
+            [0.7, 0.2],
+            [-0.0, 0.0],
+            [0.0, -0.0],
+            [0.0, -0.0, 1.0, -0.0, 0.0, -1.0, 0.0],
+            [1.0, 1.0, 1.0, 0.5, 2.0, 2.0, 2.0],  # ties at both ends
+            [0.0, 0.0, 0.3, 0.1, 0.0],
+            [np.inf, 1.0, -np.inf, np.inf, 1.0, -np.inf],
+        ],
+    )
+    def test_equals_the_stable_argsort_on_edges(self, values):
+        values = np.array(values, dtype=float)
+        got = stable_argsort(values)
+        assert got.tolist() == stable_argsort_reference(values).tolist()
+        assert got.dtype == np.intp
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(
+            st.one_of(
+                st.sampled_from([0.0, -0.0, 0.25, 1.0, -1.0, 5e-324]),  # heavy ties
+                st.floats(allow_nan=False, allow_infinity=True),
+            ),
+            max_size=80,
+        )
+    )
+    def test_equals_the_stable_argsort(self, values):
+        values = np.array(values, dtype=float)
+        assert stable_argsort(values).tolist() == stable_argsort_reference(values).tolist()
+        assert stable_argsort(-values).tolist() == stable_argsort_reference(-values).tolist()
+
+    def test_large_vectors_with_and_without_ties(self, rng):
+        # long enough for numpy's vectorized unstable sort
+        for values in (
+            rng.random(20_000),
+            rng.integers(0, 20, 20_000).astype(float),
+            np.round(rng.random(20_000), 3) * rng.choice([-1.0, 1.0], 20_000),
+        ):
+            assert np.array_equal(stable_argsort(values), stable_argsort_reference(values))
 
 
 class TestConfusionAt:

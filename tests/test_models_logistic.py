@@ -1,7 +1,13 @@
+import itertools
+from collections import Counter
+from functools import partial
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import fd_gradient, grid_minimize_2d
+from oracles import fd_gradient, fit_logistic_reference, grid_minimize_2d
 from snapgap.errors import CohortError, NonConvergence, ValidationError
 from snapgap.models import (
     FeatureMatrix,
@@ -198,6 +204,83 @@ class TestFitLogistic:
         model_dup = fit_logistic(fm_dup, c=c_dup, weighting="none")
         assert model_bal.coefficients == pytest.approx(model_dup.coefficients, abs=1e-7)
         assert model_bal.intercept == pytest.approx(model_dup.intercept, abs=1e-7)
+
+
+def fit_outcome(fit, fm, c, weighting):
+    """The bits of what `fit` gives: the model's coefficients, intercept,
+    iteration count and gradient norm, or the error's type and message."""
+    try:
+        m = fit(fm, c=c, weighting=weighting)
+    except (NonConvergence, CohortError) as exc:
+        return type(exc), str(exc)
+    return m.coefficients.tobytes(), m.intercept.hex(), m.n_iter, m.grad_norm.hex()
+
+
+def drawn_problem(
+    seed: int, n: int, d: int, separation: float, tails: float | None
+) -> FeatureMatrix:
+    """Predictors from Student's t with `tails` degrees of freedom (normal
+    when None), and labels from a logistic model whose coefficients are
+    scaled by `separation`: at 1e3 the classes are all but separable."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d)) if tails is None else rng.standard_t(tails, size=(n, d))
+    y = (separation * (X @ rng.normal(size=d)) + rng.logistic(size=n) > 0).astype(int)
+    return FeatureMatrix(X=X, y=y, feature_names=tuple(f"f{i}" for i in range(d)))
+
+
+class TestLineSearchOrder:
+    """`fit_logistic` tests gradient contraction before it computes a loss,
+    and must give the bits of the loss-first loop of `tests/oracles.py`."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 60),
+        d=st.integers(1, 4),
+        separation=st.sampled_from([0.0, 0.5, 3.0, 1e3]),
+        tails=st.sampled_from([None, 1.0, 3.0]),
+        c=st.sampled_from([1e-3, 0.1, 1.0, 1e2, 1e6, 1e12]),
+        weighting=st.sampled_from(["balanced", "none"]),
+        max_iter=st.sampled_from([2, 5, logistic.MAX_ITER]),
+    )
+    def test_bits_equal_the_loss_first_loop(
+        self, seed, n, d, separation, tails, c, weighting, max_iter
+    ):
+        fm = drawn_problem(seed, n, d, separation, tails)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(logistic, "MAX_ITER", max_iter)
+            got = fit_outcome(fit_logistic, fm, c, weighting)
+            assert got == fit_outcome(fit_logistic_reference, fm, c, weighting)
+
+    def test_backtracking_fits_take_the_armijo_branch(self, monkeypatch):
+        # heavy-tailed predictors under a weak penalty: the gradient often
+        # fails to contract, and now and then Newton overshoots and the
+        # loss halves the step
+        losses = Counter()
+        loss = logistic._loss
+
+        def counted(*args):
+            losses["calls"] += 1
+            return loss(*args)
+
+        monkeypatch.setattr(logistic, "_loss", counted)
+        counts = Counter()
+        for seed in range(40):
+            fm = drawn_problem(seed, 10, 2, 3.0, 1.0)
+            for c, weighting in itertools.product((1e6, 1e12), ("balanced", "none")):
+                got = fit_outcome(fit_logistic, fm, c, weighting)
+                reference = partial(fit_logistic_reference, counts=counts)
+                assert got == fit_outcome(reference, fm, c, weighting)
+        assert counts["halvings"] > 0
+        assert losses["calls"] > 0
+
+    def test_a_fit_whose_steps_contract_computes_no_loss(self, rng, monkeypatch):
+        def no_loss(*args):
+            raise AssertionError("computed a loss")
+
+        monkeypatch.setattr(logistic, "_loss", no_loss)
+        model = fit_logistic(make_fm(rng, n=300, d=4, beta=[1.0, -0.5, 0.0, 0.2]), c=1.0)
+        assert model.grad_norm <= 1e-8
 
 
 class TestPredictProba:

@@ -10,10 +10,10 @@ from oracles import flagged_rows_reference, render_report_reference
 from snapgap import pipeline
 from snapgap.calibration import apply_isotonic, classify
 from snapgap.ingest import PREDICTOR_FIELDS
-from snapgap.jsonio import plain
+from snapgap.jsonio import load_json, plain
 from snapgap.labeling import LabelConfig, build_labels
 from snapgap.pipeline import BacktestConfig, run_backtest
-from snapgap.report import emit_report, render_markdown
+from snapgap.report import emit_report, manifest_body, render_markdown
 from snapgap.synth import SyntheticSpec, generate_synthetic
 
 CFG = BacktestConfig(
@@ -123,6 +123,21 @@ def test_markdown_shows_a_fragile_rule_that_cannot_be_built(records, tmp_path):
         assert "0.3, 0.25" in error
         assert f"| {period.upper()} | bottom 30% | error: {error} |||" in rows
     assert len(rows) == 2
+
+
+def test_markdown_shows_a_hidden_fragility_error(records, tmp_path):
+    # one poverty count on every P2 row: the uptake OLS has no slope to fit
+    late = records.year >= CFG.p2_years[0]
+    pov_fam = np.where(late & ~np.isnan(records.pov_fam), 500.0, records.pov_fam)
+    panel = replace(records, pov_fam=pov_fam)
+    body = run_backtest(CFG, panel, tmp_path).body
+    error = body["hidden_fragility"]["p2"]["error"]
+    assert "error" not in body["hidden_fragility"]["p1"]
+    emit_report(body, ("json",), tmp_path)
+    saved = manifest_body(load_json(tmp_path / "manifest.json"))
+    for shown in (body, saved):
+        rows = error_rows(shown, "Fragile-row distribution by area")
+        assert rows == [f"| P2 | hidden fragility | error: {error} |||"]
 
 
 def test_flagged_csv_sorted(emit, tmp_path):
