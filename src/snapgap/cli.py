@@ -2,36 +2,36 @@
 
 Subcommands cover the full flow: `ingest` raw CSVs into a validated panel,
 `label` a panel, `train` scorers on the early period, `backtest` end to end,
-`synth` a verification panel, and `report` a saved manifest. `backtest`
-writes the fitted scorers only under `--models`; without it, no fitted model
-leaves the task that fit it, and the report files are the same. It writes
-each model's flagged CSV, which the task that evaluated the model rendered,
+`synth` a verification panel, and `report` a saved manifest. A fitted scorer
+leaves its task only as the scorer file the task writes: `train` writes
+every one, naming each task that failed on stderr, and `backtest` only under
+`--models`, with the same report files either way. `backtest` writes each
+model's flagged CSV, which the task that evaluated the model rendered,
 whatever `--formats` asks, since the manifest holds only each file's name,
 row count and sha256, and its digest covers the rows through them. `report`
 checks those CSVs beside the manifest and copies them unchanged. `train`,
 `backtest` and `report` write every file into a staging directory inside
-`--out`, the flagged CSVs from the tasks that render them, and move them
-into place when all are there and none would land on a directory, so a
-run that fails leaves `--out` as it found it, or makes none. A YAML
-`--config` supplies settings, repeated `--set key=value` flags override any
-key (values parsed as YAML), and `--seed`, an int >= 0, is the root seed of
-the commands that draw random numbers: `synth`, `train` and `backtest`.
-`report` takes none of the three. Every other command checks every key
-first (see `config`), the `synth.*` keys included: an unknown key, a value
-of the wrong type, or one out of range, exits 2 before any work, and so
-does an unknown `--formats` name or a command's two outputs at one path
-(`--out` and `--rejects`, `--out` and `--truth`, or `label --out x.json`
-and its sidecar). Before it reads any input, a command exits 4, writing
-nothing, on an output it cannot write: a file that is a directory or is in
-none, or a directory (`train`, `backtest` and `report --out`) under a
-regular file. `report` exits 2, before writing anything, on a file that is
-not a manifest it can render: not UTF-8 JSON, another format, a part the
-renderers read missing or of the wrong type, a body that does not hash to
-its `manifest_digest` (edited after the run), or a flagged CSV that does not
-hash to its recorded sha256 or holds another row count; and it exits 4 when
-a flagged CSV is missing. Exit codes: 0 ok, 2 validation error, 3
-insufficient cohort, 4 I/O failure, 5 a run that failed on valid input (a
-worker process died, a fit did not converge).
+`--out`, the tasks' files from the tasks, and move them into place when all
+are there and none would land on a directory, so a run that fails leaves
+`--out` as it found it, or makes none. A YAML `--config` supplies settings,
+repeated `--set key=value` flags override any key (values parsed as YAML),
+and `--seed`, an int >= 0, is the root seed of the commands that draw random
+numbers: `synth`, `train` and `backtest`. `report` takes none of the three.
+Every other command checks every key first (see `config`), the `synth.*`
+keys included: an unknown key, a value of the wrong type, or one out of
+range, exits 2 before any work, and so does an unknown `--formats` name or a
+command's two outputs at one path (`--out` and `--rejects`, `--out` and
+`--truth`, or `label --out x.json` and its sidecar). Before it reads any
+input, a command exits 4, writing nothing, on an output it cannot write: a
+file that is a directory or is in none, or a directory (`train`, `backtest`
+and `report --out`) under a regular file. `report` exits 2, before writing
+anything, on a file that is not a manifest it can render: not UTF-8 JSON,
+another format, a part the renderers read missing or of the wrong type, a
+body that does not hash to its `manifest_digest` (edited after the run), or
+a flagged CSV that does not hash to its recorded sha256 or holds another row
+count; and it exits 4 when a flagged CSV is missing. Exit codes: 0 ok, 2
+validation error, 3 insufficient cohort, 4 I/O failure, 5 a run that failed
+on valid input (a worker process died, a fit did not converge).
 """
 from __future__ import annotations
 
@@ -56,8 +56,7 @@ from .ingest import (
 )
 from .labeling import build_labels, fit_uptake_ols, write_labeled_panel
 from .jsonio import load_json, save_json
-from .models import scorer_to_dict
-from .pipeline import model_file, run_backtest, sha256, train_scorers
+from .pipeline import run_backtest, sha256, train_scorers
 from .report import ALL_FORMATS, check_formats, emit_report, flagged_csvs, manifest_body
 from .synth import generate_synthetic
 
@@ -157,12 +156,6 @@ def _staging(outdir: Path) -> Iterator[Path]:
         shutil.rmtree(stage, ignore_errors=True)
 
 
-def _write_scorers(scorers: dict, outdir: Path) -> None:
-    outdir.mkdir(exist_ok=True)
-    for (cohort, label), scorer in sorted(scorers.items()):
-        save_json(scorer_to_dict(scorer), outdir / model_file("model", cohort, label, ".json"))
-
-
 def cmd_ingest(args) -> int:
     settings = _load_merged_config(args)
     _output_file(Path(args.out))
@@ -201,10 +194,13 @@ def cmd_train(args) -> int:
     outdir = Path(args.out)
     _output_dir(outdir)
     panel, _ = _load_panel(settings, args.panel, args.crosswalk)
-    scorers = train_scorers(settings.backtest, panel)
     with _staging(outdir) as stage:
-        _write_scorers(scorers, stage)
-    print(f"wrote {len(scorers)} scorer files -> {outdir}")
+        failed = train_scorers(settings.backtest, panel, stage)
+        written = len(list(stage.iterdir()))
+    for label, message in failed.items():
+        print(f"skipped {label}: {message}", file=sys.stderr)
+    skipped = f", skipped {len(failed)} failed tasks" if failed else ""
+    print(f"wrote {written} scorer files{skipped} -> {outdir}")
     return EXIT_OK
 
 
@@ -219,13 +215,14 @@ def cmd_backtest(args) -> int:
     if args.crosswalk:
         digests["crosswalk"] = _file_digest(Path(args.crosswalk))
     with _staging(outdir) as stage:
-        manifest = run_backtest(
-            settings.backtest, panel, stage, input_digests=digests, keep_scorers=args.models
+        models_dir = stage / "models" if args.models else None
+        if models_dir:
+            models_dir.mkdir()
+        body = run_backtest(
+            settings.backtest, panel, stage, input_digests=digests, models_dir=models_dir
         )
-        written = emit_report(manifest.body, formats, stage)
-        if args.models:
-            _write_scorers(manifest.scorers, stage / "models")
-    print(f"manifest digest {manifest.digest}")
+        written = emit_report(body, formats, stage)
+    print(f"manifest digest {body['manifest_digest']}")
     print(f"wrote {len(written)} report files -> {outdir}")
     return EXIT_OK
 
@@ -312,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--models",
         action="store_true",
-        help="also write scorer JSON files to <out>/models (the run then holds every fitted model)",
+        help="also write each fitted scorer's JSON file to <out>/models",
     )
     p.set_defaults(func=cmd_backtest)
 

@@ -41,18 +41,19 @@ units run here one after another, in the same two passes. Where a unit runs
 cannot change a byte: it reads only the labeled panels, which workers
 inherit through fork, it draws only from its task's keyed streams, and its
 result comes back by pickle, which keeps every float bit and dict order. A
-task sends back its manifest entry, and its fitted scorer only when the
-caller keeps scorers: `train_scorers` always does, `run_backtest` unless
-`keep_scorers` is false, as it is for `snapgap backtest` without
-`--models`. A task renders its model's flagged rows into the model's
-flagged CSV itself, from the ZIP and year cells of the panel it inherited
-and the probabilities it computed (`ingest.csv_text`, which renders every
-CSV the package writes), and writes it into the directory `run_backtest`'s
-caller gives, the CLI's staging directory. Its manifest entry, `{"file",
-"rows", "sha256"}`, names the file and holds its row count and the sha256
-of its bytes, so the manifest digest covers every flagged row through
-those sha256s, and this process does no per-row work and holds no flagged
-CSV, however many models the run has.
+task sends back only its manifest entry, or the message of the error that
+failed it: whatever else it makes leaves it as a file, written into a
+directory its caller gives (the CLI's staging directory). A task renders
+its model's flagged rows into the model's flagged CSV itself, from the ZIP
+and year cells of the panel it inherited and the probabilities it computed
+(`ingest.csv_text`, which renders every CSV the package writes). Its
+manifest entry, `{"file", "rows", "sha256"}`, names the file and holds its
+row count and the sha256 of its bytes, so the manifest digest covers every
+flagged row through those sha256s, and this process does no per-row work
+and holds no flagged CSV, however many models the run has. Given a models
+directory (`train_scorers` always, `run_backtest` for `snapgap backtest
+--models`), a task also writes its fitted scorer there as a scorer file
+(`models.scorer_to_dict`); either way, this process holds no fitted model.
 The code that runs a unit records its warnings, and they are issued in
 this process in plan order (a split task's folds in fold order, then its
 tail), so they print the same with any worker count.
@@ -93,7 +94,7 @@ from .errors import (
     ValidationError,
 )
 from .ingest import PREDICTOR_FIELDS, Area, Panel, csv_text
-from .jsonio import plain
+from .jsonio import plain, save_json
 from .labeling import (
     POOLED_KEY,
     UNLABELED,
@@ -116,6 +117,7 @@ from .models import (
     fit_family,
     fold_proba,
     model_to_dict,
+    scorer_to_dict,
     stratified_folds,
 )
 from .rng import STREAM_SPLIT, derive_rng, stream_id
@@ -273,18 +275,6 @@ def digest_of(obj) -> str:
     `obj`, as a value or a key, raises `ValueError`."""
     text = json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
     return sha256(text.encode("utf-8")).hexdigest()
-
-
-@dataclass
-class RunManifest:
-    """A run's manifest `body` and its fitted scorers, if the run kept them."""
-
-    body: dict
-    scorers: dict[tuple[str, str], CalibratedScorer] = field(default_factory=dict)
-
-    @property
-    def digest(self) -> str:
-        return self.body["manifest_digest"]
 
 
 def _slug(text: str) -> str:
@@ -608,28 +598,35 @@ def _plan_tasks(
     return tasks, cohort_errors
 
 
-# A task's outcome: its scorer (None unless the run keeps scorers) and its
-# manifest entry, or the message of the error that failed it.
-_Outcome = tuple[CalibratedScorer | None, dict] | str
+# A task's outcome: its manifest entry, or the message of the error that failed it.
+_Outcome = dict | str
 
 
 def _task_outcome(state: tuple, i: int, fold_errors: list[list] | None = None) -> _Outcome:
     """Task `i` of the plan in `state` = (cfg, tasks, p1_panel, p2_panel,
-    flagged_dir, keep_scorers, oof), whole, or, given what its fold units
+    flagged_dir, models_dir, oof), whole, or, given what its fold units
     returned in fold order, its tail, which reads their predictions from
-    `oof[i]`: its scorer, or None unless `keep_scorers`, and its manifest
-    entry (the fit alone without a test panel, else after the task wrote
-    its flagged CSV into `flagged_dir`), or the message of the failing
-    `CohortError` or `NonConvergence`, which leaves no file."""
-    cfg, tasks, p1_panel, p2_panel, flagged_dir, keep_scorers, oof = state
+    `oof[i]`: its manifest entry (the fit alone without a test panel, else
+    after the task wrote its flagged CSV into `flagged_dir`), after it wrote
+    its scorer file into `models_dir` unless that is None; or the message of
+    the failing `CohortError` or `NonConvergence`, which leaves no file.
+    Raises `IoFailure` when a file cannot be written."""
+    cfg, tasks, p1_panel, p2_panel, flagged_dir, models_dir, oof = state
+    task = tasks[i]
     fold_results = None if fold_errors is None else (oof[i], fold_errors)
     try:
-        scorer, detail = _fit_task(cfg, tasks[i], p1_panel, fold_results)
+        scorer, detail = _fit_task(cfg, task, p1_panel, fold_results)
         if p2_panel is not None:
-            detail = _evaluate_task(cfg, tasks[i], scorer, detail, p2_panel, flagged_dir)
-        return scorer if keep_scorers else None, detail
+            detail = _evaluate_task(cfg, task, scorer, detail, p2_panel, flagged_dir)
     except (CohortError, NonConvergence) as exc:
         return str(exc)
+    if models_dir is not None:
+        path = models_dir / model_file("model", task.cohort, task.model, ".json")
+        try:
+            save_json(scorer_to_dict(scorer), path)
+        except OSError as exc:
+            raise IoFailure(f"cannot write scorer file {path}: {exc}") from exc
+    return detail
 
 
 def _fold_outcome(state: tuple, i: int, k: int) -> list | None:
@@ -778,7 +775,7 @@ def _task_outcomes(
     p1_panel: LabeledPanel,
     p2_panel: LabeledPanel | None = None,
     flagged_dir: Path | None = None,
-    keep_scorers: bool = True,
+    models_dir: Path | None = None,
 ) -> Iterator[_Outcome]:
     """Each task's outcome (see `_task_outcome`), in plan order, each after
     its warnings (see `_reissue_warnings`).
@@ -795,7 +792,7 @@ def _task_outcomes(
     """
     units = _first_pass(cfg, tasks)
     oof = _shared_oof(cfg, tasks, units)
-    state = (cfg, tasks, p1_panel, p2_panel, flagged_dir, keep_scorers, oof)
+    state = (cfg, tasks, p1_panel, p2_panel, flagged_dir, models_dir, oof)
     workers = _pool_size(max(len(units), len(tasks)))
     if workers < 2:
 
@@ -832,24 +829,51 @@ def _task_outcomes(
             ) from exc
 
 
-def train_scorers(cfg: BacktestConfig, panel: Panel) -> dict[tuple[str, str], CalibratedScorer]:
-    """Fit calibrated scorers on the training period only (no test rows needed)."""
+def _run_plan(
+    cfg: BacktestConfig,
+    p1_panel: LabeledPanel,
+    p2_panel: LabeledPanel | None = None,
+    flagged_dir: Path | None = None,
+    models_dir: Path | None = None,
+) -> tuple[dict[str, dict], dict[str, str]]:
+    """Each cohort's manifest entry: the error of a cohort with nothing to
+    train on (see `_plan_tasks`), or its `models`, each task's manifest
+    entry or `{"error": message}` (see `_task_outcome`) by model name; and
+    each failed task's message by task label, in plan order. Raises
+    `CohortError` when every cohort and task failed."""
+    tasks, cohort_errors = _plan_tasks(cfg, p1_panel, p2_panel)
+    cohort_models: dict[str, dict] = {c: {} for c in _cohorts(cfg)}
+    failed: dict[str, str] = {}
+    outcomes = _task_outcomes(cfg, tasks, p1_panel, p2_panel, flagged_dir, models_dir)
+    for outcome, task in zip(outcomes, tasks, strict=True):
+        if isinstance(outcome, str):
+            failed[task.label] = outcome
+            outcome = {"error": outcome}
+        cohort_models[task.cohort][task.model] = outcome
+    if len(failed) == len(tasks):
+        errors = sorted({*cohort_errors.values(), *failed.values()})
+        raise CohortError(f"every cohort failed: {'; '.join(errors)}")
+    cohorts = {
+        cohort: {"error": cohort_errors[cohort]}
+        if cohort in cohort_errors
+        else {"models": dict(sorted(models.items()))}
+        for cohort, models in cohort_models.items()
+    }
+    return cohorts, failed
+
+
+def train_scorers(cfg: BacktestConfig, panel: Panel, models_dir: Path) -> dict[str, str]:
+    """Fit calibrated scorers on the training period only (no test rows
+    needed), each task writing its scorer file into the existing directory
+    `models_dir`. Returns each failed task's message by its label, such as
+    `All/logistic[pct_no_vehicle]`, in plan order. Raises `CohortError` when
+    no task succeeds, and `IoFailure` when a scorer file cannot be written;
+    files written before a failure stay."""
     p1 = _rows_in_years(panel, cfg.p1_years)
     if not len(p1):
         raise CohortError(f"no rows in training years {cfg.p1_years}")
     p1_panel = build_labels(p1, cfg.label, by=cfg.label_by)
-    tasks, cohort_errors = _plan_tasks(cfg, p1_panel)
-
-    scorers: dict[tuple[str, str], CalibratedScorer] = {}
-    errors = list(cohort_errors.values())
-    for outcome, task in zip(_task_outcomes(cfg, tasks, p1_panel), tasks, strict=True):
-        if isinstance(outcome, str):
-            errors.append(outcome)
-            continue
-        scorers[(task.cohort, task.model)] = outcome[0]
-    if not scorers:
-        raise CohortError("; ".join(sorted(set(errors))) or "nothing to train")
-    return scorers
+    return _run_plan(cfg, p1_panel, models_dir=models_dir)[1]
 
 
 def run_backtest(
@@ -858,17 +882,18 @@ def run_backtest(
     flagged_dir: Path,
     input_digests: dict[str, str] | None = None,
     *,
-    keep_scorers: bool = True,
-) -> RunManifest:
-    """Full train-on-P1 / evaluate-on-P2 run producing a reproducible manifest.
+    models_dir: Path | None = None,
+) -> dict:
+    """Full train-on-P1 / evaluate-on-P2 run, returning its reproducible
+    manifest body.
 
     Each flagged CSV the body names is written into the existing directory
-    `flagged_dir` by the task that rendered it; a failed task writes none.
-    The manifest's `scorers` hold every fitted scorer, or none when
-    `keep_scorers` is false: then no task sends its scorer back, and this
-    process never holds a fitted model. The body is the same either way.
-    Raises `CohortError` when no task succeeds, and `IoFailure` when a
-    flagged CSV cannot be written; files written before a failure stay.
+    `flagged_dir` by the task that rendered it, and, unless `models_dir` is
+    None, each task's scorer file into the existing directory `models_dir`;
+    a failed task writes neither. No fitted model leaves the task that fit
+    it, and the body is the same either way. Raises `CohortError` when no
+    task succeeds, and `IoFailure` when a file cannot be written; files
+    written before a failure stay.
     """
     p1 = _rows_in_years(panel, cfg.p1_years)
     p2 = _rows_in_years(panel, cfg.p2_years)
@@ -880,7 +905,6 @@ def run_backtest(
     p1_panel = build_labels(p1, cfg.label, by=cfg.label_by)
     frozen = p1_panel.thresholds if cfg.threshold_mode == THRESHOLD_FROZEN else None
     p2_panel = build_labels(p2, cfg.label, frozen, by=cfg.label_by)
-    tasks, cohort_errors = _plan_tasks(cfg, p1_panel, p2_panel)
     diagnostics = {
         "hidden_fragility": {
             "p1": _hidden_fragility_entry(p1_panel, cfg.hidden_tail),
@@ -892,30 +916,7 @@ def run_backtest(
         },
         "yearly": run_yearly_diagnostics(cfg, panel),
     }
-
-    scorers: dict[tuple[str, str], CalibratedScorer] = {}
-    cohort_models: dict[str, dict] = {c: {} for c in _cohorts(cfg)}
-    errors = list(cohort_errors.values())
-    outcomes = _task_outcomes(cfg, tasks, p1_panel, p2_panel, flagged_dir, keep_scorers)
-    for outcome, task in zip(outcomes, tasks, strict=True):
-        models = cohort_models[task.cohort]
-        if isinstance(outcome, str):
-            models[task.model] = {"error": outcome}
-            errors.append(outcome)
-            continue
-        scorer, detail = outcome
-        if keep_scorers:
-            scorers[(task.cohort, task.model)] = scorer
-        models[task.model] = detail
-    if all("error" in entry for models in cohort_models.values() for entry in models.values()):
-        raise CohortError(f"every cohort failed: {'; '.join(sorted(set(errors)))}")
-
-    cohort_body = {
-        cohort: {"error": cohort_errors[cohort]}
-        if cohort in cohort_errors
-        else {"models": dict(sorted(models.items()))}
-        for cohort, models in cohort_models.items()
-    }
+    cohorts, _ = _run_plan(cfg, p1_panel, p2_panel, flagged_dir, models_dir)
 
     config = cfg.to_dict()
     body = {
@@ -929,8 +930,8 @@ def run_backtest(
             name: {**labeled.summary(), "anomaly_rows": int(np.count_nonzero(labeled.s_raw > 1.0))}
             for name, labeled in (("p1", p1_panel), ("p2", p2_panel))
         },
-        "cohorts": cohort_body,
+        "cohorts": cohorts,
         **diagnostics,
     }
     body["manifest_digest"] = digest_of(body)
-    return RunManifest(body=body, scorers=scorers)
+    return body

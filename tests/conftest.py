@@ -5,6 +5,8 @@ import pytest
 
 from oracles import Record, panel_of
 from snapgap.ingest import Area
+from snapgap.jsonio import load_json
+from snapgap.models import scorer_from_dict
 
 
 def make_record(
@@ -96,3 +98,8 @@ def files_in(directory) -> dict[str, bytes | None]:
         str(path.relative_to(directory)): None if path.is_dir() else path.read_bytes()
         for path in sorted(directory.rglob("*"))
     }
+
+
+def scorers_in(directory) -> dict:
+    """The scorer each scorer file in `directory` holds, by file name."""
+    return {path.name: scorer_from_dict(load_json(path)) for path in sorted(directory.iterdir())}

@@ -10,7 +10,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import json_text, random_records
+from conftest import json_text, new_dir, random_records, scorers_in
 from oracles import (
     Record,
     ap_rank_enum,
@@ -281,7 +281,8 @@ def test_criterion_8_out_of_time_hygiene(acceptance_panel, tmp_path):
     with criterion(8, "mutating test-period rows leaves training fits bit-identical", 10.0):
         panel, _ = acceptance_panel
         cfg = _acceptance_cfg()
-        base = run_backtest(cfg, panel, tmp_path)
+        base_models, other_models = new_dir(tmp_path / "base"), new_dir(tmp_path / "other")
+        base = run_backtest(cfg, panel, tmp_path, models_dir=base_models)
         rng = np.random.default_rng(1)
         mutated = [
             dataclasses.replace(
@@ -294,14 +295,16 @@ def test_criterion_8_out_of_time_hygiene(acceptance_panel, tmp_path):
             else r
             for r in records_of(panel)
         ]
-        other = run_backtest(cfg, panel_of(mutated), tmp_path)
+        other = run_backtest(cfg, panel_of(mutated), tmp_path, models_dir=other_models)
+        base_scorers, other_scorers = scorers_in(base_models), scorers_in(other_models)
 
         from snapgap.models import model_to_dict
 
-        assert base.body["periods"]["p1"] == other.body["periods"]["p1"]
-        assert set(base.scorers) == set(other.scorers)
-        for key, scorer in base.scorers.items():
-            twin = other.scorers[key]
+        assert base["periods"]["p1"] == other["periods"]["p1"]
+        assert len(base_scorers) == 6
+        assert set(base_scorers) == set(other_scorers)
+        for key, scorer in base_scorers.items():
+            twin = other_scorers[key]
             assert model_to_dict(scorer.model) == model_to_dict(twin.model)
             assert scorer.rule == twin.rule
             assert np.array_equal(scorer.isotonic.scores, twin.isotonic.scores)
@@ -313,9 +316,9 @@ def test_criterion_9_backtest_determinism(acceptance_panel, tmp_path):
         records, _ = acceptance_panel
         cfg = _acceptance_cfg()
         runs = [run_backtest(cfg, records, tmp_path), run_backtest(cfg, records, tmp_path)]
-        blobs = {json_text(m.body) for m in runs}
+        blobs = {json_text(m) for m in runs}
         assert len(blobs) == 1
-        digests = {m.digest for m in runs}
+        digests = {m["manifest_digest"] for m in runs}
         assert len(digests) == 1
 
 
@@ -336,8 +339,8 @@ def test_criterion_10_null_calibration(tmp_path):
             folds=5,
         )
         manifest = run_backtest(cfg, records, tmp_path)
-        assert manifest.body["periods"]["p2"]["n_rows"] == 5000
+        assert manifest["periods"]["p2"]["n_rows"] == 5000
         label = "logistic[{}]".format("+".join(PREDICTOR_FIELDS))
-        rows = manifest.body["cohorts"]["All"]["models"][label]["reliability"]
+        rows = manifest["cohorts"]["All"]["models"][label]["reliability"]
         gaps = [abs(r["observed_rate"] - r["mean_predicted"]) for r in rows]
         assert np.mean(gaps) <= 0.05

@@ -23,7 +23,7 @@ from snapgap.ingest import PREDICTOR_FIELDS, parse_panel
 from snapgap.jsonio import load_json
 from snapgap.labeling import LabelConfig, build_labels, fit_uptake_ols
 from snapgap.models import FAMILIES, scorer_from_dict
-from snapgap.pipeline import digest_of, sha256, train_scorers
+from snapgap.pipeline import digest_of, sha256
 
 PANEL_CSV = """zip,year,pov_fam,snap_fam,fam_universe,pct_no_vehicle,pct_no_internet,pct_no_computer,pct_hs_only
 01001,2015,120,60,400,12.0,15.0,9.0,30.0
@@ -444,15 +444,30 @@ def failing_last_task(monkeypatch):
     monkeypatch.setattr(pipeline, "_task_outcome", outcome)
 
 
-@pytest.mark.parametrize("existing", [True, False], ids=["an existing --out", "a new --out"])
+# The commands whose last task fails, by the prefix of their test ids.
+FAILING_RUNS = {
+    "": ["backtest"],
+    "backtest --models, ": ["backtest", "--models"],
+    "train, ": ["train"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, existing",
+    [
+        pytest.param(command, existing, id=prefix + ("an existing --out" if existing else "a new --out"))
+        for prefix, command in FAILING_RUNS.items()
+        for existing in (True, False)
+    ],
+)
 def test_a_failed_backtest_leaves_out_as_it_found_it(
-    tmp_path, small_panel, saved_run, monkeypatch, capsys, existing
+    tmp_path, small_panel, saved_run, monkeypatch, capsys, command, existing
 ):
     out = tmp_path / "out" / "run"
     if existing:
         shutil.copytree(saved_run, out)
     failing_last_task(monkeypatch)
-    args = ["backtest", "--panel", str(small_panel), "--out", str(out), *SMALL_RUN]
+    args = [*command, "--panel", str(small_panel), "--out", str(out), *SMALL_RUN]
     assert main(args) == 5
     assert capsys.readouterr().err == "error: the last task failed\n"
     if existing:
@@ -507,9 +522,11 @@ def test_scorer_files_read_back_to_the_same_predictions(tmp_path, small_panel):
     run = [*SMALL_RUN, "--set", "grids.gradient_boosting=[{n_trees: 5, max_depth: 2, learning_rate: 0.3}]"]
     outdir = tmp_path / "models"
     assert main(["train", "--panel", str(small_panel), "--out", str(outdir), *run]) == 0
-    settings = settings_from(apply_overrides({"seed": 6}, run[3::2]))
+    cfg = settings_from(apply_overrides({"seed": 6}, run[3::2])).backtest
     panel = parse_panel(small_panel)[0]
-    scorers = train_scorers(settings.backtest, panel)
+    p1 = build_labels(pipeline._rows_in_years(panel, cfg.p1_years), cfg.label, by=cfg.label_by)
+    tasks, _ = pipeline._plan_tasks(cfg, p1)
+    scorers = {task.model: pipeline._fit_task(cfg, task, p1)[0] for task in tasks}
     X = panel.predictors[~np.isnan(panel.predictors).any(axis=1)]
     files = sorted(outdir.iterdir())
     assert len(files) == len(scorers) == 6
@@ -519,7 +536,7 @@ def test_scorer_files_read_back_to_the_same_predictions(tmp_path, small_panel):
         family = load_json(path)["model"]["family"]
         families.add(family)
         names = loaded.model.feature_names
-        scorer = scorers[("All", f"{family}[{'+'.join(names)}]")]
+        scorer = scorers[f"{family}[{'+'.join(names)}]"]
         cols = [PREDICTOR_FIELDS.index(name) for name in names]
         got, want = (
             (raw.tobytes(), apply_isotonic(s.isotonic, raw).tobytes())
@@ -528,6 +545,58 @@ def test_scorer_files_read_back_to_the_same_predictions(tmp_path, small_panel):
         )
         assert got == want
     assert families == set(FAMILIES)
+
+
+def test_train_names_the_tasks_it_skipped(tmp_path, capsys):
+    # Mixed holds too few positives for 3 folds: each of its 6 tasks fails
+    panel = tmp_path / "synth.csv"
+    main(["synth", "--seed", "6", "--out", str(panel), "--set", "synth.n_zips=60"])
+    args = ["--panel", str(panel), *SMALL_RUN, "--set", "area_mode=stratified"]
+    capsys.readouterr()
+    assert main(["train", *args, "--out", str(tmp_path / "train")]) == 0
+    captured = capsys.readouterr()
+    assert main(["backtest", *args, "--formats", "json", "--out", str(tmp_path / "run")]) == 0
+    cohorts = load_json(tmp_path / "run" / "manifest.json")["cohorts"]
+    subsets = (["pct_no_vehicle"], ["pct_no_vehicle", "pct_hs_only"])
+    plan = [f"{family}[{'+'.join(subset)}]" for subset in subsets for family in FAMILIES]
+    mixed = cohorts["Mixed"]["models"]
+    assert all("cannot fill 3 folds" in mixed[model]["error"] for model in plan)
+    assert captured.err == "".join(f"skipped Mixed/{model}: {mixed[model]['error']}\n" for model in plan)
+    assert captured.out == f"wrote 12 scorer files, skipped 6 failed tasks -> {tmp_path / 'train'}\n"
+    trained = sorted(path.name for path in (tmp_path / "train").iterdir())
+    assert trained == sorted(
+        pipeline.model_file("model", cohort, model, ".json")
+        for cohort in ("Urban", "Rural")
+        for model in plan
+        if "error" not in cohorts[cohort]["models"][model]
+    )
+
+
+def test_a_train_that_fits_no_scorer_exits_3(tmp_path, capsys):
+    panel = tmp_path / "tiny.csv"
+    panel.write_text(
+        "zip,year,pov_fam,snap_fam,fam_universe,pct_no_vehicle,pct_no_internet,pct_no_computer,pct_hs_only\n"
+        "01001,2015,120,60,400,12.0,15.0,9.0,30.0\n"
+    )
+    code = main(["train", "--panel", str(panel), "--seed", "1", "--out", str(tmp_path / "y")])
+    assert code == 3
+    assert capsys.readouterr().err == "error: every cohort failed: cohort 'All': no labeled training rows\n"
+    assert not (tmp_path / "y").exists()
+
+
+def test_scorer_files_digest_to_their_manifest_entries(tmp_path, small_panel):
+    out = tmp_path / "run"
+    args = ["backtest", "--panel", str(small_panel), *SMALL_RUN, "--set", "area_mode=stratified"]
+    assert main([*args, "--models", "--formats", "json", "--out", str(out)]) == 0
+    digests = {
+        pipeline.model_file("model", cohort, model, ".json"): entry["model_digest"]
+        for cohort, body in load_json(out / "manifest.json")["cohorts"].items()
+        for model, entry in body["models"].items()
+    }
+    assert len(digests) == 18
+    assert sorted(path.name for path in (out / "models").iterdir()) == sorted(digests)
+    for name, digest in digests.items():
+        assert digest_of(load_json(out / "models" / name)["model"]) == digest, name
 
 
 def test_train_and_backtest_models_write_identical_scorers(tmp_path):

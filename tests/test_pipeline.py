@@ -5,6 +5,7 @@ import json
 import multiprocessing
 import os
 import pickle
+import re
 import threading
 import warnings
 
@@ -13,10 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import files_in, json_text, make_record, new_dir
+from conftest import files_in, json_text, make_record, new_dir, scorers_in
 from oracles import flagged_rows_reference, panel_of, records_of, yearly_reference
 from snapgap import pipeline
-from snapgap.errors import CohortError, NonConvergence, SnapGapError, ValidationError
+from snapgap.errors import CohortError, IoFailure, NonConvergence, SnapGapError, ValidationError
 from snapgap.ingest import PREDICTOR_FIELDS, Area
 from snapgap.jsonio import plain
 from snapgap.labeling import LabelConfig
@@ -120,22 +121,23 @@ class TestDeterminism:
         cfg = fast_cfg()
         m1 = run_backtest(cfg, records, tmp_path)
         m2 = run_backtest(cfg, records, tmp_path)
-        assert m1.body == m2.body
-        assert json_text(m1.body) == json_text(m2.body)
-        assert m1.digest == m2.digest
+        assert m1 == m2
+        assert json_text(m1) == json_text(m2)
+        assert m1["manifest_digest"] == m2["manifest_digest"]
 
     def test_seed_changes_results(self, synth_panel, tmp_path):
         records, _ = synth_panel
         m1 = run_backtest(fast_cfg(seed=1), records, tmp_path)
         m2 = run_backtest(fast_cfg(seed=2), records, tmp_path)
-        assert m1.digest != m2.digest
+        assert m1["manifest_digest"] != m2["manifest_digest"]
 
 
 class TestNoLeakage:
     def test_mutating_p2_leaves_p1_fits_bit_identical(self, synth_panel, tmp_path):
         records, _ = synth_panel
         cfg = fast_cfg()
-        base = run_backtest(cfg, records, tmp_path)
+        base_models, other_models = new_dir(tmp_path / "base"), new_dir(tmp_path / "other")
+        base = run_backtest(cfg, records, tmp_path, models_dir=base_models)
 
         mutated = []
         rng = np.random.default_rng(0)
@@ -150,11 +152,13 @@ class TestNoLeakage:
                 )
             else:
                 mutated.append(r)
-        other = run_backtest(cfg, panel_of(mutated), tmp_path)
+        other = run_backtest(cfg, panel_of(mutated), tmp_path, models_dir=other_models)
 
-        assert base.body["periods"]["p1"] == other.body["periods"]["p1"]
-        for key, scorer in base.scorers.items():
-            twin = other.scorers[key]
+        assert base["periods"]["p1"] == other["periods"]["p1"]
+        base_scorers, other_scorers = scorers_in(base_models), scorers_in(other_models)
+        assert len(base_scorers) == 2
+        for key, scorer in base_scorers.items():
+            twin = other_scorers[key]
             assert scorer.rule == twin.rule
             assert np.array_equal(scorer.isotonic.scores, twin.isotonic.scores)
             assert np.array_equal(scorer.isotonic.values, twin.isotonic.values)
@@ -169,7 +173,7 @@ class TestNoLeakage:
 
                 assert model_to_dict(a) == model_to_dict(b)
         # P2-side numbers do change
-        assert base.body["periods"]["p2"] != other.body["periods"]["p2"]
+        assert base["periods"]["p2"] != other["periods"]["p2"]
 
 
 class TestBacktestBody:
@@ -177,15 +181,15 @@ class TestBacktestBody:
         records, _ = synth_panel
         refit = run_backtest(fast_cfg(threshold_mode="refit"), records, tmp_path)
         frozen = run_backtest(fast_cfg(threshold_mode="frozen"), records, tmp_path)
-        p1_th = refit.body["periods"]["p1"]["thresholds"]["All"]
-        assert frozen.body["periods"]["p2"]["thresholds"]["All"] == p1_th
-        assert refit.body["periods"]["p2"]["thresholds"]["All"] != p1_th
+        p1_th = refit["periods"]["p1"]["thresholds"]["All"]
+        assert frozen["periods"]["p2"]["thresholds"]["All"] == p1_th
+        assert refit["periods"]["p2"]["thresholds"]["All"] != p1_th
 
     def test_prevalence_anchored_rule_uses_p1(self, synth_panel, tmp_path):
         records, _ = synth_panel
         manifest = run_backtest(fast_cfg(), records, tmp_path)
-        p1_prev = manifest.body["periods"]["p1"]["prevalence"]
-        for detail in manifest.body["cohorts"]["All"]["models"].values():
+        p1_prev = manifest["periods"]["p1"]["prevalence"]
+        for detail in manifest["cohorts"]["All"]["models"].values():
             assert detail["rule"]["threshold"] == p1_prev
             assert detail["rule"]["policy"] == "prevalence_anchored"
 
@@ -193,15 +197,15 @@ class TestBacktestBody:
         records, truth = synth_panel
         manifest = run_backtest(fast_cfg(), records, tmp_path)
         total = (
-            manifest.body["periods"]["p1"]["anomaly_rows"]
-            + manifest.body["periods"]["p2"]["anomaly_rows"]
+            manifest["periods"]["p1"]["anomaly_rows"]
+            + manifest["periods"]["p2"]["anomaly_rows"]
         )
         assert total == truth["n_planted_anomalies"]
 
     def test_flagged_lists_sorted_and_thresholded(self, synth_panel, tmp_path):
         records, _ = synth_panel
         manifest = run_backtest(fast_cfg(), records, tmp_path)
-        models = manifest.body["cohorts"]["All"]["models"]
+        models = manifest["cohorts"]["All"]["models"]
         flagged_csvs = files_in(tmp_path)
         assert sorted(flagged_csvs) == sorted(d["flagged"]["file"] for d in models.values())
         for label, detail in models.items():
@@ -227,7 +231,7 @@ class TestBacktestBody:
         manifest = run_backtest(cfg, records, tmp_path)
         aucs = {
             detail["features"][0]: detail["eval"]["auc"]
-            for detail in manifest.body["cohorts"]["All"]["models"].values()
+            for detail in manifest["cohorts"]["All"]["models"].values()
         }
         assert max(aucs, key=aucs.get) == "pct_no_vehicle"
 
@@ -235,14 +239,14 @@ class TestBacktestBody:
         records, _ = synth_panel
         cfg = fast_cfg(selection="split70", decision="youden")
         manifest = run_backtest(cfg, records, tmp_path)
-        for detail in manifest.body["cohorts"]["All"]["models"].values():
+        for detail in manifest["cohorts"]["All"]["models"].values():
             assert detail["cv"] is None
             assert detail["rule"]["policy"] == "youden"
 
     def test_importance_present(self, synth_panel, tmp_path):
         records, _ = synth_panel
         manifest = run_backtest(fast_cfg(), records, tmp_path)
-        detail = manifest.body["cohorts"]["All"]["models"]["logistic[pct_no_vehicle+pct_hs_only]"]
+        detail = manifest["cohorts"]["All"]["models"]["logistic[pct_no_vehicle+pct_hs_only]"]
         names = [f["name"] for f in detail["importance"]["features"]]
         assert names == ["pct_no_vehicle", "pct_hs_only"]
 
@@ -270,8 +274,8 @@ class TestNonConvergence:
         expected = run_backtest(fast_cfg(feature_subsets=self.SUBSET), records, tmp_path)
         fit_logistic_failing_at(monkeypatch, {100.0})
         manifest = run_backtest(fast_cfg(feature_subsets=self.SUBSET, grids=grids), records, tmp_path)
-        (detail,) = manifest.body["cohorts"]["All"]["models"].values()
-        (want,) = expected.body["cohorts"]["All"]["models"].values()
+        (detail,) = manifest["cohorts"]["All"]["models"].values()
+        (want,) = expected["cohorts"]["All"]["models"].values()
         assert detail["winner"] == {"c": 1.0}
         assert detail["cv"] == want["cv"] + [
             {"params": {"c": 100.0}, "error": "no convergence at c=100.0"}
@@ -291,7 +295,7 @@ class TestNonConvergence:
             families=("logistic", "random_forest"),
             selection=selection_mode,
         )
-        models = run_backtest(cfg, records, tmp_path).body["cohorts"]["All"]["models"]
+        models = run_backtest(cfg, records, tmp_path)["cohorts"]["All"]["models"]
         assert set(models["logistic[pct_no_vehicle+pct_hs_only]"]) == {"error"}
         assert "no convergence" in models["logistic[pct_no_vehicle+pct_hs_only]"]["error"]
         assert "eval" in models["random_forest[pct_no_vehicle+pct_hs_only]"]
@@ -326,11 +330,12 @@ class TestWorkerPool:
         runs = []
         for workers in (1, 2):
             pool_size(monkeypatch, workers)
-            runs.append(run_backtest(cfg, records, tmp_path))
+            models_dir = new_dir(tmp_path / f"models-{workers}")
+            runs.append(run_backtest(cfg, records, tmp_path, models_dir=models_dir))
         serial, pooled = runs
-        assert json_text(pooled.body) == json_text(serial.body)
-        assert pooled.scorers.keys() == serial.scorers.keys()
-        models = pooled.body["cohorts"]["All"]["models"]
+        assert json_text(pooled) == json_text(serial)
+        assert files_in(tmp_path / "models-2") == files_in(tmp_path / "models-1")
+        models = pooled["cohorts"]["All"]["models"]
         entries = json.dumps(plain(models))
         assert "no convergence" in entries
         assert all("eval" in models[f"random_forest[{'+'.join(s)}]"] for s in self.SUBSETS)
@@ -347,7 +352,7 @@ class TestWorkerPool:
             runs.append(run_backtest(cfg, panel, new_dir(tmp_path / str(workers))))
             flagged.append(files_in(tmp_path / str(workers)))
         serial, pooled = runs
-        assert json_text(pooled.body) == json_text(serial.body)
+        assert json_text(pooled) == json_text(serial)
         assert flagged[1] == flagged[0]
         assert len(flagged[0]) == 4
         for data in flagged[0].values():
@@ -413,12 +418,13 @@ class TestWorkerPool:
         runs = []
         for workers in (1, 2):
             pool_size(monkeypatch, workers)
-            runs.append(run_backtest(cfg, panel, new_dir(tmp_path / str(workers))))
+            run_dir = new_dir(tmp_path / str(workers))
+            runs.append(run_backtest(cfg, panel, run_dir, models_dir=new_dir(run_dir / "models")))
         serial, pooled = runs
-        assert json_text(pooled.body) == json_text(serial.body)
+        assert json_text(pooled) == json_text(serial)
         assert files_in(tmp_path / "2") == files_in(tmp_path / "1")
-        assert pooled.scorers.keys() == serial.scorers.keys()
-        cohorts = serial.body["cohorts"]
+        assert len(list((tmp_path / "1" / "models").iterdir())) == 12  # Urban's and Rural's
+        cohorts = serial["cohorts"]
         for models in (cohorts["Urban"]["models"], cohorts["Rural"]["models"]):
             assert len(models) == 6 and all("eval" in d for d in models.values())
             for subset in self.SUBSETS:
@@ -458,7 +464,7 @@ class TestWorkerPool:
                 warnings.simplefilter("always")
                 manifest = run_backtest(cfg, panel, flagged_dir)
             messages = [str(w.message) for w in caught]
-            runs.append((json_text(manifest.body), files_in(flagged_dir), messages))
+            runs.append((json_text(manifest), files_in(flagged_dir), messages))
         assert runs[0] == runs[1]
         messages = runs[0][2]
         assert sum("fold from row" in m for m in messages) == 4 * cfg.folds
@@ -485,15 +491,15 @@ class TestWorkerPool:
         monkeypatch.setattr(
             pipeline, "_pool_size", lambda n_units: sizes.append(n_units) or min(n_units, 2)
         )
-        assert json_text(run_backtest(cfg, panel, tmp_path).body) == json_text(expected.body)
+        assert json_text(run_backtest(cfg, panel, tmp_path)) == json_text(expected)
         assert sizes == [cfg.folds]
         if hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1:
             assert real_pool_size(cfg.folds) == 2
 
 
 class TestDroppedScorers:
-    """`keep_scorers=False` keeps every fitted model in the task that fit it,
-    and changes nothing else."""
+    """No fitted model leaves the task that fit it, with or without a models
+    directory; writing scorer files changes nothing else."""
 
     SUBSETS = TestWorkerPool.SUBSETS
 
@@ -506,7 +512,7 @@ class TestDroppedScorers:
         def recorded(state, i, fold_errors=None):
             # runs in a worker when pooled, so it writes what the pipe carries
             outcome = task_outcome(state, i, fold_errors)
-            (pipe / f"{state[5]}-{i}.pickle").write_bytes(pickle.dumps(outcome))
+            (pipe / f"{state[5] is not None}-{i}.pickle").write_bytes(pickle.dumps(outcome))
             return outcome
 
         monkeypatch.setattr(pipeline, "_task_outcome", recorded)
@@ -514,32 +520,45 @@ class TestDroppedScorers:
         for workers in (1, 2):
             pool_size(monkeypatch, workers)
             kept_dir, dropped_dir = (new_dir(tmp_path / f"{name}-{workers}") for name in ("kept", "dropped"))
-            kept = run_backtest(cfg, panel, kept_dir)
-            dropped = run_backtest(cfg, panel, dropped_dir, keep_scorers=False)
-            assert json_text(dropped.body) == json_text(kept.body)
+            models_dir = new_dir(tmp_path / f"models-{workers}")
+            kept = run_backtest(cfg, panel, kept_dir, models_dir=models_dir)
+            dropped = run_backtest(cfg, panel, dropped_dir)
+            assert json_text(dropped) == json_text(kept)
             assert files_in(dropped_dir) == files_in(kept_dir)
-            assert dropped.scorers == {}
-            assert len(kept.scorers) == 4
+            scorers = scorers_in(models_dir)
+            assert len(scorers) == 4
+            assert b"CalibratedScorer" in pickle.dumps(next(iter(scorers.values())))
             sent = {}
             for path in pipe.iterdir():
                 sent[path.stem] = path.read_bytes()
                 path.unlink()
-            assert sorted(sent) == [f"{keep}-{i}" for keep in (False, True) for i in range(4)]
-            for i in range(4):
-                scorer, detail = pickle.loads(sent[f"False-{i}"])
-                assert scorer is None and "eval" in detail
-                assert b"calibrated_probability" not in sent[f"False-{i}"]  # the task wrote its CSV
-                assert b"CalibratedScorer" not in sent[f"False-{i}"]
-                assert b"CalibratedScorer" in sent[f"True-{i}"]
+            assert sorted(sent) == [f"{models}-{i}" for models in (False, True) for i in range(4)]
+            for data in sent.values():
+                assert "eval" in pickle.loads(data)
+                assert b"calibrated_probability" not in data  # the task wrote its CSV
+                assert b"CalibratedScorer" not in data
+                assert b"snapgap.models" not in data  # nor any fitted model
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_scorer_file_that_cannot_be_written_fails_the_run(
+        self, synth_panel, monkeypatch, tmp_path, workers
+    ):
+        panel, _ = synth_panel
+        pool_size(monkeypatch, workers)
+        path = tmp_path / "missing" / "model_All_logistic_pct_no_vehicle.json"
+        with pytest.raises(IoFailure, match=f"cannot write scorer file {re.escape(str(path))}: "):
+            run_backtest(fast_cfg(), panel, tmp_path, models_dir=path.parent)
 
     def test_every_task_failing_still_raises(self, synth_panel, monkeypatch, tmp_path):
         panel, _ = synth_panel
         fit_logistic_failing_at(monkeypatch, {1.0})
         cfg = fast_cfg(feature_subsets=self.SUBSETS)
+        models_dir = new_dir(tmp_path / "models")
         for workers in (1, 2):
             pool_size(monkeypatch, workers)
             with pytest.raises(CohortError, match="every cohort failed: no logistic grid"):
-                run_backtest(cfg, panel, tmp_path, keep_scorers=False)
+                run_backtest(cfg, panel, tmp_path, models_dir=models_dir)
+            assert not any(models_dir.iterdir())
 
 
 class TestStratified:
@@ -547,9 +566,9 @@ class TestStratified:
         records, _ = synth_panel
         cfg = fast_cfg(area_mode="stratified", feature_subsets=(("pct_no_vehicle",),))
         manifest = run_backtest(cfg, records, tmp_path)
-        th = manifest.body["periods"]["p1"]["thresholds"]
+        th = manifest["periods"]["p1"]["thresholds"]
         assert {"Urban", "Rural", "Mixed"} <= set(th)
-        assert set(manifest.body["cohorts"]) == {"Urban", "Rural", "Mixed"}
+        assert set(manifest["cohorts"]) == {"Urban", "Rural", "Mixed"}
 
     def test_zero_positive_area_isolated(self, tmp_path):
         # Urban rows constant: all fragile together (prevalence 1) is
@@ -580,9 +599,9 @@ class TestStratified:
                 )
         cfg = fast_cfg(area_mode="stratified", feature_subsets=(("pct_no_vehicle",),))
         manifest = run_backtest(cfg, panel_of(records), tmp_path)
-        urban_models = manifest.body["cohorts"]["Urban"]["models"]
+        urban_models = manifest["cohorts"]["Urban"]["models"]
         assert all("error" in d for d in urban_models.values())
-        rural_models = manifest.body["cohorts"]["Rural"]["models"]
+        rural_models = manifest["cohorts"]["Rural"]["models"]
         assert any("error" not in d for d in rural_models.values())
 
     def test_single_area_stratified_matches_pooled_metrics(self, tmp_path):
@@ -596,8 +615,8 @@ class TestStratified:
         records, _ = generate_synthetic(spec)
         pooled = run_backtest(fast_cfg(), records, tmp_path)
         strat = run_backtest(fast_cfg(area_mode="stratified"), records, tmp_path)
-        pooled_models = pooled.body["cohorts"]["All"]["models"]
-        strat_models = strat.body["cohorts"]["Rural"]["models"]
+        pooled_models = pooled["cohorts"]["All"]["models"]
+        strat_models = strat["cohorts"]["Rural"]["models"]
         for label, detail in pooled_models.items():
             strat_eval = dict(strat_models[label]["eval"], cohort="All")
             assert strat_eval == detail["eval"]
@@ -606,7 +625,7 @@ class TestStratified:
     def test_fragile_distribution_shape(self, synth_panel, tmp_path):
         records, _ = synth_panel
         manifest = run_backtest(fast_cfg(), records, tmp_path)
-        dist = manifest.body["fragile_distribution"]["p2"]
+        dist = manifest["fragile_distribution"]["p2"]
         assert set(dist) == {"0.10", "0.30"}
         for group in dist.values():
             assert group["total"] == sum(a["count"] for a in group["by_area"].values())
@@ -675,7 +694,7 @@ class TestYearlyDiagnostics:
             snap_fam=np.where(moved, 20.0, panel.snap_fam),
             fam_universe=np.where(moved, 1000.0, panel.fam_universe),
         )
-        body = run_backtest(fast_cfg(feature_subsets=(("pct_no_vehicle",),)), panel, tmp_path).body
+        body = run_backtest(fast_cfg(feature_subsets=(("pct_no_vehicle",),)), panel, tmp_path)
         yearly = {entry["year"]: entry for entry in body["yearly"]}
         assert yearly[2016]["n_eligible"] == 0 and yearly[2016]["tau_hi"] is None
         assert yearly[2016]["anomaly_rows"] == 500

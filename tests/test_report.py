@@ -12,6 +12,7 @@ from snapgap.calibration import apply_isotonic, classify
 from snapgap.ingest import PREDICTOR_FIELDS
 from snapgap.jsonio import load_json, plain
 from snapgap.labeling import LabelConfig, build_labels
+from snapgap.models import scorer_from_dict
 from snapgap.pipeline import BacktestConfig, run_backtest
 from snapgap.report import emit_report, manifest_body, render_markdown
 from snapgap.synth import SyntheticSpec, generate_synthetic
@@ -42,8 +43,14 @@ def run_dir(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def manifest(records, run_dir):
-    return run_backtest(CFG, records, run_dir)
+def models_dir(tmp_path_factory):
+    """The directory of the scorer files of the `manifest` run."""
+    return tmp_path_factory.mktemp("models")
+
+
+@pytest.fixture(scope="module")
+def manifest(records, run_dir, models_dir):
+    return run_backtest(CFG, records, run_dir, models_dir=models_dir)
 
 
 @pytest.fixture
@@ -52,7 +59,7 @@ def emit(manifest, run_dir, tmp_path):
 
     def emit(formats, outdir):
         shutil.copytree(run_dir, outdir, dirs_exist_ok=True)
-        return emit_report(manifest.body, formats, outdir)
+        return emit_report(manifest, formats, outdir)
 
     return emit
 
@@ -86,7 +93,7 @@ def test_csv_and_json_agree_field_for_field(emit, tmp_path):
 
 
 def test_markdown_one_row_per_model_cohort(manifest):
-    md = render_markdown(manifest.body)
+    md = render_markdown(manifest)
     table_rows = [
         line
         for line in md.splitlines()
@@ -107,7 +114,7 @@ def test_markdown_shows_a_failed_cohort(records, tmp_path):
     # a stratified run on a panel with no Mixed ZIP, so the Mixed cohort
     # has nothing to train on
     cfg = replace(CFG, area_mode="stratified")
-    body = run_backtest(cfg, records.take(records.area != "Mixed"), tmp_path).body
+    body = run_backtest(cfg, records.take(records.area != "Mixed"), tmp_path)
     error = "cohort 'Mixed': no labeled training rows"
     assert body["cohorts"]["Mixed"] == {"error": error}
     rows = error_rows(body, "Out-of-time performance (all values x100)")
@@ -116,7 +123,7 @@ def test_markdown_shows_a_failed_cohort(records, tmp_path):
 
 def test_markdown_shows_a_fragile_rule_that_cannot_be_built(records, tmp_path):
     # the bottom-30% rule needs lo_q 0.30 below hi_q 0.25
-    body = run_backtest(replace(CFG, label=LabelConfig(hi_q=0.25)), records, tmp_path).body
+    body = run_backtest(replace(CFG, label=LabelConfig(hi_q=0.25)), records, tmp_path)
     rows = error_rows(body, "Fragile-row distribution by area")
     for period in ("p1", "p2"):
         error = body["fragile_distribution"][period]["0.30"]["error"]
@@ -130,7 +137,7 @@ def test_markdown_shows_a_hidden_fragility_error(records, tmp_path):
     late = records.year >= CFG.p2_years[0]
     pov_fam = np.where(late & ~np.isnan(records.pov_fam), 500.0, records.pov_fam)
     panel = replace(records, pov_fam=pov_fam)
-    body = run_backtest(CFG, panel, tmp_path).body
+    body = run_backtest(CFG, panel, tmp_path)
     error = body["hidden_fragility"]["p2"]["error"]
     assert "error" not in body["hidden_fragility"]["p1"]
     emit_report(body, ("json",), tmp_path)
@@ -152,12 +159,16 @@ def test_flagged_csv_sorted(emit, tmp_path):
             assert (a["zip"], a["year"]) <= (b["zip"], b["year"])
 
 
-def test_json_and_flagged_csvs_match_the_reference_renderer(records, manifest, emit, tmp_path):
-    # each model's flagged rows, worked out again from its kept scorer
+def test_json_and_flagged_csvs_match_the_reference_renderer(
+    records, manifest, models_dir, emit, tmp_path
+):
+    # each model's flagged rows, worked out again from its scorer file
     p2 = build_labels(pipeline._rows_in_years(records, CFG.p2_years), CFG.label)
     rows = pipeline._cohort_rows(p2, "All")
-    flagged = {}
-    for (cohort, label), scorer in manifest.scorers.items():
+    flagged, cohort = {}, "All"
+    for label in manifest["cohorts"][cohort]["models"]:
+        path = models_dir / pipeline.model_file("model", cohort, label, ".json")
+        scorer = scorer_from_dict(load_json(path))
         columns = [PREDICTOR_FIELDS.index(f) for f in scorer.model.feature_names]
         scores = scorer.model.predict_proba(p2.panel.predictors[np.ix_(rows, columns)])
         probs = apply_isotonic(scorer.isotonic, scores)
@@ -166,7 +177,7 @@ def test_json_and_flagged_csvs_match_the_reference_renderer(records, manifest, e
             p2.panel.zip[rows[hit]].tolist(), p2.panel.year[rows[hit]].tolist(), probs[hit].tolist()
         )
     (tmp_path / "ref").mkdir()
-    names = render_report_reference(plain(manifest.body), flagged, tmp_path / "ref")
+    names = render_report_reference(plain(manifest), flagged, tmp_path / "ref")
     emit(("json",), tmp_path / "out")
     assert len(names) == 3
     for name in names:
@@ -177,7 +188,7 @@ def test_manifest_json_roundtrip_preserves_digest(manifest, emit, tmp_path):
     emit(("json",), tmp_path)
     with open(tmp_path / "manifest.json") as fh:
         body = json.load(fh)
-    assert body["manifest_digest"] == manifest.digest
+    assert body["manifest_digest"] == manifest["manifest_digest"]
     from snapgap.pipeline import digest_of
 
     stripped = {k: v for k, v in body.items() if k != "manifest_digest"}
