@@ -4,7 +4,8 @@ Subcommands cover the full flow: `ingest` raw CSVs into a validated panel,
 `label` a panel, `train` scorers on the early period, `backtest` end to end,
 `synth` a verification panel, and `report` a saved manifest. A fitted scorer
 leaves its task only as the scorer file the task writes: `train` writes
-every one, naming each task that failed on stderr, and `backtest` only under
+every one, naming on stderr each failed task and each cohort with no
+labeled training rows, in plan order, and `backtest` only under
 `--models`, with the same report files either way. `backtest` writes each
 model's flagged CSV, which the task that evaluated the model rendered,
 whatever `--formats` asks, since the manifest holds only each file's name,
@@ -43,6 +44,8 @@ import tempfile
 from collections.abc import Iterator
 from contextlib import contextmanager
 from pathlib import Path
+
+import numpy as np
 
 from .config import Settings, apply_overrides, load_config, settings_from
 from .errors import CohortError, DegenerateDesign, IoFailure, SnapGapError, ValidationError
@@ -178,10 +181,10 @@ def cmd_label(args) -> int:
     cfg = settings.backtest
     labeled = build_labels(panel, cfg.label, by=cfg.label_by)
     try:
-        labeled, _ = fit_uptake_ols(labeled)
+        residual, _ = fit_uptake_ols(labeled)
     except DegenerateDesign:
-        pass  # the residual column stays blank
-    write_labeled_panel(labeled, out)
+        residual = np.full(len(panel), np.nan)  # the residual column stays blank
+    write_labeled_panel(labeled, residual, out)
     print(
         f"labeled {len(panel)} rows: {labeled.n_eligible()} eligible, "
         f"{labeled.n_positive()} fragile (prevalence {labeled.prevalence:.4f}) -> {args.out}"
@@ -199,8 +202,10 @@ def cmd_train(args) -> int:
         written = len(list(stage.iterdir()))
     for label, message in failed.items():
         print(f"skipped {label}: {message}", file=sys.stderr)
-    skipped = f", skipped {len(failed)} failed tasks" if failed else ""
-    print(f"wrote {written} scorer files{skipped} -> {outdir}")
+    tasks = sum("/" in label for label in failed)  # a cohort's name holds none
+    counts = {"cohort": len(failed) - tasks, "task": tasks}
+    skipped = " and ".join(f"{n} failed {noun}{'s' * (n != 1)}" for noun, n in counts.items() if n)
+    print(f"wrote {written} scorer files{', skipped ' + skipped if skipped else ''} -> {outdir}")
     return EXIT_OK
 
 

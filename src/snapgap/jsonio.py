@@ -11,15 +11,18 @@ files, and a manifest holds each one's name, row count and sha256 (see
 `pipeline`).
 
 Every JSON file is the text of `json.dump(obj, fh, sort_keys=True,
-indent=2)` and a final newline, in UTF-8.
+indent=2)` and a final newline, in UTF-8. A manifest or scorer file read back
+is checked against a shape (`read_shape`) before any record is built from it.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .errors import ValidationError
 
 
 def plain(value):
@@ -49,3 +52,71 @@ def save_json(obj, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, sort_keys=True, indent=2)
         fh.write("\n")
+
+
+@dataclass(frozen=True)
+class Each:
+    """An object whose every value has `shape`, and every key passes `key`."""
+
+    shape: object
+    key: type = str
+
+
+@dataclass(frozen=True)
+class OrError:
+    """An object holding "error", or one of `shape`."""
+
+    shape: object
+
+
+NUMBER = (int, float)
+NUMBER_OR_NULL = (int, float, type(None))
+_TYPE_NAMES = {
+    NUMBER: "a number", NUMBER_OR_NULL: "a number or null", str: "a string", int: "an integer",
+    int | None: "an integer or null", list: "a list",
+}
+
+
+def read_shape(value, shape, where: str):
+    """`value`, checked to have `shape`, or a `ValidationError` naming from
+    `where` its first part that has not. A shape is a type or tuple of
+    types; a string, the one value allowed; a dict of keys and their shapes,
+    where a key ending in "?" may be missing; a one-item list, for a list of
+    items of that shape; `Each` or `OrError`."""
+
+    def fail(what: str):
+        return ValidationError(f"{where}: expected {what}")
+
+    if isinstance(shape, OrError):
+        if isinstance(value, dict) and "error" in value:
+            return value
+        shape = shape.shape
+    if isinstance(shape, list):
+        if not isinstance(value, list):
+            raise fail("a list")
+        return [read_shape(item, shape[0], f"{where}[{i}]") for i, item in enumerate(value)]
+    if isinstance(shape, (dict, Each)):
+        if not isinstance(value, dict):
+            raise fail("an object")
+        if isinstance(shape, Each):
+            for key in value:
+                try:
+                    shape.key(key)
+                except ValueError:
+                    raise fail(f"keys that read as {shape.key.__name__}, not {key!r}") from None
+            return {key: read_shape(item, shape.shape, f"{where}.{key}") for key, item in value.items()}
+        out = dict(value)
+        for key, item_shape in shape.items():
+            name = key.removesuffix("?")
+            if name in value:
+                out[name] = read_shape(value[name], item_shape, f"{where}.{name}")
+            elif name == key:
+                raise fail(f"a key {name!r}")
+        return out
+    if isinstance(shape, str):
+        if value != shape:
+            raise fail(repr(shape))
+        return value
+    if not isinstance(value, shape):
+        raise fail(_TYPE_NAMES[shape])
+    return value

@@ -16,12 +16,14 @@ explicitly excluded rather than misclassified.
 
 An OLS regression of benefit counts on poverty counts provides a residual
 diagnostic: rows in the deep negative-residual tail that the quantile rule
-did not flag are "hidden fragility" candidates.
+did not flag are "hidden fragility" candidates. The residual column is a
+value `fit_uptake_ols` returns, not a field of `LabeledPanel`: its callers
+hand it on to `flag_hidden_fragility` or `write_labeled_panel`.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -62,8 +64,8 @@ class Thresholds:
 class LabeledPanel:
     """A panel with its eligibility, thresholds and binary fragility target.
 
-    `p`, `s_raw`, `eligible`, `y` (1 / 0, or UNLABELED) and, after
-    `fit_uptake_ols`, `residual` are columns aligned with `panel`.
+    `p`, `s_raw`, `eligible` and `y` (1 / 0, or UNLABELED) are columns
+    aligned with `panel`.
     `thresholds` and `prevalences` are keyed by the values of the panel
     column named `by`, or by "All" when `by` is None. Every labeled row is
     labeled under exactly one key's thresholds.
@@ -79,7 +81,6 @@ class LabeledPanel:
     prevalences: dict[str | int, float] = field(default_factory=dict)
     by: str | None = None
     config: LabelConfig = field(default_factory=LabelConfig)
-    residual: np.ndarray | None = None  # NaN off the eligible pool
 
     @property
     def s_capped(self) -> np.ndarray:
@@ -233,10 +234,10 @@ def ols_fit(x: Sequence[float], y: Sequence[float]) -> OlsFit:
     return OlsFit(alpha=alpha, beta=beta, r2=r2)
 
 
-def fit_uptake_ols(panel: LabeledPanel) -> tuple[LabeledPanel, OlsFit]:
-    """Fit benefit counts on poverty counts over eligible rows, in row order,
-    and attach the residual column. An eligible row has both counts; every
-    other row's residual is NaN."""
+def fit_uptake_ols(panel: LabeledPanel) -> tuple[np.ndarray, OlsFit]:
+    """Fit benefit counts on poverty counts over eligible rows, in row order;
+    returns the residual column, aligned with the panel's rows, and the fit.
+    An eligible row has both counts; every other row's residual is NaN."""
     pov = panel.panel.pov_fam[panel.eligible]
     snap = panel.panel.snap_fam[panel.eligible]
     if pov.size < 2:
@@ -244,27 +245,25 @@ def fit_uptake_ols(panel: LabeledPanel) -> tuple[LabeledPanel, OlsFit]:
     fit = ols_fit(pov, snap)
     residual = np.full(len(panel.panel), np.nan)
     residual[panel.eligible] = snap - fit.alpha - fit.beta * pov
-    return replace(panel, residual=residual), fit
+    return residual, fit
 
 
-def flag_hidden_fragility(panel: LabeledPanel, k: float) -> set[str]:
+def flag_hidden_fragility(panel: LabeledPanel, residual: np.ndarray, k: float) -> set[str]:
     """ZIPs in the most-negative k-tail of uptake residuals not already y=1.
 
-    The residuals are the column `fit_uptake_ols` attached. The tail holds
+    `residual` is the column `fit_uptake_ols` returns. The tail holds
     floor(k * n) eligible rows ordered by residual ascending (ties by zip,
     then year, then row order, for determinism). These are idiosyncratic
     under-uptake candidates the quantile rule missed.
     """
     if not 0.0 <= k <= 1.0:
         raise ValidationError(f"tail fraction must be in [0,1], got {k}")
-    if panel.residual is None:
-        raise ValidationError("no residual column: fit_uptake_ols attaches it")
     rows = np.flatnonzero(panel.eligible)
     n_tail = math.floor(k * rows.size)
     if n_tail == 0:
         return set()
     cols = panel.panel
-    tail = rows[np.lexsort((cols.year[rows], cols.zip[rows], panel.residual[rows]))[:n_tail]]
+    tail = rows[np.lexsort((cols.year[rows], cols.zip[rows], residual[rows]))[:n_tail]]
     return set(cols.zip[tail[panel.y[tail] != 1]].tolist())
 
 
@@ -273,12 +272,12 @@ def flag_hidden_fragility(panel: LabeledPanel, k: float) -> set[str]:
 LABELED_COLUMNS = ["zip", "year", "p", "s_raw", "s_capped", "eligible", "y", "residual", "area", "flags"]
 
 
-def write_labeled_panel(panel: LabeledPanel, csv_path) -> None:
-    """Export the labeled panel as CSV plus a JSON sidecar at its .json path
-    with the thresholds, the counts and the labeling rule that made them.
-    A missing value, and the target of an unlabeled row, is blank."""
+def write_labeled_panel(panel: LabeledPanel, residual: np.ndarray, csv_path) -> None:
+    """Export the labeled panel and its `residual` column (see
+    `fit_uptake_ols`) as CSV plus a JSON sidecar at its .json path with the
+    thresholds, the counts and the labeling rule that made them. A missing
+    value, and the target of an unlabeled row, is blank."""
     cols = panel.panel
-    residual = np.full(len(cols), np.nan) if panel.residual is None else panel.residual
     y = panel.y.astype(object)
     y[panel.y == UNLABELED] = None
     floats = [panel.p, panel.s_raw, panel.s_capped]

@@ -16,8 +16,6 @@ from .io import (
     scorer_to_dict,
 )
 from .logistic import (
-    WEIGHTING_BALANCED,
-    WEIGHTING_NONE,
     LogisticModel,
     fit_logistic,
     penalized_loss_grad,

@@ -1,5 +1,8 @@
 """Random forest and gradient boosting built on the CART grower.
 
+Every fit weights its rows by class, balanced as in `logistic`
+(`sample_weights`): the weighting is no setting of `EnsembleParams`.
+
 All randomness (bootstraps, per-split feature subsets) flows from per-tree
 generators derived from the root seed, so tree i is identical no matter how
 many trees the ensemble has or in what order they are grown.
@@ -35,7 +38,7 @@ import numpy as np
 
 from ..errors import CohortError, ValidationError
 from ..rng import STREAM_TREE, derive_rng
-from .logistic import WEIGHTING_BALANCED, sample_weights, sigmoid
+from .logistic import sample_weights, sigmoid
 from .matrix import FeatureMatrix
 from .tree import (
     CRITERION_GINI,
@@ -63,7 +66,6 @@ class EnsembleParams:
     min_leaf: int = 1
     learning_rate: float = 0.1  # boosting only
     max_features: int | None = None  # None: all (boosting) / sqrt(d) (forest)
-    class_weighting: str = WEIGHTING_BALANCED
     seed: int = 0
 
     def __post_init__(self):
@@ -83,7 +85,9 @@ class EnsembleParams:
 
 @dataclass(frozen=True)
 class TreeEnsembleModel:
-    kind: str
+    """Fitted trees; `params.kind` says whether they are a forest or a
+    boosting run."""
+
     trees: tuple[DecisionTree, ...]
     params: EnsembleParams
     feature_names: tuple[str, ...]
@@ -102,7 +106,7 @@ class TreeEnsembleModel:
         flat = FlatTrees(self.trees)
         # per-tree values are added one tree at a time, in tree order, so the
         # float sums do not depend on how the traversal is organized
-        if self.kind == KIND_FOREST:
+        if self.params.kind == KIND_FOREST:
             acc = np.zeros(X.shape[0])
             for leaves in flat.leaves(X):
                 acc += flat.value[leaves]
@@ -128,7 +132,7 @@ class TreeEnsembleModel:
         if perms.ndim != 3 or perms.shape[0] != d or perms.shape[2] != n:
             raise ValidationError(f"expected ({d}, repeats, {n}) permutations, got {perms.shape}")
         ranks, uniques = rank_columns(X)
-        forest = self.kind == KIND_FOREST
+        forest = self.params.kind == KIND_FOREST
         out = np.full((d, perms.shape[1], n), 0.0 if forest else self.base_score)
         for masks in map(LeafMasks, self.trees):
             value = masks.slot_value if forest else self.params.learning_rate * masks.slot_value
@@ -182,7 +186,7 @@ def fit_tree_ensemble(fm: FeatureMatrix, params: EnsembleParams) -> TreeEnsemble
         raise CohortError("both classes required to fit")
     X, y = fm.X, fm.y.astype(float)
     n, d = fm.n, fm.d
-    w = sample_weights(fm.y, params.class_weighting)
+    w = sample_weights(fm.y)
     max_features = _resolve_max_features(params, d)
 
     if params.kind == KIND_FOREST:
@@ -204,9 +208,7 @@ def fit_tree_ensemble(fm: FeatureMatrix, params: EnsembleParams) -> TreeEnsemble
                     order=np.argsort(ranks[:, boot], axis=1, kind="stable"),
                 )
             )
-        return TreeEnsembleModel(
-            kind=KIND_FOREST, trees=tuple(trees), params=params, feature_names=fm.feature_names
-        )
+        return TreeEnsembleModel(trees=tuple(trees), params=params, feature_names=fm.feature_names)
 
     # gradient boosting on the log-loss: trees fit the residual y - p, leaves
     # take the Newton step sum(w*r) / sum(w*p*(1-p))
@@ -244,7 +246,6 @@ def fit_tree_ensemble(fm: FeatureMatrix, params: EnsembleParams) -> TreeEnsemble
         score += params.learning_rate * np.array(tree.value)[leaf]
         trees.append(tree)
     return TreeEnsembleModel(
-        kind=KIND_BOOSTING,
         trees=tuple(trees),
         params=params,
         feature_names=fm.feature_names,

@@ -1,10 +1,10 @@
 """Versioned JSON serialization for fitted models and calibrated scorers.
 
 Most blocks of a model or scorer file are derived from their records by
-`jsonio.plain` and read back by the record's constructor: the isotonic map,
-the decision rule, the ensemble hyperparameters (every `EnsembleParams`
-field but `kind`, which the file's `family` holds) and the logistic
-standardization. Two parts are mapped by hand:
+`jsonio.plain`: the isotonic map, the decision rule, the ensemble
+hyperparameters (every `EnsembleParams` field but `kind`, which the file's
+`family` holds) and the logistic standardization. Two parts are mapped by
+hand:
 
 - the tree node lists, column by column with NaN as null: `plain` would
   leave their NaN thresholds and values as NaN, not null, and its
@@ -14,28 +14,68 @@ standardization. Two parts are mapped by hand:
   `c` of its `hyperparameters` is the field `l2_strength`, and the fit
   diagnostics `n_iter` and `grad_norm` are not written. Deriving it would
   change the bytes of every logistic scorer file.
+
+Both families' `hyperparameters` hold the constant `"class_weighting":
+"balanced"`, which no record holds: every fit is balanced (see `logistic`).
+A reader refuses, with a `ValidationError` naming it, a key that is missing
+or mistyped, an unknown hyperparameter, or another `format`, `family` or
+`class_weighting` (`jsonio.read_shape`); `_tree_from_dict` checks node lists.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from typing import get_type_hints
 
 import numpy as np
 
 from ..calibration import DecisionRule, IsotonicMap
 from ..errors import ValidationError
-from ..jsonio import plain
+from ..jsonio import NUMBER, NUMBER_OR_NULL, plain, read_shape
 from .ensemble import EnsembleParams, TreeEnsembleModel
-from .logistic import LogisticModel
+from .logistic import WEIGHTING_BALANCED, LogisticModel
 from .matrix import Standardization
-from .selection import FAMILY_LOGISTIC
+from .selection import FAMILIES, FAMILY_LOGISTIC, TREE_FAMILIES
 from .tree import DecisionTree
 
 MODEL_FORMAT = "snapgap-model/1"
 
-# The keys of a tree model's `hyperparameters`: every `EnsembleParams` field
-# but `kind`, which the file's `family` holds.
-_ENSEMBLE_HYPERPARAMETERS = frozenset(f.name for f in fields(EnsembleParams)) - {"kind"}
+# The shape of each field type of a record as `plain` writes it; any other
+# type is its own shape.
+_FIELD_SHAPES = {float: NUMBER, float | None: NUMBER_OR_NULL, np.ndarray: [NUMBER]}
+
+
+def _shape_of(cls, *skip: str) -> dict:
+    """The `jsonio.read_shape` shape of `plain` of a `cls` record, but fields `skip`."""
+    return {k: _FIELD_SHAPES.get(t, t) for k, t in get_type_hints(cls).items() if k not in skip}
+
+
+_MODEL_SHAPES = {
+    FAMILY_LOGISTIC: {
+        "format": MODEL_FORMAT,
+        "hyperparameters": {"c": NUMBER, "class_weighting": WEIGHTING_BALANCED},
+        "feature_names": [str],
+        "coefficients": [NUMBER],
+        "intercept": NUMBER,
+        "standardization": _shape_of(Standardization),
+    },
+    **dict.fromkeys(
+        TREE_FAMILIES,
+        {
+            "format": MODEL_FORMAT,
+            "hyperparameters": {**_shape_of(EnsembleParams, "kind"), "class_weighting": WEIGHTING_BALANCED},
+            "feature_names": [str],
+            "base_score": NUMBER,
+            "trees": [dict.fromkeys((f.name for f in fields(DecisionTree)), list)],
+        },
+    ),
+}
+_SCORER_SHAPE = {
+    "format": MODEL_FORMAT,
+    "model": {},
+    "calibration": _shape_of(IsotonicMap),
+    "rule": _shape_of(DecisionRule),
+}
 
 
 @dataclass(frozen=True)
@@ -103,20 +143,18 @@ def model_to_dict(model) -> dict:
         return {
             "format": MODEL_FORMAT,
             "family": FAMILY_LOGISTIC,
-            "hyperparameters": {
-                "c": model.l2_strength,
-                "class_weighting": model.class_weighting,
-            },
+            "hyperparameters": {"c": model.l2_strength, "class_weighting": WEIGHTING_BALANCED},
             "feature_names": list(model.feature_names),
             "coefficients": [float(c) for c in model.coefficients],
             "intercept": model.intercept,
             "standardization": plain(model.standardization),
         }
     if isinstance(model, TreeEnsembleModel):
+        hyperparameters = {k: v for k, v in plain(model.params).items() if k != "kind"}
         return {
             "format": MODEL_FORMAT,
-            "family": model.kind,
-            "hyperparameters": {k: v for k, v in plain(model.params).items() if k != "kind"},
+            "family": model.params.kind,
+            "hyperparameters": {**hyperparameters, "class_weighting": WEIGHTING_BALANCED},
             "feature_names": list(model.feature_names),
             "base_score": model.base_score,
             "trees": [_tree_to_dict(t) for t in model.trees],
@@ -124,45 +162,58 @@ def model_to_dict(model) -> dict:
     raise ValidationError(f"cannot serialize model of type {type(model)!r}")
 
 
-def model_from_dict(data: dict):
-    if data.get("format") != MODEL_FORMAT:
-        raise ValidationError(f"unsupported model format {data.get('format')!r}")
-    family = data["family"]
+def _record(cls, block: dict):
+    """The record `cls` of the fields of a checked `block`; other keys are not read."""
+    return cls(**{f.name: block[f.name] for f in fields(cls)})
+
+
+def model_from_dict(data, where: str = "model"):
+    """The model of model file data `data`. Raises a `ValidationError`
+    naming, from `where`, the first part `model_to_dict` would not write."""
+    family = data.get("family") if isinstance(data, dict) else None
+    if family not in FAMILIES:
+        raise ValidationError(f"{where}.family: expected one of {', '.join(FAMILIES)}")
+    shape = _MODEL_SHAPES[family]
+    data = read_shape(data, shape, where)
+    hyperparameters = data["hyperparameters"]
+    unknown = sorted(hyperparameters.keys() - shape["hyperparameters"].keys())
+    if unknown:
+        kind = "logistic" if family == FAMILY_LOGISTIC else "ensemble"
+        raise ValidationError(f"{where}.hyperparameters: unknown {kind} hyperparameter {unknown[0]!r}")
+    feature_names = tuple(data["feature_names"])
     if family == FAMILY_LOGISTIC:
         return LogisticModel(
             coefficients=np.asarray(data["coefficients"], dtype=float),
             intercept=float(data["intercept"]),
-            l2_strength=float(data["hyperparameters"]["c"]),
-            class_weighting=data["hyperparameters"]["class_weighting"],
-            feature_names=tuple(data["feature_names"]),
-            standardization=Standardization(**data["standardization"]),
+            l2_strength=float(hyperparameters["c"]),
+            feature_names=feature_names,
+            standardization=_record(Standardization, data["standardization"]),
         )
-    feature_names = tuple(data["feature_names"])
-    hyperparameters = data["hyperparameters"]
-    for key in hyperparameters:
-        if key not in _ENSEMBLE_HYPERPARAMETERS:
-            raise ValidationError(f"unknown ensemble hyperparameter {key!r}")
+    params = {k: v for k, v in hyperparameters.items() if k != "class_weighting"}
     return TreeEnsembleModel(
-        kind=family,
         trees=tuple(_tree_from_dict(t, len(feature_names)) for t in data["trees"]),
-        params=EnsembleParams(kind=family, **hyperparameters),
+        params=EnsembleParams(kind=family, **params),
         feature_names=feature_names,
-        base_score=float(data.get("base_score", 0.0)),
+        base_score=float(data["base_score"]),
     )
 
 
-def scorer_to_dict(scorer: CalibratedScorer) -> dict:
+def scorer_to_dict(model: dict, isotonic: IsotonicMap, rule: DecisionRule) -> dict:
+    """Scorer file data: a model as `model_to_dict` converted it, with its
+    isotonic map and decision rule."""
     return {
         "format": MODEL_FORMAT,
-        "model": model_to_dict(scorer.model),
-        "calibration": plain(scorer.isotonic),
-        "rule": plain(scorer.rule),
+        "model": model,
+        "calibration": plain(isotonic),
+        "rule": plain(rule),
     }
 
 
-def scorer_from_dict(data: dict) -> CalibratedScorer:
+def scorer_from_dict(data) -> CalibratedScorer:
+    """The scorer of scorer file data `data`; see `model_from_dict`."""
+    data = read_shape(data, _SCORER_SHAPE, "scorer")
     return CalibratedScorer(
-        model=model_from_dict(data["model"]),
-        isotonic=IsotonicMap(**data["calibration"]),
-        rule=DecisionRule(**data["rule"]),
+        model=model_from_dict(data["model"], "scorer.model"),
+        isotonic=_record(IsotonicMap, data["calibration"]),
+        rule=_record(DecisionRule, data["rule"]),
     )

@@ -5,8 +5,10 @@ penalty of strength 1/C on the coefficients (the intercept is unpenalized):
 
     J(beta, b) = sum_i w_i * [log(1 + exp(z_i)) - y_i * z_i] + ||beta||^2 / (2C)
 
-with z_i = x_i . beta + b. Balanced weighting assigns class c the weight
-n / (2 * n_c). The problem is strictly convex, so a damped Newton iteration
+with z_i = x_i . beta + b. The weighting is always balanced: class c gets
+the weight n / (2 * n_c), since the fragility label is rare (about 3% of
+eligible rows). It is no parameter and no model field; a scorer file names
+it (see `io`). The problem is strictly convex, so a damped Newton iteration
 driven to a hard gradient-norm tolerance gives a reproducible optimum.
 
 The line search (Armijo backtracking, Nocedal & Wright, *Numerical
@@ -28,7 +30,7 @@ import numpy as np
 from ..errors import CohortError, NonConvergence, ValidationError
 from .matrix import FeatureMatrix, Standardization, standardize
 
-WEIGHTING_NONE = "none"
+# The class weighting of every logistic and tree fit, as scorer files name it.
 WEIGHTING_BALANCED = "balanced"
 
 GRAD_TOL = 1e-8
@@ -40,7 +42,6 @@ class LogisticModel:
     coefficients: np.ndarray  # standardized scale
     intercept: float
     l2_strength: float  # C = 1/lambda
-    class_weighting: str
     feature_names: tuple[str, ...]
     standardization: Standardization
     n_iter: int = 0
@@ -73,12 +74,8 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
-def sample_weights(y: np.ndarray, weighting: str) -> np.ndarray:
-    """Per-sample weights; balanced gives class c the weight n / (2 * n_c)."""
-    if weighting == WEIGHTING_NONE:
-        return np.ones(len(y))
-    if weighting != WEIGHTING_BALANCED:
-        raise ValidationError(f"unknown class weighting {weighting!r}")
+def sample_weights(y: np.ndarray) -> np.ndarray:
+    """Balanced per-sample weights: class c gets the weight n / (2 * n_c)."""
     n = len(y)
     n_pos = int(np.sum(y == 1))
     n_neg = n - n_pos
@@ -133,11 +130,7 @@ def check_l2_strength(c: float) -> None:
         raise ValidationError(f"l2 strength C must be positive, got {c}")
 
 
-def fit_logistic(
-    fm: FeatureMatrix,
-    c: float = 1.0,
-    weighting: str = WEIGHTING_BALANCED,
-) -> LogisticModel:
+def fit_logistic(fm: FeatureMatrix, c: float = 1.0) -> LogisticModel:
     """Fit by damped Newton to gradient norm <= GRAD_TOL, in at most MAX_ITER
     iterations.
 
@@ -150,7 +143,7 @@ def fit_logistic(
     X, y = fm.X, fm.y.astype(float)
     if fm.y.min() == fm.y.max():
         raise CohortError("both classes required to fit")
-    w = sample_weights(fm.y, weighting)
+    w = sample_weights(fm.y)
 
     theta = np.zeros(fm.d + 1)
     pen = np.ones(fm.d + 1) / c
@@ -205,7 +198,6 @@ def fit_logistic(
         coefficients=theta[:-1].copy(),
         intercept=float(theta[-1]),
         l2_strength=float(c),
-        class_weighting=weighting,
         feature_names=fm.feature_names,
         standardization=fm.standardization,
         n_iter=n_iter,

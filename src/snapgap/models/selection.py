@@ -41,7 +41,7 @@ from ..errors import CohortError, NonConvergence, ValidationError
 from ..rng import STREAM_FOLDS, derive_rng
 from ..metrics import average_precision
 from .ensemble import KIND_BOOSTING, KIND_FOREST, EnsembleParams, fit_tree_ensemble
-from .logistic import WEIGHTING_BALANCED, check_l2_strength, fit_logistic
+from .logistic import check_l2_strength, fit_logistic
 from .matrix import FeatureMatrix, standardize
 
 FAMILY_LOGISTIC = "logistic"
@@ -62,7 +62,7 @@ GRID_PARAMETERS: dict[str, dict[str, object]] = {
         {
             f.name: _ENSEMBLE_TYPES[f.name]
             for f in fields(EnsembleParams)
-            if f.name not in ("kind", "class_weighting", "seed")
+            if f.name not in ("kind", "seed")
         },
     ),
 }
@@ -108,17 +108,13 @@ def stratified_folds(y: Sequence[int], folds: int, seed: int) -> list[np.ndarray
     return [np.sort(np.concatenate([pos[i::folds], neg[i::folds]])) for i in range(folds)]
 
 
-def _ensemble_params(family: str, params: dict, seed: int) -> EnsembleParams:
-    return EnsembleParams(kind=family, class_weighting=WEIGHTING_BALANCED, seed=seed, **params)
-
-
 def fit_family(fm: FeatureMatrix, family: str, params: dict, seed: int):
     """Dispatch one (family, hyperparameters) fit; `params` holds keys of
     `GRID_PARAMETERS[family]`, and the fit's own defaults fill the rest."""
     if family == FAMILY_LOGISTIC:
-        return fit_logistic(fm, weighting=WEIGHTING_BALANCED, **params)
+        return fit_logistic(fm, **params)
     if family in TREE_FAMILIES:
-        return fit_tree_ensemble(fm, _ensemble_params(family, params, seed))
+        return fit_tree_ensemble(fm, EnsembleParams(kind=family, seed=seed, **params))
     raise ValidationError(f"unknown model family {family!r}")
 
 
@@ -129,14 +125,14 @@ def check_candidate(family: str, params: dict) -> None:
     if family == FAMILY_LOGISTIC:
         check_l2_strength(params.get("c", _DEFAULT_C))
     else:
-        _ensemble_params(family, params, seed=0)
+        EnsembleParams(kind=family, **params)
 
 
 def _simplicity_key(family: str, params: dict) -> tuple:
     """Rank a candidate by the values it is fitted with, defaults included."""
     if family == FAMILY_LOGISTIC:
         return (params.get("c", _DEFAULT_C),)
-    ep = _ensemble_params(family, params, seed=0)
+    ep = EnsembleParams(kind=family, **params)
     depth_rank = np.inf if ep.max_depth is None else ep.max_depth
     return (ep.n_trees, depth_rank, ep.learning_rate)
 
@@ -194,7 +190,7 @@ def fold_proba(
     groups: dict[tuple, list[int]] = {}
     counts = []
     for i, params in enumerate(candidates):
-        ep = _ensemble_params(family, params, seed)
+        ep = EnsembleParams(kind=family, seed=seed, **params)
         counts.append(ep.n_trees)
         key = tuple(getattr(ep, f.name) for f in fields(ep) if f.name != "n_trees")
         groups.setdefault(key, []).append(i)

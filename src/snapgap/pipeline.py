@@ -54,6 +54,8 @@ and holds no flagged CSV, however many models the run has. Given a models
 directory (`train_scorers` always, `run_backtest` for `snapgap backtest
 --models`), a task also writes its fitted scorer there as a scorer file
 (`models.scorer_to_dict`); either way, this process holds no fitted model.
+A task converts its model once (`models.model_to_dict`): the manifest
+entry's `model_digest` digests that dict, and the scorer file holds it.
 The code that runs a unit records its warnings, and they are issued in
 this process in plan order (a split task's folds in fold order, then its
 tail), so they print the same with any worker count.
@@ -445,9 +447,7 @@ def _fit_task(
         rule = youden_threshold(cal_holdout, holdout_y)
     detail["rule"] = plain(rule)
     detail["isotonic_fitted_on"] = iso.fitted_on
-    scorer = CalibratedScorer(model=model, isotonic=iso, rule=rule)
-    detail["model_digest"] = digest_of(model_to_dict(model))
-    return scorer, detail
+    return CalibratedScorer(model=model, isotonic=iso, rule=rule), detail
 
 
 def _flagged_order(zips: np.ndarray, years: np.ndarray, probs: np.ndarray) -> np.ndarray:
@@ -503,10 +503,10 @@ def _evaluate_task(
 
 def _hidden_fragility_entry(panel: LabeledPanel, tail: float) -> dict:
     try:
-        with_resid, fit = fit_uptake_ols(panel)
+        residual, fit = fit_uptake_ols(panel)
     except DegenerateDesign as exc:  # too few count pairs, or all x identical
         return {"error": str(exc)}
-    zips = flag_hidden_fragility(with_resid, tail)
+    zips = flag_hidden_fragility(panel, residual, tail)
     return {
         "ols": {"alpha": fit.alpha, "beta": fit.beta, "r2": fit.r2},
         "zips": sorted(zips),
@@ -607,10 +607,11 @@ def _task_outcome(state: tuple, i: int, fold_errors: list[list] | None = None) -
     flagged_dir, models_dir, oof), whole, or, given what its fold units
     returned in fold order, its tail, which reads their predictions from
     `oof[i]`: its manifest entry (the fit alone without a test panel, else
-    after the task wrote its flagged CSV into `flagged_dir`), after it wrote
-    its scorer file into `models_dir` unless that is None; or the message of
-    the failing `CohortError` or `NonConvergence`, which leaves no file.
-    Raises `IoFailure` when a file cannot be written."""
+    after the task wrote its flagged CSV into `flagged_dir`), whose
+    `model_digest` digests the one `model_to_dict` of its model, after it
+    wrote its scorer file into `models_dir` unless that is None; or the
+    message of the failing `CohortError` or `NonConvergence`, which leaves
+    no file. Raises `IoFailure` when a file cannot be written."""
     cfg, tasks, p1_panel, p2_panel, flagged_dir, models_dir, oof = state
     task = tasks[i]
     fold_results = None if fold_errors is None else (oof[i], fold_errors)
@@ -620,10 +621,12 @@ def _task_outcome(state: tuple, i: int, fold_errors: list[list] | None = None) -
             detail = _evaluate_task(cfg, task, scorer, detail, p2_panel, flagged_dir)
     except (CohortError, NonConvergence) as exc:
         return str(exc)
+    converted = model_to_dict(scorer.model)
+    detail["model_digest"] = digest_of(converted)
     if models_dir is not None:
         path = models_dir / model_file("model", task.cohort, task.model, ".json")
         try:
-            save_json(scorer_to_dict(scorer), path)
+            save_json(scorer_to_dict(converted, scorer.isotonic, scorer.rule), path)
         except OSError as exc:
             raise IoFailure(f"cannot write scorer file {path}: {exc}") from exc
     return detail
@@ -839,20 +842,21 @@ def _run_plan(
     """Each cohort's manifest entry: the error of a cohort with nothing to
     train on (see `_plan_tasks`), or its `models`, each task's manifest
     entry or `{"error": message}` (see `_task_outcome`) by model name; and
-    each failed task's message by task label, in plan order. Raises
-    `CohortError` when every cohort and task failed."""
+    the message of each failure, in plan order: a cohort's by its name, a
+    task's by its label. Raises `CohortError` when every cohort and task
+    failed."""
     tasks, cohort_errors = _plan_tasks(cfg, p1_panel, p2_panel)
     cohort_models: dict[str, dict] = {c: {} for c in _cohorts(cfg)}
-    failed: dict[str, str] = {}
+    failures = {c: {c: cohort_errors[c]} if c in cohort_errors else {} for c in cohort_models}
     outcomes = _task_outcomes(cfg, tasks, p1_panel, p2_panel, flagged_dir, models_dir)
     for outcome, task in zip(outcomes, tasks, strict=True):
         if isinstance(outcome, str):
-            failed[task.label] = outcome
+            failures[task.cohort][task.label] = outcome
             outcome = {"error": outcome}
         cohort_models[task.cohort][task.model] = outcome
-    if len(failed) == len(tasks):
-        errors = sorted({*cohort_errors.values(), *failed.values()})
-        raise CohortError(f"every cohort failed: {'; '.join(errors)}")
+    failed = {label: message for cohort in failures.values() for label, message in cohort.items()}
+    if len(failed) == len(tasks) + len(cohort_errors):
+        raise CohortError(f"every cohort failed: {'; '.join(sorted(set(failed.values())))}")
     cohorts = {
         cohort: {"error": cohort_errors[cohort]}
         if cohort in cohort_errors
@@ -865,10 +869,11 @@ def _run_plan(
 def train_scorers(cfg: BacktestConfig, panel: Panel, models_dir: Path) -> dict[str, str]:
     """Fit calibrated scorers on the training period only (no test rows
     needed), each task writing its scorer file into the existing directory
-    `models_dir`. Returns each failed task's message by its label, such as
-    `All/logistic[pct_no_vehicle]`, in plan order. Raises `CohortError` when
-    no task succeeds, and `IoFailure` when a scorer file cannot be written;
-    files written before a failure stay."""
+    `models_dir`. Returns the message of each failure, in plan order: a
+    cohort with no labeled training rows by its name, such as `Mixed`, and
+    a failed task by its label, such as `All/logistic[pct_no_vehicle]`.
+    Raises `CohortError` when no task succeeds, and `IoFailure` when a
+    scorer file cannot be written; files written before a failure stay."""
     p1 = _rows_in_years(panel, cfg.p1_years)
     if not len(p1):
         raise CohortError(f"no rows in training years {cfg.p1_years}")

@@ -25,12 +25,11 @@ prevalence of a subset with no labeled row, blank.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import IoFailure, ValidationError
 from .ingest import write_csv
-from .jsonio import save_json
+from .jsonio import NUMBER, NUMBER_OR_NULL, Each, OrError, read_shape, save_json
 from .pipeline import MANIFEST_FORMAT, digest_of, model_file, sha256
 
 FORMAT_JSON = "json"
@@ -193,58 +192,35 @@ def render_markdown(manifest_body: dict) -> str:
     return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class _Each:
-    """An object whose every value has `shape`, and every key passes `key`."""
-
-    shape: object
-    key: type = str
-
-
-@dataclass(frozen=True)
-class _OrError:
-    """An object holding "error", or one of `shape`."""
-
-    shape: object
-
-
-_NUMBER = (int, float)
-_NUMBER_OR_NULL = (int, float, type(None))
-_TYPE_NAMES = {
-    _NUMBER: "a number", _NUMBER_OR_NULL: "a number or null", str: "a string", int: "an integer"
-}
 _PERIOD = {
-    "thresholds": _Each({"tau_hi": _NUMBER_OR_NULL, "tau_lo": _NUMBER}),
-    "prevalences": _Each(_NUMBER_OR_NULL),
+    "thresholds": Each({"tau_hi": NUMBER_OR_NULL, "tau_lo": NUMBER}),
+    "prevalences": Each(NUMBER_OR_NULL),
 }
 _MODEL = {
     "eval": {
-        **dict.fromkeys(METRIC_COLUMNS, _NUMBER_OR_NULL),
-        "precision_at": _Each(_NUMBER_OR_NULL),
+        **dict.fromkeys(METRIC_COLUMNS, NUMBER_OR_NULL),
+        "precision_at": Each(NUMBER_OR_NULL),
     },
     "reliability": [dict.fromkeys(RELIABILITY_KEYS, object)],
     "flagged": {"file": str, "rows": int, "sha256": str},
 }
-_AREA_SHARES = _Each(
-    _OrError({"by_area": _Each({"count": object, "share": _NUMBER_OR_NULL})}), key=float
+_AREA_SHARES = Each(
+    OrError({"by_area": Each({"count": object, "share": NUMBER_OR_NULL})}), key=float
 )
 
-# What the renderers read of a manifest body. A shape is a type or tuple of
-# types; a dict of keys and their shapes, where a key ending in "?" may be
-# missing; a one-item list, for a list of items of that shape; `_Each` or
-# `_OrError`.
+# What the renderers read of a manifest body, as a `jsonio.read_shape` shape.
 MANIFEST_SHAPE = {
     "seed": object,
     "config_hash": object,
     "manifest_digest": object,
     "periods": {"p1": _PERIOD, "p2": _PERIOD},
-    "cohorts?": _Each(_OrError({"models?": _Each(_OrError(_MODEL))})),
+    "cohorts?": Each(OrError({"models?": Each(OrError(_MODEL))})),
     "fragile_distribution?": {"p1?": _AREA_SHARES, "p2?": _AREA_SHARES},
-    "hidden_fragility?": {"p1?": _OrError({}), "p2?": _OrError({})},
+    "hidden_fragility?": {"p1?": OrError({}), "p2?": OrError({})},
     "yearly?": [
         {
             **dict.fromkeys(("year", "n_rows", "n_eligible", "anomaly_rows"), object),
-            **dict.fromkeys(("tau_hi", "tau_lo", "prevalence"), _NUMBER_OR_NULL),
+            **dict.fromkeys(("tau_hi", "tau_lo", "prevalence"), NUMBER_OR_NULL),
         }
     ],
 }
@@ -259,7 +235,7 @@ def manifest_body(data) -> dict:
     produce under the digest it prints."""
     if not isinstance(data, dict) or data.get("format") != MANIFEST_FORMAT:
         raise ValidationError(f"not a manifest: expected an object with format {MANIFEST_FORMAT!r}")
-    body = _read(data, MANIFEST_SHAPE, "manifest")
+    body = read_shape(data, MANIFEST_SHAPE, "manifest")
     recorded = body["manifest_digest"]
     try:
         actual = digest_of({key: value for key, value in body.items() if key != "manifest_digest"})
@@ -270,44 +246,6 @@ def manifest_body(data) -> dict:
             f"manifest: the body digests to {actual}, not to its manifest_digest {recorded}"
         )
     return body
-
-
-def _read(value, shape, where: str):
-    """`value`, checked to have `shape`."""
-
-    def fail(what: str):
-        return ValidationError(f"{where}: expected {what}")
-
-    if isinstance(shape, _OrError):
-        if isinstance(value, dict) and "error" in value:
-            return value
-        shape = shape.shape
-    if isinstance(shape, list):
-        if not isinstance(value, list):
-            raise fail("a list")
-        return [_read(item, shape[0], f"{where}[{i}]") for i, item in enumerate(value)]
-    if isinstance(shape, (dict, _Each)):
-        if not isinstance(value, dict):
-            raise fail("an object")
-        if isinstance(shape, _Each):
-            for key in value:
-                try:
-                    shape.key(key)
-                except ValueError:
-                    raise fail(f"keys that read as {shape.key.__name__}, not {key!r}") from None
-            return {key: _read(item, shape.shape, f"{where}.{key}") for key, item in value.items()}
-        out = dict(value)
-        for key, item_shape in shape.items():
-            name = key.removesuffix("?")
-            if name in value:
-                out[name] = _read(value[name], item_shape, f"{where}.{name}")
-            elif name == key:
-                raise fail(f"a key {name!r}")
-        return out
-    if not isinstance(value, shape):
-        raise fail(_TYPE_NAMES[shape])
-    return value
-
 
 
 # The bytes `flagged_csvs` copies at a time: memory for one chunk, not a file.

@@ -612,14 +612,14 @@ def ensemble_walk_score(model, X):
     """Per-row forest mean or boosting log-odds, summed tree by tree in order."""
     out = []
     for i in range(len(X)):
-        total = 0.0 if model.kind == "random_forest" else model.base_score
+        total = 0.0 if model.params.kind == "random_forest" else model.base_score
         for tree in model.trees:
             v = tree.value[tree_walk(tree, X[i : i + 1])[0]]
-            if model.kind == "random_forest":
+            if model.params.kind == "random_forest":
                 total += v
             else:
                 total += model.params.learning_rate * v
-        out.append(total / len(model.trees) if model.kind == "random_forest" else total)
+        out.append(total / len(model.trees) if model.params.kind == "random_forest" else total)
     return np.array(out)
 
 
@@ -843,18 +843,20 @@ def _loss_grad_proba_reference(theta, X, y, weights, c):
     return loss, grad, p
 
 
-def fit_logistic_reference(fm, c=1.0, weighting="balanced", counts=None):
+def fit_logistic_reference(fm, c=1.0, counts=None):
     """`fit_logistic` by the loss-first Newton loop: each candidate's loss,
     gradient and probabilities in one pass, then the Armijo test, then the
-    gradient-contraction test. `counts`, a Counter when given, counts the
-    halved steps under "halvings"."""
+    gradient-contraction test, with balanced class weights n / (2 * n_c)
+    of its own. `counts`, a Counter when given, counts the halved steps
+    under "halvings"."""
     logistic.check_l2_strength(c)
     if fm.standardization is None:
         fm = standardize(fm)
     X, y = fm.X, fm.y.astype(float)
     if len(np.unique(fm.y)) < 2:
         raise CohortError("both classes required to fit")
-    w = logistic.sample_weights(fm.y, weighting)
+    n_pos = int(np.count_nonzero(fm.y == 1))
+    w = np.where(fm.y == 1, fm.n / (2.0 * n_pos), fm.n / (2.0 * (fm.n - n_pos)))
 
     theta = np.zeros(fm.d + 1)
     pen = np.ones(fm.d + 1) / c
@@ -903,7 +905,6 @@ def fit_logistic_reference(fm, c=1.0, weighting="balanced", counts=None):
         coefficients=theta[:-1].copy(),
         intercept=float(theta[-1]),
         l2_strength=float(c),
-        class_weighting=weighting,
         feature_names=fm.feature_names,
         standardization=fm.standardization,
         n_iter=n_iter,

@@ -102,7 +102,7 @@ def test_criterion_3_logistic_gradient_check():
             X = rng.normal(size=(n, d))
             y = (rng.random(n) < 0.3).astype(int)
             y[0], y[1] = 1, 0
-            w = sample_weights(y, "balanced")
+            w = sample_weights(y)
             c = float(rng.uniform(0.1, 10))
             yf = y.astype(float)
             for _ in range(10):

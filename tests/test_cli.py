@@ -116,8 +116,9 @@ def test_label_writes_the_uptake_residuals(tmp_path):
     assert main(["label", "--panel", str(panel), "--out", str(out)]) == 0
     with open(out, newline="") as fh:
         written = [row["residual"] for row in csv.DictReader(fh)]
-    labeled, _ = fit_uptake_ols(build_labels(parse_panel(panel)[0], LabelConfig()))
-    assert written == ["" if math.isnan(r) else repr(r) for r in labeled.residual.tolist()]
+    labeled = build_labels(parse_panel(panel)[0], LabelConfig())
+    residual, _ = fit_uptake_ols(labeled)
+    assert written == ["" if math.isnan(r) else repr(r) for r in residual.tolist()]
     assert written.count("") == len(written) - labeled.n_eligible() > 0
 
 
@@ -570,6 +571,31 @@ def test_train_names_the_tasks_it_skipped(tmp_path, capsys):
         for model in plan
         if "error" not in cohorts[cohort]["models"][model]
     )
+
+
+def test_train_names_the_cohorts_it_skipped(tmp_path, capsys):
+    # no Rural ZIP, so Rural has no training rows; Mixed holds too few
+    # positives for 3 folds, so each of its 6 tasks fails
+    panel = tmp_path / "synth.csv"
+    mix = "synth.area_mix={Urban: 0.9, Mixed: 0.1}"
+    main(["synth", "--seed", "6", "--out", str(panel), "--set", "synth.n_zips=60", "--set", mix])
+    args = ["--panel", str(panel), *SMALL_RUN, "--set", "area_mode=stratified"]
+    capsys.readouterr()
+    assert main(["train", *args, "--out", str(tmp_path / "train")]) == 0
+    captured = capsys.readouterr()
+    assert main(["backtest", *args, "--formats", "json", "--out", str(tmp_path / "run")]) == 0
+    cohorts = load_json(tmp_path / "run" / "manifest.json")["cohorts"]
+    assert cohorts["Rural"] == {"error": "cohort 'Rural': no labeled training rows"}
+    subsets = (["pct_no_vehicle"], ["pct_no_vehicle", "pct_hs_only"])
+    plan = [f"{family}[{'+'.join(subset)}]" for subset in subsets for family in FAMILIES]
+    mixed = cohorts["Mixed"]["models"]
+    assert captured.err == "skipped Rural: cohort 'Rural': no labeled training rows\n" + "".join(
+        f"skipped Mixed/{model}: {mixed[model]['error']}\n" for model in plan
+    )
+    assert captured.out == (
+        f"wrote 6 scorer files, skipped 1 failed cohort and 6 failed tasks -> {tmp_path / 'train'}\n"
+    )
+    assert len(list((tmp_path / "train").iterdir())) == 6
 
 
 def test_a_train_that_fits_no_scorer_exits_3(tmp_path, capsys):

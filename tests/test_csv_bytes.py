@@ -55,7 +55,7 @@ def test_write_rejects_bytes():
     )
 
 
-def labeled(residual):
+def labeled():
     return LabeledPanel(
         panel=RECORDS,
         p=np.array([0.2, NAN, 1 / 3]),
@@ -65,14 +65,13 @@ def labeled(residual):
         thresholds={"All": Thresholds(tau_hi=0.3, tau_lo=0.5)},
         prevalence=0.5,
         prevalences={"All": 0.5},
-        residual=residual,
     )
 
 
 def test_write_labeled_panel_bytes(tmp_path):
     digests = []
-    for residual in (np.array([-0.0, NAN, 1e300]), None):
-        write_labeled_panel(labeled(residual), tmp_path / "labeled.csv")
+    for residual in (np.array([-0.0, NAN, 1e300]), np.full(3, NAN)):
+        write_labeled_panel(labeled(), residual, tmp_path / "labeled.csv")
         digests.append(sha256((tmp_path / "labeled.csv").read_bytes()).hexdigest())
     assert digests == [
         "9c94cf03b0e7177d828d8632654389895c8f2adf4e36b0c95100da3d44cd1c34",

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,7 +13,18 @@ from snapgap.calibration import DecisionRule, IsotonicMap
 from snapgap.jsonio import plain, save_json
 from snapgap.labeling import LabelConfig, Thresholds
 from snapgap.metrics import EvalReport, FeatureImportance, ImportanceReport
-from snapgap.models import EnsembleParams, Standardization
+from snapgap.errors import ValidationError
+from snapgap.models import (
+    DecisionTree,
+    EnsembleParams,
+    LogisticModel,
+    Standardization,
+    TreeEnsembleModel,
+    model_from_dict,
+    model_to_dict,
+    scorer_from_dict,
+    scorer_to_dict,
+)
 from snapgap.pipeline import digest_of, sha256
 from snapgap.synth import SyntheticSpec, generate_synthetic
 
@@ -326,9 +338,11 @@ def test_ensemble_params_form_reads_back():
     params = EnsembleParams(
         kind="gradient_boosting", n_trees=30, max_depth=3, min_leaf=2, learning_rate=0.05, seed=7
     )
-    form = plain(params)
-    assert form.pop("kind") == "gradient_boosting"
-    assert form == {
+    leaf = DecisionTree(feature=(-1,), threshold=(math.nan,), left=(-1,), right=(-1,), value=(0.5,))
+    model = TreeEnsembleModel(trees=(leaf,), params=params, feature_names=("a",))
+    form = model_to_dict(model)
+    assert form["family"] == "gradient_boosting"
+    assert form["hyperparameters"] == {
         "n_trees": 30,
         "max_depth": 3,
         "min_leaf": 2,
@@ -337,7 +351,7 @@ def test_ensemble_params_form_reads_back():
         "class_weighting": "balanced",
         "seed": 7,
     }
-    assert EnsembleParams(kind="gradient_boosting", **json.loads(json.dumps(form))) == params
+    assert model_from_dict(json.loads(json.dumps(form))).params == params
 
 
 def test_standardization_form_reads_back():
@@ -369,3 +383,100 @@ def test_synthetic_spec_form():
         "seed": 3,
     }
     assert generate_synthetic(spec)[1]["spec"] == form
+
+
+def small_scorer_files() -> dict[str, dict]:
+    """Scorer file data of a two-feature logistic model and a 2-tree forest,
+    each with one isotonic map and decision rule."""
+    iso = IsotonicMap(scores=np.array([0.1, 0.6]), values=np.array([0.0, 0.75]), fitted_on=40)
+    rule = DecisionRule(policy="prevalence", threshold=0.375, source_prevalence=0.05)
+    logistic = LogisticModel(
+        coefficients=np.array([0.5, -1.25]),
+        intercept=-2.0,
+        l2_strength=0.1,
+        feature_names=("pct_no_vehicle", "pct_hs_only"),
+        standardization=Standardization(mean=np.array([10.5, 30.0]), sd=np.array([2.0, 4.5])),
+    )
+    nan = math.nan
+    trees = (
+        DecisionTree((0, -1, -1), (12.5, nan, nan), (1, -1, -1), (2, -1, -1), (nan, 0.25, 0.75)),
+        DecisionTree((-1,), (nan,), (-1,), (-1,), (0.5,)),
+    )
+    params = EnsembleParams(kind="random_forest", n_trees=2, max_depth=1, min_leaf=5, seed=3)
+    forest = TreeEnsembleModel(trees=trees, params=params, feature_names=("pct_no_vehicle",))
+    return {
+        name: json.loads(json.dumps(scorer_to_dict(model_to_dict(model), iso, rule)))
+        for name, model in (("logistic", logistic), ("forest", forest))
+    }
+
+
+def test_scorer_files_keep_their_bytes(tmp_path):
+    # the sha256 of the files the writer made while records held the class
+    # weighting and a tree model's kind
+    digests = {}
+    for name, data in small_scorer_files().items():
+        save_json(data, tmp_path / "scorer.json")
+        text = (tmp_path / "scorer.json").read_bytes()
+        digests[name] = hashlib.sha256(text).hexdigest()
+        scorer = scorer_from_dict(data)
+        assert scorer_to_dict(model_to_dict(scorer.model), scorer.isotonic, scorer.rule) == data
+    assert digests == {
+        "logistic": "405174f0576129278f7b9681ba17ca74eeccf18859d68d28fce96d032fcbf538",
+        "forest": "df09894a0f8d98f525aad14be734c16ea651ef3adb91e450b183d16dd1847707",
+    }
+
+
+def key_paths(value, path=()):
+    """The path of every key under `value`, through objects and each list's
+    first item."""
+    if isinstance(value, list) and value:
+        yield from key_paths(value[0], (*path, 0))
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield (*path, key)
+            yield from key_paths(item, (*path, key))
+
+
+def named(path) -> str:
+    """`path` as a scorer file error names it."""
+    return "scorer" + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
+
+
+def at(data, path):
+    for key in path:
+        data = data[key]
+    return data
+
+
+SCORER_KEYS = [
+    (name, path) for name, data in small_scorer_files().items() for path in key_paths(data)
+]
+
+
+@pytest.mark.parametrize(
+    "name, path", SCORER_KEYS, ids=[f"{name}:{named(path)}" for name, path in SCORER_KEYS]
+)
+def test_a_scorer_file_missing_a_key_is_refused(name, path):
+    # it ended in a KeyError or a constructor's TypeError, or loaded anyway
+    data = small_scorer_files()[name]
+    del at(data, path[:-1])[path[-1]]
+    message = (
+        f"{named(path)}: expected one of"
+        if path == ("model", "family")
+        else f"{named(path[:-1])}: expected a key '{path[-1]}'"
+    )
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        scorer_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "name, path", SCORER_KEYS, ids=[f"{name}:{named(path)}" for name, path in SCORER_KEYS]
+)
+def test_a_mistyped_scorer_block_is_refused(name, path):
+    data = small_scorer_files()[name]
+    value = at(data, path)
+    wrong = {dict: [], list: {}, str: 1}.get(type(value), "1")
+    at(data, path[:-1])[path[-1]] = wrong
+    message = f"{named(path)}: expected"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        scorer_from_dict(data)

@@ -393,30 +393,31 @@ class TestOls:
 
 class TestHiddenFragility:
     def _panel(self, rng, n=100):
+        """A labeled panel and its uptake residuals."""
         records = random_records(rng, n)
         panel = build_labels(panel_of(records), LabelConfig())
-        return fit_uptake_ols(panel)[0]
+        return panel, fit_uptake_ols(panel)[0]
 
     @staticmethod
-    def _by_residual(panel):
+    def _by_residual(panel, residual):
         """Indices of rows with a residual, by (residual, zip, year)."""
         cols = panel.panel
         return sorted(
-            (i for i, r in enumerate(panel.residual.tolist()) if not math.isnan(r)),
-            key=lambda i: (panel.residual[i], cols.zip[i], cols.year[i]),
+            (i for i, r in enumerate(residual.tolist()) if not math.isnan(r)),
+            key=lambda i: (residual[i], cols.zip[i], cols.year[i]),
         )
 
     def test_zero_tail_empty(self, rng):
-        panel = self._panel(rng)
-        assert flag_hidden_fragility(panel, 0.0) == set()
+        panel, residual = self._panel(rng)
+        assert flag_hidden_fragility(panel, residual, 0.0) == set()
 
     def test_no_disagreement_is_empty(self, rng):
-        panel = self._panel(rng)
-        scored = self._by_residual(panel)
+        panel, residual = self._panel(rng)
+        scored = self._by_residual(panel, residual)
         k = 0.10
         n_tail = math.floor(k * len(scored))
         if all(panel.y[i] == 1 for i in scored[:n_tail]):
-            assert flag_hidden_fragility(panel, k) == set()
+            assert flag_hidden_fragility(panel, residual, k) == set()
 
     def test_planted_mid_poverty_under_enrollment(self):
         # Mid-poverty rows cannot clear tau_hi, so a deep uptake shortfall
@@ -443,8 +444,8 @@ class TestHiddenFragility:
         panel = build_labels(panel_of(records), LabelConfig())
         planted = panel.panel.zip.tolist().index("88888")
         assert panel.y[planted] == 0  # below tau_hi, not caught by the quantile rule
-        panel, _ = fit_uptake_ols(panel)
-        flagged = flag_hidden_fragility(panel, 0.05)
+        residual, _ = fit_uptake_ols(panel)
+        flagged = flag_hidden_fragility(panel, residual, 0.05)
         assert "88888" in flagged
 
     def test_residual_ties_break_by_zip_then_year(self):
@@ -460,18 +461,19 @@ class TestHiddenFragility:
             records.append(
                 make_record(zip=zip_code, year=year, pov_fam=300.0, snap_fam=150.0, fam_universe=1000.0)
             )
-        panel, _ = fit_uptake_ols(build_labels(panel_of(records), LabelConfig()))
-        tied = panel.residual[-4:]
-        assert (tied == tied[0]).all() and tied[0] == panel.residual.min()
+        panel = build_labels(panel_of(records), LabelConfig())
+        residual, _ = fit_uptake_ols(panel)
+        tied = residual[-4:]
+        assert (tied == tied[0]).all() and tied[0] == residual.min()
         assert (panel.y[-4:] == 0).all()
-        assert flag_hidden_fragility(panel, 2.5 / len(records)) == {"00001", "00002"}
+        assert flag_hidden_fragility(panel, residual, 2.5 / len(records)) == {"00001", "00002"}
 
     def test_flagged_rows_never_y1(self, rng):
-        panel = self._panel(rng, n=200)
-        flagged = flag_hidden_fragility(panel, 0.2)
+        panel, residual = self._panel(rng, n=200)
+        flagged = flag_hidden_fragility(panel, residual, 0.2)
         # a zip flagged here had a non-fragile deep-residual row; it may still
         # have a fragile row in another year, so compare per-row via the rule
-        scored = self._by_residual(panel)
+        scored = self._by_residual(panel, residual)
         n_tail = math.floor(0.2 * len(scored))
         expected = {panel.panel.zip[i] for i in scored[:n_tail] if panel.y[i] != 1}
         assert flagged == expected

@@ -280,7 +280,6 @@ class TestPermutationImportance:
             coefficients=np.array([1.5, 0.0]),
             intercept=-0.3,
             l2_strength=1.0,
-            class_weighting="balanced",
             feature_names=("used", "unused"),
             standardization=Standardization(mean=np.zeros(2), sd=np.ones(2)),
         )
@@ -386,7 +385,6 @@ def hand_built(kind):
         DecisionTree((1, -1, -1), (-0.5, nan, nan), (1, -1, -1), (2, -1, -1), (nan, 0.7, 0.8)),
     )
     return TreeEnsembleModel(
-        kind=kind,
         trees=trees,
         params=EnsembleParams(kind=kind, n_trees=len(trees), learning_rate=0.5),
         feature_names=("a", "b", "c"),

@@ -1,4 +1,3 @@
-import itertools
 from collections import Counter
 from functools import partial
 
@@ -91,7 +90,7 @@ class TestLossGradient:
     def test_matches_central_differences(self, rng):
         for _ in range(5):
             fm = make_fm(rng, n=60, d=4, beta=rng.normal(size=4))
-            w = sample_weights(fm.y, "balanced")
+            w = sample_weights(fm.y)
             c = float(rng.uniform(0.05, 20))
             for _ in range(10):
                 theta = rng.normal(scale=1.5, size=fm.d + 1)
@@ -104,7 +103,7 @@ class TestLossGradient:
 
     def test_midpoint_convexity(self, rng):
         fm = make_fm(rng, n=80, d=3)
-        w = sample_weights(fm.y, "balanced")
+        w = sample_weights(fm.y)
         for _ in range(25):
             a = rng.normal(scale=2, size=fm.d + 1)
             b = rng.normal(scale=2, size=fm.d + 1)
@@ -117,7 +116,7 @@ class TestLossGradient:
 class TestFitLogistic:
     def test_infinite_regularization_limit(self, rng):
         fm = make_fm(rng, n=200, d=3, seed_shift=-1.2)
-        model = fit_logistic(fm, c=1e-10, weighting="balanced")
+        model = fit_logistic(fm, c=1e-10)
         assert np.abs(model.coefficients).max() < 1e-6
         assert abs(model.intercept) < 1e-6
         probs = model.predict_proba(fm.X)
@@ -181,7 +180,9 @@ class TestFitLogistic:
     def test_balanced_equals_duplicated_positives(self, rng):
         # duplicating each positive k = n_neg/n_pos times under uniform
         # weights reproduces the balanced objective once the L2 strength is
-        # rescaled by the objective's overall factor 2*n_neg/n
+        # rescaled by the objective's overall factor 2*n_neg/n; the
+        # duplicated panel holds 40 of each class, so its balanced weights
+        # are all 1
         n_pos, n_neg = 8, 40
         X = np.vstack([rng.normal(1.0, 1.0, size=(n_pos, 2)), rng.normal(0.0, 1.0, size=(n_neg, 2))])
         y = np.array([1] * n_pos + [0] * n_neg)
@@ -191,7 +192,7 @@ class TestFitLogistic:
             X=std.apply(X), y=y, feature_names=base.feature_names, standardization=std
         )
         c = 1.0
-        model_bal = fit_logistic(fm_bal, c=c, weighting="balanced")
+        model_bal = fit_logistic(fm_bal, c=c)
 
         k = n_neg // n_pos
         X_dup = np.vstack([np.repeat(X[:n_pos], k, axis=0), X[n_pos:]])
@@ -201,16 +202,16 @@ class TestFitLogistic:
         )
         n = n_pos + n_neg
         c_dup = c * n / (2 * n_neg)
-        model_dup = fit_logistic(fm_dup, c=c_dup, weighting="none")
+        model_dup = fit_logistic(fm_dup, c=c_dup)
         assert model_bal.coefficients == pytest.approx(model_dup.coefficients, abs=1e-7)
         assert model_bal.intercept == pytest.approx(model_dup.intercept, abs=1e-7)
 
 
-def fit_outcome(fit, fm, c, weighting):
+def fit_outcome(fit, fm, c):
     """The bits of what `fit` gives: the model's coefficients, intercept,
     iteration count and gradient norm, or the error's type and message."""
     try:
-        m = fit(fm, c=c, weighting=weighting)
+        m = fit(fm, c=c)
     except (NonConvergence, CohortError) as exc:
         return type(exc), str(exc)
     return m.coefficients.tobytes(), m.intercept.hex(), m.n_iter, m.grad_norm.hex()
@@ -240,17 +241,16 @@ class TestLineSearchOrder:
         separation=st.sampled_from([0.0, 0.5, 3.0, 1e3]),
         tails=st.sampled_from([None, 1.0, 3.0]),
         c=st.sampled_from([1e-3, 0.1, 1.0, 1e2, 1e6, 1e12]),
-        weighting=st.sampled_from(["balanced", "none"]),
         max_iter=st.sampled_from([2, 5, logistic.MAX_ITER]),
     )
     def test_bits_equal_the_loss_first_loop(
-        self, seed, n, d, separation, tails, c, weighting, max_iter
+        self, seed, n, d, separation, tails, c, max_iter
     ):
         fm = drawn_problem(seed, n, d, separation, tails)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(logistic, "MAX_ITER", max_iter)
-            got = fit_outcome(fit_logistic, fm, c, weighting)
-            assert got == fit_outcome(fit_logistic_reference, fm, c, weighting)
+            got = fit_outcome(fit_logistic, fm, c)
+            assert got == fit_outcome(fit_logistic_reference, fm, c)
 
     def test_backtracking_fits_take_the_armijo_branch(self, monkeypatch):
         # heavy-tailed predictors under a weak penalty: the gradient often
@@ -267,10 +267,10 @@ class TestLineSearchOrder:
         counts = Counter()
         for seed in range(40):
             fm = drawn_problem(seed, 10, 2, 3.0, 1.0)
-            for c, weighting in itertools.product((1e6, 1e12), ("balanced", "none")):
-                got = fit_outcome(fit_logistic, fm, c, weighting)
+            for c in (1e6, 1e12):
+                got = fit_outcome(fit_logistic, fm, c)
                 reference = partial(fit_logistic_reference, counts=counts)
-                assert got == fit_outcome(reference, fm, c, weighting)
+                assert got == fit_outcome(reference, fm, c)
         assert counts["halvings"] > 0
         assert losses["calls"] > 0
 
@@ -289,7 +289,6 @@ class TestPredictProba:
             coefficients=np.zeros(2),
             intercept=0.0,
             l2_strength=1.0,
-            class_weighting="balanced",
             feature_names=("a", "b"),
             standardization=Standardization(mean=np.zeros(2), sd=np.ones(2)),
         )

@@ -362,7 +362,6 @@ class TestGradientBoosting:
             fm, EnsembleParams(kind="gradient_boosting", n_trees=5, max_depth=2, seed=3)
         )
         empty = TreeEnsembleModel(
-            kind="gradient_boosting",
             trees=(),
             params=fitted.params,
             feature_names=fitted.feature_names,
@@ -525,12 +524,21 @@ class TestSerialization:
         with pytest.raises(ValidationError, match=message):
             model_from_dict(data)
 
-    @pytest.mark.parametrize("key", ["foo", "kind"])
-    def test_an_unknown_hyperparameter_is_refused(self, rng, key):
-        # it ended in a TypeError from the EnsembleParams constructor
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("foo", 1, "unknown ensemble hyperparameter 'foo'"),
+            ("kind", 1, "unknown ensemble hyperparameter 'kind'"),
+            ("class_weighting", "none", "model.hyperparameters.class_weighting: expected 'balanced'"),
+        ],
+        ids=["foo", "kind", "class_weighting"],
+    )
+    def test_an_unknown_hyperparameter_is_refused(self, rng, key, value, message):
+        # it ended in a TypeError from the EnsembleParams constructor, and a
+        # class weighting other than balanced loaded as if balanced
         fm = xor_panel(rng, n=150)
         model = fit_tree_ensemble(fm, EnsembleParams(kind="random_forest", n_trees=2, seed=17))
         data = json.loads(json.dumps(model_to_dict(model)))
-        data["hyperparameters"][key] = 1
-        with pytest.raises(ValidationError, match=f"unknown ensemble hyperparameter '{key}'"):
+        data["hyperparameters"][key] = value
+        with pytest.raises(ValidationError, match=message):
             model_from_dict(data)

@@ -21,6 +21,7 @@ from snapgap.errors import CohortError, IoFailure, NonConvergence, SnapGapError,
 from snapgap.ingest import PREDICTOR_FIELDS, Area
 from snapgap.jsonio import plain
 from snapgap.labeling import LabelConfig
+from snapgap.models import io as models_io
 from snapgap.models import selection
 from snapgap.pipeline import (
     BacktestConfig,
@@ -559,6 +560,25 @@ class TestDroppedScorers:
             with pytest.raises(CohortError, match="every cohort failed: no logistic grid"):
                 run_backtest(cfg, panel, tmp_path, models_dir=models_dir)
             assert not any(models_dir.iterdir())
+
+    def test_a_task_converts_its_model_once(self, synth_panel, monkeypatch, tmp_path):
+        # the manifest's model_digest and the scorer file share one conversion
+        panel, _ = synth_panel
+        pool_size(monkeypatch, 1)
+        calls = []
+        convert = models_io.model_to_dict
+
+        def counted(model):
+            calls.append(type(model).__name__)
+            return convert(model)
+
+        monkeypatch.setattr(pipeline, "model_to_dict", counted)
+        monkeypatch.setattr(models_io, "model_to_dict", counted)
+        cfg = fast_cfg(feature_subsets=(("pct_no_vehicle",), ("pct_hs_only",), ("pct_no_vehicle", "pct_hs_only")))
+        models_dir = new_dir(tmp_path / "models")
+        assert pipeline.train_scorers(cfg, panel, models_dir) == {}
+        assert len(scorers_in(models_dir)) == 3
+        assert calls == ["LogisticModel"] * 3
 
 
 class TestStratified:
