@@ -31,6 +31,11 @@ class IsotonicMap:
     def __post_init__(self):
         object.__setattr__(self, "scores", np.asarray(self.scores, dtype=float))
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
+        if not self.scores.size or self.scores.shape != self.values.shape:
+            raise ValidationError(
+                f"breakpoint scores and calibrated values must be non-empty and of one length, "
+                f"got {self.scores.size} and {self.values.size}"
+            )
         if np.any(np.diff(self.scores) <= 0):
             raise ValidationError("breakpoint scores must be strictly increasing")
         if np.any(np.diff(self.values) < -1e-15):

@@ -6,30 +6,31 @@ Subcommands cover the full flow: `ingest` raw CSVs into a validated panel,
 leaves its task only as the scorer file the task writes: `train` writes
 every one, naming on stderr each failed task and each cohort with no
 labeled training rows, in plan order, and `backtest` only under
-`--models`, with the same report files either way. `backtest` writes each
-model's flagged CSV, which the task that evaluated the model rendered,
-whatever `--formats` asks, since the manifest holds only each file's name,
-row count and sha256, and its digest covers the rows through them. `report`
-checks those CSVs beside the manifest and copies them unchanged. `train`,
-`backtest` and `report` write every file into a staging directory inside
-`--out`, the tasks' files from the tasks, and move them into place when all
-are there and none would land on a directory, so a run that fails leaves
-`--out` as it found it, or makes none. A YAML `--config` supplies settings,
-repeated `--set key=value` flags override any key (values parsed as YAML),
-and `--seed`, an int >= 0, is the root seed of the commands that draw random
-numbers: `synth`, `train` and `backtest`. `report` takes none of the three.
-Every other command checks every key first (see `config`), the `synth.*`
-keys included: an unknown key, a value of the wrong type, or one out of
-range, exits 2 before any work, and so does an unknown `--formats` name or a
-command's two outputs at one path (`--out` and `--rejects`, `--out` and
+`--models`, with the same report files either way. `backtest` and `report`
+write one fixed set of report files (see `report`), so the report depends
+on the panel and settings alone. `backtest` writes each model's flagged
+CSV, which the task that evaluated the model rendered: the manifest holds
+only each file's name, row count and sha256, and its digest covers the rows
+through them. `report` checks those CSVs beside the manifest and copies
+them unchanged. `train`, `backtest` and `report` write every file into a
+staging directory inside `--out`, the tasks' files from the tasks, and move
+them into place when all are there and none would land on a directory, so a
+run that fails leaves `--out` as it found it, or makes none. A YAML
+`--config` supplies settings, repeated `--set key=value` flags override any
+key (values parsed as YAML), and `--seed`, an int >= 0, is the root seed of
+the commands that draw random numbers: `synth`, `train` and `backtest`.
+`report` takes none of the three. Every other command checks every key
+first (see `config`), the `synth.*` keys included: an unknown key, a value
+of the wrong type, or one out of range, exits 2 before any work, and so do
+a command's two outputs at one path (`--out` and `--rejects`, `--out` and
 `--truth`, or `label --out x.json` and its sidecar). Before it reads any
 input, a command exits 4, writing nothing, on an output it cannot write: a
 file that is a directory or is in none, or a directory (`train`, `backtest`
 and `report --out`) under a regular file. `report` exits 2, before writing
 anything, on a file that is not a manifest it can render: not UTF-8 JSON,
-another format, a part the renderers read missing or of the wrong type, a
-body that does not hash to its `manifest_digest` (edited after the run), or
-a flagged CSV that does not hash to its recorded sha256 or holds another row
+another format, a part a run writes missing or of the wrong type, a body
+that does not hash to its `manifest_digest` (edited after the run), or a
+flagged CSV that does not hash to its recorded sha256 or holds another row
 count; and it exits 4 when a flagged CSV is missing. Exit codes: 0 ok, 2
 validation error, 3 insufficient cohort, 4 I/O failure, 5 a run that failed
 on valid input (a worker process died, a fit did not converge).
@@ -60,7 +61,7 @@ from .ingest import (
 from .labeling import build_labels, fit_uptake_ols, write_labeled_panel
 from .jsonio import load_json, save_json
 from .pipeline import run_backtest, sha256, train_scorers
-from .report import ALL_FORMATS, check_formats, emit_report, flagged_csvs, manifest_body
+from .report import emit_report, flagged_csvs, manifest_body
 from .synth import generate_synthetic
 
 EXIT_OK = 0
@@ -98,14 +99,6 @@ def _load_panel(settings: Settings, panel: str, crosswalk: str | None = None):
         panel = designate_all(panel, areas)
         rejects = rejects + cw_rejects
     return panel, rejects
-
-
-def _formats(args) -> list[str]:
-    """The report formats `--formats` names, every one by default. An
-    unknown format is a validation error, raised before any work."""
-    formats = args.formats.split(",") if args.formats else list(ALL_FORMATS)
-    check_formats(formats)
-    return formats
 
 
 def _output_file(path: Path) -> None:
@@ -211,7 +204,6 @@ def cmd_train(args) -> int:
 
 def cmd_backtest(args) -> int:
     settings = _load_merged_config(args)
-    formats = _formats(args)
     outdir = Path(args.out)
     _output_dir(outdir / "models" if args.models else outdir)
     panel, _ = _load_panel(settings, args.panel, args.crosswalk)
@@ -226,7 +218,7 @@ def cmd_backtest(args) -> int:
         body = run_backtest(
             settings.backtest, panel, stage, input_digests=digests, models_dir=models_dir
         )
-        written = emit_report(body, formats, stage)
+        written = emit_report(body, stage)
     print(f"manifest digest {body['manifest_digest']}")
     print(f"wrote {len(written)} report files -> {outdir}")
     return EXIT_OK
@@ -246,7 +238,6 @@ def cmd_synth(args) -> int:
 
 
 def cmd_report(args) -> int:
-    formats = _formats(args)
     outdir = Path(args.out)
     _output_dir(outdir)
     try:
@@ -261,7 +252,7 @@ def cmd_report(args) -> int:
             flagged_csvs(body, Path(args.manifest).parent, stage)
         except ValidationError as exc:
             raise ValidationError(f"cannot render {args.manifest}: {exc}") from exc
-        written = emit_report(body, formats, stage)
+        written = emit_report(body, stage)
     print(f"wrote {len(written)} report files -> {args.out}")
     return EXIT_OK
 
@@ -310,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--panel", required=True)
     p.add_argument("--crosswalk")
     p.add_argument("--out", required=True, help="report output directory")
-    p.add_argument("--formats", help="comma list of json,csv,markdown (default all)")
     p.add_argument(
         "--models",
         action="store_true",
@@ -328,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="render reports from a saved manifest")
     p.add_argument("--manifest", required=True, help="manifest.json from a backtest run")
     p.add_argument("--out", required=True)
-    p.add_argument("--formats", help="comma list of json,csv,markdown (default all)")
     p.set_defaults(func=cmd_report)
 
     return parser

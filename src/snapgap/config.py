@@ -7,9 +7,8 @@ type are written there, once:
   the fields of `labeling.LabelConfig` (`poverty_floor`, `hi_q`, `lo_q`,
   `use_capped_uptake`), the rule that backtests and the synthetic generator
   both label by;
-- `schema` and `delimiter`: the parameters of those names of
-  `ingest.parse_panel`, which checks their values (known fields, one
-  character) before it reads a panel;
+- `schema`: the parameter of that name of `ingest.parse_panel`, which
+  checks that it maps known fields before it reads a panel;
 - `synth.*`: the fields of `synth.SyntheticSpec` other than `seed` (the
   top-level `seed`) and `label` (the top-level labeling keys);
 - each candidate in `grids.<family>`: the parameters that family's fit takes
@@ -70,7 +69,7 @@ def _declared(cls, *skip: str) -> dict[str, object]:
 
 
 _LABEL_KEYS = _declared(LabelConfig)
-_READ_KEYS = {k: t for k, t in get_type_hints(parse_panel).items() if k in ("schema", "delimiter")}
+_READ_KEYS = {"schema": get_type_hints(parse_panel)["schema"]}
 _BACKTEST_KEYS = _declared(BacktestConfig, "label")
 _TOP_KEYS = {**_BACKTEST_KEYS, **_LABEL_KEYS, **_READ_KEYS}
 _SYNTH_KEYS = _declared(SyntheticSpec, "seed", "label")

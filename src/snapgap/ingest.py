@@ -343,10 +343,10 @@ def parse_panel(
     csv_source,
     schema: dict[str, str] | None = None,
     *,
-    delimiter: str = ",",
     year_range: tuple[int, int] = DEFAULT_YEAR_RANGE,
 ) -> tuple[Panel, list[Reject]]:
-    """Parse a raw panel CSV into a validated `Panel` plus row-level rejects.
+    """Parse a raw comma-separated panel CSV into a validated `Panel` plus
+    row-level rejects.
 
     `schema` maps logical names (zip, year, pov_fam, snap_fam, pct_*,
     fam_universe, pov_rate, area, flags) to the column headers of this export.
@@ -357,11 +357,9 @@ def parse_panel(
     with a reason (see `_parse_chunk`); other cells are cleaned in place,
     flagging a recoded sentinel or a clipped percentage. Panel rows keep
     file order.
-    A schema or delimiter that cannot apply raises before the source is read,
-    and a header that names a mapped column twice before any data row is.
+    A schema that cannot apply raises before the source is read, and a
+    header that names a mapped column twice before any data row is.
     """
-    if len(delimiter) != 1:
-        raise ValidationError(f"delimiter must be one character, got {delimiter!r}")
     identity = schema is None
     schema = dict(DEFAULT_SCHEMA if identity else schema)
     for key in schema:
@@ -372,7 +370,7 @@ def parse_panel(
             raise ValidationError(f"schema does not map required field {key!r}")
 
     with _text_source(csv_source) as stream:
-        reader = csv.reader(stream, delimiter=delimiter)
+        reader = csv.reader(stream)
         try:
             header = next(reader)
         except StopIteration:

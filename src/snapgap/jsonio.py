@@ -81,8 +81,8 @@ def read_shape(value, shape, where: str):
     """`value`, checked to have `shape`, or a `ValidationError` naming from
     `where` its first part that has not. A shape is a type or tuple of
     types; a string, the one value allowed; a dict of keys and their shapes,
-    where a key ending in "?" may be missing; a one-item list, for a list of
-    items of that shape; `Each` or `OrError`."""
+    every one of which must be there; a one-item list, for a list of items of
+    that shape; `Each` or `OrError`."""
 
     def fail(what: str):
         return ValidationError(f"{where}: expected {what}")
@@ -107,11 +107,9 @@ def read_shape(value, shape, where: str):
             return {key: read_shape(item, shape.shape, f"{where}.{key}") for key, item in value.items()}
         out = dict(value)
         for key, item_shape in shape.items():
-            name = key.removesuffix("?")
-            if name in value:
-                out[name] = read_shape(value[name], item_shape, f"{where}.{name}")
-            elif name == key:
-                raise fail(f"a key {name!r}")
+            if key not in value:
+                raise fail(f"a key {key!r}")
+            out[key] = read_shape(value[key], item_shape, f"{where}.{key}")
         return out
     if isinstance(shape, str):
         if value != shape:

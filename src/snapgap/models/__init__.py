@@ -1,14 +1,7 @@
 """Classifier families, standardization, and cross-validated selection."""
 
-from .ensemble import (
-    KIND_BOOSTING,
-    KIND_FOREST,
-    EnsembleParams,
-    TreeEnsembleModel,
-    fit_tree_ensemble,
-)
+from .ensemble import EnsembleParams, TreeEnsembleModel, fit_tree_ensemble
 from .io import (
-    MODEL_FORMAT,
     CalibratedScorer,
     model_from_dict,
     model_to_dict,
@@ -26,12 +19,7 @@ from .matrix import FeatureMatrix, Standardization, standardize
 from .selection import (
     DEFAULT_GRIDS,
     FAMILIES,
-    FAMILY_BOOSTING,
-    FAMILY_FOREST,
-    FAMILY_LOGISTIC,
     TREE_FAMILIES,
-    CvGridResult,
-    GridEntry,
     check_candidate,
     cv_grid_search,
     fit_family,

@@ -19,7 +19,9 @@ Both families' `hyperparameters` hold the constant `"class_weighting":
 "balanced"`, which no record holds: every fit is balanced (see `logistic`).
 A reader refuses, with a `ValidationError` naming it, a key that is missing
 or mistyped, an unknown hyperparameter, or another `format`, `family` or
-`class_weighting` (`jsonio.read_shape`); `_tree_from_dict` checks node lists.
+`class_weighting` (`jsonio.read_shape`); `_tree_from_dict` checks node lists:
+their elements' types, as JSON reads them (a bool is no number), their
+lengths, their features and their order.
 """
 from __future__ import annotations
 
@@ -106,12 +108,24 @@ def _tree_to_dict(tree: DecisionTree) -> dict:
     }
 
 
-def _tree_from_dict(data: dict, n_features: int) -> DecisionTree:
+# The types each node list's elements may have, as JSON reads them, and their name.
+_NODE_TYPES = {
+    **dict.fromkeys(("feature", "left", "right"), ({int}, "an integer")),
+    **dict.fromkeys(("threshold", "value"), ({int, float, type(None)}, "a number or null")),
+}
+
+
+def _tree_from_dict(data: dict, n_features: int, where: str) -> DecisionTree:
     """The tree of a node list in preorder, by which the leaf masks number
-    its leaves (see `tree.py`). Raises a `ValidationError` on a node feature
-    outside -1 (a leaf) to `n_features` - 1, or unless a preorder walk from
-    the root, stopped after n visits, visits nodes 0 to n - 1 in turn and
-    then ends."""
+    its leaves (see `tree.py`). Raises a `ValidationError` on a list element
+    of another type than `_NODE_TYPES` gives, naming it from `where`, on a
+    node feature outside -1 (a leaf) to `n_features` - 1, or unless a
+    preorder walk from the root, stopped after n visits, visits nodes 0 to
+    n - 1 in turn and then ends."""
+    for key, (allowed, name) in _NODE_TYPES.items():
+        if not set(map(type, data[key])) <= allowed:
+            i = next(i for i, v in enumerate(data[key]) if type(v) not in allowed)
+            raise ValidationError(f"{where}.{key}[{i}]: expected {name}")
     tree = DecisionTree(
         feature=tuple(data["feature"]),
         threshold=tuple(_none_to_nan(data["threshold"])),
@@ -191,7 +205,10 @@ def model_from_dict(data, where: str = "model"):
         )
     params = {k: v for k, v in hyperparameters.items() if k != "class_weighting"}
     return TreeEnsembleModel(
-        trees=tuple(_tree_from_dict(t, len(feature_names)) for t in data["trees"]),
+        trees=tuple(
+            _tree_from_dict(t, len(feature_names), f"{where}.trees[{i}]")
+            for i, t in enumerate(data["trees"])
+        ),
         params=EnsembleParams(kind=family, **params),
         feature_names=feature_names,
         base_score=float(data["base_score"]),

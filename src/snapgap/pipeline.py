@@ -385,33 +385,28 @@ def _fit_task(
     matrix the task's fold units filled and what their `fold_proba` calls
     returned, in fold order.
 
-    Raises a `CohortError`, or `NonConvergence` when the split70 fit, the
-    winner's refit or every grid candidate fails to converge; either fails
-    this task alone.
+    Raises a `CohortError`, whose message `_task_outcome` puts after the
+    task's cohort, or `NonConvergence` when the split70 fit, the winner's
+    refit or every grid candidate fails to converge; either fails this task
+    alone.
     """
-    cohort, subset, family = task.cohort, task.subset, task.family
+    subset, family = task.subset, task.family
     seed = cfg.seed
     fm = _task_matrix(p1_panel, task.p1_rows, subset)
     n_pos = int(fm.y.sum())
     if n_pos == 0 or n_pos == fm.n:
-        raise CohortError(
-            f"cohort {cohort!r}: training rows hold a single class "
-            f"({n_pos} positives of {fm.n})"
-        )
+        raise CohortError(f"training rows hold a single class ({n_pos} positives of {fm.n})")
 
     detail: dict = {"family": family, "features": list(subset)}
     if cfg.selection == SELECTION_CV:
-        try:
-            result = cv_grid_search(
-                fm,
-                family,
-                cfg.family_grids()[family],
-                folds=cfg.folds,
-                seed=seed,
-                fold_results=fold_results,
-            )
-        except CohortError as exc:
-            raise CohortError(f"cohort {cohort!r}: {exc}") from exc
+        result = cv_grid_search(
+            fm,
+            family,
+            cfg.family_grids()[family],
+            folds=cfg.folds,
+            seed=seed,
+            fold_results=fold_results,
+        )
         winner = result.winner
         oof = result.oof_proba
         detail["winner"] = winner
@@ -429,9 +424,7 @@ def _fit_task(
         rng = derive_rng(seed, STREAM_SPLIT, stream_id(task.label))
         train_idx, test_idx = _stratified_split(fm.y, 0.70, rng)
         if fm.y[train_idx].sum() == 0 or fm.y[test_idx].sum() == 0:
-            raise CohortError(
-                f"cohort {cohort!r}: 70/30 split leaves a side with no positives"
-            )
+            raise CohortError("70/30 split leaves a side with no positives")
         params = SPLIT_DEFAULT_PARAMS[family]
         detail["winner"] = params
         detail["cv"] = None
@@ -469,14 +462,11 @@ def _evaluate_task(
     digests. Raises `IoFailure` when the CSV cannot be written."""
     cohort, p2_rows = task.cohort, task.p2_rows
     if not p2_rows.size:
-        raise CohortError(f"cohort {cohort!r}: no labeled test rows")
+        raise CohortError("no labeled test rows")
     X2, y2 = _matrix(p2_panel, p2_rows, task.subset)
     scores = scorer.model.predict_proba(X2)
     calibrated = apply_isotonic(scorer.isotonic, scores)
-    try:
-        report = evaluate(calibrated, y2, scorer.rule, cohort=cohort, model=task.model)
-    except CohortError as exc:
-        raise CohortError(f"cohort {cohort!r}: {exc}") from exc
+    report = evaluate(calibrated, y2, scorer.rule, cohort=cohort, model=task.model)
     detail["eval"] = plain(report)
     detail["reliability"] = reliability_curve(calibrated, y2, cfg.reliability_bins)
 
@@ -610,8 +600,9 @@ def _task_outcome(state: tuple, i: int, fold_errors: list[list] | None = None) -
     after the task wrote its flagged CSV into `flagged_dir`), whose
     `model_digest` digests the one `model_to_dict` of its model, after it
     wrote its scorer file into `models_dir` unless that is None; or the
-    message of the failing `CohortError` or `NonConvergence`, which leaves
-    no file. Raises `IoFailure` when a file cannot be written."""
+    message of the failing `NonConvergence`, or of the failing `CohortError`
+    after the task's cohort (`cohort 'All': no labeled test rows`), which
+    leaves no file. Raises `IoFailure` when a file cannot be written."""
     cfg, tasks, p1_panel, p2_panel, flagged_dir, models_dir, oof = state
     task = tasks[i]
     fold_results = None if fold_errors is None else (oof[i], fold_errors)
@@ -619,7 +610,9 @@ def _task_outcome(state: tuple, i: int, fold_errors: list[list] | None = None) -
         scorer, detail = _fit_task(cfg, task, p1_panel, fold_results)
         if p2_panel is not None:
             detail = _evaluate_task(cfg, task, scorer, detail, p2_panel, flagged_dir)
-    except (CohortError, NonConvergence) as exc:
+    except CohortError as exc:
+        return f"cohort {task.cohort!r}: {exc}"
+    except NonConvergence as exc:
         return str(exc)
     converted = model_to_dict(scorer.model)
     detail["model_digest"] = digest_of(converted)

@@ -1,27 +1,30 @@
-"""Render a run manifest into JSON, CSV, and Markdown report files.
+"""Render a run manifest into its report: one fixed set of files.
 
-Machine formats (JSON, CSV) carry full-precision fractions and agree
-field-for-field; the Markdown tables show percentages scaled by 100 with one
-decimal, with near-zero top-of-list precision shown as a dash.
+The report is `manifest.json`, the CSV tables (metrics, thresholds, yearly,
+and one reliability table per fitted model) and `report.md`, beside each
+model's flagged CSV. Machine formats (JSON, CSV) carry full-precision
+fractions and agree field-for-field; the Markdown tables show percentages
+scaled by 100 with one decimal, with near-zero top-of-list precision shown
+as a dash.
 
 The renderers take a manifest body, a fresh one or a saved one that
-`manifest_body` has checked: its shape, and that the body hashes to its
-`manifest_digest`. `manifest.json` is the body as `jsonio.save_json`
-writes it, so `json.load` gives back the dict that `pipeline.digest_of`
-hashed. A model's flagged rows are not in the body: the task that
-evaluated the model rendered them into its flagged CSV (see `pipeline`),
-and the body's `flagged` entry holds that file's name, row count and
-sha256, so the digest covers the rows through the sha256. `emit_report`
-writes the requested formats beside the flagged CSVs the body names, and
-lists those CSVs first among its outputs, whatever formats it is asked
-for: a backtest's CSVs as its tasks wrote them, a saved manifest's as
-`flagged_csvs` copied them from beside it, in chunks, checking each
-against its entry as it went. Both write only into the directory the CLI
-gives them, its stage (see `cli`). The tasks rendered the flagged CSVs
-with `ingest.csv_text`, and the other CSVs go through `ingest.write_csv`,
-so every cell is written by csv's own rules: a float by its `repr`, so it
-reads back to the same bits, an int by its `str`, and None, such as the
-prevalence of a subset with no labeled row, blank.
+`manifest_body` has checked: its shape, every part a run writes present,
+and that the body hashes to its `manifest_digest`. `manifest.json` is the
+body as `jsonio.save_json` writes it, so `json.load` gives back the dict
+that `pipeline.digest_of` hashed. A model's flagged rows are not in the
+body: the task that evaluated the model rendered them into its flagged CSV
+(see `pipeline`), and the body's `flagged` entry holds that file's name,
+row count and sha256, so the digest covers the rows through the sha256.
+`emit_report` writes the report beside the flagged CSVs the body names,
+and lists those CSVs first among its outputs: a backtest's CSVs as its
+tasks wrote them, a saved manifest's as `flagged_csvs` copied them from
+beside it, in chunks, checking each against its entry as it went. Both
+write only into the directory the CLI gives them, its stage (see `cli`).
+The tasks rendered the flagged CSVs with `ingest.csv_text`, and the other
+CSVs go through `ingest.write_csv`, so every cell is written by csv's own
+rules: a float by its `repr`, so it reads back to the same bits, an int by
+its `str`, and None, such as the prevalence of a subset with no labeled
+row, blank.
 """
 from __future__ import annotations
 
@@ -31,11 +34,6 @@ from .errors import IoFailure, ValidationError
 from .ingest import write_csv
 from .jsonio import NUMBER, NUMBER_OR_NULL, Each, OrError, read_shape, save_json
 from .pipeline import MANIFEST_FORMAT, digest_of, model_file, sha256
-
-FORMAT_JSON = "json"
-FORMAT_CSV = "csv"
-FORMAT_MARKDOWN = "markdown"
-ALL_FORMATS = (FORMAT_JSON, FORMAT_CSV, FORMAT_MARKDOWN)
 
 METRIC_COLUMNS = ["auc", "ap", "precision", "recall", "f1", "accuracy"]
 PCT_AT_KEYS = ["0.01", "0.05"]
@@ -67,10 +65,8 @@ def _models(manifest_body: dict) -> list[tuple[str, str, dict]]:
     (cohort, "", entry) of each cohort that failed before any model."""
     return [
         (cohort, label, detail)
-        for cohort, cdata in sorted(manifest_body.get("cohorts", {}).items())
-        for label, detail in (
-            [("", cdata)] if "error" in cdata else sorted(cdata.get("models", {}).items())
-        )
+        for cohort, cdata in sorted(manifest_body["cohorts"].items())
+        for label, detail in ([("", cdata)] if "error" in cdata else sorted(cdata["models"].items()))
     ]
 
 
@@ -104,7 +100,7 @@ def _csv_tables(manifest_body: dict) -> dict[str, tuple[list[str], list]]:
     """The header and rows of each CSV table of the report, by file name:
     metrics, thresholds, yearly, and one reliability table per fitted model."""
     fitted = _fitted_models(manifest_body)
-    yearly = manifest_body.get("yearly", [])
+    yearly = manifest_body["yearly"]
     tables = {
         "metrics.csv": (
             ["cohort", "model", *METRIC_COLUMNS, *(f"precision_at_{k}" for k in PCT_AT_KEYS)],
@@ -142,11 +138,11 @@ def render_markdown(manifest_body: dict) -> str:
         (period.upper(), key, _fmt_pct(tau_hi), _fmt_fixed(tau_lo), _fmt_pct(prevalence))
         for period, key, tau_hi, tau_lo, prevalence in _threshold_rows(manifest_body)
     ]
-    shares = manifest_body.get("fragile_distribution", {})
+    shares = manifest_body["fragile_distribution"]
     fragile = [
         (period.upper(), f"bottom {float(group):.0%}", *cells)
         for period in ("p1", "p2")
-        for group, gdata in sorted(shares.get(period, {}).items())
+        for group, gdata in sorted(shares[period].items())
         for cells in (
             [(f"error: {gdata['error']}", "", "")]
             if "error" in gdata
@@ -155,7 +151,7 @@ def render_markdown(manifest_body: dict) -> str:
     ]
     fragile += [
         (period.upper(), "hidden fragility", f"error: {entry['error']}", "", "")
-        for period, entry in sorted(manifest_body.get("hidden_fragility", {}).items())
+        for period, entry in sorted(manifest_body["hidden_fragility"].items())
         if "error" in entry
     ]
     yearly = [
@@ -163,7 +159,7 @@ def render_markdown(manifest_body: dict) -> str:
             row["year"], row["n_rows"], row["n_eligible"], _fmt_pct(row["tau_hi"]),
             _fmt_fixed(row["tau_lo"]), _fmt_pct(row["prevalence"]), row["anomaly_rows"],
         )
-        for row in manifest_body.get("yearly", [])
+        for row in manifest_body["yearly"]
     ]
     lines = [
         "# Backtest report",
@@ -214,10 +210,10 @@ MANIFEST_SHAPE = {
     "config_hash": object,
     "manifest_digest": object,
     "periods": {"p1": _PERIOD, "p2": _PERIOD},
-    "cohorts?": Each(OrError({"models?": Each(OrError(_MODEL))})),
-    "fragile_distribution?": {"p1?": _AREA_SHARES, "p2?": _AREA_SHARES},
-    "hidden_fragility?": {"p1?": OrError({}), "p2?": OrError({})},
-    "yearly?": [
+    "cohorts": Each(OrError({"models": Each(OrError(_MODEL))})),
+    "fragile_distribution": {"p1": _AREA_SHARES, "p2": _AREA_SHARES},
+    "hidden_fragility": {"p1": OrError({}), "p2": OrError({})},
+    "yearly": [
         {
             **dict.fromkeys(("year", "n_rows", "n_eligible", "anomaly_rows"), object),
             **dict.fromkeys(("tau_hi", "tau_lo", "prevalence"), NUMBER_OR_NULL),
@@ -281,35 +277,25 @@ def flagged_csvs(body: dict, directory: Path, stage: Path) -> None:
             raise ValidationError(f"{path} does not hold the {entry['rows']} rows its manifest records")
 
 
-def check_formats(formats) -> None:
-    """Raise `ValidationError` on a format not in `ALL_FORMATS`."""
-    for fmt in formats:
-        if fmt not in ALL_FORMATS:
-            raise ValidationError(f"unknown report format {fmt!r}")
-
-
-def emit_report(body: dict, formats, outdir) -> list[Path]:
-    """Write the requested formats of the manifest body into the existing
-    directory `outdir`, beside the flagged CSVs the body names, which are
-    there already; returns the paths of those CSVs, then the paths written."""
-    check_formats(formats)
+def emit_report(body: dict, outdir) -> list[Path]:
+    """Write the report of the manifest body, `manifest.json`, the CSV
+    tables and `report.md`, into the existing directory `outdir`, beside
+    the flagged CSVs the body names, which are there already; returns the
+    paths of those CSVs, then the paths written."""
     outdir = Path(outdir)
     written = [outdir / detail["flagged"]["file"] for _, _, detail in _fitted_models(body)]
     try:
-        if FORMAT_JSON in formats:
-            path = outdir / "manifest.json"
-            save_json(body, path)
+        path = outdir / "manifest.json"
+        save_json(body, path)
+        written.append(path)
+        for name, (header, rows) in _csv_tables(body).items():
+            path = outdir / name
+            write_csv(path, header, list(zip(*rows)) or [()] * len(header))
             written.append(path)
-        if FORMAT_CSV in formats:
-            for name, (header, rows) in _csv_tables(body).items():
-                path = outdir / name
-                write_csv(path, header, list(zip(*rows)) or [()] * len(header))
-                written.append(path)
-        if FORMAT_MARKDOWN in formats:
-            path = outdir / "report.md"
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(render_markdown(body))
-            written.append(path)
+        path = outdir / "report.md"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(render_markdown(body))
+        written.append(path)
         return written
     except OSError as exc:
         raise IoFailure(f"failed writing report to {outdir}: {exc}") from exc

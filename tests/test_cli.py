@@ -217,11 +217,11 @@ def test_a_subset_with_no_labeled_row_has_a_blank_prevalence(tmp_path):
 
 @pytest.fixture(scope="module")
 def saved_run(tmp_path_factory):
-    """The directory of a small backtest run under `--formats json`."""
+    """The directory of a small backtest run."""
     tmp = tmp_path_factory.mktemp("saved")
     panel = tmp / "synth.csv"
     main(["synth", "--seed", "4", "--out", str(panel), "--set", "synth.n_zips=250"])
-    args = ["backtest", "--panel", str(panel), "--out", str(tmp / "run"), "--formats", "json"]
+    args = ["backtest", "--panel", str(panel), "--out", str(tmp / "run")]
     assert main(args + SMALL_RUN) == 0
     return tmp / "run"
 
@@ -248,7 +248,32 @@ def _set(path, value):
     return change
 
 
+def _drop(path):
+    """A change to a manifest body that removes the part at `path`."""
+
+    def change(body):
+        *parents, last = path
+        for key in parents:
+            body = body[key]
+        del body[last]
+
+    return change
+
+
 FLAGGED = ["cohorts", "All", "models", "logistic[pct_no_vehicle]", "flagged"]
+
+# Parts of a manifest body that every run writes and a report must find.
+MISSING_PARTS = [
+    ("cohorts",),
+    ("cohorts", "All", "models"),
+    ("fragile_distribution",),
+    ("fragile_distribution", "p1"),
+    ("fragile_distribution", "p2"),
+    ("hidden_fragility",),
+    ("hidden_fragility", "p1"),
+    ("hidden_fragility", "p2"),
+    ("yearly",),
+]
 
 MANIFEST_DAMAGE = {
     "format": _set(["format"], "snapgap-manifest/0"),
@@ -265,15 +290,18 @@ MANIFEST_DAMAGE = {
     "sha256 a number": _set([*FLAGGED, "sha256"], 0),
     "file a number": _set([*FLAGGED, "file"], 1),
     "no sha256": lambda body: _model(body)["flagged"].pop("sha256"),
+    **{f"no {'.'.join(path)}": _drop(path) for path in MISSING_PARTS},
 }
 
 
-def _report_fails_with_exit_2(tmp_path, capsys, manifest: Path) -> None:
+def _report_fails_with_exit_2(tmp_path, capsys, manifest: Path) -> str:
+    """The one error line of a `report` of `manifest` that exits 2 and writes nothing."""
     out = tmp_path / "out"
     assert main(["report", "--manifest", str(manifest), "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
     assert not out.exists()
+    return err[0]
 
 
 @pytest.mark.parametrize(
@@ -312,6 +340,15 @@ def test_report_exits_2_on_a_manifest_it_cannot_render(
     assert _model(body)["flagged"]["rows"]
     damage(body)
     _report_fails_with_exit_2(tmp_path, capsys, _copy_run(saved_run, _redigested(body), tmp_path))
+
+
+@pytest.mark.parametrize("path", MISSING_PARTS, ids=[".".join(path) for path in MISSING_PARTS])
+def test_report_names_a_missing_part(tmp_path, capsys, saved_run, saved_manifest, path):
+    # the renderers read such a part as empty, and the report showed an empty section
+    body = json.loads(json.dumps(saved_manifest))
+    _drop(path)(body)
+    line = _report_fails_with_exit_2(tmp_path, capsys, _copy_run(saved_run, _redigested(body), tmp_path))
+    assert line.endswith(f": {'.'.join(('manifest', *path[:-1]))}: expected a key {path[-1]!r}")
 
 
 def _edit_a_flagged_probability(body, directory):
@@ -387,11 +424,10 @@ def test_report_renders_an_undamaged_copy(tmp_path, saved_run, saved_manifest):
 
 
 def test_backtest_writes_every_flagged_csv_under_any_format(tmp_path, saved_run, saved_manifest):
-    # the run wrote only `--formats json`
     models = [m for c in saved_manifest["cohorts"].values() for m in c["models"].values()]
     named = {m["flagged"]["file"] for m in models}
     assert len(named) == len(models) == 6
-    assert {p.name for p in saved_run.iterdir()} == {"manifest.json", *named}
+    assert all((saved_run / name).is_file() for name in named)
     out = tmp_path / "out"
     assert main(["report", "--manifest", str(saved_run / "manifest.json"), "--out", str(out)]) == 0
     for name in named:
@@ -402,7 +438,7 @@ def test_report_rerenders_into_the_manifests_own_directory(tmp_path, saved_run):
     run = tmp_path / "run"
     shutil.copytree(saved_run, run)
     args = ["report", "--manifest", str(run / "manifest.json"), "--out", str(run)]
-    assert main([*args, "--formats", "json"]) == 0
+    assert main(args) == 0
     assert files_in(run) == files_in(saved_run)
 
 
@@ -556,7 +592,7 @@ def test_train_names_the_tasks_it_skipped(tmp_path, capsys):
     capsys.readouterr()
     assert main(["train", *args, "--out", str(tmp_path / "train")]) == 0
     captured = capsys.readouterr()
-    assert main(["backtest", *args, "--formats", "json", "--out", str(tmp_path / "run")]) == 0
+    assert main(["backtest", *args, "--out", str(tmp_path / "run")]) == 0
     cohorts = load_json(tmp_path / "run" / "manifest.json")["cohorts"]
     subsets = (["pct_no_vehicle"], ["pct_no_vehicle", "pct_hs_only"])
     plan = [f"{family}[{'+'.join(subset)}]" for subset in subsets for family in FAMILIES]
@@ -583,7 +619,7 @@ def test_train_names_the_cohorts_it_skipped(tmp_path, capsys):
     capsys.readouterr()
     assert main(["train", *args, "--out", str(tmp_path / "train")]) == 0
     captured = capsys.readouterr()
-    assert main(["backtest", *args, "--formats", "json", "--out", str(tmp_path / "run")]) == 0
+    assert main(["backtest", *args, "--out", str(tmp_path / "run")]) == 0
     cohorts = load_json(tmp_path / "run" / "manifest.json")["cohorts"]
     assert cohorts["Rural"] == {"error": "cohort 'Rural': no labeled training rows"}
     subsets = (["pct_no_vehicle"], ["pct_no_vehicle", "pct_hs_only"])
@@ -613,7 +649,7 @@ def test_a_train_that_fits_no_scorer_exits_3(tmp_path, capsys):
 def test_scorer_files_digest_to_their_manifest_entries(tmp_path, small_panel):
     out = tmp_path / "run"
     args = ["backtest", "--panel", str(small_panel), *SMALL_RUN, "--set", "area_mode=stratified"]
-    assert main([*args, "--models", "--formats", "json", "--out", str(out)]) == 0
+    assert main([*args, "--models", "--out", str(out)]) == 0
     digests = {
         pipeline.model_file("model", cohort, model, ".json"): entry["model_digest"]
         for cohort, body in load_json(out / "manifest.json")["cohorts"].items()
@@ -710,24 +746,6 @@ def test_a_label_rule_the_synthetic_target_misses_still_backtests(tmp_path, smal
     args += ["--set", "families=[logistic]", "--set", "folds=3", "--set", "importance_repeats=1"]
     assert main(args) == 0, capsys.readouterr().err
     assert load_json(run / "manifest.json")["config"]["label"]["lo_q"] == 0.02
-
-
-@pytest.mark.parametrize("command", ["backtest", "report"])
-def test_an_unknown_format_exits_2_before_any_work(tmp_path, capsys, monkeypatch, command):
-    def no_work(*args, **kwargs):
-        raise AssertionError("ran before checking --formats")
-
-    monkeypatch.setattr(cli, "run_backtest", no_work)
-    monkeypatch.setattr(cli, "_load_panel", no_work)
-    monkeypatch.setattr(cli, "load_json", no_work)
-    args = [command, "--out", str(tmp_path / "out"), "--formats", "json,xml"]
-    if command == "backtest":
-        args += ["--panel", str(tmp_path / "panel.csv"), "--seed", "1"]
-    else:
-        args += ["--manifest", str(tmp_path / "manifest.json")]
-    assert main(args) == 2
-    assert capsys.readouterr().err == "error: unknown report format 'xml'\n"
-    assert not (tmp_path / "out").exists()
 
 
 def test_io_exit_code(tmp_path):
@@ -1072,7 +1090,7 @@ def test_cohort_error_in_a_worker_exits_3(tmp_path, small_panel, monkeypatch, ca
     run_tasks_in_workers(monkeypatch)
 
     def single_class(cfg, task, *args):
-        raise CohortError(f"cohort {task.cohort!r}: one class in a worker")
+        raise CohortError("one class in a worker")
 
     monkeypatch.setattr(pipeline, "_fit_task", single_class)
     code = main(["backtest", "--panel", str(small_panel), *SMALL_RUN, "--out", str(tmp_path / "run")])

@@ -122,8 +122,10 @@ BODY = {
         "p1": {
             "0.1": {"by_area": {"Urban": {"count": 3, "share": 0.75}, "Rural": {"count": 0, "share": 0.0}}},
             "0.3": {"error": "no eligible row"},
-        }
+        },
+        "p2": {},
     },
+    "hidden_fragility": {"p1": {}, "p2": {}},
     "yearly": [
         {"year": 2014, "n_rows": 10, "n_eligible": 8, "tau_hi": 0.3, "tau_lo": -0.0,
          "prevalence": 5e-324, "anomaly_rows": 0},
@@ -136,10 +138,11 @@ BODY = {
 def test_emit_report_bytes(tmp_path):
     flagged = b"zip,year,calibrated_probability\r\n00001,2019,0.5\r\n"
     (tmp_path / FLAGGED).write_bytes(flagged)
-    written = emit_report(BODY, ("csv", "markdown"), tmp_path)
+    written = emit_report(BODY, tmp_path)
     digests = {path.name: sha256(path.read_bytes()).hexdigest() for path in written}
     assert digests == {
         FLAGGED: sha256(flagged).hexdigest(),
+        "manifest.json": "6fa35e35a3d00b9a737a07fc59656a3c85dd81ebb726292a470a06b255bff225",
         "metrics.csv": "8b478b833905c04ddd26b1732e1ddfaa061ac8b2b0ade4e201f1e98e4aa68ec0",
         "thresholds.csv": "30ca5116ff2bdcd6cec4e3102ea43c6d53bcd3fa73ecc83b6f0ae4ed6c6eb397",
         "yearly.csv": "0c673c18b0b0f89c267f5d5904c32d141edd52c6d17427a6bfcdfa0a4ad54d70",

@@ -480,3 +480,34 @@ def test_a_mistyped_scorer_block_is_refused(name, path):
     message = f"{named(path)}: expected"
     with pytest.raises(ValidationError, match=re.escape(message)):
         scorer_from_dict(data)
+
+
+NODE_LIST_DAMAGE = [
+    (key, bad, "an integer") for key in ("feature", "left", "right") for bad in ("1", True, -1.0, None)
+] + [(key, bad, "a number or null") for key in ("threshold", "value") for bad in ("0.5", True, [])]
+
+
+@pytest.mark.parametrize(
+    "key, bad, expected",
+    NODE_LIST_DAMAGE,
+    ids=[f"{key}:{json.dumps(bad)}" for key, bad, _ in NODE_LIST_DAMAGE],
+)
+def test_a_mistyped_tree_node_is_refused(key, bad, expected):
+    # a string ended in a TypeError or ValueError, and a bool or a float
+    # was read as a number
+    data = small_scorer_files()["forest"]
+    data["model"]["trees"][1][key][0] = bad
+    message = f"scorer.model.trees[1].{key}[0]: expected {expected}"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        scorer_from_dict(data)
+
+
+@pytest.mark.parametrize("values", [[0.0], []], ids=["one value short", "both empty"])
+def test_an_isotonic_map_of_two_lengths_is_refused(values):
+    # it loaded, and scoring with it failed inside np.interp
+    data = small_scorer_files()["logistic"]
+    data["calibration"]["values"] = values
+    if not values:
+        data["calibration"]["scores"] = []
+    with pytest.raises(ValidationError, match="must be non-empty and of one length"):
+        scorer_from_dict(data)

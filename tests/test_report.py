@@ -57,15 +57,15 @@ def manifest(records, run_dir, models_dir):
 def emit(manifest, run_dir, tmp_path):
     """`emit_report` of the `manifest` run, beside copies of its flagged CSVs."""
 
-    def emit(formats, outdir):
+    def emit(outdir):
         shutil.copytree(run_dir, outdir, dirs_exist_ok=True)
-        return emit_report(manifest, formats, outdir)
+        return emit_report(manifest, outdir)
 
     return emit
 
 
 def test_emits_all_formats(emit, tmp_path):
-    written = emit(("json", "csv", "markdown"), tmp_path)
+    written = emit(tmp_path)
     names = {p.name for p in written}
     assert "manifest.json" in names
     assert "metrics.csv" in names
@@ -77,7 +77,7 @@ def test_emits_all_formats(emit, tmp_path):
 
 
 def test_csv_and_json_agree_field_for_field(emit, tmp_path):
-    emit(("json", "csv"), tmp_path)
+    emit(tmp_path)
     with open(tmp_path / "manifest.json") as fh:
         body = json.load(fh)
     with open(tmp_path / "metrics.csv", newline="") as fh:
@@ -140,7 +140,7 @@ def test_markdown_shows_a_hidden_fragility_error(records, tmp_path):
     body = run_backtest(CFG, panel, tmp_path)
     error = body["hidden_fragility"]["p2"]["error"]
     assert "error" not in body["hidden_fragility"]["p1"]
-    emit_report(body, ("json",), tmp_path)
+    emit_report(body, tmp_path)
     saved = manifest_body(load_json(tmp_path / "manifest.json"))
     for shown in (body, saved):
         rows = error_rows(shown, "Fragile-row distribution by area")
@@ -148,7 +148,7 @@ def test_markdown_shows_a_hidden_fragility_error(records, tmp_path):
 
 
 def test_flagged_csv_sorted(emit, tmp_path):
-    emit(("csv",), tmp_path)
+    emit(tmp_path)
     path = next(tmp_path.glob("flagged_All_logistic_pct_no_vehicle.csv"))
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
@@ -178,14 +178,14 @@ def test_json_and_flagged_csvs_match_the_reference_renderer(
         )
     (tmp_path / "ref").mkdir()
     names = render_report_reference(plain(manifest), flagged, tmp_path / "ref")
-    emit(("json",), tmp_path / "out")
+    emit(tmp_path / "out")
     assert len(names) == 3
     for name in names:
         assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes(), name
 
 
 def test_manifest_json_roundtrip_preserves_digest(manifest, emit, tmp_path):
-    emit(("json",), tmp_path)
+    emit(tmp_path)
     with open(tmp_path / "manifest.json") as fh:
         body = json.load(fh)
     assert body["manifest_digest"] == manifest["manifest_digest"]
@@ -193,10 +193,3 @@ def test_manifest_json_roundtrip_preserves_digest(manifest, emit, tmp_path):
 
     stripped = {k: v for k, v in body.items() if k != "manifest_digest"}
     assert digest_of(stripped) == body["manifest_digest"]
-
-
-def test_unknown_format_rejected(emit, tmp_path):
-    from snapgap.errors import ValidationError
-
-    with pytest.raises(ValidationError):
-        emit(("pdf",), tmp_path)
