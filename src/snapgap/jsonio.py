@@ -75,6 +75,9 @@ _TYPE_NAMES = {
     NUMBER: "a number", NUMBER_OR_NULL: "a number or null", str: "a string", int: "an integer",
     int | None: "an integer or null", list: "a list",
 }
+# Shapes of numbers, which JSON's true and false, read as Python bools and so
+# as ints, do not have.
+_NUMBERS = {NUMBER, NUMBER_OR_NULL, int, int | None}
 
 
 def read_shape(value, shape, where: str):
@@ -82,7 +85,8 @@ def read_shape(value, shape, where: str):
     `where` its first part that has not. A shape is a type or tuple of
     types; a string, the one value allowed; a dict of keys and their shapes,
     every one of which must be there; a one-item list, for a list of items of
-    that shape; `Each` or `OrError`."""
+    that shape; `Each` or `OrError`. A bool is no number: it has no shape
+    that asks for an integer or a number."""
 
     def fail(what: str):
         return ValidationError(f"{where}: expected {what}")
@@ -115,6 +119,6 @@ def read_shape(value, shape, where: str):
         if value != shape:
             raise fail(repr(shape))
         return value
-    if not isinstance(value, shape):
+    if not isinstance(value, shape) or (isinstance(value, bool) and shape in _NUMBERS):
         raise fail(_TYPE_NAMES[shape])
     return value

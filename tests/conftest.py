@@ -1,4 +1,6 @@
+import csv
 import json
+import os
 
 import numpy as np
 import pytest
@@ -103,3 +105,30 @@ def files_in(directory) -> dict[str, bytes | None]:
 def scorers_in(directory) -> dict:
     """The scorer each scorer file in `directory` holds, by file name."""
     return {path.name: scorer_from_dict(load_json(path)) for path in sorted(directory.iterdir())}
+
+
+# Runs the CLI, then reports whether the process imported the pool modules.
+RUN_CLI = """\
+import sys
+from snapgap.cli import main
+code = main(sys.argv[1:])
+print("pool imported:", "concurrent.futures" in sys.modules)
+sys.exit(code)
+"""
+
+
+def pin_to_one_cpu():
+    """Narrow this process's affinity mask to one CPU (a `preexec_fn`)."""
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+def move_p2_mixed_to_urban(path) -> None:
+    """Rewrite the panel CSV at `path` with every 2019-2023 Mixed row in Urban."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    area, year = rows[0].index("area"), rows[0].index("year")
+    for row in rows[1:]:
+        if row[area] == "Mixed" and 2019 <= int(row[year]) <= 2023:
+            row[area] = "Urban"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)

@@ -11,8 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import files_in
-from oracles import reference_logistic_path
+from conftest import RUN_CLI, files_in, move_p2_mixed_to_urban, pin_to_one_cpu
 import snapgap
 from snapgap import cli, pipeline
 from snapgap.calibration import apply_isotonic
@@ -186,14 +185,7 @@ def test_a_subset_with_no_labeled_row_has_a_blank_prevalence(tmp_path):
     panel = tmp_path / "panel.csv"
     synth = ["synth", "--config", STRATIFIED, "--seed", "3", "--set", "synth.n_zips=300"]
     assert main([*synth, "--out", str(panel)]) == 0
-    with open(panel, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    area, year = rows[0].index("area"), rows[0].index("year")
-    for row in rows[1:]:
-        if row[area] == "Mixed" and 2019 <= int(row[year]) <= 2023:
-            row[area] = "Urban"
-    with open(panel, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerows(rows)
+    move_p2_mixed_to_urban(panel)
     run = tmp_path / "run"
     backtest = ["backtest", "--config", STRATIFIED, "--seed", "3", "--panel", str(panel)]
     assert main([*backtest, "--set", "families=[logistic]", "--out", str(run)]) == 0
@@ -404,6 +396,20 @@ def test_report_exits_2_on_a_flagged_entry_its_file_does_not_match(
     _report_fails_with_exit_2(tmp_path, capsys, _copy_run(saved_run, _redigested(body), tmp_path))
 
 
+def test_report_exits_2_on_a_flagged_row_count_of_true(tmp_path, capsys, saved_run, saved_manifest):
+    # JSON's true read as the int 1, so a one-row flagged CSV matched it
+    body = json.loads(json.dumps(saved_manifest))
+    manifest = _copy_run(saved_run, body, tmp_path / "copy")
+    entry = _model(body)["flagged"]
+    path = manifest.parent / entry["file"]
+    data = b"".join(path.read_bytes().splitlines(keepends=True)[:2])
+    path.write_bytes(data)
+    entry.update(rows=True, sha256=sha256(data).hexdigest())
+    manifest.write_text(json.dumps(_redigested(body)), encoding="utf-8")
+    line = _report_fails_with_exit_2(tmp_path, capsys, manifest)
+    assert line.endswith(f": manifest.{'.'.join(FLAGGED)}.rows: expected an integer")
+
+
 def test_report_exits_4_on_a_missing_flagged_csv(tmp_path, capsys, saved_run, saved_manifest):
     manifest = _copy_run(saved_run, saved_manifest, tmp_path / "copy")
     missing = manifest.parent / _model(saved_manifest)["flagged"]["file"]
@@ -432,14 +438,6 @@ def test_backtest_writes_every_flagged_csv_under_any_format(tmp_path, saved_run,
     assert main(["report", "--manifest", str(saved_run / "manifest.json"), "--out", str(out)]) == 0
     for name in named:
         assert (out / name).read_bytes() == (saved_run / name).read_bytes()
-
-
-def test_report_rerenders_into_the_manifests_own_directory(tmp_path, saved_run):
-    run = tmp_path / "run"
-    shutil.copytree(saved_run, run)
-    args = ["report", "--manifest", str(run / "manifest.json"), "--out", str(run)]
-    assert main(args) == 0
-    assert files_in(run) == files_in(saved_run)
 
 
 def test_report_holds_no_flagged_csv(tmp_path, saved_run, saved_manifest):
@@ -511,19 +509,6 @@ def test_a_failed_backtest_leaves_out_as_it_found_it(
         assert files_in(out) == files_in(saved_run)
     else:
         assert not (tmp_path / "out").exists()
-
-
-def test_the_reference_logistic_path_writes_the_same_bytes(tmp_path, small_panel, monkeypatch):
-    # the loss-first Newton loop and numpy's stable argsort, patched in
-    # before any worker forks
-    args = [
-        "--panel", str(small_panel), "--models", *SMALL_RUN,
-        "--set", "grids.logistic=[{c: 0.1}, {c: 10000.0}]",
-    ]
-    assert main(["backtest", "--out", str(tmp_path / "fast"), *args]) == 0
-    reference_logistic_path(monkeypatch.setattr)
-    assert main(["backtest", "--out", str(tmp_path / "reference"), *args]) == 0
-    assert files_in(tmp_path / "reference") == files_in(tmp_path / "fast")
 
 
 def test_train_writes_scorer_files(tmp_path):
@@ -659,31 +644,6 @@ def test_scorer_files_digest_to_their_manifest_entries(tmp_path, small_panel):
     assert sorted(path.name for path in (out / "models").iterdir()) == sorted(digests)
     for name, digest in digests.items():
         assert digest_of(load_json(out / "models" / name)["model"]) == digest, name
-
-
-def test_train_and_backtest_models_write_identical_scorers(tmp_path):
-    panel = tmp_path / "synth.csv"
-    main(["synth", "--seed", "5", "--out", str(panel), "--set", "synth.n_zips=250"])
-    common = [
-        "--panel", str(panel),
-        "--seed", "5",
-        "--set", "feature_subsets=[[pct_no_vehicle], [pct_no_vehicle, pct_hs_only]]",
-        "--set", "families=[logistic, random_forest]",
-        "--set", "grids={logistic: [{c: 1.0}], random_forest: [{n_trees: 5, max_depth: 3}]}",
-        "--set", "folds=3",
-        "--set", "importance_repeats=1",
-    ]
-    assert main(["train", *common, "--out", str(tmp_path / "trained")]) == 0
-    assert main(["backtest", *common, "--out", str(tmp_path / "run"), "--models"]) == 0
-    trained = {p.name: p.read_bytes() for p in (tmp_path / "trained").iterdir()}
-    backtested = {p.name: p.read_bytes() for p in (tmp_path / "run" / "models").iterdir()}
-    assert sorted(trained) == [
-        "model_All_logistic_pct_no_vehicle.json",
-        "model_All_logistic_pct_no_vehicle_pct_hs_only.json",
-        "model_All_random_forest_pct_no_vehicle.json",
-        "model_All_random_forest_pct_no_vehicle_pct_hs_only.json",
-    ]
-    assert trained == backtested
 
 
 def test_validation_exit_code(tmp_path):
@@ -908,16 +868,6 @@ SMALL_RUN = [
     "--set", "importance_repeats=1",
 ]
 
-# Runs the CLI, then reports whether the process imported the pool modules.
-RUN_CLI = """\
-import sys
-from snapgap.cli import main
-code = main(sys.argv[1:])
-print("pool imported:", "concurrent.futures" in sys.modules)
-sys.exit(code)
-"""
-
-
 @pytest.fixture
 def small_panel(tmp_path):
     panel = tmp_path / "synth.csv"
@@ -955,38 +905,6 @@ def test_a_command_that_cannot_publish_leaves_out_as_it_found_it(
     assert captured.err == f"error: cannot write {out / blocked}: it is a directory\n"
     assert "wrote" not in captured.out
     assert files_in(out) == before
-
-
-def pin_to_one_cpu():
-    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-
-
-@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity mask here")
-def test_outputs_do_not_depend_on_the_worker_count(tmp_path, small_panel):
-    src = str(Path(snapgap.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
-    pooled = len(os.sched_getaffinity(0)) > 1
-    outputs = []
-    for pinned in (True, False):
-        out = tmp_path / ("one-cpu" if pinned else "all-cpus")
-        for command in (
-            ["backtest", "--panel", str(small_panel), *SMALL_RUN, "--models", "--out", str(out / "backtest")],
-            ["train", "--panel", str(small_panel), *SMALL_RUN, "--out", str(out / "train")],
-        ):
-            proc = subprocess.run(
-                [sys.executable, "-c", RUN_CLI, *command],
-                env=env,
-                preexec_fn=pin_to_one_cpu if pinned else None,
-                capture_output=True,
-                text=True,
-                timeout=300,
-            )
-            assert proc.returncode == 0, proc.stderr
-            assert proc.stdout.endswith(f"pool imported: {pooled and not pinned}\n")
-        outputs.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()})
-    assert outputs[0] == outputs[1]
-    assert sum(p.parts[0] == "train" for p in outputs[0]) == 6
-    assert sum(p.parts[:2] == ("backtest", "models") for p in outputs[0]) == 6
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity mask here")

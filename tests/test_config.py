@@ -184,12 +184,15 @@ def test_every_command_checks_keys_before_any_work(tmp_path, capsys, command):
         ("report", ["--seed", "1"]),
         ("ingest", ["--seed", "1"]),
         ("label", ["--seed", "1"]),
+        ("backtest", ["--formats", "json"]),
     ],
 )
 def test_flags_that_set_nothing_are_unknown(tmp_path, capsys, command, flags):
-    # report reads no setting (its --set is refused above), and neither
-    # ingest nor label draws a random number
-    given = {"report": ["--manifest", "m.json"]}.get(command, ["--panel", "p.csv"])
+    # report reads no setting (its --set is refused above), neither ingest
+    # nor label draws a random number, and a run writes every report file
+    given = {"report": ["--manifest", "m.json"], "backtest": ["--seed", "1", "--panel", "p.csv"]}.get(
+        command, ["--panel", "p.csv"]
+    )
     with pytest.raises(SystemExit) as exc:
         main([command, *given, "--out", str(tmp_path / "o"), *flags])
     assert exc.value.code == 2

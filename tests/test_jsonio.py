@@ -482,6 +482,25 @@ def test_a_mistyped_scorer_block_is_refused(name, path):
         scorer_from_dict(data)
 
 
+NUMBER_KEYS = [
+    (name, path)
+    for name, path in SCORER_KEYS
+    if type(at(small_scorer_files()[name], path)) in (int, float)
+]
+
+
+@pytest.mark.parametrize(
+    "name, path", NUMBER_KEYS, ids=[f"{name}:{named(path)}" for name, path in NUMBER_KEYS]
+)
+def test_a_bool_for_a_number_in_a_scorer_file_is_refused(name, path):
+    # JSON's true read as an int: it loaded as EnsembleParams(n_trees=True)
+    # or IsotonicMap(fitted_on=True)
+    data = small_scorer_files()[name]
+    at(data, path[:-1])[path[-1]] = True
+    with pytest.raises(ValidationError, match=re.escape(f"{named(path)}: expected")):
+        scorer_from_dict(data)
+
+
 NODE_LIST_DAMAGE = [
     (key, bad, "an integer") for key in ("feature", "left", "right") for bad in ("1", True, -1.0, None)
 ] + [(key, bad, "a number or null") for key in ("threshold", "value") for bad in ("0.5", True, [])]

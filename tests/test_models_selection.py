@@ -176,7 +176,7 @@ class TestCvGridSearch:
         with pytest.raises(NonConvergence, match="stuck"):
             cv_grid_search(fm, "logistic", [{"c": 100.0}], folds=3, seed=4)
 
-    def test_out_of_fold_proba_alignment(self, rng):
+    def test_fold_proba_alignment(self, rng):
         fm = informative_fm(rng, n=90)
         folds = stratified_folds(fm.y, 3, seed=9)
         oof = np.empty((1, fm.n))
