@@ -9,8 +9,9 @@ A logistic candidate whose fit fails to converge on some fold keeps its
 first failing fold's error as its grid entry and cannot win; the search
 fails only when every candidate of a family does.
 
-A search is put together from folds: `fold_proba` fits every candidate of a
-family on one fold's training rows and writes its predictions for the
+A search is put together from folds its caller draws (`stratified_folds`;
+the pipeline draws each cohort's once): `fold_proba` fits every candidate
+of a family on one fold's training rows and writes its predictions for the
 fold's held-out rows into one out-of-fold matrix, and `cv_grid_search`
 reads each candidate's fold APs and out-of-fold scores off that matrix.
 Folds do not depend on each other, so the pipeline runs each fold of a
@@ -214,11 +215,11 @@ def cv_grid_search(
     family: str,
     candidates: list[dict],
     *,
-    folds: int,
+    folds: Sequence[np.ndarray],
     seed: int,
     fold_results: tuple[np.ndarray, list[list]] | None = None,
 ) -> CvGridResult:
-    """Grid search one family's `candidates` over stratified folds.
+    """Grid search one family's `candidates` on `folds`, validation index arrays.
 
     Candidates are evaluated in simplicity order and replaced only on a
     strictly better mean AP, so exact ties resolve toward the simpler model.
@@ -231,14 +232,11 @@ def cv_grid_search(
     The predictions come from `fold_proba`, one call per fold with the
     candidates as listed. `fold_results`, when given, holds what those calls
     made elsewhere: the (candidates, rows) matrix they filled and their
-    returns in fold order (the pipeline makes them in worker processes). The
-    folds are drawn here all the same, so a cohort they cannot fill raises
-    as it would without them.
+    returns in fold order (the pipeline makes them in worker processes).
     """
-    fold_idx = stratified_folds(fm.y, folds, seed)
     if fold_results is None:
         oof = np.empty((len(candidates), fm.n))
-        fold_errors = [fold_proba(fm, family, candidates, val, seed, oof) for val in fold_idx]
+        fold_errors = [fold_proba(fm, family, candidates, val, seed, oof) for val in folds]
     else:
         oof, fold_errors = fold_results
     entries: list[GridEntry] = []
@@ -249,7 +247,7 @@ def cv_grid_search(
         if failed:
             entries.append(GridEntry(params, np.nan, [], error=str(failed[0])))
             continue
-        fold_aps = [average_precision(oof[i, val], fm.y[val]) for val in fold_idx]
+        fold_aps = [average_precision(oof[i, val], fm.y[val]) for val in folds]
         entry = GridEntry(params=params, mean_ap=float(np.mean(fold_aps)), fold_aps=fold_aps)
         entries.append(entry)
         if best_entry is None or entry.mean_ap > best_entry.mean_ap:

@@ -24,12 +24,15 @@ panel, and that separation is asserted by the test suite bit-for-bit.
 Every randomized task derives its own generator from (root seed, task label),
 so the manifest is byte-identical across runs.
 
-The (cohort, subset, family) tasks are independent, so they run in worker
+The plan (`_plan_tasks`) fixes what each (cohort, subset, family) task's
+fit reads: its cohort's rows and, under CV, folds, drawn once per cohort,
+and its family's grid (`BacktestConfig.family_grids`; under split70, the
+one candidate it fits). The tasks are independent, so they run in worker
 processes forked from this one, in two fixed passes over one pool: one
 worker per CPU in the process's affinity mask, at most one per unit of the
 larger pass. A tree family's CV grid search holds most of a run's work, so
 such a task is split. The first pass runs the folds of every split task and
-nothing else: each fold is one unit, which fits the grid on that fold
+nothing else: each fold is one unit, which fits the task's grid on it
 (`selection.fold_proba`). Their results are gathered per task in fold
 order, so no output depends on the order in which the pass hands them out.
 The second pass runs one unit per task, in plan order: the tail of a split
@@ -38,9 +41,9 @@ calibration, evaluation and importance), or the whole of any other task
 (logistic, split70), and its outcomes come back in plan order. With one
 CPU, where the platform cannot fork, or while another thread runs, the same
 units run here one after another, in the same two passes. Where a unit runs
-cannot change a byte: it reads only the labeled panels, which workers
-inherit through fork, it draws only from its task's keyed streams, and its
-result comes back by pickle, which keeps every float bit and dict order. A
+cannot change a byte: it reads only the plan and labeled panels, inherited
+through fork, it draws only from its task's keyed streams, and its result
+comes back by pickle, which keeps every float bit and dict order. A
 task sends back only its manifest entry, or the message of the error that
 failed it: whatever else it makes leaves it as a file, written into a
 directory its caller gives (the CLI's staging directory). A task renders
@@ -150,11 +153,11 @@ MODELED_AREAS = (Area.URBAN, Area.RURAL, Area.MIXED)
 
 MANIFEST_FORMAT = "snapgap-manifest/2"
 
-# Fixed hyperparameters for the 70/30 split path, which runs without a grid.
-SPLIT_DEFAULT_PARAMS = {
-    "logistic": {"c": 1.0},
-    "random_forest": {"n_trees": 100, "max_depth": None, "min_leaf": 5},
-    "gradient_boosting": {"n_trees": 100, "max_depth": 3, "learning_rate": 0.1},
+# The 70/30 split path's default grids: one candidate per family, which it fits.
+SPLIT_DEFAULT_GRIDS = {
+    "logistic": [{"c": 1.0}],
+    "random_forest": [{"n_trees": 100, "max_depth": None, "min_leaf": 5}],
+    "gradient_boosting": [{"n_trees": 100, "max_depth": 3, "learning_rate": 0.1}],
 }
 
 
@@ -178,7 +181,7 @@ class BacktestConfig:
     label: LabelConfig = field(default_factory=LabelConfig)
     feature_subsets: tuple[tuple[str, ...], ...] | Literal["all"] | None = None  # None, "all": all 15
     families: tuple[str, ...] = FAMILIES
-    grids: dict[str, list[dict]] | None = None  # None: defaults per family
+    grids: dict[str, list[dict]] | None = None  # None: defaults per family and selection
     folds: int = 5
     seed: int = 0
     area_mode: str = AREA_MODE_POOLED
@@ -243,6 +246,8 @@ class BacktestConfig:
         if self.importance_repeats < 1:
             raise ValidationError(f"importance_repeats must be >= 1, got {self.importance_repeats}")
         for family, candidates in self.family_grids().items():
+            if self.selection == SELECTION_SPLIT and len(candidates) > 1:
+                raise ValidationError(f"grids.{family}: split70 fits one candidate, got {len(candidates)}")
             for i, params in enumerate(candidates):
                 try:
                     check_candidate(family, params)
@@ -260,7 +265,9 @@ class BacktestConfig:
         return [tuple(s) for s in self.feature_subsets]
 
     def family_grids(self) -> dict[str, list[dict]]:
-        grids = DEFAULT_GRIDS if self.grids is None else self.grids
+        """Each family's candidates: `grids`, or its selection's defaults."""
+        default = DEFAULT_GRIDS if self.selection == SELECTION_CV else SPLIT_DEFAULT_GRIDS
+        grids = default if self.grids is None else self.grids
         return {fam: grids[fam] for fam in self.families}
 
     def to_dict(self) -> dict:
@@ -353,7 +360,7 @@ def _stratified_split(y: np.ndarray, train_frac: float, rng) -> tuple[np.ndarray
 
 class _Task(NamedTuple):
     """One (cohort, subset, family) task of a plan, with its cohort's
-    training and test row indices and training prevalence."""
+    training and test rows, prevalence and folds, and its grid."""
 
     cohort: str
     subset: tuple[str, ...]
@@ -361,6 +368,8 @@ class _Task(NamedTuple):
     p1_rows: np.ndarray
     p2_rows: np.ndarray
     prevalence: float
+    grid: list[dict]
+    folds: list[np.ndarray] | str | None
 
     @property
     def model(self) -> str:
@@ -381,9 +390,10 @@ def _fit_task(
 ) -> tuple[CalibratedScorer, dict]:
     """Train `task`'s scorer on early-period rows only.
 
-    Under CV selection, `fold_results`, when given, holds the out-of-fold
-    matrix the task's fold units filled and what their `fold_proba` calls
-    returned, in fold order.
+    Under CV selection the task's grid is searched on its folds, and
+    `fold_results`, when given, holds the out-of-fold matrix the task's fold
+    units filled and what their `fold_proba` calls returned, in fold order.
+    Under split70 the task fits its grid's one candidate.
 
     Raises a `CohortError`, whose message `_task_outcome` puts after the
     task's cohort, or `NonConvergence` when the split70 fit, the winner's
@@ -399,24 +409,18 @@ def _fit_task(
 
     detail: dict = {"family": family, "features": list(subset)}
     if cfg.selection == SELECTION_CV:
-        result = cv_grid_search(
-            fm,
-            family,
-            cfg.family_grids()[family],
-            folds=cfg.folds,
-            seed=seed,
-            fold_results=fold_results,
-        )
-        winner = result.winner
+        if isinstance(task.folds, str):
+            raise CohortError(task.folds)
+        result = cv_grid_search(fm, family, task.grid, folds=task.folds, seed=seed, fold_results=fold_results)
         oof = result.oof_proba
-        detail["winner"] = winner
+        detail["winner"] = result.winner
         detail["cv"] = [
             {"params": e.params, "error": e.error}
             if e.error is not None
             else {"params": e.params, "mean_ap": e.mean_ap, "fold_aps": e.fold_aps}
             for e in result.grid
         ]
-        model = fit_family(fm, family, winner, seed)
+        model = fit_family(fm, family, result.winner, seed)
         iso = fit_isotonic(*_calibration_pairs(oof, fm.y))
         cal_holdout = apply_isotonic(iso, oof)
         holdout_y = fm.y
@@ -425,7 +429,7 @@ def _fit_task(
         train_idx, test_idx = _stratified_split(fm.y, 0.70, rng)
         if fm.y[train_idx].sum() == 0 or fm.y[test_idx].sum() == 0:
             raise CohortError("70/30 split leaves a side with no positives")
-        params = SPLIT_DEFAULT_PARAMS[family]
+        (params,) = task.grid
         detail["winner"] = params
         detail["cv"] = None
         model = fit_family(fm.subset(train_idx), family, params, seed)
@@ -566,15 +570,18 @@ def _plan_tasks(
     cfg: BacktestConfig, p1_panel: LabeledPanel, p2_panel: LabeledPanel | None = None
 ) -> tuple[list[_Task], dict[str, str]]:
     """The flat task list in manifest order, each task carrying its cohort's
-    training and test row indices (none without a test panel) and training
-    prevalence; plus the error of every cohort with nothing to train on.
-    Results assemble independently of execution order.
+    training and test rows (none without a test panel), prevalence and
+    folds, and its family's grid; plus the error of every cohort with
+    nothing to train on. Results assemble independently of execution order.
 
     Training thresholds are always fitted, so a cohort with a labeled row
-    has its own prevalence."""
+    has its own prevalence. Under CV its folds are drawn once: validation
+    index arrays, or the `CohortError` message of rows that cannot fill
+    them. Under split70 they are None."""
     tasks = []
     cohort_errors: dict[str, str] = {}
     no_rows = np.empty(0, dtype=np.intp)
+    grids = cfg.family_grids()
     for cohort in _cohorts(cfg):
         p1_rows = _cohort_rows(p1_panel, cohort)
         if not p1_rows.size:
@@ -582,9 +589,15 @@ def _plan_tasks(
             continue
         prevalence = p1_panel.prevalences[cohort]
         p2_rows = no_rows if p2_panel is None else _cohort_rows(p2_panel, cohort)
+        folds = None
+        if cfg.selection == SELECTION_CV:
+            try:
+                folds = stratified_folds(p1_panel.y[p1_rows], cfg.folds, cfg.seed)
+            except CohortError as exc:
+                folds = str(exc)
         for subset in cfg.subsets():
             for family in cfg.families:
-                tasks.append(_Task(cohort, subset, family, p1_rows, p2_rows, prevalence))
+                tasks.append(_Task(cohort, subset, family, p1_rows, p2_rows, prevalence, grids[family], folds))
     return tasks, cohort_errors
 
 
@@ -625,19 +638,13 @@ def _task_outcome(state: tuple, i: int, fold_errors: list[list] | None = None) -
     return detail
 
 
-def _fold_outcome(state: tuple, i: int, k: int) -> list | None:
+def _fold_outcome(state: tuple, i: int, k: int) -> list:
     """Fold `k` of task `i` of the plan in `state` (see `_task_outcome`):
-    `fold_proba` of the task's grid on that fold, which writes to `oof[i]`,
-    or None when the task's rows cannot fill its folds, an error its tail
-    raises again."""
+    `fold_proba` of the task's grid on its fold `k`, which writes to `oof[i]`."""
     cfg, tasks, p1_panel, *_, oof = state
     task = tasks[i]
     fm = _task_matrix(p1_panel, task.p1_rows, task.subset)
-    try:
-        val = stratified_folds(fm.y, cfg.folds, cfg.seed)[k]
-    except CohortError:
-        return None
-    return fold_proba(fm, task.family, cfg.family_grids()[task.family], val, cfg.seed, oof[i])
+    return fold_proba(fm, task.family, task.grid, task.folds[k], cfg.seed, oof[i])
 
 
 def _run_unit(fn: str, state: tuple, unit: tuple) -> tuple:
@@ -673,22 +680,18 @@ def _reissue_warnings(results: Iterator[tuple]) -> Iterator[_Outcome]:
 
 
 def _first_pass(cfg: BacktestConfig, tasks: list[_Task]) -> list[tuple[int, int]]:
-    """The first pass's units: (i, k) for fold k of task i, for each task
-    that is a tree family's CV grid search. Empty under split70 selection
-    or without a tree family. No output depends on their order."""
-    if cfg.selection != SELECTION_CV:
-        return []
+    """The first pass's units: (i, k) for fold k of task i, for each tree
+    family's CV grid search on folds its cohort fills (none under split70).
+    No output depends on their order."""
     return [
         (i, k)
         for i, task in enumerate(tasks)
-        if task.family in TREE_FAMILIES
+        if task.family in TREE_FAMILIES and isinstance(task.folds, list)
         for k in range(cfg.folds)
     ]
 
 
-def _shared_oof(
-    cfg: BacktestConfig, tasks: list[_Task], units: list[tuple[int, int]]
-) -> dict[int, np.ndarray]:
+def _shared_oof(tasks: list[_Task], units: list[tuple[int, int]]) -> dict[int, np.ndarray]:
     """For each task split into folds, its out-of-fold matrix (grid
     candidates x training rows), all on one anonymous shared mapping.
 
@@ -696,9 +699,7 @@ def _shared_oof(
     whichever processes run them: workers inherit the mapping through fork.
     When workers run the units, this process never touches its pages, so no
     fold's predictions are pickled, sent or held here."""
-    shapes = {
-        i: (len(cfg.family_grids()[tasks[i].family]), len(tasks[i].p1_rows)) for i, _ in units
-    }
+    shapes = {i: (len(tasks[i].grid), len(tasks[i].p1_rows)) for i, _ in units}
     if not shapes:
         return {}
     sizes = [rows * cols for rows, cols in shapes.values()]
@@ -787,7 +788,7 @@ def _task_outcomes(
     that dies raises `SnapGapError`.
     """
     units = _first_pass(cfg, tasks)
-    oof = _shared_oof(cfg, tasks, units)
+    oof = _shared_oof(tasks, units)
     state = (cfg, tasks, p1_panel, p2_panel, flagged_dir, models_dir, oof)
     workers = _pool_size(max(len(units), len(tasks)))
     if workers < 2:

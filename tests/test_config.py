@@ -233,7 +233,8 @@ def test_out_of_range_settings_exit_2_before_any_work(tmp_path, capsys, extra, m
 # non-finite float at the manifest digest, in a fit or in the panel's cells,
 # an int past the float range in its conversion, a negative area share in
 # the area draw, an empty feature subset as a model with no features or in
-# the first tree fit, and a synth key out of range on a backtest not at all.
+# the first tree fit, a synth key out of range on a backtest not at all, and
+# a split70 grid of two candidates as a fit of neither, with both recorded.
 BAD_SETTINGS = [
     ("synth", ["--seed", "-1"], "seed must be >= 0, got -1"),
     ("backtest", ["--seed", "-5"], "seed must be >= 0, got -5"),
@@ -269,6 +270,14 @@ BAD_SETTINGS = [
     ),
     ("backtest", ["--seed", "1", "--set", "feature_subsets=[[]]"], "feature_subsets[0] is empty"),
     ("backtest", ["--seed", "1", "--set", "synth.anomaly_rate=5"], "anomaly_rate must be in [0,1), got 5.0"),
+    (
+        "backtest",
+        [
+            "--seed", "1", "--set", "selection=split70", "--set", "families=[random_forest]",
+            "--set", "grids.random_forest=[{n_trees: 2}, {n_trees: 4}]",
+        ],
+        "grids.random_forest: split70 fits one candidate, got 2",
+    ),
 ]
 BAD_IDS = [
     "synth-negative-seed",
@@ -281,6 +290,7 @@ BAD_IDS = [
     "int-past-float-range",
     "empty-subset",
     "synth-key-on-backtest",
+    "split70-grid-of-two",
 ]
 
 

@@ -14,8 +14,9 @@ CPU, under another `PYTHONHASHSEED`, re-rendered by `report`, without
 `assert_same_files` compares what the variant wrote with the first run's
 files, and names the first file that differs, and in a JSON file the first
 path, with both values. Every file a panel's commands write also passes the
-checks of `test_every_file_written_is_well_formed` and
-`test_each_periods_yearly_counts_sum_to_its_own`.
+checks of `test_every_file_written_is_well_formed`,
+`test_each_periods_yearly_counts_sum_to_its_own` and
+`test_each_model_was_fitted_with_a_recorded_candidate`.
 
 A new invariant of a run's files goes in as a row of `VARIANTS`.
 """
@@ -37,9 +38,8 @@ from oracles import reference_logistic_path
 import snapgap
 from snapgap import pipeline
 from snapgap.cli import main
-from snapgap.config import load_config
+from snapgap.config import load_config, settings_from
 from snapgap.jsonio import load_json
-from snapgap.models.selection import DEFAULT_GRIDS
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads"
 
@@ -160,10 +160,10 @@ def test_json_difference_names_a_path_and_both_values(want, got, difference):
 
 
 def scaled_grids(workload: str) -> str:
-    """A `--set` of the grids of a benchmark workload, or of the default
-    grids where it sets none, with each family's least tree count made 2
-    and its other tree counts scaled with it."""
-    grids = load_config(WORKLOADS / f"{workload}.yaml").get("grids", DEFAULT_GRIDS)
+    """A `--set` of the grids a benchmark workload fits, its own or its
+    selection's defaults where it sets none, with each family's least tree
+    count made 2 and its other tree counts scaled with it."""
+    grids = settings_from(load_config(WORKLOADS / f"{workload}.yaml")).backtest.family_grids()
     scaled = {}
     for family, grid in grids.items():
         least = min(candidate.get("n_trees", 1) for candidate in grid)
@@ -175,7 +175,7 @@ def scaled_grids(workload: str) -> str:
 
 # Each panel: the workload whose settings `synth` makes it with, on 200
 # ZIPs, and a change made to it then. Under split70 (the stratified panels)
-# a task fits fixed parameters and reads no grid.
+# each family's grid is its one split70 default, with 2 trees for 100.
 PANELS = {
     "cv_grid": ("cv_grid", None),
     "national_panel": ("national_panel", None),
@@ -360,6 +360,30 @@ def test_each_periods_yearly_counts_sum_to_its_own(runs, name):
         for key in ("n_rows", "n_eligible", "anomaly_rows"):
             total, want = sum(entry[key] for entry in years), body["periods"][period][key]
             assert total == want, f"manifest.json: {period} {key}: yearly sum {total}, period {want}"
+
+
+@pytest.mark.parametrize("name", PANELS)
+def test_each_model_was_fitted_with_a_recorded_candidate(runs, name):
+    # each model's winner is a candidate of config.grids, and its scorer
+    # file holds that winner's hyperparameters
+    out = runs[name].out
+    body = load_json(out / "manifest.json")
+    fitted = 0
+    for cohort, entry in body["cohorts"].items():
+        for model, detail in entry.get("models", {}).items():
+            if "error" in detail:
+                continue
+            where = f"manifest.json: cohorts.{cohort}.models.{model}"
+            family, winner = detail["family"], detail["winner"]
+            assert winner in body["config"]["grids"][family], f"{where}: winner {winner} is not in config.grids.{family}"
+            scorer = load_json(out / "models" / pipeline.model_file("model", cohort, model, ".json"))
+            hyperparameters = scorer["model"]["hyperparameters"]
+            for key, value in winner.items():
+                assert key in hyperparameters and hyperparameters[key] == value, (
+                    f"{where}: winner {key} {value!r}, scorer file {hyperparameters.get(key)!r}"
+                )
+            fitted += 1
+    assert fitted
 
 
 @pytest.mark.parametrize("name", WORKLOAD_RUNS)

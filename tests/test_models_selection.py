@@ -58,13 +58,13 @@ class TestStratifiedFolds:
 class TestCvGridSearch:
     def test_singleton_grid_wins(self, rng):
         fm = informative_fm(rng)
-        res = cv_grid_search(fm, "logistic", [{"c": 0.5}], folds=3, seed=0)
+        res = cv_grid_search(fm, "logistic", [{"c": 0.5}], folds=stratified_folds(fm.y, 3, 0), seed=0)
         assert res.winner == {"c": 0.5}
         assert len(res.grid) == 1
 
     def test_oof_covers_every_row(self, rng):
         fm = informative_fm(rng)
-        res = cv_grid_search(fm, "logistic", [{"c": 1.0}], folds=4, seed=2)
+        res = cv_grid_search(fm, "logistic", [{"c": 1.0}], folds=stratified_folds(fm.y, 4, 2), seed=2)
         assert res.oof_proba.shape == (fm.n,)
         assert np.all((res.oof_proba > 0) & (res.oof_proba < 1))
 
@@ -72,7 +72,7 @@ class TestCvGridSearch:
         fm = informative_fm(rng, n=240)
         grid = [{"c": c} for c in (0.01, 0.1, 1.0, 10.0)]
         folds, seed = 4, 17
-        res = cv_grid_search(fm, "logistic", grid, folds=folds, seed=seed)
+        res = cv_grid_search(fm, "logistic", grid, folds=stratified_folds(fm.y, folds, seed), seed=seed)
 
         # independent fold reconstruction from the documented seeding contract
         fold_rng = derive_rng(seed, STREAM_FOLDS)
@@ -108,7 +108,7 @@ class TestCvGridSearch:
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            res = cv_grid_search(fm, "logistic", grid, folds=3, seed=5)
+            res = cv_grid_search(fm, "logistic", grid, folds=stratified_folds(fm.y, 3, 5), seed=5)
         assert res.winner == {"c": 0.01}
 
     @pytest.mark.parametrize(
@@ -141,7 +141,7 @@ class TestCvGridSearch:
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            res = cv_grid_search(fm, family, grid, folds=3, seed=5)
+            res = cv_grid_search(fm, family, grid, folds=stratified_folds(fm.y, 3, 5), seed=5)
         assert len({e.mean_ap for e in res.grid}) == 1
         assert res.winner == winner
 
@@ -152,7 +152,7 @@ class TestCvGridSearch:
             "gradient_boosting": [{"n_trees": 5, "max_depth": 2, "learning_rate": 0.1}],
         }
         for family, grid in grids.items():
-            res = cv_grid_search(fm, family, grid, folds=3, seed=4)
+            res = cv_grid_search(fm, family, grid, folds=stratified_folds(fm.y, 3, 4), seed=4)
             assert 0.0 <= res.grid[0].mean_ap <= 1.0
 
     def test_non_converged_candidate_is_an_entry(self, rng, monkeypatch):
@@ -166,7 +166,7 @@ class TestCvGridSearch:
 
         monkeypatch.setattr(selection, "fit_logistic", fit)
         grid = [{"c": 100.0}, {"c": 1.0}]
-        res = cv_grid_search(fm, "logistic", grid, folds=3, seed=4)
+        res = cv_grid_search(fm, "logistic", grid, folds=stratified_folds(fm.y, 3, 4), seed=4)
         assert res.winner == {"c": 1.0}
         assert [(e.params, e.error) for e in res.grid] == [
             ({"c": 1.0}, None),
@@ -174,7 +174,7 @@ class TestCvGridSearch:
         ]
         assert np.isnan(res.grid[1].mean_ap) and res.grid[1].fold_aps == []
         with pytest.raises(NonConvergence, match="stuck"):
-            cv_grid_search(fm, "logistic", [{"c": 100.0}], folds=3, seed=4)
+            cv_grid_search(fm, "logistic", [{"c": 100.0}], folds=stratified_folds(fm.y, 3, 4), seed=4)
 
     def test_fold_proba_alignment(self, rng):
         fm = informative_fm(rng, n=90)
@@ -199,7 +199,7 @@ class TestCvGridSearch:
             monkeypatch.setattr(
                 module, "standardize", lambda m, real=real: calls.append(m.n) or real(m)
             )
-        cv_grid_search(fm, "logistic", grid, folds=5, seed=3)
+        cv_grid_search(fm, "logistic", grid, folds=stratified_folds(fm.y, 5, 3), seed=3)
         assert len(calls) == 5  # once per fold, not once per fold and candidate
         monkeypatch.undo()
         assert_matches_loop(fm, "logistic", grid, folds=5, seed=3)
@@ -234,7 +234,7 @@ def per_candidate_grid(fm, family, grid, folds, seed):
 
 
 def assert_matches_loop(fm, family, grid, folds, seed):
-    got = cv_grid_search(fm, family, grid, folds=folds, seed=seed)
+    got = cv_grid_search(fm, family, grid, folds=stratified_folds(fm.y, folds, seed), seed=seed)
     entries, winner, oof = per_candidate_grid(fm, family, grid, folds, seed)
     assert [(e.params, e.mean_ap, e.fold_aps) for e in got.grid] == entries
     assert got.winner == winner
@@ -300,4 +300,4 @@ class TestPrefixSharing:
         fm = informative_fm(rng, n=60)
         grid = [{"n_trees": 30, "max_depth": 2}, {"n_trees": 0, "max_depth": 2}]
         with pytest.raises(ValidationError, match="tree count must be >= 1, got 0"):
-            cv_grid_search(fm, family, grid, folds=3, seed=0)
+            cv_grid_search(fm, family, grid, folds=stratified_folds(fm.y, 3, 0), seed=0)
